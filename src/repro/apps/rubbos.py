@@ -139,16 +139,10 @@ class _Tier:
 
     __slots__ = ("sim", "spec", "resource", "_waiting", "_in_service")
 
-    def __init__(
-        self,
-        sim: Simulator,
-        spec: TierSpec,
-        capacity_ghz: float,
-        resource_cls: type = PSResource,
-    ):
+    def __init__(self, sim: Simulator, spec: TierSpec, capacity_ghz: float):
         self.sim = sim
         self.spec = spec
-        self.resource = resource_cls(sim, capacity_ghz)
+        self.resource = PSResource(sim, capacity_ghz)
         self._waiting: Deque[tuple] = deque()
         self._in_service = 0
 
@@ -218,12 +212,6 @@ class MultiTierApp:
         Initial number of closed-loop clients.
     rng:
         Seed or generator for demands and think times.
-    kernel:
-        ``"fast"`` (default) uses the optimized DES kernel from
-        :mod:`repro.sim.des`; ``"reference"`` uses the preserved
-        original from :mod:`repro.sim.des_reference`.  The two are
-        bit-identical — the reference exists for equivalence tests and
-        for the ``des`` benchmark's baseline timing.
     """
 
     def __init__(
@@ -232,20 +220,9 @@ class MultiTierApp:
         initial_allocations_ghz: Optional[Sequence[float]] = None,
         concurrency: int = 0,
         rng: RngLike = None,
-        kernel: str = "fast",
     ):
-        if kernel not in ("fast", "reference"):
-            raise ValueError(f"kernel must be 'fast' or 'reference', got {kernel!r}")
         self.spec = spec
-        self.kernel = kernel
-        if kernel == "reference":
-            from repro.sim.des_reference import ReferencePSResource, ReferenceSimulator
-
-            self.sim: Simulator = ReferenceSimulator()
-            resource_cls: type = ReferencePSResource
-        else:
-            self.sim = Simulator()
-            resource_cls = PSResource
+        self.sim = Simulator()
         self._rng = ensure_rng(rng)
         if initial_allocations_ghz is None:
             initial_allocations_ghz = [1.0] * spec.n_tiers
@@ -256,7 +233,7 @@ class MultiTierApp:
             )
         self._alloc = np.empty(spec.n_tiers)
         self._tiers: List[_Tier] = [
-            _Tier(self.sim, tier, 1.0, resource_cls) for tier in spec.tiers
+            _Tier(self.sim, tier, 1.0) for tier in spec.tiers
         ]
         self.set_allocations(alloc)
         self._target_n = 0

@@ -1,6 +1,6 @@
 """Command-line entry points (installed as ``repro-testbed``,
 ``repro-largescale``, ``repro-trace``, ``repro-obs``, ``repro-faults``,
-``repro-bench``, ``repro-scenario``, and ``repro-sim``).
+``repro-scenario``, and ``repro-sim``).
 
 Each command runs one of the paper's experiments with configurable
 parameters and prints a plain-text report; they are thin wrappers over
@@ -465,82 +465,6 @@ def main_faults(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def main_bench(argv: Optional[List[str]] = None) -> int:
-    """Run the tracked performance suite (see docs/PERFORMANCE.md)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="Time the hot-path fast lanes against their reference "
-        "paths (MPC solve, Minimum Slack, IPAC, DES, large-scale run).",
-    )
-    parser.add_argument(
-        "--scale", choices=["full", "smoke"], default="full",
-        help="'full' reproduces the committed BENCH_perf.json numbers; "
-        "'smoke' is the reduced CI variant",
-    )
-    parser.add_argument(
-        "--cases", nargs="+", default=None, metavar="CASE",
-        help="subset of cases to run, space- or comma-separated "
-        "(e.g. --cases des,des_hybrid; default: all)",
-    )
-    parser.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="write the JSON report here (e.g. BENCH_perf.json)",
-    )
-    parser.add_argument(
-        "--check-against", metavar="PATH", default=None,
-        help="compare speedups against a committed baseline report; "
-        "exit 1 on a regression beyond --tolerance",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed fractional speedup regression vs the baseline "
-        "(default 0.25)",
-    )
-    add_verbosity_flags(parser)
-    args = parser.parse_args(argv)
-    configure_logging(args.verbose, args.quiet)
-    from repro.bench import compare_to_baseline, run_suite, write_report
-
-    if args.cases is not None:
-        # Accept both "--cases des des_hybrid" and "--cases des,des_hybrid".
-        args.cases = [c for part in args.cases for c in part.split(",") if c]
-    try:
-        report = run_suite(scale=args.scale, cases=args.cases)
-    except KeyError as exc:
-        print(f"repro-bench: {exc.args[0]}", file=sys.stderr)
-        return 2
-    from repro.bench.perf_suite import CaseResult
-
-    print(f"perf suite ({args.scale}):")
-    print(f"{'case':<12} {'fast':>11} {'reference':>11}  {'speedup':>7}")
-    for case in report["cases"].values():
-        print(CaseResult(**case).row())
-    if args.output:
-        write_report(report, args.output)
-        print(f"report written to {args.output}")
-    if args.check_against:
-        import json as _json
-
-        try:
-            with open(args.check_against, "r", encoding="utf-8") as fh:
-                baseline = _json.load(fh)
-        except OSError as exc:
-            print(
-                f"repro-bench: cannot read {args.check_against}: "
-                f"{exc.strerror or exc}",
-                file=sys.stderr,
-            )
-            return 1
-        failures = compare_to_baseline(report, baseline, args.tolerance)
-        if failures:
-            for f in failures:
-                print(f"repro-bench: REGRESSION {f}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.check_against} "
-              f"(tolerance {args.tolerance:.0%})")
-    return 0
-
-
 def _load_scenario(name_or_path: str):
     """Resolve a CLI scenario argument: registry name or JSON file path.
 
@@ -667,10 +591,9 @@ def main_sim(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--control-mode", choices=("fleet", "scalar"), default=None,
-        help="override the scenario's control path (testbed: fleet "
-        "batches all apps' sysid/MPC through the grouped kernels, "
-        "scalar is the bit-reproducible per-app loop; largescale/"
-        "sharded runs are fleet-vectorized either way)",
+        help="override the scenario's control path (testbed scenarios "
+        "only: fleet batches all apps' sysid/MPC through the grouped "
+        "kernels, scalar is the bit-reproducible per-app loop)",
     )
     add_verbosity_flags(parser)
     args = parser.parse_args(argv)
@@ -685,6 +608,13 @@ def main_sim(argv: Optional[List[str]] = None) -> int:
 
     spec = _load_scenario(args.scenario)
     if args.control_mode is not None:
+        if spec.harness != "testbed":
+            print(
+                f"repro-sim: --control-mode applies to testbed scenarios only; "
+                f"{spec.name} is a {spec.harness} scenario",
+                file=sys.stderr,
+            )
+            return 1
         import dataclasses
 
         spec = dataclasses.replace(

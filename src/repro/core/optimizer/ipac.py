@@ -98,7 +98,6 @@ def _run_pac(
     vm_ids: List[str],
     config: PACConfig,
     exclude_server: Optional[str] = None,
-    previous_mapping: Optional[Dict[str, str]] = None,
 ) -> Tuple[Dict[str, str], List[str]]:
     """Place *vm_ids* via PAC against *mapping*; return (mapping, unplaced).
 
@@ -125,7 +124,7 @@ def _run_pac(
         vm_index=problem.vm_index(),
         servers_sorted=servers_sorted,
     )
-    plan = pac(sub, vm_ids, config, previous_mapping=previous_mapping)
+    plan = pac(sub, vm_ids, config)
     return plan.final_mapping, plan.unplaced
 
 
@@ -312,10 +311,7 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
                 evictions.append(vm_id)
                 mandatory_ids.add(vm_id)
         if evictions:
-            mapping, failed = _run_pac(
-                problem, mapping, evictions, config.pac,
-                previous_mapping=problem.mapping,
-            )
+            mapping, failed = _run_pac(problem, mapping, evictions, config.pac)
             unplaced.extend(failed)
 
     # ---- Phase B: incremental drain loop ------------------------------
@@ -347,7 +343,6 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
             trial, failed = _run_pac(
                 problem, trial, drain_ids, config.pac,
                 exclude_server=victim.server_id,
-                previous_mapping=problem.mapping,
             )
             if failed:
                 continue  # could not rehome everything; keep current mapping
@@ -369,10 +364,7 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
     # hosted VM aside to open the needed room.  Repair moves become
     # mandatory — they exist only to home an otherwise-homeless VM.
     if unplaced:
-        mapping, unplaced = _run_pac(
-            problem, mapping, unplaced, config.pac,
-            previous_mapping=problem.mapping,
-        )
+        mapping, unplaced = _run_pac(problem, mapping, unplaced, config.pac)
     if unplaced:
         mapping, unplaced, repair_moved = _repair_unplaced(
             problem, mapping, unplaced, config.pac

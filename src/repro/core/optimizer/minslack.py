@@ -8,7 +8,7 @@ CPU while respecting the memory constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.optimizer.types import VMInfo
 from repro.obs import get_telemetry
@@ -23,16 +23,12 @@ class MinSlackConfig:
 
     ``epsilon_ghz`` is the allowed slack (Algorithm 1's eps);
     ``max_steps`` the per-escalation step budget; ``epsilon_step_ghz``
-    the escalation increment (None = 5% of the free capacity);
-    ``prune`` enables the suffix-sum dominance bound (see
-    :func:`repro.packing.mbs.minimum_bin_slack` — ``False`` runs the
-    exhaustive reference search).
+    the escalation increment (None = 5% of the free capacity).
     """
 
     epsilon_ghz: float = 0.05
     max_steps: int = 20000
     epsilon_step_ghz: float | None = None
-    prune: bool = True
 
     def __post_init__(self):
         if self.epsilon_ghz < 0:
@@ -46,14 +42,8 @@ def select_vms_for_server(
     free_memory_mb: float,
     candidates: Sequence[VMInfo],
     config: MinSlackConfig | None = None,
-    incumbent_ids: Optional[Iterable[str]] = None,
 ) -> Tuple[List[VMInfo], MBSResult]:
     """Pick the VM subset that best fills the server's free CPU.
-
-    ``incumbent_ids`` optionally seeds the search with a previous
-    selection for this server (vm ids; unknown ids are ignored) — the
-    incremental fast lane: the previous period's choice becomes the
-    starting incumbent the search must strictly beat.
 
     Returns the chosen VMs and the raw search result (slack, steps,
     epsilon after escalations).  Telemetry: traced as the
@@ -69,11 +59,6 @@ def select_vms_for_server(
         raise ValueError(f"free_memory_mb must be >= 0, got {free_memory_mb}")
     sizes = [vm.demand_ghz for vm in candidates]
     constraint = MemoryConstraint([vm.memory_mb for vm in candidates], free_memory_mb)
-    incumbent = None
-    if incumbent_ids is not None:
-        wanted = set(incumbent_ids)
-        if wanted:
-            incumbent = [i for i, vm in enumerate(candidates) if vm.vm_id in wanted]
     tel = get_telemetry()
     with tel.span("minslack.search", candidates=len(sizes)) as sp:
         result = minimum_bin_slack(
@@ -83,8 +68,6 @@ def select_vms_for_server(
             epsilon=config.epsilon_ghz,
             max_steps=config.max_steps,
             epsilon_step=config.epsilon_step_ghz,
-            incumbent=incumbent,
-            prune=config.prune,
         )
         sp.annotate(
             nodes=result.steps,

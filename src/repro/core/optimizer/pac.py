@@ -35,18 +35,10 @@ class PACConfig:
     ``target_utilization`` caps how full PAC packs each server (fraction
     of its maximum CPU capacity) so that normal demand jitter does not
     instantly overload a freshly packed host.
-
-    ``incremental`` seeds each server's Minimum Slack search with the
-    VMs the previous mapping put there (the problem's ``mapping``, or an
-    explicit ``previous_mapping`` argument to :func:`pac`).  The seed is
-    a starting incumbent the search must strictly beat, so the result is
-    never worse than the previous selection — and when demand barely
-    moved, the search early-exits on the seed in zero steps.
     """
 
     minslack: MinSlackConfig = field(default_factory=MinSlackConfig)
     target_utilization: float = 0.95
-    incremental: bool = False
 
     def __post_init__(self):
         check_in_range("target_utilization", self.target_utilization, 0.1, 1.0)
@@ -103,7 +95,6 @@ def pac(
     problem: PlacementProblem,
     vms_to_place: Optional[Sequence[str]] = None,
     config: PACConfig | None = None,
-    previous_mapping: Optional[Dict[str, str]] = None,
 ) -> PlacementPlan:
     """Consolidate VMs onto the most power-efficient servers.
 
@@ -117,12 +108,6 @@ def pac(
         they are and consume capacity on their current hosts.
     config:
         PAC tuning.
-    previous_mapping:
-        When ``config.incremental`` is set, the mapping whose per-server
-        selections seed each Minimum Slack search as its starting
-        incumbent (defaults to ``problem.mapping``).  Seeds only speed
-        the search up and bound it below — the plan is never worse than
-        re-using the previous selections.
 
     Returns the placement plan; VMs that fit nowhere end up in
     ``plan.unplaced`` (and keep their current host in the mapping, if
@@ -140,8 +125,6 @@ def pac(
     place_set = set(place_ids)
     if len(place_set) != len(place_ids):
         raise ValueError("vms_to_place contains duplicates")
-    if config.incremental and previous_mapping is None:
-        previous_mapping = problem.mapping
 
     # Residual load from VMs that are staying put.
     base_cpu: Dict[str, float] = {s.server_id: 0.0 for s in problem.servers}
@@ -152,13 +135,6 @@ def pac(
             base_cpu[sid] += vm_by_id[vm_id].demand_ghz
             base_mem[sid] += vm_by_id[vm_id].memory_mb
             final_mapping[vm_id] = sid
-
-    seed_by_server: Dict[str, List[str]] = {}
-    if config.incremental and previous_mapping:
-        for vm_id in place_ids:
-            sid = previous_mapping.get(vm_id)
-            if sid is not None:
-                seed_by_server.setdefault(sid, []).append(vm_id)
 
     remaining: List[VMInfo] = [vm_by_id[i] for i in sorted(place_set)]
     for server in problem.servers_by_efficiency():
@@ -172,11 +148,7 @@ def pac(
         if free_cpu <= 0 or free_mem < 0:
             continue
         chosen, _ = select_vms_for_server(
-            free_cpu,
-            max(free_mem, 0.0),
-            remaining,
-            config.minslack,
-            incumbent_ids=seed_by_server.get(server.server_id),
+            free_cpu, max(free_mem, 0.0), remaining, config.minslack
         )
         if not chosen:
             continue

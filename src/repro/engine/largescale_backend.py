@@ -66,10 +66,8 @@ def _build_optimizer(config: "LargeScaleConfig") -> Callable[[PlacementProblem],
         minslack=MinSlackConfig(
             epsilon_ghz=config.minslack_epsilon_ghz,
             max_steps=config.minslack_max_steps,
-            prune=config.minslack_prune,
         ),
         target_utilization=config.target_utilization,
-        incremental=config.incremental,
     )
     if config.scheme == "ipac":
         ipac_cfg = IPACConfig(pac=pac_cfg)
@@ -239,10 +237,8 @@ class LargeScaleBackend:
             minslack=MinSlackConfig(
                 epsilon_ghz=config.minslack_epsilon_ghz,
                 max_steps=config.minslack_max_steps,
-                prune=config.minslack_prune,
             ),
             target_utilization=config.target_utilization,
-            incremental=config.incremental,
         )
         self.relief_config = OnDemandConfig(
             target_utilization=config.target_utilization,
@@ -283,15 +279,9 @@ class LargeScaleBackend:
     def emit_run_config(self) -> None:
         """The run-header log line + telemetry event (fresh starts only)."""
         tel = get_telemetry()
-        # control_mode is logged but deliberately NOT part of the
-        # run_config event: this backend's sysid/control phases are
-        # vectorized over the whole fleet in either mode (bit-identical
-        # by construction), and the event feeds golden-hash gates.
         logger.info(
-            "largescale run: scheme=%s, %d VMs on %d servers, %d steps of "
-            "%.0fs, %s control",
-            self.config.scheme, self.n_vms, self.n_srv, self.n_steps,
-            self.dt_s, self.config.control_mode,
+            "largescale run: scheme=%s, %d VMs on %d servers, %d steps of %.0fs",
+            self.config.scheme, self.n_vms, self.n_srv, self.n_steps, self.dt_s,
         )
         tel.event(
             "run_config",

@@ -1,13 +1,14 @@
 """Named, validated scenario specs for the control-plane kernel.
 
 A :class:`ScenarioSpec` is a JSON-safe description of one complete
-engine run: which harness (``testbed`` or ``largescale``), the harness
-config parameters, and the optional extras that do not fit in a flat
-config — an ARX model (so the testbed skips system identification), a
-per-application workload schedule, a trace recipe, a fault spec.  Specs
-round-trip through :meth:`ScenarioSpec.to_dict` /
-:meth:`ScenarioSpec.from_dict`, so they can live in version-controlled
-JSON files and be diffed like any other experiment artifact.
+engine run: which harness (``testbed``, ``largescale`` or ``sharded``),
+the harness config parameters, and the optional extras that do not fit
+in a flat config — an ARX model (so the testbed skips system
+identification), a per-application workload schedule, a trace recipe
+(largescale and sharded), a fault spec.  Specs round-trip through
+:meth:`ScenarioSpec.to_dict` / :meth:`ScenarioSpec.from_dict`, so they
+can live in version-controlled JSON files and be diffed like any other
+experiment artifact.
 
 :class:`ScenarioRegistry` maps names to specs; :func:`builtin_registry`
 ships the repository's reference scenarios (the same configurations the
@@ -248,7 +249,7 @@ class ScenarioSpec:
     def _validate_trace(self) -> List[str]:
         if self.harness == "testbed":
             if self.trace is not None:
-                return ["trace: only the largescale harness takes a trace recipe"]
+                return ["trace: only the largescale and sharded harnesses take a trace recipe"]
             return []
         if self.trace is None:
             return [f"trace: the {self.harness} harness needs a trace recipe "

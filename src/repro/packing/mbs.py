@@ -15,24 +15,16 @@ fills one bin as completely as possible.  The paper extends it two ways
 The search is iterative (explicit stack), so item counts in the
 thousands cannot hit the interpreter recursion limit.
 
-Fast lane
----------
-Two optional accelerations keep the search out of the simulator's
-hot-path profile without changing what it returns:
-
-* **Dominance pruning** (``prune=True``): with items visited in
-  decreasing-size order, the suffix sum of the remaining sizes is an
-  upper bound on how much more a branch can ever add to the bin.  A
-  branch whose best-case fill cannot *strictly* beat the incumbent is
-  cut.  Because the incumbent only ever updates on strict improvements,
-  pruning preserves the exact sequence of incumbent updates — only the
-  step count (and therefore epsilon-escalation timing on searches that
-  exceed ``max_steps``) can differ from the unpruned search.
-* **Incumbent seeding** (``incumbent=...``): start the search from a
-  known-good selection (e.g. the previous optimizer period's choice for
-  the same server) instead of from the empty bin.  The seed tightens the
-  pruning bound immediately and triggers the epsilon early-exit without
-  a single search step when the previous selection is still good enough.
+Dominance bound
+---------------
+With items visited in decreasing-size order, the suffix sum of the
+remaining sizes is an upper bound on how much more a branch can ever
+add to the bin.  A branch whose best-case fill cannot *strictly* beat
+the incumbent is cut.  Because the incumbent only ever updates on
+strict improvements, the bound preserves the exact sequence of
+incumbent updates of the exhaustive search — only the step count (and
+therefore epsilon-escalation timing on searches that exceed
+``max_steps``) differs.
 """
 
 from __future__ import annotations
@@ -152,9 +144,7 @@ class MBSResult:
     found); ``slack`` is the unfilled primary capacity it leaves;
     ``epsilon_used`` is the allowed slack after any escalations;
     ``early_exit`` reports whether the epsilon threshold (rather than
-    exhaustion of the search space or the hard step cap) ended the run;
-    ``seeded`` reports whether an incumbent seed survived validation and
-    primed the search.
+    exhaustion of the search space or the hard step cap) ended the run.
     """
 
     selected: Tuple[int, ...]
@@ -162,7 +152,6 @@ class MBSResult:
     steps: int
     epsilon_used: float
     early_exit: bool
-    seeded: bool = False
 
 
 def minimum_bin_slack(
@@ -173,8 +162,6 @@ def minimum_bin_slack(
     max_steps: int = 20000,
     epsilon_step: Optional[float] = None,
     hard_step_cap: Optional[int] = None,
-    incumbent: Optional[Sequence[int]] = None,
-    prune: bool = True,
 ) -> MBSResult:
     """Select items minimizing one bin's unfilled primary capacity.
 
@@ -198,15 +185,6 @@ def minimum_bin_slack(
     hard_step_cap:
         Absolute step bound (defaults to ``50 * max_steps``); the search
         performs **at most exactly this many** feasibility evaluations.
-    incumbent:
-        Optional starting selection (item indices).  Indices must be in
-        range and unique; items that no longer fit (capacity or
-        constraint) are dropped from the seed rather than failing the
-        search.  The surviving seed becomes the initial incumbent the
-        depth-first search must strictly beat.
-    prune:
-        Enable suffix-sum dominance pruning (see module docstring).
-        ``False`` reproduces the exhaustive reference search.
     """
     sizes = np.asarray(primary_sizes, dtype=float)
     if sizes.ndim != 1:
@@ -231,18 +209,6 @@ def minimum_bin_slack(
 
     best_sel: Tuple[int, ...] = ()
     best_slack = float(capacity)
-    seeded = False
-    if incumbent is not None and len(incumbent):
-        seed, seed_used = _validate_incumbent(sizes, capacity, constraint, incumbent)
-        if seed:
-            seed_slack = capacity - seed_used
-            if seed_slack < best_slack - _FIT_TOL:
-                best_slack = float(seed_slack)
-                best_sel = tuple(seed)
-                seeded = True
-        if best_slack <= epsilon + _FIT_TOL:
-            # The seed already meets the allowed slack: zero search steps.
-            return MBSResult(best_sel, float(best_slack), 0, float(epsilon), True, seeded)
 
     # Sort once; the DFS walks positions in this order.  Python lists
     # beat NumPy scalar indexing inside the interpreter-bound loop, and
@@ -289,7 +255,7 @@ def minimum_bin_slack(
         pos = pos_stack[-1]
         taken = -1
         while pos < n:
-            if prune and used + suffix[pos] <= cap - best_slack + tol:
+            if used + suffix[pos] <= cap - best_slack + tol:
                 # Even taking every remaining item cannot strictly beat
                 # the incumbent: dominated branch, cut it.
                 pos = n
@@ -357,45 +323,4 @@ def minimum_bin_slack(
         steps=steps,
         epsilon_used=eps_current,
         early_exit=early,
-        seeded=seeded,
     )
-
-
-def _validate_incumbent(
-    sizes: np.ndarray,
-    capacity: float,
-    constraint: Optional[PackingConstraint],
-    incumbent: Sequence[int],
-) -> Tuple[List[int], float]:
-    """Reduce an incumbent seed to a feasible sub-selection.
-
-    Out-of-range indices are a caller bug and raise; items that no
-    longer fit are dropped (demands drift between optimizer periods).
-    Returns the surviving indices and their total size; the constraint
-    object is left in its initial state.
-    """
-    n = sizes.shape[0]
-    survivors: List[int] = []
-    used = 0.0
-    seen = set()
-    try:
-        for i in incumbent:
-            i = int(i)
-            if i < 0 or i >= n:
-                raise ValueError(f"incumbent index {i} out of range [0, {n})")
-            if i in seen:
-                continue
-            seen.add(i)
-            if used + sizes[i] > capacity + _FIT_TOL:
-                continue
-            if constraint is not None and not constraint.accepts(i):
-                continue
-            survivors.append(i)
-            used += float(sizes[i])
-            if constraint is not None:
-                constraint.push(i)
-    finally:
-        if constraint is not None:
-            for i in reversed(survivors):
-                constraint.pop(i)
-    return survivors, used

@@ -33,8 +33,9 @@ remaining work in a preallocated float64 slot array and advances all
 jobs with one vectorized subtract instead of a per-job object rescan.
 
 Both optimizations are **bit-identical** to the original kernel, which
-is preserved in :mod:`repro.sim.des_reference` and pinned by the
-equivalence property tests in ``tests/test_des_equivalence.py``: events
+is preserved as the test oracle ``tests/oracles/des_reference.py`` and
+pinned by the equivalence property tests in
+``tests/test_des_equivalence.py``: events
 fire in the same (time, seq) order, and every floating-point operation
 on job state happens with the same operands in the same order (the
 vectorized ``rem -= rate*dt`` performs exactly the per-element IEEE-754
@@ -367,7 +368,7 @@ class PSResource:
     share to every job with one vectorized subtract; in the common case
     (nothing finished) it allocates nothing.  Results are bit-identical
     to the per-job reference implementation
-    (:class:`repro.sim.des_reference.ReferencePSResource`): the
+    (``ReferencePSResource`` in ``tests/oracles/des_reference.py``): the
     subtraction, the ``1e-12`` completion threshold, the
     insertion-order completion sweep, and the min-remaining reschedule
     all perform the same IEEE-754 operations in the same order.

@@ -84,13 +84,6 @@ class LargeScaleConfig:
     never changes placement, DVFS, or the power/energy totals; the
     result's ``attribution`` entry reconciles with ``total_energy_wh``
     (migration energy is accounted separately).
-
-    ``minslack_prune`` enables the Minimum Slack dominance bound
-    (bit-identical placements, fewer search nodes); ``incremental``
-    seeds each optimizer invocation's per-server searches with the
-    previous placement (an opt-in fast lane — placements may differ
-    from a from-scratch run, but never use more active servers than
-    re-using the previous selections would).
     """
 
     n_vms: int = 100
@@ -107,27 +100,13 @@ class LargeScaleConfig:
     target_utilization: float = 0.9
     minslack_max_steps: int = 3000
     minslack_epsilon_ghz: float = 0.1
-    minslack_prune: bool = True
-    incremental: bool = False
     migration_overhead_w: float = 30.0
     migration_bandwidth_mbps: float = 1000.0
     faults: Optional[FaultSchedule] = None
     attribute_power: bool = False
-    #: Control-path selector shared with the testbed/scenario schema.
-    #: The large-scale sysid (forecaster) and actuation phases are
-    #: *already* fleet-vectorized array code with no per-app MPC/RLS
-    #: instances, so both values produce bit-identical runs here; the
-    #: field is validated and surfaced (run header log) so one scenario
-    #: schema covers every harness, sharded pods included.
-    control_mode: str = "fleet"
     seed: int = 7
 
     def __post_init__(self):
-        if self.control_mode not in ("fleet", "scalar"):
-            raise ValueError(
-                f"control_mode must be 'fleet' or 'scalar', "
-                f"got {self.control_mode!r}"
-            )
         if self.n_vms < 1:
             raise ValueError(f"n_vms must be >= 1, got {self.n_vms}")
         if self.n_servers < 1:

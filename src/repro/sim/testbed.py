@@ -89,10 +89,7 @@ class TestbedConfig:
     :class:`repro.sim.hybrid.HybridPlant` that fast-forwards
     quasi-static control periods through the analytic MVA fixed point
     and falls back to the exact DES around transients (``hybrid`` tunes
-    the switching policy; a plain dict is coerced).  ``des_kernel``
-    selects the event-kernel implementation — ``"fast"`` (default,
-    optimized) or ``"reference"`` (the preserved original; bit-identical,
-    used for equivalence tests and benchmark baselines).
+    the switching policy; a plain dict is coerced).
 
     ``control_mode`` selects the application-level control path in the
     :class:`~repro.core.manager.PowerManager`: ``"fleet"`` (default)
@@ -128,7 +125,6 @@ class TestbedConfig:
     trace_requests_every: int = 0
     attribute_power: bool = False
     plant_mode: str = "des"
-    des_kernel: str = "fast"
     hybrid: Optional[HybridConfig] = None
     control_mode: str = "fleet"
     seed: int = 2010
@@ -142,10 +138,6 @@ class TestbedConfig:
         if self.plant_mode not in ("des", "hybrid"):
             raise ValueError(
                 f"plant_mode must be 'des' or 'hybrid', got {self.plant_mode!r}"
-            )
-        if self.des_kernel not in ("fast", "reference"):
-            raise ValueError(
-                f"des_kernel must be 'fast' or 'reference', got {self.des_kernel!r}"
             )
         if isinstance(self.hybrid, dict):
             # Scenario specs carry the switching policy as plain JSON.
@@ -233,7 +225,6 @@ class TestbedExperiment:
             [cfg.initial_alloc_ghz] * 2,
             concurrency=cfg.concurrency,
             rng=rng,
-            kernel=cfg.des_kernel,
         )
         lo, hi = cfg.sysid_alloc_range
         data = run_identification_experiment(
@@ -292,7 +283,6 @@ class TestbedExperiment:
                 [cfg.initial_alloc_ghz] * 2,
                 concurrency=workload.level(0.0),
                 rng=app_rngs[i],
-                kernel=cfg.des_kernel,
             )
             if cfg.plant_mode == "hybrid":
                 plant = HybridPlant(plant, cfg.hybrid)

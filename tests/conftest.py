@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# The pinned event-log hashes and the fleet-vs-scalar tolerances hold for
+# single-threaded BLAS only: a multi-threaded OpenBLAS splits reductions
+# differently and moves the last bits.  Must run before numpy is imported.
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from repro.control.arx import ARXModel

@@ -5,14 +5,13 @@ queue (batched dispatch, lazy-cancel compaction) and the
 processor-sharing bookkeeping (slot arrays instead of per-job objects)
 while keeping every floating-point operation in the same order — its
 results are **bit-identical** to this module's.  This module keeps the
-original, obviously-correct implementations around for two jobs:
-
-* the equivalence property tests in ``tests/test_des_equivalence.py``
-  drive random workloads through both kernels and assert bitwise-equal
-  departure times, counters, and event logs;
-* the ``des`` benchmark case times the fast lane against this kernel
-  (``TestbedConfig.des_kernel="reference"``), so the reported speedup
-  measures what the optimization actually bought.
+original, obviously-correct implementations around as a differential
+oracle: the equivalence property tests in
+``tests/test_des_equivalence.py`` drive random workloads through both
+kernels and assert bitwise-equal departure times, counters, and event
+logs.  It is also the exact processor-sharing baseline any approximate
+plant (e.g. :class:`repro.sim.hybrid.HybridPlant`) can be bounded
+against.
 
 Nothing here should be "improved" — it is the frozen baseline.  The
 classes subclass / interoperate with :mod:`repro.sim.des` types

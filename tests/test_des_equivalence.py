@@ -2,20 +2,22 @@
 
 The optimized :class:`repro.sim.des.PSResource` (preallocated slot
 array, vectorized advance, min-remaining cache) claims *bit-identical*
-results to :class:`repro.sim.des_reference.ReferencePSResource` (the
-original per-job dict implementation).  These tests drive both kernels
+results to :class:`tests.oracles.des_reference.ReferencePSResource`
+(the original per-job dict implementation).  These tests drive both kernels
 through the same operation sequences — random arrivals, capacity
 changes, degradations, idle gaps — and compare every observable float
 with ``==``, never with a tolerance.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import rubbos
 from repro.apps.rubbos import AppSpec, MultiTierApp
 from repro.sim.des import PSResource, Simulator
-from repro.sim.des_reference import ReferencePSResource, ReferenceSimulator
+from tests.oracles.des_reference import ReferencePSResource, ReferenceSimulator
 
 
 def _drive(sim_cls, res_cls, capacity, ops):
@@ -146,42 +148,57 @@ class TestPSBitIdentity:
 
 
 class TestAppBitIdentity:
-    """Same app workload on both kernels: identical period statistics."""
+    """Same app workload on both kernels: identical period statistics.
 
-    def _run(self, kernel):
-        app = MultiTierApp(
-            AppSpec.rubbos(),
-            initial_allocations_ghz=[0.8, 0.6],
-            concurrency=25,
-            rng=np.random.default_rng(42),
-            kernel=kernel,
-        )
-        app.warmup(10.0)
-        out = []
-        for alloc in ([0.8, 0.6], [1.2, 0.9], [0.5, 0.4]):
-            app.set_allocations(alloc)
-            stats = app.run_period(30.0)
-            out.append(
-                (
-                    stats.completed,
-                    stats.rt_mean_ms,
-                    stats.rt_p50_ms,
-                    stats.rt_p90_ms,
-                    tuple(stats.utilizations),
-                )
+    ``MultiTierApp`` has no kernel seam; the oracle run swaps the
+    classes :mod:`repro.apps.rubbos` looks up at construction time.
+    """
+
+    @pytest.fixture
+    def on_both_kernels(self, monkeypatch):
+        def compare(run):
+            fast = run()
+            monkeypatch.setattr(rubbos, "Simulator", ReferenceSimulator)
+            monkeypatch.setattr(rubbos, "PSResource", ReferencePSResource)
+            probe = MultiTierApp(AppSpec.rubbos())
+            assert type(probe.sim) is ReferenceSimulator
+            assert type(probe._tiers[0].resource) is ReferencePSResource
+            assert fast == run()
+
+        return compare
+
+    def test_period_stats_identical(self, on_both_kernels):
+        def run():
+            app = MultiTierApp(
+                AppSpec.rubbos(),
+                initial_allocations_ghz=[0.8, 0.6],
+                concurrency=25,
+                rng=np.random.default_rng(42),
             )
-        return out
+            app.warmup(10.0)
+            out = []
+            for alloc in ([0.8, 0.6], [1.2, 0.9], [0.5, 0.4]):
+                app.set_allocations(alloc)
+                stats = app.run_period(30.0)
+                out.append(
+                    (
+                        stats.completed,
+                        stats.rt_mean_ms,
+                        stats.rt_p50_ms,
+                        stats.rt_p90_ms,
+                        tuple(stats.utilizations),
+                    )
+                )
+            return out
 
-    def test_period_stats_identical(self):
-        assert self._run("fast") == self._run("reference")
+        on_both_kernels(run)
 
-    def test_fault_path_identical(self):
-        def run(kernel):
+    def test_fault_path_identical(self, on_both_kernels):
+        def run():
             app = MultiTierApp(
                 AppSpec.rubbos(),
                 concurrency=20,
                 rng=np.random.default_rng(7),
-                kernel=kernel,
             )
             app.warmup(5.0)
             app.degrade_tier(1, 0.3)
@@ -190,4 +207,4 @@ class TestAppBitIdentity:
             s2 = app.run_period(20.0)
             return (s1.completed, s1.rt_mean_ms, s2.completed, s2.rt_mean_ms)
 
-        assert run("fast") == run("reference")
+        on_both_kernels(run)

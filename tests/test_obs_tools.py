@@ -490,14 +490,3 @@ class TestObsCli:
         assert main_obs(["watch", str(empty), "--once"]) == 1
         run = self._write_run(tmp_path)
         assert main_obs(["watch", str(run), "--once"]) == 0
-
-
-class TestTelemetryBenchCase:
-    def test_overhead_case_runs_and_reports(self):
-        # Tiny run: just proves the case wiring (records captured on the
-        # instrumented side, none on the dark side).
-        import repro.bench.perf_suite as ps
-
-        n = ps._obs_testbed_run(30.0, instrumented=True)
-        assert n > 0
-        assert ps._obs_testbed_run(30.0, instrumented=False) == 0

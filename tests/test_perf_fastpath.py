@@ -1,22 +1,19 @@
-"""Fast-lane regression tests.
+"""Hot-path regression tests.
 
-Pins the three hot-path optimizations to their correctness contracts:
+Pins the hot-path optimizations to their correctness contracts:
 
-* **Golden bit-identity** — with the fast modes disabled (and for the
-  pruned default, which preserves results when no step budget binds),
-  the simulators reproduce event logs and aggregates captured on the
-  pre-fast-lane revision, bit for bit.
+* **Golden bit-identity** — the simulators reproduce event logs and
+  aggregates captured before the optimizations landed, bit for bit
+  (the Minimum Slack dominance bound preserves results when no step
+  budget binds; the testbed golden pins the cold-start scalar path).
 * **QP warm starting** — a warm-started solve agrees with the cold
   solve on the same problem (objective within 1e-9), survives garbage
   and inconsistent seeds, and degrades to the SciPy fallback exactly
   like a cold solve.
 * **MPC matrix caching** — cached prediction/Hessian matrices are
   bitwise equal to freshly derived ones, and solutions are unchanged.
-* **Incremental packing** — incumbent seeding never worsens a search,
-  replays the previous placement on an unchanged problem, and the
-  pruned search returns the unpruned search's selection.
-* **Benchmark harness** — report schema, scale-aware baseline
-  comparison, and the merge behavior of the committed report file.
+* **Minimum Slack search** — constraint protocol discipline, exact step
+  accounting, and optimality against a brute-force subset oracle.
 """
 
 import hashlib
@@ -30,15 +27,11 @@ from hypothesis import strategies as st
 from repro.control.arx import ARXModel
 from repro.control.mpc_core import MPCConfig, MPCController
 from repro.control.qp import solve_qp
-from repro.core.optimizer.minslack import MinSlackConfig, select_vms_for_server
-from repro.core.optimizer.pac import PACConfig, pac
-from repro.core.optimizer.types import PlacementProblem, make_vm_infos
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
-from repro.packing.mbs import MemoryConstraint, minimum_bin_slack
+from repro.packing.mbs import _FIT_TOL, MemoryConstraint, minimum_bin_slack
 from repro.sim.largescale import LargeScaleConfig, run_largescale
 from repro.sim.testbed import TestbedConfig, TestbedExperiment
 from repro.traces.generator import TraceConfig, generate_trace
-from tests.conftest import make_server_info
 
 
 def _eventlog_hash(records):
@@ -49,8 +42,8 @@ def _eventlog_hash(records):
     return digest, len(events)
 
 
-# Captured on the pre-fast-lane revision (seed of this PR); the fast
-# lanes must not move any of these.
+# Captured before the hot-path optimizations landed; they must not move
+# any of these.
 _LS_GOLDEN = {
     "energy_wh": 13631.487937070524,
     "migrations": 3,
@@ -67,17 +60,16 @@ _TB_GOLDEN = {
 
 
 class TestGoldenBitIdentity:
-    def _run_largescale(self, **overrides):
+    def test_largescale_default_config_matches_golden(self):
+        # On this instance no Minimum Slack step budget binds, so the
+        # dominance bound must leave the run bitwise identical to the
+        # exhaustive-search run the golden was captured on.
         backend = InMemoryBackend()
         trace = generate_trace(TraceConfig(n_servers=40, n_days=1), rng=13)
         with use_telemetry(Telemetry(backend)):
             res = run_largescale(
-                trace,
-                LargeScaleConfig(n_vms=30, n_servers=50, seed=5, **overrides),
+                trace, LargeScaleConfig(n_vms=30, n_servers=50, seed=5)
             )
-        return res, backend
-
-    def _check_largescale(self, res, backend):
         assert res.total_energy_wh == _LS_GOLDEN["energy_wh"]
         assert res.migrations == _LS_GOLDEN["migrations"]
         assert float(np.mean(res.active_series)) == _LS_GOLDEN["mean_active"]
@@ -89,17 +81,6 @@ class TestGoldenBitIdentity:
         assert (digest, n) == (
             _LS_GOLDEN["eventlog_sha"],
             _LS_GOLDEN["n_events"],
-        )
-
-    def test_largescale_default_config_matches_golden(self):
-        # prune=True is the default; on this instance no step budget
-        # binds, so results must be bitwise identical to the unpruned
-        # pre-fast-lane run.
-        self._check_largescale(*self._run_largescale())
-
-    def test_largescale_fast_modes_off_matches_golden(self):
-        self._check_largescale(
-            *self._run_largescale(minslack_prune=False, incremental=False)
         )
 
     def test_testbed_warm_start_off_matches_golden(self):
@@ -391,23 +372,34 @@ class TestPackingFastLane:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_prune_returns_unpruned_selection(self, data):
-        n = data.draw(st.integers(1, 10))
-        sizes = [data.draw(st.floats(0.1, 2.0)) for _ in range(n)]
-        capacity = data.draw(st.floats(0.5, 5.0))
-        eps = data.draw(st.sampled_from([0.0, 0.05, 0.3]))
-        pruned = minimum_bin_slack(
-            sizes, capacity, epsilon=eps, max_steps=10**6, prune=True
+    def test_slack_is_bruteforce_minimum_under_memory_constraint(self, data):
+        # Sizes and capacities on a 1/64 grid: every subset sum is exact
+        # in float64, so oracle and search agree on which subsets are
+        # feasible whatever order either adds the items in.
+        n = data.draw(st.integers(1, 12))
+        sizes = [data.draw(st.integers(4, 128)) / 64 for _ in range(n)]
+        mems = [128.0 * data.draw(st.integers(1, 16)) for _ in range(n)]
+        capacity = data.draw(st.integers(16, 384)) / 64
+        mem_cap = 128.0 * data.draw(st.integers(2, 64))
+        res = minimum_bin_slack(
+            sizes,
+            capacity,
+            constraint=MemoryConstraint(mems, mem_cap),
+            epsilon=0.0,
+            max_steps=10**6,
         )
-        full = minimum_bin_slack(
-            sizes, capacity, epsilon=eps, max_steps=10**6, prune=False
-        )
-        assert pruned.selected == full.selected
-        # Slack may differ in the last float bits (the pruned search
-        # accumulates the running fill in a different order); the
-        # selection — what downstream placement consumes — is exact.
-        assert pruned.slack == pytest.approx(full.slack, abs=1e-12)
-        assert pruned.steps <= full.steps
+        assert res.steps < 10**6  # the step budget never bound
+        best = capacity
+        for mask in range(1 << n):
+            picked = [i for i in range(n) if mask >> i & 1]
+            if sum(mems[i] for i in picked) > mem_cap:
+                continue
+            total = sum(sizes[i] for i in picked)
+            if total <= capacity:
+                best = min(best, capacity - total)
+        assert abs(res.slack - best) <= _FIT_TOL
+        assert sum(mems[i] for i in res.selected) <= mem_cap
+        assert capacity - sum(sizes[i] for i in res.selected) == res.slack
 
     def test_step_budget_escalation_boundary(self):
         # Escalation must fire after *exactly* max_steps evaluations:
@@ -432,184 +424,3 @@ class TestPackingFastLane:
             hard_step_cap=23,
         )
         assert res.steps == 23
-
-    def test_incumbent_seeds_and_never_worsens(self):
-        rng = np.random.default_rng(9)
-        sizes = rng.uniform(0.2, 1.0, size=14)
-        capacity = float(sizes[:5].sum()) + 0.003
-        cold = minimum_bin_slack(sizes, capacity, epsilon=0.005)
-        seeded = minimum_bin_slack(
-            sizes, capacity, epsilon=0.005, incumbent=cold.selected
-        )
-        assert seeded.seeded
-        assert seeded.early_exit
-        assert seeded.steps == 0  # the seed already meets epsilon
-        assert seeded.slack <= cold.slack + 1e-9
-
-    def test_incumbent_out_of_range_raises(self):
-        with pytest.raises(ValueError, match="out of range"):
-            minimum_bin_slack([1.0, 2.0], 3.0, incumbent=[0, 7])
-
-    def test_incumbent_items_that_no_longer_fit_are_dropped(self):
-        # Item 0 alone overflows the bin: the seed reduces to item 1.
-        res = minimum_bin_slack(
-            [5.0, 1.0], 2.0, epsilon=1.5, incumbent=[0, 1]
-        )
-        assert res.seeded
-        assert res.selected == (1,)
-
-
-class TestIncrementalPAC:
-    def _problem(self, seed, n_vms=24, n_servers=6):
-        rng = np.random.default_rng(seed)
-        servers = tuple(
-            make_server_info(
-                f"s{j}",
-                capacity=8.0,
-                memory=32768.0,
-                efficiency=0.05 - 0.002 * j,
-            )
-            for j in range(n_servers)
-        )
-        vms = make_vm_infos(
-            [f"vm{i}" for i in range(n_vms)],
-            rng.uniform(0.3, 1.4, size=n_vms),
-            rng.uniform(256.0, 2048.0, size=n_vms),
-        )
-        return PlacementProblem(servers=servers, vms=vms, mapping={})
-
-    def test_unchanged_problem_replays_previous_placement(self):
-        for seed in range(5):
-            problem = self._problem(seed)
-            scratch = pac(problem, config=PACConfig())
-            again = PlacementProblem(
-                servers=problem.servers,
-                vms=problem.vms,
-                mapping=scratch.final_mapping,
-            )
-            incr = pac(again, config=PACConfig(incremental=True))
-            assert incr.final_mapping == scratch.final_mapping
-            assert incr.migrations == []
-
-    def test_incremental_never_uses_more_active_servers(self):
-        for seed in range(8):
-            problem = self._problem(seed)
-            base = pac(problem, config=PACConfig())
-            # Drift demands a little, as between optimizer periods.
-            rng = np.random.default_rng(100 + seed)
-            drifted_vms = make_vm_infos(
-                [v.vm_id for v in problem.vms],
-                [
-                    v.demand_ghz * rng.uniform(0.98, 1.02)
-                    for v in problem.vms
-                ],
-                [v.memory_mb for v in problem.vms],
-            )
-            drifted = PlacementProblem(
-                servers=problem.servers,
-                vms=drifted_vms,
-                mapping=base.final_mapping,
-            )
-            scratch = pac(drifted, config=PACConfig())
-            incr = pac(drifted, config=PACConfig(incremental=True))
-            assert not incr.unplaced and not scratch.unplaced
-            assert len(set(incr.final_mapping.values())) <= len(
-                set(scratch.final_mapping.values())
-            )
-
-    def test_ipac_incremental_matches_scratch_active_servers(self):
-        from repro.core.optimizer.ipac import IPACConfig, ipac
-
-        for seed in range(4):
-            base = self._problem(seed)
-            start = pac(base, config=PACConfig())
-            problem = PlacementProblem(
-                servers=base.servers,
-                vms=base.vms,
-                mapping=start.final_mapping,
-            )
-            scratch = ipac(problem, config=IPACConfig())
-            incr = ipac(
-                problem, config=IPACConfig(pac=PACConfig(incremental=True))
-            )
-            assert len(set(incr.final_mapping.values())) <= len(
-                set(scratch.final_mapping.values())
-            )
-
-    def test_minslack_incumbent_ids_filter_unknown(self):
-        vms = make_vm_infos(
-            ["a", "b", "c"], [1.0, 0.8, 0.5], [256.0, 256.0, 256.0]
-        )
-        chosen, res = select_vms_for_server(
-            1.9,
-            10_000.0,
-            vms,
-            MinSlackConfig(epsilon_ghz=0.2),
-            incumbent_ids=["a", "ghost", "c"],
-        )
-        assert res.seeded
-        assert {vm.vm_id for vm in chosen} <= {"a", "b", "c"}
-
-
-class TestBenchHarness:
-    def test_run_suite_rejects_unknown_inputs(self):
-        from repro.bench import run_suite
-
-        with pytest.raises(ValueError, match="scale"):
-            run_suite(scale="huge")
-        with pytest.raises(KeyError, match="unknown case"):
-            run_suite(scale="smoke", cases=["nope"])
-
-    def test_minslack_case_reports_schema(self):
-        from repro.bench import run_suite
-
-        report = run_suite(scale="smoke", cases=["minslack"])
-        assert report["schema"] == 1
-        assert report["scale"] == "smoke"
-        case = report["cases"]["minslack"]
-        for key in ("wall_s", "reference_wall_s", "speedup", "iters",
-                    "warm_hit_rate"):
-            assert key in case
-        assert case["wall_s"] > 0 and case["reference_wall_s"] > 0
-
-    def test_compare_to_baseline_is_scale_aware(self):
-        from repro.bench import compare_to_baseline
-
-        report = {
-            "schema": 1,
-            "scale": "smoke",
-            "cases": {"mpc_solve": {"speedup": 2.0}},
-        }
-        baseline = {
-            "schema": 1,
-            "scales": {
-                "smoke": {"cases": {"mpc_solve": {"speedup": 2.1}}},
-                "full": {"cases": {"mpc_solve": {"speedup": 50.0}}},
-            },
-        }
-        # 2.0 vs smoke-baseline 2.1 is within 25%; the full-scale 50.0
-        # must not be consulted.
-        assert compare_to_baseline(report, baseline) == []
-        baseline["scales"]["smoke"]["cases"]["mpc_solve"]["speedup"] = 4.0
-        failures = compare_to_baseline(report, baseline)
-        assert len(failures) == 1 and "mpc_solve" in failures[0]
-        # Cases missing from the baseline are skipped, not errors.
-        report["cases"]["brand_new"] = {"speedup": 0.1}
-        assert len(compare_to_baseline(report, baseline)) == 1
-
-    def test_write_report_merges_scales(self, tmp_path):
-        from repro.bench import write_report
-
-        path = str(tmp_path / "bench.json")
-        write_report(
-            {"schema": 1, "scale": "full", "cases": {"a": {"speedup": 3.0}}},
-            path,
-        )
-        write_report(
-            {"schema": 1, "scale": "smoke", "cases": {"a": {"speedup": 2.0}}},
-            path,
-        )
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert set(doc["scales"]) == {"full", "smoke"}
-        assert doc["scales"]["full"]["cases"]["a"]["speedup"] == 3.0

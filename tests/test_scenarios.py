@@ -321,3 +321,13 @@ class TestCli:
         # (testbed-small lacks the fault schedule the checkpoint carries).
         assert main_sim(["--scenario", "testbed-small", "--resume", str(ck)]) == 1
         assert "cannot resume" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["largescale-small", "sharded-small"])
+    def test_sim_control_mode_is_testbed_only(self, name, capsys):
+        from repro.cli import main_sim
+
+        assert main_sim(["--scenario", name, "--control-mode", "fleet"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro-sim: --control-mode applies to testbed")
+        assert err.count("\n") == 1

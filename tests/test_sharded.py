@@ -38,7 +38,7 @@ def _trace(n_series=40, seed=13):
 
 
 def _base_config(**overrides):
-    params = dict(n_vms=24, n_servers=40, seed=5, incremental=True)
+    params = dict(n_vms=24, n_servers=40, seed=5)
     params.update(overrides)
     return LargeScaleConfig(**params)
 
@@ -292,6 +292,8 @@ class TestConfigAndScenarios:
             backend.start()
             engine.run(until_period=1)
             assert engine.k == 1
+            engine.run()
+            assert backend.result().total_energy_wh > 0
         finally:
             backend.close()
 

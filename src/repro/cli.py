@@ -1,21 +1,17 @@
-"""Command-line entry points (installed as ``repro-testbed``,
-``repro-largescale``, ``repro-trace``, ``repro-obs``, ``repro-faults``,
-``repro-scenario``, and ``repro-sim``).
+"""Command-line entry points (installed as ``repro-sim``,
+``repro-scenario``, ``repro-trace``, ``repro-obs`` and ``repro-faults``;
+``repro-serve`` lives in :mod:`repro.service.cli`).
 
-Each command runs one of the paper's experiments with configurable
-parameters and prints a plain-text report; they are thin wrappers over
-the same harnesses the benchmark suite uses.  All commands take
-``--verbose``/``--quiet``; the run commands additionally take
-``--trace-jsonl PATH`` to record a structured telemetry log that
+``repro-sim --scenario NAME|FILE`` is the one run command: it resolves a
+scenario (``repro-scenario list`` shows the registry, including the
+paper rigs ``testbed-paper`` and ``largescale-paper``), applies
+``--set PATH=VALUE`` overrides and an optional ``--faults FILE``
+(validate/generate one with ``repro-faults``), runs it through the
+control-plane kernel and prints a plain-text report.
+``--trace-jsonl PATH`` records a structured telemetry log that
 ``repro-obs`` can summarize, profile, audit, or watch live (see
-``docs/OBSERVABILITY.md``), and ``--faults PATH`` to inject a
-deterministic fault scenario (validate/generate one with
-``repro-faults``).
-
-``repro-scenario`` lists and validates named scenario specs (the
-:class:`repro.engine.scenario.ScenarioRegistry`); ``repro-sim`` runs one
-through the control-plane kernel, with ``--checkpoint``/``--resume`` for
-mid-run snapshots.
+``docs/OBSERVABILITY.md``); ``--checkpoint``/``--resume`` take and
+restore mid-run snapshots.  All commands take ``--verbose``/``--quiet``.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.apps.workload import StepWorkload
 from repro.obs import (
     JsonlBackend,
     Telemetry,
@@ -35,8 +30,6 @@ from repro.obs import (
     summarize_jsonl,
     use_telemetry,
 )
-from repro.sim.largescale import LargeScaleConfig, run_largescale
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
 from repro.traces.generator import TraceConfig, generate_trace
 from repro.util.logsetup import add_verbosity_flags, configure_logging
 from repro.util.tables import format_table
@@ -55,151 +48,6 @@ def _telemetry_scope(jsonl_path: Optional[str]):
 
     install_sigterm_flush()
     return use_telemetry(Telemetry(JsonlBackend(jsonl_path)))
-
-
-def _load_fault_schedule(path: Optional[str]):
-    """Load ``--faults PATH`` into a FaultSchedule, or exit with errors."""
-    if path is None:
-        return None
-    from repro.faults import FaultSchedule, FaultSpecError
-
-    try:
-        return FaultSchedule.from_json(path)
-    except OSError as exc:
-        print(f"cannot read fault spec {path}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(1)
-    except (FaultSpecError, ValueError) as exc:
-        print(f"invalid fault spec {path}:\n{exc}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-def main_testbed(argv: Optional[List[str]] = None) -> int:
-    """Run the simulated 4-server / 8-application testbed."""
-    parser = argparse.ArgumentParser(
-        prog="repro-testbed",
-        description="Simulated testbed with MPC response-time control (paper Figs. 2-3).",
-    )
-    parser.add_argument("--duration", type=float, default=600.0, help="run length in seconds")
-    parser.add_argument("--setpoint", type=float, default=1000.0, help="response-time set point (ms)")
-    parser.add_argument("--concurrency", type=int, default=40, help="clients per application")
-    parser.add_argument("--apps", type=int, default=8, help="number of applications")
-    parser.add_argument("--seed", type=int, default=2010)
-    parser.add_argument(
-        "--step-workload",
-        action="store_true",
-        help="apply the paper's Fig. 3 concurrency step (40->80 on app 5, t in [600,1200))",
-    )
-    parser.add_argument(
-        "--trace-jsonl", metavar="PATH", default=None,
-        help="record telemetry (spans, events, metrics) to a JSONL file",
-    )
-    parser.add_argument(
-        "--trace-requests", type=int, default=0, metavar="N",
-        help="trace every Nth client request through its tiers and "
-        "attribute per-tier energy (0 = off; see repro-obs summarize/audit)",
-    )
-    parser.add_argument(
-        "--faults", metavar="PATH", default=None,
-        help="inject the fault scenario described by this JSON spec "
-        "(see repro-faults)",
-    )
-    parser.add_argument(
-        "--control-mode", choices=("fleet", "scalar"), default="fleet",
-        help="application-level control path: 'fleet' (default) batches "
-        "all apps' sysid/MPC through the grouped kernels; 'scalar' runs "
-        "the per-app reference loop (bit-reproducible goldens)",
-    )
-    add_verbosity_flags(parser)
-    args = parser.parse_args(argv)
-    configure_logging(args.verbose, args.quiet)
-
-    workloads = {}
-    if args.step_workload:
-        workloads[min(5, args.apps - 1)] = StepWorkload(
-            args.concurrency, 2 * args.concurrency, 600.0, 1200.0
-        )
-    config = TestbedConfig(
-        n_apps=args.apps,
-        duration_s=args.duration,
-        setpoint_ms=args.setpoint,
-        concurrency=args.concurrency,
-        workloads=workloads,
-        faults=_load_fault_schedule(args.faults),
-        trace_requests_every=max(0, args.trace_requests),
-        attribute_power=args.trace_requests > 0,
-        control_mode=args.control_mode,
-        seed=args.seed,
-    )
-    with _telemetry_scope(args.trace_jsonl):
-        result = TestbedExperiment(config).run()
-    from repro.sim.report import testbed_report
-
-    print(testbed_report(result, n_apps=args.apps, setpoint_ms=args.setpoint))
-    if args.trace_jsonl:
-        print(f"telemetry written to {args.trace_jsonl}")
-    return 0
-
-
-def main_largescale(argv: Optional[List[str]] = None) -> int:
-    """Run the trace-driven large-scale comparison (paper Fig. 6)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-largescale",
-        description="Trace-driven data-center simulation: IPAC vs pMapper energy per VM.",
-    )
-    parser.add_argument("--vms", type=int, nargs="+", default=[30, 500, 2000, 5415])
-    parser.add_argument("--servers", type=int, default=3000)
-    parser.add_argument("--days", type=int, default=7)
-    parser.add_argument("--schemes", nargs="+", default=["ipac", "pmapper"],
-                        choices=["ipac", "pmapper", "pac", "static_peak"])
-    parser.add_argument("--provisioning", default="current",
-                        choices=["current", "ewma_peak", "holt"])
-    parser.add_argument("--relief", action="store_true",
-                        help="enable on-demand overload relief between invocations")
-    parser.add_argument("--attribution", action="store_true",
-                        help="accumulate per-VM energy attribution "
-                        "(reported per run; see repro-obs summarize)")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--trace-jsonl", metavar="PATH", default=None,
-        help="record telemetry (spans, events, metrics) to a JSONL file",
-    )
-    parser.add_argument(
-        "--faults", metavar="PATH", default=None,
-        help="inject the fault scenario described by this JSON spec "
-        "(see repro-faults)",
-    )
-    add_verbosity_flags(parser)
-    args = parser.parse_args(argv)
-    configure_logging(args.verbose, args.quiet)
-
-    fault_schedule = _load_fault_schedule(args.faults)
-    trace = generate_trace(
-        TraceConfig(n_servers=max(args.vms), n_days=args.days), rng=args.seed
-    )
-    rows = []
-    with _telemetry_scope(args.trace_jsonl):
-        for n in args.vms:
-            row = [n]
-            for scheme in args.schemes:
-                res = run_largescale(
-                    trace,
-                    LargeScaleConfig(
-                        n_vms=n, n_servers=args.servers, scheme=scheme,
-                        provisioning=args.provisioning, ondemand_relief=args.relief,
-                        faults=fault_schedule,
-                        attribute_power=args.attribution,
-                        seed=args.seed,
-                    ),
-                )
-                row.extend([res.energy_per_vm_wh, res.migrations])
-            rows.append(row)
-    headers = ["#VMs"]
-    for scheme in args.schemes:
-        headers.extend([f"{scheme} Wh/VM", f"{scheme} moves"])
-    print(format_table(headers, rows, title=f"Energy per VM over {args.days} days"))
-    if args.trace_jsonl:
-        print(f"telemetry written to {args.trace_jsonl}")
-    return 0
 
 
 def main_trace(argv: Optional[List[str]] = None) -> int:
@@ -384,7 +232,7 @@ def main_faults(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-faults",
         description="Work with fault-injection scenario specs (JSON) for "
-        "repro-testbed / repro-largescale --faults.",
+        "repro-sim --faults.",
     )
     add_verbosity_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -465,36 +313,50 @@ def main_faults(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _load_scenario(name_or_path: str):
-    """Resolve a CLI scenario argument: registry name or JSON file path.
-
-    Returns the spec, or raises SystemExit(1) with a message on stderr.
-    """
+def _read_json(path: str, unreadable: str):
+    """Parse a JSON input file, or exit 1 with a one-line message."""
     import json as _json
 
-    from repro.engine.scenario import ScenarioError, ScenarioSpec, builtin_registry
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _json.load(fh)
+    except OSError:
+        print(unreadable, file=sys.stderr)
+    except ValueError as exc:
+        print(f"{path} is not JSON: {exc}", file=sys.stderr)
+    raise SystemExit(1)
+
+
+def _load_scenario(name_or_path: str, sets=(), faults_path: Optional[str] = None):
+    """Resolve a CLI scenario argument into a validated spec.
+
+    *name_or_path* is a registry name or a spec JSON file; *sets* are
+    ``PATH=VALUE`` overrides and *faults_path* a fault spec file that
+    becomes the spec's ``faults`` section.  Unreadable files exit 1
+    here; a spec that does not resolve raises
+    :class:`~repro.engine.scenario.ScenarioError` for the caller to
+    report under its own program name.
+    """
+    from repro.engine.scenario import (
+        builtin_registry,
+        parse_overrides,
+        resolve_scenario,
+    )
 
     registry = builtin_registry()
-    if name_or_path in registry:
-        return registry.get(name_or_path)
-    try:
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            doc = _json.load(fh)
-    except OSError:
-        print(
+    source = name_or_path
+    if name_or_path not in registry:
+        source = _read_json(
+            name_or_path,
             f"unknown scenario {name_or_path!r} (and no such file); "
             f"known: {', '.join(registry.names())}",
-            file=sys.stderr,
         )
-        raise SystemExit(1)
-    except ValueError as exc:
-        print(f"{name_or_path} is not JSON: {exc}", file=sys.stderr)
-        raise SystemExit(1)
-    try:
-        return ScenarioSpec.from_dict(doc)
-    except ScenarioError as exc:
-        print(f"{name_or_path}: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+    overrides = parse_overrides(sets)
+    if faults_path is not None:
+        overrides["faults"] = _read_json(
+            faults_path, f"cannot read fault spec {faults_path}"
+        )
+    return resolve_scenario(source, overrides, registry)
 
 
 def main_scenario(argv: Optional[List[str]] = None) -> int:
@@ -525,7 +387,7 @@ def main_scenario(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     configure_logging(args.verbose, args.quiet)
-    from repro.engine.scenario import builtin_registry
+    from repro.engine.scenario import ScenarioError, builtin_registry
 
     if args.command == "list":
         registry = builtin_registry()
@@ -542,18 +404,16 @@ def main_scenario(argv: Optional[List[str]] = None) -> int:
         ))
         return 0
 
-    spec = _load_scenario(args.scenario)
+    try:
+        spec = _load_scenario(args.scenario)
+    except ScenarioError as exc:
+        print(f"repro-scenario: {exc}", file=sys.stderr)
+        return 1
     if args.command == "show":
         import json as _json
 
         print(_json.dumps(spec.to_dict(), indent=2, sort_keys=True))
         return 0
-
-    problems = spec.validate()
-    if problems:
-        for p in problems:
-            print(f"repro-scenario: {spec.name}: {p}", file=sys.stderr)
-        return 1
     engine_desc = f"{spec.harness} harness"
     if spec.faults:
         engine_desc += f", {len(spec.faults.get('events', []))} fault events"
@@ -574,6 +434,17 @@ def main_sim(argv: Optional[List[str]] = None) -> int:
         help="registered scenario name, or path to a scenario spec JSON",
     )
     parser.add_argument(
+        "--set", action="append", default=[], metavar="PATH=VALUE",
+        help="dotted-path override of the spec, e.g. params.duration_s=600 "
+        "or params.control_mode=fleet (repeatable; VALUE is JSON when it "
+        "parses, a bare string otherwise)",
+    )
+    parser.add_argument(
+        "--faults", metavar="PATH", default=None,
+        help="inject the fault scenario described by this JSON spec "
+        "(see repro-faults); replaces the spec's faults section",
+    )
+    parser.add_argument(
         "--trace-jsonl", metavar="PATH", default=None,
         help="record telemetry (spans, events, metrics) to a JSONL file",
     )
@@ -589,12 +460,6 @@ def main_sim(argv: Optional[List[str]] = None) -> int:
         "--resume", metavar="PATH", default=None,
         help="restore this checkpoint (same scenario!) and run to completion",
     )
-    parser.add_argument(
-        "--control-mode", choices=("fleet", "scalar"), default=None,
-        help="override the scenario's control path (testbed scenarios "
-        "only: fleet batches all apps' sysid/MPC through the grouped "
-        "kernels, scalar is the bit-reproducible per-app loop)",
-    )
     add_verbosity_flags(parser)
     args = parser.parse_args(argv)
     configure_logging(args.verbose, args.quiet)
@@ -603,42 +468,33 @@ def main_sim(argv: Optional[List[str]] = None) -> int:
     if args.resume and args.checkpoint:
         parser.error("--resume and --checkpoint are mutually exclusive")
 
-    from repro.engine.kernel import CheckpointError, ControlPlane
+    from repro.engine.kernel import CheckpointError, ControlPlane, run_session
     from repro.engine.scenario import ScenarioError
+    from repro.sim.report import largescale_report, testbed_report
 
-    spec = _load_scenario(args.scenario)
-    if args.control_mode is not None:
-        if spec.harness != "testbed":
-            print(
-                f"repro-sim: --control-mode applies to testbed scenarios only; "
-                f"{spec.name} is a {spec.harness} scenario",
-                file=sys.stderr,
-            )
-            return 1
-        import dataclasses
-
-        spec = dataclasses.replace(
-            spec, params={**spec.params, "control_mode": args.control_mode}
-        )
     try:
+        spec = _load_scenario(args.scenario, args.set, args.faults)
         engine, backend = spec.build()
     except ScenarioError as exc:
         print(f"repro-sim: {exc}", file=sys.stderr)
         return 1
+
+    def cannot_resume(exc: Exception) -> int:
+        print(f"repro-sim: cannot resume {args.resume}: {exc}", file=sys.stderr)
+        return 1
+
+    resume = result = None
+    if args.resume:
+        try:
+            resume = ControlPlane.load_checkpoint(args.resume)
+        except (OSError, CheckpointError) as exc:
+            return cannot_resume(exc)
     try:
-        with _telemetry_scope(args.trace_jsonl):
-            if args.resume:
-                try:
-                    engine.restore(ControlPlane.load_checkpoint(args.resume))
-                except (OSError, CheckpointError) as exc:
-                    print(f"repro-sim: cannot resume {args.resume}: {exc}",
-                          file=sys.stderr)
-                    return 1
+        with _telemetry_scope(args.trace_jsonl), run_session(engine, backend, resume):
+            if resume is not None:
                 print(
                     f"resumed {spec.name} at period {engine.k}/{engine.n_periods}"
                 )
-            else:
-                backend.start()
             if args.checkpoint is not None:
                 engine.run(until_period=args.checkpoint_at)
                 engine.save_checkpoint(args.checkpoint)
@@ -646,44 +502,26 @@ def main_sim(argv: Optional[List[str]] = None) -> int:
                     f"checkpoint at period {engine.k}/{engine.n_periods} "
                     f"written to {args.checkpoint}"
                 )
-                if args.trace_jsonl:
-                    print(f"telemetry written to {args.trace_jsonl}")
-                return 0
-            engine.run()
-            result = backend.result()
-    finally:
-        # The sharded backend may own a worker pool; everything else
-        # has no close() and is skipped.
-        closer = getattr(backend, "close", None)
-        if closer is not None:
-            closer()
-    if spec.harness == "testbed":
-        from repro.sim.report import testbed_report
-
+            else:
+                engine.run()
+                result = backend.result()
+    except CheckpointError as exc:  # restore refused the document
+        return cannot_resume(exc)
+    if spec.harness == "testbed" and result is not None:
         cfg = backend.config
         print(testbed_report(result, n_apps=cfg.n_apps, setpoint_ms=cfg.setpoint_ms))
-    else:
-        rows = [[
-            result.scheme, result.n_vms, f"{result.total_energy_wh:.1f}",
-            f"{result.energy_per_vm_wh:.1f}", result.migrations,
-            f"{result.mean_active_servers:.1f}", result.overload_server_steps,
-        ]]
-        title = f"{spec.name}: {result.n_steps} steps of {result.step_s:.0f}s"
+    elif result is not None:
+        report = largescale_report(result)
         if "n_pods" in result.info:
-            title += (
-                f" · {int(result.info['n_pods'])} pods on "
+            report += (
+                f"\n{int(result.info['n_pods'])} pods on "
                 f"{int(result.info['workers'])} workers"
             )
-        print(format_table(
-            ["scheme", "#VMs", "energy Wh", "Wh/VM", "moves", "avg active",
-             "overload steps"],
-            rows,
-            title=title,
-        ))
+        print(report)
     if args.trace_jsonl:
         print(f"telemetry written to {args.trace_jsonl}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main_testbed())
+    sys.exit(main_sim())

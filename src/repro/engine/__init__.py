@@ -6,19 +6,7 @@ faults → telemetry) and the kernel owns the clock, the run loop, and
 checkpoint/resume.  See ``docs/ARCHITECTURE.md`` for the phase diagram.
 """
 
-from repro.engine.interfaces import (
-    ActuatorStage,
-    ArbitratorStage,
-    Checkpointable,
-    EnginePhase,
-    FaultStage,
-    OptimizerEpoch,
-    PlantBackend,
-    ResponseTimeStage,
-    SensorSource,
-    SysIdUpdater,
-    TelemetrySink,
-)
+from repro.engine.interfaces import Checkpointable, EnginePhase, PlantBackend
 from repro.engine.kernel import (
     CHECKPOINT_SCHEMA,
     PHASE_NAMES,
@@ -26,45 +14,24 @@ from repro.engine.kernel import (
     ControlPlane,
     PeriodContext,
     Phase,
+    run_session,
 )
+from repro.engine.largescale_backend import build_largescale_engine
+from repro.engine.sharded_backend import build_sharded_engine
+from repro.engine.testbed_backend import build_testbed_engine
 
 __all__ = [
-    "ActuatorStage",
-    "ArbitratorStage",
     "CHECKPOINT_SCHEMA",
     "Checkpointable",
     "CheckpointError",
     "ControlPlane",
     "EnginePhase",
-    "FaultStage",
-    "OptimizerEpoch",
     "PHASE_NAMES",
     "PeriodContext",
     "Phase",
     "PlantBackend",
-    "ResponseTimeStage",
-    "SensorSource",
-    "SysIdUpdater",
-    "TelemetrySink",
     "build_largescale_engine",
     "build_sharded_engine",
     "build_testbed_engine",
+    "run_session",
 ]
-
-
-def __getattr__(name):
-    # The backend builders import sim modules (which import this
-    # package); resolve them lazily to keep import order acyclic.
-    if name == "build_largescale_engine":
-        from repro.engine.largescale_backend import build_largescale_engine
-
-        return build_largescale_engine
-    if name == "build_sharded_engine":
-        from repro.engine.sharded_backend import build_sharded_engine
-
-        return build_sharded_engine
-    if name == "build_testbed_engine":
-        from repro.engine.testbed_backend import build_testbed_engine
-
-        return build_testbed_engine
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,35 +1,22 @@
 """Typed component interfaces of the control-plane kernel.
 
-The paper's two-level architecture decomposes into a small set of
-component roles — the sensor → estimator → controller → actuator chain
-made explicit by robust-provisioning work such as Makridis et al.
-(arXiv:1811.05533) — and the kernel (:mod:`repro.engine.kernel`)
-advances them in a fixed, per-backend phase order each control period:
+Three shapes cover everything the kernel
+(:mod:`repro.engine.kernel`) and its drivers depend on:
 
 =================  ====================================================
 protocol            responsibility
 =================  ====================================================
-SensorSource        produce this period's measurements (response times
-                    or per-VM demand snapshots)
-SysIdUpdater        consume measurements to refresh a model (RLS /
-                    demand forecaster)
-ResponseTimeStage   application-level control: measurements → demands
-ArbitratorStage     server-level arbitration: demands → DVFS + grants
-OptimizerEpoch      slow-time-scale placement optimization, invoked on
-                    its own schedule between control periods
-ActuatorStage       push granted allocations / placements into a plant
-FaultStage          apply fault-schedule transitions for the period
-TelemetrySink       flush structured telemetry at period boundaries
 PlantBackend        the simulated (or, later, real) plant a scenario
-                    runs against
+                    runs against: phases + the run lifecycle
 Checkpointable      serialize mutable state to a JSON-safe dict and
                     restore it bit-identically
 EnginePhase         the uniform callable shape the kernel actually runs
 =================  ====================================================
 
-Every protocol is :func:`typing.runtime_checkable`, so the kernel can
-validate a phase list at construction time, and ``mypy`` checks the
-backends structurally (the CI runs ``mypy src/repro/engine/``).
+The protocols are :func:`typing.runtime_checkable`: the kernel checks
+``Checkpointable`` on every registered component at construction time,
+and ``mypy`` checks the backends structurally (the CI runs
+``mypy src/repro/engine/``).
 """
 
 from __future__ import annotations
@@ -39,30 +26,15 @@ from typing import (
     Callable,
     Dict,
     Mapping,
-    Optional,
     Protocol,
     TYPE_CHECKING,
     runtime_checkable,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    import numpy as np
-
     from repro.engine.kernel import PeriodContext
 
-__all__ = [
-    "ActuatorStage",
-    "ArbitratorStage",
-    "Checkpointable",
-    "EnginePhase",
-    "FaultStage",
-    "OptimizerEpoch",
-    "PlantBackend",
-    "ResponseTimeStage",
-    "SensorSource",
-    "SysIdUpdater",
-    "TelemetrySink",
-]
+__all__ = ["Checkpointable", "EnginePhase", "PlantBackend"]
 
 
 # The uniform shape of one engine phase: a callable the kernel invokes
@@ -86,84 +58,22 @@ class Checkpointable(Protocol):
 
 
 @runtime_checkable
-class SensorSource(Protocol):
-    """Produces the period's measurements (sensing phase)."""
-
-    def sense(self, ctx: "PeriodContext") -> None: ...
-
-
-@runtime_checkable
-class SysIdUpdater(Protocol):
-    """Consumes fresh measurements to update an online model.
-
-    Covers both response-time model adaptation (RLS shadow estimation)
-    and demand forecasting (EWMA / Holt) — anything that learns between
-    control decisions.
-    """
-
-    def update_model(self, ctx: "PeriodContext") -> None: ...
-
-
-@runtime_checkable
-class ResponseTimeStage(Protocol):
-    """Application-level controller: measured response time → demands."""
-
-    def update(
-        self,
-        measured_rt_ms: float,
-        used_ghz: Optional["np.ndarray"] = None,
-    ) -> "np.ndarray": ...
-
-    def notify_allocation(self, actual_alloc_ghz: "np.ndarray") -> None: ...
-
-
-@runtime_checkable
-class ArbitratorStage(Protocol):
-    """Server-level arbitration: per-VM demands → DVFS level + grants."""
-
-    def arbitrate(
-        self, server: Any, demands_ghz: Mapping[str, float]
-    ) -> Any: ...
-
-
-@runtime_checkable
-class OptimizerEpoch(Protocol):
-    """Slow-time-scale optimizer invocations (consolidation epochs)."""
-
-    def maybe_optimize(self, ctx: "PeriodContext") -> None: ...
-
-
-@runtime_checkable
-class ActuatorStage(Protocol):
-    """Pushes control decisions into the plant."""
-
-    def actuate(self, ctx: "PeriodContext") -> None: ...
-
-
-@runtime_checkable
-class FaultStage(Protocol):
-    """Applies fault-schedule transitions due this period."""
-
-    def inject(self, ctx: "PeriodContext") -> None: ...
-
-
-@runtime_checkable
-class TelemetrySink(Protocol):
-    """Flushes buffered telemetry at period boundaries."""
-
-    def flush(self, ctx: "PeriodContext") -> None: ...
-
-
-@runtime_checkable
 class PlantBackend(Protocol):
-    """The plant a scenario runs against.
+    """The plant a scenario runs against, and its run lifecycle.
 
-    A plant advances one control period under the currently applied
-    allocations/placement and exposes whatever the scenario's sensors
-    read.  Implementations in this repository: the request-level DES
-    testbed plant (:class:`repro.engine.testbed_backend.TestbedBackend`)
-    and the vectorized trace-driven plant
-    (:class:`repro.engine.largescale_backend.LargeScaleBackend`).  A
+    A plant contributes the per-period ``phases()`` the kernel executes
+    and brackets the run: ``start()`` once before the first period of a
+    fresh run (run header, warm-up), ``result()`` once after the last,
+    ``close()`` to release whatever the backend owns (idempotent; a
+    no-op unless the backend holds worker processes).
+    :func:`repro.engine.kernel.run_session` sequences the three; no
+    driver calls ``start``/``close`` itself.  Implementations: the
+    request-level DES testbed plant
+    (:class:`repro.engine.testbed_backend.TestbedBackend`), the
+    vectorized trace-driven plant
+    (:class:`repro.engine.largescale_backend.LargeScaleBackend`) and its
+    pod-partitioned composition
+    (:class:`repro.engine.sharded_backend.ShardedBackend`).  A
     real-hardware backend would satisfy the same protocol.
     """
 
@@ -174,3 +84,9 @@ class PlantBackend(Protocol):
     def period_s(self) -> float: ...
 
     def phases(self) -> Any: ...
+
+    def start(self) -> None: ...
+
+    def result(self) -> Any: ...
+
+    def close(self) -> None: ...

@@ -36,14 +36,25 @@ run finishes bit-identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
-from repro.engine.interfaces import Checkpointable, EnginePhase
+from repro.engine.interfaces import Checkpointable, EnginePhase, PlantBackend
 from repro.obs import get_telemetry
 from repro.util.validation import check_positive
 
@@ -53,6 +64,7 @@ __all__ = [
     "ControlPlane",
     "PeriodContext",
     "Phase",
+    "run_session",
 ]
 
 logger = logging.getLogger(__name__)
@@ -347,3 +359,30 @@ class ControlPlane:
         if not isinstance(doc, dict):
             raise CheckpointError(f"{path} does not contain a checkpoint object")
         return doc
+
+
+@contextlib.contextmanager
+def run_session(
+    engine: ControlPlane,
+    backend: PlantBackend,
+    resume: Optional[Mapping[str, Any]] = None,
+) -> Iterator[None]:
+    """The one place a run is sequenced: begin it, yield, close the backend.
+
+    A fresh run begins with ``backend.start()``; given a checkpoint
+    document (*resume*) it begins with ``engine.restore(resume)``
+    instead.  The body steps the engine and reads ``backend.result()``;
+    ``backend.close()`` runs on every way out — completion, an early
+    return, an exception, a failed restore — so a backend that owns
+    worker processes never leaves them to a finalizer.  A context
+    manager rather than a run-to-completion function because a driver
+    may stop early and checkpoint *before* the backend is closed.
+    """
+    try:
+        if resume is not None:
+            engine.restore(resume)
+        else:
+            backend.start()
+        yield
+    finally:
+        backend.close()

@@ -48,19 +48,17 @@ from repro.engine.checkpoint import (
 )
 from repro.engine.kernel import CheckpointError, ControlPlane, PeriodContext, Phase
 from repro.obs import get_telemetry
+from repro.sim.largescale import LargeScaleConfig, LargeScaleResult
 from repro.traces.forecast import DemandForecaster, EwmaPeakForecaster, HoltForecaster
 from repro.traces.trace import UtilizationTrace
 from repro.util.rng import RngLike, ensure_rng
-
-if False:  # typing-only import without a cycle at runtime
-    from repro.sim.largescale import LargeScaleConfig, LargeScaleResult
 
 __all__ = ["LargeScaleBackend", "build_largescale_engine"]
 
 logger = logging.getLogger(__name__)
 
 
-def _build_optimizer(config: "LargeScaleConfig") -> Callable[[PlacementProblem], PlacementPlan]:
+def _build_optimizer(config: LargeScaleConfig) -> Callable[[PlacementProblem], PlacementPlan]:
     """Scheme → consolidation callable (shared by CLI and benchmarks)."""
     pac_cfg = PACConfig(
         minslack=MinSlackConfig(
@@ -86,7 +84,7 @@ class LargeScaleBackend:
     def __init__(
         self,
         trace: UtilizationTrace,
-        config: "LargeScaleConfig",
+        config: LargeScaleConfig,
         servers: Optional[Sequence[Server]] = None,
         rng: RngLike = None,
         optimizer: Optional[Callable[[PlacementProblem], PlacementPlan]] = None,
@@ -273,10 +271,6 @@ class LargeScaleBackend:
         ]
 
     def start(self) -> None:
-        """Uniform begin-run hook (scenario/CLI entry): the run header."""
-        self.emit_run_config()
-
-    def emit_run_config(self) -> None:
         """The run-header log line + telemetry event (fresh starts only)."""
         tel = get_telemetry()
         logger.info(
@@ -642,10 +636,11 @@ class LargeScaleBackend:
 
     # -- results -------------------------------------------------------
 
-    def result(self) -> "LargeScaleResult":
-        """Final aggregates (call once, after the engine finished)."""
-        from repro.sim.largescale import LargeScaleResult
+    def close(self) -> None:
+        """Nothing to release (single process, arrays only)."""
 
+    def result(self) -> LargeScaleResult:
+        """Final aggregates (call once, after the engine finished)."""
         total_energy_wh = self.total_energy_wh + self.migration_energy_wh
         logger.info(
             "largescale run complete: %.1f Wh total (%.2f Wh/VM), %d migrations, "
@@ -811,14 +806,12 @@ class LargeScaleBackend:
 
 def build_largescale_engine(
     trace: UtilizationTrace,
-    config: Optional["LargeScaleConfig"] = None,
+    config: Optional[LargeScaleConfig] = None,
     servers: Optional[Sequence[Server]] = None,
     rng: RngLike = None,
     optimizer: Optional[Callable[[PlacementProblem], PlacementPlan]] = None,
 ) -> "tuple[ControlPlane, LargeScaleBackend]":
     """Build the kernel + backend pair for one large-scale run."""
-    from repro.sim.largescale import LargeScaleConfig
-
     config = config or LargeScaleConfig()
     backend = LargeScaleBackend(
         trace, config, servers=servers, rng=rng, optimizer=optimizer

@@ -16,21 +16,47 @@ golden-hash tests pin).  The ``repro-scenario`` CLI lists and validates
 registry entries and spec files; ``repro-sim --scenario NAME`` builds
 and runs one through :class:`~repro.engine.kernel.ControlPlane`,
 including checkpoint/resume.
+
+:func:`resolve_scenario` is the one way a caller-supplied scenario — a
+registry name or a spec document, plus dotted-path overrides
+(:func:`apply_overrides`) — becomes a validated spec; the CLI, the HTTP
+API and sweep expansion all go through it.
 """
 
 from __future__ import annotations
 
+import copy
+import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
+from repro.engine.interfaces import PlantBackend
 from repro.engine.kernel import ControlPlane
+from repro.engine.largescale_backend import build_largescale_engine
+from repro.engine.sharded_backend import ShardedConfig, build_sharded_engine
+from repro.engine.testbed_backend import build_testbed_engine
+from repro.sim.largescale import LargeScaleConfig
+from repro.sim.testbed import TestbedConfig
 
 __all__ = [
     "HARNESSES",
     "ScenarioError",
     "ScenarioRegistry",
     "ScenarioSpec",
+    "apply_overrides",
     "builtin_registry",
+    "parse_overrides",
+    "resolve_scenario",
 ]
 
 #: Harnesses a scenario can target.
@@ -183,6 +209,15 @@ class ScenarioSpec:
             problems += [f"faults: {p}" for p in validate_spec(dict(self.faults))]
         return problems
 
+    def require_valid(self) -> "ScenarioSpec":
+        """Return self, or raise :class:`ScenarioError` listing every problem."""
+        problems = self.validate()
+        if problems:
+            raise ScenarioError(
+                f"scenario {self.name!r} is invalid:\n  " + "\n  ".join(problems)
+            )
+        return self
+
     def _validate_params(self) -> List[str]:
         for reserved in ("faults", "workloads"):
             if reserved in self.params:
@@ -270,30 +305,21 @@ class ScenarioSpec:
 
     # -- construction --------------------------------------------------
 
-    def build(self, rng: Any = None) -> "Tuple[ControlPlane, Any]":
+    def build(self, rng: Any = None) -> Tuple[ControlPlane, PlantBackend]:
         """Build the ``(engine, backend)`` pair for this scenario.
 
         Raises :class:`ScenarioError` when the spec does not validate.
-        Call ``backend.start()`` before ``engine.run()`` (or
-        ``engine.restore(...)`` instead, to resume from a checkpoint).
+        Drive the pair inside
+        :func:`~repro.engine.kernel.run_session`, which starts the
+        backend (or restores a checkpoint) and closes it afterwards.
         """
-        problems = self.validate()
-        if problems:
-            raise ScenarioError(
-                f"scenario {self.name!r} is invalid:\n  " + "\n  ".join(problems)
-            )
+        self.require_valid()
         if self.harness == "testbed":
-            from repro.engine.testbed_backend import build_testbed_engine
-
             return build_testbed_engine(
                 config=self._make_config(), model=self._make_model(), rng=rng
             )
         if self.harness == "sharded":
-            from repro.engine.sharded_backend import build_sharded_engine
-
             return build_sharded_engine(self._make_trace(), self._make_config())
-        from repro.engine.largescale_backend import build_largescale_engine
-
         return build_largescale_engine(
             self._make_trace(), self._make_config(), rng=rng
         )
@@ -305,8 +331,6 @@ class ScenarioSpec:
 
             params["faults"] = FaultSchedule.from_spec(dict(self.faults))
         if self.harness == "testbed":
-            from repro.sim.testbed import TestbedConfig
-
             if self.workloads is not None and not bare:
                 params["workloads"] = {
                     int(k): _make_workload(v) for k, v in self.workloads.items()
@@ -316,11 +340,7 @@ class ScenarioSpec:
                     int(k): float(v) for k, v in self.params["setpoints_ms"].items()
                 }
             return TestbedConfig(**params)
-        from repro.sim.largescale import LargeScaleConfig
-
         if self.harness == "sharded":
-            from repro.engine.sharded_backend import ShardedConfig
-
             shard_kwargs = {
                 key: int(params.pop(key)) for key in _SHARD_KEYS if key in params
             }
@@ -399,11 +419,7 @@ class ScenarioRegistry:
 
     def register(self, spec: ScenarioSpec, replace: bool = False) -> ScenarioSpec:
         """Add *spec* (must validate); returns it for chaining."""
-        problems = spec.validate()
-        if problems:
-            raise ScenarioError(
-                f"scenario {spec.name!r} is invalid:\n  " + "\n  ".join(problems)
-            )
+        spec.require_valid()
         if spec.name in self._specs and not replace:
             raise ScenarioError(f"scenario {spec.name!r} is already registered")
         self._specs[spec.name] = spec
@@ -430,6 +446,94 @@ class ScenarioRegistry:
         return len(self._specs)
 
 
+def apply_overrides(
+    base_doc: Mapping[str, Any], overrides: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """A deep copy of *base_doc* with each dotted-path override applied.
+
+    Paths address nested sections of the spec document (``params.seed``,
+    ``trace.n_days``, ``workloads.1.high`` …).  Intermediate objects
+    must already exist in the base — a typo'd path is an error, not a
+    silently ignored override.
+    """
+    doc: Dict[str, Any] = copy.deepcopy(dict(base_doc))
+    for path, value in overrides.items():
+        parts = [p for p in str(path).split(".") if p]
+        if not parts:
+            raise ScenarioError(f"empty override path {path!r}")
+        target: Any = doc
+        for part in parts[:-1]:
+            if not isinstance(target, dict):
+                raise ScenarioError(
+                    f"override path {path!r} descends through a non-object"
+                )
+            if part not in target:
+                # Only the top-level sections may spring into existence
+                # (a base spec without params/workloads is legal); a
+                # missing *nested* key is almost certainly a typo.
+                if target is doc and part in ("params", "workloads", "trace",
+                                              "model", "faults"):
+                    target[part] = {}
+                else:
+                    raise ScenarioError(
+                        f"override path {path!r}: {part!r} does not exist "
+                        "in the base spec"
+                    )
+            target = target[part]
+        if not isinstance(target, dict):
+            raise ScenarioError(
+                f"override path {path!r} descends through a non-object"
+            )
+        target[parts[-1]] = value
+    return doc
+
+
+def parse_overrides(pairs: Iterable[str], grid: bool = False) -> Dict[str, Any]:
+    """``PATH=VALUE`` strings (the CLIs' ``--set``) → an overrides mapping.
+
+    VALUE is JSON when it parses, a bare string otherwise; with *grid*
+    it is a comma list of such values (sweep axes).
+    """
+    def parse_value(text: str) -> Any:
+        try:
+            return json.loads(text)
+        except ValueError:
+            return text
+
+    out: Dict[str, Any] = {}
+    for pair in pairs:
+        path, sep, raw = pair.partition("=")
+        if not sep or not path:
+            raise ScenarioError(f"--set needs PATH=VALUE, got {pair!r}")
+        if grid:
+            out[path] = [parse_value(v) for v in raw.split(",") if v != ""]
+        else:
+            out[path] = parse_value(raw)
+    return out
+
+
+def resolve_scenario(
+    source: Union[str, Mapping[str, Any]],
+    overrides: Optional[Mapping[str, Any]] = None,
+    registry: Optional[ScenarioRegistry] = None,
+) -> ScenarioSpec:
+    """Registry name or spec document, plus overrides → a validated spec.
+
+    Raises :class:`KeyError` for a name the registry does not hold and
+    :class:`ScenarioError` for a bad override path or a spec that does
+    not parse or validate.
+    """
+    if isinstance(source, Mapping):
+        doc = dict(source)
+    else:
+        if registry is None:  # not `or`: an empty registry is falsy
+            registry = builtin_registry()
+        doc = registry.get(str(source)).to_dict()
+    if overrides:
+        doc = apply_overrides(doc, overrides)
+    return ScenarioSpec.from_dict(doc).require_valid()
+
+
 # The small shared ARX model used by the quick testbed scenarios (two
 # tiers, gains in ms per GHz) — identification is skipped, so these run
 # in seconds.
@@ -445,8 +549,8 @@ _TB_PARAMS = {
     "mpc_warm_start": False,
     # The builtin testbed scenarios are the golden-hash references: they
     # pin the scalar control path (fleet batching is allclose, not
-    # bit-identical).  Override with --control-mode fleet (repro-sim) or
-    # params={"control_mode": "fleet"} to run the production path.
+    # bit-identical).  Override with --set params.control_mode=fleet
+    # (repro-sim) to run the production path.
     "control_mode": "scalar",
     "seed": 77,
 }
@@ -506,6 +610,20 @@ _BUILTINS: List[ScenarioSpec] = [
         model=_TB_MODEL,
         workloads={"1": {"type": "step", "base": 10, "high": 20,
                          "start_s": 90.0, "end_s": 180.0}},
+    ),
+    ScenarioSpec(
+        name="testbed-paper",
+        description="the paper's testbed rig (Figs. 2-3): 8 apps on 4 "
+        "servers, 600 s, ARX model identified at build",
+        harness="testbed",
+    ),
+    ScenarioSpec(
+        name="largescale-paper",
+        description="the paper's Fig. 6 rig at full size: 5,415 VMs on "
+        "3,000 servers over a 7-day trace, IPAC with DVFS",
+        harness="largescale",
+        params={"n_vms": 5415, "n_servers": 3000},
+        trace={"n_servers": 5415, "n_days": 7, "seed": 7},
     ),
     ScenarioSpec(
         name="largescale-small",

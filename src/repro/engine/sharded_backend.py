@@ -55,10 +55,17 @@ import numpy as np
 from repro.cluster.catalog import STANDARD_SERVER_TYPES, make_server_pool
 from repro.cluster.server import Server
 from repro.engine.checkpoint import decode_array, encode_array, require_fields
-from repro.engine.kernel import CheckpointError, ControlPlane, PeriodContext, Phase
+from repro.engine.kernel import (
+    CheckpointError,
+    ControlPlane,
+    PeriodContext,
+    Phase,
+    run_session,
+)
 from repro.engine.largescale_backend import LargeScaleBackend
 from repro.faults import FaultSchedule
 from repro.obs import InMemoryBackend, Telemetry, get_telemetry, use_telemetry
+from repro.sim.largescale import LargeScaleConfig, LargeScaleResult
 from repro.traces.trace import UtilizationTrace
 from repro.util.rng import ensure_rng
 
@@ -87,7 +94,7 @@ class ShardedConfig:
     amortize IPC, smaller ones tighten the global ledgers' cadence).
     """
 
-    base: Any  # LargeScaleConfig; Any avoids an import cycle at runtime
+    base: LargeScaleConfig
     n_pods: int = 2
     workers: int = 1
     sync_every_steps: int = 16
@@ -121,7 +128,7 @@ class PodSpec:
     """
 
     pod_id: int
-    config: Any  # the pod's LargeScaleConfig (n_vms/n_servers resized)
+    config: LargeScaleConfig  # the pod's slice: n_vms/n_servers resized
     trace: UtilizationTrace
     servers: List[Server]
     vm_peaks: np.ndarray
@@ -217,11 +224,11 @@ def partition_pods(trace: UtilizationTrace, config: ShardedConfig) -> List[PodSp
 
 
 class _Pod:
-    """One pod: its engine, backend, and telemetry buffer."""
+    """One pod: its engine, its shard of the plant, and a telemetry buffer."""
 
     def __init__(self, spec: PodSpec, tel_enabled: bool, span_sample_every: int):
         self.spec = spec
-        self.backend = LargeScaleBackend(
+        self.shard = LargeScaleBackend(
             spec.trace,
             spec.config,
             servers=spec.servers,
@@ -230,10 +237,10 @@ class _Pod:
             vm_id_start=spec.vm_id_start,
         )
         self.engine = ControlPlane(
-            period_s=self.backend.period_s,
-            n_periods=self.backend.n_periods,
-            phases=self.backend.phases(),
-            checkpointables={"plant": self.backend},
+            period_s=self.shard.period_s,
+            n_periods=self.shard.n_periods,
+            phases=self.shard.phases(),
+            checkpointables={"plant": self.shard},
             name="largescale",
         )
         # Pod telemetry is never closed: a close() would append a
@@ -255,7 +262,7 @@ class _Pod:
 
     def start(self) -> List[Dict[str, Any]]:
         with use_telemetry(self.tel, close=False):
-            self.backend.emit_run_config()
+            self.shard.start()
         return self.drain_records()
 
     def advance(self, until_step: int) -> Tuple[List[Dict[str, Any]], np.ndarray, np.ndarray]:
@@ -265,14 +272,39 @@ class _Pod:
         hi = self.engine.k
         return (
             self.drain_records(),
-            self.backend.power_series[lo:hi].copy(),
-            self.backend.active_series[lo:hi].copy(),
+            self.shard.power_series[lo:hi].copy(),
+            self.shard.active_series[lo:hi].copy(),
         )
 
-    def result(self) -> Tuple[Any, List[Dict[str, Any]]]:
+    def result(self) -> Tuple[LargeScaleResult, List[Dict[str, Any]]]:
         with use_telemetry(self.tel, close=False):
-            res = self.backend.result()
+            res = self.shard.result()
         return res, self.drain_records()
+
+
+def _serve(pods: List[_Pod], cmd: str, payload: Any = None) -> List[Any]:
+    """Run one pod command over *pods*: the single command path.
+
+    The parent calls this directly on its inline pods and every pool
+    worker calls it on the pods it was assigned.  Replies are lists of
+    ``(pod_id, ...)`` tuples so the parent can merge workers' replies
+    and re-emit telemetry in global pod order.
+    """
+    if cmd == "start":
+        return [(pod.spec.pod_id, pod.start()) for pod in pods]
+    if cmd == "advance":
+        return [(pod.spec.pod_id,) + pod.advance(int(payload)) for pod in pods]
+    if cmd == "state":
+        return [(pod.spec.pod_id, pod.shard.state_dict()) for pod in pods]
+    if cmd == "load":
+        for pod in pods:
+            state, cursor = payload[pod.spec.pod_id]
+            pod.shard.load_state_dict(state)
+            pod.engine.k = int(cursor)
+        return []
+    if cmd == "result":
+        return [(pod.spec.pod_id,) + pod.result() for pod in pods]
+    raise ValueError(f"unknown pod command {cmd!r}")
 
 
 def _pod_worker_main(
@@ -283,44 +315,18 @@ def _pod_worker_main(
 ) -> None:
     """Worker process loop: build the assigned pods, serve commands.
 
-    Protocol: ``(cmd, payload)`` in, ``("ok", payload)`` or
-    ``("error", traceback_str)`` out.  Payloads for ``advance``/
-    ``start``/``result`` are lists of ``(pod_id, ...)`` tuples so the
-    parent can re-emit telemetry in global pod order.
+    Protocol: ``(cmd, payload)`` in, ``("ok", _serve(...))`` or
+    ``("error", traceback_str)`` out; ``stop`` ends the loop.
     """
     pods = [_Pod(spec, tel_enabled, span_sample_every) for spec in specs]
     try:
         while True:
             cmd, payload = conn.recv()
+            if cmd == "stop":
+                conn.send(("ok", None))
+                break
             try:
-                if cmd == "start":
-                    out = [(pod.spec.pod_id, pod.start()) for pod in pods]
-                elif cmd == "advance":
-                    out = [
-                        (pod.spec.pod_id,) + pod.advance(int(payload))
-                        for pod in pods
-                    ]
-                elif cmd == "state":
-                    out = [
-                        (pod.spec.pod_id, pod.backend.state_dict())
-                        for pod in pods
-                    ]
-                elif cmd == "load":
-                    for pod in pods:
-                        state, cursor = payload[pod.spec.pod_id]
-                        pod.backend.load_state_dict(state)
-                        pod.engine.k = int(cursor)
-                    out = []
-                elif cmd == "result":
-                    out = [
-                        (pod.spec.pod_id,) + pod.result() for pod in pods
-                    ]
-                elif cmd == "stop":
-                    conn.send(("ok", None))
-                    break
-                else:
-                    raise ValueError(f"unknown pod-worker command {cmd!r}")
-                conn.send(("ok", out))
+                conn.send(("ok", _serve(pods, cmd, payload)))
             except Exception:
                 conn.send(("error", traceback.format_exc()))
     except (EOFError, KeyboardInterrupt):
@@ -361,7 +367,6 @@ class ShardedBackend:
         self._pods: List[_Pod] = []
         self._procs: List[Any] = []
         self._conns: List[Any] = []
-        self._pool_started = False
         self._closed = False
 
     # -- engine wiring -------------------------------------------------
@@ -394,22 +399,23 @@ class ShardedBackend:
         return self._tel_params
 
     def _ensure_pods(self) -> None:
-        """Build the inline pods on first use (no-op in pooled mode)."""
-        if self.workers != 1 or self._pods:
+        """First use: build the pods here, or in a worker pool.
+
+        The one place that decides inline vs pooled; afterwards
+        ``_broadcast`` serves whichever of ``_pods`` / ``_conns`` exists.
+        """
+        if self._pods or self._conns:
             return
         tel_enabled, sample_every = self._telemetry_params()
-        self._pods = [
-            _Pod(spec, tel_enabled, sample_every) for spec in self.specs
-        ]
-
-    def _ensure_pool(self) -> None:
-        if self.workers == 1 or self._pool_started:
+        if self.workers == 1:
+            self._pods = [
+                _Pod(spec, tel_enabled, sample_every) for spec in self.specs
+            ]
             return
         if self._closed:
             raise RuntimeError(
                 "sharded backend is closed; worker state is gone"
             )
-        tel_enabled, sample_every = self._telemetry_params()
         ctx = mp.get_context()
         assignments: List[List[PodSpec]] = [[] for _ in range(self.workers)]
         for spec in self.specs:
@@ -430,18 +436,19 @@ class ShardedBackend:
             child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
-        self._pool_started = True
         logger.info(
             "sharded pool up: %d pods on %d workers", len(self.specs), self.workers
         )
 
     def _broadcast(self, cmd: str, payload: Any = None) -> List[Any]:
-        """Send *cmd* to every worker, then collect every reply.
+        """Run *cmd* on every pod; replies come back ordered by pod id.
 
-        Sends complete before any receive so the workers run
-        concurrently; replies are flattened and ordered by pod id.
+        Pooled: sends complete before any receive so the workers run
+        concurrently, then the replies are flattened and sorted.
         """
-        self._ensure_pool()
+        self._ensure_pods()
+        if self._pods:
+            return _serve(self._pods, cmd, payload)
         for conn in self._conns:
             conn.send((cmd, payload))
         merged: List[Any] = []
@@ -476,7 +483,6 @@ class ShardedBackend:
                 pass
         self._procs = []
         self._conns = []
-        self._pool_started = False
 
     def __del__(self):  # best-effort: never leak worker processes
         try:
@@ -494,23 +500,12 @@ class ShardedBackend:
             self.n_vms, self.n_srv, self.config.n_pods, self.workers,
             self.n_steps, self.dt_s, self.sync,
         )
-        if self.workers == 1:
-            self._ensure_pods()
-            payloads = [(pod.spec.pod_id, pod.start()) for pod in self._pods]
-        else:
-            payloads = self._broadcast("start")
-        self._reemit([records for _, records in payloads])
+        self._reemit([records for _, records in self._broadcast("start")])
 
     def advance_pods(self, ctx: PeriodContext) -> None:
         """Fan every pod forward to this period's sync barrier."""
         until = min((ctx.k + 1) * self.sync, self.n_steps)
-        if self.workers == 1:
-            self._ensure_pods()
-            out = [
-                (pod.spec.pod_id,) + pod.advance(until) for pod in self._pods
-            ]
-        else:
-            out = self._broadcast("advance", until)
+        out = self._broadcast("advance", until)
         ctx.data["pod_records"] = [records for _, records, _, _ in out]
         ctx.data["pod_power"] = [power for _, _, power, _ in out]
         ctx.data["pod_active"] = [active for _, _, _, active in out]
@@ -548,15 +543,9 @@ class ShardedBackend:
 
     # -- results -------------------------------------------------------
 
-    def result(self) -> Any:
+    def result(self) -> LargeScaleResult:
         """Merge the pod results into one datacenter-level result."""
-        from repro.sim.largescale import LargeScaleResult
-
-        if self.workers == 1:
-            self._ensure_pods()
-            merged = [(pod.spec.pod_id,) + pod.result() for pod in self._pods]
-        else:
-            merged = self._broadcast("result")
+        merged = self._broadcast("result")
         self._reemit([records for _, _, records in merged])
         results = [res for _, res, _ in merged]
 
@@ -592,7 +581,7 @@ class ShardedBackend:
             attribution=attribution,
         )
 
-    def _merge_attribution(self, results: List[Any]) -> Dict[str, Any]:
+    def _merge_attribution(self, results: List[LargeScaleResult]) -> Dict[str, Any]:
         """Datacenter-level attribution from the per-pod summaries.
 
         Each pod already reconciled its ledger against its own total;
@@ -632,21 +621,16 @@ class ShardedBackend:
     def vm_energy_ledger(self) -> Optional[np.ndarray]:
         """Global per-VM energy (pod ledgers concatenated in pod order).
 
-        ``None`` unless the base config set ``attribute_power``.  In
-        pooled mode this snapshots the ledgers through the checkpoint
-        codecs, so call it after the run (it is not a hot path).
+        ``None`` unless the base config set ``attribute_power``.  This
+        snapshots the ledgers through the checkpoint codecs (exact for
+        floats), so call it after the run (it is not a hot path).
         """
         if not self.config.base.attribute_power:
             return None
-        if self.workers == 1:
-            self._ensure_pods()
-            parts = [pod.backend.vm_energy_wh for pod in self._pods]
-        else:
-            parts = [
-                decode_array(state["vm_energy_wh"])
-                for _, state in self._broadcast("state")
-            ]
-        return np.concatenate(parts)
+        return np.concatenate([
+            decode_array(state["vm_energy_wh"])
+            for _, state in self._broadcast("state")
+        ])
 
     # -- checkpointing -------------------------------------------------
 
@@ -654,17 +638,12 @@ class ShardedBackend:
         power_snap = np.where(
             np.isfinite(self.power_series), self.power_series, 0.0
         )
-        if self.workers == 1:
-            self._ensure_pods()
-            pod_states = [pod.backend.state_dict() for pod in self._pods]
-        else:
-            pod_states = [state for _, state in self._broadcast("state")]
         return {
             "steps_done": self.steps_done,
             "n_pods": self.config.n_pods,
             "power_series": encode_array(power_snap),
             "active_series": encode_array(self.active_series),
-            "pods": pod_states,
+            "pods": [state for _, state in self._broadcast("state")],
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
@@ -686,17 +665,10 @@ class ShardedBackend:
         self.steps_done = int(state["steps_done"])
         self.power_series = decode_array(state["power_series"])
         self.active_series = decode_array(state["active_series"])
-        if self.workers == 1:
-            self._ensure_pods()
-            for pod, pod_state in zip(self._pods, state["pods"]):
-                pod.backend.load_state_dict(pod_state)
-                pod.engine.k = self.steps_done
-        else:
-            payload = {
-                p: (pod_state, self.steps_done)
-                for p, pod_state in enumerate(state["pods"])
-            }
-            self._broadcast("load", payload)
+        self._broadcast("load", {
+            p: (pod_state, self.steps_done)
+            for p, pod_state in enumerate(state["pods"])
+        })
 
 
 def build_sharded_engine(
@@ -714,14 +686,10 @@ def build_sharded_engine(
     return engine, backend
 
 
-def run_sharded(trace: UtilizationTrace, config: ShardedConfig) -> Any:
+def run_sharded(trace: UtilizationTrace, config: ShardedConfig) -> LargeScaleResult:
     """Run one sharded configuration to completion; returns the merged
-    :class:`~repro.sim.largescale.LargeScaleResult`.  The worker pool
-    (if any) is shut down before returning."""
+    result.  The worker pool (if any) is shut down before returning."""
     engine, backend = build_sharded_engine(trace, config)
-    try:
-        backend.start()
+    with run_session(engine, backend):
         engine.run()
         return backend.result()
-    finally:
-        backend.close()

@@ -38,10 +38,8 @@ from repro.faults import FaultInjector
 from repro.obs import get_telemetry
 from repro.obs.attribution import EnergyAttributor
 from repro.sim.metrics import SeriesRecorder
+from repro.sim.testbed import TestbedConfig, TestbedExperiment, TestbedResult
 from repro.util.rng import RngLike
-
-if False:  # typing-only import without a cycle at runtime
-    from repro.sim.testbed import TestbedConfig, TestbedExperiment, TestbedResult
 
 __all__ = ["TestbedBackend", "build_testbed_engine"]
 
@@ -53,7 +51,7 @@ class TestbedBackend:
 
     resume_strategy = "replay"
 
-    def __init__(self, experiment: "TestbedExperiment", rng: RngLike = None):
+    def __init__(self, experiment: TestbedExperiment, rng: RngLike = None):
         from repro.apps.workload import ConstantWorkload
 
         self.experiment = experiment
@@ -240,10 +238,11 @@ class TestbedBackend:
 
     # -- results -------------------------------------------------------
 
-    def result(self) -> "TestbedResult":
-        """Final recorded series (call after the engine finished)."""
-        from repro.sim.testbed import TestbedResult
+    def close(self) -> None:
+        """Nothing to release (the DES plants live in this process)."""
 
+    def result(self) -> TestbedResult:
+        """Final recorded series (call after the engine finished)."""
         logger.info(
             "testbed run complete: %d periods, mean power %.1f W",
             self.n_periods, self.recorder.summary("power/total")["mean"],
@@ -322,21 +321,20 @@ class TestbedBackend:
 
 
 def build_testbed_engine(
-    config: "Optional[TestbedConfig]" = None,
+    config: Optional[TestbedConfig] = None,
     model: Any = None,
     rng: RngLike = None,
-    experiment: "Optional[TestbedExperiment]" = None,
+    experiment: Optional[TestbedExperiment] = None,
 ) -> "tuple[ControlPlane, TestbedBackend]":
     """Build the kernel + backend pair for one testbed run.
 
-    Call ``backend.start()`` (run-config event + plant warmup) before
-    ``engine.run()``; skip it when restoring — replay resume triggers
-    it, muted, through :meth:`TestbedBackend.prepare_replay`.  Pass
+    Drive the pair inside :func:`repro.engine.kernel.run_session`: a
+    fresh run starts the backend (run-config event + plant warmup), a
+    resumed one restores instead — replay resume triggers the warmup,
+    muted, through :meth:`TestbedBackend.prepare_replay`.  Pass
     ``experiment`` to reuse an existing :class:`TestbedExperiment` (and
     its cached identified model) instead of ``config``/``model``.
     """
-    from repro.sim.testbed import TestbedExperiment
-
     if experiment is None:
         experiment = TestbedExperiment(config, model)
     backend = TestbedBackend(experiment, rng=rng)

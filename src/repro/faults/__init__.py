@@ -13,9 +13,9 @@ The subsystem has three parts, layered so each is testable alone:
   reverts faults on a live :class:`~repro.cluster.datacenter.DataCenter`
   between control periods.
 
-Both simulation harnesses (``repro-testbed``, ``repro-largescale``)
-accept a schedule via ``--faults``; ``repro-faults`` validates and
-generates scenario files.
+Every harness accepts a schedule — as a scenario's ``faults`` section,
+or on the command line via ``repro-sim --faults FILE``;
+``repro-faults`` validates and generates scenario files.
 """
 
 from repro.faults.injector import FaultInjector

@@ -45,12 +45,12 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.engine.scenario import ScenarioError, ScenarioSpec, builtin_registry
+from repro.engine.scenario import ScenarioError, builtin_registry, resolve_scenario
 from repro.obs.metrics import prom_line
 from repro.obs.watch import JsonlFollower
 from repro.service.runner import ExperimentRunner, RunnerConfig
 from repro.service.store import ResultsStore, StoreError
-from repro.service.sweep import SweepError, apply_overrides, expand_grid
+from repro.service.sweep import expand_grid
 
 __all__ = ["ApiError", "ControlPlaneService", "ServiceConfig"]
 
@@ -151,38 +151,23 @@ class ControlPlaneService:
         with optional dotted-path ``overrides`` applied and validated."""
         if not isinstance(body, Mapping):
             raise ApiError(400, "request body must be a JSON object")
-        doc: Optional[Dict[str, Any]]
         if "spec" in body:
-            if not isinstance(body["spec"], Mapping):
+            source = body["spec"]
+            if not isinstance(source, Mapping):
                 raise ApiError(400, "spec must be an object")
-            doc = dict(body["spec"])
         elif "scenario" in body:
-            name = str(body["scenario"])
-            if name not in self.registry:
-                raise ApiError(
-                    404,
-                    f"unknown scenario {name!r}; known: "
-                    + ", ".join(self.registry.names()),
-                )
-            doc = self.registry.get(name).to_dict()
+            source = str(body["scenario"])
         else:
             raise ApiError(400, "body needs a 'scenario' name or a 'spec' object")
         overrides = body.get("overrides")
-        if overrides:
-            if not isinstance(overrides, Mapping):
-                raise ApiError(400, "overrides must be an object of path -> value")
-            try:
-                doc = apply_overrides(doc, overrides)
-            except SweepError as exc:
-                raise ApiError(400, str(exc))
+        if overrides and not isinstance(overrides, Mapping):
+            raise ApiError(400, "overrides must be an object of path -> value")
         try:
-            spec = ScenarioSpec.from_dict(doc)
+            return resolve_scenario(source, overrides, self.registry).to_dict()
+        except KeyError as exc:
+            raise ApiError(404, exc.args[0])
         except ScenarioError as exc:
             raise ApiError(400, str(exc))
-        problems = spec.validate()
-        if problems:
-            raise ApiError(400, "invalid spec: " + "; ".join(problems))
-        return spec.to_dict()
 
     def submit(self, body: Mapping[str, Any]) -> Dict[str, Any]:
         doc = self.resolve_spec(body)
@@ -198,7 +183,7 @@ class ControlPlaneService:
             raise ApiError(400, "body needs a 'grid' object of path -> values")
         try:
             jobs = expand_grid(base, grid)
-        except SweepError as exc:
+        except ScenarioError as exc:
             raise ApiError(400, str(exc))
         name = str(body.get("name") or f"{base['name']}-sweep")
         sweep = self.store.create_sweep(name, base, dict(grid), len(jobs))

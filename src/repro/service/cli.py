@@ -17,7 +17,7 @@ subcommands are thin HTTP clients against a running service:
   grid server-side into one job per configuration.
 
 SCENARIO is a registered name (``repro-scenario list``) or a path to a
-spec JSON file — the same resolution every other CLI uses.
+spec JSON file — the same resolution ``repro-sim --scenario`` uses.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Optional
 
+from repro.engine.scenario import ScenarioError, parse_overrides
 from repro.util.logsetup import add_verbosity_flags, configure_logging
 
 __all__ = ["main"]
@@ -71,26 +72,12 @@ def _request(
     return json.loads(payload)
 
 
-def _parse_value(text: str) -> Any:
-    """A --set value: JSON when it parses, bare string otherwise."""
-    try:
-        return json.loads(text)
-    except ValueError:
-        return text
-
-
 def _parse_sets(pairs: List[str], grid: bool) -> Dict[str, Any]:
     """``--set path=value`` pairs; with *grid*, values are comma lists."""
-    out: Dict[str, Any] = {}
-    for pair in pairs:
-        path, sep, raw = pair.partition("=")
-        if not sep or not path:
-            raise SystemExit(f"repro-serve: --set needs PATH=VALUE, got {pair!r}")
-        if grid:
-            out[path] = [_parse_value(v) for v in raw.split(",") if v != ""]
-        else:
-            out[path] = _parse_value(raw)
-    return out
+    try:
+        return parse_overrides(pairs, grid)
+    except ScenarioError as exc:
+        raise SystemExit(f"repro-serve: {exc}")
 
 
 def _scenario_body(scenario: str, overrides: Dict[str, Any]) -> Dict[str, Any]:

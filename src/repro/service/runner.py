@@ -43,9 +43,9 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.engine.kernel import ControlPlane, PeriodContext
+from repro.engine.kernel import ControlPlane, PeriodContext, run_session
 from repro.engine.scenario import ScenarioSpec
 from repro.obs import (
     AuditConfig,
@@ -61,25 +61,34 @@ __all__ = [
     "ExperimentRunner",
     "RunnerConfig",
     "eventlog_hash",
+    "eventlog_hash_records",
     "summarize_run_result",
 ]
 
 logger = logging.getLogger(__name__)
 
-#: Record kinds excluded from the golden event-log hash — identical to
-#: the filter in tests/test_scenarios.py::_eventlog_hash, so a service
-#: run's hash is directly comparable to a one-shot CLI run's.
+#: Record kinds excluded from the golden event-log hash (profiling
+#: spans and the closing metrics snapshot are not simulated behaviour).
 HASH_EXCLUDED_KINDS = ("span", "metrics")
 
 
-def eventlog_hash(path: Union[str, Path]) -> Tuple[str, int]:
-    """``(sha256, n_events)`` over a run's non-span/metrics records."""
-    records, _ = read_jsonl_lenient(path)
+def eventlog_hash_records(records: Iterable[Mapping[str, Any]]) -> Tuple[str, int]:
+    """``(sha256, n_events)`` over the non-span/metrics *records*.
+
+    The one definition of the golden event-log hash: the tests pin it
+    for in-memory runs and the service stores it for every finished
+    run, so the two are directly comparable.
+    """
     events = [r for r in records if r.get("kind") not in HASH_EXCLUDED_KINDS]
     digest = hashlib.sha256(
         json.dumps(events, sort_keys=True, default=str).encode()
     ).hexdigest()
     return digest, len(events)
+
+
+def eventlog_hash(path: Union[str, Path]) -> Tuple[str, int]:
+    """:func:`eventlog_hash_records` over a JSONL event log on disk."""
+    return eventlog_hash_records(read_jsonl_lenient(path)[0])
 
 
 def _jsonable(value: Any) -> Any:
@@ -297,13 +306,12 @@ class ExperimentRunner:
         run_dir.mkdir(parents=True, exist_ok=True)
 
         checkpoint = self.store.latest_checkpoint(run.id)
-        resuming = checkpoint is not None
-        if resuming and log_path.exists():
+        if checkpoint is not None and log_path.exists():
             # Drop events from periods after the snapshot (and any torn
             # final line): the resumed suffix re-emits them.
             with open(log_path, "r+", encoding="utf-8") as fh:
                 fh.truncate(checkpoint.log_offset)
-        elif resuming:
+        elif checkpoint is not None:
             # The log vanished; the prefix cannot be reconstructed, so
             # restart from scratch instead of resuming into a hole.
             logger.warning(
@@ -311,41 +319,44 @@ class ExperimentRunner:
                 run.id, log_path,
             )
             checkpoint = None
-            resuming = False
 
         engine, plant = spec.build()
         job = _Job(run)
-        backend = JsonlBackend(log_path, mode="a" if resuming else "w")
+        backend = JsonlBackend(log_path, mode="a" if checkpoint else "w")
         telemetry = Telemetry(backend)
         previous = set_telemetry(telemetry)
         try:
-            if resuming and checkpoint is not None:
-                engine.restore(checkpoint.doc)  # replay resume mutes itself
-                self.n_resumed += 1
-                logger.info(
-                    "%s: resumed run %d at period %d/%d",
-                    worker, run.id, engine.k, engine.n_periods,
+            # Replay resume mutes itself; the session closes the plant
+            # (pod workers) on every way out, after any final checkpoint.
+            with run_session(
+                engine, plant, resume=checkpoint.doc if checkpoint else None
+            ):
+                if checkpoint is not None:
+                    self.n_resumed += 1
+                    logger.info(
+                        "%s: resumed run %d at period %d/%d",
+                        worker, run.id, engine.k, engine.n_periods,
+                    )
+                self.store.update_progress(
+                    run.id, engine.k, n_periods=engine.n_periods,
+                    event_log=str(log_path),
                 )
-            else:
-                plant.start()
-            self.store.update_progress(
-                run.id, engine.k, n_periods=engine.n_periods,
-                event_log=str(log_path),
-            )
-            engine.run(on_period=self._make_hook(job, engine, telemetry, log_path))
-            if job.outcome == "shutdown":
-                self._checkpoint(job, engine, telemetry, log_path)
-                self.store.requeue_run(run.id)
-                logger.info(
-                    "%s: checkpointed and requeued run %d at period %d",
-                    worker, run.id, engine.k,
+                engine.run(
+                    on_period=self._make_hook(job, engine, telemetry, log_path)
                 )
-                return
-            if job.outcome == "cancelled":
-                telemetry.close()
-                self.store.finish_run(run.id, "cancelled")
-                return
-            result = plant.result()
+                if job.outcome == "shutdown":
+                    self._checkpoint(job, engine, telemetry, log_path)
+                    self.store.requeue_run(run.id)
+                    logger.info(
+                        "%s: checkpointed and requeued run %d at period %d",
+                        worker, run.id, engine.k,
+                    )
+                    return
+                if job.outcome == "cancelled":
+                    telemetry.close()
+                    self.store.finish_run(run.id, "cancelled")
+                    return
+                result = plant.result()
             telemetry.close()  # final metrics record + flush/close
             digest, n_events = eventlog_hash(log_path)
             self.store.finish_run(

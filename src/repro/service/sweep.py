@@ -17,76 +17,39 @@ expands completely or fails with the first invalid configuration named.
 Grid keys are processed in sorted order and values in the order given,
 so job numbering is deterministic.
 
-Dotted paths address nested sections of the spec document
-(``params.seed``, ``trace.n_days``, ``workloads.1.high`` …).
-Intermediate objects must already exist in the base — a typo'd path is
-an error, not a silently ignored override.
+Dotted paths are applied with
+:func:`repro.engine.scenario.apply_overrides` — a typo'd path is an
+error, not a silently ignored override.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from repro.engine.scenario import ScenarioSpec
+from repro.engine.scenario import ScenarioError, apply_overrides, resolve_scenario
 
-__all__ = ["MAX_SWEEP_JOBS", "SweepError", "apply_overrides", "expand_grid"]
+__all__ = ["MAX_SWEEP_JOBS", "SweepError", "expand_grid"]
 
 #: Refuse to expand a sweep bigger than this (a typo in a grid list is
 #: much more likely than a genuine 10k-job submission).
 MAX_SWEEP_JOBS = 4096
 
 
-class SweepError(ValueError):
+class SweepError(ScenarioError):
     """A sweep document cannot be expanded into valid scenario specs."""
-
-
-def apply_overrides(
-    base_doc: Mapping[str, Any], overrides: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """A deep copy of *base_doc* with each dotted-path override applied."""
-    doc: Dict[str, Any] = copy.deepcopy(dict(base_doc))
-    for path, value in overrides.items():
-        parts = [p for p in str(path).split(".") if p]
-        if not parts:
-            raise SweepError(f"empty override path {path!r}")
-        target: Any = doc
-        for part in parts[:-1]:
-            if not isinstance(target, dict):
-                raise SweepError(
-                    f"override path {path!r} descends through a non-object"
-                )
-            if part not in target:
-                # Only the top-level sections may spring into existence
-                # (a base spec without params/workloads is legal); a
-                # missing *nested* key is almost certainly a typo.
-                if target is doc and part in ("params", "workloads", "trace",
-                                              "model", "faults"):
-                    target[part] = {}
-                else:
-                    raise SweepError(
-                        f"override path {path!r}: {part!r} does not exist "
-                        "in the base spec"
-                    )
-            target = target[part]
-        if not isinstance(target, dict):
-            raise SweepError(f"override path {path!r} descends through a non-object")
-        target[parts[-1]] = value
-    return doc
 
 
 def expand_grid(
     base_doc: Mapping[str, Any],
     grid: Mapping[str, Sequence[Any]],
-    validate: bool = True,
 ) -> List[Tuple[Dict[str, Any], Dict[str, Any]]]:
     """Expand *grid* over *base_doc* into ``(spec_doc, overrides)`` pairs.
 
     Returns one pair per configuration, in deterministic order (grid
-    keys sorted, values in given order).  With ``validate`` (default),
-    every expanded document must parse and validate as a
-    :class:`ScenarioSpec`; the first problem aborts the whole expansion.
+    keys sorted, values in given order).  Every expanded document must
+    resolve to a valid :class:`~repro.engine.scenario.ScenarioSpec`; the
+    first problem aborts the whole expansion.
     """
     if not isinstance(grid, Mapping) or not grid:
         raise SweepError("grid must be a non-empty object of path -> values")
@@ -109,14 +72,10 @@ def expand_grid(
     jobs: List[Tuple[Dict[str, Any], Dict[str, Any]]] = []
     for combo in itertools.product(*value_lists):
         overrides = dict(zip(keys, combo))
-        doc = apply_overrides(base_doc, overrides)
-        if validate:
-            spec = ScenarioSpec.from_dict(doc)
-            problems = spec.validate()
-            if problems:
-                raise SweepError(
-                    f"configuration {overrides} is invalid:\n  "
-                    + "\n  ".join(problems)
-                )
+        try:
+            doc = apply_overrides(base_doc, overrides)
+            resolve_scenario(doc)
+        except ScenarioError as exc:
+            raise SweepError(f"configuration {overrides}: {exc}") from None
         jobs.append((doc, overrides))
     return jobs

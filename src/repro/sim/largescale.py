@@ -187,11 +187,11 @@ def run_largescale(
     :func:`repro.engine.build_largescale_engine` directly for stepwise
     execution or checkpoint/resume.
     """
-    from repro.engine.largescale_backend import build_largescale_engine
+    from repro.engine import build_largescale_engine, run_session
 
     engine, backend = build_largescale_engine(
         trace, config, servers=servers, rng=rng, optimizer=optimizer
     )
-    backend.emit_run_config()
-    engine.run()
-    return backend.result()
+    with run_session(engine, backend):
+        engine.run()
+        return backend.result()

@@ -363,9 +363,9 @@ class TestbedExperiment:
         :func:`repro.engine.build_testbed_engine` directly for stepwise
         execution or checkpoint/resume.
         """
-        from repro.engine.testbed_backend import build_testbed_engine
+        from repro.engine import build_testbed_engine, run_session
 
         engine, backend = build_testbed_engine(experiment=self, rng=rng)
-        backend.start()
-        engine.run()
-        return backend.result()
+        with run_session(engine, backend):
+            engine.run()
+            return backend.result()

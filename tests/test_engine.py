@@ -25,6 +25,8 @@ from repro.engine import (
     ControlPlane,
     PeriodContext,
     Phase,
+    PlantBackend,
+    run_session,
 )
 from repro.engine.checkpoint import (
     decode_array,
@@ -35,20 +37,14 @@ from repro.engine.checkpoint import (
     encode_rng,
 )
 from repro.engine.largescale_backend import build_largescale_engine
+from repro.engine.scenario import builtin_registry
 from repro.engine.testbed_backend import build_testbed_engine
 from repro.faults import FaultSchedule
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
+from repro.service.runner import eventlog_hash_records as _eventlog_hash
 from repro.sim.largescale import LargeScaleConfig
 from repro.sim.testbed import TestbedConfig
 from repro.traces.generator import TraceConfig, generate_trace
-
-
-def _eventlog_hash(records):
-    events = [r for r in records if r.get("kind") not in ("span", "metrics")]
-    digest = hashlib.sha256(
-        json.dumps(events, sort_keys=True, default=str).encode()
-    ).hexdigest()
-    return digest, len(events)
 
 
 FAULTED_TB_SPEC = {
@@ -267,6 +263,82 @@ class TestKernelUnits:
         path = tmp_path / "ck.json"
         engine.save_checkpoint(str(path))
         assert ControlPlane.load_checkpoint(str(path)) == engine.checkpoint()
+
+
+class _FakeBackend:
+    """Records the lifecycle calls run_session makes."""
+
+    n_periods, period_s = 4, 1.0
+
+    def __init__(self):
+        self.calls = []
+
+    def phases(self):
+        return []
+
+    def start(self):
+        self.calls.append("start")
+
+    def result(self):
+        return None
+
+    def close(self):
+        self.calls.append("close")
+
+
+class TestRunSession:
+    def test_fresh_run_starts_then_closes(self):
+        engine, comp = _engine()
+        backend = _FakeBackend()
+        with run_session(engine, backend):
+            assert backend.calls == ["start"]
+            engine.run()
+        assert backend.calls == ["start", "close"] and comp.value == 4
+
+    def test_close_runs_once_when_the_body_raises(self):
+        engine, _ = _engine()
+        backend = _FakeBackend()
+        with pytest.raises(RuntimeError, match="boom"):
+            with run_session(engine, backend):
+                raise RuntimeError("boom")
+        assert backend.calls == ["start", "close"]
+
+    def test_close_runs_once_on_early_return(self):
+        backend = _FakeBackend()
+
+        def stop_early():
+            engine, _ = _engine()
+            with run_session(engine, backend):
+                engine.run(until_period=1)
+                return engine.k
+
+        assert stop_early() == 1
+        assert backend.calls == ["start", "close"]
+
+    def test_resume_restores_instead_of_starting(self):
+        first, _ = _engine()
+        first.run(until_period=2)
+        engine, comp = _engine()
+        backend = _FakeBackend()
+        with run_session(engine, backend, resume=first.checkpoint()):
+            assert (engine.k, comp.value) == (2, 2)
+        assert backend.calls == ["close"]
+
+    def test_failed_restore_still_closes(self):
+        engine, _ = _engine()
+        backend = _FakeBackend()
+        with pytest.raises(CheckpointError):
+            with run_session(engine, backend, resume={"schema": -1}):
+                pytest.fail("body must not run")
+        assert backend.calls == ["close"]
+
+    def test_every_backend_satisfies_the_protocol_and_close_is_idempotent(self):
+        assert isinstance(_FakeBackend(), PlantBackend)
+        for name in ("testbed-small", "largescale-small", "sharded-small"):
+            _, backend = builtin_registry().get(name).build()
+            assert isinstance(backend, PlantBackend), name
+            backend.close()
+            backend.close()
 
 
 class TestCheckpointCodecs:

@@ -144,22 +144,30 @@ class TestSLAMetrics:
 
 class TestCLI:
     def test_testbed_cli(self, capsys):
-        from repro.cli import main_testbed
+        # The testbed report comes from the one run command, sized
+        # with --set (there is no dedicated testbed command any more).
+        from repro.cli import main_sim
 
-        rc = main_testbed(["--duration", "120", "--apps", "2"])
+        rc = main_sim(
+            ["--scenario", "testbed-small", "--set", "params.duration_s=120"]
+        )
         out = capsys.readouterr().out
         assert rc == 0
         assert "Response-time tracking" in out
         assert "Cluster power" in out
 
     def test_largescale_cli(self, capsys):
-        from repro.cli import main_largescale
+        # repro-sim prints the report module's large-scale table (DVFS,
+        # unplaced VM-steps, power sketch), not a hand-built one.
+        from repro.cli import main_sim
 
-        rc = main_largescale(["--vms", "20", "40", "--servers", "60", "--days", "1"])
+        rc = main_sim(["--scenario", "largescale-small"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "Energy per VM" in out
-        assert "ipac Wh/VM" in out
+        for needle in ("Large-scale run", "energy per VM (Wh)", "DVFS",
+                       "unplaced VM-steps", "total power (W)"):
+            assert needle in out
+        assert "pods on" not in out
 
     def test_trace_cli(self, tmp_path, capsys):
         from repro.cli import main_trace

@@ -10,7 +10,6 @@ tolerance explicitly and assert exact parity for everything discrete
 """
 
 import dataclasses
-import hashlib
 import json
 
 import numpy as np
@@ -28,6 +27,7 @@ from repro.core.controller.adaptive import AdaptiveResponseTimeController
 from repro.core.fleet import FleetControlStep
 from repro.engine.scenario import builtin_registry
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
+from repro.service.runner import eventlog_hash_records as _eventlog_hash
 
 #: Pinned fleet-vs-scalar tolerance for demand/state trajectories.
 #: Stacked multi-RHS solves differ from single-RHS at the ~1 ulp level
@@ -38,17 +38,6 @@ ATOL = 1e-9
 
 _MODEL = ARXModel(a=[0.4], b=[[-800.0, -300.0], [-100.0, -50.0]], g=1800.0)
 _MODEL_B = ARXModel(a=[0.35], b=[[-700.0, -250.0], [-120.0, -60.0]], g=1700.0)
-
-
-def _eventlog_hash(records):
-    """The golden event-log hash (same formula as the service runner)."""
-    events = [r for r in records if r.get("kind") not in ("span", "metrics")]
-    return (
-        hashlib.sha256(
-            json.dumps(events, sort_keys=True, default=str).encode()
-        ).hexdigest(),
-        len(events),
-    )
 
 
 def _fleet_dc(n_apps):

@@ -17,7 +17,6 @@ Pins the hot-path optimizations to their correctness contracts:
 """
 
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -29,17 +28,10 @@ from repro.control.mpc_core import MPCConfig, MPCController
 from repro.control.qp import solve_qp
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
 from repro.packing.mbs import _FIT_TOL, MemoryConstraint, minimum_bin_slack
+from repro.service.runner import eventlog_hash_records as _eventlog_hash
 from repro.sim.largescale import LargeScaleConfig, run_largescale
 from repro.sim.testbed import TestbedConfig, TestbedExperiment
 from repro.traces.generator import TraceConfig, generate_trace
-
-
-def _eventlog_hash(records):
-    events = [r for r in records if r.get("kind") not in ("span", "metrics")]
-    digest = hashlib.sha256(
-        json.dumps(events, sort_keys=True, default=str).encode()
-    ).hexdigest()
-    return digest, len(events)
 
 
 # Captured before the hot-path optimizations landed; they must not move

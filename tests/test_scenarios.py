@@ -1,6 +1,5 @@
 """Scenario registry: JSON round-trip, validation, build, CLI."""
 
-import hashlib
 import json
 
 import pytest
@@ -11,20 +10,14 @@ from repro.engine.scenario import (
     ScenarioRegistry,
     ScenarioSpec,
     builtin_registry,
+    resolve_scenario,
 )
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
+from repro.service.runner import eventlog_hash_records as _eventlog_hash
 
 # Pinned by tests/test_perf_fastpath.py for the same configuration run
 # through the public harness API — the scenario path must agree.
 _TB_SMALL_SHA = "a4ae4a9006785b8e0898af5df2bc1ff973350d82380b8d0b5be7c122018478fc"
-
-
-def _eventlog_hash(records):
-    events = [r for r in records if r.get("kind") not in ("span", "metrics")]
-    digest = hashlib.sha256(
-        json.dumps(events, sort_keys=True, default=str).encode()
-    ).hexdigest()
-    return digest, len(events)
 
 
 class TestRoundTrip:
@@ -321,13 +314,152 @@ class TestCli:
         # (testbed-small lacks the fault schedule the checkpoint carries).
         assert main_sim(["--scenario", "testbed-small", "--resume", str(ck)]) == 1
         assert "cannot resume" in capsys.readouterr().err
+        # ... and so must a checkpoint file that is not there.
+        missing = str(tmp_path / "missing.json")
+        assert main_sim(["--scenario", "testbed-small", "--resume", missing]) == 1
+        assert "cannot resume" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["largescale-small", "sharded-small"])
     def test_sim_control_mode_is_testbed_only(self, name, capsys):
+        # control_mode is a TestbedConfig field: on the other harnesses
+        # the generic unknown-param validation rejects the override.
         from repro.cli import main_sim
 
-        assert main_sim(["--scenario", name, "--control-mode", "fleet"]) == 1
+        assert main_sim(
+            ["--scenario", name, "--set", "params.control_mode=fleet"]
+        ) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("repro-sim: --control-mode applies to testbed")
-        assert err.count("\n") == 1
+        assert err.startswith("repro-sim: ") and err.count("repro-sim:") == 1
+        assert "control_mode" in err and "Traceback" not in err
+
+    def test_sim_set_overrides_the_spec(self, capsys):
+        from repro.cli import main_sim
+
+        assert main_sim([
+            "--scenario", "testbed-small",
+            "--set", "params.control_mode=fleet",
+            "--set", "params.duration_s=60",
+        ]) == 0
+        assert "over 4 periods" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pair", ["params.bogus.deep=1", "no-equals-sign"])
+    def test_sim_set_typo_exits_1_without_traceback(self, pair, capsys):
+        from repro.cli import main_sim
+
+        assert main_sim(["--scenario", "testbed-small", "--set", pair]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro-sim: ") and "Traceback" not in err
+        assert ("does not exist in the base spec" in err) or ("PATH=VALUE" in err)
+
+    def test_sim_faults_file_equals_builtin_faulted_scenario(self, tmp_path):
+        from repro.cli import main_sim
+        from repro.service.runner import eventlog_hash
+
+        faults = tmp_path / "faults.json"
+        faults.write_text(
+            json.dumps(builtin_registry().get("testbed-faulted").to_dict()["faults"]),
+            encoding="utf-8",
+        )
+        via_flag, builtin = tmp_path / "flag.jsonl", tmp_path / "builtin.jsonl"
+        assert main_sim([
+            "--scenario", "testbed-small", "--faults", str(faults),
+            "--trace-jsonl", str(via_flag), "--quiet",
+        ]) == 0
+        assert main_sim([
+            "--scenario", "testbed-faulted",
+            "--trace-jsonl", str(builtin), "--quiet",
+        ]) == 0
+        assert eventlog_hash(via_flag) == eventlog_hash(builtin)
+
+    def test_sim_bad_faults_file_exits_1(self, tmp_path, capsys):
+        from repro.cli import main_sim
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"events": [{"kind": "meteor"}]}), encoding="utf-8")
+        assert main_sim(
+            ["--scenario", "testbed-small", "--faults", str(bad)]
+        ) == 1
+        assert "faults:" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main_sim(["--scenario", "testbed-small", "--faults",
+                      str(tmp_path / "missing.json")])
+        assert "cannot read fault spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        [], ["--checkpoint-at", "2"],
+    ])
+    def test_sim_pooled_sharded_leaves_no_workers(
+        self, args, tmp_path, capsys, monkeypatch
+    ):
+        # Disarm the __del__ safety net: the session must close the pool.
+        import multiprocessing
+
+        from repro.cli import main_sim
+        from repro.engine.sharded_backend import ShardedBackend
+
+        monkeypatch.setattr(ShardedBackend, "__del__", lambda self: None)
+        if args:
+            args = args + ["--checkpoint", str(tmp_path / "ck.json")]
+        assert main_sim(["--scenario", "sharded-small", *args]) == 0
+        out = capsys.readouterr().out
+        assert ("2 pods on 2 workers" in out) != bool(args)
+        assert multiprocessing.active_children() == []
+
+    def test_sim_pooled_sharded_closes_workers_when_the_run_raises(
+        self, monkeypatch
+    ):
+        import multiprocessing
+
+        from repro.cli import main_sim
+        from repro.engine.kernel import ControlPlane
+        from repro.engine.sharded_backend import ShardedBackend
+
+        monkeypatch.setattr(ShardedBackend, "__del__", lambda self: None)
+        real_step = ControlPlane.step
+
+        def failing_step(self):
+            if self.k == 2:
+                raise RuntimeError("boom")
+            return real_step(self)
+
+        monkeypatch.setattr(ControlPlane, "step", failing_step)
+        with pytest.raises(RuntimeError, match="boom"):
+            main_sim(["--scenario", "sharded-small"])
+        assert multiprocessing.active_children() == []
+
+
+class TestPaperRigs:
+    @pytest.mark.parametrize("name", ["testbed-paper", "largescale-paper"])
+    def test_paper_rigs_validate_and_round_trip(self, name):
+        # Registered, valid and JSON-stable; too big to *run* in tier-1.
+        spec = builtin_registry().get(name)
+        assert spec.validate() == []
+        again = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert again == resolve_scenario(name)
+        config = again._make_config()
+        if name == "testbed-paper":
+            assert (config.n_apps, config.n_servers, config.duration_s) == (8, 4, 600.0)
+            assert again.model is None  # ARX model identified at build
+        else:
+            assert (config.n_vms, config.n_servers) == (5415, 3000)
+            assert config.scheme == "ipac" and config.dvfs_enabled
+            assert again.trace == {"n_servers": 5415, "n_days": 7, "seed": 7}
+
+
+class TestResolve:
+    def test_name_document_and_overrides_agree(self):
+        by_name = resolve_scenario("testbed-small", {"params.seed": 5})
+        by_doc = resolve_scenario(
+            builtin_registry().get("testbed-small").to_dict(), {"params.seed": 5}
+        )
+        assert by_name == by_doc and by_name.params["seed"] == 5
+
+    def test_failure_modes(self):
+        with pytest.raises(KeyError, match="known:"):
+            resolve_scenario("nope")
+        with pytest.raises(ScenarioError, match="does not exist"):
+            resolve_scenario("testbed-small", {"params.bogus.deep": 1})
+        with pytest.raises(ScenarioError, match="bogus_knob"):
+            resolve_scenario("testbed-small", {"params.bogus_knob": 1})

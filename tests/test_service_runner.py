@@ -12,17 +12,23 @@ The load-bearing claims pinned here:
   every run, checkpoint, and audit report queryable from the store.
 """
 
-import hashlib
-import json
+import multiprocessing
 import time
 
 import pytest
 
-from repro.engine.scenario import ScenarioSpec, builtin_registry
+from repro.engine.kernel import run_session
+from repro.engine.scenario import ScenarioSpec, apply_overrides, builtin_registry
+from repro.engine.sharded_backend import ShardedBackend
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
-from repro.service.runner import ExperimentRunner, RunnerConfig, eventlog_hash
+from repro.service.runner import (
+    ExperimentRunner,
+    RunnerConfig,
+    eventlog_hash,
+    eventlog_hash_records,
+)
 from repro.service.store import ResultsStore
-from repro.service.sweep import apply_overrides, expand_grid
+from repro.service.sweep import expand_grid
 
 # Same pin as tests/test_scenarios.py / tests/test_perf_fastpath.py.
 _TB_SMALL_SHA = "a4ae4a9006785b8e0898af5df2bc1ff973350d82380b8d0b5be7c122018478fc"
@@ -33,16 +39,10 @@ def _oneshot_hash(spec_doc):
     spec = ScenarioSpec.from_dict(spec_doc)
     backend = InMemoryBackend()
     engine, plant = spec.build()
-    with use_telemetry(Telemetry(backend)):
-        plant.start()
+    with use_telemetry(Telemetry(backend)), run_session(engine, plant):
         engine.run()
         plant.result()
-    events = [r for r in backend.records
-              if r.get("kind") not in ("span", "metrics")]
-    digest = hashlib.sha256(
-        json.dumps(events, sort_keys=True, default=str).encode()
-    ).hexdigest()
-    return digest, len(events)
+    return eventlog_hash_records(backend.records)
 
 
 def _wait(predicate, timeout_s=60.0, interval_s=0.05):
@@ -93,6 +93,28 @@ class TestGoldenHash:
         assert periods == [4, 8]
         # and the stored log re-hashes to the same digest
         assert eventlog_hash(row.event_log) == (_TB_SMALL_SHA, 25)
+
+    def test_pooled_sharded_run_matches_oneshot_and_leaves_no_workers(
+        self, store, tmp_path, monkeypatch
+    ):
+        # sharded-small runs 2 pods on 2 pool workers: the runner must
+        # close the pool itself (run_session), not leave it to the
+        # __del__ safety net — which is disarmed here to prove it.
+        monkeypatch.setattr(ShardedBackend, "__del__", lambda self: None)
+        doc = builtin_registry().get("sharded-small").to_dict()
+        expected = _oneshot_hash(doc)
+        runner = _runner(store, tmp_path, checkpoint_every=2)
+        run, _ = store.submit_run(doc)
+        runner.start()
+        try:
+            assert runner.wait_idle(120.0)
+        finally:
+            runner.stop()
+        row = store.get_run(run.id)
+        assert row.status == "done", row.error
+        assert (row.event_hash, row.n_events) == expected
+        assert row.result["info"]["workers"] == 2
+        assert multiprocessing.active_children() == []
 
     def test_failed_spec_is_recorded_not_raised(self, store, tmp_path):
         doc = _small_doc()

@@ -1,6 +1,5 @@
 """ShardedBackend: determinism contract, pool plumbing, scenarios."""
 
-import hashlib
 import json
 
 import numpy as np
@@ -18,19 +17,9 @@ from repro.engine.sharded_backend import (
 )
 from repro.faults import FaultEvent, FaultSchedule
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
+from repro.service.runner import eventlog_hash_records as _events_hash
 from repro.sim.largescale import LargeScaleConfig
 from repro.traces.generator import TraceConfig, generate_trace
-
-
-def _events_hash(records):
-    """The golden event-log hash (same formula as the service runner)."""
-    events = [r for r in records if r.get("kind") not in ("span", "metrics")]
-    return (
-        hashlib.sha256(
-            json.dumps(events, sort_keys=True, default=str).encode()
-        ).hexdigest(),
-        len(events),
-    )
 
 
 def _trace(n_series=40, seed=13):

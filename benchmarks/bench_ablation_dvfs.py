@@ -7,7 +7,8 @@ algorithm".  This bench separates them by running IPAC with DVFS forced
 off, and pMapper with DVFS forced on.
 """
 
-from repro.sim.largescale import LargeScaleConfig, run_largescale
+from repro.engine.largescale_backend import run_largescale
+from repro.sim.largescale import LargeScaleConfig
 from repro.util.tables import format_table
 
 

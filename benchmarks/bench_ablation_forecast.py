@@ -7,7 +7,8 @@ This bench quantifies the trade offered by the forecasting extension
 the conservative no-reconfiguration reference point.
 """
 
-from repro.sim.largescale import LargeScaleConfig, run_largescale
+from repro.engine.largescale_backend import run_largescale
+from repro.sim.largescale import LargeScaleConfig
 from repro.util.tables import format_table
 
 

@@ -16,7 +16,8 @@ from repro.core.optimizer.migration import (
 )
 from repro.core.optimizer.minslack import MinSlackConfig
 from repro.core.optimizer.pac import PACConfig
-from repro.sim.largescale import LargeScaleConfig, run_largescale
+from repro.engine.largescale_backend import run_largescale
+from repro.sim.largescale import LargeScaleConfig
 from repro.util.tables import format_table
 
 

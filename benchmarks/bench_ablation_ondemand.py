@@ -9,7 +9,8 @@ must drop, at a modest cost in extra migrations and energy.
 
 from dataclasses import replace
 
-from repro.sim.largescale import LargeScaleConfig, run_largescale
+from repro.engine.largescale_backend import run_largescale
+from repro.sim.largescale import LargeScaleConfig
 from repro.traces import TraceConfig, generate_trace
 from repro.util.tables import format_table
 

@@ -10,7 +10,8 @@ exact margin.
 
 from repro.cluster import MeasuredPowerCurve, Server, ServerSpec
 from repro.cluster.catalog import CPU_1P5GHZ_DUAL, CPU_2GHZ_DUAL, CPU_3GHZ_QUAD
-from repro.sim.largescale import LargeScaleConfig, run_largescale
+from repro.engine.largescale_backend import run_largescale
+from repro.sim.largescale import LargeScaleConfig
 from repro.util.rng import ensure_rng
 from repro.util.tables import format_table
 

@@ -9,7 +9,8 @@ for all the applications."  (Power optimizer disabled.)
 
 import numpy as np
 
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.engine.testbed_backend import run_testbed
+from repro.sim.testbed import TestbedConfig
 from repro.util.ascii_chart import ascii_bars
 from repro.util.tables import format_table
 
@@ -19,7 +20,7 @@ def test_fig2_all_apps_track_setpoint(benchmark, shared_model, report, full_mode
     config = TestbedConfig(n_apps=8, setpoint_ms=1000.0, duration_s=duration)
 
     def run():
-        return TestbedExperiment(config, model=shared_model).run()
+        return run_testbed(config, model=shared_model)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -11,7 +11,8 @@ baseline, reproduced here as a static-allocation run.
 import numpy as np
 
 from repro.apps.workload import StepWorkload
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.engine.testbed_backend import run_testbed
+from repro.sim.testbed import TestbedConfig
 from repro.util.ascii_chart import ascii_series
 from repro.util.tables import format_table
 
@@ -32,7 +33,7 @@ def test_fig3_step_workload_controlled(benchmark, shared_model, report, full_mod
     )
 
     def run():
-        return TestbedExperiment(config, model=shared_model).run()
+        return run_testbed(config, model=shared_model)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     rec = result.recorder
@@ -91,7 +92,7 @@ def test_fig3_uncontrolled_baseline(benchmark, shared_model, report):
     )
 
     def run():
-        return TestbedExperiment(config, model=shared_model).run()
+        return run_testbed(config, model=shared_model)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     rec = result.recorder

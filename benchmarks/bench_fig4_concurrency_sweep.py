@@ -10,7 +10,8 @@ model was identified at concurrency 40 only.)
 
 import numpy as np
 
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.engine.testbed_backend import run_testbed
+from repro.sim.testbed import TestbedConfig
 from repro.util.ascii_chart import ascii_bars
 from repro.util.tables import format_table
 
@@ -30,7 +31,7 @@ def test_fig4_concurrency_sweep(benchmark, shared_model, report, full_mode):
                 n_apps=8, duration_s=duration, seed=2010 + level,
                 workloads={5: ConstantWorkload(level)},
             )
-            result = TestbedExperiment(config, model=shared_model).run()
+            result = run_testbed(config, model=shared_model)
             rts = result.recorder.values("rt/app5")[settle:]
             out.append((level, float(np.nanmean(rts)), float(np.nanstd(rts))))
         return out

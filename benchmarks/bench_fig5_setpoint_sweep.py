@@ -8,7 +8,8 @@ response time for all the ... set points."
 
 import numpy as np
 
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.engine.testbed_backend import run_testbed
+from repro.sim.testbed import TestbedConfig
 from repro.util.ascii_chart import ascii_bars
 from repro.util.tables import format_table
 
@@ -28,7 +29,7 @@ def test_fig5_setpoint_sweep(benchmark, shared_model, report, full_mode):
                 seed=2010 + int(setpoint),
                 setpoints_ms={5: setpoint},
             )
-            result = TestbedExperiment(config, model=shared_model).run()
+            result = run_testbed(config, model=shared_model)
             rts = result.recorder.values("rt/app5")[settle:]
             out.append((setpoint, float(np.nanmean(rts)), float(np.nanstd(rts))))
         return out

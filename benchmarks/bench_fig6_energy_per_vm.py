@@ -15,7 +15,8 @@ Default mode runs a reduced grid on a 3-day / 2,100-VM trace; set
 
 import numpy as np
 
-from repro.sim.largescale import LargeScaleConfig, run_largescale
+from repro.engine.largescale_backend import run_largescale
+from repro.sim.largescale import LargeScaleConfig
 from repro.util.ascii_chart import ascii_series
 from repro.util.tables import format_table
 

@@ -10,7 +10,8 @@ consolidation, and cluster power must drop.
 
 import numpy as np
 
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.engine.testbed_backend import run_testbed
+from repro.sim.testbed import TestbedConfig
 from repro.util.ascii_chart import ascii_series
 from repro.util.tables import format_table
 
@@ -23,7 +24,7 @@ def test_integrated_controller_plus_optimizer(benchmark, shared_model, report):
     )
 
     def run():
-        return TestbedExperiment(config, model=shared_model).run()
+        return run_testbed(config, model=shared_model)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     rec = result.recorder

@@ -16,7 +16,8 @@ import os
 
 import pytest
 
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.engine.testbed_backend import identify_testbed_model
+from repro.sim.testbed import TestbedConfig
 from repro.traces import TraceConfig, generate_trace
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
@@ -32,9 +33,7 @@ def full_mode() -> bool:
 def shared_model():
     """One system-identification pass shared by all testbed benches,
     exactly as the paper identifies once and reuses the model."""
-    experiment = TestbedExperiment(TestbedConfig())
-    model = experiment.identify_model()
-    return model
+    return identify_testbed_model(TestbedConfig()).model
 
 
 @pytest.fixture(scope="session")

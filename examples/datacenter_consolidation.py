@@ -8,7 +8,8 @@ the pMapper baseline — the paper's headline experiment at laptop scale.
 Run:  python examples/datacenter_consolidation.py
 """
 
-from repro.sim.largescale import LargeScaleConfig, run_largescale
+from repro.engine.largescale_backend import run_largescale
+from repro.sim.largescale import LargeScaleConfig
 from repro.traces import TraceConfig, generate_trace
 from repro.util.ascii_chart import ascii_series
 from repro.util.tables import format_table

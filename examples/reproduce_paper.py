@@ -10,8 +10,10 @@ Run:  python examples/reproduce_paper.py        (~2 minutes)
 import numpy as np
 
 from repro.apps.workload import StepWorkload
-from repro.sim.largescale import LargeScaleConfig, run_largescale
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.engine.largescale_backend import run_largescale
+from repro.engine.testbed_backend import identify_testbed_model, run_testbed
+from repro.sim.largescale import LargeScaleConfig
+from repro.sim.testbed import TestbedConfig
 from repro.traces import TraceConfig, generate_trace
 from repro.util.ascii_chart import ascii_series
 from repro.util.tables import format_table
@@ -19,7 +21,7 @@ from repro.util.tables import format_table
 
 def fig2(model):
     print("\n================ Figure 2: eight applications at 1000 ms ================")
-    result = TestbedExperiment(TestbedConfig(n_apps=8, duration_s=600.0), model=model).run()
+    result = run_testbed(TestbedConfig(n_apps=8, duration_s=600.0), model=model)
     rows = []
     for i in range(8):
         rts = result.recorder.values(f"rt/app{i}")[10:]
@@ -33,7 +35,7 @@ def fig3(model):
         n_apps=8, duration_s=1500.0,
         workloads={5: StepWorkload(40, 80, 600.0, 1200.0)},
     )
-    result = TestbedExperiment(config, model=model).run()
+    result = run_testbed(config, model=model)
     rts = result.recorder.values("rt/app5")
     power = result.recorder.values("power/total")
     print(ascii_series(rts, label="(a) App5 90-percentile response time (ms)"))
@@ -49,7 +51,7 @@ def fig4(model):
             n_apps=8, duration_s=450.0, seed=2010 + level,
             workloads={5: ConstantWorkload(level)},
         )
-        result = TestbedExperiment(config, model=model).run()
+        result = run_testbed(config, model=model)
         rts = result.recorder.values("rt/app5")[12:]
         rows.append([level, float(np.nanmean(rts)), float(np.nanstd(rts))])
     print(format_table(["concurrency", "rt mean (ms)", "std (ms)"], rows))
@@ -62,7 +64,7 @@ def fig5(model):
         config = TestbedConfig(
             n_apps=8, duration_s=450.0, seed=2010 + sp, setpoints_ms={5: float(sp)},
         )
-        result = TestbedExperiment(config, model=model).run()
+        result = run_testbed(config, model=model)
         rts = result.recorder.values("rt/app5")[12:]
         rows.append([sp, float(np.nanmean(rts)), float(np.nanstd(rts))])
     print(format_table(["set point (ms)", "achieved (ms)", "std (ms)"], rows))
@@ -88,8 +90,7 @@ def fig6():
 
 def main() -> None:
     print("system identification (shared by all testbed figures)...")
-    experiment = TestbedExperiment(TestbedConfig())
-    model = experiment.identify_model()
+    model = identify_testbed_model(TestbedConfig()).model
     print(f"  identified: t(k) = {model.a[0]:.3f} t(k-1) "
           f"+ {np.round(model.b[0], 0)}.c(k) + {model.g:.0f}")
     fig2(model)

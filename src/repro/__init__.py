@@ -9,8 +9,8 @@ algorithm (IPAC) benchmarked against pMapper.
 
 Quick start::
 
-    from repro import TestbedConfig, TestbedExperiment
-    result = TestbedExperiment(TestbedConfig(duration_s=300.0)).run()
+    from repro import TestbedConfig, run_testbed
+    result = run_testbed(TestbedConfig(duration_s=300.0))
     print(result.rt_summary(0))
 
 See README.md for the architecture overview and DESIGN.md for the
@@ -31,6 +31,8 @@ from repro.core import (
     pac,
     pmapper,
 )
+from repro.engine.largescale_backend import run_largescale
+from repro.engine.testbed_backend import run_testbed
 from repro.obs import (
     InMemoryBackend,
     JsonlBackend,
@@ -40,8 +42,8 @@ from repro.obs import (
     set_telemetry,
     use_telemetry,
 )
-from repro.sim.largescale import LargeScaleConfig, LargeScaleResult, run_largescale
-from repro.sim.testbed import TestbedConfig, TestbedExperiment, TestbedResult
+from repro.sim.largescale import LargeScaleConfig, LargeScaleResult
+from repro.sim.testbed import TestbedConfig, TestbedResult
 from repro.sysid import fit_arx, identify_app_model
 from repro.traces import TraceConfig, UtilizationTrace, generate_trace
 
@@ -77,8 +79,8 @@ __all__ = [
     "LargeScaleResult",
     "run_largescale",
     "TestbedConfig",
-    "TestbedExperiment",
     "TestbedResult",
+    "run_testbed",
     "fit_arx",
     "identify_app_model",
     "TraceConfig",

@@ -478,6 +478,14 @@ def main_sim(argv: Optional[List[str]] = None) -> int:
     except ScenarioError as exc:
         print(f"repro-sim: {exc}", file=sys.stderr)
         return 1
+    if args.checkpoint_at is not None and not 1 <= args.checkpoint_at < engine.n_periods:
+        print(
+            f"repro-sim: --checkpoint-at {args.checkpoint_at} is not mid-run: "
+            f"{spec.name} runs {engine.n_periods} periods, so K must be in "
+            f"1..{engine.n_periods - 1}",
+            file=sys.stderr,
+        )
+        return 1
 
     def cannot_resume(exc: Exception) -> int:
         print(f"repro-sim: cannot resume {args.resume}: {exc}", file=sys.stderr)

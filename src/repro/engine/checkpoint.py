@@ -17,18 +17,16 @@ Everything a checkpoint stores must round-trip through ``json.dumps`` /
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Sequence, Union
+from typing import Any, Dict, Mapping, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "decode_array",
     "decode_float",
-    "decode_float_list",
     "decode_rng",
     "encode_array",
     "encode_float",
-    "encode_float_list",
     "encode_rng",
     "require_fields",
 ]
@@ -109,12 +107,3 @@ def decode_float(value: Union[float, int, None]) -> float:
     """Inverse of :func:`encode_float`."""
     return float("nan") if value is None else float(value)
 
-
-def encode_float_list(values: Sequence[Union[float, int]]) -> List[Any]:
-    """Encode a sequence of floats, tolerating NaN entries."""
-    return [encode_float(v) for v in values]
-
-
-def decode_float_list(values: Sequence[Any]) -> List[float]:
-    """Inverse of :func:`encode_float_list`."""
-    return [decode_float(v) for v in values]

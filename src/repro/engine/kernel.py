@@ -1,9 +1,10 @@
 """The unified control-plane kernel.
 
 One :class:`ControlPlane` engine drives every harness in the repository:
-the simulated hardware testbed (:mod:`repro.sim.testbed`), the
-trace-driven large-scale simulation (:mod:`repro.sim.largescale`), and
-any scenario registered with :mod:`repro.engine.scenario`.  A backend
+the simulated hardware testbed (:mod:`repro.engine.testbed_backend`),
+the trace-driven large-scale simulation
+(:mod:`repro.engine.largescale_backend`, sharded or not), and any
+scenario registered with :mod:`repro.engine.scenario`.  A backend
 contributes an ordered list of named :class:`Phase` objects — sensing,
 sysid, control, arbitration, optimizer epochs, actuation, fault
 injection, telemetry flush — and the kernel advances them period by
@@ -177,6 +178,19 @@ class ControlPlane:
                     "load_state_dict"
                 )
         self.k = 0  # next period to execute
+
+    @classmethod
+    def for_backend(cls, backend: Any, name: str) -> "ControlPlane":
+        """The engine of one backend (a :class:`PlantBackend` that is
+        also :class:`Checkpointable`): its timing, its phases, and the
+        backend itself as the checkpointed ``"plant"`` component."""
+        return cls(
+            period_s=backend.period_s,
+            n_periods=backend.n_periods,
+            phases=backend.phases(),
+            checkpointables={"plant": backend},
+            name=name,
+        )
 
     @property
     def resume_strategy(self) -> str:

@@ -1,7 +1,9 @@
 """Kernel backend for the trace-driven large-scale simulation.
 
-This is the vectorized plant behind :func:`repro.sim.largescale.run_largescale`
-(paper §VI-B, Fig. 6), restructured as :class:`ControlPlane` phases:
+This is the vectorized plant of the trace-driven simulation (paper
+§VI-B, Fig. 6; :func:`run_largescale` runs one
+:class:`~repro.sim.largescale.LargeScaleConfig` to completion),
+structured as :class:`ControlPlane` phases:
 
 ``sense`` (trace demand snapshot) → ``faults`` (schedule transitions) →
 ``sysid`` (demand-forecaster update) → ``optimize`` (consolidation
@@ -46,14 +48,14 @@ from repro.engine.checkpoint import (
     encode_rng,
     require_fields,
 )
-from repro.engine.kernel import CheckpointError, ControlPlane, PeriodContext, Phase
+from repro.engine.kernel import CheckpointError, ControlPlane, PeriodContext, Phase, run_session
 from repro.obs import get_telemetry
 from repro.sim.largescale import LargeScaleConfig, LargeScaleResult
 from repro.traces.forecast import DemandForecaster, EwmaPeakForecaster, HoltForecaster
 from repro.traces.trace import UtilizationTrace
 from repro.util.rng import RngLike, ensure_rng
 
-__all__ = ["LargeScaleBackend", "build_largescale_engine"]
+__all__ = ["LargeScaleBackend", "build_largescale_engine", "run_largescale"]
 
 logger = logging.getLogger(__name__)
 
@@ -816,11 +818,30 @@ def build_largescale_engine(
     backend = LargeScaleBackend(
         trace, config, servers=servers, rng=rng, optimizer=optimizer
     )
-    engine = ControlPlane(
-        period_s=backend.period_s,
-        n_periods=backend.n_periods,
-        phases=backend.phases(),
-        checkpointables={"plant": backend},
-        name="largescale",
+    return ControlPlane.for_backend(backend, "largescale"), backend
+
+
+def run_largescale(
+    trace: UtilizationTrace,
+    config: Optional[LargeScaleConfig] = None,
+    servers: Optional[Sequence[Server]] = None,
+    rng: RngLike = None,
+    optimizer: Optional[Callable[[PlacementProblem], PlacementPlan]] = None,
+) -> LargeScaleResult:
+    """Run one scheme over the trace; returns energy and placement stats.
+
+    ``servers`` may be supplied to share one pool across scheme
+    comparisons (identical hardware for IPAC and pMapper); otherwise a
+    pool is drawn from ``config.seed`` — so two runs with the same seed
+    see the same hardware either way.  ``optimizer`` overrides the
+    scheme-derived consolidation callable (for ablations with custom
+    IPAC configurations, cost policies, or entirely new algorithms).
+    Use :func:`build_largescale_engine` directly for stepwise execution
+    or checkpoint/resume.
+    """
+    engine, backend = build_largescale_engine(
+        trace, config, servers=servers, rng=rng, optimizer=optimizer
     )
-    return engine, backend
+    with run_session(engine, backend):
+        engine.run()
+        return backend.result()

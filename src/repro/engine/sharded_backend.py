@@ -236,13 +236,7 @@ class _Pod:
             vm_memories=spec.vm_memories,
             vm_id_start=spec.vm_id_start,
         )
-        self.engine = ControlPlane(
-            period_s=self.shard.period_s,
-            n_periods=self.shard.n_periods,
-            phases=self.shard.phases(),
-            checkpointables={"plant": self.shard},
-            name="largescale",
-        )
+        self.engine = ControlPlane.for_backend(self.shard, "largescale")
         # Pod telemetry is never closed: a close() would append a
         # metrics record that the plain single-process run does not
         # emit at this point in the stream.
@@ -676,14 +670,7 @@ def build_sharded_engine(
 ) -> "tuple[ControlPlane, ShardedBackend]":
     """Build the kernel + sharded backend pair for one run."""
     backend = ShardedBackend(trace, config)
-    engine = ControlPlane(
-        period_s=backend.period_s,
-        n_periods=backend.n_periods,
-        phases=backend.phases(),
-        checkpointables={"plant": backend},
-        name="sharded-largescale",
-    )
-    return engine, backend
+    return ControlPlane.for_backend(backend, "sharded-largescale"), backend
 
 
 def run_sharded(trace: UtilizationTrace, config: ShardedConfig) -> LargeScaleResult:

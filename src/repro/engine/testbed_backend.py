@@ -1,8 +1,11 @@
 """Kernel backend for the simulated hardware testbed.
 
-This is the request-level DES plant behind
-:class:`repro.sim.testbed.TestbedExperiment` (paper §VI-A, Figs. 2-5),
-restructured as :class:`ControlPlane` phases:
+This is the request-level DES rig of paper §VI-A (Figs. 2-5): eight
+two-tier RUBBoS-like applications (16 VMs) on four identical Xen-class
+servers, one response-time MPC controller per application, one CPU
+arbitrator with DVFS per server.  :class:`TestbedBackend` builds the rig
+from a :class:`~repro.sim.testbed.TestbedConfig` and contributes its
+per-period loop as :class:`ControlPlane` phases:
 
 ``faults`` (injector transitions + plant degradation) → ``optimize``
 (data-center optimizer epochs at scheduled times) → ``sense`` (workload
@@ -31,37 +34,94 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.engine.kernel import CheckpointError, ControlPlane, PeriodContext, Phase
+from repro.apps.rubbos import AppSpec, MultiTierApp
+from repro.apps.workload import ConstantWorkload
+from repro.cluster.application import Application
+from repro.cluster.catalog import TESTBED_SERVER
+from repro.cluster.datacenter import DataCenter
+from repro.cluster.server import Server
+from repro.cluster.vm import VM
+from repro.control.arx import ARXModel
+from repro.core.controller.response_time_controller import (
+    ControllerConfig,
+    ResponseTimeController,
+)
+from repro.core.manager import PowerManager, PowerManagerConfig
+from repro.engine.kernel import CheckpointError, ControlPlane, PeriodContext, Phase, run_session
 from repro.faults import FaultInjector
 from repro.obs import get_telemetry
 from repro.obs.attribution import EnergyAttributor
+from repro.sim.hybrid import HybridPlant
 from repro.sim.metrics import SeriesRecorder
-from repro.sim.testbed import TestbedConfig, TestbedExperiment, TestbedResult
-from repro.util.rng import RngLike
+from repro.sim.testbed import TestbedConfig, TestbedResult
+from repro.sysid.experiment import identify_app_model
+from repro.sysid.fit import FitResult
+from repro.util.rng import RngLike, ensure_rng, spawn_rngs
 
-__all__ = ["TestbedBackend", "build_testbed_engine"]
+__all__ = ["TestbedBackend", "build_testbed_engine", "identify_testbed_model", "run_testbed"]
 
 logger = logging.getLogger(__name__)
 
 
+def identify_testbed_model(config: TestbedConfig, rng: RngLike = None) -> FitResult:
+    """The paper's system-identification step (§IV-B): excite a
+    standalone instance of the application and fit the ARX model.
+
+    All controllers of a rig share this single identified model
+    (``.model`` of the returned fit); Figs. 4 and 5 then demonstrate
+    robustness to operating conditions the identification never saw.
+    """
+    rng = ensure_rng(rng if rng is not None else config.seed + 999)
+    app = MultiTierApp(
+        AppSpec.rubbos(max_alloc_ghz=config.max_alloc_ghz),
+        [config.initial_alloc_ghz] * 2,
+        concurrency=config.concurrency,
+        rng=rng,
+    )
+    lo, hi = config.sysid_alloc_range
+    return identify_app_model(
+        app,
+        n_periods=config.sysid_periods,
+        period_s=config.control_period_s,
+        alloc_lower=[lo] * 2,
+        alloc_upper=[hi] * 2,
+        rng=rng,
+        metric=config.sla_metric,
+    )
+
+
 class TestbedBackend:
-    """DES testbed plant + its control-plane phases."""
+    """DES testbed rig + its control-plane phases.
+
+    ``model`` is the ARX model every controller shares; ``None``
+    identifies one at build (:func:`identify_testbed_model`).  ``rng``
+    overrides the master stream that ``config.seed`` otherwise seeds.
+    """
 
     resume_strategy = "replay"
 
-    def __init__(self, experiment: TestbedExperiment, rng: RngLike = None):
-        from repro.apps.workload import ConstantWorkload
-
-        self.experiment = experiment
-        cfg = self.config = experiment.config
-        self.dc, self.manager, self.plants = experiment.build(rng)
-        self.recorder = SeriesRecorder()
+    def __init__(
+        self,
+        config: Optional[TestbedConfig] = None,
+        model: Optional[ARXModel] = None,
+        rng: RngLike = None,
+    ):
+        cfg = self.config = config or TestbedConfig()
+        master = ensure_rng(rng if rng is not None else cfg.seed)
+        app_rngs = spawn_rngs(master, cfg.n_apps)
+        self.model, self.sysid_r2 = model, float("nan")
+        if model is None:
+            fit = identify_testbed_model(cfg)
+            self.model, self.sysid_r2 = fit.model, fit.r_squared
         self.workloads = {
             i: cfg.workloads.get(i, ConstantWorkload(cfg.concurrency))
             for i in range(cfg.n_apps)
         }
+        self._build_rig(app_rngs)
+        self.recorder = SeriesRecorder()
         self.evacuated_vms: set = set()
         self.injector: Optional[FaultInjector] = None
         if cfg.faults:
@@ -83,6 +143,78 @@ class TestbedBackend:
             EnergyAttributor() if cfg.attribute_power else None
         )
         self._started = False
+
+    def _build_rig(self, app_rngs: List[Any]) -> None:
+        """Instantiate data center, plants, manager, and controllers."""
+        cfg = self.config
+        dc = self.dc = DataCenter()
+        for s in range(cfg.n_servers):
+            dc.add_server(Server(f"T{s}", TESTBED_SERVER, active=True))
+        self.manager = PowerManager(
+            dc,
+            PowerManagerConfig(control_period_s=cfg.control_period_s),
+            control_mode=cfg.control_mode,
+        )
+        # MultiTierApp, or HybridPlant wrapping one in hybrid mode —
+        # both expose the same control surface.
+        self.plants: List = []
+        scale_lo, scale_hi = cfg.demand_scale_range
+        for i in range(cfg.n_apps):
+            # Optional heterogeneity: each app's per-request CPU demands
+            # are scaled by a per-app factor (real tenants differ; the
+            # shared identified model must still control all of them).
+            scale = float(app_rngs[i].uniform(scale_lo, scale_hi))
+            spec = AppSpec.rubbos(
+                name=f"app{i}",
+                web_demand_ghz_s=0.020 * scale,
+                db_demand_ghz_s=0.015 * scale,
+                max_alloc_ghz=cfg.max_alloc_ghz,
+            )
+            spec = replace(
+                spec,
+                tiers=tuple(
+                    replace(t, min_alloc_ghz=cfg.min_alloc_ghz) for t in spec.tiers
+                ),
+            )
+            plant = MultiTierApp(
+                spec,
+                [cfg.initial_alloc_ghz] * 2,
+                concurrency=self.workloads[i].level(0.0),
+                rng=app_rngs[i],
+            )
+            if cfg.plant_mode == "hybrid":
+                plant = HybridPlant(plant, cfg.hybrid)
+            self.plants.append(plant)
+            vm_ids = [f"app{i}-web", f"app{i}-db"]
+            for j, vm_id in enumerate(vm_ids):
+                dc.add_vm(
+                    VM(vm_id, app_id=f"app{i}", tier_index=j, memory_mb=1024,
+                       demand_ghz=cfg.initial_alloc_ghz)
+                )
+                # Tiers spread round-robin: four VMs per server.
+                dc.place(vm_id, f"T{(2 * i + j) % cfg.n_servers}")
+            setpoint = cfg.setpoints_ms.get(i, cfg.setpoint_ms)
+            dc.add_application(
+                Application(f"app{i}", vm_ids, plant=plant, rt_setpoint_ms=setpoint)
+            )
+            if cfg.controlled:
+                cc = ControllerConfig(
+                    setpoint_ms=setpoint,
+                    period_s=cfg.control_period_s,
+                    # Under fault injection a NaN sample means the
+                    # sensor dropped out, not starvation: hold.
+                    missing_policy="hold" if cfg.faults else "pessimistic",
+                )
+                if not cfg.mpc_warm_start:
+                    cc = replace(cc, mpc=replace(cc.mpc, warm_start=False))
+                controller = ResponseTimeController(
+                    self.model,
+                    cc,
+                    c_min=[cfg.min_alloc_ghz] * 2,
+                    c_max=[cfg.max_alloc_ghz] * 2,
+                    initial_alloc_ghz=[cfg.initial_alloc_ghz] * 2,
+                )
+                self.manager.register_controller(f"app{i}", controller)
 
     # -- engine wiring -------------------------------------------------
 
@@ -143,9 +275,33 @@ class TestbedBackend:
         manager's emergency evacuation inside the step)."""
         if self.injector is not None:
             self.injector.step(ctx.time_s)
-            self.experiment._sync_plant_faults(
-                self.dc, self.plants, self.evacuated_vms
-            )
+            self._sync_plant_faults()
+
+    def _sync_plant_faults(self) -> None:
+        """Propagate cluster fault state into the request-level plants.
+
+        Called right after the injector's transitions for a period: a
+        tier whose VM is homeless serves nothing; a VM just re-placed by
+        an emergency evacuation restarts (zero capacity for
+        ``fault_downtime_s``, scheduled inside the plant's own DES); a
+        tier on a throttled host runs at the host's capacity fraction.
+        """
+        cfg, dc = self.config, self.dc
+        for i, plant in enumerate(self.plants):
+            app = dc.applications[f"app{i}"]
+            for j, vm_id in enumerate(app.vm_ids):
+                sid = dc.server_of(vm_id)
+                if sid is None:
+                    plant.degrade_tier(j, 0.0)
+                    continue
+                frac = dc.servers[sid].capacity_fraction
+                if vm_id in self.evacuated_vms:
+                    self.evacuated_vms.discard(vm_id)
+                    plant.degrade_tier(j, 0.0)
+                    downtime = min(cfg.fault_downtime_s, cfg.control_period_s)
+                    plant.sim.schedule(downtime, plant.degrade_tier, j, frac)
+                elif plant.tier_degrade_fraction(j) != frac:
+                    plant.degrade_tier(j, frac)
 
     def maybe_optimize(self, ctx: PeriodContext) -> None:
         """Long-time-scale optimizer invocations (integrated mode)."""
@@ -258,8 +414,8 @@ class TestbedBackend:
             }
         return TestbedResult(
             recorder=self.recorder,
-            model=self.experiment._shared_model,
-            sysid_r2=self.experiment._sysid_r2,
+            model=self.model,
+            sysid_r2=self.sysid_r2,
             attribution=attribution,
             hybrid=hybrid,
         )
@@ -322,27 +478,29 @@ class TestbedBackend:
 
 def build_testbed_engine(
     config: Optional[TestbedConfig] = None,
-    model: Any = None,
+    model: Optional[ARXModel] = None,
     rng: RngLike = None,
-    experiment: Optional[TestbedExperiment] = None,
 ) -> "tuple[ControlPlane, TestbedBackend]":
     """Build the kernel + backend pair for one testbed run.
 
     Drive the pair inside :func:`repro.engine.kernel.run_session`: a
     fresh run starts the backend (run-config event + plant warmup), a
     resumed one restores instead — replay resume triggers the warmup,
-    muted, through :meth:`TestbedBackend.prepare_replay`.  Pass
-    ``experiment`` to reuse an existing :class:`TestbedExperiment` (and
-    its cached identified model) instead of ``config``/``model``.
+    muted, through :meth:`TestbedBackend.prepare_replay`.
     """
-    if experiment is None:
-        experiment = TestbedExperiment(config, model)
-    backend = TestbedBackend(experiment, rng=rng)
-    engine = ControlPlane(
-        period_s=backend.period_s,
-        n_periods=backend.n_periods,
-        phases=backend.phases(),
-        checkpointables={"plant": backend},
-        name="testbed",
-    )
-    return engine, backend
+    backend = TestbedBackend(config, model, rng)
+    return ControlPlane.for_backend(backend, "testbed"), backend
+
+
+def run_testbed(
+    config: Optional[TestbedConfig] = None,
+    model: Optional[ARXModel] = None,
+    rng: RngLike = None,
+) -> TestbedResult:
+    """Run one testbed configuration to completion; returns the
+    recorded series.  Use :func:`build_testbed_engine` directly for
+    stepwise execution or checkpoint/resume."""
+    engine, backend = build_testbed_engine(config, model, rng)
+    with run_session(engine, backend):
+        engine.run()
+        return backend.result()

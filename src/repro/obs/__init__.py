@@ -18,10 +18,11 @@ substrate:
 Telemetry is **off by default**: the process-wide instance wraps
 :class:`NullBackend`.  Enable it per run::
 
+    from repro import run_testbed
     from repro.obs import JsonlBackend, Telemetry, use_telemetry
 
     with use_telemetry(Telemetry(JsonlBackend("run.jsonl"))):
-        result = TestbedExperiment(config).run()
+        result = run_testbed(config)
 
 then inspect the file with ``repro-obs summarize run.jsonl`` (or
 ``profile`` / ``audit`` / ``watch`` — see ``docs/OBSERVABILITY.md``).

@@ -11,10 +11,11 @@ path costs one global lookup and one attribute check.
 
 Enable telemetry for a region of code with :func:`use_telemetry`::
 
+    from repro import run_testbed
     from repro.obs import JsonlBackend, Telemetry, use_telemetry
 
     with use_telemetry(Telemetry(JsonlBackend("run.jsonl"))):
-        TestbedExperiment(config).run()
+        run_testbed(config)
 
 On scope exit the telemetry is closed: a final ``{"kind": "metrics"}``
 record carrying the registry snapshot is emitted, then the backend is

@@ -1,11 +1,14 @@
-"""Trace-driven large-scale data-center simulation (paper §VI-B, Fig. 6).
+"""Config and result of the trace-driven large-scale simulation (paper
+§VI-B, Fig. 6); :func:`repro.engine.largescale_backend.run_largescale`
+runs one config to completion.
 
-Replays a multi-day utilization trace as per-VM CPU demands ("We treat
-the utilization data of each server as the CPU demand of a VM"), places
-the VMs with a consolidation algorithm (IPAC or the pMapper baseline)
-invoked on a long period, applies per-step DVFS on every active server
-(IPAC only — "IPAC is integrated with DVFS for power savings on a short
-time scale between two consecutive invocations"), and integrates energy.
+The simulation replays a multi-day utilization trace as per-VM CPU
+demands ("We treat the utilization data of each server as the CPU
+demand of a VM"), places the VMs with a consolidation algorithm (IPAC
+or the pMapper baseline) invoked on a long period, applies per-step
+DVFS on every active server (IPAC only — "IPAC is integrated with DVFS
+for power savings on a short time scale between two consecutive
+invocations"), and integrates energy.
 
 Everything between optimizer invocations is vectorized NumPy over the
 (servers, VMs) arrays, so a full 7-day, 5,415-VM run takes seconds.
@@ -23,22 +26,15 @@ Accounting notes
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.server import Server
-from repro.core.optimizer.types import PlacementPlan, PlacementProblem
 from repro.faults import FaultSchedule
-from repro.traces.trace import UtilizationTrace
-from repro.util.rng import RngLike
 from repro.util.validation import check_in_range
 
-__all__ = ["LargeScaleConfig", "LargeScaleResult", "run_largescale"]
-
-logger = logging.getLogger(__name__)
+__all__ = ["LargeScaleConfig", "LargeScaleResult"]
 
 
 @dataclass(frozen=True)
@@ -162,36 +158,3 @@ class LargeScaleResult:
     #: Per-VM energy attribution summary (``attribute_power=True`` runs
     #: only); reconciles with ``total_energy_wh`` minus migration energy.
     attribution: Optional[Dict[str, object]] = None
-
-
-def run_largescale(
-    trace: UtilizationTrace,
-    config: LargeScaleConfig | None = None,
-    servers: Optional[Sequence[Server]] = None,
-    rng: RngLike = None,
-    optimizer: Optional[Callable[[PlacementProblem], PlacementPlan]] = None,
-) -> LargeScaleResult:
-    """Run one scheme over the trace; returns energy and placement stats.
-
-    ``servers`` may be supplied to share one pool across scheme
-    comparisons (identical hardware for IPAC and pMapper); otherwise a
-    pool is drawn from ``config.seed`` — so two runs with the same seed
-    see the same hardware either way.  ``optimizer`` overrides the
-    scheme-derived consolidation callable (for ablations with custom
-    IPAC configurations, cost policies, or entirely new algorithms).
-
-    This is a thin configuration of the control-plane kernel: it builds
-    a :class:`repro.engine.largescale_backend.LargeScaleBackend`, runs
-    the :class:`repro.engine.ControlPlane` to completion, and returns
-    the backend's aggregates.  Use
-    :func:`repro.engine.build_largescale_engine` directly for stepwise
-    execution or checkpoint/resume.
-    """
-    from repro.engine import build_largescale_engine, run_session
-
-    engine, backend = build_largescale_engine(
-        trace, config, servers=servers, rng=rng, optimizer=optimizer
-    )
-    with run_session(engine, backend):
-        engine.run()
-        return backend.result()

@@ -81,13 +81,24 @@ def identify_app_model(
     nb: int = 2,
     n_periods: int = 120,
     period_s: float = 15.0,
+    alloc_lower: np.ndarray | None = None,
+    alloc_upper: np.ndarray | None = None,
     rng: RngLike = None,
+    metric: str = "p90",
 ) -> FitResult:
     """Convenience wrapper: excite, record, and fit in one call.
 
-    Uses the paper's model orders (na=1, nb=2) by default.
+    Uses the paper's model orders (na=1, nb=2) by default; the
+    excitation range and SLA metric pass through to
+    :func:`run_identification_experiment`.
     """
     data = run_identification_experiment(
-        app, n_periods=n_periods, period_s=period_s, rng=rng
+        app,
+        n_periods=n_periods,
+        period_s=period_s,
+        alloc_lower=alloc_lower,
+        alloc_upper=alloc_upper,
+        rng=rng,
+        metric=metric,
     )
     return fit_arx(data.t, data.c, na=na, nb=nb)

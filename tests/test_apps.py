@@ -424,7 +424,8 @@ class TestTraceWorkload:
         """A trace-driven diurnal workload (compressed day) stays on the
         set point throughout — the two substrates compose."""
         from repro.apps import TraceWorkload
-        from repro.sim.testbed import TestbedConfig, TestbedExperiment
+        from repro.engine.testbed_backend import run_testbed
+        from repro.sim.testbed import TestbedConfig
         from repro.traces import TraceConfig, generate_trace
 
         trace = generate_trace(TraceConfig(n_servers=4, n_days=1), rng=41)
@@ -436,6 +437,6 @@ class TestTraceWorkload:
         config = TestbedConfig(
             n_apps=2, duration_s=480.0, workloads={0: workload}
         )
-        result = TestbedExperiment(config).run()
+        result = run_testbed(config)
         rts = result.recorder.values("rt/app0")[8:]
         assert abs(np.nanmean(rts) - 1000.0) / 1000.0 < 0.25

@@ -441,30 +441,33 @@ class TestGoldenFaulted:
 class TestLargeScaleResume:
     """State-strategy resume: arrays and counters restore directly."""
 
-    def _build(self):
+    def _build(self, provisioning="ewma_peak"):
         return build_largescale_engine(
             _ls_trace(),
             _ls_config(
                 faults=FaultSchedule.from_spec(FAULTED_LS_SPEC),
-                provisioning="ewma_peak",
+                provisioning=provisioning,
             ),
         )
 
-    def test_resume_matches_uninterrupted_run(self):
+    # "holt" is the only tier-1 path through HoltForecaster.state_dict /
+    # load_state_dict; "current" resumes with no forecaster state at all.
+    @pytest.mark.parametrize("provisioning", ["current", "ewma_peak", "holt"])
+    def test_resume_matches_uninterrupted_run(self, provisioning):
         full = InMemoryBackend()
-        engine, plant = self._build()
+        engine, plant = self._build(provisioning)
         with use_telemetry(Telemetry(full)):
             plant.start()
             engine.run()
             res_full = plant.result()
 
         split = InMemoryBackend()
-        engine1, plant1 = self._build()
+        engine1, plant1 = self._build(provisioning)
         with use_telemetry(Telemetry(split)):
             plant1.start()
             engine1.run(until_period=50)
             doc = json.loads(json.dumps(engine1.checkpoint()))
-        engine2, plant2 = self._build()
+        engine2, plant2 = self._build(provisioning)
         with use_telemetry(Telemetry(split)):
             engine2.restore(doc)
             assert engine2.k == 50

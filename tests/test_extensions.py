@@ -131,12 +131,13 @@ class TestSLAMetrics:
     def test_mean_rt_control_tracks(self):
         """Paper §III: 'can be extended to control other SLAs such as
         average ... response times.'"""
-        from repro.sim.testbed import TestbedConfig, TestbedExperiment
+        from repro.engine.testbed_backend import run_testbed
+        from repro.sim.testbed import TestbedConfig
 
         config = TestbedConfig(
             n_apps=2, duration_s=450.0, sla_metric="mean", setpoint_ms=500.0
         )
-        result = TestbedExperiment(config).run()
+        result = run_testbed(config)
         for i in range(2):
             tail = result.recorder.values(f"rt/app{i}")[12:]
             assert np.nanmean(tail) == pytest.approx(500.0, rel=0.2)

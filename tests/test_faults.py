@@ -18,6 +18,7 @@ from repro.core import (
     ResponseTimeController,
 )
 from repro.core.optimizer.types import Migration, PlacementPlan, apply_plan, snapshot_datacenter
+from repro.engine.testbed_backend import run_testbed
 from repro.faults import (
     FaultEvent,
     FaultInjector,
@@ -26,7 +27,7 @@ from repro.faults import (
     validate_spec,
 )
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.sim.testbed import TestbedConfig
 
 MODEL = ARXModel(a=[0.4], b=[[-800.0, -300.0], [-100.0, -50.0]], g=1800.0)
 
@@ -433,7 +434,7 @@ def _chaos_config(**over):
 def _run_chaos(config):
     backend = InMemoryBackend()
     with use_telemetry(Telemetry(backend, record_spans=False), close=False):
-        result = TestbedExperiment(config, model=MODEL).run()
+        result = run_testbed(config, model=MODEL)
     events = [r for r in backend.records if r.get("kind") not in ("span", "metrics")]
     return result, events
 
@@ -475,7 +476,8 @@ class TestLargeScaleFaults:
         return generate_trace(TraceConfig(n_servers=40, n_days=1), rng=13)
 
     def test_noop_schedule_matches_baseline(self, small_trace):
-        from repro.sim.largescale import LargeScaleConfig, run_largescale
+        from repro.engine.largescale_backend import run_largescale
+        from repro.sim.largescale import LargeScaleConfig
 
         base = run_largescale(
             small_trace, LargeScaleConfig(n_vms=30, n_servers=50, seed=5)
@@ -493,7 +495,8 @@ class TestLargeScaleFaults:
         np.testing.assert_array_equal(faulted.power_series_w, base.power_series_w)
 
     def test_crash_evacuates_and_run_completes(self, small_trace):
-        from repro.sim.largescale import LargeScaleConfig, run_largescale
+        from repro.engine.largescale_backend import run_largescale
+        from repro.sim.largescale import LargeScaleConfig
 
         # Find a server that hosts VMs at t=0 so the crash bites.
         backend = InMemoryBackend()

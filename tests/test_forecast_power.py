@@ -141,7 +141,8 @@ class TestProvisioningIntegration:
         )
 
     def test_forecast_reduces_overloads(self, trace):
-        from repro.sim.largescale import LargeScaleConfig, run_largescale
+        from repro.engine.largescale_backend import run_largescale
+        from repro.sim.largescale import LargeScaleConfig
         base = dict(n_vms=120, n_servers=200, scheme="ipac", seed=5)
         current = run_largescale(trace, LargeScaleConfig(provisioning="current", **base))
         forecast = run_largescale(trace, LargeScaleConfig(provisioning="ewma_peak", **base))
@@ -149,7 +150,8 @@ class TestProvisioningIntegration:
         assert forecast.energy_per_vm_wh <= current.energy_per_vm_wh * 1.15
 
     def test_static_peak_baseline(self, trace):
-        from repro.sim.largescale import LargeScaleConfig, run_largescale
+        from repro.engine.largescale_backend import run_largescale
+        from repro.sim.largescale import LargeScaleConfig
         base = dict(n_vms=120, n_servers=200, seed=5)
         static = run_largescale(trace, LargeScaleConfig(scheme="static_peak", **base))
         ipac_res = run_largescale(trace, LargeScaleConfig(scheme="ipac", **base))

@@ -7,8 +7,9 @@ import pytest
 
 from repro.apps.rubbos import AppSpec, MultiTierApp, TierSpec
 from repro.apps.demand import Exponential
+from repro.engine.testbed_backend import run_testbed
 from repro.sim.hybrid import HybridConfig, HybridPlant
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.sim.testbed import TestbedConfig
 
 #: Documented accuracy bound for pure-MVA segments (docs/PERFORMANCE.md):
 #: per-period mean response times within 10% of an exact-DES run of the
@@ -235,7 +236,7 @@ class TestTestbedIntegration:
         from repro.control.arx import ARXModel
 
         model = ARXModel(a=[0.4], b=[[-800.0, -300.0], [-100.0, -50.0]], g=1800.0)
-        result = TestbedExperiment(cfg, model=model).run()
+        result = run_testbed(cfg, model=model)
         assert result.hybrid is not None
         assert set(result.hybrid) == {"app0", "app1"}
         summary = result.hybrid["app0"]
@@ -258,5 +259,5 @@ class TestTestbedIntegration:
         from repro.control.arx import ARXModel
 
         model = ARXModel(a=[0.4], b=[[-800.0], [-100.0]], g=1800.0)
-        result = TestbedExperiment(cfg, model=model).run()
+        result = run_testbed(cfg, model=model)
         assert result.hybrid is None

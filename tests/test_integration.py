@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from repro.apps.workload import StepWorkload
-from repro.sim.largescale import LargeScaleConfig, run_largescale
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.engine.largescale_backend import run_largescale
+from repro.engine.testbed_backend import identify_testbed_model, run_testbed
+from repro.sim.largescale import LargeScaleConfig
+from repro.sim.testbed import TestbedConfig
 from repro.traces import TraceConfig, generate_trace
 
 
 @pytest.fixture(scope="module")
 def shared_model():
     """One system-identification pass shared across testbed tests."""
-    exp = TestbedExperiment(TestbedConfig())
-    return exp.identify_model()
+    return identify_testbed_model(TestbedConfig()).model
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ class TestTestbedIntegration:
     def test_all_apps_track_setpoint(self, shared_model):
         """Miniature Fig. 2: every application converges to 1000 ms."""
         config = TestbedConfig(n_apps=4, duration_s=450.0)
-        result = TestbedExperiment(config, model=shared_model).run()
+        result = run_testbed(config, model=shared_model)
         for i in range(4):
             summary = result.rt_summary(i)
             # Discard the settling transient by looking at the back half.
@@ -47,7 +48,7 @@ class TestTestbedIntegration:
             duration_s=900.0,
             workloads={1: StepWorkload(40, 80, 300.0, 600.0)},
         )
-        result = TestbedExperiment(config, model=shared_model).run()
+        result = run_testbed(config, model=shared_model)
         rts = result.recorder.values("rt/app1")
         times = result.recorder.times("rt/app1")
         spike = rts[(times >= 300.0) & (times < 420.0)].max()
@@ -61,7 +62,7 @@ class TestTestbedIntegration:
             duration_s=900.0,
             workloads={1: StepWorkload(40, 80, 300.0, 600.0)},
         )
-        result = TestbedExperiment(config, model=shared_model).run()
+        result = run_testbed(config, model=shared_model)
         power = result.recorder.values("power/total")
         times = result.recorder.times("power/total")
         before = power[(times >= 150.0) & (times < 300.0)].mean()
@@ -78,7 +79,7 @@ class TestTestbedIntegration:
             initial_alloc_ghz=0.55,
             workloads={0: StepWorkload(40, 80, 150.0, 600.0)},
         )
-        result = TestbedExperiment(config, model=shared_model).run()
+        result = run_testbed(config, model=shared_model)
         rts = result.recorder.values("rt/app0")
         times = result.recorder.times("rt/app0")
         overloaded = rts[times >= 300.0]
@@ -88,7 +89,7 @@ class TestTestbedIntegration:
         config = TestbedConfig(
             n_apps=2, duration_s=450.0, setpoints_ms={1: 600.0}
         )
-        result = TestbedExperiment(config, model=shared_model).run()
+        result = run_testbed(config, model=shared_model)
         tail0 = result.recorder.values("rt/app0")[15:]
         tail1 = result.recorder.values("rt/app1")[15:]
         assert np.nanmean(tail0) == pytest.approx(1000.0, rel=0.2)
@@ -96,7 +97,7 @@ class TestTestbedIntegration:
 
     def test_recorder_has_expected_series(self, shared_model):
         config = TestbedConfig(n_apps=2, duration_s=60.0)
-        result = TestbedExperiment(config, model=shared_model).run()
+        result = run_testbed(config, model=shared_model)
         names = set(result.recorder.names())
         assert {"rt/app0", "rt/app1", "power/total"} <= names
         assert any(n.startswith("freq/") for n in names)
@@ -165,7 +166,7 @@ class TestHeterogeneousApps:
         config = TestbedConfig(
             n_apps=4, duration_s=450.0, demand_scale_range=(0.8, 1.3)
         )
-        result = TestbedExperiment(config, model=shared_model).run()
+        result = run_testbed(config, model=shared_model)
         for i in range(4):
             tail = result.recorder.values(f"rt/app{i}")[15:]
             assert abs(np.nanmean(tail) - 1000.0) / 1000.0 < 0.25, f"app{i}"
@@ -182,20 +183,20 @@ class TestDeterminism:
     def test_testbed_bitwise_reproducible(self, shared_model):
         """Identical configs and seeds give identical series."""
         config = TestbedConfig(n_apps=2, duration_s=150.0, seed=77)
-        a = TestbedExperiment(config, model=shared_model).run()
-        b = TestbedExperiment(config, model=shared_model).run()
+        a = run_testbed(config, model=shared_model)
+        b = run_testbed(config, model=shared_model)
         for name in ("rt/app0", "rt/app1", "power/total"):
             np.testing.assert_array_equal(
                 a.recorder.values(name), b.recorder.values(name)
             )
 
     def test_testbed_seed_changes_series(self, shared_model):
-        a = TestbedExperiment(
+        a = run_testbed(
             TestbedConfig(n_apps=2, duration_s=150.0, seed=1), model=shared_model
-        ).run()
-        b = TestbedExperiment(
+        )
+        b = run_testbed(
             TestbedConfig(n_apps=2, duration_s=150.0, seed=2), model=shared_model
-        ).run()
+        )
         assert not np.array_equal(
             a.recorder.values("rt/app0"), b.recorder.values("rt/app0")
         )

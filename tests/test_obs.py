@@ -359,13 +359,14 @@ class TestInstrumentationIntegration:
     """The instrumented hot paths emit real events end to end."""
 
     def test_testbed_run_emits_periods_and_spans(self):
-        from repro.sim.testbed import TestbedConfig, TestbedExperiment
+        from repro.engine.testbed_backend import run_testbed
+        from repro.sim.testbed import TestbedConfig
 
         backend = InMemoryBackend()
         with use_telemetry(Telemetry(backend), close=False):
-            TestbedExperiment(
+            run_testbed(
                 TestbedConfig(n_apps=2, duration_s=60.0, seed=1)
-            ).run()
+            )
         kinds = {r["kind"] for r in backend.records}
         assert "run_config" in kinds
         assert "control_period" in kinds
@@ -377,8 +378,9 @@ class TestInstrumentationIntegration:
         assert "manager.control_step" in span_names
 
     def test_disabled_run_leaves_no_trace(self):
-        from repro.sim.testbed import TestbedConfig, TestbedExperiment
+        from repro.engine.testbed_backend import run_testbed
+        from repro.sim.testbed import TestbedConfig
 
         assert get_telemetry().enabled is False
-        TestbedExperiment(TestbedConfig(n_apps=2, duration_s=30.0, seed=1)).run()
+        run_testbed(TestbedConfig(n_apps=2, duration_s=30.0, seed=1))
         assert get_telemetry().registry.names() == []

@@ -200,7 +200,8 @@ class TestOnDemandRelief:
 
 class TestLargeScaleRelief:
     def test_relief_reduces_overload_steps(self):
-        from repro.sim.largescale import LargeScaleConfig, run_largescale
+        from repro.engine.largescale_backend import run_largescale
+        from repro.sim.largescale import LargeScaleConfig
         from repro.traces import TraceConfig, generate_trace
 
         trace = generate_trace(

@@ -26,12 +26,15 @@ from hypothesis import strategies as st
 from repro.control.arx import ARXModel
 from repro.control.mpc_core import MPCConfig, MPCController
 from repro.control.qp import solve_qp
+from repro.engine.largescale_backend import run_largescale
+from repro.engine.testbed_backend import run_testbed
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
 from repro.packing.mbs import _FIT_TOL, MemoryConstraint, minimum_bin_slack
 from repro.service.runner import eventlog_hash_records as _eventlog_hash
-from repro.sim.largescale import LargeScaleConfig, run_largescale
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.sim.largescale import LargeScaleConfig
+from repro.sim.testbed import TestbedConfig
 from repro.traces.generator import TraceConfig, generate_trace
+from tests.goldens import TB_SMALL_SHA
 
 
 # Captured before the hot-path optimizations landed; they must not move
@@ -45,7 +48,7 @@ _LS_GOLDEN = {
     "n_events": 107,
 }
 _TB_GOLDEN = {
-    "eventlog_sha": "a4ae4a9006785b8e0898af5df2bc1ff973350d82380b8d0b5be7c122018478fc",
+    "eventlog_sha": TB_SMALL_SHA,
     "n_events": 25,
     "power_mean": 169.79611818874358,
 }
@@ -94,7 +97,7 @@ class TestGoldenBitIdentity:
             seed=77,
         )
         with use_telemetry(Telemetry(backend)):
-            result = TestbedExperiment(cfg, model).run()
+            result = run_testbed(cfg, model)
         digest, n = _eventlog_hash(backend.records)
         assert (digest, n) == (
             _TB_GOLDEN["eventlog_sha"],

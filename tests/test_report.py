@@ -5,9 +5,11 @@ import pytest
 
 from repro.apps import AppSpec, Exponential, MultiTierApp, TierSpec
 from repro.core.controller import ControllerConfig, ResponseTimeController
-from repro.sim.largescale import LargeScaleConfig, run_largescale
+from repro.engine.largescale_backend import run_largescale
+from repro.engine.testbed_backend import run_testbed
+from repro.sim.largescale import LargeScaleConfig
 from repro.sim.report import comparison_report, largescale_report, testbed_report
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.sim.testbed import TestbedConfig
 from repro.sysid import fit_arx, run_identification_experiment
 from repro.traces import TraceConfig, generate_trace
 
@@ -42,7 +44,7 @@ class TestReports:
 
     def test_testbed_report(self):
         config = TestbedConfig(n_apps=2, duration_s=120.0)
-        result = TestbedExperiment(config).run()
+        result = run_testbed(config)
         text = testbed_report(result, n_apps=2, setpoint_ms=1000.0)
         assert "Response-time tracking" in text
         assert "Cluster power" in text

@@ -19,12 +19,13 @@ import pytest
 
 from repro.control.arx import ARXModel
 from repro.engine.kernel import CheckpointError
-from repro.engine.largescale_backend import build_largescale_engine
+from repro.engine.largescale_backend import build_largescale_engine, run_largescale
+from repro.engine.testbed_backend import run_testbed
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
 from repro.obs.attribution import EnergyAttributor
 from repro.obs.reqtrace import RequestTracer
-from repro.sim.largescale import LargeScaleConfig, run_largescale
-from repro.sim.testbed import TestbedConfig, TestbedExperiment
+from repro.sim.largescale import LargeScaleConfig
+from repro.sim.testbed import TestbedConfig
 from repro.traces.generator import TraceConfig, generate_trace
 
 _TB_MODEL = ARXModel(a=[0.4], b=[[-800.0, -300.0], [-100.0, -50.0]], g=1800.0)
@@ -127,7 +128,7 @@ class TestTracingDoesNotPerturb:
     def _run(self, **overrides):
         backend = InMemoryBackend()
         with use_telemetry(Telemetry(backend), close=False):
-            result = TestbedExperiment(_tb_config(**overrides), _TB_MODEL).run()
+            result = run_testbed(_tb_config(**overrides), _TB_MODEL)
         return backend.records, result
 
     def test_traced_run_control_stream_is_bit_identical(self):
@@ -171,9 +172,9 @@ class TestTestbedAttribution:
     def test_reconciles_within_tolerance(self):
         backend = InMemoryBackend()
         with use_telemetry(Telemetry(backend), close=False):
-            result = TestbedExperiment(
+            result = run_testbed(
                 _tb_config(attribute_power=True), _TB_MODEL
-            ).run()
+            )
         attribution = result.attribution
         assert attribution is not None
         assert attribution["reconciliation_error"] <= 1e-6
@@ -194,7 +195,7 @@ class TestTestbedAttribution:
         assert summaries[0]["attribution"] == attribution
 
     def test_disabled_by_default(self):
-        result = TestbedExperiment(_tb_config(duration_s=60.0), _TB_MODEL).run()
+        result = run_testbed(_tb_config(duration_s=60.0), _TB_MODEL)
         assert result.attribution is None
 
 

@@ -14,10 +14,7 @@ from repro.engine.scenario import (
 )
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
 from repro.service.runner import eventlog_hash_records as _eventlog_hash
-
-# Pinned by tests/test_perf_fastpath.py for the same configuration run
-# through the public harness API — the scenario path must agree.
-_TB_SMALL_SHA = "a4ae4a9006785b8e0898af5df2bc1ff973350d82380b8d0b5be7c122018478fc"
+from tests.goldens import TB_SMALL_SHA
 
 
 class TestRoundTrip:
@@ -194,7 +191,7 @@ class TestBuildAndRun:
             engine.run()
             plant.result()
         digest, n = _eventlog_hash(backend.records)
-        assert (digest, n) == (_TB_SMALL_SHA, 25)
+        assert (digest, n) == (TB_SMALL_SHA, 25)
 
     def test_spec_file_runs_like_registry_entry(self, tmp_path):
         # A spec serialized to disk and reloaded builds the same run.
@@ -207,7 +204,7 @@ class TestBuildAndRun:
         with use_telemetry(Telemetry(backend)):
             plant.start()
             engine.run()
-        assert _eventlog_hash(backend.records) == (_TB_SMALL_SHA, 25)
+        assert _eventlog_hash(backend.records) == (TB_SMALL_SHA, 25)
 
 
 class TestCli:
@@ -318,6 +315,21 @@ class TestCli:
         missing = str(tmp_path / "missing.json")
         assert main_sim(["--scenario", "testbed-small", "--resume", missing]) == 1
         assert "cannot resume" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["-3", "0", "12", "9999"])
+    def test_sim_rejects_checkpoint_at_outside_the_run(self, k, tmp_path, capsys):
+        # testbed-small runs 12 periods: only 1..11 are mid-run.
+        from repro.cli import main_sim
+
+        ck = tmp_path / "ck.json"
+        assert main_sim([
+            "--scenario", "testbed-small",
+            "--checkpoint", str(ck), "--checkpoint-at", k,
+        ]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not ck.exists()
+        assert err.startswith("repro-sim: --checkpoint-at ")
+        assert err.count("repro-sim:") == 1 and "12 periods" in err
 
     @pytest.mark.parametrize("name", ["largescale-small", "sharded-small"])
     def test_sim_control_mode_is_testbed_only(self, name, capsys):

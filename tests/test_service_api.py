@@ -8,9 +8,7 @@ import urllib.request
 import pytest
 
 from repro.service.api import ControlPlaneService, ServiceConfig
-
-# Same pin as tests/test_scenarios.py.
-_TB_SMALL_SHA = "a4ae4a9006785b8e0898af5df2bc1ff973350d82380b8d0b5be7c122018478fc"
+from tests.goldens import TB_SMALL_SHA
 
 
 @pytest.fixture(scope="module")
@@ -88,11 +86,11 @@ class TestSubmitToResult:
 
         final = _await_run(service, run_id)
         assert final["status"] == "done", final["error"]
-        assert final["event_hash"] == _TB_SMALL_SHA
+        assert final["event_hash"] == TB_SMALL_SHA
         assert final["n_events"] == 25
 
         _, res = _call(service, "GET", f"/api/runs/{run_id}/result")
-        assert res["event_hash"] == _TB_SMALL_SHA
+        assert res["event_hash"] == TB_SMALL_SHA
         assert res["result"]["harness"] == "testbed"
 
         _, audit = _call(service, "GET", f"/api/runs/{run_id}/audit")
@@ -113,7 +111,7 @@ class TestSubmitToResult:
         assert forced["cached"] is False
         assert forced["run"]["id"] != run_id
         assert _await_run(service, forced["run"]["id"])["event_hash"] \
-            == _TB_SMALL_SHA
+            == TB_SMALL_SHA
 
     def test_submit_with_overrides_and_inline_spec(self, service):
         _, spec = _call(service, "GET", "/api/scenarios/testbed-small")

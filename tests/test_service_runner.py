@@ -29,9 +29,7 @@ from repro.service.runner import (
 )
 from repro.service.store import ResultsStore
 from repro.service.sweep import expand_grid
-
-# Same pin as tests/test_scenarios.py / tests/test_perf_fastpath.py.
-_TB_SMALL_SHA = "a4ae4a9006785b8e0898af5df2bc1ff973350d82380b8d0b5be7c122018478fc"
+from tests.goldens import TB_SMALL_SHA
 
 
 def _oneshot_hash(spec_doc):
@@ -84,7 +82,7 @@ class TestGoldenHash:
             runner.stop()
         row = store.get_run(run.id)
         assert row.status == "done", row.error
-        assert (row.event_hash, row.n_events) == (_TB_SMALL_SHA, 25)
+        assert (row.event_hash, row.n_events) == (TB_SMALL_SHA, 25)
         # the summary carries the headline numbers
         assert row.result["harness"] == "testbed"
         assert row.result["power_w"]["mean"] > 0
@@ -92,7 +90,7 @@ class TestGoldenHash:
         periods = [c.period for c in store.list_checkpoints(run.id)]
         assert periods == [4, 8]
         # and the stored log re-hashes to the same digest
-        assert eventlog_hash(row.event_log) == (_TB_SMALL_SHA, 25)
+        assert eventlog_hash(row.event_log) == (TB_SMALL_SHA, 25)
 
     def test_pooled_sharded_run_matches_oneshot_and_leaves_no_workers(
         self, store, tmp_path, monkeypatch
@@ -154,7 +152,7 @@ class TestKillAndResume:
         assert resumer.n_resumed == 1
         row = store.get_run(run.id)
         assert row.status == "done", row.error
-        assert (row.event_hash, row.n_events) == (_TB_SMALL_SHA, 25)
+        assert (row.event_hash, row.n_events) == (TB_SMALL_SHA, 25)
 
     def test_graceful_stop_checkpoints_requeues_and_resumes(
         self, store, tmp_path
@@ -202,7 +200,7 @@ class TestKillAndResume:
             resumer.stop()
         row = store.get_run(run.id)
         assert row.status == "done", row.error
-        assert (row.event_hash, row.n_events) == (_TB_SMALL_SHA, 25)
+        assert (row.event_hash, row.n_events) == (TB_SMALL_SHA, 25)
         assert resumer.n_resumed == 0  # restarted, not resumed
 
 

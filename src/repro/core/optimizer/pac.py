@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.optimizer.minslack import MinSlackConfig, select_vms_for_server
+from repro.core.optimizer.minslack import MinSlackConfig, PlacementList
 from repro.core.optimizer.types import (
     Migration,
     PlacementPlan,
     PlacementProblem,
     ServerInfo,
-    VMInfo,
 )
 from repro.util.validation import check_in_range
 
@@ -136,7 +135,7 @@ def pac(
             base_mem[sid] += vm_by_id[vm_id].memory_mb
             final_mapping[vm_id] = sid
 
-    remaining: List[VMInfo] = [vm_by_id[i] for i in sorted(place_set)]
+    remaining = PlacementList([vm_by_id[i] for i in sorted(place_set)])
     for server in problem.servers_by_efficiency():
         if not remaining:
             break
@@ -147,17 +146,11 @@ def pac(
         free_mem = server.memory_mb - base_mem[server.server_id]
         if free_cpu <= 0 or free_mem < 0:
             continue
-        chosen, _ = select_vms_for_server(
-            free_cpu, max(free_mem, 0.0), remaining, config.minslack
-        )
-        if not chosen:
-            continue
-        chosen_ids = {vm.vm_id for vm in chosen}
+        chosen, _ = remaining.take_for_server(free_cpu, free_mem, config.minslack)
         for vm in chosen:
             final_mapping[vm.vm_id] = server.server_id
-        remaining = [vm for vm in remaining if vm.vm_id not in chosen_ids]
 
-    unplaced = [vm.vm_id for vm in remaining]
+    unplaced = sorted(vm.vm_id for vm in remaining.vms)
     # An unplaceable VM keeps its old host rather than being dropped.
     for vm_id in unplaced:
         if vm_id in problem.mapping:

@@ -22,10 +22,13 @@ from repro.core.optimizer import (
     select_vms_for_server,
     sort_servers_by_efficiency,
 )
+from repro.core.optimizer import minslack as minslack_module
 from repro.core.optimizer.pmapper import PMapperConfig
 from repro.core.optimizer.types import ServerInfo, VMInfo
+from repro.obs import InMemoryBackend, Telemetry, use_telemetry
 
 from tests.conftest import check_plan_feasible, make_server_info, make_vm_info
+from tests.oracles.mbs_reference import minimum_bin_slack as stepwise_minimum_bin_slack
 
 
 class TestTypes:
@@ -114,6 +117,20 @@ class TestSelectVMs:
         with pytest.raises(ValueError):
             MinSlackConfig(epsilon_ghz=-1.0)
 
+    def test_search_span_reports_accounted_and_executed_effort(self):
+        # Memory admits one VM, so everything after the first take is a
+        # jumped run: the span carries both the steps the stepwise
+        # search counts (`nodes`) and the iterations executed.
+        vms = [make_vm_info(f"v{i:03d}", demand=1.0, memory=1024) for i in range(100)]
+        backend = InMemoryBackend()
+        with use_telemetry(Telemetry(backend), close=False):
+            _, result = select_vms_for_server(50.0, 1024.0, vms)
+        (span,) = backend.of_kind("span")
+        assert span["name"] == "minslack.search"
+        assert (span["nodes"], span["evaluated"]) == (result.steps, result.evaluated)
+        assert result.evaluated < result.steps
+        assert [r["kind"] for r in backend.records] == ["span"]
+
 
 class TestPAC:
     def test_places_all_when_capacity_suffices(self, heterogeneous_problem):
@@ -180,6 +197,12 @@ class TestPAC:
         assert plan.final_mapping["v1"] == "eff"
         assert plan.sleep == ["old"]
 
+    def test_non_finite_server_memory_rejected(self):
+        servers = (make_server_info("s1", memory=float("nan")),)
+        vms = (make_vm_info("v1", 1.0, 100),)
+        with pytest.raises(ValueError, match="free_memory_mb"):
+            pac(PlacementProblem(servers, vms, {}))
+
     def test_duplicate_vms_to_place_rejected(self, heterogeneous_problem):
         with pytest.raises(ValueError):
             pac(heterogeneous_problem, vms_to_place=["vm0", "vm0"])
@@ -187,6 +210,96 @@ class TestPAC:
     def test_unknown_vm_rejected(self, heterogeneous_problem):
         with pytest.raises(KeyError):
             pac(heterogeneous_problem, vms_to_place=["nope"])
+
+
+@st.composite
+def _pac_cases(draw):
+    """Small problems where memory saturates and step budgets bind."""
+    n_vms = draw(st.integers(0, 24))
+    if draw(st.booleans()):
+        demand = st.sampled_from([0.0, 0.5, 1.0, 1.5])  # ties: order is by id
+    else:
+        demand = st.floats(0.0, 3.0)
+    memory = st.sampled_from([256.0, 512.0, 1024.0, 2048.0])
+    vms = tuple(
+        make_vm_info(f"vm{i:02d}", draw(demand), draw(memory)) for i in range(n_vms)
+    )
+    servers = tuple(
+        make_server_info(
+            f"s{j}",
+            capacity=draw(st.floats(1.0, 8.0)),
+            memory=draw(st.sampled_from([1024.0, 2048.0, 4096.0, 16384.0])),
+            efficiency=0.05 - 0.005 * j,
+        )
+        for j in range(draw(st.integers(1, 6)))
+    )
+    # Some VMs stay where they are (possibly overloading their host).
+    mapping = {
+        vm.vm_id: draw(st.sampled_from(servers)).server_id
+        for vm in vms
+        if draw(st.booleans())
+    }
+    to_place = [vm.vm_id for vm in vms if vm.vm_id not in mapping or draw(st.booleans())]
+    config = PACConfig(
+        minslack=MinSlackConfig(
+            epsilon_ghz=draw(st.sampled_from([0.0, 0.05])),
+            max_steps=draw(st.integers(1, 50)),
+        ),
+        target_utilization=draw(st.sampled_from([0.8, 1.0])),
+    )
+    return PlacementProblem(servers, vms, mapping), to_place, config
+
+
+def _pac_searching_each_server_afresh(problem, to_place, config):
+    """PAC as it ran before the sorted placement list: every server
+    searches the id-ordered remainder through the public wrapper."""
+    moving = set(to_place)
+    stay = {v: s for v, s in problem.mapping.items() if v not in moving}
+    mapping = dict(stay)
+    remaining = [problem.vm_by_id(v) for v in sorted(to_place)]
+    for server in problem.servers_by_efficiency():
+        held = [problem.vm_by_id(v) for v, s in stay.items() if s == server.server_id]
+        free_cpu = server.max_capacity_ghz * config.target_utilization - sum(
+            vm.demand_ghz for vm in held
+        )
+        free_mem = server.memory_mb - sum(vm.memory_mb for vm in held)
+        if not remaining or free_cpu <= 0 or free_mem < 0:
+            continue
+        chosen, _ = select_vms_for_server(free_cpu, free_mem, remaining, config.minslack)
+        for vm in chosen:
+            mapping[vm.vm_id] = server.server_id
+        remaining = [vm for vm in remaining if vm not in chosen]
+    return mapping, [vm.vm_id for vm in remaining]
+
+
+class TestPACPlacementsUnchangedByJumps:
+    """The sorted placement list and the jumped search change no
+    placement: not which VMs a server takes, not the order they are
+    recorded in, not which are left over."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_pac_cases())
+    def test_same_plan_with_the_stepwise_search(self, case):
+        problem, to_place, config = case
+        plan = pac(problem, vms_to_place=to_place, config=config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(minslack_module, "minimum_bin_slack", stepwise_minimum_bin_slack)
+            ref = pac(problem, vms_to_place=to_place, config=config)
+        assert list(plan.final_mapping.items()) == list(ref.final_mapping.items())
+        assert plan.unplaced == ref.unplaced
+        assert plan.migrations == ref.migrations
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_pac_cases())
+    def test_same_plan_as_searching_each_server_afresh(self, case):
+        problem, to_place, config = case
+        plan = pac(problem, vms_to_place=to_place, config=config)
+        mapping, unplaced = _pac_searching_each_server_afresh(problem, to_place, config)
+        for vm_id in unplaced:  # an unplaceable VM keeps its old host
+            if vm_id in problem.mapping:
+                mapping[vm_id] = problem.mapping[vm_id]
+        assert list(plan.final_mapping.items()) == list(mapping.items())
+        assert plan.unplaced == unplaced
 
 
 class TestIPAC:

@@ -15,6 +15,7 @@ from repro.packing import (
     minimum_bin_slack,
 )
 from repro.packing.mbs import CompositeConstraint, MemoryConstraint, PackingConstraint
+from tests.oracles.mbs_reference import minimum_bin_slack as stepwise_minimum_bin_slack
 
 
 def _loads(assignment, sizes, n_bins, dim):
@@ -187,6 +188,19 @@ class TestMinimumBinSlack:
         with pytest.raises(ValueError):
             minimum_bin_slack([1.0], 5.0, max_steps=0)
 
+    def test_non_finite_sizes_and_capacity_rejected(self):
+        # NaN passes a `< 0` check and makes the sort order undefined:
+        # the search used to return selected=(0,), slack=1.0 here (the
+        # true minimum is 0.5), and slack=nan for a NaN capacity.
+        with pytest.raises(ValueError, match="finite"):
+            minimum_bin_slack([1.0, float("nan"), 0.5], 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            minimum_bin_slack([1.0, float("inf")], 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            minimum_bin_slack([1.0, 0.5], float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            minimum_bin_slack([1.0, 0.5], float("inf"))
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_bruteforce_on_small_instances(self, data):
@@ -220,3 +234,103 @@ class TestMinimumBinSlack:
         assert total_mem <= mem_cap + 1e-9
         assert res.slack == pytest.approx(capacity - total)
         assert len(set(res.selected)) == len(res.selected)  # no duplicates
+
+
+class _SubclassedMemory(MemoryConstraint):
+    """Any subclass takes the generic accepts/push/pop path."""
+
+
+def _members(constraint):
+    if constraint is None:
+        return []
+    return getattr(constraint, "constraints", [constraint])
+
+
+def _result_fields(res):
+    return (res.selected, res.slack, res.steps, res.epsilon_used, res.early_exit)
+
+
+@st.composite
+def _mbs_instances(draw):
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        size = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0])  # ties, zeros
+    else:
+        size = st.floats(0.0, 3.0)
+    sizes = draw(st.lists(size, min_size=n, max_size=n))
+    capacity = draw(st.one_of(st.sampled_from([0.0, 1.0, 2.5, 6.0]), st.floats(0.0, 12.0)))
+    if draw(st.booleans()):
+        levels = draw(st.sampled_from([[512.0, 1024.0], [256.0, 512.0, 1024.0],
+                                       [256.0, 512.0, 1024.0, 2048.0]]))
+        mem = st.sampled_from(levels)
+    else:
+        mem = st.floats(0.0, 2048.0)
+    mems = draw(st.lists(mem, min_size=n, max_size=n))
+    # Saturated caps (nothing or one item fits) make every later
+    # candidate a rejection: the runs the search jumps.
+    mem_cap = draw(st.one_of(st.sampled_from([0.0, 256.0, 1024.0, 3000.0, 1e9]),
+                             st.floats(0.0, 6000.0)))
+    kwargs = dict(
+        epsilon=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        max_steps=draw(st.integers(1, 50)),  # escalation boundaries inside runs
+        epsilon_step=draw(st.sampled_from([None, 0.01, 1.0 / 3.0])),
+        hard_step_cap=draw(st.one_of(st.none(), st.integers(1, 400))),
+    )
+    kind = draw(st.sampled_from(["none", "memory", "subclass", "composite"]))
+
+    def make_constraint():
+        if kind == "none":
+            return None
+        if kind == "memory":
+            return MemoryConstraint(mems, mem_cap)
+        if kind == "subclass":
+            return _SubclassedMemory(mems, mem_cap)
+        return CompositeConstraint(
+            [MemoryConstraint(mems, mem_cap), _SubclassedMemory(sizes, 0.75 * capacity)]
+        )
+
+    return sizes, capacity, make_constraint, kwargs
+
+
+class TestJumpsMatchStepwiseSearch:
+    """Run-length jumps are an accounting change only: every field of the
+    result — step count and escalated epsilon included — equals the
+    stepwise oracle's (``tests/oracles/mbs_reference.py``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(instance=_mbs_instances())
+    def test_result_equals_stepwise_oracle(self, instance):
+        sizes, capacity, make_constraint, kwargs = instance
+        constraint, ref_constraint = make_constraint(), make_constraint()
+        res = minimum_bin_slack(sizes, capacity, constraint=constraint, **kwargs)
+        ref = stepwise_minimum_bin_slack(
+            sizes, capacity, constraint=ref_constraint, **kwargs
+        )
+        assert _result_fields(res) == _result_fields(ref)
+        # Same push/pop sequence on the generic path (so the same float
+        # residue); the inlined plain MemoryConstraint is never touched.
+        for mine, theirs in zip(_members(constraint), _members(ref_constraint)):
+            assert mine.used == theirs.used == pytest.approx(0.0, abs=1e-9)
+        if type(constraint) is MemoryConstraint:
+            assert constraint.used == 0.0
+
+    def test_saturated_memory_is_jumped_not_walked(self):
+        # Memory admits three items; below depth three every remaining
+        # candidate is a rejection, and only escalation ends the search.
+        n = 2000
+        sizes = np.linspace(1.0, 0.5, n)
+        mems = [1024.0] * n
+        res = minimum_bin_slack(sizes, 1e4, constraint=MemoryConstraint(mems, 3 * 1024.0))
+        ref = stepwise_minimum_bin_slack(
+            sizes, 1e4, constraint=MemoryConstraint(mems, 3 * 1024.0)
+        )
+        assert _result_fields(res) == _result_fields(ref)
+        assert res.steps > 20 * 20000 and res.early_exit
+        assert res.evaluated < 0.05 * res.steps
+        assert ref.evaluated == ref.steps
+
+    def test_evaluated_equals_steps_when_nothing_is_rejected(self):
+        sizes = np.linspace(1.0, 0.5, 200)
+        res = minimum_bin_slack(sizes, 1e4)
+        assert res.selected == tuple(range(200))
+        assert res.evaluated == res.steps == 200

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.apps.demand import DemandDistribution, Exponential
 from repro.obs.reqtrace import RequestTrace, RequestTracer
-from repro.sim.des import PSResource, SimEvent, Simulator
+from repro.sim.des import Process, PSResource, SimEvent, Simulator
 from repro.sim.metrics import PeriodStats
 from repro.util.rng import RngLike, ensure_rng
 from repro.util.validation import check_positive
@@ -239,6 +239,7 @@ class MultiTierApp:
         self._target_n = 0
         self._n_spawned = 0
         self._parked: Dict[int, SimEvent] = {}
+        self._clients: List[Process] = []
         self._period_rts: List[float] = []
         self._tracer: Optional[RequestTracer] = None
         if concurrency:
@@ -299,11 +300,26 @@ class MultiTierApp:
         while self._n_spawned < self._target_n:
             idx = self._n_spawned
             self._n_spawned += 1
-            self.sim.process(self._client_loop(idx))
+            self._clients.append(self.sim.process(self._client_loop(idx)))
         for idx in sorted(list(self._parked.keys())):
             if idx < self._target_n:
                 ev = self._parked.pop(idx)
                 ev.succeed(None)
+
+    def close(self) -> None:
+        """End the simulation: stop the clients, drop pending events.
+
+        Every client generator's frame holds this app, and the event
+        queue and tier job lists hold the generators, so a finished app
+        is a reference cycle of a few hundred objects.  A process that
+        runs many scenarios (``repro-serve`` workers, the benchmark's
+        passes) would otherwise carry each finished run until the next
+        full garbage collection.  The app cannot run after this.
+        """
+        for client in self._clients:
+            client.interrupt()
+        self._clients.clear()
+        self.sim.clear()
 
     # -- execution ----------------------------------------------------------
 

@@ -7,16 +7,22 @@ period (its Eq. 2 cost, Eq. 4 terminal constraint) for any ARX model:
 
 subject to actuator bounds on the resulting absolute inputs, an optional
 aggregate-capacity cap, and the terminal equality ``t(k+M|k) = Ts``.
-When the terminal equality makes the QP infeasible (the set point is not
-reachable within M steps under the bounds), it is automatically softened
-into a large quadratic penalty — the standard practical treatment — and
-the solution is flagged accordingly.
+When the set point is not reachable within M steps under the bounds, the
+terminal equality is softened into a large quadratic penalty — the
+standard practical treatment — and the solution is flagged accordingly.
+A controller riding its allocation bounds is in that state every period,
+so it is decided without a solver wherever it can be:
+:meth:`MPCController._terminal_unreachable` bounds the terminal output
+over the actuator box in closed form, and a set point proved out of
+range goes straight to the softened QP.  Only what the bound cannot
+decide (the aggregate cap, a set point within tolerance of the range's
+edge) is still found out by the hard QP failing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +31,14 @@ from repro.control.qp import QPResult, solve_qp, solve_qp_batch
 from repro.obs import get_telemetry
 
 __all__ = ["MPCConfig", "MPCSolution", "MPCController", "solve_mpc_batch"]
+
+#: Slack the reachability certificate grants the hard-terminal QP before
+#: calling it infeasible.  It must cover every tolerance under which
+#: ``solve_qp`` / SLSQP would still return a solution: each inequality
+#: row may be violated by ``solve_qp``'s ``tol`` (1e-8), and the
+#: equality is accepted within 1e-6 absolute (SLSQP's ``acc`` is 1e-12).
+_REACH_ROW_TOL = 1e-8
+_REACH_EQ_MARGIN = 1e-5
 
 
 @dataclass(frozen=True)
@@ -107,7 +121,9 @@ class MPCSolution:
     ``delta_c`` is the first input change (applied to the system);
     ``input_trajectory`` has shape ``(M, m)``; ``predicted_outputs`` are
     t(k+1..k+P | k); ``terminal_softened`` reports whether the hard
-    terminal equality had to be relaxed.
+    terminal equality had to be relaxed, ``terminal_unreachable``
+    whether that was decided by the reachability certificate (no hard
+    QP attempted) rather than by the hard QP failing.
     """
 
     delta_c: np.ndarray
@@ -115,6 +131,7 @@ class MPCSolution:
     predicted_outputs: np.ndarray
     qp: QPResult
     terminal_softened: bool
+    terminal_unreachable: bool = False
 
 
 class MPCController:
@@ -178,7 +195,16 @@ class MPCController:
             if self._cache_key is not None:
                 self._warm_active = {}
             self._cache_key = key
-            self._cache = {"psi": psi, "H": H, "terminal_row": psi[M - 1 : M]}
+            # The terminal row on cumulative input changes s_i = sum_{l<=i}
+            # dc_l:  terminal_row . u = sum_i (w_i - w_{i+1}) . s_i, w_M = 0.
+            reach_coeff = psi[M - 1].reshape(M, m).copy()
+            reach_coeff[:-1] -= reach_coeff[1:]
+            self._cache = {
+                "psi": psi,
+                "H": H,
+                "terminal_row": psi[M - 1 : M],
+                "reach_coeff": reach_coeff,
+            }
         return self._cache
 
     def _soft_hessian(self, cache: dict) -> np.ndarray:
@@ -313,7 +339,8 @@ class MPCController:
         """Validate inputs and assemble the QP data for one period.
 
         Returns the cached matrices plus the per-period vectors
-        (``phi``, ``g``, ``b_ub``, ``terminal_rhs``, ``c_now``).  The
+        (``phi``, ``g``, ``b_ub``, ``terminal_rhs`` and the headroom
+        ``upper`` / ``lower`` to the input bounds).  The
         operations match the pre-extraction inline code exactly, so a
         solve through this helper is bit-identical to the historical
         path; :func:`solve_mpc_batch` reuses it to stack many periods
@@ -376,7 +403,8 @@ class MPCController:
             "has_cap": has_cap,
             "A_ub": A_ub,
             "b_ub": b_ub,
-            "c_now": c_now,
+            "upper": upper,
+            "lower": lower,
             "terminal_row": terminal_row,
             "terminal_rhs": terminal_rhs,
             "setpoint": float(setpoint),
@@ -414,51 +442,102 @@ class MPCController:
             predicted output (offset-free MPC): the caller's estimate of
             the plant-model mismatch, typically a filtered innovation.
         """
-        cfg = self.config
         asm = self._assemble(
             t_hist, c_hist, reference, setpoint, c_min, c_max,
             total_cap_ghz, output_bias,
         )
-        cache = asm["cache"]
-        psi = cache["psi"]
-        phi = asm["phi"]
-        H = cache["H"]
-        g = asm["g"]
-        has_cap = asm["has_cap"]
-        A_ub = asm["A_ub"]
-        b_ub = asm["b_ub"]
-        c_now = asm["c_now"]
-        terminal_row = asm["terminal_row"]
-        terminal_rhs = asm["terminal_rhs"]
-        M = cfg.control_horizon
-        nu = M * self.model.n_inputs
+        hard = None
+        unreachable = False
+        if self.config.terminal_constraint:
+            unreachable = self._terminal_unreachable(asm)
+            if not unreachable:
+                hard = solve_qp(
+                    asm["cache"]["H"], asm["g"],
+                    A_eq=asm["terminal_row"], b_eq=asm["terminal_rhs"],
+                    A_ub=asm["A_ub"], b_ub=asm["b_ub"],
+                    warm_start=self._warm_seed("hard", asm["has_cap"]),
+                )
+        return self._conclude(asm, hard, unreachable)
 
+    def _terminal_unreachable(self, asm: dict) -> bool:
+        """Sound certificate that the terminal equality cannot be met.
+
+        In cumulative-change coordinates ``s_i = sum_{l<=i} dc_l`` the
+        bound rows are a box, ``-lower <= s_i <= upper``, the rate limit
+        relaxes to ``|s_i| <= (i+1) * delta_max``, and the terminal
+        output is linear in ``s`` (``reach_coeff``), so interval
+        arithmetic gives every value ``terminal_row . u`` can take.
+        True only when ``terminal_rhs`` lies outside that range by more
+        than the solver chain's own tolerances — then the hard QP would
+        come back infeasible after stalling its active-set loop and
+        SLSQP, and need not be tried.  False decides nothing: the box is
+        empty, the set point is within the margin of the range's edge,
+        or only the aggregate cap (ignored here, which widens the range)
+        makes it unreachable; the hard QP is then solved as before.
+        """
+        coeff = asm["cache"]["reach_coeff"]
+        hi = asm["upper"] + _REACH_ROW_TOL
+        lo = -asm["lower"] - _REACH_ROW_TOL
+        delta = self.config.delta_max
+        if delta is not None:
+            # Each rate-limit row has its own tolerance; they add up in s_i.
+            reach = np.arange(1.0, coeff.shape[0] + 1.0)[:, None] * (
+                delta + _REACH_ROW_TOL
+            )
+            hi = np.minimum(hi, reach)
+            lo = np.maximum(lo, -reach)
+            if np.any(lo > hi):
+                return False
+        ends = (coeff * lo, coeff * hi)
+        rhs = asm["terminal_rhs"][0]
+        margin = _REACH_EQ_MARGIN * (1.0 + abs(rhs))
+        return bool(
+            rhs < np.minimum(*ends).sum() - margin
+            or rhs > np.maximum(*ends).sum() + margin
+        )
+
+    def _warm_seed(self, mode: str, has_cap: bool):
+        """Last optimal working set for this QP form (None when cold)."""
+        if not self.config.warm_start:
+            return None
+        return self._warm_active.get((mode, has_cap))
+
+    def _conclude(
+        self, asm: dict, hard: Optional[QPResult], unreachable: bool = False
+    ) -> MPCSolution:
+        """Turn the hard-terminal QP's outcome into this period's solution.
+
+        ``hard`` is None when no hard QP was attempted (no terminal
+        constraint configured, or the certificate proved it
+        ``unreachable``).  A failed or skipped hard terminal is softened
+        into ``W * (t(k+M|k) - Ts)^2``.  The scalar path and
+        :func:`solve_mpc_batch` both end here, so counters and warm
+        sets are kept the same way in either.
+        """
+        cfg = self.config
+        has_cap = asm["has_cap"]
         warm_on = cfg.warm_start
         self.solves += 1
-        softened = False
-        if cfg.terminal_constraint:
-            result = solve_qp(
-                H, g, A_eq=terminal_row, b_eq=terminal_rhs, A_ub=A_ub, b_ub=b_ub,
-                warm_start=self._warm_active.get(("hard", has_cap)) if warm_on else None,
-            )
-            if result.warm_started:
+        if hard is not None:
+            if hard.warm_started:
                 self.warm_hits += 1
-            if not result.ok:
-                softened = True
-            else:
-                if warm_on and result.status == "optimal":
-                    self._warm_active[("hard", has_cap)] = result.active_set
-                return self._package(result, phi, psi, c_now, softened=False)
-        # Soft terminal (or no terminal): add W * (t(k+M|k) - Ts)^2.
-        if cfg.terminal_constraint and softened:
+            if hard.ok:
+                if warm_on and hard.status == "optimal":
+                    self._warm_active[("hard", has_cap)] = hard.active_set
+                return self._package(hard, asm, softened=False)
+        softened = cfg.terminal_constraint
+        if softened:
+            M = cfg.control_horizon
             w = cfg.terminal_soft_weight
-            H2 = self._soft_hessian(cache)
-            g2 = g + 2.0 * w * terminal_row[0] * (phi[M - 1] - float(setpoint))
+            H2 = self._soft_hessian(asm["cache"])
+            g2 = asm["g"] + 2.0 * w * asm["terminal_row"][0] * (
+                asm["phi"][M - 1] - asm["setpoint"]
+            )
         else:
-            H2, g2 = H, g
+            H2, g2 = asm["cache"]["H"], asm["g"]
         result = solve_qp(
-            H2, g2, A_ub=A_ub, b_ub=b_ub,
-            warm_start=self._warm_active.get(("soft", has_cap)) if warm_on else None,
+            H2, g2, A_ub=asm["A_ub"], b_ub=asm["b_ub"],
+            warm_start=self._warm_seed("soft", has_cap),
         )
         if result.warm_started:
             self.warm_hits += 1
@@ -467,29 +546,29 @@ class MPCController:
         if not result.ok:
             # Bounds themselves inconsistent (shouldn't happen: dc=0 is
             # feasible whenever c_now is within bounds). Hold the input.
-            zero = np.zeros(nu)
+            zero = np.zeros(asm["g"].shape[0])
             result = QPResult(zero, "infeasible-hold", 0, ())
-        return self._package(result, phi, psi, c_now, softened=softened)
+        return self._package(result, asm, softened, unreachable)
 
     def _package(
         self,
         result: QPResult,
-        phi: np.ndarray,
-        psi: np.ndarray,
-        c_now: np.ndarray,
+        asm: dict,
         softened: bool,
+        unreachable: bool = False,
     ) -> MPCSolution:
         m = self.model.n_inputs
         M = self.config.control_horizon
         u = np.asarray(result.x, dtype=float)
         traj = u.reshape(M, m)
-        predicted = phi + psi @ u
+        predicted = asm["phi"] + asm["cache"]["psi"] @ u
         return MPCSolution(
             delta_c=traj[0].copy(),
             input_trajectory=traj,
             predicted_outputs=predicted,
             qp=result,
             terminal_softened=softened,
+            terminal_unreachable=unreachable,
         )
 
 
@@ -514,14 +593,21 @@ def solve_mpc_batch(
     Batching pays off for homogeneous fleets (controllers still on the
     same identified model, e.g. before per-app RLS estimates diverge, or
     synthetic sweeps); controllers that group alone fall back to the
-    scalar :meth:`MPCController.solve`, as do softened/degenerate
-    members of a batch.  Results are *allclose* to, not bit-identical
+    scalar :meth:`MPCController.solve`.  A member whose hard terminal
+    QP fails is softened alone, as in the scalar path (a warm softened
+    solve takes ~0.1 ms; what used to cost was finding out that the
+    hard QP is infeasible).  Members the reachability certificate
+    (:meth:`MPCController._terminal_unreachable`) decides are marked
+    ``known_infeasible`` in the batched call and go straight to that
+    softened solve.  Results are *allclose* to, not bit-identical
     with, sequential scalar solves (multi-RHS LAPACK) — golden-hash
     pipelines must keep calling :meth:`MPCController.solve`.
 
     ``stats``, when given a dict, receives grouping telemetry:
     ``groups`` (member count per group, descending), ``scalar`` (how
-    many members fell back to a scalar solve), ``softened``.
+    many members went through a scalar :meth:`MPCController.solve`),
+    and over all members ``softened`` (terminal equality relaxed) and
+    ``unreachable`` (of those, decided by the certificate).
 
     Returns the list of :class:`MPCSolution` in request order.
     """
@@ -550,7 +636,6 @@ def solve_mpc_batch(
             (len(m) for m in groups.values()), reverse=True
         )
         stats["scalar"] = 0
-        stats["softened"] = 0
     tel = get_telemetry()
     for key, members in groups.items():
         hard_terminal = key[-2]
@@ -568,67 +653,29 @@ def solve_mpc_batch(
         g_stack = np.stack([a["g"] for a in asms])
         b_eq_stack = np.stack([a["terminal_rhs"] for a in asms])
         b_ub_stack = np.stack([a["b_ub"] for a in asms])
-        warms = [
-            controllers[i]._warm_active.get(("hard", has_cap))
-            if controllers[i].config.warm_start
-            else None
-            for i in members
+        # Members whose set point is provably out of reach skip the
+        # solver but keep their column in the lock-step rounds (see
+        # ``solve_qp_batch``: the column count is part of the bits).
+        unreachable = [
+            controllers[i]._terminal_unreachable(a) for i, a in zip(members, asms)
         ]
         qps = solve_qp_batch(
             H, g_stack, A_eq=terminal_row, b_eq_batch=b_eq_stack,
-            A_ub=A_ub, b_ub_batch=b_ub_stack, warm_starts=warms,
+            A_ub=A_ub, b_ub_batch=b_ub_stack,
+            warm_starts=[controllers[i]._warm_seed("hard", has_cap) for i in members],
+            known_infeasible=unreachable,
         )
-        n_soft = 0
-        n_warm = 0
-        for asm, i, res in zip(asms, members, qps):
-            ctrl = controllers[i]
-            cfg = ctrl.config
-            ctrl.solves += 1
-            if res.warm_started:
-                ctrl.warm_hits += 1
-                n_warm += 1
-            psi = asm["cache"]["psi"]
-            if res.ok:
-                if cfg.warm_start and res.status == "optimal":
-                    ctrl._warm_active[("hard", has_cap)] = res.active_set
-                results[i] = ctrl._package(
-                    res, asm["phi"], psi, asm["c_now"], softened=False
-                )
-                continue
-            # Hard terminal infeasible for this member: soften it alone
-            # (the scalar treatment; softening is rare, so no batch).
-            n_soft += 1
-            M = cfg.control_horizon
-            w = cfg.terminal_soft_weight
-            H2 = ctrl._soft_hessian(asm["cache"])
-            g2 = asm["g"] + 2.0 * w * asm["terminal_row"][0] * (
-                asm["phi"][M - 1] - asm["setpoint"]
-            )
-            soft_seed = (
-                ctrl._warm_active.get(("soft", has_cap))
-                if cfg.warm_start
-                else None
-            )
-            res2 = solve_qp(
-                H2, g2, A_ub=asm["A_ub"], b_ub=asm["b_ub"], warm_start=soft_seed
-            )
-            if res2.warm_started:
-                ctrl.warm_hits += 1
-            if cfg.warm_start and res2.status == "optimal":
-                ctrl._warm_active[("soft", has_cap)] = res2.active_set
-            if not res2.ok:
-                res2 = QPResult(
-                    np.zeros(M * ctrl.model.n_inputs), "infeasible-hold", 0, ()
-                )
-            results[i] = ctrl._package(
-                res2, asm["phi"], psi, asm["c_now"], softened=True
-            )
-        if stats is not None and n_soft:
-            stats["softened"] += n_soft
+        for asm, i, res, proved in zip(asms, members, qps, unreachable):
+            results[i] = controllers[i]._conclude(asm, res, proved and not res.ok)
         if tel.enabled:
             tel.count("mpc.solves", len(members))
+            n_warm = sum(res.warm_started for res in qps)
             if n_warm:
                 tel.count("mpc.warm_hits", n_warm)
+            n_soft = sum(results[i].terminal_softened for i in members)
             if n_soft:
                 tel.count("mpc.terminal_softened", n_soft)
+    if stats is not None:
+        stats["softened"] = sum(r.terminal_softened for r in results)
+        stats["unreachable"] = sum(r.terminal_unreachable for r in results)
     return results

@@ -67,7 +67,10 @@ class FleetControlStep:
         allowed); every key must have a registered controller (the
         caller validates).  ``stats`` reports the grouping the batch
         kernels achieved this period — fed to the
-        ``controller.batch_groups`` / ``controller.batch_size`` metrics.
+        ``controller.batch_groups`` / ``controller.batch_size`` metrics —
+        and how the solves ended: ``scalar`` (solved outside a batch),
+        ``softened`` (terminal equality relaxed), ``unreachable`` (of
+        those, decided by the reachability certificate without a solve).
         """
         order = list(measurements)
         ctrls = self.controllers
@@ -78,6 +81,9 @@ class FleetControlStep:
             "held": 0,
             "solved": 0,
             "mpc_groups": [],
+            "scalar": 0,
+            "softened": 0,
+            "unreachable": 0,
         }
 
         # 1-2. Adaptation: gate every app's RLS sample, then run one
@@ -126,6 +132,8 @@ class FleetControlStep:
                     pendings[app_id], solution
                 )
             stats["mpc_groups"] = mpc_stats.get("groups", [])
+            for key in ("scalar", "softened", "unreachable"):
+                stats[key] = mpc_stats[key]
         stats["held"] = len(order) - len(solve_ids)
         stats["solved"] = len(solve_ids)
 

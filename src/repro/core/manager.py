@@ -257,7 +257,8 @@ class PowerManager:
         ``controller.batch_size`` histogram (one observation per MPC
         group), and a ``manager.fleet_control`` span annotated with the
         per-group sizes so ``repro-obs profile`` can show how well the
-        fleet grouped.
+        fleet grouped, plus how many solves ran scalar, softened their
+        terminal constraint, and were proved unreachable beforehand.
         """
         tel = get_telemetry()
         if not tel.enabled:
@@ -275,6 +276,9 @@ class PowerManager:
                 batch_group_sizes=groups,
                 rls_batched=stats.get("rls_batched", 0),
                 held=stats.get("held", 0),
+                scalar=stats.get("scalar", 0),
+                softened=stats.get("softened", 0),
+                unreachable=stats.get("unreachable", 0),
             )
         self.last_fleet_stats = stats
         tel.count("controller.batch_groups", len(groups))

@@ -82,15 +82,18 @@ def identify_testbed_model(config: TestbedConfig, rng: RngLike = None) -> FitRes
         rng=rng,
     )
     lo, hi = config.sysid_alloc_range
-    return identify_app_model(
-        app,
-        n_periods=config.sysid_periods,
-        period_s=config.control_period_s,
-        alloc_lower=[lo] * 2,
-        alloc_upper=[hi] * 2,
-        rng=rng,
-        metric=config.sla_metric,
-    )
+    try:
+        return identify_app_model(
+            app,
+            n_periods=config.sysid_periods,
+            period_s=config.control_period_s,
+            alloc_lower=[lo] * 2,
+            alloc_upper=[hi] * 2,
+            rng=rng,
+            metric=config.sla_metric,
+        )
+    finally:
+        app.close()
 
 
 class TestbedBackend:
@@ -395,7 +398,11 @@ class TestbedBackend:
     # -- results -------------------------------------------------------
 
     def close(self) -> None:
-        """Nothing to release (the DES plants live in this process)."""
+        """End the plants' simulations (:meth:`MultiTierApp.close`) so a
+        finished run is freed when the caller lets go of it instead of
+        waiting for a full garbage collection; recorded results stay."""
+        for plant in self.plants:
+            plant.close()
 
     def result(self) -> TestbedResult:
         """Final recorded series (call after the engine finished)."""

@@ -243,6 +243,22 @@ class Simulator:
         heapq.heapify(self._heap)
         self._n_cancelled = 0
 
+    def clear(self) -> None:
+        """Drop every pending event; the clock stays where it is.
+
+        For the end of a run.  A queued handle refers to this simulator
+        and, through its callback, to the process or resource that
+        booked it — which refer back here — so a finished simulation is
+        one big reference cycle that only the cyclic collector frees.
+        Emptying the handles as well as the queue lets reference
+        counting free it as soon as the owner lets go.
+        """
+        for _, _, handle in self._heap:
+            handle.cancelled = True
+            handle.fn = handle.args = handle.sim = None
+        self._heap.clear()
+        self._n_cancelled = 0
+
     def event(self) -> SimEvent:
         """Create a fresh :class:`SimEvent` bound to this simulator."""
         return SimEvent(self)

@@ -212,6 +212,10 @@ class HybridPlant:
         """Warmup always runs the exact DES (it *is* the transient)."""
         self.app.warmup(duration_s)
 
+    def close(self) -> None:
+        """End the wrapped app's simulation (:meth:`MultiTierApp.close`)."""
+        self.app.close()
+
     def run_period(self, duration_s: float) -> PeriodStats:
         """One control period: exact DES or MVA fast-forward."""
         reason = self._pending_transient

@@ -81,6 +81,63 @@ class TestSolveQpBatch:
             solve_qp_batch(H, g, A_ub=np.ones((2, 3)), b_ub_batch=np.zeros((4, 3)))
         with pytest.raises(ValueError):
             solve_qp_batch(H, g, warm_starts=[None])
+        with pytest.raises(ValueError):
+            solve_qp_batch(H, g, known_infeasible=[True])
+
+    @staticmethod
+    def _half_infeasible(B=10):
+        """Box-bounded QPs with one equality row; odd members ask for a
+        row sum no point of the box attains (they cycle for every round
+        and then fail SLSQP), even members for one well inside it."""
+        rng = np.random.default_rng(4)
+        n = 4
+        H = _spd(rng, n)
+        A_eq = np.ones((1, n))
+        A_ub = np.vstack([np.eye(n), -np.eye(n)])
+        g = rng.normal(size=(B, n))
+        b_ub = np.ones((B, 2 * n))
+        b_eq = np.where(np.arange(B)[:, None] % 2, 50.0, rng.uniform(-1, 1, (B, 1)))
+        mask = [bool(i % 2) for i in range(B)]
+        return dict(H=H, g_batch=g, A_eq=A_eq, b_eq_batch=b_eq,
+                    A_ub=A_ub, b_ub_batch=b_ub), mask
+
+    def test_known_infeasible_members_cost_no_solve(self, monkeypatch):
+        problem, mask = self._half_infeasible()
+        calls = {"n": 0}
+        lapack_solve = np.linalg.solve
+
+        def counting(a, b):
+            calls["n"] += 1
+            return lapack_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        plain = solve_qp_batch(**problem)
+        plain_calls, calls["n"] = calls["n"], 0
+        masked = solve_qp_batch(**problem, known_infeasible=mask)
+        masked_calls = calls["n"]
+
+        for known, p, r in zip(mask, plain, masked):
+            if known:
+                assert not p.ok  # the mask told the truth
+                assert r.x is None and r.status == "infeasible"
+                assert not r.warm_started and r.active_set == ()
+            else:
+                assert r.status == p.status == "optimal"
+                assert np.array_equal(r.x, p.x)
+                assert (r.iterations, r.active_set) == (p.iterations, p.active_set)
+        # Unmasked, every infeasible member cycles through all 200
+        # rounds twice; masked, the rounds end with the last feasible one.
+        assert plain_calls > 400
+        assert masked_calls <= max(p.iterations for p in plain if p.ok) * len(mask)
+
+    def test_all_members_known_infeasible_runs_no_round(self, monkeypatch):
+        problem, mask = self._half_infeasible()
+        monkeypatch.setattr(
+            np.linalg, "solve",
+            lambda a, b: pytest.fail("a round ran with nothing left to decide"),
+        )
+        for r in solve_qp_batch(**problem, known_infeasible=[True] * len(mask)):
+            assert r.x is None and r.status == "infeasible"
 
 
 def _mpc_requests(rng, n, m=3):

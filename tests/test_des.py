@@ -70,6 +70,22 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(4.0, lambda: None)
 
+    def test_clear_drops_pending_events_and_unlinks_their_handles(self):
+        sim = Simulator()
+        log = []
+        handles = [sim.schedule(t, log.append, t) for t in (1.0, 2.0)]
+        sim.run_until(1.5)
+        sim.clear()
+        assert sim.heap_size == 0 and sim.live_event_count == 0
+        sim.run()
+        assert log == [1.0] and sim.now == 1.5
+        # A handle someone still holds is inert and points nowhere, so
+        # it keeps neither the simulator nor its callback's owner alive.
+        pending = handles[1]
+        assert pending.cancelled and pending.fn is None and pending.sim is None
+        pending.cancel()
+        assert sim.live_event_count == 0
+
     def test_peek(self):
         sim = Simulator()
         assert sim.peek() == math.inf

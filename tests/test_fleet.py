@@ -18,6 +18,7 @@ import pytest
 from repro.cluster import Application, DataCenter, Server, VM
 from repro.cluster.catalog import TESTBED_SERVER
 from repro.control.arx import ARXModel
+from repro.control.mpc_core import MPCController
 from repro.core import (
     ControllerConfig,
     PowerManager,
@@ -279,6 +280,39 @@ class TestFleetTelemetry:
         assert spans[0]["batch_groups"] == 2
         assert sorted(spans[0]["batch_group_sizes"], reverse=True) == [3, 3]
         assert spans[0]["held"] == 0
+        # How the solves ended: every app went through a batch, and the
+        # spans add up to the counter behind the ledger's softened share.
+        assert all(s["scalar"] == 0 for s in spans)
+        assert sum(s["softened"] for s in spans) == (
+            snap["counters"]["mpc.terminal_softened"]
+        )
+        assert all(0 < s["unreachable"] <= s["softened"] for s in spans)
+        for key in ("scalar", "softened", "unreachable"):
+            assert mgr.last_fleet_stats[key] == spans[-1][key]
+
+    def test_span_counts_softened_and_unreachable_solves(self):
+        """A 100 ms set point is out of reach of every app; app0 groups
+        alone (its own model) and is solved scalar, which the softened
+        count used to miss."""
+        backend = InMemoryBackend()
+        with use_telemetry(Telemetry(backend), close=False) as tel:
+            dc = _fleet_dc(3)
+            mgr = PowerManager(dc, control_mode="fleet")
+            for i in range(3):
+                mgr.register_controller(
+                    f"app{i}",
+                    _controller(_MODEL if i else _MODEL_B, setpoint_ms=100.0),
+                )
+            _drive(mgr, 3, 2)
+            snap = tel.registry.snapshot()
+        spans = [r for r in backend.of_kind("span")
+                 if r["name"] == "manager.fleet_control"]
+        for span in spans:
+            assert span["batch_group_sizes"] == [2, 1]
+            assert (span["scalar"], span["softened"], span["unreachable"]) == (1, 3, 3)
+        assert mgr.last_fleet_stats["softened"] == 3
+        assert mgr.last_fleet_stats["unreachable"] == 3
+        assert snap["counters"]["mpc.terminal_softened"] == 6
 
     def test_scalar_mode_emits_no_fleet_span(self):
         backend = InMemoryBackend()
@@ -315,6 +349,29 @@ class TestBuiltinScenariosFleet:
         res_b, hash_b = self._run(spec)
         assert hash_a == hash_b
         assert res_a.power_summary() == res_b.power_summary()
+
+    @pytest.mark.parametrize("mode", ["fleet", "scalar"])
+    def test_event_log_is_the_same_without_the_certificate(self, mode, monkeypatch):
+        """The reachability certificate only skips solves that would
+        have failed: with it answering "reachable" for everything (the
+        old chain) a whole run logs the same events, in either lane."""
+        spec = self._spec("testbed-small")
+        spec = dataclasses.replace(spec, params={**spec.params, "control_mode": mode})
+        decided = []
+        certificate = MPCController._terminal_unreachable
+
+        def recording(ctrl, asm):
+            decided.append(certificate(ctrl, asm))
+            return decided[-1]
+
+        monkeypatch.setattr(MPCController, "_terminal_unreachable", recording)
+        _, with_certificate = self._run(spec)
+        assert 0 < sum(decided) < len(decided)  # the run had both kinds
+        monkeypatch.setattr(
+            MPCController, "_terminal_unreachable", lambda ctrl, asm: False
+        )
+        _, without = self._run(spec)
+        assert with_certificate == without
 
     @pytest.mark.parametrize("name", ["testbed-small", "testbed-faulted"])
     def test_fleet_checkpoint_resume_bit_identical(self, name):

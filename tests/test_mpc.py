@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from repro.control.arx import ARXModel
-from repro.control.mpc_core import MPCConfig, MPCController
+from repro.control.mpc_core import (
+    _REACH_EQ_MARGIN,
+    MPCConfig,
+    MPCController,
+    solve_mpc_batch,
+)
+from repro.control.qp import solve_qp
 from repro.control.stability import closed_loop_converges
 from repro.core.controller.reference import exponential_reference
+from tests.oracles.terminal_reach_lp import terminal_range, terminal_reachable
 
 
 def _ref_fn(setpoint, P=8, period=15.0, tref=15.0):
@@ -220,3 +229,266 @@ class TestReferenceTrajectory:
             exponential_reference(1.0, 1.0, 0, 15.0, 30.0)
         with pytest.raises(ValueError):
             exponential_reference(1.0, 1.0, 5, -1.0, 30.0)
+
+
+# -- terminal-reachability certificate ---------------------------------
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def reach_instances(draw):
+    """A random controller plus one period's request (set point left to
+    the test): ARX m 1-3 / nb 1-2, M 1-3, P >= M, optional rate limit
+    and aggregate cap, ``c_now`` inside or up to 0.3 GHz outside the
+    bounds, output bias."""
+    m = draw(st.integers(1, 3))
+    nb = draw(st.integers(1, 2))
+    M = draw(st.integers(1, 3))
+    P = M + draw(st.integers(0, 3))
+    # ms per GHz; zero or of identifiable size (a denormal gain makes the
+    # KKT solve overflow, which is not the certificate's subject).
+    gain = st.one_of(st.just(0.0), _floats(-1000.0, -1.0), _floats(1.0, 1000.0))
+    model = ARXModel(
+        a=[draw(_floats(-0.9, 0.9))],
+        b=[[draw(gain) for _ in range(m)] for _ in range(nb)],
+        g=draw(_floats(0.0, 2000.0)),
+    )
+    config = MPCConfig(
+        prediction_horizon=P,
+        control_horizon=M,
+        r_weight=draw(st.sampled_from([1.0, 1e3, 1e5])),
+        delta_max=draw(st.one_of(st.none(), _floats(0.05, 1.0))),
+        power_weight=draw(st.sampled_from([0.0, 200.0])),
+    )
+    c_min = np.array([draw(_floats(0.1, 1.0)) for _ in range(m)])
+    c_max = c_min + np.array([draw(_floats(0.0, 2.5)) for _ in range(m)])
+    frac = np.array([draw(_floats(0.0, 1.0)) for _ in range(m)])
+    c_now = c_min + frac * (c_max - c_min)
+    if draw(st.booleans()):
+        c_now = c_now + np.array([draw(_floats(-0.3, 0.3)) for _ in range(m)])
+        c_now = np.clip(c_now, c_min - 0.3, c_max + 0.3)
+    cap = None
+    if draw(st.booleans()):
+        cap = float(c_now.sum()) + draw(_floats(-0.2, 1.0))
+    request = dict(
+        t_hist=[draw(_floats(0.0, 3000.0))],
+        c_hist=np.tile(c_now, (2, 1)),
+        reference=np.full(P, 1000.0),
+        c_min=c_min,
+        c_max=c_max,
+        total_cap_ghz=cap,
+        output_bias=draw(_floats(-200.0, 200.0)),
+    )
+    return MPCController(model, config), request
+
+
+def _with_terminal_rhs(ctrl, request, rhs):
+    """Assemble *request* with the set point that makes ``terminal_rhs``
+    equal *rhs* (up to one rounding of ``setpoint - phi``)."""
+    phi = ctrl._assemble(setpoint=0.0, **request)["phi"]
+    M = ctrl.config.control_horizon
+    return ctrl._assemble(setpoint=float(rhs) + phi[M - 1], **request)
+
+
+def _hard_qp(asm):
+    return solve_qp(
+        asm["cache"]["H"], asm["g"],
+        A_eq=asm["terminal_row"], b_eq=asm["terminal_rhs"],
+        A_ub=asm["A_ub"], b_ub=asm["b_ub"],
+    )
+
+
+_reach_settings = settings(
+    max_examples=120, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+class TestTerminalReachCertificate:
+    """``MPCController._terminal_unreachable`` against the exact LP."""
+
+    @_reach_settings
+    @given(reach_instances(), _floats(-3000.0, 3000.0))
+    def test_certified_is_infeasible_for_lp_and_solver(self, instance, setpoint):
+        """Certified => the LP finds no point and ``solve_qp`` fails too.
+
+        The bound ignores the aggregate cap and how the rate limit
+        couples consecutive steps, so it is sound but not complete: in
+        one run of 3,000 draws of this strategy the LP called 2,721
+        instances infeasible and the certificate decided 2,661 of them
+        (98 %), none of the 279 feasible ones; the rest fall through to
+        the solver as before.
+        """
+        ctrl, request = instance
+        asm = ctrl._assemble(setpoint=setpoint, **request)
+        if not ctrl._terminal_unreachable(asm):
+            return
+        assert not terminal_reachable(
+            asm["A_ub"], asm["b_ub"], asm["terminal_row"], asm["terminal_rhs"][0]
+        )
+        assert not _hard_qp(asm).ok
+
+    @_reach_settings
+    @given(reach_instances(), st.data())
+    def test_instance_built_from_a_feasible_point_is_never_certified(
+        self, instance, data
+    ):
+        ctrl, request = instance
+        asm = ctrl._assemble(setpoint=0.0, **request)
+        M, m = ctrl.config.control_horizon, ctrl.model.n_inputs
+        # A trajectory of absolute inputs inside every constraint, then
+        # its input changes; skip draws whose constraints admit none.
+        assume(np.all(asm["upper"] >= 0.0) and np.all(asm["lower"] >= 0.0))
+        delta = ctrl.config.delta_max
+        step = np.minimum(asm["upper"], delta) if delta is not None else asm["upper"]
+        down = np.minimum(asm["lower"], delta) if delta is not None else asm["lower"]
+        dc = []
+        level = np.zeros(m)
+        for _ in range(M):
+            frac = np.array([data.draw(_floats(-1.0, 1.0)) for _ in range(m)])
+            move = np.where(frac >= 0.0, frac * step, frac * down)
+            move = np.clip(level + move, -asm["lower"], asm["upper"]) - level
+            dc.append(move)
+            level = level + move
+        u = np.concatenate(dc)
+        assume(np.all(asm["A_ub"] @ u <= asm["b_ub"]))
+        asm = _with_terminal_rhs(ctrl, request, float(asm["terminal_row"][0] @ u))
+        assert not ctrl._terminal_unreachable(asm)
+
+    @_reach_settings
+    @given(reach_instances(), st.booleans(), _floats(0.0, 0.9))
+    def test_rhs_inside_the_margin_band_is_never_certified(
+        self, instance, above, depth
+    ):
+        """Up to 90 % of the margin outside the exact range, the hard QP
+        may still be accepted by the solver's tolerances: not decided."""
+        ctrl, request = instance
+        asm = ctrl._assemble(setpoint=0.0, **request)
+        span = terminal_range(asm["A_ub"], asm["b_ub"], asm["terminal_row"])
+        assume(span is not None)
+        edge = span[1] if above else span[0]
+        margin = _REACH_EQ_MARGIN * (1.0 + abs(edge))
+        rhs = edge + (depth if above else -depth) * margin
+        assert not ctrl._terminal_unreachable(_with_terminal_rhs(ctrl, request, rhs))
+
+    @_reach_settings
+    @given(reach_instances(), _floats(-3000.0, 3000.0), _floats(1e-3, 0.3))
+    def test_empty_box_is_never_certified(self, instance, setpoint, excess):
+        """Bounds the rate limit cannot reach back into: the inequalities
+        alone are infeasible, which is the solver's finding to make
+        (``infeasible-hold``), not the certificate's."""
+        ctrl, request = instance
+        delta = ctrl.config.delta_max
+        assume(delta is not None)
+        M = ctrl.config.control_horizon
+        c_now = request["c_max"] + M * delta + excess
+        request = {**request, "c_hist": np.tile(c_now, (2, 1)), "total_cap_ghz": None}
+        asm = ctrl._assemble(setpoint=setpoint, **request)
+        assert terminal_range(asm["A_ub"], asm["b_ub"], asm["terminal_row"]) is None
+        assert not ctrl._terminal_unreachable(asm)
+
+
+# -- the certificate changes no bits ------------------------------------
+
+_SHARED = ARXModel(a=[0.4], b=[[-800.0, -300.0], [-100.0, -50.0]], g=1800.0)
+_SHARED_CFG = MPCConfig(r_weight=1e4, delta_max=0.3, power_weight=200.0)
+
+
+def _fleet_periods(n_members=12, n_periods=6, seed=5):
+    """Requests for a shared-model fleet over a few periods.  A member
+    either sits mid-range near its set point (terminal reachable) or
+    rides a bound far from it (unreachable): every other member in even
+    periods, all but member 0 in odd ones — a lone reachable member is
+    the case where LAPACK's single-RHS path would differ from the
+    stacked one if its certified neighbours' columns were dropped."""
+    rng = np.random.default_rng(seed)
+    periods = []
+    for k in range(n_periods):
+        requests = []
+        for i in range(n_members):
+            if i % 2 or (k % 2 and i):
+                c_now = np.array([0.2, 0.2]) + rng.uniform(0.0, 0.05, size=2)
+                t_now, setpoint = 400.0 + rng.normal(0.0, 20.0), 3000.0
+            else:
+                c_now = np.array([0.9, 0.9]) + rng.uniform(-0.1, 0.1, size=2)
+                t_now = float(rng.uniform(900.0, 1100.0))
+                setpoint = 1000.0
+            requests.append(dict(
+                t_hist=[t_now],
+                c_hist=np.tile(c_now, (2, 1)),
+                reference=exponential_reference(t_now, setpoint, 8, 15.0, 15.0),
+                setpoint=setpoint,
+                c_min=[0.2, 0.2],
+                c_max=[3.0, 3.0],
+            ))
+        periods.append(requests)
+    return periods
+
+
+def _solution_bits(sol):
+    return (
+        sol.delta_c.tobytes(), sol.input_trajectory.tobytes(),
+        sol.predicted_outputs.tobytes(), sol.qp.status, sol.terminal_softened,
+    )
+
+
+def _controller_bits(ctrl):
+    return (ctrl.solves, ctrl.warm_hits, dict(ctrl._warm_active))
+
+
+class TestCertificateBitIdentity:
+    """With the certificate answering "reachable" for everything, the
+    old chain (hard QP fails, then soften) must produce the same bits."""
+
+    @pytest.fixture
+    def with_and_without_certificate(self, monkeypatch):
+        def compare(run):
+            with_certificate = run()
+            monkeypatch.setattr(
+                MPCController, "_terminal_unreachable", lambda self, asm: False
+            )
+            assert with_certificate == run()
+
+        return compare
+
+    def test_batch_lane(self, with_and_without_certificate):
+        periods = _fleet_periods()
+        decided = []
+
+        def run():
+            ctrls = [MPCController(_SHARED, _SHARED_CFG) for _ in periods[0]]
+            out = []
+            for requests in periods:
+                stats = {}
+                sols = solve_mpc_batch(ctrls, requests, stats=stats)
+                assert stats["groups"] == [len(ctrls)]
+                decided.append((stats["unreachable"], stats["softened"]))
+                out.append([_solution_bits(s) for s in sols])
+            return out, [_controller_bits(c) for c in ctrls]
+
+        with_and_without_certificate(run)
+        n = len(periods)
+        # The batch mixed both kinds, the certificate decided every
+        # softened member, and the reference run decided none.
+        assert all(0 < u == s < len(periods[0]) for u, s in decided[:n])
+        assert all(u == 0 and s > 0 for u, s in decided[n:])
+
+    def test_scalar_lane(self, with_and_without_certificate):
+        periods = _fleet_periods(n_members=4)
+        unreachable = []
+
+        def run():
+            ctrls = [MPCController(_SHARED, _SHARED_CFG) for _ in periods[0]]
+            out = []
+            for requests in periods:
+                sols = [c.solve(**r) for c, r in zip(ctrls, requests)]
+                unreachable.append(sum(s.terminal_unreachable for s in sols))
+                out.append([_solution_bits(s) for s in sols])
+            return out, [_controller_bits(c) for c in ctrls]
+
+        with_and_without_certificate(run)
+        n = len(periods)
+        assert unreachable[:n] == [2, 3] * (n // 2)
+        assert unreachable[n:] == [0] * n

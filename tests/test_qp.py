@@ -135,6 +135,41 @@ class TestDegenerate:
                      A_eq=[[1.0], [1.0]], b_eq=[1.0, 2.0])
         assert r.status in ("infeasible", "fallback")
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="degenerate vertex is feasible: expect optimal "
+        "(pinned defect, docs/PERFORMANCE.md Caveats; the fix moves digests)",
+    )
+    def test_rate_limit_and_bound_active_on_the_same_variable(self):
+        """A softened MPC QP captured from period 1 of ``testbed-fleet``
+        (seed 2010): the allocation starts 0.3 GHz above ``c_max`` with
+        ``delta_max = 0.3``, so ``dc_0 <= -0.3`` (bound) and
+        ``-dc_0 <= 0.3`` (rate limit) are both active and linearly
+        dependent.  ``dc_0 = -0.3, dc_1 <= 0`` is feasible, but the
+        working set cycles for every round and SLSQP gives up, so the
+        solver reports ``infeasible``."""
+        H = np.array([
+            [7.1806571790513813e08, 3.8220602664313716e08,
+             7.1374317770709872e08, 3.8001110401419854e08],
+            [3.8220602664313716e08, 2.0369411200276637e08,
+             3.8001110401419854e08, 2.0232549141555703e08],
+            [7.1374317770709872e08, 3.8001110401419854e08,
+             7.0991444202685213e08, 3.7786612478154206e08],
+            [3.8001110401419848e08, 2.0232549141555703e08,
+             3.7786612478154206e08, 2.0138346168869105e08],
+        ])
+        g = np.array([1.319194542334485e09, 7.023656738062528e08,
+                      1.311661765239606e09, 6.983549795174069e08])
+        first = np.hstack([np.eye(2), np.zeros((2, 2))])
+        both = np.hstack([np.eye(2), np.eye(2)])
+        A_ub = np.vstack([first, -first, both, -both, np.eye(4), -np.eye(4)])
+        upper = [-0.30000000000000004, -0.30000000000000004]
+        lower = [0.7868089964998505, 0.8]
+        b_ub = np.array(upper + lower + upper + lower + [0.3] * 8)
+        r = solve_qp(H, g, A_ub=A_ub, b_ub=b_ub)
+        assert r.status == "optimal"
+        assert np.max(A_ub @ r.x - b_ub) <= 1e-7
+
     def test_redundant_constraints(self):
         # Same inequality twice must not confuse the working set.
         r = solve_qp(2 * np.eye(2), np.array([-4.0, -4.0]),

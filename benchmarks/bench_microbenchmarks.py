@@ -6,6 +6,7 @@ built on, so performance regressions show up directly in CI history.
 """
 
 import numpy as np
+import pytest
 
 from repro.apps import AppSpec, MultiTierApp
 from repro.apps.queueing import approx_mva_closed_network, mva_closed_network
@@ -27,20 +28,30 @@ def test_perf_des_request_throughput(benchmark):
     assert completed > 0
 
 
-def test_perf_ps_resource_churn(benchmark):
-    """Raw PS queue: 1000 jobs through one resource."""
+@pytest.mark.parametrize("standing", [4, 16, 64, 256])
+def test_perf_ps_resource_churn(benchmark, standing):
+    """Raw PS queue: 1000 jobs through one resource that already holds
+    ``standing`` long jobs, so every advance touches at least that many.
+
+    4 and 16 are the rigs' queue lengths (Python-list representation),
+    256 is the slot array, 64 starts on the switch and keeps crossing
+    it; together they record the list-vs-array crossover ``PSResource``
+    is fitted to.
+    """
 
     def run():
         sim = Simulator()
         ps = PSResource(sim, 4.0)
         rng = np.random.default_rng(0)
+        for _ in range(standing):
+            ps.submit(1e6)
         for t in np.sort(rng.uniform(0, 100.0, size=1000)):
             sim.schedule_at(float(t), lambda: ps.submit(float(rng.uniform(0.05, 0.3))))
         sim.run()
         return ps.completed_jobs
 
     done = benchmark(run)
-    assert done == 1000
+    assert done == 1000 + standing
 
 
 def test_perf_minimum_bin_slack(benchmark):

@@ -13,6 +13,10 @@ Model
 * A fixed population of closed-loop clients (the concurrency level)
   cycles: think (exponential) → tier 1 → tier 2 → ... → record response
   time → think again.  This matches ``ab``'s closed-loop semantics.
+  Each client is a small state record driven by three callbacks
+  (``_begin_cycle`` → ``_after_think`` → ``_tier_done`` per visit); the
+  simulator and the tiers call them directly, so a tier visit costs no
+  generator resume, event object or closure.
 * Per-visit CPU demands are drawn from configurable distributions
   (:mod:`repro.apps.demand`), so response times are stochastic and the
   90-percentile is measured *empirically* per control period, exactly as
@@ -27,13 +31,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.apps.demand import DemandDistribution, Exponential
 from repro.obs.reqtrace import RequestTrace, RequestTracer
-from repro.sim.des import Process, PSResource, SimEvent, Simulator
+from repro.sim.des import PSResource, SimEvent, Simulator
 from repro.sim.metrics import PeriodStats
 from repro.util.rng import RngLike, ensure_rng
 from repro.util.validation import check_positive
@@ -128,13 +132,11 @@ class _Tier:
 
     With ``max_concurrency`` set, at most that many requests share the
     CPU; the rest wait in arrival order, as behind a worker-pool limit.
-    The completion event's value is the *total* tier sojourn (admission
-    wait + service).
+    The sojourn a request is completed with is the *total* time at the
+    tier (admission wait + service).
 
-    Without a cap the gate is pass-through, so ``submit`` hands back the
-    PS resource's own completion event: same value (sojourn = service
-    time), same synchronous callback chain, one fewer ``SimEvent`` and
-    closure per request.
+    Without a cap the gate is pass-through: ``submit`` is the PS
+    resource's own (sojourn = service time, same synchronous completion).
     """
 
     __slots__ = ("sim", "spec", "resource", "_waiting", "_in_service")
@@ -146,31 +148,44 @@ class _Tier:
         self._waiting: Deque[tuple] = deque()
         self._in_service = 0
 
-    def submit(self, work_ghz_seconds: float) -> SimEvent:
+    def submit(
+        self,
+        work_ghz_seconds: float,
+        on_done: Optional[Callable[[Any, float], None]] = None,
+        token: Any = None,
+    ) -> Optional[SimEvent]:
+        """Same contract as :meth:`PSResource.submit`: completion calls
+        ``on_done(token, sojourn_s)``, or fires the returned event when
+        no callback is given."""
         if self.spec.max_concurrency is None:
-            # Ungated: the resource's event value is already the tier
-            # sojourn (arrival == admission), bit-identical to wrapping.
-            return self.resource.submit(float(work_ghz_seconds))
-        outer = self.sim.event()
-        job = (float(work_ghz_seconds), outer, self.sim.now)
+            return self.resource.submit(work_ghz_seconds, on_done, token)
+        ev = None
+        if on_done is None:
+            token = ev = self.sim.event()
+            on_done = SimEvent.succeed
+        job = (float(work_ghz_seconds), on_done, token, self.sim.now)
         if self._in_service < self.spec.max_concurrency:
             self._start(job)
         else:
             self._waiting.append(job)
-        return outer
+        return ev
 
     def _start(self, job: tuple) -> None:
-        work, outer, arrival = job
         self._in_service += 1
-        inner = self.resource.submit(work)
-        inner.on_success(lambda _v: self._complete(outer, arrival))
+        self.resource.submit(job[0], self._complete, job)
 
-    def _complete(self, outer: SimEvent, arrival: float) -> None:
+    def _complete(self, job: tuple, _service_s: float) -> None:
+        _work, on_done, token, arrival = job
         self._in_service -= 1
-        outer.succeed(self.sim.now - arrival)
+        on_done(token, self.sim.now - arrival)
         cap = self.spec.max_concurrency
-        while self._waiting and (cap is None or self._in_service < cap):
+        while self._waiting and self._in_service < cap:
             self._start(self._waiting.popleft())
+
+    def clear(self) -> None:
+        """Forget queued and waiting requests (end of a run)."""
+        self._waiting.clear()
+        self.resource.clear()
 
     # -- pass-throughs ---------------------------------------------------
 
@@ -197,6 +212,21 @@ class _Tier:
         if self.spec.max_concurrency is None:
             return self.resource.queue_length
         return self._in_service + len(self._waiting)
+
+
+class _Client:
+    """State of one closed-loop client between callbacks."""
+
+    __slots__ = ("idx", "t_start", "tier", "work", "trace")
+
+    def __init__(self, idx: int):
+        self.idx = idx
+        self.t_start = 0.0  # when the request in flight left think
+        self.tier = 0  # index of the tier being visited
+        self.work = 0.0  # demand drawn for that visit
+        # (tracer, request index, visits so far) while the request in
+        # flight is a sampled one, else None.
+        self.trace: Optional[tuple] = None
 
 
 class MultiTierApp:
@@ -238,10 +268,11 @@ class MultiTierApp:
         self.set_allocations(alloc)
         self._target_n = 0
         self._n_spawned = 0
-        self._parked: Dict[int, SimEvent] = {}
-        self._clients: List[Process] = []
+        self._parked: Dict[int, _Client] = {}
         self._period_rts: List[float] = []
         self._tracer: Optional[RequestTracer] = None
+        #: Set by :meth:`close`; a closed app cannot run.
+        self.closed = False
         if concurrency:
             self.set_concurrency(concurrency)
 
@@ -296,40 +327,49 @@ class MultiTierApp:
         """
         if n < 0:
             raise ValueError(f"concurrency must be >= 0, got {n}")
+        self._check_open()
         self._target_n = int(n)
         while self._n_spawned < self._target_n:
-            idx = self._n_spawned
+            client = _Client(self._n_spawned)
             self._n_spawned += 1
-            self._clients.append(self.sim.process(self._client_loop(idx)))
-        for idx in sorted(list(self._parked.keys())):
+            self._begin_cycle(client)
+        for idx in sorted(self._parked):
             if idx < self._target_n:
-                ev = self._parked.pop(idx)
-                ev.succeed(None)
+                self._begin_cycle(self._parked.pop(idx))
 
     def close(self) -> None:
-        """End the simulation: stop the clients, drop pending events.
+        """End the simulation: drop pending events and queued requests.
 
-        Every client generator's frame holds this app, and the event
-        queue and tier job lists hold the generators, so a finished app
-        is a reference cycle of a few hundred objects.  A process that
-        runs many scenarios (``repro-serve`` workers, the benchmark's
-        passes) would otherwise carry each finished run until the next
-        full garbage collection.  The app cannot run after this.
+        The event queue and the tiers' job lists hold this app's bound
+        callbacks, and the app holds them, so a finished app is a
+        reference cycle of a few hundred objects.  A process that runs
+        many scenarios (``repro-serve`` workers, the benchmark's passes)
+        would otherwise carry each finished run until the next full
+        garbage collection.  The app cannot run after this:
+        :meth:`run_period`, :meth:`warmup` and :meth:`set_concurrency`
+        raise ``RuntimeError``.
         """
-        for client in self._clients:
-            client.interrupt()
-        self._clients.clear()
+        self.closed = True
+        self._parked.clear()
+        for tier in self._tiers:
+            tier.clear()
         self.sim.clear()
+
+    def _check_open(self) -> None:
+        if self.closed:
+            raise RuntimeError("app is closed")
 
     # -- execution ----------------------------------------------------------
 
     def warmup(self, duration_s: float) -> None:
         """Run *duration_s* seconds and discard all measurements."""
+        self._check_open()
         self.sim.run_until(self.sim.now + float(duration_s))
         self._reset_period()
 
     def run_period(self, duration_s: float) -> PeriodStats:
         """Advance one control period and return its measurements."""
+        self._check_open()
         duration_s = check_positive("duration_s", duration_s)
         self._reset_period()
         self.sim.run_until(self.sim.now + duration_s)
@@ -398,36 +438,47 @@ class MultiTierApp:
         for res in self._tiers:
             res.reset_counters()
 
-    def _client_loop(self, idx: int):
-        rng = self._rng
-        think_mean = self.spec.think_time_s
-        while True:
-            if idx >= self._target_n:
-                ev = self.sim.event()
-                self._parked[idx] = ev
-                yield ev
-                continue
-            # Yield the raw delay: the process schedules its own resume
-            # directly, skipping the timeout SimEvent + callback hop.
-            # Same single sequence number, same resume time.
-            yield float(rng.exponential(think_mean))
-            if idx >= self._target_n:
-                continue
-            t_start = self.sim.now
-            tracer = self._tracer
-            req = tracer.begin() if tracer is not None else -1
-            if req >= 0:
-                # Traced request: identical RNG draws and event sequence
-                # as the plain path — it only *records* the per-tier
-                # sojourn each completion event already carries.
-                visits = []
-                for tier_spec, res in zip(self.spec.tiers, self._tiers):
-                    work = tier_spec.demand.sample(rng)
-                    sojourn = yield res.submit(work)
-                    visits.append((tier_spec.name, sojourn, work))
-                tracer.finish(req, t_start, self.sim.now, visits)
-            else:
-                for tier_spec, res in zip(self.spec.tiers, self._tiers):
-                    work = tier_spec.demand.sample(rng)
-                    yield res.submit(work)
-            self._period_rts.append((self.sim.now - t_start) * 1000.0)
+    # The client cycle.  Every RNG draw, ``schedule`` and ``submit``
+    # happens at the point, and in the order, the sequential loop
+    # "park? -> think -> park? -> visit each tier -> record" makes them;
+    # tracing only *records* the sojourn each completion already carries.
+
+    def _begin_cycle(self, client: _Client) -> None:
+        """Top of the loop: park if above the target level, else think."""
+        if client.idx >= self._target_n:
+            self._parked[client.idx] = client
+            return
+        think_s = float(self._rng.exponential(self.spec.think_time_s))
+        self.sim.schedule(think_s, self._after_think, client)
+
+    def _after_think(self, client: _Client) -> None:
+        """Think time over: start a request at the first tier."""
+        if client.idx >= self._target_n:
+            self._begin_cycle(client)
+            return
+        client.t_start = self.sim.now
+        tracer = self._tracer
+        req = tracer.begin() if tracer is not None else -1
+        client.trace = (tracer, req, []) if req >= 0 else None
+        self._visit(client, 0)
+
+    def _visit(self, client: _Client, j: int) -> None:
+        client.tier = j
+        client.work = work = self.spec.tiers[j].demand.sample(self._rng)
+        self._tiers[j].submit(work, self._tier_done, client)
+
+    def _tier_done(self, client: _Client, sojourn_s: float) -> None:
+        """A tier visit completed: next tier, or record and think again."""
+        j = client.tier
+        trace = client.trace
+        if trace is not None:
+            trace[2].append((self.spec.tiers[j].name, sojourn_s, client.work))
+        if j + 1 < len(self._tiers):
+            self._visit(client, j + 1)
+            return
+        now = self.sim.now
+        if trace is not None:
+            tracer, req, visits = trace
+            tracer.finish(req, client.t_start, now, visits)
+        self._period_rts.append((now - client.t_start) * 1000.0)
+        self._begin_cycle(client)

@@ -218,6 +218,10 @@ class HybridPlant:
 
     def run_period(self, duration_s: float) -> PeriodStats:
         """One control period: exact DES or MVA fast-forward."""
+        if self.app.closed:
+            # A fast-forwarded period never touches the DES, so the
+            # app's own check would not be reached.
+            raise RuntimeError("app is closed")
         reason = self._pending_transient
         self._pending_transient = None
         if not self._mva_capable:

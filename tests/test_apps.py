@@ -1,6 +1,8 @@
 """Application substrate: demands, MVA, workloads, the RUBBoS plant."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -265,6 +267,51 @@ class TestMultiTierApp:
         stats = app.run_period(100.0)
         # Throughput bounded by 2 clients cycling.
         assert stats.throughput_rps <= 2.1
+
+    def test_closed_app_refuses_to_run(self):
+        # Used to return all-NaN PeriodStats with completed=0: close()
+        # drops every client, so "running" simulated an empty app.
+        app = MultiTierApp(AppSpec.rubbos(), [1.0, 1.0], concurrency=10, rng=3)
+        assert app.run_period(10.0).completed > 0
+        assert not app.closed
+        app.close()
+        app.close()  # idempotent
+        assert app.closed
+        for call in (
+            lambda: app.run_period(10.0),
+            lambda: app.warmup(10.0),
+            lambda: app.set_concurrency(5),
+        ):
+            with pytest.raises(RuntimeError, match="app is closed"):
+                call()
+        assert app.queue_lengths() == [0, 0]
+
+    @pytest.mark.parametrize("max_concurrency", [None, 2])
+    def test_close_leaves_no_reference_cycle(self, max_concurrency):
+        # Requests in service and waiting at an admission gate hold
+        # bound callbacks of the app and of the tier; close() drops
+        # them, so reference counting alone frees the app.
+        spec = AppSpec(
+            "cycle",
+            (
+                TierSpec("web", Exponential(0.02), max_concurrency=max_concurrency),
+                TierSpec("db", Exponential(0.015)),
+            ),
+            think_time_s=0.1,
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            app = MultiTierApp(spec, [0.3, 0.3], concurrency=15, rng=8)
+            app.warmup(5.0)
+            assert sum(app.queue_lengths()) > 0
+            app_alive, sim_alive = weakref.ref(app), weakref.ref(app.sim)
+            app.close()
+            del app
+            # The simulator is what every tier and resource points at.
+            assert app_alive() is None and sim_alive() is None
+        finally:
+            gc.enable()
 
     def test_more_allocation_reduces_response_time(self):
         app = MultiTierApp(AppSpec.rubbos(), [0.5, 0.5], concurrency=40, rng=4)

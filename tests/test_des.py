@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.des import FCFSResource, PSResource, Simulator
+from repro.sim.des import FCFSResource, PSResource, Simulator, Timer
 
 
 class TestScheduling:
@@ -85,6 +85,28 @@ class TestScheduling:
         assert pending.cancelled and pending.fn is None and pending.sim is None
         pending.cancel()
         assert sim.live_event_count == 0
+
+    def test_clear_disarms_and_unlinks_timers(self):
+        sim = Simulator()
+        log = []
+        ps = PSResource(sim, 1.0)
+        ps.submit(1.0, lambda token, rt: log.append(token), "job")
+        timer = sim.timer(lambda: log.append("timer"))
+        timer.arm(0.5)
+        assert sim.live_event_count == 2
+        sim.clear()
+        assert sim.live_event_count == 0 and sim.peek() == math.inf
+        sim.run()
+        assert log == [] and sim.now == 0.0
+        # Unlinked like a cleared handle: neither the simulator nor the
+        # callback's owner is kept alive through a timer someone holds,
+        # and a dead timer refuses work instead of silently never firing.
+        for dropped in (timer, ps._timer):
+            assert not dropped.armed
+            assert dropped.fn is None and dropped.sim is None
+            dropped.disarm()
+            with pytest.raises(RuntimeError):
+                dropped.arm(1.0)
 
     def test_peek(self):
         sim = Simulator()
@@ -175,6 +197,139 @@ class TestEventsAndProcesses:
         ev = sim.timeout(2.0)
         sim.run()
         assert ev.triggered
+
+
+class TestTimer:
+    def test_fires_once_after_delay(self):
+        sim = Simulator()
+        log = []
+        timer = sim.timer(lambda: log.append(sim.now))
+        assert isinstance(timer, Timer) and not timer.armed
+        sim.run_until(1.0)
+        timer.arm(2.0)
+        assert timer.armed
+        sim.run_until(10.0)
+        assert log == [3.0] and not timer.armed
+
+    def test_rearm_replaces_the_pending_firing(self):
+        sim = Simulator()
+        log = []
+        timer = sim.timer(lambda: log.append(sim.now))
+        timer.arm(5.0)
+        timer.arm(2.0)  # earlier
+        sim.run_until(3.0)
+        timer.arm(4.0)  # later, from t=3
+        timer.arm(1.0)
+        sim.run()
+        assert log == [2.0, 4.0]
+
+    def test_callback_may_rearm(self):
+        sim = Simulator()
+        log = []
+
+        def tick():
+            log.append(sim.now)
+            if len(log) < 3:
+                timer.arm(1.0)
+
+        timer = sim.timer(tick)
+        timer.arm(1.0)
+        sim.run()
+        assert log == [1.0, 2.0, 3.0]
+
+    def test_disarm_is_idempotent(self):
+        sim = Simulator()
+        log = []
+        timer = sim.timer(lambda: log.append("fired"))
+        timer.disarm()  # never armed
+        timer.arm(1.0)
+        timer.disarm()
+        timer.disarm()
+        sim.run()
+        assert log == [] and sim.now == 0.0
+
+    def test_peek_reports_a_timer_earlier_than_the_heap_top(self):
+        sim = Simulator()
+        sim.schedule(3.0, lambda: None)
+        timer = sim.timer(lambda: None)
+        assert sim.peek() == 3.0
+        timer.arm(1.0)
+        assert sim.peek() == 1.0
+        timer.arm(4.0)
+        assert sim.peek() == 3.0
+        timer.disarm()
+        assert sim.peek() == 3.0
+
+    def test_run_without_until_drains_timers(self):
+        # The path benchmarks/bench_microbenchmarks.py's PS churn uses.
+        sim = Simulator()
+        ps = PSResource(sim, 2.0)
+        done = []
+        for i in range(5):
+            sim.schedule_at(float(i), lambda: ps.submit(1.0).on_success(done.append))
+        sim.run()
+        assert len(done) == 5 and ps.queue_length == 0
+        assert sim.live_event_count == 0
+
+    def test_step_fires_timers_and_heap_events_in_time_order(self):
+        sim = Simulator()
+        log = []
+        timer = sim.timer(lambda: log.append(("timer", sim.now)))
+        sim.schedule(2.0, lambda: log.append(("heap", sim.now)))
+        timer.arm(1.0)
+        assert sim.step() and log == [("timer", 1.0)]
+        assert sim.step() and log[-1] == ("heap", 2.0)
+        assert not sim.step()
+
+    def test_same_instant_fires_in_booking_order(self):
+        sim = Simulator()
+        log = []
+        a = sim.timer(lambda: log.append("a"))
+        b = sim.timer(lambda: log.append("b"))
+        b.arm(1.0)
+        sim.schedule(1.0, log.append, "heap")
+        a.arm(1.0)
+        sim.run_until(1.0)
+        assert log == ["b", "heap", "a"]
+
+    def test_timer_beyond_until_stays_armed(self):
+        sim = Simulator()
+        log = []
+        timer = sim.timer(lambda: log.append(sim.now))
+        timer.arm(5.0)
+        sim.run_until(4.0)
+        assert log == [] and timer.armed and sim.now == 4.0
+        sim.run_until(5.0)
+        assert log == [5.0]
+
+    @pytest.mark.parametrize("delay", [-1.0, math.nan, math.inf])
+    def test_invalid_delay_rejected(self, delay):
+        sim = Simulator()
+        timer = sim.timer(lambda: None)
+        with pytest.raises(ValueError):
+            timer.arm(delay)
+        with pytest.raises(ValueError):
+            sim.schedule(delay, lambda: None)
+
+    @pytest.mark.parametrize(
+        "resource_cls, capacity",
+        [
+            (PSResource, 5e-324),
+            (PSResource, math.nan),
+            (FCFSResource, 5e-324),
+            (FCFSResource, math.nan),
+        ],
+    )
+    def test_rebook_with_non_finite_delay_raises_value_error(
+        self, resource_cls, capacity
+    ):
+        # work / subnormal capacity overflows to inf, x / nan is nan:
+        # the completion re-book rejects both exactly as schedule() did.
+        sim = Simulator()
+        res = resource_cls(sim, 1.0)
+        res.submit(1.0)
+        with pytest.raises(ValueError):
+            res.set_capacity(capacity)
 
 
 class TestPSResource:
@@ -476,6 +631,53 @@ class TestHeapCompaction:
         sim.run()
         assert sim.heap_size == 0
         assert sim.live_event_count == 0
+
+    @pytest.mark.parametrize("drive", ["run_until", "step", "run"])
+    def test_cancel_after_firing_is_a_no_op(self, drive):
+        # Used to leave live_event_count at -1: the count of pending
+        # cancellations must only cover entries still in the heap.
+        sim = Simulator()
+        log = []
+        fired = sim.schedule(1.0, log.append, "x")
+        later = sim.schedule(5.0, log.append, "y")
+        if drive == "run_until":
+            sim.run_until(2.0)
+        elif drive == "step":
+            assert sim.step()
+        else:
+            later.cancel()
+            sim.run()
+        fired.cancel()
+        fired.cancel()
+        expected_live = 0 if drive == "run" else 1
+        assert sim.live_event_count == expected_live
+        assert sim.heap_size == expected_live
+        assert log == ["x"]
+
+    def test_live_count_includes_armed_timers_heap_size_does_not(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        first, second = sim.timer(lambda: None), sim.timer(lambda: None)
+        assert (sim.live_event_count, sim.heap_size) == (1, 1)
+        first.arm(2.0)
+        second.arm(3.0)
+        first.arm(2.5)  # re-arming is still one pending firing
+        assert (sim.live_event_count, sim.heap_size) == (3, 1)
+        second.disarm()
+        assert (sim.live_event_count, sim.heap_size) == (2, 1)
+        sim.run()
+        assert (sim.live_event_count, sim.heap_size) == (0, 0)
+
+    def test_ps_queue_books_nothing_on_the_heap(self):
+        sim = Simulator()
+        ps = PSResource(sim, 1.0)
+        for work in (1.0, 2.0, 3.0):
+            ps.submit(work)
+        ps.set_capacity(2.0)
+        assert sim.heap_size == 0
+        assert sim.live_event_count == 1  # the queue's one completion
+        sim.run()
+        assert ps.completed_jobs == 3 and sim.live_event_count == 0
 
 
 class TestBatchDispatch:

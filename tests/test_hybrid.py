@@ -143,6 +143,21 @@ class TestSwitchingPolicy:
         assert math.isnan(stats.rt_mean_ms)
 
 
+    def test_closed_plant_refuses_to_run_in_either_mode(self):
+        plant = _plant(config=HybridConfig(settle_periods=1))
+        while plant.run_period(10.0) and plant.mode_log[-1][1] != "mva":
+            pass
+        plant.close()
+        # The next period would have fast-forwarded without touching
+        # the (closed) DES.
+        with pytest.raises(RuntimeError, match="app is closed"):
+            plant.run_period(10.0)
+        with pytest.raises(RuntimeError, match="app is closed"):
+            plant.warmup(10.0)
+        with pytest.raises(RuntimeError, match="app is closed"):
+            plant.set_concurrency(10)
+
+
 class TestReconciliation:
     def test_moment_ratios_from_exact_period(self):
         plant = _plant()

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.apps import AppSpec, MultiTierApp
-from repro.apps.queueing import approx_mva_closed_network, mva_closed_network
 from repro.control.arx import ARXModel
 from repro.control.mpc_core import MPCConfig, MPCController
 from repro.packing.mbs import MemoryConstraint, minimum_bin_slack
@@ -85,13 +84,3 @@ def test_perf_mpc_solve(benchmark):
     sol = benchmark(run)
     assert sol.qp.ok
 
-
-def test_perf_exact_vs_approx_mva(benchmark):
-    """Exact MVA at n=2000 (the case approximate MVA exists to avoid)."""
-
-    def run():
-        return mva_closed_network([0.02, 0.015, 0.01], 2000, 1.0)
-
-    res = benchmark(run)
-    approx = approx_mva_closed_network([0.02, 0.015, 0.01], 2000, 1.0)
-    assert abs(approx.throughput_rps - res.throughput_rps) / res.throughput_rps < 0.05

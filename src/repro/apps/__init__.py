@@ -14,14 +14,7 @@ from repro.apps.demand import (
     LogNormal,
     DemandDistribution,
 )
-from repro.apps.queueing import (
-    approx_mva_closed_network,
-    mva_closed_network,
-    MVAResult,
-    mm1_mean_response_time,
-    mm1_utilization,
-    p90_from_mean_exponential,
-)
+from repro.apps.queueing import mva_closed_network, MVAResult
 from repro.apps.workload import (
     ConcurrencySchedule,
     ConstantWorkload,
@@ -39,11 +32,7 @@ __all__ = [
     "Erlang",
     "LogNormal",
     "mva_closed_network",
-    "approx_mva_closed_network",
     "MVAResult",
-    "mm1_mean_response_time",
-    "mm1_utilization",
-    "p90_from_mean_exponential",
     "ConcurrencySchedule",
     "ConstantWorkload",
     "StepWorkload",

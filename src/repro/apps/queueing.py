@@ -1,11 +1,10 @@
-"""Analytic queueing models: exact MVA for closed networks, M/M/1 helpers.
+"""Analytic queueing model: exact MVA for closed networks.
 
-These serve three roles:
+It serves two roles:
 
-1. validation targets for the discrete-event simulator (a PS tier fed by
+1. validation target for the discrete-event simulator (a PS tier fed by
    a closed-loop client population must agree with exact MVA);
-2. a fast approximate plant for large parameter sweeps;
-3. sizing aids — picking service demands and allocations that make the
+2. sizing aid — picking service demands and allocations that make the
    paper's operating points (e.g. 1000 ms at concurrency 40) feasible.
 """
 
@@ -17,17 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_non_negative
 
-__all__ = [
-    "MVAResult",
-    "mva_closed_network",
-    "approx_mva_closed_network",
-    "mm1_mean_response_time",
-    "mm1_utilization",
-    "p90_from_mean_exponential",
-    "closed_network_response_time_ms",
-]
+__all__ = ["MVAResult", "mva_closed_network"]
 
 
 @dataclass(frozen=True)
@@ -104,108 +95,3 @@ def mva_closed_network(
         station_queue_len=q.copy(),
         station_utilization=util,
     )
-
-
-def approx_mva_closed_network(
-    service_times_s: Sequence[float],
-    n_clients: int,
-    think_time_s: float,
-    visits: Sequence[float] | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> MVAResult:
-    """Schweitzer's approximate MVA (fixed-point, O(M) per iteration).
-
-    Exact MVA iterates over the population (O(N·M)), which is costly for
-    sweeps over thousands of clients; Schweitzer's approximation replaces
-    ``Q_m(n-1)`` with ``(n-1)/n * Q_m(n)`` and solves the fixed point.
-    Errors are typically a few percent near saturation and vanish at the
-    extremes.  Same arguments and result type as
-    :func:`mva_closed_network`.
-    """
-    s = np.asarray(service_times_s, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("service_times_s must be a non-empty 1-D sequence")
-    if np.any(s < 0):
-        raise ValueError(f"service times must be >= 0, got {s}")
-    if n_clients < 0 or int(n_clients) != n_clients:
-        raise ValueError(f"n_clients must be a non-negative integer, got {n_clients}")
-    check_non_negative("think_time_s", think_time_s)
-    v = np.ones_like(s) if visits is None else np.asarray(visits, dtype=float)
-    if v.shape != s.shape:
-        raise ValueError("visits must match service_times_s in length")
-    n = int(n_clients)
-    demand = v * s
-    if n == 0:
-        zero = np.zeros_like(s)
-        return MVAResult(0.0, 0.0, zero, zero.copy(), zero.copy())
-
-    q = np.full_like(s, n / s.size)  # start with an even split
-    x = 0.0
-    r = demand.copy()
-    for _ in range(max_iter):
-        r = demand * (1.0 + (n - 1) / n * q)
-        total_r = float(r.sum())
-        x = n / (think_time_s + total_r) if (think_time_s + total_r) > 0 else math.inf
-        q_new = x * r
-        if float(np.max(np.abs(q_new - q))) < tol:
-            q = q_new
-            break
-        q = q_new
-    util = np.clip(x * demand, 0.0, 1.0)
-    return MVAResult(
-        response_time_s=float(r.sum()),
-        throughput_rps=float(x),
-        station_response_s=r.copy(),
-        station_queue_len=q.copy(),
-        station_utilization=util,
-    )
-
-
-def closed_network_response_time_ms(
-    demands_ghz_s: Sequence[float],
-    allocations_ghz: Sequence[float],
-    n_clients: int,
-    think_time_s: float,
-) -> float:
-    """Mean response time (ms) of a closed multi-tier app via MVA.
-
-    ``demands_ghz_s[j] / allocations_ghz[j]`` is tier *j*'s mean service
-    time.  This is the analytic counterpart of one
-    :class:`repro.apps.rubbos.MultiTierApp` operating point.
-    """
-    d = np.asarray(demands_ghz_s, dtype=float)
-    c = np.asarray(allocations_ghz, dtype=float)
-    if d.shape != c.shape:
-        raise ValueError("demands and allocations must have equal length")
-    if np.any(c <= 0):
-        raise ValueError(f"allocations must be > 0, got {c}")
-    service = d / c
-    res = mva_closed_network(service, n_clients, think_time_s)
-    return res.response_time_s * 1000.0
-
-
-def mm1_utilization(arrival_rps: float, service_time_s: float) -> float:
-    """Offered load rho = lambda * s of an M/M/1 queue."""
-    check_non_negative("arrival_rps", arrival_rps)
-    check_non_negative("service_time_s", service_time_s)
-    return arrival_rps * service_time_s
-
-
-def mm1_mean_response_time(arrival_rps: float, service_time_s: float) -> float:
-    """Mean sojourn time of a stable M/M/1 queue: ``s / (1 - rho)``."""
-    rho = mm1_utilization(arrival_rps, service_time_s)
-    if rho >= 1.0:
-        return math.inf
-    return service_time_s / (1.0 - rho)
-
-
-def p90_from_mean_exponential(mean: float) -> float:
-    """90th percentile of an exponential with the given mean (= mean·ln 10).
-
-    M/M/1 sojourn times are exactly exponential, so this converts the
-    analytic mean into the paper's 90-percentile SLA metric.  For other
-    distributions it is an approximation.
-    """
-    check_non_negative("mean", mean)
-    return mean * math.log(10.0)

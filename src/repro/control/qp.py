@@ -88,6 +88,16 @@ def _solve_kkt(
     return sol[:n], sol[n:]
 
 
+def _off_equalities(x: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray) -> bool:
+    """True when iterate *x* may not be reported as a solution: it is
+    non-finite (an overflowing KKT solve, whose NaN residual would
+    compare False against the tolerance) or misses an equality row by
+    more than 1e-6."""
+    if not np.isfinite(x).all():
+        return True
+    return bool(A_eq.shape[0]) and bool(np.max(np.abs(A_eq @ x - b_eq)) > 1e-6)
+
+
 def _scipy_fallback(
     H: np.ndarray,
     g: np.ndarray,
@@ -120,11 +130,10 @@ def _scipy_fallback(
         method="SLSQP",
         options={"maxiter": 500, "ftol": 1e-12},
     )
-    if not res.success:
+    x = np.asarray(res.x, dtype=float)
+    if not res.success or not np.isfinite(x).all():
         return QPResult(None, "infeasible", iterations, (), warm_started)
-    return QPResult(
-        np.asarray(res.x, dtype=float), "fallback", iterations, (), warm_started
-    )
+    return QPResult(x, "fallback", iterations, (), warm_started)
 
 
 def solve_qp(
@@ -228,7 +237,7 @@ def solve_qp(
                 continue
 
         # Verify equality feasibility (catches inconsistent A_eq).
-        if n_eq and np.max(np.abs(A_eq @ x - b_eq)) > 1e-6:
+        if _off_equalities(x, A_eq, b_eq):
             if warm:
                 break  # retry cold below rather than trusting this iterate
             return _scipy_fallback(H, g, A_eq, b_eq, A_ub, b_ub, x, iteration, warm)
@@ -440,7 +449,7 @@ def solve_qp_batch(
                         next_pending.append(i)
                         continue
 
-                if n_eq and np.max(np.abs(A_eq @ x - b_eq)) > 1e-6:
+                if _off_equalities(x, A_eq, b_eq):
                     results[i] = _off_path(i)
                     continue
                 if (

@@ -54,7 +54,6 @@ from repro.engine.kernel import CheckpointError, ControlPlane, PeriodContext, Ph
 from repro.faults import FaultInjector
 from repro.obs import get_telemetry
 from repro.obs.attribution import EnergyAttributor
-from repro.sim.hybrid import HybridPlant
 from repro.sim.metrics import SeriesRecorder
 from repro.sim.testbed import TestbedConfig, TestbedResult
 from repro.sysid.experiment import identify_app_model
@@ -158,9 +157,7 @@ class TestbedBackend:
             PowerManagerConfig(control_period_s=cfg.control_period_s),
             control_mode=cfg.control_mode,
         )
-        # MultiTierApp, or HybridPlant wrapping one in hybrid mode —
-        # both expose the same control surface.
-        self.plants: List = []
+        self.plants: List[MultiTierApp] = []
         scale_lo, scale_hi = cfg.demand_scale_range
         for i in range(cfg.n_apps):
             # Optional heterogeneity: each app's per-request CPU demands
@@ -185,8 +182,6 @@ class TestbedBackend:
                 concurrency=self.workloads[i].level(0.0),
                 rng=app_rngs[i],
             )
-            if cfg.plant_mode == "hybrid":
-                plant = HybridPlant(plant, cfg.hybrid)
             self.plants.append(plant)
             vm_ids = [f"app{i}-web", f"app{i}-db"]
             for j, vm_id in enumerate(vm_ids):
@@ -414,17 +409,11 @@ class TestbedBackend:
         if self.attributor is not None:
             attribution = self.attributor.summary()
             get_telemetry().event("attribution_summary", attribution=attribution)
-        hybrid = None
-        if self.config.plant_mode == "hybrid":
-            hybrid = {
-                f"app{i}": plant.summary() for i, plant in enumerate(self.plants)
-            }
         return TestbedResult(
             recorder=self.recorder,
             model=self.model,
             sysid_r2=self.sysid_r2,
             attribution=attribution,
-            hybrid=hybrid,
         )
 
     # -- checkpointing (replay verification) ---------------------------

@@ -17,7 +17,6 @@ from typing import Dict, Optional
 from repro.apps.workload import ConcurrencySchedule
 from repro.control.arx import ARXModel
 from repro.faults import FaultSchedule
-from repro.sim.hybrid import HybridConfig
 from repro.sim.metrics import SeriesRecorder
 from repro.util.validation import check_positive
 
@@ -59,13 +58,6 @@ class TestbedConfig:
     Both are counter-based and read-only: enabling them never changes
     control decisions or the simulated trajectory.
 
-    ``plant_mode`` selects the request-level plant: ``"des"`` (default)
-    simulates every request; ``"hybrid"`` wraps each plant in a
-    :class:`repro.sim.hybrid.HybridPlant` that fast-forwards
-    quasi-static control periods through the analytic MVA fixed point
-    and falls back to the exact DES around transients (``hybrid`` tunes
-    the switching policy; a plain dict is coerced).
-
     ``control_mode`` selects the application-level control path in the
     :class:`~repro.core.manager.PowerManager`: ``"fleet"`` (default)
     batches all apps' sysid/MPC through the grouped kernels each
@@ -99,8 +91,6 @@ class TestbedConfig:
     mpc_warm_start: bool = True
     trace_requests_every: int = 0
     attribute_power: bool = False
-    plant_mode: str = "des"
-    hybrid: Optional[HybridConfig] = None
     control_mode: str = "fleet"
     seed: int = 2010
 
@@ -110,13 +100,6 @@ class TestbedConfig:
                 f"control_mode must be 'fleet' or 'scalar', "
                 f"got {self.control_mode!r}"
             )
-        if self.plant_mode not in ("des", "hybrid"):
-            raise ValueError(
-                f"plant_mode must be 'des' or 'hybrid', got {self.plant_mode!r}"
-            )
-        if isinstance(self.hybrid, dict):
-            # Scenario specs carry the switching policy as plain JSON.
-            object.__setattr__(self, "hybrid", HybridConfig(**self.hybrid))
         if self.n_servers < 1 or self.n_apps < 1:
             raise ValueError("need at least one server and one application")
         check_positive("duration_s", self.duration_s)
@@ -157,10 +140,6 @@ class TestbedResult:
     #: :class:`repro.obs.attribution.EnergyAttributor`); ``None`` unless
     #: the run had ``attribute_power=True``.
     attribution: Optional[dict] = None
-    #: Per-app hybrid fast-forward summaries (mode switches, MVA vs
-    #: exact period counts — see :meth:`repro.sim.hybrid.HybridPlant.summary`);
-    #: ``None`` unless the run had ``plant_mode="hybrid"``.
-    hybrid: Optional[Dict[str, dict]] = None
 
     def rt_summary(self, app_index: int) -> dict:
         """Mean/std/min/max of an app's measured response times."""

@@ -10,8 +10,7 @@ oracle: the equivalence property tests in
 ``tests/test_des_equivalence.py`` drive random workloads through both
 kernels and assert bitwise-equal departure times, counters, and event
 logs.  It is also the exact processor-sharing baseline any approximate
-plant (e.g. :class:`repro.sim.hybrid.HybridPlant`) can be bounded
-against.
+plant can be bounded against.
 
 Nothing here should be "improved" — it is the frozen baseline.  The
 classes subclass / interoperate with :mod:`repro.sim.des` types

@@ -108,7 +108,7 @@ class TestAdaptiveController:
     def _base(self):
         return ARXModel(a=[0.4], b=[[-800.0, -300.0], [-100.0, -50.0]], g=1800.0)
 
-    def _closed_loop(self, ctrl, plant_model, periods, rng, setpoint=1000.0):
+    def _closed_loop(self, ctrl, true_model, periods, rng, setpoint=1000.0):
         t_hist = [setpoint]
         c_hist = [ctrl.current_demand_ghz] * 2
         t_k = setpoint
@@ -117,7 +117,7 @@ class TestAdaptiveController:
             c_next = ctrl.update(t_k)
             c_hist.insert(0, c_next)
             c_hist = c_hist[:2]
-            t_k = plant_model.one_step(t_hist, np.asarray(c_hist)) + rng.normal(0, 20.0)
+            t_k = true_model.one_step(t_hist, np.asarray(c_hist)) + rng.normal(0, 20.0)
             t_hist = [t_k]
             history.append(t_k)
         return np.asarray(history)

@@ -21,12 +21,8 @@ from repro.apps import (
     RampWorkload,
     StepWorkload,
     TierSpec,
-    mm1_mean_response_time,
-    mm1_utilization,
     mva_closed_network,
-    p90_from_mean_exponential,
 )
-from repro.apps.queueing import closed_network_response_time_ms
 
 
 class TestDemandDistributions:
@@ -129,19 +125,6 @@ class TestMVA:
             mva_closed_network([0.1], -1, 1.0)
         with pytest.raises(ValueError):
             mva_closed_network([0.1], 10, 1.0, visits=[1.0, 2.0])
-
-    def test_closed_network_response_time_ms(self):
-        rt = closed_network_response_time_ms([0.02, 0.015], [1.0, 1.0], 40, 1.0)
-        res = mva_closed_network([0.02, 0.015], 40, 1.0)
-        assert rt == pytest.approx(res.response_time_s * 1000.0)
-
-    def test_mm1_helpers(self):
-        assert mm1_utilization(10.0, 0.05) == pytest.approx(0.5)
-        assert mm1_mean_response_time(10.0, 0.05) == pytest.approx(0.1)
-        assert mm1_mean_response_time(20.0, 0.05) == math.inf
-
-    def test_p90_exponential(self):
-        assert p90_from_mean_exponential(1.0) == pytest.approx(math.log(10.0))
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -1,11 +1,8 @@
-"""Extension features: approximate MVA, trace analytics, SLA metrics, CLI."""
+"""Extension features: trace analytics, SLA metrics, CLI."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.apps import approx_mva_closed_network, mva_closed_network
 from repro.sim.metrics import PeriodStats
 from repro.traces import (
     TraceConfig,
@@ -15,54 +12,6 @@ from repro.traces import (
     trace_statistics,
 )
 from repro.traces.stats import aggregate_demand_profile
-
-
-class TestApproxMVA:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        data=st.data(),
-        n=st.integers(1, 200),
-        z=st.floats(0.0, 3.0),
-    )
-    def test_close_to_exact(self, data, n, z):
-        m = data.draw(st.integers(1, 4))
-        s = [data.draw(st.floats(0.005, 0.1)) for _ in range(m)]
-        exact = mva_closed_network(s, n, z)
-        approx = approx_mva_closed_network(s, n, z)
-        # Schweitzer's documented worst case in unbalanced networks is
-        # roughly 25% (empirical worst over 3000 random instances of this
-        # family: 24.7%); assert a 30% envelope.
-        rel = 0.30
-        if exact.response_time_s > 0:
-            assert approx.response_time_s == pytest.approx(
-                exact.response_time_s, rel=rel
-            )
-        assert approx.throughput_rps == pytest.approx(
-            exact.throughput_rps, rel=rel
-        )
-        # Physical sanity regardless of population size.
-        assert approx.response_time_s >= sum(s) - 1e-9
-        assert np.all(approx.station_utilization <= 1.0 + 1e-9)
-
-    def test_zero_clients(self):
-        res = approx_mva_closed_network([0.1], 0, 1.0)
-        assert res.response_time_s == 0.0
-        assert res.throughput_rps == 0.0
-
-    def test_exact_for_one_client(self):
-        exact = mva_closed_network([0.05, 0.02], 1, 1.0)
-        approx = approx_mva_closed_network([0.05, 0.02], 1, 1.0)
-        assert approx.response_time_s == pytest.approx(exact.response_time_s, rel=1e-6)
-
-    def test_utilization_bounded(self):
-        res = approx_mva_closed_network([0.02, 0.015], 500, 1.0)
-        assert np.all(res.station_utilization <= 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            approx_mva_closed_network([], 1, 1.0)
-        with pytest.raises(ValueError):
-            approx_mva_closed_network([0.1], -1, 1.0)
 
 
 class TestTraceStats:

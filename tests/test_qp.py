@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from repro.control.qp import solve_qp
+from repro.control.qp import solve_qp, solve_qp_batch
 
 
 def _scipy_reference(H, g, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
@@ -169,6 +169,33 @@ class TestDegenerate:
         r = solve_qp(H, g, A_ub=A_ub, b_ub=b_ub)
         assert r.status == "optimal"
         assert np.max(A_ub @ r.x - b_ub) <= 1e-7
+
+    # 1e-160 * x0 = 1 overflows the KKT solve to a NaN iterate, whose
+    # residual compares False against every tolerance.
+    _DENORMAL_EQ = dict(A_eq=np.array([[1e-160, 0.0]]), b_eq=np.array([1.0]))
+    _BOX = dict(A_ub=np.vstack([np.eye(2), -np.eye(2)]), b_ub=np.full(4, 5.0))
+
+    @pytest.mark.parametrize("box", [False, True])
+    @pytest.mark.parametrize("warm_start", [None, [0]])
+    def test_non_finite_iterate_is_never_ok(self, box, warm_start):
+        r = solve_qp(np.eye(2), np.zeros(2), **self._DENORMAL_EQ,
+                     **(self._BOX if box else {}), warm_start=warm_start)
+        assert r.status == "infeasible"
+        assert not r.ok
+
+    @pytest.mark.parametrize("box", [False, True])
+    def test_non_finite_iterate_is_never_ok_in_a_batch(self, box):
+        box_kw = {}
+        if box:
+            box_kw = dict(A_ub=self._BOX["A_ub"],
+                          b_ub_batch=np.tile(self._BOX["b_ub"], (3, 1)))
+        results = solve_qp_batch(
+            np.eye(2), np.zeros((3, 2)),
+            A_eq=self._DENORMAL_EQ["A_eq"], b_eq_batch=np.ones((3, 1)),
+            **box_kw,
+        )
+        assert [r.status for r in results] == ["infeasible"] * 3
+        assert not any(r.ok for r in results)
 
     def test_redundant_constraints(self):
         # Same inequality twice must not confuse the working set.

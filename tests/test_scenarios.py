@@ -68,9 +68,11 @@ class TestValidate:
         problems = self._spec(name=" ").validate()
         assert any("name" in p for p in problems)
 
-    def test_unknown_config_param_flagged(self):
-        problems = self._spec(params={"bogus_knob": 1}).validate()
-        assert any("bogus_knob" in p for p in problems)
+    # The last two selected a deleted plant lane: old specs fail loudly.
+    @pytest.mark.parametrize("key", ["bogus_knob", "plant_mode", "hybrid"])
+    def test_unknown_config_param_flagged(self, key):
+        problems = self._spec(params={key: 1}).validate()
+        assert any(key in p for p in problems)
 
     def test_bad_config_value_flagged(self):
         problems = self._spec(params={"duration_s": -5.0}).validate()

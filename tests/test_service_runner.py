@@ -114,6 +114,47 @@ class TestGoldenHash:
         assert row.result["info"]["workers"] == 2
         assert multiprocessing.active_children() == []
 
+    def test_audit_and_progress_are_stored_before_done(
+        self, store, tmp_path, monkeypatch
+    ):
+        # A client polling for "done" then fetching /audit must find it.
+        seen = {}
+        finish_run = store.finish_run
+
+        def spy(run_id, status, **kw):
+            if status == "done":
+                seen["audit"] = store.get_audit(run_id)
+                seen["periods_done"] = store.get_run(run_id).periods_done
+            finish_run(run_id, status, **kw)
+
+        monkeypatch.setattr(store, "finish_run", spy)
+        runner = _runner(store, tmp_path)
+        run, _ = store.submit_run(_small_doc())
+        runner.start()
+        try:
+            assert runner.wait_idle(60.0)
+        finally:
+            runner.stop()
+        row = store.get_run(run.id)
+        assert row.status == "done", row.error
+        assert seen["audit"] is not None
+        assert seen["periods_done"] == row.n_periods
+
+    def test_failing_audit_still_ends_done(self, store, tmp_path, monkeypatch):
+        def broken_audit(*args, **kwargs):
+            raise KeyError("slo")
+
+        monkeypatch.setattr("repro.service.runner.audit_jsonl", broken_audit)
+        runner = _runner(store, tmp_path)
+        run, _ = store.submit_run(_small_doc())
+        runner.start()
+        try:
+            assert runner.wait_idle(60.0)
+        finally:
+            runner.stop()
+        assert store.get_run(run.id).status == "done"
+        assert store.get_audit(run.id) is None
+
     def test_failed_spec_is_recorded_not_raised(self, store, tmp_path):
         doc = _small_doc()
         doc["params"]["n_servers"] = 0  # builds, but the harness rejects it

@@ -7,16 +7,15 @@ benchmarking tool at a fixed concurrency level (paper §VI-A).
 
 Model
 -----
-* Each tier is a processor-sharing CPU (:class:`repro.sim.des.PSResource`)
-  whose capacity equals the GHz allocation of the hosting VM — the
-  quantity the paper's controller actuates.
+* Each tier is an egalitarian processor-sharing CPU whose capacity
+  equals the GHz allocation of the hosting VM — the quantity the
+  paper's controller actuates.  With ``n`` requests in service each
+  progresses at ``capacity / n`` GHz; an optional admission cap
+  (:attr:`TierSpec.max_concurrency`) makes the excess wait FIFO at the
+  tier's door.
 * A fixed population of closed-loop clients (the concurrency level)
   cycles: think (exponential) → tier 1 → tier 2 → ... → record response
   time → think again.  This matches ``ab``'s closed-loop semantics.
-  Each client is a small state record driven by three callbacks
-  (``_begin_cycle`` → ``_after_think`` → ``_tier_done`` per visit); the
-  simulator and the tiers call them directly, so a tier visit costs no
-  generator resume, event object or closure.
 * Per-visit CPU demands are drawn from configurable distributions
   (:mod:`repro.apps.demand`), so response times are stochastic and the
   90-percentile is measured *empirically* per control period, exactly as
@@ -25,24 +24,75 @@ Model
 The app exposes :meth:`MultiTierApp.run_period`, which advances the
 embedded discrete-event simulation by one control period and returns the
 measurements the response-time controller consumes.
+
+The event loop
+--------------
+Each app is one discrete-event simulation run by one dispatch loop
+(:meth:`MultiTierApp._dispatch`) over flat per-tier lists — remaining
+work, client id and door-arrival time per queued request — with no event,
+timer or callback objects.  A tier's next completion is a ``(time,
+seq)`` pair; think-overs and fault restarts sit on one heap of ``(time,
+seq, id)`` entries that are never cancelled.  Every booking takes the
+next sequence number, and the loop fires the earliest ``(time, seq)``
+among the heap top and the tiers' completions.  The per-request PS
+arithmetic is the textbook one and is pinned operation for operation:
+
+* an advance over ``dt`` subtracts ``capacity / n * dt`` from every
+  remaining work once (one IEEE-754 subtraction per job), and the cached
+  minimum follows the same subtraction, so it stays bitwise equal to the
+  smallest element;
+* a job with at most ``1e-12`` GHz-s left has finished; a lone finisher
+  leaves by ``index`` / ``del`` / ``min``, ties are swept in arrival
+  order;
+* a tier's next completion is booked ``max(min, 0) * n / capacity``
+  seconds ahead whenever its queue or capacity changes;
+* at an admission gate, a finished request takes its next step before
+  the next waiter is admitted.
+
+The common event — a think-over entering tier 1, or a lone finisher
+moving to the next tier or back to think — runs inline in the loop;
+ties, gated tiers, completions that fall due inside another event and
+every call from outside the loop take the general methods below, which
+perform the same operations in the same order.
+
+When every tier's demand is :class:`~repro.apps.demand.Exponential`,
+think times and demands inside the loop come from blocks of
+``standard_exponential`` draws: ``scale * x`` is bit-equal to
+``rng.exponential(scale)``, and both consume the bit generator the same
+way.  On the way out the loop restores the generator state it found and
+redraws exactly the values it used, so the generator ends where per-draw
+calls would have left it — identification shares one generator between
+the plant and its excitation draws.  Other demand distributions draw
+one value per call through :meth:`DemandDistribution.sample`.
+
+Bit-identity with the general discrete-event kernel this loop replaced
+is pinned by the differential properties in
+``tests/test_des_equivalence.py`` (oracles in ``tests/oracles/``).
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.apps.demand import DemandDistribution, Exponential
+from repro.obs import get_telemetry
 from repro.obs.reqtrace import RequestTrace, RequestTracer
-from repro.sim.des import PSResource, SimEvent, Simulator
 from repro.sim.metrics import PeriodStats
 from repro.util.rng import RngLike, ensure_rng
 from repro.util.validation import check_positive
 
 __all__ = ["TierSpec", "AppSpec", "MultiTierApp"]
+
+_INF = math.inf
+
+#: Values per block of standard-exponential draws inside the event loop.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -127,108 +177,6 @@ class AppSpec:
         )
 
 
-class _Tier:
-    """One tier: a PS CPU behind an optional FIFO admission gate.
-
-    With ``max_concurrency`` set, at most that many requests share the
-    CPU; the rest wait in arrival order, as behind a worker-pool limit.
-    The sojourn a request is completed with is the *total* time at the
-    tier (admission wait + service).
-
-    Without a cap the gate is pass-through: ``submit`` is the PS
-    resource's own (sojourn = service time, same synchronous completion).
-    """
-
-    __slots__ = ("sim", "spec", "resource", "_waiting", "_in_service")
-
-    def __init__(self, sim: Simulator, spec: TierSpec, capacity_ghz: float):
-        self.sim = sim
-        self.spec = spec
-        self.resource = PSResource(sim, capacity_ghz)
-        self._waiting: Deque[tuple] = deque()
-        self._in_service = 0
-
-    def submit(
-        self,
-        work_ghz_seconds: float,
-        on_done: Optional[Callable[[Any, float], None]] = None,
-        token: Any = None,
-    ) -> Optional[SimEvent]:
-        """Same contract as :meth:`PSResource.submit`: completion calls
-        ``on_done(token, sojourn_s)``, or fires the returned event when
-        no callback is given."""
-        if self.spec.max_concurrency is None:
-            return self.resource.submit(work_ghz_seconds, on_done, token)
-        ev = None
-        if on_done is None:
-            token = ev = self.sim.event()
-            on_done = SimEvent.succeed
-        job = (float(work_ghz_seconds), on_done, token, self.sim.now)
-        if self._in_service < self.spec.max_concurrency:
-            self._start(job)
-        else:
-            self._waiting.append(job)
-        return ev
-
-    def _start(self, job: tuple) -> None:
-        self._in_service += 1
-        self.resource.submit(job[0], self._complete, job)
-
-    def _complete(self, job: tuple, _service_s: float) -> None:
-        _work, on_done, token, arrival = job
-        self._in_service -= 1
-        on_done(token, self.sim.now - arrival)
-        cap = self.spec.max_concurrency
-        while self._waiting and self._in_service < cap:
-            self._start(self._waiting.popleft())
-
-    def clear(self) -> None:
-        """Forget queued and waiting requests (end of a run)."""
-        self._waiting.clear()
-        self.resource.clear()
-
-    # -- pass-throughs ---------------------------------------------------
-
-    def set_capacity(self, capacity_ghz: float) -> None:
-        self.resource.set_capacity(capacity_ghz)
-
-    def degrade(self, fraction: float) -> None:
-        self.resource.degrade(fraction)
-
-    @property
-    def degrade_fraction(self) -> float:
-        return self.resource.degrade_fraction
-
-    def reset_counters(self) -> None:
-        self.resource.reset_counters()
-
-    @property
-    def work_done(self) -> float:
-        return self.resource.work_done
-
-    @property
-    def queue_length(self) -> int:
-        """Requests in service plus any waiting at the admission gate."""
-        if self.spec.max_concurrency is None:
-            return self.resource.queue_length
-        return self._in_service + len(self._waiting)
-
-
-class _Client:
-    """State of one closed-loop client between callbacks."""
-
-    __slots__ = ("idx", "t_start", "tier", "work", "trace")
-
-    def __init__(self, idx: int):
-        self.idx = idx
-        self.t_start = 0.0  # when the request in flight left think
-        self.tier = 0  # index of the tier being visited
-        self.work = 0.0  # demand drawn for that visit
-        # (tracer, request index, visits so far) while the request in
-        # flight is a sampled one, else None.
-        self.trace: Optional[tuple] = None
-
-
 class MultiTierApp:
     """A running multi-tier application with closed-loop clients.
 
@@ -252,27 +200,60 @@ class MultiTierApp:
         rng: RngLike = None,
     ):
         self.spec = spec
-        self.sim = Simulator()
         self._rng = ensure_rng(rng)
-        if initial_allocations_ghz is None:
-            initial_allocations_ghz = [1.0] * spec.n_tiers
-        alloc = np.asarray(initial_allocations_ghz, dtype=float)
-        if alloc.shape != (spec.n_tiers,):
-            raise ValueError(
-                f"expected {spec.n_tiers} allocations, got shape {alloc.shape}"
-            )
-        self._alloc = np.empty(spec.n_tiers)
-        self._tiers: List[_Tier] = [
-            _Tier(self.sim, tier, 1.0) for tier in spec.tiers
+        tiers = spec.tiers
+        nt = len(tiers)
+        # Per-tier state, indexed by tier id.
+        self._names = [t.name for t in tiers]
+        self._demand: List[DemandDistribution] = [t.demand for t in tiers]
+        self._gate: List[Optional[int]] = [t.max_concurrency for t in tiers]
+        #: Exponential scales when every demand is exponential (the loop
+        #: then draws in blocks), else None (one draw per call).
+        self._scale: Optional[List[float]] = (
+            [t.demand.mean for t in tiers]
+            if all(type(t.demand) is Exponential for t in tiers)
+            else None
+        )
+        self._rem: List[List[float]] = [[] for _ in tiers]  # remaining work
+        self._who: List[List[int]] = [[] for _ in tiers]  # client per job
+        self._door: List[List[float]] = [[] for _ in tiers]  # door arrival
+        self._min = [_INF] * nt  # min remaining work (inf when idle)
+        self._due = [_INF] * nt  # next completion time (inf = none booked)
+        self._due_seq = [0] * nt
+        self._last = [0.0] * nt  # time of the last advance
+        self._nominal = [1.0] * nt
+        self._frac = [1.0] * nt
+        self._cap = [1.0] * nt  # nominal * degradation fraction
+        self._work_done = [0.0] * nt  # GHz-s processed this period
+        self._busy = [0] * nt  # in CPU service behind an admission gate
+        self._waiting: List[Deque[Tuple[int, float, float]]] = [
+            deque() for _ in tiers
         ]
-        self.set_allocations(alloc)
+        # The clock and the heap of (time, seq, id): id >= 0 is a client's
+        # think-over, -1 a fault restart looked up in _restarts by seq.
+        self._now = 0.0
+        self._seq = 0
+        self._heap: List[Tuple[float, int, int]] = []
+        self._restarts: Dict[int, Tuple[int, float]] = {}
+        # Clients, indexed by client id (= spawn order).
+        self._t_start: List[float] = []  # when the request in flight began
+        # [tracer, request index, visits, work of the visit in flight]
+        # while a sampled request is in flight, else None.
+        self._trace: List[Optional[list]] = []
         self._target_n = 0
-        self._n_spawned = 0
-        self._parked: Dict[int, _Client] = {}
+        self._parked: Set[int] = set()
         self._period_rts: List[float] = []
         self._tracer: Optional[RequestTracer] = None
+        # Block draws while the loop runs (None outside it).
+        self._buf: Optional[List[float]] = None
+        self._n_drawn = 0
+        self._rng_state: Optional[dict] = None
         #: Set by :meth:`close`; a closed app cannot run.
         self.closed = False
+        self._alloc = np.empty(nt)
+        if initial_allocations_ghz is None:
+            initial_allocations_ghz = [1.0] * nt
+        self.set_allocations(initial_allocations_ghz)
         if concurrency:
             self.set_concurrency(concurrency)
 
@@ -290,15 +271,22 @@ class MultiTierApp:
 
     def set_allocations(self, allocations_ghz: Sequence[float]) -> None:
         """Apply new per-tier allocations, clipped to each tier's range."""
+        self._check_open()
         alloc = np.asarray(allocations_ghz, dtype=float)
         if alloc.shape != (self.spec.n_tiers,):
             raise ValueError(
                 f"expected {self.spec.n_tiers} allocations, got shape {alloc.shape}"
             )
-        for j, (tier, res) in enumerate(zip(self.spec.tiers, self._tiers)):
+        for j, value in enumerate(alloc):
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"allocation for tier {j} ({self._names[j]}) must be "
+                    f"finite, got {value}"
+                )
+        for j, tier in enumerate(self.spec.tiers):
             value = float(np.clip(alloc[j], tier.min_alloc_ghz, tier.max_alloc_ghz))
             self._alloc[j] = value
-            res.set_capacity(value)
+            self._set_service(j, value, self._frac[j])
 
     def degrade_tier(self, tier_index: int, fraction: float) -> None:
         """Deliver only *fraction* of tier ``tier_index``'s allocation.
@@ -306,12 +294,35 @@ class MultiTierApp:
         Fault-injection hook: the hosting server crashed (fraction 0) or
         is thermally throttled.  Orthogonal to :meth:`set_allocations` —
         a later allocation change keeps the degradation fraction.
+        In-flight requests keep their remaining work through a stall.
         """
-        self._tiers[tier_index].degrade(fraction)
+        self._check_open()
+        fraction = _check_fraction(fraction)
+        self._set_service(tier_index, self._nominal[tier_index], fraction)
+
+    def restart_tier(
+        self, tier_index: int, downtime_s: float, fraction: float
+    ) -> None:
+        """Restart tier ``tier_index``'s VM: it serves nothing for
+        ``downtime_s`` seconds, then *fraction* of its allocation.
+
+        Fault-injection hook for a VM that an emergency evacuation just
+        re-placed.  The restore is an event of this app's simulation, so
+        it lands mid-period when the downtime is shorter than a period.
+        """
+        self._check_open()
+        fraction = _check_fraction(fraction)
+        downtime_s = float(downtime_s)
+        if not 0.0 <= downtime_s < _INF:
+            raise ValueError(f"downtime must be finite and >= 0, got {downtime_s}")
+        self.degrade_tier(tier_index, 0.0)
+        self._seq += 1
+        self._restarts[self._seq] = (tier_index, fraction)
+        heapq.heappush(self._heap, (self._now + downtime_s, self._seq, -1))
 
     def tier_degrade_fraction(self, tier_index: int) -> float:
         """Current degradation fraction of tier ``tier_index``."""
-        return self._tiers[tier_index].degrade_fraction
+        return self._frac[tier_index]
 
     def allocation_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """(lower, upper) per-tier allocation bounds in GHz."""
@@ -329,31 +340,34 @@ class MultiTierApp:
             raise ValueError(f"concurrency must be >= 0, got {n}")
         self._check_open()
         self._target_n = int(n)
-        while self._n_spawned < self._target_n:
-            client = _Client(self._n_spawned)
-            self._n_spawned += 1
-            self._begin_cycle(client)
-        for idx in sorted(self._parked):
-            if idx < self._target_n:
-                self._begin_cycle(self._parked.pop(idx))
+        while len(self._t_start) < self._target_n:
+            self._t_start.append(0.0)
+            self._trace.append(None)
+            self._begin_cycle(len(self._t_start) - 1)
+        for c in sorted(self._parked):
+            if c < self._target_n:
+                self._parked.discard(c)
+                self._begin_cycle(c)
 
     def close(self) -> None:
         """End the simulation: drop pending events and queued requests.
 
-        The event queue and the tiers' job lists hold this app's bound
-        callbacks, and the app holds them, so a finished app is a
-        reference cycle of a few hundred objects.  A process that runs
-        many scenarios (``repro-serve`` workers, the benchmark's passes)
-        would otherwise carry each finished run until the next full
-        garbage collection.  The app cannot run after this:
-        :meth:`run_period`, :meth:`warmup` and :meth:`set_concurrency`
-        raise ``RuntimeError``.
+        For the end of a run, so a process that runs many scenarios
+        (``repro-serve`` workers, the benchmark's passes) does not carry
+        each finished run's queues.  The app cannot run or be
+        reconfigured after this: :meth:`run_period`, :meth:`warmup`,
+        :meth:`set_concurrency`, :meth:`set_allocations`,
+        :meth:`degrade_tier` and :meth:`restart_tier` raise
+        ``RuntimeError``.
         """
         self.closed = True
         self._parked.clear()
-        for tier in self._tiers:
-            tier.clear()
-        self.sim.clear()
+        for j in range(len(self._rem)):
+            self._rem[j], self._who[j], self._door[j] = [], [], []
+            self._min[j] = self._due[j] = _INF
+            self._waiting[j].clear()
+        self._heap.clear()
+        self._restarts.clear()
 
     def _check_open(self) -> None:
         if self.closed:
@@ -364,7 +378,7 @@ class MultiTierApp:
     def warmup(self, duration_s: float) -> None:
         """Run *duration_s* seconds and discard all measurements."""
         self._check_open()
-        self.sim.run_until(self.sim.now + float(duration_s))
+        self._run_until(self._now + float(duration_s))
         self._reset_period()
 
     def run_period(self, duration_s: float) -> PeriodStats:
@@ -372,13 +386,13 @@ class MultiTierApp:
         self._check_open()
         duration_s = check_positive("duration_s", duration_s)
         self._reset_period()
-        self.sim.run_until(self.sim.now + duration_s)
+        self._run_until(self._now + duration_s)
         rts = np.asarray(self._period_rts, dtype=float)
         utils = tuple(
-            min(res.work_done / (self._alloc[j] * duration_s), 1.0)
+            min(work / (self._alloc[j] * duration_s), 1.0)
             if self._alloc[j] > 0
             else 0.0
-            for j, res in enumerate(self._tiers)
+            for j, work in enumerate(self._work_done)
         )
         if rts.size:
             p90 = float(np.percentile(rts, 90.0))
@@ -404,12 +418,12 @@ class MultiTierApp:
         the same duration they ran.
         """
         return np.asarray(
-            [res.work_done / duration_s for res in self._tiers], dtype=float
+            [work / duration_s for work in self._work_done], dtype=float
         )
 
     def queue_lengths(self) -> List[int]:
-        """Instantaneous number of in-service requests per tier."""
-        return [res.queue_length for res in self._tiers]
+        """Requests per tier: in service plus waiting at the admission gate."""
+        return [len(rem) + len(w) for rem, w in zip(self._rem, self._waiting)]
 
     # -- request-path tracing -------------------------------------------
 
@@ -431,54 +445,395 @@ class MultiTierApp:
         """Finished request traces since the last drain ([] if disabled)."""
         return self._tracer.drain() if self._tracer is not None else []
 
-    # -- internals ------------------------------------------------------
+    # -- internals: the clock -------------------------------------------
 
     def _reset_period(self) -> None:
         self._period_rts = []
-        for res in self._tiers:
-            res.reset_counters()
+        for j in range(len(self._rem)):
+            self._advance(j)
+            self._work_done[j] = 0.0
 
-    # The client cycle.  Every RNG draw, ``schedule`` and ``submit``
-    # happens at the point, and in the order, the sequential loop
-    # "park? -> think -> park? -> visit each tier -> record" makes them;
-    # tracing only *records* the sojourn each completion already carries.
+    def _run_until(self, until: float) -> None:
+        """Fire every event due at or before *until*, then set the clock
+        to *until*.
 
-    def _begin_cycle(self, client: _Client) -> None:
-        """Top of the loop: park if above the target level, else think."""
-        if client.idx >= self._target_n:
-            self._parked[client.idx] = client
+        With telemetry enabled each call is one ``des.run_until`` span
+        annotated with the number of events fired, also counted as
+        ``des.events``; the loop itself stays uninstrumented.
+        """
+        if until < self._now:
+            raise ValueError(f"cannot run backwards to {until} from {self._now}")
+        tel = get_telemetry()
+        if not tel.enabled:
+            self._dispatch(until)
+            self._now = until
             return
-        think_s = float(self._rng.exponential(self.spec.think_time_s))
-        self.sim.schedule(think_s, self._after_think, client)
+        with tel.span("des.run_until", until=until) as sp:
+            n_events = self._dispatch(until)
+            self._now = until
+            sp.annotate(events=n_events)
+        tel.count("des.events", n_events)
 
-    def _after_think(self, client: _Client) -> None:
-        """Think time over: start a request at the first tier."""
-        if client.idx >= self._target_n:
-            self._begin_cycle(client)
+    def _dispatch(self, until: float) -> int:
+        """Fire events in ``(time, seq)`` order up to *until*; returns
+        how many fired (a think-over, a restart or a tier completion
+        counts as one).
+
+        ``now`` and ``seq`` live in locals here; they are written back
+        to ``self`` before every call into the general path and read
+        again after it.
+        """
+        heap, pop, push = self._heap, heapq.heappop, heapq.heappush
+        due, due_seq, last = self._due, self._due_seq, self._last
+        rems, whos, doors, mins = self._rem, self._who, self._door, self._min
+        caps, work_done, gate = self._cap, self._work_done, self._gate
+        t_start, traces, names = self._t_start, self._trace, self._names
+        parked, target, rts = self._parked, self._target_n, self._period_rts
+        rng, demand, scale = self._rng, self._demand, self._scale
+        think_s = self.spec.think_time_s
+        tiers = range(len(rems))
+        last_tier = len(rems) - 1
+        buf = None
+        if scale is not None:
+            buf = self._buf = []
+            self._n_drawn = 0
+        now, seq = self._now, self._seq
+        n_events = 0
+        try:
+            while True:
+                # The earliest booked completion, then the heap top.
+                src = -1
+                t = _INF
+                for k in tiers:
+                    tk = due[k]
+                    if tk < t or (tk == t and src >= 0 and due_seq[k] < due_seq[src]):
+                        t = tk
+                        src = k
+                if heap and (
+                    src < 0
+                    or heap[0][0] < t
+                    or (heap[0][0] == t and heap[0][1] < due_seq[src])
+                ):
+                    if heap[0][0] > until:
+                        break
+                    now, ts, c = pop(heap)
+                    n_events += 1
+                    if c < 0:
+                        tier, fraction = self._restarts.pop(ts)
+                        self._now, self._seq = now, seq
+                        self._set_service(tier, self._nominal[tier], fraction)
+                        seq = self._seq
+                        continue
+                    if c >= target:
+                        parked.add(c)
+                        continue
+                    # Think time over: the request enters the first tier.
+                    t_start[c] = now
+                    tracer = self._tracer
+                    req = tracer.begin() if tracer is not None else -1
+                    traces[c] = [tracer, req, [], 0.0] if req >= 0 else None
+                    j = 0
+                    src = -1
+                elif src < 0 or t > until:
+                    break
+                else:
+                    # Tier src's booked completion.
+                    due[src] = _INF
+                    now = t
+                    n_events += 1
+                    c = -1
+                    rem = rems[src]
+                    n = len(rem)
+                    dt = now - last[src]
+                    last[src] = now
+                    if dt > 0 and n:
+                        cap = caps[src]
+                        dec = cap / n * dt
+                        work_done[src] += cap * dt
+                        rem = rems[src] = [v - dec for v in rem]
+                        m = mins[src] = mins[src] - dec
+                        if m <= 1e-12:
+                            i = rem.index(m)
+                            del rem[i]
+                            rest = min(rem) if rem else _INF
+                            if rest > 1e-12 and gate[src] is None:
+                                # A lone finisher, no gate: inline.
+                                mins[src] = rest
+                                c = whos[src].pop(i)
+                                sojourn = now - doors[src].pop(i)
+                                tr = traces[c]
+                                if tr is not None:
+                                    tr[2].append((names[src], sojourn, tr[3]))
+                                if src < last_tier:
+                                    j = src + 1
+                                else:
+                                    t0 = t_start[c]
+                                    if tr is not None:
+                                        tr[0].finish(tr[1], t0, now, tr[2])
+                                    rts.append((now - t0) * 1000.0)
+                                    if c >= target:
+                                        parked.add(c)
+                                    else:
+                                        if buf is not None:
+                                            if not buf:
+                                                self._refill()
+                                            delay = think_s * buf.pop()
+                                        else:
+                                            delay = float(rng.exponential(think_s))
+                                        if not 0.0 <= delay < _INF:
+                                            raise ValueError(
+                                                f"delay must be finite and >= 0, got {delay}"
+                                            )
+                                        seq += 1
+                                        push(heap, (now + delay, seq, c))
+                                    c = -1
+                            else:
+                                rem.insert(i, m)
+                                self._now, self._seq = now, seq
+                                self._complete(src, m)
+                                seq = self._seq
+                if c >= 0:
+                    # Client c visits tier j.
+                    if buf is not None:
+                        if not buf:
+                            self._refill()
+                        work = scale[j] * buf.pop()
+                    else:
+                        work = demand[j].sample(rng)
+                    tr = traces[c]
+                    if tr is not None:
+                        tr[3] = work
+                    if gate[j] is None:
+                        if not 0.0 < work < _INF:
+                            raise ValueError(f"work must be finite and > 0, got {work}")
+                        rem = rems[j]
+                        n = len(rem)
+                        dt = now - last[j]
+                        last[j] = now
+                        if dt > 0 and n:
+                            cap = caps[j]
+                            dec = cap / n * dt
+                            work_done[j] += cap * dt
+                            rem = rems[j] = [v - dec for v in rem]
+                            m = mins[j] = mins[j] - dec
+                            if m <= 1e-12:
+                                self._now, self._seq = now, seq
+                                self._complete(j, m)
+                                seq = self._seq
+                                rem = rems[j]
+                        rem.append(work)
+                        whos[j].append(c)
+                        doors[j].append(now)
+                        m = mins[j]
+                        if work < m:
+                            mins[j] = m = work
+                        cap = caps[j]
+                        if cap <= 0:
+                            due[j] = _INF
+                        else:
+                            delay = m * len(rem) / cap
+                            if not 0.0 <= delay < _INF:
+                                raise ValueError(
+                                    f"delay must be finite and >= 0, got {delay}"
+                                )
+                            seq += 1
+                            due_seq[j] = seq
+                            due[j] = now + delay
+                    else:
+                        self._now, self._seq = now, seq
+                        self._submit(j, c, work)
+                        seq = self._seq
+                if src >= 0:
+                    n = len(rems[src])
+                    cap = caps[src]
+                    if not n or cap <= 0:
+                        due[src] = _INF
+                    else:
+                        m = mins[src]
+                        delay = m * n / cap
+                        if not 0.0 <= delay < _INF:
+                            raise ValueError(
+                                f"delay must be finite and >= 0, got {delay}"
+                            )
+                        seq += 1
+                        due_seq[src] = seq
+                        due[src] = now + delay
+        finally:
+            self._now, self._seq = now, seq
+            if buf is not None:
+                self._buf = None
+                if self._n_drawn:
+                    # Rewind: leave the generator where per-draw calls
+                    # would have, whatever the last block over-drew.
+                    rng.bit_generator.state = self._rng_state
+                    used = self._n_drawn - len(buf)
+                    if used:
+                        rng.standard_exponential(used)
+        return n_events
+
+    def _refill(self) -> None:
+        """Next block of standard-exponential draws, consumed from the end."""
+        if not self._n_drawn:
+            self._rng_state = self._rng.bit_generator.state
+        block = self._rng.standard_exponential(_BLOCK).tolist()
+        block.reverse()
+        self._buf.extend(block)
+        self._n_drawn += _BLOCK
+
+    # -- internals: the general path ------------------------------------
+    #
+    # What the loop does inline, one operation at a time, in the order the
+    # sequential client loop "park? -> think -> park? -> visit each tier
+    # -> record" makes it.  Everything outside the loop and every rare
+    # case inside it comes through here.
+
+    def _book(self, j: int, n: int) -> None:
+        """Book tier j's next completion from its *n* queued jobs.
+
+        The minimum remaining work is positive whenever a job is queued:
+        an advance that takes it to ``1e-12`` or below completes the job.
+        """
+        cap = self._cap[j]
+        if not n or cap <= 0:
+            self._due[j] = _INF
             return
-        client.t_start = self.sim.now
-        tracer = self._tracer
-        req = tracer.begin() if tracer is not None else -1
-        client.trace = (tracer, req, []) if req >= 0 else None
-        self._visit(client, 0)
+        m = self._min[j]
+        delay = m * n / cap
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and >= 0, got {delay}")
+        self._seq += 1
+        self._due_seq[j] = self._seq
+        self._due[j] = self._now + delay
 
-    def _visit(self, client: _Client, j: int) -> None:
-        client.tier = j
-        client.work = work = self.spec.tiers[j].demand.sample(self._rng)
-        self._tiers[j].submit(work, self._tier_done, client)
+    def _set_service(self, j: int, nominal: float, fraction: float) -> None:
+        """New allocation or degradation; queued work is kept."""
+        self._advance(j)
+        self._nominal[j] = nominal
+        self._frac[j] = fraction
+        self._cap[j] = nominal * fraction
+        self._book(j, len(self._rem[j]))
 
-    def _tier_done(self, client: _Client, sojourn_s: float) -> None:
-        """A tier visit completed: next tier, or record and think again."""
-        j = client.tier
-        trace = client.trace
-        if trace is not None:
-            trace[2].append((self.spec.tiers[j].name, sojourn_s, client.work))
-        if j + 1 < len(self._tiers):
-            self._visit(client, j + 1)
+    def _advance(self, j: int) -> None:
+        """Apply tier j's service since its last advance."""
+        now = self._now
+        dt = now - self._last[j]
+        self._last[j] = now
+        rem = self._rem[j]
+        n = len(rem)
+        if dt <= 0 or not n:
             return
-        now = self.sim.now
-        if trace is not None:
-            tracer, req, visits = trace
-            tracer.finish(req, client.t_start, now, visits)
-        self._period_rts.append((now - client.t_start) * 1000.0)
-        self._begin_cycle(client)
+        cap = self._cap[j]
+        dec = cap / n * dt
+        self._work_done[j] += cap * dt
+        self._rem[j] = [v - dec for v in rem]
+        self._min[j] = m = self._min[j] - dec
+        if m <= 1e-12:
+            self._complete(j, m)
+
+    def _complete(self, j: int, min_rem: float) -> None:
+        """Remove tier j's finished jobs, then report them in arrival
+        order (the queue is consistent before anyone hears of them)."""
+        rem, who, door = self._rem[j], self._who[j], self._door[j]
+        i = rem.index(min_rem)
+        del rem[i]
+        rest = min(rem) if rem else _INF
+        if rest > 1e-12:
+            self._min[j] = rest
+            finished = [(who.pop(i), door.pop(i))]
+        else:
+            rem.insert(i, min_rem)
+            finished = [(c, t0) for v, c, t0 in zip(rem, who, door) if v <= 1e-12]
+            keep = [k for k, v in enumerate(rem) if v > 1e-12]
+            self._rem[j] = rem = [rem[k] for k in keep]
+            self._who[j] = [who[k] for k in keep]
+            self._door[j] = [door[k] for k in keep]
+            self._min[j] = min(rem) if rem else _INF
+        now = self._now
+        gate = self._gate[j]
+        for c, t0 in finished:
+            if gate is None:
+                self._tier_done(c, j, now - t0)
+                continue
+            self._busy[j] -= 1
+            self._tier_done(c, j, now - t0)
+            waiting = self._waiting[j]
+            while waiting and self._busy[j] < gate:
+                self._busy[j] += 1
+                self._enqueue(j, *waiting.popleft())
+
+    def _submit(self, j: int, c: int, work: float) -> None:
+        """Client c arrives at tier j's door with *work* GHz-s."""
+        gate = self._gate[j]
+        if gate is not None:
+            if self._busy[j] >= gate:
+                self._waiting[j].append((c, work, self._now))
+                return
+            self._busy[j] += 1
+        self._enqueue(j, c, work, self._now)
+
+    def _enqueue(self, j: int, c: int, work: float, door: float) -> None:
+        """Client c enters tier j's CPU service."""
+        if not 0.0 < work < _INF:
+            raise ValueError(f"work must be finite and > 0, got {work}")
+        self._advance(j)
+        rem = self._rem[j]
+        rem.append(work)
+        self._who[j].append(c)
+        self._door[j].append(door)
+        if work < self._min[j]:
+            self._min[j] = work
+        self._book(j, len(rem))
+
+    def _tier_done(self, c: int, j: int, sojourn_s: float) -> None:
+        """Client c's visit to tier j ended: next tier, or record and
+        think again."""
+        tr = self._trace[c]
+        if tr is not None:
+            tr[2].append((self._names[j], sojourn_s, tr[3]))
+        if j + 1 < len(self._rem):
+            self._visit(c, j + 1)
+            return
+        now = self._now
+        t0 = self._t_start[c]
+        if tr is not None:
+            tr[0].finish(tr[1], t0, now, tr[2])
+        self._period_rts.append((now - t0) * 1000.0)
+        self._begin_cycle(c)
+
+    def _visit(self, c: int, j: int) -> None:
+        buf = self._buf
+        if buf is None:
+            work = self._demand[j].sample(self._rng)
+        else:
+            if not buf:
+                self._refill()
+            work = self._scale[j] * buf.pop()
+        tr = self._trace[c]
+        if tr is not None:
+            tr[3] = work
+        self._submit(j, c, work)
+
+    def _begin_cycle(self, c: int) -> None:
+        """Top of client c's loop: park if above the target level, else
+        think."""
+        if c >= self._target_n:
+            self._parked.add(c)
+            return
+        think_s = self.spec.think_time_s
+        buf = self._buf
+        if buf is None:
+            delay = float(self._rng.exponential(think_s))
+        else:
+            if not buf:
+                self._refill()
+            delay = think_s * buf.pop()
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and >= 0, got {delay}")
+        self._seq += 1
+        heapq.heappush(self._heap, (self._now + delay, self._seq, c))
+
+
+def _check_fraction(fraction: float) -> float:
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+    return float(fraction)

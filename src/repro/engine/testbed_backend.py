@@ -281,8 +281,9 @@ class TestbedBackend:
         Called right after the injector's transitions for a period: a
         tier whose VM is homeless serves nothing; a VM just re-placed by
         an emergency evacuation restarts (zero capacity for
-        ``fault_downtime_s``, scheduled inside the plant's own DES); a
-        tier on a throttled host runs at the host's capacity fraction.
+        ``fault_downtime_s``, restored by an event of the plant's own
+        simulation, :meth:`MultiTierApp.restart_tier`); a tier on a
+        throttled host runs at the host's capacity fraction.
         """
         cfg, dc = self.config, self.dc
         for i, plant in enumerate(self.plants):
@@ -295,9 +296,8 @@ class TestbedBackend:
                 frac = dc.servers[sid].capacity_fraction
                 if vm_id in self.evacuated_vms:
                     self.evacuated_vms.discard(vm_id)
-                    plant.degrade_tier(j, 0.0)
                     downtime = min(cfg.fault_downtime_s, cfg.control_period_s)
-                    plant.sim.schedule(downtime, plant.degrade_tier, j, frac)
+                    plant.restart_tier(j, downtime, frac)
                 elif plant.tier_degrade_fraction(j) != frac:
                     plant.degrade_tier(j, frac)
 

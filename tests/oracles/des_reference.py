@@ -1,6 +1,6 @@
 """Reference (pre-fast-lane) DES kernel, preserved verbatim.
 
-The optimized kernel in :mod:`repro.sim.des` reorganizes the event
+The optimized kernel in :mod:`tests.oracles.des` reorganizes the event
 queue (batched dispatch, lazy-cancel compaction) and the
 processor-sharing bookkeeping (slot arrays instead of per-job objects)
 while keeping every floating-point operation in the same order — its
@@ -13,8 +13,8 @@ logs.  It is also the exact processor-sharing baseline any approximate
 plant can be bounded against.
 
 Nothing here should be "improved" — it is the frozen baseline.  The
-classes subclass / interoperate with :mod:`repro.sim.des` types
-(:class:`~repro.sim.des.SimEvent`, :class:`~repro.sim.des.EventHandle`)
+classes subclass / interoperate with :mod:`tests.oracles.des` types
+(:class:`~tests.oracles.des.SimEvent`, :class:`~tests.oracles.des.EventHandle`)
 so application code is kernel-agnostic.
 """
 
@@ -24,7 +24,7 @@ import math
 from typing import Dict, List, Optional
 
 from repro.obs import get_telemetry
-from repro.sim.des import EventHandle, SimEvent, Simulator
+from tests.oracles.des import EventHandle, SimEvent, Simulator
 
 __all__ = ["ReferenceSimulator", "ReferencePSResource"]
 
@@ -77,7 +77,7 @@ class ReferencePSResource:
     a full per-job rescan in ``_advance``, dict bookkeeping.
 
     Semantics are documented on the optimized
-    :class:`repro.sim.des.PSResource`; the two must stay bit-identical.
+    :class:`tests.oracles.des.PSResource`; the two must stay bit-identical.
     """
 
     __slots__ = (

@@ -214,10 +214,22 @@ class TestMultiTierApp:
         assert alloc[0] == pytest.approx(4.0)  # default max
         assert alloc[1] == pytest.approx(0.1)  # default min
 
-    def test_wrong_allocation_length_rejected(self):
+    @pytest.mark.parametrize(
+        "alloc, match",
+        [
+            ([1.0], "expected 2 allocations"),
+            # Used to be accepted and fail at the next run_period, far
+            # from the call that caused it.
+            ([math.nan, 1.0], "tier 0"),
+            ([1.0, math.inf], "tier 1"),
+        ],
+        ids=["length", "nan", "inf"],
+    )
+    def test_wrong_allocation_length_rejected(self, alloc, match):
         app = MultiTierApp(AppSpec.rubbos(), [1.0, 1.0], rng=0)
-        with pytest.raises(ValueError):
-            app.set_allocations([1.0])
+        with pytest.raises(ValueError, match=match):
+            app.set_allocations(alloc)
+        assert list(app.allocations_ghz) == [1.0, 1.0]
 
     def test_run_period_produces_stats(self):
         app = MultiTierApp(AppSpec.rubbos(), [1.0, 1.0], concurrency=20, rng=1)
@@ -264,6 +276,9 @@ class TestMultiTierApp:
             lambda: app.run_period(10.0),
             lambda: app.warmup(10.0),
             lambda: app.set_concurrency(5),
+            lambda: app.set_allocations([2.0, 2.0]),
+            lambda: app.degrade_tier(0, 0.5),
+            lambda: app.restart_tier(0, 1.0, 1.0),
         ):
             with pytest.raises(RuntimeError, match="app is closed"):
                 call()
@@ -271,9 +286,9 @@ class TestMultiTierApp:
 
     @pytest.mark.parametrize("max_concurrency", [None, 2])
     def test_close_leaves_no_reference_cycle(self, max_concurrency):
-        # Requests in service and waiting at an admission gate hold
-        # bound callbacks of the app and of the tier; close() drops
-        # them, so reference counting alone frees the app.
+        # Requests in service and waiting at an admission gate, pending
+        # think-overs and request traces: reference counting alone frees
+        # a closed app.
         spec = AppSpec(
             "cycle",
             (
@@ -286,15 +301,30 @@ class TestMultiTierApp:
         gc.disable()
         try:
             app = MultiTierApp(spec, [0.3, 0.3], concurrency=15, rng=8)
+            app.enable_request_tracing(3)
             app.warmup(5.0)
             assert sum(app.queue_lengths()) > 0
-            app_alive, sim_alive = weakref.ref(app), weakref.ref(app.sim)
+            app_alive = weakref.ref(app)
             app.close()
             del app
-            # The simulator is what every tier and resource points at.
-            assert app_alive() is None and sim_alive() is None
+            assert app_alive() is None
         finally:
             gc.enable()
+
+    def test_restart_tier_serves_nothing_until_the_downtime_ends(self):
+        app = MultiTierApp(AppSpec.rubbos(), [1.0, 1.0], concurrency=20, rng=2)
+        app.warmup(10.0)
+        app.restart_tier(1, 4.0, 0.5)
+        assert app.tier_degrade_fraction(1) == 0.0
+        app.run_period(2.0)
+        assert app.tier_degrade_fraction(1) == 0.0
+        assert app.used_ghz(2.0)[1] == 0.0
+        app.run_period(4.0)  # the restore fires 2 s into this period
+        assert app.tier_degrade_fraction(1) == 0.5
+        for bad in ((1, -1.0, 0.5), (1, math.nan, 0.5), (1, 1.0, 1.5)):
+            with pytest.raises(ValueError):
+                app.restart_tier(*bad)
+        assert app.tier_degrade_fraction(1) == 0.5
 
     def test_more_allocation_reduces_response_time(self):
         app = MultiTierApp(AppSpec.rubbos(), [0.5, 0.5], concurrency=40, rng=4)
@@ -339,8 +369,8 @@ class TestMultiTierApp:
 
 class TestAdmissionControl:
     def test_concurrency_cap_limits_in_service(self):
-        from repro.apps.rubbos import _Tier
-        from repro.sim.des import Simulator
+        from tests.oracles.des import Simulator
+        from tests.oracles.rubbos_reference import _Tier
 
         sim = Simulator()
         tier = _Tier(sim, TierSpec("t", Exponential(0.02), max_concurrency=2), 1.0)
@@ -351,8 +381,8 @@ class TestAdmissionControl:
         assert all(ev.triggered for ev in events)
 
     def test_fifo_admission_order(self):
-        from repro.apps.rubbos import _Tier
-        from repro.sim.des import Simulator
+        from tests.oracles.des import Simulator
+        from tests.oracles.rubbos_reference import _Tier
 
         sim = Simulator()
         tier = _Tier(sim, TierSpec("t", Exponential(0.02), max_concurrency=1), 1.0)
@@ -362,8 +392,8 @@ class TestAdmissionControl:
         assert finish[0] < finish[1] < finish[2]
 
     def test_cap_one_serializes_exactly(self):
-        from repro.apps.rubbos import _Tier
-        from repro.sim.des import Simulator
+        from tests.oracles.des import Simulator
+        from tests.oracles.rubbos_reference import _Tier
 
         sim = Simulator()
         tier = _Tier(sim, TierSpec("t", Exponential(0.02), max_concurrency=1), 2.0)
@@ -374,8 +404,8 @@ class TestAdmissionControl:
         assert e2.value == pytest.approx(2.0)  # waited 1 s, served 1 s
 
     def test_uncapped_tier_unchanged(self):
-        from repro.apps.rubbos import _Tier
-        from repro.sim.des import Simulator
+        from tests.oracles.des import Simulator
+        from tests.oracles.rubbos_reference import _Tier
 
         sim = Simulator()
         tier = _Tier(sim, TierSpec("t", Exponential(0.02)), 1.0)

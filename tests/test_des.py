@@ -1,4 +1,10 @@
-"""Discrete-event kernel: scheduling, processes, PS and FCFS queues."""
+"""The oracle discrete-event kernel (``tests/oracles/des.py``): scheduling,
+processes, PS and FCFS queues.
+
+The plant no longer runs on this kernel; it is the building block of the
+preserved plant the fused loop is checked against, so its own contract
+stays pinned here.
+"""
 
 import math
 
@@ -7,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.des import FCFSResource, PSResource, Simulator, Timer
+from tests.oracles.des import FCFSResource, PSResource, Simulator, Timer
 
 
 class TestScheduling:
@@ -261,7 +267,7 @@ class TestTimer:
         assert sim.peek() == 3.0
 
     def test_run_without_until_drains_timers(self):
-        # The path benchmarks/bench_microbenchmarks.py's PS churn uses.
+        # run() with no horizon drains the heap and the timers alike.
         sim = Simulator()
         ps = PSResource(sim, 2.0)
         done = []

@@ -1,26 +1,39 @@
-"""Fast DES kernel vs the preserved reference: bit-for-bit equivalence.
+"""Bit-for-bit equivalence of the request-level plant and its oracles.
 
-The optimized :class:`repro.sim.des.PSResource` (remaining work as a
-Python list up to 64 jobs and a float64 slot array above, a
-min-remaining cache, one re-armable completion timer instead of
-cancel-and-reschedule) claims *bit-identical* results to
-:class:`tests.oracles.des_reference.ReferencePSResource` (the original
-per-job dict implementation).  These tests drive both kernels through
-the same operation sequences — random arrivals, capacity changes,
-degradations, idle gaps, ramps across the representation switch — and
-compare every observable float with ``==``, never with a tolerance.
+The plant (:class:`repro.apps.rubbos.MultiTierApp`) is one fused per-app
+event loop over flat lists with block-drawn exponentials.  It is judged
+against two oracles, both kept in ``tests/oracles/``:
+
+* the plant it replaced (:mod:`tests.oracles.rubbos_reference`) on the
+  general event kernel (:mod:`tests.oracles.des`: a Python-list PS queue
+  up to 64 jobs and a float64 slot array above, a min-remaining cache,
+  one re-armable completion timer per queue), and
+* the same plant on the frozen original kernel
+  (:mod:`tests.oracles.des_reference`: one object per job,
+  cancel-and-reschedule).
+
+``TestPSBitIdentity`` and ``TestSameInstantOrder`` pin the two kernels to
+each other: random arrivals, capacity changes, degradations, idle gaps,
+ramps across the list/array switch.  ``TestAppBitIdentity`` runs fixed
+app scenarios on all three, and ``TestFusedPlant`` is the differential
+property over random apps and operation sequences.  Every observable
+float is compared with ``==`` (NaN as NaN), never with a tolerance.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import rubbos
-from repro.apps.demand import Exponential
+from repro.apps.demand import Deterministic, Erlang, Exponential, LogNormal
 from repro.apps.rubbos import AppSpec, MultiTierApp, TierSpec
-from repro.sim.des import _LIST_MAX, PSResource, Simulator
-from tests.oracles import des_reference
+from repro.engine import testbed_backend
+from repro.obs import InMemoryBackend, Telemetry, use_telemetry
+from repro.sim.testbed import TestbedConfig
+from tests.oracles import des_reference, rubbos_reference
+from tests.oracles.des import _LIST_MAX, PSResource, Simulator
 from tests.oracles.des_reference import ReferenceSimulator
 
 
@@ -346,82 +359,146 @@ class TestSameInstantOrder:
         )
 
 
-def _stats_tuple(stats):
-    return (
-        stats.completed,
-        stats.rt_mean_ms,
-        stats.rt_p50_ms,
-        stats.rt_p90_ms,
-        stats.rt_max_ms,
-        tuple(stats.utilizations),
+
+
+# -- the plant: fused loop vs the preserved plant on both kernels ----------
+
+
+def _bits(x):
+    """Exact comparison key: floats by their hex form, so NaN == NaN."""
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, (list, tuple)):
+        return tuple(_bits(v) for v in x)
+    return x
+
+
+def _stats(stats):
+    return _bits(
+        (
+            stats.completed,
+            stats.rt_mean_ms,
+            stats.rt_p50_ms,
+            stats.rt_p90_ms,
+            stats.rt_max_ms,
+            stats.throughput_rps,
+            tuple(stats.utilizations),
+        )
     )
 
 
-class TestAppBitIdentity:
-    """Same app workload on both kernels: identical period statistics.
+def _traces(traces):
+    return _bits(
+        [
+            (t.trace_id, t.app, t.start_s, t.rt_s,
+             [(v.tier, v.sojourn_s, v.work_ghz_s) for v in t.tiers])
+            for t in traces
+        ]
+    )
 
-    ``MultiTierApp`` has no kernel seam; the oracle run swaps the
-    classes :mod:`repro.apps.rubbos` looks up at construction time.
-    """
 
-    @pytest.fixture
-    def on_both_kernels(self, monkeypatch):
-        def compare(run):
-            fast = run()
-            monkeypatch.setattr(rubbos, "Simulator", ReferenceSimulator)
-            monkeypatch.setattr(rubbos, "PSResource", ReferencePSResource)
-            probe = MultiTierApp(AppSpec.rubbos())
-            assert type(probe.sim) is ReferenceSimulator
-            assert type(probe._tiers[0].resource) is ReferencePSResource
-            assert fast == run()
+def _restart(app, tier, downtime_s, fraction):
+    if isinstance(app, MultiTierApp):
+        app.restart_tier(tier, downtime_s, fraction)
+    else:  # what the testbed backend did before restart_tier
+        app.degrade_tier(tier, 0.0)
+        app.sim.schedule(downtime_s, app.degrade_tier, tier, fraction)
 
-        return compare
 
-    def test_period_stats_identical(self, on_both_kernels):
-        def run():
-            app = MultiTierApp(
-                AppSpec.rubbos(),
-                initial_allocations_ghz=[0.8, 0.6],
-                concurrency=25,
-                rng=np.random.default_rng(42),
-            )
-            app.warmup(10.0)
-            out = []
-            for alloc in ([0.8, 0.6], [1.2, 0.9], [0.5, 0.4]):
-                app.set_allocations(alloc)
-                stats = app.run_period(30.0)
-                out.append(
-                    (
-                        stats.completed,
-                        stats.rt_mean_ms,
-                        stats.rt_p50_ms,
-                        stats.rt_p90_ms,
-                        tuple(stats.utilizations),
-                    )
+def _play(plant_cls, spec, script, allocs=None, concurrency=0, seed=0, trace_every=0):
+    """Drive one plant through *script*; return everything observable
+    after each step, the generator state and ``des.events`` included."""
+    rng = np.random.default_rng(seed)
+    tel = Telemetry(InMemoryBackend())
+    events = tel.registry.counter("des.events")
+    log = []
+    with use_telemetry(tel, close=False):
+        app = plant_cls(spec, allocs, concurrency=concurrency, rng=rng)
+        if trace_every:
+            app.enable_request_tracing(trace_every)
+        for op, arg in script:
+            before = events.value
+            out = None
+            if op == "period":
+                out = (_stats(app.run_period(arg)), _bits(list(app.used_ghz(arg))))
+            elif op == "warmup":
+                app.warmup(arg)
+            elif op == "alloc":
+                app.set_allocations(arg)
+            elif op == "degrade":
+                app.degrade_tier(*arg)
+            elif op == "restart":
+                _restart(app, *arg)
+            elif op == "level":
+                app.set_concurrency(arg)
+            else:
+                raise AssertionError(f"unknown op {op!r}")
+            log.append(
+                (
+                    op,
+                    out,
+                    app.queue_lengths(),
+                    _bits(list(app.allocations_ghz)),
+                    [app.tier_degrade_fraction(j) for j in range(spec.n_tiers)],
+                    _traces(app.drain_traces()),
+                    events.value - before,
+                    rng.bit_generator.state,
                 )
-            return out
-
-        on_both_kernels(run)
-
-    def test_fault_path_identical(self, on_both_kernels):
-        def run():
-            app = MultiTierApp(
-                AppSpec.rubbos(),
-                concurrency=20,
-                rng=np.random.default_rng(7),
             )
-            app.warmup(5.0)
-            app.degrade_tier(1, 0.3)
-            s1 = app.run_period(20.0)
-            app.degrade_tier(1, 1.0)
-            s2 = app.run_period(20.0)
-            return (s1.completed, s1.rt_mean_ms, s2.completed, s2.rt_mean_ms)
+    return log
 
-        on_both_kernels(run)
 
-    def test_gated_app_identical(self, on_both_kernels):
-        # Admission gates route completions through _Tier._complete and
-        # its FIFO hand-off instead of straight to the client.
+def _on_reference_kernel():
+    """The preserved plant on the frozen original kernel."""
+    return mock.patch.multiple(
+        rubbos_reference, Simulator=ReferenceSimulator, PSResource=ReferencePSResource
+    )
+
+
+def _check(spec, script, **kwargs):
+    """The fused plant equals both oracles step for step; returns its log."""
+    fused = _play(MultiTierApp, spec, script, **kwargs)
+    assert fused == _play(rubbos_reference.MultiTierApp, spec, script, **kwargs)
+    with _on_reference_kernel():
+        assert fused == _play(rubbos_reference.MultiTierApp, spec, script, **kwargs)
+    return fused
+
+
+def _periods(log):
+    return [out for op, out, *_ in log if op == "period"]
+
+
+class TestAppBitIdentity:
+    """Fixed app scenarios: the fused plant and the preserved plant on
+    both kernels agree on every observable."""
+
+    def test_period_stats_identical(self):
+        script = [("warmup", 10.0)]
+        for alloc in ([0.8, 0.6], [1.2, 0.9], [0.5, 0.4]):
+            script += [("alloc", alloc), ("period", 30.0)]
+        _check(AppSpec.rubbos(), script, allocs=[0.8, 0.6], concurrency=25, seed=42)
+
+    def test_fault_path_identical(self):
+        script = [
+            ("warmup", 5.0),
+            ("degrade", (1, 0.3)),
+            ("period", 20.0),
+            ("degrade", (1, 1.0)),
+            ("period", 20.0),
+            ("restart", (0, 4.0, 0.5)),
+            ("period", 20.0),
+        ]
+        _check(AppSpec.rubbos(), script, concurrency=20, seed=7)
+
+    def test_gated_app_identical(self):
+        # Admission gates hand a finished request its next step before
+        # they admit the next waiter.
+        script = [
+            ("warmup", 5.0),
+            ("period", 20.0),
+            ("alloc", [0.4, 0.9]),
+            ("period", 20.0),
+        ]
         spec = AppSpec(
             name="gated",
             tiers=(
@@ -430,54 +507,216 @@ class TestAppBitIdentity:
             ),
             think_time_s=0.2,
         )
+        _check(spec, script, allocs=[0.8, 0.6], concurrency=20, seed=5)
 
-        def run():
-            app = MultiTierApp(
-                spec, [0.8, 0.6], concurrency=20, rng=np.random.default_rng(5)
-            )
-            app.warmup(5.0)
-            out = [_stats_tuple(app.run_period(20.0))]
-            app.set_allocations([0.4, 0.9])
-            out.append(_stats_tuple(app.run_period(20.0)))
-            return out, app.queue_lengths()
-
-        on_both_kernels(run)
-
-    def test_concurrency_step_down_then_up_identical(self, on_both_kernels):
+    def test_concurrency_step_down_then_up_identical(self):
         # Down: clients above the level park after their request in
         # flight.  Up: parked clients resume in index order, new ones
         # spawn after them.
-        def run():
-            app = MultiTierApp(
-                AppSpec.rubbos(), [0.8, 0.6], concurrency=30,
-                rng=np.random.default_rng(11),
-            )
-            app.warmup(5.0)
-            out = []
-            for level in (30, 8, 8, 45, 0, 12):
-                app.set_concurrency(level)
-                out.append(_stats_tuple(app.run_period(15.0)))
-            return out, app.queue_lengths()
+        script = [("warmup", 5.0)]
+        for level in (30, 8, 8, 45, 0, 12):
+            script += [("level", level), ("period", 15.0)]
+        _check(AppSpec.rubbos(), script, allocs=[0.8, 0.6], concurrency=30, seed=11)
 
-        on_both_kernels(run)
+    def test_request_tracing_changes_nothing_but_the_record(self):
+        script = [("warmup", 5.0), ("period", 20.0), ("period", 20.0)]
+        kwargs = dict(allocs=[0.7, 0.5], concurrency=15, seed=3)
+        dark = _play(MultiTierApp, AppSpec.rubbos(), script, **kwargs)
+        traced = _check(AppSpec.rubbos(), script, trace_every=3, **kwargs)
+        assert _periods(traced) == _periods(dark)
+        traces = [t for step in traced for t in step[5]]
+        assert traces and all(dark_step[5] == () for dark_step in dark)
+        assert all([v[0] for v in t[4]] == ["web", "db"] for t in traces)
 
-    def test_request_tracing_changes_nothing_but_the_record(self, on_both_kernels):
-        def run(sample_every=None):
-            app = MultiTierApp(
-                AppSpec.rubbos(), [0.7, 0.5], concurrency=15,
-                rng=np.random.default_rng(3),
-            )
-            if sample_every:
-                app.enable_request_tracing(sample_every)
-            app.warmup(5.0)
-            stats = [_stats_tuple(app.run_period(20.0)) for _ in range(2)]
-            return stats, app.drain_traces()
 
-        dark_stats, no_traces = run()
-        traced_stats, traces = run(sample_every=3)
-        assert no_traces == [] and traces
-        assert traced_stats == dark_stats
-        assert all(
-            [v.tier for v in trace.tiers] == ["web", "db"] for trace in traces
+@st.composite
+def _apps(draw):
+    """1-3 tiers, exponential or mixed demands, with or without gates."""
+    mixed = draw(st.booleans())
+    tiers = []
+    for j in range(draw(st.integers(1, 3))):
+        mean = draw(st.floats(0.005, 0.05))
+        kinds = ["exp", "erlang", "lognormal", "deterministic"]
+        kind = draw(st.sampled_from(kinds)) if mixed else "exp"
+        demand = {
+            "exp": Exponential(mean),
+            "erlang": Erlang(mean, k=2),
+            "lognormal": LogNormal(mean, cv=0.8),
+            "deterministic": Deterministic(mean),
+        }[kind]
+        gate = draw(st.one_of(st.none(), st.integers(1, 4)))
+        tiers.append(TierSpec(f"t{j}", demand, 0.05, 4.0, max_concurrency=gate))
+    return AppSpec("app", tuple(tiers), draw(st.floats(0.05, 1.0)))
+
+
+def _scripts(n_tiers):
+    tier = st.integers(0, n_tiers - 1)
+    fraction = st.sampled_from([0.0, 0.25, 1.0])
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("period"), st.floats(0.2, 3.0)),
+            st.tuples(st.just("warmup"), st.floats(0.0, 2.0)),
+            st.tuples(
+                st.just("alloc"),
+                st.lists(st.floats(0.02, 5.0), min_size=n_tiers, max_size=n_tiers),
+            ),
+            st.tuples(st.just("degrade"), st.tuples(tier, fraction)),
+            st.tuples(
+                st.just("restart"), st.tuples(tier, st.floats(0.0, 2.0), fraction)
+            ),
+            st.tuples(st.just("level"), st.integers(0, 90)),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+
+
+_TIES = {
+    # Five jobs stalled at each tier, both restored at one instant; a
+    # later restore of the web tier lands on both tiers' completion
+    # instant.
+    "stalled_tiers": (
+        None,
+        [
+            ("level", 5),
+            ("degrade", (1, 0.0)),
+            ("warmup", 30.0),
+            ("degrade", (0, 0.0)),
+            ("level", 10),
+            ("warmup", 30.0),
+            ("restart", (0, 0.0, 1.0)),
+            ("restart", (1, 0.0, 1.0)),
+            ("restart", (0, 1.25, 1.0)),
+            ("restart", (1, 0.5, 1.0)),
+            ("period", 4.0),
+            ("level", 3),
+            ("period", 4.0),
+        ],
+    ),
+    # A gate of one in front of a stalled web tier: each finisher reaches
+    # the idle db tier at the instant the gate admits the next waiter, so
+    # their two completions tie, db booked first.
+    "gate_convoy": (
+        1,
+        [
+            ("level", 5),
+            ("degrade", (0, 0.0)),
+            ("warmup", 30.0),
+            ("restart", (0, 0.0, 1.0)),
+            ("period", 4.0),
+            ("level", 2),
+            ("period", 4.0),
+        ],
+    ),
+}
+
+
+class TestFusedPlant:
+    """The differential property: random apps and operation sequences
+    on the fused plant and on both oracles, compared after every step —
+    period statistics, CPU used, queue lengths, allocations, degradation
+    fractions, drained traces, ``des.events`` and the generator state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_apps_and_operations(self, data):
+        spec = data.draw(_apps(), label="spec")
+        _check(
+            spec,
+            data.draw(_scripts(spec.n_tiers), label="script"),
+            allocs=data.draw(
+                st.lists(st.floats(0.05, 3.0), min_size=spec.n_tiers,
+                         max_size=spec.n_tiers),
+                label="allocs",
+            ),
+            concurrency=data.draw(st.integers(0, 90), label="concurrency"),
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+            trace_every=data.draw(st.sampled_from([0, 1, 4]), label="trace_every"),
         )
-        on_both_kernels(lambda: run(sample_every=3))
+
+    def test_generator_state_after_every_run_period_and_warmup(self):
+        # Every step of _check compares rng.bit_generator.state; these
+        # periods each draw several blocks, so the rewind is exercised
+        # after a refill, after a warmup and across allocation changes.
+        script = [("warmup", 12.0), ("period", 15.0), ("alloc", [0.5, 0.5]),
+                  ("warmup", 3.0), ("period", 15.0)]
+        log = _check(AppSpec.rubbos(), script, concurrency=40, seed=2010)
+        ran = [step[7] for step in log if step[0] in ("warmup", "period")]
+        assert len({str(s) for s in ran}) == len(ran), "every run draws"
+
+    def test_a_period_long_enough_to_refill_the_block(self):
+        refills = []
+        real_refill = MultiTierApp._refill
+
+        def counting_refill(app):
+            refills.append(app._n_drawn)
+            real_refill(app)
+
+        with mock.patch.object(MultiTierApp, "_refill", counting_refill):
+            _play(MultiTierApp, AppSpec.rubbos(), [("period", 10.0)],
+                  concurrency=60, seed=4)
+        assert len(refills) >= 3, "one period must draw several blocks"
+        _check(AppSpec.rubbos(), [("period", 10.0), ("period", 10.0)],
+               concurrency=60, seed=4)
+
+    def test_mixed_demands_draw_one_value_per_call(self):
+        spec = AppSpec(
+            "mixed",
+            (
+                TierSpec("web", Exponential(0.02)),
+                TierSpec("app", Erlang(0.01, k=3), max_concurrency=4),
+                TierSpec("db", LogNormal(0.015, cv=0.8)),
+            ),
+            think_time_s=0.5,
+        )
+        script = [("warmup", 5.0), ("period", 15.0), ("level", 10),
+                  ("period", 15.0), ("restart", (2, 3.0, 1.0)), ("period", 15.0)]
+        with mock.patch.object(MultiTierApp, "_refill", side_effect=AssertionError):
+            _play(MultiTierApp, spec, script, concurrency=30, seed=8)
+        _check(spec, script, concurrency=30, seed=8, trace_every=2)
+
+    def test_queues_longer_than_64_jobs(self):
+        script = [("warmup", 2.0), ("period", 5.0), ("degrade", (1, 0.0)),
+                  ("period", 5.0), ("restart", (1, 1.0, 1.0)), ("period", 5.0)]
+        log = _check(AppSpec.rubbos(think_time_s=0.1), script,
+                     allocs=[1.0, 0.1], concurrency=90, seed=6)
+        assert max(max(step[2]) for step in log) > _LIST_MAX
+
+    @pytest.mark.parametrize("scenario", sorted(_TIES))
+    def test_same_instant_events_fire_in_booking_order(self, scenario):
+        # Equal deterministic demands behind a stalled tier: every queued
+        # job keeps exactly 0.25 GHz-s, so after the restore completions
+        # and restarts land on the same float instants.  Ties between two
+        # tiers, between a tier and the heap, and among the finishers of
+        # one sweep must resolve as the kernel resolved them: earliest
+        # booking first, arrival order within a sweep.  The level drop
+        # afterwards makes client identity observable (who parks).
+        gate, script = _TIES[scenario]
+        spec = AppSpec(
+            "ties",
+            (
+                TierSpec("web", Deterministic(0.25), max_concurrency=gate),
+                TierSpec("db", Deterministic(0.25)),
+            ),
+            think_time_s=1.0,
+        )
+        log = _check(spec, script, seed=12, trace_every=1)
+        assert max(max(step[2]) for step in log) >= 5
+
+    def test_identification_with_a_shared_generator(self):
+        # identify_testbed_model excites the plant with allocations drawn
+        # from the generator the plant draws from, so the fitted model
+        # depends on where every run_period leaves it.
+        cfg = TestbedConfig(sysid_periods=25, seed=2010)
+        fused = testbed_backend.identify_testbed_model(cfg)
+        with mock.patch.object(
+            testbed_backend, "MultiTierApp", rubbos_reference.MultiTierApp
+        ):
+            oracle = testbed_backend.identify_testbed_model(cfg)
+
+        def key(fit):
+            m = fit.model
+            return (m.a.tobytes(), m.b.tobytes(), m.g, fit.r_squared, fit.rmse,
+                    fit.n_samples, fit.condition_number)
+
+        assert key(fused) == key(oracle)

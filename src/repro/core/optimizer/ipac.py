@@ -289,8 +289,10 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
     # ---- Phase A: overload relief (mandatory) -------------------------
     with tel.span("ipac.overload_relief"):
         loads: Dict[str, float] = {s.server_id: 0.0 for s in problem.servers}
+        hosted_on: Dict[str, List[str]] = {}
         for vm_id, sid in mapping.items():
             loads[sid] += vm_by_id[vm_id].demand_ghz
+            hosted_on.setdefault(sid, []).append(vm_id)
         mandatory_ids: Set[str] = set(new_vm_ids)
         evictions: List[str] = list(new_vm_ids)
         for server in problem.servers:
@@ -299,10 +301,9 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
             if loads[sid] <= limit + 1e-9:
                 continue
             target = server.max_capacity_ghz * config.pac.target_utilization
-            hosted = sorted(
-                (vm_id for vm_id, s in mapping.items() if s == sid),
-                key=lambda v: (vm_by_id[v].demand_ghz, v),
-            )
+            # Smallest first; the id breaks ties, so the order does not
+            # depend on the mapping's iteration order.
+            hosted = sorted(hosted_on[sid], key=lambda v: (vm_by_id[v].demand_ghz, v))
             for vm_id in hosted:
                 if loads[sid] <= target + 1e-9:
                     break

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.optimizer.types import VMInfo
 from repro.obs import get_telemetry
-from repro.packing.mbs import MBSResult, MemoryConstraint, minimum_bin_slack
+from repro.packing.mbs import MBSResult, search_sorted, sort_items
 
 __all__ = ["MinSlackConfig", "PlacementList", "select_vms_for_server"]
 
@@ -70,20 +70,36 @@ class PlacementList:
     """The unallocated VMs of one PAC call, kept in search order.
 
     Minimum Slack visits a server's candidates by decreasing demand,
-    ties in list order.  Sorting the id-ordered placement list that way
-    once, and deleting the chosen VMs in place, hands every server the
-    order a per-server sort of the id-ordered remainder would have
-    produced — without rebuilding the demand and memory arrays from
-    ``VMInfo`` objects per server.  The memories are validated once,
-    here; the one :class:`MemoryConstraint` is re-pointed per server.
+    ties in list order.  The list is sorted that way once, at
+    construction, and owns what the search reads: the demands, their
+    suffix sums and the memories with their suffix minima (see
+    :func:`repro.packing.mbs.sort_items`), as Python lists handed to
+    :func:`repro.packing.mbs.search_sorted` for every server.  Demands
+    and memories are validated here, once: each must be finite and
+    non-negative.
+
+    A take deletes the chosen VMs in place, which hands every later
+    server the order a per-server sort of the id-ordered remainder would
+    have produced.  Entries behind the last deleted position keep their
+    bounds; only the prefix in front of it is recomputed, by the same
+    sequential additions (and minima) the full accumulation makes, so
+    the maintained lists equal lists built from scratch for the
+    remaining VMs.
     """
 
     def __init__(self, vms: Sequence[VMInfo]):
-        demand = np.array([vm.demand_ghz for vm in vms], dtype=float)
-        order = np.argsort(-demand, kind="stable")
-        self.vms: List[VMInfo] = [vms[i] for i in order.tolist()]
-        self._demand = demand[order]
-        self._memory = MemoryConstraint([vm.memory_mb for vm in self.vms], 0.0)
+        for vm in vms:
+            # Both comparisons are also false for NaN.
+            if not (0 <= vm.demand_ghz < math.inf and 0 <= vm.memory_mb < math.inf):
+                raise ValueError(
+                    f"VM {vm.vm_id!r}: demand_ghz and memory_mb must be finite "
+                    f"and >= 0, got {vm.demand_ghz} GHz and {vm.memory_mb} MB"
+                )
+        order, self._demand, self._suffix, self._memory, self._min_memory = sort_items(
+            np.array([vm.demand_ghz for vm in vms], dtype=float),
+            np.array([vm.memory_mb for vm in vms], dtype=float),
+        )
+        self.vms: List[VMInfo] = [vms[i] for i in order]
 
     def __len__(self) -> int:
         return len(self.vms)
@@ -96,13 +112,15 @@ class PlacementList:
             raise ValueError(
                 f"free_memory_mb must be finite and >= 0, got {free_memory_mb}"
             )
-        self._memory.capacity = float(free_memory_mb)
         tel = get_telemetry()
         with tel.span("minslack.search", candidates=len(self.vms)) as sp:
-            result = minimum_bin_slack(
+            result = search_sorted(
                 self._demand,
+                self._suffix,
                 free_capacity_ghz,
-                constraint=self._memory,
+                memory=self._memory,
+                min_memory=self._min_memory,
+                memory_capacity=float(free_memory_mb),
                 epsilon=config.epsilon_ghz,
                 max_steps=config.max_steps,
                 epsilon_step=config.epsilon_step_ghz,
@@ -118,11 +136,34 @@ class PlacementList:
             tel.count("minslack.searches")
             tel.count("minslack.nodes", result.steps)
             tel.count("minslack.eps_escalations", result.steps // config.max_steps)
-        positions = list(result.selected)  # ascending: a DFS path
+        positions = result.selected  # ascending: a DFS path
+        if not positions:
+            return [], result
         chosen = [self.vms[p] for p in positions]
-        if chosen:
-            for p in reversed(positions):
-                del self.vms[p]
-            self._demand = np.delete(self._demand, positions)
-            self._memory.sizes = np.delete(self._memory.sizes, positions)
+        for p in reversed(positions):
+            del self.vms[p]
+            del self._demand[p]
+            del self._suffix[p]
+            del self._memory[p]
+            del self._min_memory[p]
+        self._refresh_prefix(positions[-1] + 1 - len(positions))
         return chosen, result
+
+    def _refresh_prefix(self, stop: int) -> None:
+        """Recompute the bounds at positions ``< stop`` from ``stop`` down.
+
+        ``stop`` is where the first VM behind the last deletion now sits;
+        its bounds and those after it did not change.  ``total + d`` is
+        the step ``np.add.accumulate`` takes on the reversed demands.
+        """
+        demand, suffix = self._demand, self._suffix
+        memory, min_memory = self._memory, self._min_memory
+        total = suffix[stop]
+        low = min_memory[stop]
+        for p in range(stop - 1, -1, -1):
+            total = total + demand[p]
+            suffix[p] = total
+            mem = memory[p]
+            if mem < low:
+                low = mem
+            min_memory[p] = low

@@ -12,8 +12,22 @@ fills one bin as completely as possible.  The paper extends it two ways
   *escalates* ``epsilon`` when the search runs long (Algorithm 1 lines
   4-5 and 15-17), bounding worst-case running time.
 
-The search is iterative (explicit stack), so item counts in the
-thousands cannot hit the interpreter recursion limit.
+The search is iterative, so item counts in the thousands cannot hit the
+interpreter recursion limit.  Its stack is the selection path itself:
+each level of the depth-first search resumes one position after the
+item it last took, so backtracking from the item at position ``p``
+resumes its level at ``p + 1``.
+
+Prepared once, searched many times
+----------------------------------
+:func:`minimum_bin_slack` is two parts.  :func:`sort_items` prepares
+arbitrary input: the stable sort by decreasing size, the size suffix
+sums and the memory suffix minima, as Python lists.  :func:`search_sorted`
+is the one search loop; it runs over those lists and checks the scalar
+arguments.  A caller that searches the same shrinking list for many
+bins (``repro.core.optimizer.minslack.PlacementList``, one PAC call)
+keeps the lists itself and calls :func:`search_sorted` directly instead
+of re-sorting per bin.
 
 Dominance bound
 ---------------
@@ -59,7 +73,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["PackingConstraint", "MemoryConstraint", "CompositeConstraint", "MBSResult", "minimum_bin_slack"]
+__all__ = [
+    "PackingConstraint",
+    "MemoryConstraint",
+    "CompositeConstraint",
+    "MBSResult",
+    "minimum_bin_slack",
+    "sort_items",
+    "search_sorted",
+]
 
 _FIT_TOL = 1e-9
 
@@ -229,6 +251,91 @@ def minimum_bin_slack(
         raise ValueError("primary sizes must be finite (got NaN/inf)")
     if np.any(sizes < 0):
         raise ValueError("primary sizes must be non-negative")
+    # A plain MemoryConstraint (the overwhelmingly common case) is
+    # inlined: its accept test and running total become local float
+    # arithmetic, which is also what lets memory rejections be jumped.
+    # Because the search keeps push/pop balanced, never touching the
+    # object at all is observationally identical.  Subclasses
+    # (overridden hooks) and composites take the generic protocol path.
+    inline = type(constraint) is MemoryConstraint
+    order, sorted_sizes, suffix, memory, min_memory = sort_items(
+        sizes, constraint.sizes if inline else None
+    )
+    return search_sorted(
+        sorted_sizes,
+        suffix,
+        capacity,
+        memory=memory,
+        min_memory=min_memory,
+        memory_capacity=constraint.capacity if inline else 0.0,
+        memory_used=constraint.used if inline else 0.0,
+        constraint=None if inline else constraint,
+        order=order,
+        epsilon=epsilon,
+        max_steps=max_steps,
+        epsilon_step=epsilon_step,
+        hard_step_cap=hard_step_cap,
+    )
+
+
+def sort_items(
+    sizes: np.ndarray, memory: Optional[np.ndarray] = None
+) -> Tuple[List[int], List[float], List[float], Optional[List[float]], Optional[List[float]]]:
+    """Search order and dominance bounds of validated items.
+
+    Returns ``(order, sizes, suffix, memory, min_memory)`` as Python
+    lists (they beat NumPy scalar indexing inside the interpreter-bound
+    search).  ``order`` sorts the items by decreasing size, ties in
+    index order; ``sizes`` and ``memory`` are the items in that order.
+    ``suffix[p]`` is the total size at positions ``>= p``, the best case
+    any branch continuing from ``p`` can still add to the bin,
+    accumulated sequentially from the smallest item up;
+    ``min_memory[p]`` is the smallest memory at positions ``>= p``: once
+    even that does not fit, every remaining candidate is rejected.  Both
+    end with a sentinel (``0.0`` / ``inf``) at ``p == len(sizes)``.
+    ``memory`` and ``min_memory`` are None when *memory* is.  Nothing is
+    validated here.
+    """
+    order = np.argsort(-sizes, kind="stable")
+    sorted_arr = sizes[order]
+    suffix = np.add.accumulate(sorted_arr[::-1])[::-1].tolist()
+    suffix.append(0.0)
+    if memory is None:
+        return order.tolist(), sorted_arr.tolist(), suffix, None, None
+    mem_arr = memory[order]
+    min_memory = np.minimum.accumulate(mem_arr[::-1])[::-1].tolist()
+    min_memory.append(math.inf)
+    return order.tolist(), sorted_arr.tolist(), suffix, mem_arr.tolist(), min_memory
+
+
+def search_sorted(
+    sizes: List[float],
+    suffix: List[float],
+    capacity: float,
+    *,
+    memory: Optional[List[float]] = None,
+    min_memory: Optional[List[float]] = None,
+    memory_capacity: float = 0.0,
+    memory_used: float = 0.0,
+    constraint: Optional[PackingConstraint] = None,
+    order: Optional[Sequence[int]] = None,
+    epsilon: float = 0.0,
+    max_steps: int = 20000,
+    epsilon_step: Optional[float] = None,
+    hard_step_cap: Optional[int] = None,
+) -> MBSResult:
+    """The Minimum-Bin-Slack search over items already in search order.
+
+    *sizes*, *suffix*, *memory* and *min_memory* are what
+    :func:`sort_items` returns for finite, non-negative items; the
+    caller vouches for them.  *memory* is an inlined
+    :class:`MemoryConstraint` of capacity *memory_capacity* already
+    holding *memory_used*; *constraint* is any other constraint, driven
+    through its protocol.  Position ``p`` is item ``order[p]`` at the
+    constraint hooks and in ``selected`` — the position itself when
+    *order* is None.  The remaining arguments are those of
+    :func:`minimum_bin_slack`, checked here.
+    """
     if not math.isfinite(capacity):
         raise ValueError(f"capacity must be finite, got {capacity}")
     if capacity < 0:
@@ -241,47 +348,21 @@ def minimum_bin_slack(
         epsilon_step = 0.05 * capacity if capacity > 0 else 1.0
     if hard_step_cap is None:
         hard_step_cap = 50 * max_steps
-
-    n = sizes.shape[0]
     if capacity <= epsilon + _FIT_TOL:
         # The empty selection already meets the allowed slack.
         return MBSResult((), float(capacity), 0, float(epsilon), True, 0)
 
-    # Sort once (stable: ties keep index order); the DFS works in sorted
-    # positions throughout and maps back through ``order`` only at the
-    # constraint hooks and in the result.  Set-up is NumPy, then one
-    # ``tolist`` each: Python lists beat NumPy scalar indexing inside the
-    # interpreter-bound loop.
-    order_arr = np.argsort(-sizes, kind="stable")
-    sorted_arr = sizes[order_arr]
-    order = order_arr.tolist()
-    sorted_sizes = sorted_arr.tolist()
-    # suffix[pos] = total size of items at positions >= pos: the best
-    # case any branch continuing from pos can still add to the bin
-    # (accumulated sequentially, smallest first).
-    suffix = np.add.accumulate(sorted_arr[::-1])[::-1].tolist()
-    suffix.append(0.0)
-
+    n = len(sizes)
+    index = range(n) if order is None else order
     cap = float(capacity)
     tol = _FIT_TOL
     cap_tol = cap + tol
-    # A plain MemoryConstraint (the overwhelmingly common case) is
-    # inlined: its accept test and running total become local float
-    # arithmetic, which is also what lets memory rejections be jumped.
-    # Because the search keeps push/pop balanced, never touching the
-    # object at all is observationally identical.  Subclasses
-    # (overridden hooks) and composites take the generic protocol path.
-    mem_fast = type(constraint) is MemoryConstraint
-    accepts = push = pop = None
+    mem_fast = memory is not None
     if mem_fast:
-        mem_arr = constraint.sizes[order_arr]
-        sorted_mem = mem_arr.tolist()
-        # min_mem[pos] = smallest memory at positions >= pos: once even
-        # that does not fit, every remaining candidate is rejected.
-        min_mem = np.minimum.accumulate(mem_arr[::-1])[::-1].tolist()
-        mem_cap_tol = constraint.capacity + tol
-        mem_used = constraint.used
-    elif constraint is not None:
+        mem_cap_tol = memory_capacity + tol
+        mem_used = memory_used
+    accepts = push = pop = None
+    if constraint is not None:
         accepts, push, pop = constraint.accepts, constraint.push, constraint.pop
 
     best_path: Tuple[int, ...] = ()
@@ -289,17 +370,19 @@ def minimum_bin_slack(
     # A branch is dominated when used + suffix[pos] <= dominated_at.
     dominated_at = cap - best_slack + tol
     steps = 0
+    # Epsilon escalates each time steps reaches a multiple of max_steps.
+    next_escalation = max_steps
     evaluated = 0
     eps_current = float(epsilon)
     early = False
-    path: List[int] = []  # sorted positions of the current selection
+    # Sorted positions of the current selection.  It is also the DFS
+    # stack: a level resumes one position after the item it last took.
+    path: List[int] = []
     used = 0.0
-    # pos_stack[d] = next sorted position to try at depth d.
-    pos_stack: List[int] = [0]
+    pos = 0  # next sorted position to try at the current level
     exhausted = False  # hard step cap reached
 
-    while pos_stack:
-        pos = pos_stack[-1]
+    while True:
         taken = -1
         while pos < n:
             if used + suffix[pos] <= dominated_at:
@@ -308,8 +391,8 @@ def minimum_bin_slack(
                 pos = n
                 break
             evaluated += 1
-            oversize = used + sorted_sizes[pos] > cap_tol
-            if oversize or (mem_fast and mem_used + sorted_mem[pos] > mem_cap_tol):
+            oversize = used + sizes[pos] > cap_tol
+            if oversize or (mem_fast and mem_used + memory[pos] > mem_cap_tol):
                 # Positions [pos, q) are a run the stepwise search
                 # rejects one step at a time; q is the first candidate
                 # that fits.  Sizes are sorted and float addition is
@@ -320,19 +403,19 @@ def minimum_bin_slack(
                     lo, hi = pos + 1, n
                     while lo < hi:
                         mid = (lo + hi) >> 1
-                        if used + sorted_sizes[mid] > cap_tol:
+                        if used + sizes[mid] > cap_tol:
                             lo = mid + 1
                         else:
                             hi = mid
                     q = lo
-                if mem_fast and q < n and mem_used + sorted_mem[q] > mem_cap_tol:
-                    if mem_used + min_mem[q] > mem_cap_tol:
+                if mem_fast and q < n and mem_used + memory[q] > mem_cap_tol:
+                    if mem_used + min_memory[q] > mem_cap_tol:
                         q = n
                     else:
                         # Some later candidate fits: test them in turn.
                         rejected = q
                         q += 1
-                        while mem_used + sorted_mem[q] > mem_cap_tol:
+                        while mem_used + memory[q] > mem_cap_tol:
                             q += 1
                         evaluated += q - rejected
                 run_end = q
@@ -351,33 +434,35 @@ def minimum_bin_slack(
                 if steps + k >= hard_step_cap:
                     k = max(hard_step_cap - steps, 1)
                     exhausted = True
+                steps += k
                 # One escalation per multiple of max_steps crossed, by
                 # repeated addition like the stepwise search.
-                for _ in range((steps + k) // max_steps - steps // max_steps):
+                while steps >= next_escalation:
                     eps_current += epsilon_step
-                steps += k
+                    next_escalation += max_steps
                 pos = q
                 if exhausted or q == n:
                     break
             pos += 1
             steps += 1
-            if steps % max_steps == 0:
+            if steps == next_escalation:
                 eps_current += epsilon_step  # escalate (Algorithm 1 line 16)
-            if accepts is not None and not accepts(order[pos - 1]):
+                next_escalation += max_steps
+            if accepts is not None and not accepts(index[pos - 1]):
                 if steps >= hard_step_cap:
                     exhausted = True
                     break
                 continue
             taken = pos - 1
             break
-        pos_stack[-1] = pos
         if taken >= 0:
+            # Descend: the new level starts at pos == taken + 1.
             path.append(taken)
-            used += sorted_sizes[taken]
+            used += sizes[taken]
             if mem_fast:
-                mem_used += sorted_mem[taken]
-            elif push is not None:
-                push(order[taken])
+                mem_used += memory[taken]
+            if push is not None:
+                push(index[taken])
             slack = cap - used
             if slack < best_slack - tol:
                 best_slack = slack
@@ -386,30 +471,28 @@ def minimum_bin_slack(
             if best_slack <= eps_current + tol or steps >= hard_step_cap:
                 early = best_slack <= eps_current + tol
                 break
-            pos_stack.append(pos)
+        elif exhausted or not path:
+            break
         else:
-            if exhausted:
-                break
-            pos_stack.pop()
-            if path:
-                last = path.pop()
-                used -= sorted_sizes[last]
-                if mem_fast:
-                    mem_used -= sorted_mem[last]
-                elif pop is not None:
-                    pop(order[last])
+            # Backtrack: the level above resumes after the item it took.
+            last = path.pop()
+            used -= sizes[last]
+            if mem_fast:
+                mem_used -= memory[last]
+            if pop is not None:
+                pop(index[last])
+            pos = last + 1
 
     # Unwind constraint state so the object can be reused by the caller.
     if pop is not None:
         while path:
-            pop(order[path.pop()])
+            pop(index[path.pop()])
 
     return MBSResult(
-        selected=tuple(order[p] for p in best_path),
+        selected=tuple(index[p] for p in best_path),
         slack=float(best_slack),
         steps=steps,
         epsilon_used=eps_current,
         early_exit=early,
         evaluated=evaluated,
     )
-

@@ -1,8 +1,10 @@
 """Optimizer: types, Minimum Slack wrapper, PAC, IPAC, pMapper, policies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.migration import LiveMigrationModel
@@ -23,9 +25,11 @@ from repro.core.optimizer import (
     sort_servers_by_efficiency,
 )
 from repro.core.optimizer import minslack as minslack_module
+from repro.core.optimizer.minslack import PlacementList
 from repro.core.optimizer.pmapper import PMapperConfig
 from repro.core.optimizer.types import ServerInfo, VMInfo
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
+from repro.packing.mbs import MemoryConstraint, minimum_bin_slack
 
 from tests.conftest import check_plan_feasible, make_server_info, make_vm_info
 from tests.oracles.mbs_reference import minimum_bin_slack as stepwise_minimum_bin_slack
@@ -203,6 +207,19 @@ class TestPAC:
         with pytest.raises(ValueError, match="free_memory_mb"):
             pac(PlacementProblem(servers, vms, {}))
 
+    @pytest.mark.parametrize("demand", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_vm_demand_rejected(self, demand):
+        # The only server is already overloaded, so no search ever runs:
+        # the placement list itself must refuse the VM.  (VMInfo rejects
+        # only negative demands, so -inf is planted past it.)
+        bad = object.__new__(VMInfo)
+        for name, value in (("vm_id", "v"), ("demand_ghz", demand), ("memory_mb", 100.0)):
+            object.__setattr__(bad, name, value)
+        servers = (make_server_info("s1", capacity=2.0),)
+        problem = PlacementProblem(servers, (make_vm_info("w", 3.0, 100), bad), {"w": "s1"})
+        with pytest.raises(ValueError, match="VM 'v'"):
+            pac(problem, vms_to_place=["v"])
+
     def test_duplicate_vms_to_place_rejected(self, heterogeneous_problem):
         with pytest.raises(ValueError):
             pac(heterogeneous_problem, vms_to_place=["vm0", "vm0"])
@@ -272,6 +289,16 @@ def _pac_searching_each_server_afresh(problem, to_place, config):
     return mapping, [vm.vm_id for vm in remaining]
 
 
+def _stepwise_search_sorted(sizes, suffix, capacity, *, memory, min_memory,
+                            memory_capacity, **kwargs):
+    """The stepwise oracle in place of the search a placement list runs:
+    its stable re-sort of the already sorted demands is the identity, so
+    ``selected`` are list positions, as the search returns them."""
+    return stepwise_minimum_bin_slack(
+        sizes, capacity, constraint=MemoryConstraint(memory, memory_capacity), **kwargs
+    )
+
+
 class TestPACPlacementsUnchangedByJumps:
     """The sorted placement list and the jumped search change no
     placement: not which VMs a server takes, not the order they are
@@ -283,7 +310,7 @@ class TestPACPlacementsUnchangedByJumps:
         problem, to_place, config = case
         plan = pac(problem, vms_to_place=to_place, config=config)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(minslack_module, "minimum_bin_slack", stepwise_minimum_bin_slack)
+            mp.setattr(minslack_module, "search_sorted", _stepwise_search_sorted)
             ref = pac(problem, vms_to_place=to_place, config=config)
         assert list(plan.final_mapping.items()) == list(ref.final_mapping.items())
         assert plan.unplaced == ref.unplaced
@@ -300,6 +327,82 @@ class TestPACPlacementsUnchangedByJumps:
                 mapping[vm_id] = problem.mapping[vm_id]
         assert list(plan.final_mapping.items()) == list(mapping.items())
         assert plan.unplaced == unplaced
+
+
+@st.composite
+def _placement_list_runs(draw):
+    """A VM list plus a sequence of (free CPU, free memory) takes."""
+    n_vms = draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        demand = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])  # ties and zeros
+    else:
+        demand = st.floats(0.0, 3.0)
+    levels = draw(st.lists(st.sampled_from([256.0, 512.0, 1024.0, 2048.0]),
+                           min_size=2, max_size=4, unique=True))
+    vms = [
+        make_vm_info(f"vm{i:02d}", draw(demand), draw(st.sampled_from(levels)))
+        for i in range(n_vms)
+    ]
+    # 1e3 GHz with unbounded memory takes every VM with a non-zero demand.
+    free_cpu = st.one_of(st.sampled_from([0.25, 1.0, 3.0, 1e3]), st.floats(0.0, 8.0))
+    free_mem = st.sampled_from([0.0, 256.0, 1024.0, 4096.0, 1e9])
+    takes = draw(st.lists(st.tuples(free_cpu, free_mem), min_size=1, max_size=8))
+    config = MinSlackConfig(
+        epsilon_ghz=draw(st.sampled_from([0.0, 0.05])),
+        max_steps=draw(st.integers(1, 50)),
+    )
+    return vms, takes, config
+
+
+def _list_state(placement_list):
+    return (
+        placement_list.vms,
+        placement_list._demand,
+        placement_list._suffix,
+        placement_list._memory,
+        placement_list._min_memory,
+    )
+
+
+class TestPlacementListUpkeep:
+    """A placement list deletes taken VMs in place and refreshes only the
+    bounds in front of the last deleted position; every search must see
+    exactly what a list built afresh for the remaining VMs would hold."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(run=_placement_list_runs())
+    @example(run=(  # a take at the front, two at the back, then the last VM
+        [make_vm_info("a", 3.0, 512.0), make_vm_info("b", 2.0, 512.0),
+         make_vm_info("c", 1.0, 512.0), make_vm_info("d", 0.5, 512.0)],
+        [(3.0, 512.0), (0.5, 512.0), (1.0, 512.0), (1e3, 1e9)],
+        MinSlackConfig(epsilon_ghz=0.0),
+    ))
+    def test_maintained_lists_equal_fresh_ones(self, run):
+        vms, takes, config = run
+        kwargs = dict(
+            epsilon=config.epsilon_ghz,
+            max_steps=config.max_steps,
+            epsilon_step=config.epsilon_step_ghz,
+        )
+        plist = PlacementList(vms)
+        taken = set()
+        for free_cpu, free_mem in takes:
+            before = list(plist.vms)
+            demands = [vm.demand_ghz for vm in before]
+            mems = [vm.memory_mb for vm in before]
+            fresh = minimum_bin_slack(
+                demands, free_cpu, constraint=MemoryConstraint(mems, free_mem), **kwargs
+            )
+            ref = stepwise_minimum_bin_slack(
+                demands, free_cpu, constraint=MemoryConstraint(mems, free_mem), **kwargs
+            )
+            chosen, result = plist.take_for_server(free_cpu, free_mem, config)
+            assert result == fresh
+            assert replace(result, evaluated=0) == replace(ref, evaluated=0)
+            assert chosen == [before[p] for p in result.selected]
+            taken.update(vm.vm_id for vm in chosen)
+            rebuilt = PlacementList([vm for vm in vms if vm.vm_id not in taken])
+            assert _list_state(plist) == _list_state(rebuilt)
 
 
 class TestIPAC:

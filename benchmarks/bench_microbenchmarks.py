@@ -11,8 +11,9 @@ import pytest
 from repro.apps import AppSpec, MultiTierApp
 from repro.control.arx import ARXModel
 from repro.control.mpc_core import MPCConfig, MPCController
+from repro.core.optimizer.ipac import ipac
 from repro.core.optimizer.minslack import MinSlackConfig, PlacementList
-from repro.core.optimizer.types import VMInfo
+from repro.core.optimizer.types import PlacementProblem, ServerInfo, VMInfo
 from repro.packing.mbs import MemoryConstraint, minimum_bin_slack
 
 
@@ -98,6 +99,44 @@ def test_perf_placement_list(benchmark):
         return searches
 
     assert benchmark(run) > 400
+
+
+def test_perf_ipac_invocation(benchmark):
+    """One IPAC call on a 600-server, 1,800-VM cluster: the VMs sit on
+    the first 300 servers at random (dozens of them overloaded), about
+    100 are not placed yet, and the drain loop accepts dozens of rounds.
+
+    Besides the Minimum Slack searches this times the per-server
+    bookkeeping around them — loads, power estimates and plan — that
+    IPAC pays in every drain round.
+    """
+    rng = np.random.default_rng(5)
+    classes = [  # capacity GHz, memory MB, idle W, busy W
+        (12.0, 16384.0, 110.0, 270.0),
+        (8.0, 8192.0, 90.0, 220.0),
+        (4.0, 4096.0, 70.0, 160.0),
+    ]
+    servers = []
+    for j in range(600):
+        cap, mem, idle, busy = classes[j % 3]
+        servers.append(ServerInfo(
+            f"s{j:04d}", cap, mem, cap / busy, bool(rng.random() < 0.6), idle, busy, 8.0
+        ))
+    demands = rng.uniform(0.0, 0.8, size=1800).tolist()
+    memories = rng.choice([512.0, 1024.0, 2048.0], size=1800).tolist()
+    vms = tuple(VMInfo(f"v{i:05d}", d, m) for i, (d, m) in enumerate(zip(demands, memories)))
+    hosts = rng.integers(0, 300, size=1800)
+    mapping = {
+        vms[i].vm_id: servers[hosts[i]].server_id
+        for i in rng.permutation(1800).tolist()
+        if rng.random() < 0.95
+    }
+    problem = PlacementProblem(tuple(servers), vms, mapping)
+
+    plan = benchmark(ipac, problem)
+    assert plan.unplaced == []
+    assert plan.info["overload_evictions"] > 0
+    assert plan.info["drain_rounds_accepted"] >= 10
 
 
 def test_perf_mpc_solve(benchmark):

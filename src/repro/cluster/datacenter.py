@@ -19,6 +19,7 @@ from repro.cluster.migration import (
 )
 from repro.cluster.server import Server
 from repro.cluster.vm import VM
+from repro.util.fold import left_sum
 
 __all__ = ["DataCenter"]
 
@@ -90,11 +91,11 @@ class DataCenter:
 
     def total_demand_ghz(self, server_id: str) -> float:
         """Sum of hosted VMs' controller-set CPU demands."""
-        return sum(vm.demand_ghz for vm in self.vms_on(server_id))
+        return left_sum(vm.demand_ghz for vm in self.vms_on(server_id))
 
     def total_memory_mb(self, server_id: str) -> int:
         """Sum of hosted VMs' memory footprints."""
-        return sum(vm.memory_mb for vm in self.vms_on(server_id))
+        return left_sum(vm.memory_mb for vm in self.vms_on(server_id))
 
     def active_servers(self) -> List[Server]:
         """Servers currently in the active state, id-ordered."""

@@ -20,13 +20,24 @@ Each invocation:
 3. **Cost-aware filter** — every resulting non-mandatory migration is
    offered to the administrator's :class:`MigrationCostPolicy` with an
    estimated power benefit; rejected moves are rolled back when safe.
+
+The invocation keeps one per-server :class:`_Ledger` from start to end:
+each server's hosted VM ids in mapping order and their CPU and memory
+totals.  Every placement — the overload evictions, each drain round,
+the retry after the drain — runs PAC's server walk
+(:func:`~repro.core.optimizer.pac.walk_servers`) against the ledger's
+totals, and a drain round's power estimate changes only the victim's
+and the receivers' terms.  No step re-derives loads, power or a plan
+from the whole mapping.  Each total is the same left fold from ``0.0``
+over the same VMs in the same order that a pass over the mapping would
+make, so the plan is exactly the one such passes produce.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.migration import LiveMigrationModel
 from repro.core.optimizer.migration import (
@@ -34,7 +45,7 @@ from repro.core.optimizer.migration import (
     MigrationContext,
     MigrationCostPolicy,
 )
-from repro.core.optimizer.pac import PACConfig, build_plan_from_mapping, pac
+from repro.core.optimizer.pac import PACConfig, build_plan_from_mapping, walk_servers
 from repro.core.optimizer.types import (
     Migration,
     PlacementPlan,
@@ -75,57 +86,83 @@ class IPACConfig:
             )
 
 
-def _hosting_servers(mapping: Dict[str, str]) -> Set[str]:
-    return set(mapping.values())
-
-
-def _estimate_power_w(problem: PlacementProblem, mapping: Dict[str, str]) -> float:
-    """Steady-state power estimate of a candidate mapping (hosting
-    servers only; non-hosting servers sleep at the end of the plan, and
-    their constant sleep draw cancels out of any comparison)."""
-    from repro.core.optimizer.exhaustive import placement_power_w
-
-    return placement_power_w(problem, mapping, include_sleepers=False)
-
-
 def _marginal_w_per_ghz(server: ServerInfo) -> float:
     return (server.busy_w - server.idle_w) / server.max_capacity_ghz
 
 
-def _run_pac(
-    problem: PlacementProblem,
-    mapping: Dict[str, str],
-    vm_ids: List[str],
-    config: PACConfig,
-    exclude_server: Optional[str] = None,
-) -> Tuple[Dict[str, str], List[str]]:
-    """Place *vm_ids* via PAC against *mapping*; return (mapping, unplaced).
+def _power_w(server: ServerInfo, load: float) -> float:
+    """Steady-state draw of a hosting server at *load* GHz."""
+    util = min(load / server.max_capacity_ghz, 1.0)
+    return server.idle_w + (server.busy_w - server.idle_w) * util
 
-    ``exclude_server`` removes one (empty) server from consideration —
-    used when draining, so that a victim tied in efficiency with its
-    peers cannot simply receive its own VMs back.
 
-    The sub-problem is a restriction of a snapshot that was already
-    validated, so it is built with :meth:`PlacementProblem.trusted`,
-    inheriting the parent's lookup indices and efficiency order instead
-    of re-deriving them every drain round.
+def _fold_power(terms: List[Optional[float]]) -> float:
+    """Left fold from ``0.0`` over the hosting servers' draws."""
+    total = 0.0
+    for term in terms:
+        if term is not None:
+            total += term
+    return total
+
+
+class _Ledger:
+    """Per-server state of one IPAC invocation.
+
+    ``hosted[sid]`` lists the ids of the VMs on ``sid`` in mapping
+    insertion order and exists only while that list is non-empty: a
+    server is *hosting* exactly when it has a key (one whose VMs all
+    have zero demand hosts at load ``0.0``).  ``cpu[sid]`` and
+    ``mem[sid]`` are left folds from ``0.0`` over that list — the
+    additions a pass over the mapping makes — so a cached total equals
+    a recomputed one, :meth:`add` continues the fold, and a server that
+    loses VMs is re-folded over what it keeps.
     """
-    servers = problem.servers
-    servers_sorted = problem.servers_by_efficiency()
-    if exclude_server is not None:
-        servers = tuple(s for s in servers if s.server_id != exclude_server)
-        servers_sorted = tuple(
-            s for s in servers_sorted if s.server_id != exclude_server
-        )
-    sub = PlacementProblem.trusted(
-        servers,
-        problem.vms,
-        mapping,
-        vm_index=problem.vm_index(),
-        servers_sorted=servers_sorted,
-    )
-    plan = pac(sub, vm_ids, config)
-    return plan.final_mapping, plan.unplaced
+
+    __slots__ = ("vm_by_id", "hosted", "cpu", "mem")
+
+    def __init__(self, problem: PlacementProblem, mapping: Dict[str, str]):
+        self.vm_by_id = vm_by_id = problem.vm_index()
+        self.hosted: Dict[str, List[str]] = {}
+        self.cpu: Dict[str, float] = {s.server_id: 0.0 for s in problem.servers}
+        self.mem: Dict[str, float] = {s.server_id: 0.0 for s in problem.servers}
+        hosted, cpu, mem = self.hosted, self.cpu, self.mem
+        for vm_id, sid in mapping.items():
+            vm = vm_by_id[vm_id]
+            cpu[sid] += vm.demand_ghz
+            mem[sid] += vm.memory_mb
+            if sid in hosted:
+                hosted[sid].append(vm_id)
+            else:
+                hosted[sid] = [vm_id]
+
+    def add(self, vm: VMInfo, sid: str) -> None:
+        """Append *vm* to *sid*'s list and continue its folds."""
+        hosted = self.hosted.get(sid)
+        if hosted is None:
+            self.hosted[sid] = [vm.vm_id]
+        else:
+            hosted.append(vm.vm_id)
+        self.cpu[sid] += vm.demand_ghz
+        self.mem[sid] += vm.memory_mb
+
+    def remove(self, sid: str, vm_ids: Set[str]) -> None:
+        """Take *vm_ids* off *sid* and re-fold its totals over the rest."""
+        keep = [vm_id for vm_id in self.hosted[sid] if vm_id not in vm_ids]
+        if keep:
+            self.hosted[sid] = keep
+        else:
+            del self.hosted[sid]
+        self.refold(sid)
+
+    def refold(self, sid: str) -> None:
+        """Recompute *sid*'s totals from ``0.0`` over its list."""
+        cpu = mem = 0.0
+        for vm_id in self.hosted.get(sid, ()):
+            vm = self.vm_by_id[vm_id]
+            cpu += vm.demand_ghz
+            mem += vm.memory_mb
+        self.cpu[sid] = cpu
+        self.mem[sid] = mem
 
 
 #: Ejection-chain repair bounds: how many displacements one chain may
@@ -140,9 +177,10 @@ _REPAIR_NODE_BUDGET = 5000
 def _repair_unplaced(
     problem: PlacementProblem,
     mapping: Dict[str, str],
-    unplaced: List[str],
+    ledger: _Ledger,
+    unplaced: Sequence[str],
     config: PACConfig,
-) -> Tuple[Dict[str, str], List[str], Set[str]]:
+) -> Tuple[List[str], Set[str]]:
     """Home still-unplaced VMs, displacing hosted VMs if necessary.
 
     PAC packs each server to minimise unused CPU without looking ahead,
@@ -153,19 +191,24 @@ def _repair_unplaced(
     room, otherwise eject one hosted VM to make room and recursively
     re-home the ejected VM the same way.  All orderings are
     deterministic (efficiency order for servers, demand order for
-    ejection candidates).  Returns the updated mapping, the VMs that
-    still fit nowhere, and the ids of every VM displaced to make room
-    (their moves are mandatory — they exist only to home an
-    otherwise-homeless VM).
+    ejection candidates).
+
+    *mapping* and the ledger's hosted lists are updated in step, so a
+    search node reads a server's VMs off its list instead of scanning
+    the mapping; the search keeps its own ``+=`` / ``-=`` load
+    arithmetic, and the ledger's totals of every server it touched are
+    re-folded at the end.  Returns the VMs that still fit nowhere and
+    the ids of every VM displaced to make room (their moves are
+    mandatory — they exist only to home an otherwise-homeless VM).
     """
-    vm_by_id = problem.vm_index()
-    loads: Dict[str, float] = {s.server_id: 0.0 for s in problem.servers}
-    mems: Dict[str, float] = {s.server_id: 0.0 for s in problem.servers}
-    for vm_id, sid in mapping.items():
-        loads[sid] += vm_by_id[vm_id].demand_ghz
-        mems[sid] += vm_by_id[vm_id].memory_mb
+    vm_by_id = ledger.vm_by_id
+    hosted_on = ledger.hosted
+    loads = dict(ledger.cpu)
+    mems = dict(ledger.mem)
     servers = problem.servers_by_efficiency()
     budget = [_REPAIR_NODE_BUDGET]
+    # Each VM the search moves, with its host before the repair.
+    first_host: Dict[str, Optional[str]] = {}
 
     def fits(vm: VMInfo, server: ServerInfo, extra_cpu: float = 0.0,
              extra_mem: float = 0.0) -> bool:
@@ -177,19 +220,23 @@ def _repair_unplaced(
         )
 
     def assign(vm: VMInfo, sid: str) -> None:
-        old = mapping.get(vm.vm_id)
-        if old is not None:
-            loads[old] -= vm.demand_ghz
-            mems[old] -= vm.memory_mb
+        # Only ever called for an unmapped VM: every caller unassigns
+        # it (or a failed search restored it unassigned) first.
         mapping[vm.vm_id] = sid
         loads[sid] += vm.demand_ghz
         mems[sid] += vm.memory_mb
+        hosted_on.setdefault(sid, []).append(vm.vm_id)
 
     def unassign(vm: VMInfo) -> Optional[str]:
         sid = mapping.pop(vm.vm_id, None)
+        first_host.setdefault(vm.vm_id, sid)
         if sid is not None:
             loads[sid] -= vm.demand_ghz
             mems[sid] -= vm.memory_mb
+            hosted = hosted_on[sid]
+            hosted.remove(vm.vm_id)
+            if not hosted:
+                del hosted_on[sid]
         return sid
 
     def place(vm: VMInfo, depth: int, in_chain: Set[str]) -> bool:
@@ -209,7 +256,7 @@ def _repair_unplaced(
         budget[0] -= 1
         for server in servers:
             hosted = sorted(
-                (u for u, sid in mapping.items() if sid == server.server_id),
+                hosted_on.get(server.server_id, ()),
                 key=lambda u: (vm_by_id[u].demand_ghz, u),
             )
             for u in hosted:
@@ -231,7 +278,6 @@ def _repair_unplaced(
                     assign(uvm, prior)
         return False
 
-    before = dict(mapping)
     still: List[str] = []
     order = sorted(unplaced, key=lambda v: (-vm_by_id[v].demand_ghz, v))
     for vm_id in order:
@@ -243,11 +289,16 @@ def _repair_unplaced(
             still.append(vm_id)
             if fallback is not None:
                 assign(vm, fallback)
+    touched = {sid for sid in first_host.values() if sid is not None}
+    touched.update(mapping[vm_id] for vm_id in first_host if vm_id in mapping)
+    for sid in touched:
+        ledger.refold(sid)
+    skip = set(unplaced)
     moved = {
-        vm_id for vm_id, sid in mapping.items()
-        if vm_id not in unplaced and before.get(vm_id) != sid
+        vm_id for vm_id, old in first_host.items()
+        if vm_id not in skip and vm_id in mapping and mapping[vm_id] != old
     }
-    return mapping, still, moved
+    return still, moved
 
 
 def ipac(problem: PlacementProblem, config: IPACConfig | None = None) -> PlacementPlan:
@@ -280,39 +331,55 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
     tel = get_telemetry()
     vm_by_id: Dict[str, VMInfo] = problem.vm_index()
     server_by_id: Dict[str, ServerInfo] = problem.server_index()
+    by_efficiency = problem.servers_by_efficiency()
     mapping: Dict[str, str] = dict(problem.mapping)
     unplaced: List[str] = []
+
+    def walk(vm_ids: List[str], exclude: Optional[str] = None):
+        """PAC's server walk for *vm_ids* against the ledger's totals."""
+        return walk_servers(
+            by_efficiency, [vm_by_id[v] for v in sorted(vm_ids)],
+            ledger.cpu, ledger.mem, config.pac, exclude,
+        )
+
+    def settle(placed: List[Tuple[VMInfo, str]]) -> None:
+        """Record a walk's placements, in walk order, in both books."""
+        for vm, sid in placed:
+            mapping[vm.vm_id] = sid
+            ledger.add(vm, sid)
 
     # Never placed yet (e.g. newly arrived applications): mandatory.
     new_vm_ids = sorted(v.vm_id for v in problem.vms if v.vm_id not in mapping)
 
     # ---- Phase A: overload relief (mandatory) -------------------------
     with tel.span("ipac.overload_relief"):
-        loads: Dict[str, float] = {s.server_id: 0.0 for s in problem.servers}
-        hosted_on: Dict[str, List[str]] = {}
-        for vm_id, sid in mapping.items():
-            loads[sid] += vm_by_id[vm_id].demand_ghz
-            hosted_on.setdefault(sid, []).append(vm_id)
+        ledger = _Ledger(problem, mapping)
         mandatory_ids: Set[str] = set(new_vm_ids)
         evictions: List[str] = list(new_vm_ids)
         for server in problem.servers:
             sid = server.server_id
+            load = ledger.cpu[sid]
             limit = server.max_capacity_ghz * config.overload_utilization
-            if loads[sid] <= limit + 1e-9:
+            if load <= limit + 1e-9:
                 continue
             target = server.max_capacity_ghz * config.pac.target_utilization
             # Smallest first; the id breaks ties, so the order does not
-            # depend on the mapping's iteration order.
-            hosted = sorted(hosted_on[sid], key=lambda v: (vm_by_id[v].demand_ghz, v))
+            # depend on the mapping's iteration order.  The stopping rule
+            # keeps its own running subtraction; the ledger re-folds.
+            hosted = sorted(ledger.hosted[sid], key=lambda v: (vm_by_id[v].demand_ghz, v))
+            evicted: Set[str] = set()
             for vm_id in hosted:
-                if loads[sid] <= target + 1e-9:
+                if load <= target + 1e-9:
                     break
-                loads[sid] -= vm_by_id[vm_id].demand_ghz
+                load -= vm_by_id[vm_id].demand_ghz
                 del mapping[vm_id]
                 evictions.append(vm_id)
                 mandatory_ids.add(vm_id)
+                evicted.add(vm_id)
+            ledger.remove(sid, evicted)
         if evictions:
-            mapping, failed = _run_pac(problem, mapping, evictions, config.pac)
+            placed, failed = walk(evictions)
+            settle(placed)
             unplaced.extend(failed)
 
     # ---- Phase B: incremental drain loop ------------------------------
@@ -323,33 +390,50 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
         len(problem.servers) if config.max_drain_rounds is None else config.max_drain_rounds
     )
     with tel.span("ipac.drain") as drain_span:
-        current_power = _estimate_power_w(problem, mapping)
+        # The estimate sums, over problem.servers in order, the draw of
+        # every hosting server (a sleeping server's constant draw cancels
+        # out of any comparison).  ``terms`` holds each server's summand,
+        # None when it hosts nothing; a trial replaces the victim's and
+        # the receivers' and folds the list again from 0.0.
+        position = {s.server_id: i for i, s in enumerate(problem.servers)}
+        terms: List[Optional[float]] = [
+            _power_w(s, ledger.cpu[s.server_id]) if s.server_id in ledger.hosted else None
+            for s in problem.servers
+        ]
+        current_power = _fold_power(terms)
+        # Drain candidates, least efficient first (ties by id).
+        ascending = sorted(problem.servers, key=lambda s: (s.efficiency, s.server_id))
         while rounds_attempted < max_rounds:
-            hosting = _hosting_servers(mapping)
-            candidates = sorted(
-                (server_by_id[sid] for sid in hosting if sid not in drained),
-                key=lambda s: (s.efficiency, s.server_id),
+            victim = next(
+                (
+                    s.server_id for s in ascending
+                    if s.server_id in ledger.hosted and s.server_id not in drained
+                ),
+                None,
             )
-            if not candidates:
+            if victim is None:
                 break
-            victim = candidates[0]
-            drained.add(victim.server_id)
+            drained.add(victim)
             rounds_attempted += 1
-            trial = dict(mapping)
-            drain_ids = sorted(
-                vm_id for vm_id, sid in trial.items() if sid == victim.server_id
-            )
-            for vm_id in drain_ids:
-                del trial[vm_id]
-            trial, failed = _run_pac(
-                problem, trial, drain_ids, config.pac,
-                exclude_server=victim.server_id,
-            )
+            drain_ids = ledger.hosted[victim]
+            placed, failed = walk(drain_ids, exclude=victim)
             if failed:
                 continue  # could not rehome everything; keep current mapping
-            trial_power = _estimate_power_w(problem, trial)
+            # Each receiver's load continues its fold in walk order.
+            loads: Dict[str, float] = {}
+            for vm, sid in placed:
+                loads[sid] = loads.get(sid, ledger.cpu[sid]) + vm.demand_ghz
+            trial_terms = list(terms)
+            trial_terms[position[victim]] = None
+            for sid, load in loads.items():
+                trial_terms[position[sid]] = _power_w(server_by_id[sid], load)
+            trial_power = _fold_power(trial_terms)
             if trial_power < current_power - 1e-9:
-                mapping = trial
+                for vm_id in drain_ids:
+                    del mapping[vm_id]
+                ledger.remove(victim, set(drain_ids))
+                settle(placed)
+                terms = trial_terms
                 current_power = trial_power
                 rounds_accepted += 1
             else:
@@ -365,10 +449,11 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
     # hosted VM aside to open the needed room.  Repair moves become
     # mandatory — they exist only to home an otherwise-homeless VM.
     if unplaced:
-        mapping, unplaced = _run_pac(problem, mapping, unplaced, config.pac)
+        placed, unplaced = walk(unplaced)
+        settle(placed)
     if unplaced:
-        mapping, unplaced, repair_moved = _repair_unplaced(
-            problem, mapping, unplaced, config.pac
+        unplaced, repair_moved = _repair_unplaced(
+            problem, mapping, ledger, unplaced, config.pac
         )
         mandatory_ids.update(repair_moved)
 
@@ -388,7 +473,7 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
 
         # Per-source drained demand, for sharing out the shutdown benefit.
         drained_demand: Dict[str, float] = {}
-        final_hosting = _hosting_servers(mapping)
+        final_hosting = set(ledger.hosted)
         for mig in moves:
             if mig.source_id is not None:
                 drained_demand[mig.source_id] = (
@@ -396,11 +481,10 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
                     + vm_by_id[mig.vm_id].demand_ghz
                 )
 
-        loads_after: Dict[str, float] = {s.server_id: 0.0 for s in problem.servers}
-        mem_after: Dict[str, float] = {s.server_id: 0.0 for s in problem.servers}
-        for vm_id, sid in mapping.items():
-            loads_after[sid] += vm_by_id[vm_id].demand_ghz
-            mem_after[sid] += vm_by_id[vm_id].memory_mb
+        # The ledger is not read after this point; rollbacks adjust its
+        # totals in place.
+        loads_after = ledger.cpu
+        mem_after = ledger.mem
 
         for mig in moves:
             mandatory = mig.vm_id in mandatory_ids or mig.source_id is None
@@ -460,3 +544,4 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
         rounds_accepted, rounds_attempted, rejected,
     )
     return plan
+

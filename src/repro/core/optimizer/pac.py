@@ -8,12 +8,20 @@ unallocated VMs, and then pack these VMs to this server such that the
 unused CPU resource in this server is minimized.  We repeat this process
 with the next most power-efficient server until every VM in the list is
 allocated to a server."
+
+That server walk is :func:`walk_servers`, the only one in the
+optimizer: it takes the servers in efficiency order, the VMs in id
+order and the load already on each server, and returns the placements
+in walk order.  :func:`pac` adds the snapshot around it — the load of
+the VMs that stay put, the final mapping and the plan.  IPAC runs the
+same walk against its own per-server ledger
+(:mod:`repro.core.optimizer.ipac`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.optimizer.minslack import MinSlackConfig, PlacementList
 from repro.core.optimizer.types import (
@@ -21,10 +29,17 @@ from repro.core.optimizer.types import (
     PlacementPlan,
     PlacementProblem,
     ServerInfo,
+    VMInfo,
 )
 from repro.util.validation import check_in_range
 
-__all__ = ["PACConfig", "pac", "sort_servers_by_efficiency", "build_plan_from_mapping"]
+__all__ = [
+    "PACConfig",
+    "pac",
+    "walk_servers",
+    "sort_servers_by_efficiency",
+    "build_plan_from_mapping",
+]
 
 
 @dataclass(frozen=True)
@@ -135,24 +150,56 @@ def pac(
             base_mem[sid] += vm_by_id[vm_id].memory_mb
             final_mapping[vm_id] = sid
 
-    remaining = PlacementList([vm_by_id[i] for i in sorted(place_set)])
-    for server in problem.servers_by_efficiency():
-        if not remaining:
-            break
-        free_cpu = (
-            server.max_capacity_ghz * config.target_utilization
-            - base_cpu[server.server_id]
-        )
-        free_mem = server.memory_mb - base_mem[server.server_id]
-        if free_cpu <= 0 or free_mem < 0:
-            continue
-        chosen, _ = remaining.take_for_server(free_cpu, free_mem, config.minslack)
-        for vm in chosen:
-            final_mapping[vm.vm_id] = server.server_id
-
-    unplaced = sorted(vm.vm_id for vm in remaining.vms)
+    placed, unplaced = walk_servers(
+        problem.servers_by_efficiency(),
+        [vm_by_id[i] for i in sorted(place_set)],
+        base_cpu,
+        base_mem,
+        config,
+    )
+    for vm, sid in placed:
+        final_mapping[vm.vm_id] = sid
     # An unplaceable VM keeps its old host rather than being dropped.
     for vm_id in unplaced:
         if vm_id in problem.mapping:
             final_mapping[vm_id] = problem.mapping[vm_id]
     return build_plan_from_mapping(problem, final_mapping, unplaced)
+
+
+def walk_servers(
+    servers: Sequence[ServerInfo],
+    vms: Sequence[VMInfo],
+    base_cpu: Mapping[str, float],
+    base_mem: Mapping[str, float],
+    config: PACConfig,
+    exclude: Optional[str] = None,
+) -> Tuple[List[Tuple[VMInfo, str]], List[str]]:
+    """PAC's server walk: pack *vms* onto *servers*, one server at a time.
+
+    *servers* come most power-efficient first and *vms* in id order.
+    Each server offers its CPU up to ``config.target_utilization`` and
+    its memory, less ``base_cpu`` / ``base_mem`` (the load already on
+    it), to one Minimum Slack search over the VMs still unallocated.
+    The server with id *exclude* is skipped.
+
+    Returns ``(placed, unplaced)``: ``(vm, server_id)`` pairs in the
+    order the walk placed them, and the ids of the VMs it could not
+    place, sorted.
+    """
+    remaining = PlacementList(vms)
+    placed: List[Tuple[VMInfo, str]] = []
+    target = config.target_utilization
+    for server in servers:
+        if not remaining:
+            break
+        sid = server.server_id
+        if sid == exclude:
+            continue
+        free_cpu = server.max_capacity_ghz * target - base_cpu[sid]
+        free_mem = server.memory_mb - base_mem[sid]
+        if free_cpu <= 0 or free_mem < 0:
+            continue
+        chosen, _ = remaining.take_for_server(free_cpu, free_mem, config.minslack)
+        for vm in chosen:
+            placed.append((vm, sid))
+    return placed, sorted(vm.vm_id for vm in remaining.vms)

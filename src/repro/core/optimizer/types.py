@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.cluster.datacenter import DataCenter
 from repro.cluster.migration import MigrationFailedError, MigrationRecord
+from repro.util.fold import left_sum
 
 __all__ = [
     "VMInfo",
@@ -101,25 +102,19 @@ class PlacementProblem:
         vms: Tuple[VMInfo, ...],
         mapping: Dict[str, str],
         *,
-        vm_index: Optional[Dict[str, VMInfo]] = None,
-        server_index: Optional[Dict[str, ServerInfo]] = None,
         servers_sorted: Optional[Tuple[ServerInfo, ...]] = None,
     ) -> "PlacementProblem":
         """Construct without re-running the consistency validation.
 
-        For hot loops that derive one problem from another (optimizer
-        drain rounds, per-step simulation snapshots) where the invariants
-        are guaranteed by construction.  Optionally pre-seeds the lazy
-        lookup caches so derived problems share the parent's indices.
+        For hot loops that build problems whose invariants hold by
+        construction (the large-scale harness's per-step snapshots).
+        ``servers_sorted`` optionally pre-seeds the efficiency order
+        when the caller already knows it.
         """
         obj = object.__new__(cls)
         object.__setattr__(obj, "servers", servers)
         object.__setattr__(obj, "vms", vms)
         object.__setattr__(obj, "mapping", mapping)
-        if vm_index is not None:
-            object.__setattr__(obj, "_vm_index", vm_index)
-        if server_index is not None:
-            object.__setattr__(obj, "_server_index", server_index)
         if servers_sorted is not None:
             object.__setattr__(obj, "_servers_sorted", servers_sorted)
         return obj
@@ -175,11 +170,11 @@ class PlacementProblem:
 
     def server_load_ghz(self, server_id: str) -> float:
         """Total demand currently mapped to *server_id*."""
-        return sum(v.demand_ghz for v in self.vms_on(server_id))
+        return left_sum(v.demand_ghz for v in self.vms_on(server_id))
 
     def server_memory_used_mb(self, server_id: str) -> float:
         """Total VM memory currently mapped to *server_id*."""
-        return sum(v.memory_mb for v in self.vms_on(server_id))
+        return left_sum(v.memory_mb for v in self.vms_on(server_id))
 
 
 @dataclass(frozen=True)

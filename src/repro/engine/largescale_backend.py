@@ -53,6 +53,7 @@ from repro.obs import get_telemetry
 from repro.sim.largescale import LargeScaleConfig, LargeScaleResult
 from repro.traces.forecast import DemandForecaster, EwmaPeakForecaster, HoltForecaster
 from repro.traces.trace import UtilizationTrace
+from repro.util.fold import left_sum
 from repro.util.rng import RngLike, ensure_rng
 
 __all__ = ["LargeScaleBackend", "build_largescale_engine", "run_largescale"]
@@ -537,7 +538,7 @@ class LargeScaleBackend:
 
     def _migration_energy(self, plan: PlacementPlan) -> float:
         """Source+target burn ``migration_overhead_w`` for each transfer."""
-        total_s = sum(
+        total_s = left_sum(
             self.migration_model.duration_s(self.memories[self.sid_to_vmidx[m.vm_id]])
             for m in plan.migrations
             if m.source_id is not None

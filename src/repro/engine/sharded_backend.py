@@ -67,6 +67,7 @@ from repro.faults import FaultSchedule
 from repro.obs import InMemoryBackend, Telemetry, get_telemetry, use_telemetry
 from repro.sim.largescale import LargeScaleConfig, LargeScaleResult
 from repro.traces.trace import UtilizationTrace
+from repro.util.fold import left_sum
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -543,14 +544,14 @@ class ShardedBackend:
         self._reemit([records for _, _, records in merged])
         results = [res for _, res, _ in merged]
 
-        total_energy = sum(r.total_energy_wh for r in results)
+        total_energy = left_sum(r.total_energy_wh for r in results)
         info: Dict[str, float] = {
             "n_pods": float(self.config.n_pods),
             "workers": float(self.workers),
             "sync_every_steps": float(self.sync),
             "dvfs": float(self.config.base.dvfs_enabled),
             "relief_moves": sum(r.info.get("relief_moves", 0.0) for r in results),
-            "migration_energy_wh": sum(
+            "migration_energy_wh": left_sum(
                 r.info.get("migration_energy_wh", 0.0) for r in results
             ),
         }
@@ -583,8 +584,8 @@ class ShardedBackend:
         global top consumers from the pod summaries (pods report their
         own top-10, which covers any global top-10 member).
         """
-        total = sum(r.attribution["total_wh"] for r in results)
-        attributed = sum(r.attribution["attributed_wh"] for r in results)
+        total = left_sum(r.attribution["total_wh"] for r in results)
+        attributed = left_sum(r.attribution["attributed_wh"] for r in results)
         error = abs(attributed - total) / abs(total) if total else 0.0
         top = sorted(
             (entry for r in results for entry in r.attribution["top_vms"]),
@@ -596,7 +597,7 @@ class ShardedBackend:
             "attributed_wh": attributed,
             "unattributed_wh": 0.0,
             "reconciliation_error": error,
-            "migration_energy_wh": sum(
+            "migration_energy_wh": left_sum(
                 r.attribution["migration_energy_wh"] for r in results
             ),
             "vm_mean_wh": attributed / self.n_vms,

@@ -58,6 +58,7 @@ from repro.sim.metrics import SeriesRecorder
 from repro.sim.testbed import TestbedConfig, TestbedResult
 from repro.sysid.experiment import identify_app_model
 from repro.sysid.fit import FitResult
+from repro.util.fold import left_sum
 from repro.util.rng import RngLike, ensure_rng, spawn_rngs
 
 __all__ = ["TestbedBackend", "build_testbed_engine", "identify_testbed_model", "run_testbed"]
@@ -354,7 +355,7 @@ class TestbedBackend:
             sid: server.power_w(used_by_server[sid])
             for sid, server in self.dc.servers.items()
         }
-        total_power = sum(power_by_server.values())
+        total_power = left_sum(power_by_server.values())
         self.recorder.record("power/total", now, total_power)
         for sid, server in self.dc.servers.items():
             self.recorder.record(f"freq/{sid}", now, server.freq_ghz)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from repro.util.fold import left_sum
+
 __all__ = ["EnergyAttributor"]
 
 
@@ -76,13 +78,14 @@ class EnergyAttributor:
     def app_totals(self) -> Dict[str, float]:
         """Cumulative Wh per application."""
         return {
-            app: sum(tiers.values()) for app, tiers in sorted(self.energy_wh.items())
+            app: left_sum(tiers.values())
+            for app, tiers in sorted(self.energy_wh.items())
         }
 
     @property
     def attributed_wh(self) -> float:
         """Cumulative Wh assigned to application tiers."""
-        return sum(sum(tiers.values()) for tiers in self.energy_wh.values())
+        return left_sum(left_sum(tiers.values()) for tiers in self.energy_wh.values())
 
     @property
     def reconciliation_error(self) -> float:

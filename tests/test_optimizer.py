@@ -1,5 +1,7 @@
 """Optimizer: types, Minimum Slack wrapper, PAC, IPAC, pMapper, policies."""
 
+import builtins
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +17,7 @@ from repro.core.optimizer import (
     IPACConfig,
     Migration,
     MigrationContext,
+    MigrationCostPolicy,
     MinSlackConfig,
     PACConfig,
     PlacementProblem,
@@ -32,7 +35,12 @@ from repro.obs import InMemoryBackend, Telemetry, use_telemetry
 from repro.packing.mbs import MemoryConstraint, minimum_bin_slack
 
 from tests.conftest import check_plan_feasible, make_server_info, make_vm_info
+from tests.oracles import ipac_reference
+from tests.oracles.compensated_sum import compensated_sum
 from tests.oracles.mbs_reference import minimum_bin_slack as stepwise_minimum_bin_slack
+
+# The package re-exports the function ``ipac`` under the submodule's name.
+ipac_module = importlib.import_module("repro.core.optimizer.ipac")
 
 
 class TestTypes:
@@ -604,6 +612,274 @@ class TestIPAC:
                 assert not (fits_cpu and fits_mem), (
                     f"{vm_id} reported unplaced but fits {s.server_id}"
                 )
+
+
+class _RecordingPolicy(MigrationCostPolicy):
+    """Turns down the non-mandatory moves of the VMs in *reject* and
+    records every move it is offered, with the estimated benefit."""
+
+    def __init__(self, reject=()):
+        self.reject = frozenset(reject)
+        self.offered = []
+
+    def allow(self, context):
+        mig = context.migration
+        self.offered.append((mig.vm_id, mig.source_id, mig.target_id,
+                             context.estimated_benefit_w, context.mandatory))
+        return context.mandatory or mig.vm_id not in self.reject
+
+
+@st.composite
+def _ipac_cases(draw):
+    """Small clusters that reach every IPAC path: overloaded hosts,
+    unmapped, zero-demand and homeless VMs, tied efficiencies, short
+    drain budgets and a cost policy that turns some moves down."""
+    if draw(st.booleans()):
+        efficiency = st.sampled_from([0.02, 0.04])  # ties: order is by id
+    else:
+        efficiency = st.floats(0.01, 0.06)
+    servers = tuple(
+        make_server_info(
+            f"s{j}",
+            capacity=draw(st.floats(1.0, 10.0)),
+            memory=draw(st.sampled_from([2048.0, 4096.0, 16384.0])),
+            efficiency=draw(efficiency),
+            active=draw(st.booleans()),
+            idle_w=draw(st.sampled_from([60.0, 100.0, 150.0])),
+            busy_w=draw(st.sampled_from([200.0, 250.0, 320.0])),
+        )
+        for j in range(draw(st.integers(1, 6)))
+    )
+    if draw(st.booleans()):
+        demand = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5])  # zeros and ties
+    else:
+        demand = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+    # 12 GB fits only the largest servers: a source of homeless VMs.
+    memory = st.sampled_from([256.0, 512.0, 1024.0, 2048.0, 12288.0])
+    vms = [
+        make_vm_info(f"v{i:02d}", draw(demand), draw(memory))
+        for i in range(draw(st.integers(0, 16)))
+    ]
+    # Any subset of the VMs, inserted in any order, on any server: hosts
+    # end up overloaded, and the mapping order is not the id order.
+    mapping = {
+        vm.vm_id: draw(st.sampled_from(servers)).server_id
+        for vm in draw(st.permutations(vms))
+        if draw(st.booleans())
+    }
+    reject = draw(st.sets(st.sampled_from([vm.vm_id for vm in vms]))) if vms else set()
+    knobs = dict(
+        pac=PACConfig(
+            minslack=MinSlackConfig(
+                epsilon_ghz=draw(st.sampled_from([0.0, 0.05])),
+                max_steps=draw(st.integers(1, 50)),
+            ),
+            target_utilization=draw(st.sampled_from([0.8, 0.95, 1.0])),
+        ),
+        overload_utilization=draw(st.sampled_from([0.9, 1.0])),
+        max_drain_rounds=draw(st.sampled_from([None, 0, 1, 2, 3])),
+    )
+    return PlacementProblem(servers, tuple(vms), mapping), reject, knobs
+
+
+def _mid_size_cluster(seed, n_servers=120, n_vms=480):
+    """Three server classes, most VMs already placed at random (many
+    hosts overloaded), some not placed yet, in shuffled mapping order."""
+    rng = np.random.default_rng(seed)
+    classes = [  # capacity GHz, memory MB, idle W, busy W
+        (12.0, 16384.0, 110.0, 270.0),
+        (8.0, 8192.0, 90.0, 220.0),
+        (4.0, 4096.0, 70.0, 160.0),
+    ]
+    servers = []
+    for j in range(n_servers):
+        cap, mem, idle, busy = classes[j % 3]
+        servers.append(make_server_info(
+            f"s{j:03d}", capacity=cap, memory=mem, efficiency=cap / busy,
+            active=bool(rng.random() < 0.6), idle_w=idle, busy_w=busy,
+        ))
+    demands = rng.uniform(0.0, 0.8, size=n_vms).tolist()
+    memories = rng.choice([512.0, 1024.0, 2048.0], size=n_vms).tolist()
+    vms = tuple(make_vm_info(f"v{i:04d}", d, m) for i, (d, m) in enumerate(zip(demands, memories)))
+    hosts = rng.integers(0, n_servers // 2, size=n_vms)
+    mapping = {
+        vms[i].vm_id: servers[hosts[i]].server_id
+        for i in rng.permutation(n_vms).tolist()
+        if rng.random() < 0.95
+    }
+    return PlacementProblem(tuple(servers), vms, mapping)
+
+
+def _traced_ipac(run, problem, config, module, power_fn):
+    """``run(problem, config)`` recording what every Minimum Slack search
+    is offered and every cluster power estimate ``module.power_fn``
+    returns, with CPython 3.12's compensated ``sum`` as the built-in."""
+    searches, powers = [], []
+    take = PlacementList.take_for_server
+    estimate = getattr(module, power_fn)
+
+    def recording_take(self, free_cpu, free_mem, cfg):
+        searches.append((free_cpu, free_mem, [vm.vm_id for vm in self.vms]))
+        return take(self, free_cpu, free_mem, cfg)
+
+    def recording_estimate(*args):
+        powers.append(estimate(*args))
+        return powers[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builtins, "sum", compensated_sum)
+        mp.setattr(PlacementList, "take_for_server", recording_take)
+        mp.setattr(module, power_fn, recording_estimate)
+        plan = run(problem, config)
+    return plan, searches, powers
+
+
+def _assert_same_invocation(problem, knobs, reject=()):
+    new_policy, ref_policy = _RecordingPolicy(reject), _RecordingPolicy(reject)
+    ledgers = []
+
+    def kept_ledger(*args):
+        ledgers.append(make_ledger(*args))
+        return ledgers[-1]
+
+    make_ledger = ipac_module._Ledger
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ipac_module, "_Ledger", kept_ledger)
+        plan, searches, powers = _traced_ipac(
+            ipac, problem, IPACConfig(cost_policy=new_policy, **knobs),
+            ipac_module, "_fold_power",
+        )
+    ref, ref_searches, ref_powers = _traced_ipac(
+        ipac_reference.ipac, problem, IPACConfig(cost_policy=ref_policy, **knobs),
+        ipac_reference, "_estimate_power_w",
+    )
+    assert list(plan.final_mapping.items()) == list(ref.final_mapping.items())
+    assert plan.migrations == ref.migrations
+    assert plan.wake == ref.wake
+    assert plan.sleep == ref.sleep
+    assert plan.unplaced == ref.unplaced
+    assert plan.info == ref.info
+    # Bit for bit: the same base loads and candidates in every search,
+    # the same power estimate in every round, the same offers.
+    assert searches == ref_searches
+    assert powers == ref_powers
+    assert new_policy.offered == ref_policy.offered
+    # Without rollbacks the final mapping is the one the ledger tracked
+    # to the end: its lists and totals are those of a ledger built anew.
+    if not plan.info["migrations_rejected"]:
+        (ledger,) = ledgers
+        fresh = make_ledger(problem, plan.final_mapping)
+        assert (ledger.hosted, ledger.cpu, ledger.mem) == (fresh.hosted, fresh.cpu, fresh.mem)
+    return plan
+
+
+class TestIPACMatchesReference:
+    """The ledger-driven invocation returns the plan of the one that
+    re-derived loads, power and a plan from the mapping in every round
+    (``tests/oracles/ipac_reference.py``) — mapping order included — and
+    gets there through the same searches and power estimates."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_ipac_cases())
+    def test_same_plan_on_random_instances(self, case):
+        problem, reject, knobs = case
+        _assert_same_invocation(problem, knobs, reject)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_plan_on_a_mid_size_cluster(self, seed):
+        problem = _mid_size_cluster(seed)
+        plan = _assert_same_invocation(problem, {})
+        assert plan.info["overload_evictions"] > 0
+        assert plan.info["drain_rounds_accepted"] >= 2
+
+
+class _CountingDict(dict):
+    """A mapping that counts whole-mapping scans."""
+
+    scans = 0
+
+    def _scan(self):
+        type(self).scans += 1
+
+    def items(self):
+        self._scan()
+        return super().items()
+
+    def keys(self):
+        self._scan()
+        return super().keys()
+
+    def values(self):
+        self._scan()
+        return super().values()
+
+    def __iter__(self):
+        self._scan()
+        return super().__iter__()
+
+
+class TestRepairReadsTheLedger:
+    """The ejection-chain repair reads each server's VMs off the ledger:
+    a search node costs the servers it visits, not a pass over the
+    mapping per server."""
+
+    def _stuck_cluster(self):
+        # Every server is at its CPU target with room in memory; the
+        # 12 GB VM fits only after one 0.9 GHz VM leaves, and every
+        # displaced VM starts the same chain again until the depth or
+        # node budget runs out.
+        servers = tuple(
+            make_server_info(f"s{j:02d}", capacity=4.0, memory=16384.0,
+                             efficiency=0.02 + 0.001 * j)
+            for j in range(12)
+        )
+        vms = [make_vm_info("big", 1.0, 12288.0)]
+        mapping = {}
+        for j, server in enumerate(servers):
+            for k in range(4):
+                vm = make_vm_info(f"v{j:02d}{k}", 0.9, 1024.0)
+                vms.append(vm)
+                mapping[vm.vm_id] = server.server_id
+        return PlacementProblem(servers, tuple(vms), mapping)
+
+    def test_no_mapping_scans_and_same_result_as_reference(self):
+        problem = self._stuck_cluster()
+        config = PACConfig()
+        ref_mapping, ref_still, ref_moved = ipac_reference._repair_unplaced(
+            problem, dict(problem.mapping), ["big"], config
+        )
+        ledger = ipac_module._Ledger(problem, problem.mapping)
+        mapping = _CountingDict(problem.mapping)
+        _CountingDict.scans = 0
+        still, moved = ipac_module._repair_unplaced(
+            problem, mapping, ledger, ["big"], config
+        )
+        assert _CountingDict.scans == 0
+        assert (still, moved) == (ref_still, ref_moved)
+        assert list(dict.items(mapping)) == list(ref_mapping.items())
+        fresh = ipac_module._Ledger(problem, dict(mapping))
+        assert (ledger.hosted, ledger.cpu, ledger.mem) == (fresh.hosted, fresh.cpu, fresh.mem)
+
+    def test_ledger_follows_a_successful_chain(self):
+        problem = self._stuck_cluster()
+        # One server with CPU to spare takes the displaced VM.
+        servers = problem.servers + (
+            make_server_info("spare", capacity=2.0, memory=2048.0, efficiency=0.001),
+        )
+        problem = PlacementProblem(servers, problem.vms, problem.mapping)
+        ref_mapping, ref_still, ref_moved = ipac_reference._repair_unplaced(
+            problem, dict(problem.mapping), ["big"], PACConfig()
+        )
+        ledger = ipac_module._Ledger(problem, problem.mapping)
+        mapping = dict(problem.mapping)
+        still, moved = ipac_module._repair_unplaced(
+            problem, mapping, ledger, ["big"], PACConfig()
+        )
+        assert still == ref_still == []
+        assert moved == ref_moved and len(moved) == 1
+        assert list(mapping.items()) == list(ref_mapping.items())
+        fresh = ipac_module._Ledger(problem, mapping)
+        assert (ledger.hosted, ledger.cpu, ledger.mem) == (fresh.hosted, fresh.cpu, fresh.mem)
 
 
 class TestPMapper:

@@ -11,10 +11,13 @@ import pytest
 from repro.apps import AppSpec, MultiTierApp
 from repro.control.arx import ARXModel
 from repro.control.mpc_core import MPCConfig, MPCController
+from repro.core.controller import ControllerConfig, ResponseTimeController
+from repro.core.fleet import FleetControlStep
 from repro.core.optimizer.ipac import ipac
 from repro.core.optimizer.minslack import MinSlackConfig, PlacementList
 from repro.core.optimizer.types import PlacementProblem, ServerInfo, VMInfo
 from repro.packing.mbs import MemoryConstraint, minimum_bin_slack
+from repro.sim.testbed import TestbedConfig
 
 
 def test_perf_des_request_throughput(benchmark):
@@ -152,4 +155,48 @@ def test_perf_mpc_solve(benchmark):
 
     sol = benchmark(run)
     assert sol.qp.ok
+
+
+def test_perf_fleet_control_step(benchmark):
+    """One fleet control period over 48 two-tier apps sharing the
+    ``testbed-fleet`` workload's ARX model: 48 ``prepare`` calls, one
+    grouped MPC solve and 48 ``finish`` calls.
+
+    Every round starts from the same state — controllers warmed for four
+    periods of light load, so their matrices are cached and their warm
+    sets seeded — and runs the same measurements.
+    """
+    model = ARXModel(a=[0.00568], b=[[-188.31, -100.26], [0.0, 0.0]], g=340.24)
+    tb = TestbedConfig()
+    config = ControllerConfig(setpoint_ms=400.0, period_s=tb.control_period_s)
+    controllers = {
+        f"app{i}": ResponseTimeController(
+            model, config,
+            c_min=[tb.min_alloc_ghz] * 2,
+            c_max=[tb.max_alloc_ghz] * 2,
+            initial_alloc_ghz=[tb.initial_alloc_ghz] * 2,
+        )
+        for i in range(48)
+    }
+    step = FleetControlStep(controllers)
+    rng = np.random.default_rng(6)
+
+    def light_load():
+        measurements = {app: float(rng.uniform(150.0, 350.0)) for app in controllers}
+        used = {app: rng.uniform(0.1, 0.4, size=2) for app in controllers}
+        return measurements, used
+
+    for _ in range(4):
+        step.run(*light_load())
+    warm = {app: ctrl.state_dict() for app, ctrl in controllers.items()}
+    args = light_load()
+
+    def restore():
+        for app, ctrl in controllers.items():
+            ctrl.load_state_dict(warm[app])
+        return args, {}
+
+    demands, stats = benchmark.pedantic(step.run, setup=restore, rounds=50)
+    assert len(demands) == 48
+    assert stats["solved"] == 48 and stats["mpc_groups"] == [48]
 

@@ -8,7 +8,6 @@ it into the paper's specific controller (Eq. 2-4).
 
 from repro.control.qp import QPResult, solve_qp
 from repro.control.arx import ARXModel
-from repro.control.lti import StateSpace, arx_to_state_space, dominant_time_constant, step_response
 from repro.control.mpc_core import MPCConfig, MPCController, MPCSolution
 from repro.control.stability import arx_poles, is_stable_arx, closed_loop_converges
 
@@ -16,10 +15,6 @@ __all__ = [
     "QPResult",
     "solve_qp",
     "ARXModel",
-    "StateSpace",
-    "arx_to_state_space",
-    "dominant_time_constant",
-    "step_response",
     "MPCConfig",
     "MPCController",
     "MPCSolution",

@@ -138,9 +138,9 @@ class MPCController:
     """Reusable MPC solver bound to an ARX model and a config.
 
     Fast lane: the horizon-lifted prediction matrix ``psi``, the QP
-    Hessian, and the (static) inequality-constraint matrix are cached
-    keyed on the ARX parameter vector — they only change when an RLS
-    update swaps the model — and each QP is warm-started from the
+    Hessian, and the (static) inequality-constraint matrix are built
+    once per controller, on its first solve — the model is fixed for
+    the controller's life — and each QP is warm-started from the
     previous period's optimal active set (``config.warm_start``).  The
     cached quantities are deterministic functions of the model
     parameters, computed with the same operations as the uncached
@@ -169,8 +169,7 @@ class MPCController:
             self._g_power: Optional[np.ndarray] = np.repeat(block_coeff, m)
         else:
             self._g_power = None
-        # Model-keyed matrix cache + per-QP-form warm-start working sets.
-        self._cache_key: Optional[tuple] = None
+        # Lazily built matrix cache + per-QP-form warm-start working sets.
         self._cache: dict = {}
         self._warm_active: dict = {}
         self.solves = 0
@@ -179,32 +178,26 @@ class MPCController:
     # -- cached matrices ------------------------------------------------
 
     def _model_cache(self):
-        """Matrices that only change when the ARX parameters change."""
-        model = self.model
+        """Matrices fixed by the model and config, built on first use."""
+        if self._cache:
+            return self._cache
         cfg = self.config
-        P, M, m = cfg.prediction_horizon, cfg.control_horizon, model.n_inputs
-        key = (model.a.tobytes(), model.b.tobytes(), model.g, P, M)
-        if key != self._cache_key:
-            nu = M * m
-            psi = model.lifted_input_matrix(P, M)
-            q = cfg.q_weight
-            H = 2.0 * (q * psi.T @ psi)
-            H[np.diag_indices(nu)] += 2.0 * np.tile(self._r_vec, M)
-            # Drop warm state only on a mid-life model swap: on first use
-            # (key was None) any adopted warm state must survive.
-            if self._cache_key is not None:
-                self._warm_active = {}
-            self._cache_key = key
-            # The terminal row on cumulative input changes s_i = sum_{l<=i}
-            # dc_l:  terminal_row . u = sum_i (w_i - w_{i+1}) . s_i, w_M = 0.
-            reach_coeff = psi[M - 1].reshape(M, m).copy()
-            reach_coeff[:-1] -= reach_coeff[1:]
-            self._cache = {
-                "psi": psi,
-                "H": H,
-                "terminal_row": psi[M - 1 : M],
-                "reach_coeff": reach_coeff,
-            }
+        P, M, m = cfg.prediction_horizon, cfg.control_horizon, self.model.n_inputs
+        nu = M * m
+        psi = self.model.lifted_input_matrix(P, M)
+        q = cfg.q_weight
+        H = 2.0 * (q * psi.T @ psi)
+        H[np.diag_indices(nu)] += 2.0 * np.tile(self._r_vec, M)
+        # The terminal row on cumulative input changes s_i = sum_{l<=i}
+        # dc_l:  terminal_row . u = sum_i (w_i - w_{i+1}) . s_i, w_M = 0.
+        reach_coeff = psi[M - 1].reshape(M, m).copy()
+        reach_coeff[:-1] -= reach_coeff[1:]
+        self._cache = {
+            "psi": psi,
+            "H": H,
+            "terminal_row": psi[M - 1 : M],
+            "reach_coeff": reach_coeff,
+        }
         return self._cache
 
     def _soft_hessian(self, cache: dict) -> np.ndarray:
@@ -276,15 +269,6 @@ class MPCController:
         }
         self.solves = int(state["solves"])
         self.warm_hits = int(state["warm_hits"])
-
-    def adopt_warm_state(self, other: "MPCController") -> None:
-        """Carry another controller's warm-start working sets over.
-
-        Used when a supervisor (e.g. the adaptive controller) rebuilds
-        the MPC around a newly identified model: the constraint geometry
-        is unchanged, so the previous active set remains a good seed.
-        """
-        self._warm_active = dict(other._warm_active)
 
     def solve(
         self,
@@ -590,11 +574,11 @@ def solve_mpc_batch(
     per controller.  Warm-start working sets and solve counters are
     read and written per controller exactly as in the scalar path.
 
-    Batching pays off for homogeneous fleets (controllers still on the
-    same identified model, e.g. before per-app RLS estimates diverge, or
-    synthetic sweeps); controllers that group alone fall back to the
-    scalar :meth:`MPCController.solve`.  A member whose hard terminal
-    QP fails is softened alone, as in the scalar path (a warm softened
+    Batching pays off for homogeneous fleets (controllers sharing one
+    identified model, or synthetic sweeps); controllers that group
+    alone fall back to the scalar :meth:`MPCController.solve`.  A
+    member whose hard terminal QP fails is softened alone, as in the
+    scalar path (a warm softened
     solve takes ~0.1 ms; what used to cost was finding out that the
     hard QP is infeasible).  Members the reachability certificate
     (:meth:`MPCController._terminal_unreachable`) decides are marked

@@ -13,6 +13,7 @@ from typing import Dict, Mapping, Tuple
 
 from repro.cluster.server import Server
 from repro.obs import get_telemetry
+from repro.util.fold import left_sum
 from repro.util.validation import check_in_range
 
 __all__ = ["ArbitrationResult", "CPUResourceArbitrator"]
@@ -87,7 +88,7 @@ class CPUResourceArbitrator:
 
     def _arbitrate(self, server: Server, demands_ghz: Mapping[str, float]) -> ArbitrationResult:
         """The DVFS + share selection, factored out of the traced entry."""
-        total = float(sum(demands_ghz.values()))
+        total = float(left_sum(demands_ghz.values()))
         cpu = server.spec.cpu
         # Lowest DVFS level whose *effective* capacity covers demand plus
         # headroom (a thermal throttle scales every level down, so the

@@ -192,10 +192,6 @@ class ResponseTimeController:
         self._consecutive_missing = 0
         self.held_updates = 0
         self.last_solution: Optional[MPCSolution] = None
-        #: RLS estimator whose updates the fleet control step batches;
-        #: ``None`` on the plain controller (only the adaptive subclass
-        #: learns online).
-        self.estimator = None
 
     @property
     def output_bias_ms(self) -> float:
@@ -223,48 +219,15 @@ class ResponseTimeController:
         unchanged for up to ``max_hold_periods`` consecutive losses
         before escalating to the pessimistic substitution.
 
-        The body is a composition of the adaptation hooks and the
-        :meth:`prepare` / :meth:`finish` halves in exactly the inline
-        order the fleet control step reproduces across many controllers,
-        so the scalar and batched paths share every line of per-period
-        state handling.
+        The body is :meth:`prepare`, the MPC solve and :meth:`finish` —
+        the same halves the fleet control step runs across many
+        controllers, so the scalar and batched paths share every line of
+        per-period state handling.
         """
-        sample = self.begin_adaptation(measured_rt_ms)
-        if sample is not None:
-            self._consume_rls_sample(sample)
-        self.finish_adaptation()
         pending = self.prepare(measured_rt_ms, used_ghz=used_ghz)
         if pending.held:
-            out = pending.demands
-        else:
-            solution = self._mpc.solve(**pending.request)
-            out = self.finish(pending, solution)
-        self.after_update()
-        return out
-
-    # -- adaptation hooks (no-ops on the non-adaptive controller) ------
-
-    def begin_adaptation(self, measured_rt_ms: float) -> Optional[tuple]:
-        """Pre-solve adaptation: score models, gate the RLS sample.
-
-        Returns the ``(measured_t, t_hist, c_hist)`` sample the online
-        estimator should consume this period, or ``None`` when there is
-        nothing to learn (always, on this non-adaptive base class).  The
-        fleet control step collects the returned samples across all
-        controllers and feeds them to one
-        :func:`repro.sysid.rls.rls_update_batch` call.
-        """
-        return None
-
-    def _consume_rls_sample(self, sample: tuple) -> None:
-        """Scalar-path estimator update for :meth:`begin_adaptation`'s
-        sample; the fleet step replaces this with the batched kernel."""
-
-    def finish_adaptation(self) -> None:
-        """Post-estimate supervision (model selection); no-op here."""
-
-    def after_update(self) -> None:
-        """Post-period staging (e.g. one-step predictions); no-op here."""
+            return pending.demands
+        return self.finish(pending, self._mpc.solve(**pending.request))
 
     # -- the period split at the MPC solve -----------------------------
 

@@ -2,30 +2,26 @@
 
 The scalar production loop in :class:`repro.core.manager.PowerManager`
 runs each application's :class:`ResponseTimeController` to completion
-before touching the next — one RLS update, one QP factorization, one
-history push per app per period.  At the paper's "thousands of
-applications" scale the per-app Python dispatch dominates.
+before touching the next — one QP factorization, one history push per
+app per period.  At the paper's "thousands of applications" scale the
+per-app Python dispatch dominates.
 
 :class:`FleetControlStep` re-phases the same work across the whole
 fleet using the seam split into the controller by
-:meth:`ResponseTimeController.prepare` / ``finish`` and the adaptation
-hooks:
+:meth:`ResponseTimeController.prepare` / ``finish``:
 
-1. ``begin_adaptation`` for every app (scoring + RLS sample gating);
-2. one :func:`repro.sysid.rls.rls_update_batch` over all gated samples;
-3. ``finish_adaptation`` for every app (model supervision / swap);
-4. ``prepare`` for every app (measurement handling, bias, bounds);
-5. one :func:`repro.control.mpc_core.solve_mpc_batch` over all
+1. ``prepare`` for every app (measurement handling, bias, bounds);
+2. one :func:`repro.control.mpc_core.solve_mpc_batch` over all
    non-held solve requests (grouped by model/config geometry);
-6. ``finish`` + ``after_update`` fan the solutions back per app.
+3. ``finish`` fans the solutions back per app.
 
 Controllers are mutually independent — no step of one app's period
 reads another app's state — so this phase reordering changes nothing
-but the interleaving.  The batched kernels themselves are *allclose*
-to, not bit-identical with, the scalar solves (stacked multi-RHS
-LAPACK, einsum reductions); golden-hash pipelines pin
-``control_mode="scalar"`` and the equivalence is asserted by
-``tests/test_fleet.py`` at pinned tolerances.
+but the interleaving.  The batched kernel itself is *allclose* to, not
+bit-identical with, the scalar solves (stacked multi-RHS LAPACK);
+golden-hash pipelines pin ``control_mode="scalar"`` and the
+equivalence is asserted by ``tests/test_fleet.py`` at pinned
+tolerances.
 
 Missing-measurement holds (``ControllerConfig.missing_policy``) are
 handled inside ``prepare`` exactly as in the scalar path: held apps
@@ -41,7 +37,6 @@ import numpy as np
 
 from repro.control.mpc_core import solve_mpc_batch
 from repro.core.controller.response_time_controller import ResponseTimeController
-from repro.sysid.rls import rls_update_batch
 
 __all__ = ["FleetControlStep"]
 
@@ -76,8 +71,6 @@ class FleetControlStep:
         ctrls = self.controllers
         stats: Dict[str, object] = {
             "apps": len(order),
-            "rls_batched": 0,
-            "rls_groups": [],
             "held": 0,
             "solved": 0,
             "mpc_groups": [],
@@ -86,27 +79,7 @@ class FleetControlStep:
             "unreachable": 0,
         }
 
-        # 1-2. Adaptation: gate every app's RLS sample, then run one
-        # batched estimator update over all of them.
-        estimators = []
-        samples = []
-        for app_id in order:
-            ctrl = ctrls[app_id]
-            sample = ctrl.begin_adaptation(measurements[app_id])
-            if sample is not None and ctrl.estimator is not None:
-                estimators.append(ctrl.estimator)
-                samples.append(sample)
-        if estimators:
-            rls_stats: Dict[str, object] = {}
-            rls_update_batch(estimators, samples, stats=rls_stats)
-            stats["rls_batched"] = len(estimators)
-            stats["rls_groups"] = rls_stats.get("groups", [])
-
-        # 3. Supervision (model selection / MPC swap) per app.
-        for app_id in order:
-            ctrls[app_id].finish_adaptation()
-
-        # 4. Pre-solve half of every period.
+        # 1. Pre-solve half of every period.
         pendings = {}
         for app_id in order:
             usage = used_ghz.get(app_id) if used_ghz is not None else None
@@ -114,7 +87,7 @@ class FleetControlStep:
                 measurements[app_id], used_ghz=usage
             )
 
-        # 5. One grouped MPC solve over the non-held apps.
+        # 2-3. One grouped MPC solve over the non-held apps, fanned back.
         demands: Dict[str, np.ndarray] = {}
         solve_ids = [a for a in order if not pendings[a].held]
         for app_id in order:
@@ -136,8 +109,4 @@ class FleetControlStep:
                 stats[key] = mpc_stats[key]
         stats["held"] = len(order) - len(solve_ids)
         stats["solved"] = len(solve_ids)
-
-        # 6. Post-period staging per app (prediction staging etc.).
-        for app_id in order:
-            ctrls[app_id].after_update()
         return demands, stats

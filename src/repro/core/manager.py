@@ -83,9 +83,8 @@ class PowerManager:
 
     ``control_mode`` selects the application-level control path:
     ``"fleet"`` (default, the production path) batches every app's
-    sysid/MPC through the grouped kernels
+    MPC solve through the grouped kernel
     (:class:`repro.core.fleet.FleetControlStep` —
-    :func:`~repro.sysid.rls.rls_update_batch` +
     :func:`~repro.control.mpc_core.solve_mpc_batch`); ``"scalar"``
     runs the historical per-app loop.  The two are allclose-equivalent
     (stacked multi-RHS LAPACK reorders floating-point sums), not
@@ -274,7 +273,6 @@ class PowerManager:
             sp.annotate(
                 batch_groups=len(groups),
                 batch_group_sizes=groups,
-                rls_batched=stats.get("rls_batched", 0),
                 held=stats.get("held", 0),
                 scalar=stats.get("scalar", 0),
                 softened=stats.get("softened", 0),

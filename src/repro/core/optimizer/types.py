@@ -240,12 +240,12 @@ class ApplyReport:
     @property
     def total_duration_s(self) -> float:
         """Aggregate live-migration wall time across completed moves."""
-        return sum(r.duration_s for r in self.records)
+        return left_sum(r.duration_s for r in self.records)
 
     @property
     def total_bytes_moved_mb(self) -> float:
         """Aggregate migration traffic across completed moves."""
-        return sum(r.bytes_moved_mb for r in self.records)
+        return left_sum(r.bytes_moved_mb for r in self.records)
 
 
 def make_vm_infos(

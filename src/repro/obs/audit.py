@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.obs.summarize import read_jsonl_lenient
+from repro.util.fold import left_sum
 from repro.util.tables import format_table
 
 __all__ = [
@@ -251,11 +252,11 @@ class AuditPipeline:
         }
         period_s = self._period_s()
         hours = period_s / 3600.0
-        energy_wh = sum(self._power_w) * hours
+        energy_wh = left_sum(self._power_w) * hours
         baseline = self._baseline_w()
         power: Dict[str, object] = {
             "samples": len(self._power_w),
-            "mean_w": (sum(self._power_w) / len(self._power_w)
+            "mean_w": (left_sum(self._power_w) / len(self._power_w)
                        if self._power_w else float("nan")),
             "min_w": min(self._power_w) if self._power_w else float("nan"),
             "max_w": max(self._power_w) if self._power_w else float("nan"),

@@ -10,7 +10,6 @@ model validation.
 
 from repro.sysid.excitation import prbs, aprbs, excitation_trajectory
 from repro.sysid.fit import FitResult, fit_arx
-from repro.sysid.rls import RecursiveARXEstimator
 from repro.sysid.validate import one_step_r2, simulation_rmse, residual_autocorrelation
 from repro.sysid.experiment import IdentificationData, run_identification_experiment, identify_app_model
 
@@ -20,7 +19,6 @@ __all__ = [
     "excitation_trajectory",
     "FitResult",
     "fit_arx",
-    "RecursiveARXEstimator",
     "one_step_r2",
     "simulation_rmse",
     "residual_autocorrelation",

@@ -1,19 +1,12 @@
-"""LTI views, tracking metrics, and packing lower bounds."""
+"""Tracking metrics and packing lower bounds."""
 
 import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.control.arx import ARXModel
-from repro.control.lti import (
-    arx_to_state_space,
-    dominant_time_constant,
-    step_response,
-)
 from repro.core.controller.analysis import (
     settling_time_s,
     tracking_metrics,
@@ -21,55 +14,6 @@ from repro.core.controller.analysis import (
 )
 from repro.packing.bounds import capacity_bound_servers, l1_bound, l2_bound
 from repro.packing import first_fit_decreasing
-
-
-class TestLTI:
-    def _model(self):
-        return ARXModel(a=[0.5], b=[[-800.0, -300.0], [-100.0, -50.0]], g=1800.0)
-
-    def test_state_space_matches_arx_simulation(self, rng):
-        model = self._model()
-        ss = arx_to_state_space(model)
-        K = 40
-        c_seq = rng.uniform(0.2, 1.5, size=(K, 2))
-        y_eq = model.g / (1 - model.a.sum())
-        arx_out = model.simulate(
-            [y_eq] * model.na, c_seq,
-            c_init=np.zeros((max(model.nb - 1, 1), 2)),
-        )
-        ss_out = ss.simulate(c_seq)
-        np.testing.assert_allclose(ss_out, arx_out, rtol=1e-9, atol=1e-6)
-
-    def test_state_space_rejects_integrator(self):
-        with pytest.raises(ValueError):
-            arx_to_state_space(ARXModel(a=[1.0], b=[[-1.0]], g=0.0))
-
-    def test_step_response_converges_to_dc_gain(self):
-        model = self._model()
-        resp = step_response(model, input_index=0, step_size=0.1, n_steps=120)
-        assert resp[-1] == pytest.approx(model.dc_gain()[0] * 0.1, rel=1e-6)
-
-    def test_step_response_negative_gains_monotone_down(self):
-        model = self._model()
-        resp = step_response(model, 0, 0.5, 40)
-        assert resp[-1] < 0
-        assert np.all(np.diff(resp) <= 1e-9)
-
-    def test_step_response_validation(self):
-        model = self._model()
-        with pytest.raises(ValueError):
-            step_response(model, 5)
-        with pytest.raises(ValueError):
-            step_response(model, 0, n_steps=0)
-
-    def test_dominant_time_constant(self):
-        # |z| = 0.5, T = 15 s -> tau = -15/ln 0.5 ~ 21.6 s.
-        m = ARXModel(a=[0.5], b=[[-1.0]], g=0.0)
-        assert dominant_time_constant(m, 15.0) == pytest.approx(21.64, abs=0.05)
-
-    def test_time_constant_edge_cases(self):
-        assert dominant_time_constant(ARXModel(a=[1.0], b=[[-1.0]]), 1.0) == math.inf
-        assert dominant_time_constant(ARXModel(a=[0.0], b=[[-1.0]]), 1.0) == 0.0
 
 
 class TestTrackingMetrics:

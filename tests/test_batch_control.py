@@ -1,12 +1,10 @@
-"""Batched control kernel: stacked QP, fleet MPC, stacked RLS.
+"""Batched control kernel: stacked QP and fleet MPC.
 
 The batch paths are documented as *allclose*-equivalent to their scalar
-counterparts (multi-RHS LAPACK and einsum reorder floating-point sums),
+counterparts (multi-RHS LAPACK reorders floating-point sums),
 so every test here compares against the scalar implementation on the
 same inputs rather than against golden numbers.
 """
-
-import copy
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ import pytest
 from repro.control.arx import ARXModel
 from repro.control.mpc_core import MPCConfig, MPCController, solve_mpc_batch
 from repro.control.qp import solve_qp, solve_qp_batch
-from repro.sysid.rls import RecursiveARXEstimator, rls_update_batch
 
 
 def _spd(rng, n):
@@ -225,66 +222,3 @@ class TestSolveMpcBatch:
         with pytest.raises(ValueError):
             solve_mpc_batch([ctrl], [])
 
-
-class TestRlsUpdateBatch:
-    MODEL = ARXModel(a=[0.55], b=[[-0.8, -0.4]], g=3.0)
-
-    def _measurements(self, rng, n):
-        meas = []
-        for _ in range(n):
-            t_hist = [2.0 + 0.1 * rng.normal()]
-            c_hist = np.abs(rng.normal(size=(1, 2))) + 1.0
-            y = (
-                3.0 + 0.55 * t_hist[0] - 0.8 * c_hist[0, 0]
-                - 0.4 * c_hist[0, 1] + 0.02 * rng.normal()
-            )
-            meas.append((y, t_hist, c_hist))
-        return meas
-
-    def test_matches_sequential_updates(self):
-        rng = np.random.default_rng(3)
-        B = 24
-        seq = [
-            RecursiveARXEstimator(self.MODEL, forgetting=0.96 + 0.03 * rng.random())
-            for _ in range(B)
-        ]
-        bat = [copy.deepcopy(e) for e in seq]
-        for _ in range(25):
-            meas = self._measurements(rng, B)
-            for e, mm in zip(seq, meas):
-                e.update(*mm)
-            rls_update_batch(bat, meas)
-        for a, b in zip(seq, bat):
-            np.testing.assert_allclose(b.theta, a.theta, atol=1e-9)
-            np.testing.assert_allclose(b.P, a.P, atol=1e-9)
-            assert b.n_updates == a.n_updates
-
-    def test_non_finite_measurement_holds_that_estimator(self):
-        rng = np.random.default_rng(4)
-        ests = [RecursiveARXEstimator(self.MODEL) for _ in range(3)]
-        before = ests[1].theta.copy()
-        meas = self._measurements(rng, 3)
-        meas[1] = (float("nan"),) + meas[1][1:]
-        rls_update_batch(ests, meas)
-        np.testing.assert_array_equal(ests[1].theta, before)
-        assert ests[1].n_updates == 0
-        assert ests[0].n_updates == ests[2].n_updates == 1
-
-    def test_mixed_shapes_group_independently(self):
-        rng = np.random.default_rng(5)
-        small = RecursiveARXEstimator(self.MODEL)
-        big_model = ARXModel(a=[0.4, 0.1], b=[[-0.5], [-0.2]], g=2.0)
-        big = RecursiveARXEstimator(big_model)
-        small_ref = copy.deepcopy(small)
-        big_ref = copy.deepcopy(big)
-        small_meas = self._measurements(rng, 1)[0]
-        big_meas = (2.2, [2.0, 1.9], np.array([[1.1], [0.9]]))
-        rls_update_batch([small, big], [small_meas, big_meas])
-        small_ref.update(*small_meas)
-        big_ref.update(*big_meas)
-        np.testing.assert_allclose(small.theta, small_ref.theta, atol=1e-9)
-        np.testing.assert_allclose(big.theta, big_ref.theta, atol=1e-9)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            rls_update_batch([RecursiveARXEstimator(self.MODEL)], [])

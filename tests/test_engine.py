@@ -593,7 +593,7 @@ class TestTestbedResume:
 
 
 # ---------------------------------------------------------------------------
-# controller handover inside the engine (adopt_warm_state)
+# controller handover inside the engine (state_dict carries warm sets)
 # ---------------------------------------------------------------------------
 
 
@@ -607,8 +607,8 @@ class TestControllerHandover:
         old = plant.manager.controllers["app0"]
         assert old._mpc._warm_active  # the run has seeded warm sets
 
-        # A supervisor swaps in a fresh controller mid-run (e.g. after
-        # re-identification); the warm working sets carry over.
+        # A fresh controller takes over mid-run from the old one's
+        # state_dict; the warm working sets carry over with it.
         cfg = plant.config
         new = ResponseTimeController(
             _TB_MODEL,
@@ -621,7 +621,6 @@ class TestControllerHandover:
             initial_alloc_ghz=[cfg.initial_alloc_ghz] * 2,
         )
         new.load_state_dict(old.state_dict())
-        new._mpc.adopt_warm_state(old._mpc)
         assert new._mpc._warm_active == old._mpc._warm_active
         baseline_hits = new._mpc.warm_hits
         plant.manager.register_controller("app0", new)

@@ -1,9 +1,9 @@
 """Fleet-batched control path: equivalence, edge paths, telemetry.
 
 The fleet path (``control_mode="fleet"``, the default) runs every app's
-sysid/MPC through the grouped batch kernels; the scalar path is the
+MPC solve through the grouped batch kernel; the scalar path is the
 bit-reproducible per-app reference loop.  Batched linear algebra
-reorders floating-point sums (stacked multi-RHS LAPACK, einsums), so
+reorders floating-point sums (stacked multi-RHS LAPACK), so
 the two paths are *allclose*, not bit-identical — these tests pin the
 tolerance explicitly and assert exact parity for everything discrete
 (counters, hold decisions, validation, checkpoint determinism).
@@ -24,7 +24,6 @@ from repro.core import (
     PowerManager,
     ResponseTimeController,
 )
-from repro.core.controller.adaptive import AdaptiveResponseTimeController
 from repro.core.fleet import FleetControlStep
 from repro.engine.scenario import builtin_registry
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
@@ -56,23 +55,21 @@ def _fleet_dc(n_apps):
     return dc
 
 
-def _controller(model=_MODEL, adaptive=False, **cfg_overrides):
+def _controller(model=_MODEL, **cfg_overrides):
     cfg = ControllerConfig(**cfg_overrides)
-    cls = AdaptiveResponseTimeController if adaptive else ResponseTimeController
-    return cls(
+    return ResponseTimeController(
         model, cfg,
         c_min=[0.2, 0.2], c_max=[3.0, 3.0], initial_alloc_ghz=[0.8, 0.8],
     )
 
 
-def _build_manager(n_apps, control_mode, adaptive=False, heterogeneous=False,
-                   **cfg_overrides):
+def _build_manager(n_apps, control_mode, heterogeneous=False, **cfg_overrides):
     dc = _fleet_dc(n_apps)
     mgr = PowerManager(dc, control_mode=control_mode)
     for i in range(n_apps):
         model = _MODEL_B if (heterogeneous and i % 2) else _MODEL
         mgr.register_controller(
-            f"app{i}", _controller(model, adaptive=adaptive, **cfg_overrides)
+            f"app{i}", _controller(model, **cfg_overrides)
         )
     return dc, mgr
 
@@ -119,31 +116,6 @@ class TestFleetScalarEquivalence:
         )
         # Two model populations -> two MPC groups of three.
         assert mgrs["fleet"].last_fleet_stats["mpc_groups"] == [3, 3]
-
-    def test_adaptive_fleet_batches_rls_and_matches_scalar(self):
-        out, mgrs = {}, {}
-        for mode in ("scalar", "fleet"):
-            _, mgr = _build_manager(5, mode, adaptive=True)
-            out[mode] = _drive(mgr, 5, 25)
-            mgrs[mode] = mgr
-        np.testing.assert_allclose(
-            out["fleet"], out["scalar"], rtol=RTOL, atol=ATOL
-        )
-        # Exact gate parity: the same samples were learned in both modes.
-        total = 0
-        for i in range(5):
-            a = mgrs["fleet"].controllers[f"app{i}"]
-            b = mgrs["scalar"].controllers[f"app{i}"]
-            assert a.rls_samples == b.rls_samples
-            assert a.estimator.n_updates == b.estimator.n_updates
-            # Estimator internals get a looser pin than the demands:
-            # the P-matrix recursion amplifies ulp-level reduction
-            # differences faster than the (regularized) MPC solution.
-            np.testing.assert_allclose(
-                a.estimator.theta, b.estimator.theta, rtol=1e-6, atol=1e-6
-            )
-            total += a.estimator.n_updates
-        assert total > 0, "RLS never consumed a sample in either mode"
 
     def test_controller_state_dicts_match_across_modes(self):
         states = {}

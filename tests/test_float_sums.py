@@ -13,6 +13,11 @@ import json
 
 import pytest
 
+from repro.cluster import Server
+from repro.cluster.catalog import TESTBED_SERVER
+from repro.cluster.migration import MigrationRecord
+from repro.core.arbitrator import CPUResourceArbitrator
+from repro.core.optimizer.types import ApplyReport
 from repro.engine.kernel import run_session
 from repro.engine.scenario import ScenarioSpec
 from repro.service.runner import summarize_run_result
@@ -81,6 +86,31 @@ class TestLeftSum:
     def test_keeps_integer_totals_integer(self):
         assert left_sum([1, 2, 3]) == 6 and type(left_sum([1, 2, 3])) is int
         assert left_sum([]) == 0 and left_sum([], 0.0) == 0.0
+
+
+class TestTotalsDoNotDependOnSum:
+    """Single run-path totals whose last bit 3.12's ``sum`` would move."""
+
+    def test_arbitrator_rations_with_the_left_fold(self, monkeypatch):
+        # 5.121 GHz asked of a 4.8 GHz server: rationing scales every
+        # demand by capacity / total, so the total's last bit shows.
+        demands = {"v0": 1.987, "v1": 1.762, "v2": 0.506, "v3": 0.866}
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        result = CPUResourceArbitrator().arbitrate(
+            Server("T0", TESTBED_SERVER), demands
+        )
+        assert result.overloaded
+        assert result.total_demand_ghz == left_sum(demands.values())
+        assert result.allocations_ghz["v0"] == 1.8624487404803751
+
+    def test_apply_report_totals_with_the_left_fold(self, monkeypatch):
+        records = [
+            MigrationRecord(f"v{i}", "S0", "S1", 0.0, 0.1, 0.1) for i in range(10)
+        ]
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        report = ApplyReport(records=records)
+        assert report.total_duration_s == 0.9999999999999999
+        assert report.total_bytes_moved_mb == 0.9999999999999999
 
 
 class TestResultsDoNotDependOnSum:

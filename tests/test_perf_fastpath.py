@@ -240,7 +240,7 @@ class TestMPCFastLane:
         ctrl = self._controller(warm=False)
         sols_cached = self._drive(ctrl)
         busted = self._controller(warm=False)
-        # Busting the key before every period forces a fresh derivation
+        # Busting the cache before every period forces a fresh derivation
         # of psi / Hessian / constraint stack each time.
         rng = np.random.default_rng(3)
         t_hist = [900.0, 950.0]
@@ -249,7 +249,7 @@ class TestMPCFastLane:
         for k, cached_sol in enumerate(sols_cached):
             t_now = 900.0 + 200.0 * np.sin(k / 6.0) + rng.normal(0, 25)
             t_hist = [t_now] + t_hist[:1]
-            busted._cache_key = None
+            busted._cache = {}
             sol = busted.solve(
                 t_hist, c_hist, ref, 1000.0, [0.2, 0.2], [3.0, 3.0]
             )
@@ -289,21 +289,15 @@ class TestMPCFastLane:
         donor = self._controller(warm=True)
         self._drive(donor, n=10)
         assert donor._warm_active  # non-empty working sets to hand over
+        # The resume path: a fresh controller restored from a checkpoint
+        # builds its matrix cache on its first solve, and that must not
+        # discard the restored working sets.
         heir = self._controller(warm=True)
-        heir.adopt_warm_state(donor)
+        heir.load_state_dict(donor.state_dict())
+        assert not heir._cache
         sols = self._drive(heir, n=1)
         assert sols[0].qp.warm_started
-        assert heir.warm_hits >= 1
-
-    def test_cache_invalidated_on_model_change(self):
-        ctrl = self._controller(warm=False)
-        self._drive(ctrl, n=1)
-        key_before = ctrl._cache_key
-        ctrl.model = ARXModel(
-            a=[0.5], b=[[-700.0, -250.0], [-90.0, -40.0]], g=1700.0
-        )
-        self._drive(ctrl, n=1)
-        assert ctrl._cache_key != key_before
+        assert heir.warm_hits > donor.warm_hits
 
 
 class _RecordingConstraint(MemoryConstraint):

@@ -11,6 +11,7 @@ import pytest
 from repro.apps import AppSpec, MultiTierApp
 from repro.control.arx import ARXModel
 from repro.control.mpc_core import MPCConfig, MPCController
+from repro.control.qp import solve_qp
 from repro.core.controller import ControllerConfig, ResponseTimeController
 from repro.core.fleet import FleetControlStep
 from repro.core.optimizer.ipac import ipac
@@ -155,6 +156,38 @@ def test_perf_mpc_solve(benchmark):
 
     sol = benchmark(run)
     assert sol.qp.ok
+
+
+def test_perf_qp_degenerate(benchmark):
+    """The degenerate softened QP of ``tests/test_qp.py::TestDegenerate``
+    (captured from period 1 of ``testbed-fleet``, seed 2010): a bound and
+    a rate limit active on the same variable make the working set
+    singular, so the solve goes on in least squares for all 200 rounds
+    and then hands over to SLSQP.  The 48 period-1 solves of that
+    workload take this path, so a slower solo round shows up here first.
+    """
+    H = np.array([
+        [7.1806571790513813e08, 3.8220602664313716e08,
+         7.1374317770709872e08, 3.8001110401419854e08],
+        [3.8220602664313716e08, 2.0369411200276637e08,
+         3.8001110401419854e08, 2.0232549141555703e08],
+        [7.1374317770709872e08, 3.8001110401419854e08,
+         7.0991444202685213e08, 3.7786612478154206e08],
+        [3.8001110401419848e08, 2.0232549141555703e08,
+         3.7786612478154206e08, 2.0138346168869105e08],
+    ])
+    g = np.array([1.319194542334485e09, 7.023656738062528e08,
+                  1.311661765239606e09, 6.983549795174069e08])
+    first = np.hstack([np.eye(2), np.zeros((2, 2))])
+    both = np.hstack([np.eye(2), np.eye(2)])
+    A_ub = np.vstack([first, -first, both, -both, np.eye(4), -np.eye(4)])
+    upper = [-0.30000000000000004, -0.30000000000000004]
+    lower = [0.7868089964998505, 0.8]
+    b_ub = np.array(upper + lower + upper + lower + [0.3] * 8)
+
+    result = benchmark(solve_qp, H, g, A_ub=A_ub, b_ub=b_ub)
+    # The timed path; a degeneracy-safe working set would end it early.
+    assert (result.status, result.iterations) == ("infeasible", 200)
 
 
 def test_perf_fleet_control_step(benchmark):

@@ -17,74 +17,20 @@ See README.md for the architecture overview and DESIGN.md for the
 paper-to-module map.
 """
 
-from repro.apps import AppSpec, MultiTierApp
-from repro.cluster import DataCenter, Server, ServerSpec, VM
-from repro.control import ARXModel, MPCConfig, MPCController
-from repro.core import (
-    ControllerConfig,
-    CPUResourceArbitrator,
-    IPACConfig,
-    PowerManager,
-    PowerManagerConfig,
-    ResponseTimeController,
-    ipac,
-    pac,
-    pmapper,
-)
 from repro.engine.largescale_backend import run_largescale
 from repro.engine.testbed_backend import run_testbed
-from repro.obs import (
-    InMemoryBackend,
-    JsonlBackend,
-    MetricsRegistry,
-    Telemetry,
-    get_telemetry,
-    set_telemetry,
-    use_telemetry,
-)
-from repro.sim.largescale import LargeScaleConfig, LargeScaleResult
-from repro.sim.testbed import TestbedConfig, TestbedResult
-from repro.sysid import fit_arx, identify_app_model
-from repro.traces import TraceConfig, UtilizationTrace, generate_trace
+from repro.sim.largescale import LargeScaleConfig
+from repro.sim.testbed import TestbedConfig
+from repro.traces import TraceConfig, generate_trace
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AppSpec",
-    "MultiTierApp",
-    "DataCenter",
-    "Server",
-    "ServerSpec",
-    "VM",
-    "ARXModel",
-    "MPCConfig",
-    "MPCController",
-    "ControllerConfig",
-    "CPUResourceArbitrator",
-    "IPACConfig",
-    "PowerManager",
-    "PowerManagerConfig",
-    "ResponseTimeController",
-    "ipac",
-    "pac",
-    "pmapper",
-    "InMemoryBackend",
-    "JsonlBackend",
-    "MetricsRegistry",
-    "Telemetry",
-    "get_telemetry",
-    "set_telemetry",
-    "use_telemetry",
-    "LargeScaleConfig",
-    "LargeScaleResult",
-    "run_largescale",
     "TestbedConfig",
-    "TestbedResult",
     "run_testbed",
-    "fit_arx",
-    "identify_app_model",
+    "LargeScaleConfig",
     "TraceConfig",
-    "UtilizationTrace",
     "generate_trace",
+    "run_largescale",
     "__version__",
 ]

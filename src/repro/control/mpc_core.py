@@ -302,11 +302,6 @@ class MPCController:
                 qp_status=solution.qp.status,
                 warm=solution.qp.warm_started,
             )
-        tel.count("mpc.solves")
-        if solution.qp.warm_started:
-            tel.count("mpc.warm_hits")
-        if solution.terminal_softened:
-            tel.count("mpc.terminal_softened")
         return solution
 
     def _assemble(
@@ -430,18 +425,7 @@ class MPCController:
             t_hist, c_hist, reference, setpoint, c_min, c_max,
             total_cap_ghz, output_bias,
         )
-        hard = None
-        unreachable = False
-        if self.config.terminal_constraint:
-            unreachable = self._terminal_unreachable(asm)
-            if not unreachable:
-                hard = solve_qp(
-                    asm["cache"]["H"], asm["g"],
-                    A_eq=asm["terminal_row"], b_eq=asm["terminal_rhs"],
-                    A_ub=asm["A_ub"], b_ub=asm["b_ub"],
-                    warm_start=self._warm_seed("hard", asm["has_cap"]),
-                )
-        return self._conclude(asm, hard, unreachable)
+        return _solve_group([self], [asm])[0]
 
     def _terminal_unreachable(self, asm: dict) -> bool:
         """Sound certificate that the terminal equality cannot be met.
@@ -491,12 +475,10 @@ class MPCController:
     ) -> MPCSolution:
         """Turn the hard-terminal QP's outcome into this period's solution.
 
-        ``hard`` is None when no hard QP was attempted (no terminal
-        constraint configured, or the certificate proved it
-        ``unreachable``).  A failed or skipped hard terminal is softened
-        into ``W * (t(k+M|k) - Ts)^2``.  The scalar path and
-        :func:`solve_mpc_batch` both end here, so counters and warm
-        sets are kept the same way in either.
+        ``hard`` is None when no terminal constraint is configured;
+        ``unreachable`` says the certificate marked the hard QP
+        known-infeasible.  A failed hard terminal is softened into
+        ``W * (t(k+M|k) - Ts)^2``.
         """
         cfg = self.config
         has_cap = asm["has_cap"]
@@ -556,6 +538,52 @@ class MPCController:
         )
 
 
+def _solve_group(
+    controllers: Sequence[MPCController], asms: Sequence[dict]
+) -> list:
+    """One period of a group of controllers that share model, horizons
+    and constraint geometry, from their assembled QP data (``asms``).
+
+    The hard-terminal QPs go to one :func:`solve_qp_batch` call, the
+    members the reachability certificate
+    (:meth:`MPCController._terminal_unreachable`) decides marked
+    ``known_infeasible``; each member's outcome is then concluded
+    (softened alone where the hard QP failed).  A group of one is
+    :meth:`MPCController.solve`.  This is the one place the
+    ``mpc.solves`` / ``mpc.warm_hits`` / ``mpc.terminal_softened``
+    telemetry counters are counted; a warm hit is a solution whose QP
+    was warm-started.
+    """
+    if controllers[0].config.terminal_constraint:
+        first = asms[0]
+        unreachable = [c._terminal_unreachable(a) for c, a in zip(controllers, asms)]
+        hards: Sequence[Optional[QPResult]] = solve_qp_batch(
+            first["cache"]["H"], np.array([a["g"] for a in asms]),
+            A_eq=first["terminal_row"],
+            b_eq_batch=np.array([a["terminal_rhs"] for a in asms]),
+            A_ub=first["A_ub"], b_ub_batch=np.array([a["b_ub"] for a in asms]),
+            warm_starts=[c._warm_seed("hard", first["has_cap"]) for c in controllers],
+            known_infeasible=unreachable,
+        )
+    else:
+        unreachable = [False] * len(asms)
+        hards = [None] * len(asms)
+    solutions = [
+        c._conclude(a, hard, proved)
+        for c, a, hard, proved in zip(controllers, asms, hards, unreachable)
+    ]
+    tel = get_telemetry()
+    if tel.enabled:
+        tel.count("mpc.solves", len(solutions))
+        n_warm = sum(s.qp.warm_started for s in solutions)
+        if n_warm:
+            tel.count("mpc.warm_hits", n_warm)
+        n_soft = sum(s.terminal_softened for s in solutions)
+        if n_soft:
+            tel.count("mpc.terminal_softened", n_soft)
+    return solutions
+
+
 def solve_mpc_batch(
     controllers: Sequence[MPCController],
     requests: Sequence[dict],
@@ -571,26 +599,24 @@ def solve_mpc_batch(
     and their hard-terminal QPs solved by one
     :func:`repro.control.qp.solve_qp_batch` call — a single stacked-RHS
     linear solve per active-set round instead of one KKT factorization
-    per controller.  Warm-start working sets and solve counters are
-    read and written per controller exactly as in the scalar path.
+    per controller.  Every group takes the path
+    :meth:`MPCController.solve` takes for one controller, so warm-start
+    working sets and solve counters are read and written per controller
+    the same way, and a group of one (or a member without a terminal
+    constraint, whose QP is solved alone) returns bitwise what
+    :meth:`MPCController.solve` returns.  Members of a larger group are
+    *allclose* to, not bit-identical with, separate solves (multi-RHS
+    LAPACK).
 
-    Batching pays off for homogeneous fleets (controllers sharing one
-    identified model, or synthetic sweeps); controllers that group
-    alone fall back to the scalar :meth:`MPCController.solve`.  A
-    member whose hard terminal QP fails is softened alone, as in the
-    scalar path (a warm softened
-    solve takes ~0.1 ms; what used to cost was finding out that the
-    hard QP is infeasible).  Members the reachability certificate
-    (:meth:`MPCController._terminal_unreachable`) decides are marked
-    ``known_infeasible`` in the batched call and go straight to that
-    softened solve.  Results are *allclose* to, not bit-identical
-    with, sequential scalar solves (multi-RHS LAPACK) — golden-hash
-    pipelines must keep calling :meth:`MPCController.solve`.
+    A member whose hard terminal QP fails is softened alone (a warm
+    softened solve takes ~0.1 ms; what used to cost was finding out
+    that the hard QP is infeasible).  Members the reachability
+    certificate decides are marked ``known_infeasible`` in the batched
+    call and go straight to that softened solve.
 
     ``stats``, when given a dict, receives grouping telemetry:
-    ``groups`` (member count per group, descending), ``scalar`` (how
-    many members went through a scalar :meth:`MPCController.solve`),
-    and over all members ``softened`` (terminal equality relaxed) and
+    ``groups`` (member count per group, descending), and over all
+    members ``softened`` (terminal equality relaxed) and
     ``unreachable`` (of those, decided by the certificate).
 
     Returns the list of :class:`MPCSolution` in request order.
@@ -615,51 +641,17 @@ def solve_mpc_batch(
         )
         groups.setdefault(key, []).append(i)
 
+    for members in groups.values():
+        solutions = _solve_group(
+            [controllers[i] for i in members],
+            [controllers[i]._assemble(**requests[i]) for i in members],
+        )
+        for i, solution in zip(members, solutions):
+            results[i] = solution
     if stats is not None:
         stats["groups"] = sorted(
             (len(m) for m in groups.values()), reverse=True
         )
-        stats["scalar"] = 0
-    tel = get_telemetry()
-    for key, members in groups.items():
-        hard_terminal = key[-2]
-        if len(members) == 1 or not hard_terminal:
-            for i in members:
-                results[i] = controllers[i].solve(**requests[i])
-            if stats is not None:
-                stats["scalar"] += len(members)
-            continue
-        asms = [controllers[i]._assemble(**requests[i]) for i in members]
-        has_cap = asms[0]["has_cap"]
-        H = asms[0]["cache"]["H"]
-        A_ub = asms[0]["A_ub"]
-        terminal_row = asms[0]["terminal_row"]
-        g_stack = np.stack([a["g"] for a in asms])
-        b_eq_stack = np.stack([a["terminal_rhs"] for a in asms])
-        b_ub_stack = np.stack([a["b_ub"] for a in asms])
-        # Members whose set point is provably out of reach skip the
-        # solver but keep their column in the lock-step rounds (see
-        # ``solve_qp_batch``: the column count is part of the bits).
-        unreachable = [
-            controllers[i]._terminal_unreachable(a) for i, a in zip(members, asms)
-        ]
-        qps = solve_qp_batch(
-            H, g_stack, A_eq=terminal_row, b_eq_batch=b_eq_stack,
-            A_ub=A_ub, b_ub_batch=b_ub_stack,
-            warm_starts=[controllers[i]._warm_seed("hard", has_cap) for i in members],
-            known_infeasible=unreachable,
-        )
-        for asm, i, res, proved in zip(asms, members, qps, unreachable):
-            results[i] = controllers[i]._conclude(asm, res, proved and not res.ok)
-        if tel.enabled:
-            tel.count("mpc.solves", len(members))
-            n_warm = sum(res.warm_started for res in qps)
-            if n_warm:
-                tel.count("mpc.warm_hits", n_warm)
-            n_soft = sum(results[i].terminal_softened for i in members)
-            if n_soft:
-                tel.count("mpc.terminal_softened", n_soft)
-    if stats is not None:
         stats["softened"] = sum(r.terminal_softened for r in results)
         stats["unreachable"] = sum(r.terminal_unreachable for r in results)
     return results

@@ -11,6 +11,10 @@ constraints).  The implementation is the classic working-set scheme:
    negative one;
 4. repeat until primal feasible with non-negative multipliers.
 
+The iteration is written once, in :func:`solve_qp_batch`, for B problems
+that share ``H``, ``A_eq`` and ``A_ub`` (a fleet of controllers on one
+model); :func:`solve_qp` is its batch of one.
+
 ``H`` must be positive definite on the feasible set (the MPC cost has a
 strictly positive control penalty ``R``, which guarantees this).  The
 solver is validated against ``scipy.optimize`` in the test suite and
@@ -57,35 +61,6 @@ class QPResult:
     def ok(self) -> bool:
         """True when a solution was produced."""
         return self.x is not None
-
-
-def _solve_kkt(
-    H: np.ndarray, g: np.ndarray, C: np.ndarray, d: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve the equality-constrained QP ``min .5x'Hx+g'x s.t. Cx=d``.
-
-    Returns ``(x, nu)`` where ``nu`` are the constraint multipliers.
-    Falls back to least-squares for singular KKT matrices (degenerate
-    working sets).
-    """
-    n = H.shape[0]
-    m = C.shape[0]
-    if m == 0:
-        try:
-            return np.linalg.solve(H, -g), np.empty(0)
-        except np.linalg.LinAlgError:
-            x, *_ = np.linalg.lstsq(H, -g, rcond=None)
-            return x, np.empty(0)
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = H
-    kkt[:n, n:] = C.T
-    kkt[n:, :n] = C
-    rhs = np.concatenate([-g, d])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    return sol[:n], sol[n:]
 
 
 def _off_equalities(x: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray) -> bool:
@@ -161,102 +136,19 @@ def solve_qp(
     iterations instead of rebuilding the working set from empty.  Out of
     range indices are ignored; the result is the same optimum either
     way, only reached faster.
+
+    This is :func:`solve_qp_batch` with B = 1.
     """
-    H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    if H.shape != (n, n):
-        raise ValueError(f"H must be {n}x{n}, got {H.shape}")
-    H = 0.5 * (H + H.T)  # symmetrize against numerical asymmetry
-
-    A_eq = np.zeros((0, n)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, float))
+    if g.ndim != 1:
+        raise ValueError(f"g must be 1-D, got shape {g.shape}")
+    # A missing right-hand side is empty, not zero, so it must match an
+    # empty constraint block (a batch would fill in zeros).
     b_eq = np.zeros(0) if b_eq is None else np.atleast_1d(np.asarray(b_eq, float))
-    A_ub = np.zeros((0, n)) if A_ub is None else np.atleast_2d(np.asarray(A_ub, float))
     b_ub = np.zeros(0) if b_ub is None else np.atleast_1d(np.asarray(b_ub, float))
-    if A_eq.shape != (b_eq.shape[0], n):
-        raise ValueError(f"A_eq shape {A_eq.shape} inconsistent with n={n}, b_eq={b_eq.shape}")
-    if A_ub.shape != (b_ub.shape[0], n):
-        raise ValueError(f"A_ub shape {A_ub.shape} inconsistent with n={n}, b_ub={b_ub.shape}")
-
-    n_eq = A_eq.shape[0]
-    n_ub = A_ub.shape[0]
-    active: List[int] = []
-    warm = False
-    if warm_start is not None:
-        seen = set()
-        for idx in warm_start:
-            idx = int(idx)
-            if 0 <= idx < n_ub and idx not in seen:
-                seen.add(idx)
-                active.append(idx)
-        warm = bool(active)
-    x = None
-    seed_unverified = warm
-    for iteration in range(1, max_iter + 1):
-        if warm and iteration > _WARM_ITER_BUDGET:
-            # The seed did not lead to quick convergence — from here on
-            # this is a plain cold solve from the empty working set.
-            warm = False
-            seed_unverified = False
-            active = []
-        C = np.vstack([A_eq, A_ub[active]]) if (n_eq or active) else np.zeros((0, n))
-        d = np.concatenate([b_eq, b_ub[active]]) if (n_eq or active) else np.zeros(0)
-        x, nu = _solve_kkt(H, g, C, d)
-
-        # A stale warm-start seed can be inconsistent under the current
-        # rhs (the KKT solve then degrades to least squares, leaving
-        # working-set rows unsatisfied while the feasibility mask below
-        # would treat them as enforced).  Verify the seed once, on the
-        # first iterate; if any seeded row is not actually met, discard
-        # the whole seed and restart cold — never cheaper to repair a
-        # bad guess row by row.
-        if seed_unverified:
-            seed_unverified = False
-            bad_eq = n_eq and np.max(np.abs(A_eq @ x - b_eq)) > 1e-6
-            bad_ub = active and np.max(np.abs(A_ub[active] @ x - b_ub[active])) > 1e-6
-            if bad_eq or bad_ub:
-                warm = False  # seed discarded: this is a cold solve now
-                active = []
-                continue
-
-        # Drop an active inequality whose multiplier went negative.
-        if active:
-            ineq_mult = nu[n_eq:]
-            worst = int(np.argmin(ineq_mult))
-            if ineq_mult[worst] < -tol:
-                active.pop(worst)
-                continue
-
-        # Add the most violated inactive inequality.
-        if A_ub.shape[0]:
-            resid = A_ub @ x - b_ub
-            resid[active] = -np.inf  # already enforced
-            worst = int(np.argmax(resid))
-            if resid[worst] > tol:
-                active.append(worst)
-                continue
-
-        # Verify equality feasibility (catches inconsistent A_eq).
-        if _off_equalities(x, A_eq, b_eq):
-            if warm:
-                break  # retry cold below rather than trusting this iterate
-            return _scipy_fallback(H, g, A_eq, b_eq, A_ub, b_ub, x, iteration, warm)
-
-        # Warm seeds can steer the iteration through a degenerate working
-        # set whose KKT system is only solvable in least squares — the
-        # masked active rows are then *not* actually enforced.  Verify
-        # them before declaring victory; a violation means the warm path
-        # went astray, so retry cold (which never takes that path).
-        if warm and active and np.max(np.abs(A_ub[active] @ x - b_ub[active])) > 1e-6:
-            break
-
-        return QPResult(x, "optimal", iteration, tuple(sorted(active)), warm)
-
-    if warm:
-        # A warm-started solve that stalls (degenerate cycling around a
-        # bad seed) must never end worse than a cold one: rerun cold.
-        return solve_qp(H, g, A_eq, b_eq, A_ub, b_ub, max_iter, tol, None)
-    return _scipy_fallback(H, g, A_eq, b_eq, A_ub, b_ub, x, max_iter, warm)
+    return solve_qp_batch(
+        H, g[None], A_eq, b_eq[None], A_ub, b_ub[None], max_iter, tol, [warm_start]
+    )[0]
 
 
 def solve_qp_batch(
@@ -273,27 +165,36 @@ def solve_qp_batch(
 ) -> List[QPResult]:
     """Solve B convex QPs sharing ``H``/``A_eq``/``A_ub`` in lock step.
 
-    This is the batch form of :func:`solve_qp` for fleets of structurally
-    identical controllers (same model horizon, same constraint geometry)
-    whose per-period data differ only in the linear term ``g`` and the
-    right-hand sides: ``g_batch`` is ``(B, n)``, ``b_eq_batch`` is
-    ``(B, n_eq)``, ``b_ub_batch`` is ``(B, n_ub)``.
+    For fleets of structurally identical controllers (same model
+    horizon, same constraint geometry) whose per-period data differ only
+    in the linear term ``g`` and the right-hand sides: ``g_batch`` is
+    ``(B, n)``, ``b_eq_batch`` is ``(B, n_eq)``, ``b_ub_batch`` is
+    ``(B, n_ub)``; ``warm_starts[i]`` seeds problem ``i`` as
+    ``warm_start`` does in :func:`solve_qp`.
 
-    Each active-set round groups the still-pending problems by their
-    current working set; every group shares one KKT matrix, so its
-    members are solved with a single stacked-RHS ``np.linalg.solve``
-    instead of B separate factorizations.  The per-problem drop/add
-    bookkeeping is unchanged from the scalar solver, and any problem
-    that leaves the happy path (singular group KKT, stale seed on a
-    degenerate set, iteration stall) is handed to :func:`solve_qp`
-    individually, so batch results carry the same status semantics.
+    Each active-set round groups the pending problems by their current
+    working set; every group shares one KKT matrix, so its members are
+    solved with a single stacked-RHS ``np.linalg.solve`` instead of B
+    separate factorizations.  Each problem keeps its own working set,
+    warm flag and iteration count.
+
+    A problem is *solo* when B = 1, or once it has left the lock step;
+    a solo problem always forms a one-column group of its own.  On a
+    singular KKT matrix a solo problem continues from the least-squares
+    iterate; when its iterate cannot be reported (an equality missed, a
+    warm working-set row violated) or its ``max_iter`` rounds run out, a
+    warm problem restarts cold with a fresh iteration count and a cold
+    one goes to SciPy SLSQP.  A problem in the lock step leaves it on
+    any of those events, or on a singular group KKT: it restarts solo
+    and cold, so batch results carry the same status semantics as
+    :func:`solve_qp`.
 
     ``known_infeasible`` marks problems the caller has already proved
     infeasible (length B; the MPC's terminal-reachability certificate).
-    A marked problem costs no solver time of its own: it comes back
-    ``infeasible`` with ``x is None`` where an unmarked one would be
-    handed to :func:`solve_qp`, and the rounds stop as soon as only
-    marked problems are pending.  Until then it keeps its column in the
+    A marked problem costs no solver time of its own: where an unmarked
+    one would restart solo it comes back ``infeasible`` with
+    ``x is None``, and it is dropped as soon as only marked problems are
+    left in the lock step.  Until then it keeps its column in the
     stacked right-hand sides, because LAPACK's solve depends on the
     column count: ``solve(A, B[:, :1])`` and ``solve(A, B)[:, :1]``
     differ in the last bits (a lone column takes the single-RHS path;
@@ -303,18 +204,24 @@ def solve_qp_batch(
     of the call without the mask.
 
     Equivalence: LAPACK's multi-RHS solve is *allclose* to, but not
-    bit-identical with, a sequence of single-RHS solves — callers that
-    pin golden hashes must stay on :func:`solve_qp`.
+    bit-identical with, a sequence of single-RHS solves, so a problem
+    in a lock-step group of two or more may end a few ulps away from
+    its :func:`solve_qp` result.  Solo problems are bitwise
+    :func:`solve_qp`.
     """
     H = np.asarray(H, dtype=float)
     g_batch = np.atleast_2d(np.asarray(g_batch, dtype=float))
     B, n = g_batch.shape
     if H.shape != (n, n):
         raise ValueError(f"H must be {n}x{n}, got {H.shape}")
-    H = 0.5 * (H + H.T)
+    H = 0.5 * (H + H.T)  # symmetrize against numerical asymmetry
 
     A_eq = np.zeros((0, n)) if A_eq is None else np.atleast_2d(np.asarray(A_eq, float))
     A_ub = np.zeros((0, n)) if A_ub is None else np.atleast_2d(np.asarray(A_ub, float))
+    if A_eq.shape[1] != n or A_ub.shape[1] != n:
+        raise ValueError(
+            f"A_eq {A_eq.shape} and A_ub {A_ub.shape} must have n={n} columns"
+        )
     n_eq = A_eq.shape[0]
     n_ub = A_ub.shape[0]
     if b_eq_batch is None:
@@ -336,24 +243,12 @@ def solve_qp_batch(
     known = [False] * B if known_infeasible is None else list(known_infeasible)
     if len(known) != B:
         raise ValueError(f"known_infeasible must have length {B}, got {len(known)}")
-
-    iteration = 0
-
-    def _off_path(i: int) -> QPResult:
-        """Problem ``i`` left the lock step: finish it with the scalar
-        solver, unless the caller already knows how that ends."""
-        if known[i]:
-            return QPResult(None, "infeasible", iteration, ())
-        return solve_qp(
-            H, g_batch[i], A_eq, b_eq_batch[i], A_ub, b_ub_batch[i],
-            max_iter, tol, None,
-        )
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     results: List[Optional[QPResult]] = [None] * B
-    # Per-problem mutable solver state, mirroring the scalar loop.
+    # Per-problem solver state.
     actives: List[List[int]] = []
-    warm_flags: List[bool] = []
-    seed_unverified: List[bool] = []
     for i in range(B):
         active: List[int] = []
         seed = warm_starts[i] if warm_starts is not None else None
@@ -365,73 +260,104 @@ def solve_qp_batch(
                     seen.add(idx)
                     active.append(idx)
         actives.append(active)
-        warm_flags.append(bool(active))
-        seed_unverified.append(bool(active))
+    warm = [bool(active) for active in actives]
+    solo = [B == 1 and not k for k in known]  # a marked problem never runs solo
+    iters = [0] * B
+    xs: List[Optional[np.ndarray]] = [None] * B
 
+    def leave(i: int) -> bool:
+        """Problem ``i``'s iterate cannot be reported, or its rounds ran
+        out: finish it, or restart it solo and cold (True: still pending)."""
+        if solo[i] and not warm[i]:
+            results[i] = _scipy_fallback(
+                H, g_batch[i], A_eq, b_eq_batch[i], A_ub, b_ub_batch[i],
+                xs[i], iters[i],
+            )
+            return False
+        if known[i]:
+            results[i] = QPResult(None, "infeasible", iters[i], ())
+            return False
+        solo[i] = True
+        warm[i] = False
+        actives[i] = []
+        iters[i] = 0
+        return True
+
+    neg_g = -g_batch
+    marked = any(known)
     pending = list(range(B))
-    for iteration in range(1, max_iter + 1):
-        if all(known[i] for i in pending):
-            break
-        if iteration > _WARM_ITER_BUDGET:
-            for i in pending:
-                if warm_flags[i]:
-                    warm_flags[i] = False
-                    seed_unverified[i] = False
-                    actives[i] = []
+    while pending:
+        # Marked problems leave once no unmarked one is left in the lock step.
+        only_marked = marked and all(known[i] or solo[i] for i in pending)
         groups: dict = {}
         for i in pending:
-            groups.setdefault(tuple(actives[i]), []).append(i)
+            iters[i] += 1
+            if only_marked and known[i]:
+                results[i] = QPResult(None, "infeasible", iters[i], ())
+                continue
+            if warm[i] and iters[i] > _WARM_ITER_BUDGET:
+                # The seed did not lead to quick convergence — from here on
+                # this is a plain cold solve from the empty working set.
+                warm[i] = False
+                actives[i] = []
+            groups.setdefault((tuple(actives[i]), i if solo[i] else -1), []).append(i)
         next_pending: List[int] = []
-        for key, members in groups.items():
+        for (key, _), members in groups.items():
             active = list(key)
             m = n_eq + len(active)
             rhs = np.empty((n + m, len(members)))
             for col, i in enumerate(members):
-                rhs[:n, col] = -g_batch[i]
+                rhs[:n, col] = neg_g[i]
                 if n_eq:
                     rhs[n : n + n_eq, col] = b_eq_batch[i]
                 if active:
                     rhs[n + n_eq :, col] = b_ub_batch[i][active]
-            if m == 0:
-                try:
-                    sol = np.linalg.solve(H, rhs)
-                except np.linalg.LinAlgError:
-                    for i in members:
-                        results[i] = _off_path(i)
-                    continue
-            else:
+            if m:
                 C = np.vstack([A_eq, A_ub[active]])
                 kkt = np.zeros((n + m, n + m))
                 kkt[:n, :n] = H
                 kkt[:n, n:] = C.T
                 kkt[n:, :n] = C
-                try:
-                    sol = np.linalg.solve(kkt, rhs)
-                except np.linalg.LinAlgError:
-                    # Degenerate working set: the scalar path handles it
-                    # (least-squares iterate + seed verification).
-                    for i in members:
-                        results[i] = _off_path(i)
+            else:
+                kkt = H
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                if not solo[members[0]]:
+                    next_pending.extend(i for i in members if leave(i))
                     continue
+                # Degenerate working set: go on from the least-squares
+                # iterate (seed verification and the warm row check
+                # below catch the rows it leaves unmet).
+                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
             for col, i in enumerate(members):
                 x = sol[:n, col]
                 nu = sol[n:, col]
+                xs[i] = x
                 b_eq = b_eq_batch[i]
                 b_ub = b_ub_batch[i]
                 act = actives[i]
 
-                if seed_unverified[i]:
-                    seed_unverified[i] = False
+                # A stale warm-start seed can be inconsistent under the
+                # current rhs (the KKT solve then degrades to least
+                # squares, leaving working-set rows unsatisfied while the
+                # feasibility mask below would treat them as enforced).
+                # Verify the seed once, on the first iterate; if any
+                # seeded row is not actually met, discard the whole seed
+                # and restart cold — never cheaper to repair a bad guess
+                # row by row.
+                if warm[i] and iters[i] == 1:
                     bad_eq = n_eq and np.max(np.abs(A_eq @ x - b_eq)) > 1e-6
                     bad_ub = (
                         act and np.max(np.abs(A_ub[act] @ x - b_ub[act])) > 1e-6
                     )
                     if bad_eq or bad_ub:
-                        warm_flags[i] = False
+                        warm[i] = False  # seed discarded: a cold solve now
                         actives[i] = []
                         next_pending.append(i)
                         continue
 
+                # Drop an active inequality whose multiplier went negative.
                 if act:
                     ineq_mult = nu[n_eq:]
                     worst = int(np.argmin(ineq_mult))
@@ -440,33 +366,34 @@ def solve_qp_batch(
                         next_pending.append(i)
                         continue
 
+                # Add the most violated inactive inequality.
                 if n_ub:
                     resid = A_ub @ x - b_ub
-                    resid[act] = -np.inf
+                    resid[act] = -np.inf  # already enforced
                     worst = int(np.argmax(resid))
                     if resid[worst] > tol:
                         act.append(worst)
                         next_pending.append(i)
                         continue
 
-                if _off_equalities(x, A_eq, b_eq):
-                    results[i] = _off_path(i)
-                    continue
-                if (
-                    warm_flags[i]
+                # Verify equality feasibility (catches inconsistent A_eq)
+                # and, on a warm path, the working-set rows: a seed can
+                # steer the iteration through a degenerate set whose
+                # least-squares iterate leaves them unmet, which the cold
+                # path never does.  (On the first round the seed check
+                # above has just verified these rows at this iterate.)
+                if _off_equalities(x, A_eq, b_eq) or (
+                    warm[i]
+                    and iters[i] > 1
                     and act
                     and np.max(np.abs(A_ub[act] @ x - b_ub[act])) > 1e-6
                 ):
-                    # Warm path wandered into a degenerate set; the cold
-                    # scalar solve never takes that route.
-                    results[i] = _off_path(i)
+                    if leave(i):
+                        next_pending.append(i)
                     continue
 
                 results[i] = QPResult(
-                    x.copy(), "optimal", iteration, tuple(sorted(act)), warm_flags[i]
+                    x.copy(), "optimal", iters[i], tuple(sorted(act)), warm[i]
                 )
-        pending = next_pending
-
-    for i in pending:
-        results[i] = _off_path(i)
+        pending = [i for i in next_pending if iters[i] < max_iter or leave(i)]
     return results  # type: ignore[return-value]

@@ -1,13 +1,14 @@
 """Fleet-batched control step: one kernel call per phase, not per app.
 
-The scalar production loop in :class:`repro.core.manager.PowerManager`
-runs each application's :class:`ResponseTimeController` to completion
-before touching the next — one QP factorization, one history push per
-app per period.  At the paper's "thousands of applications" scale the
-per-app Python dispatch dominates.
+The per-app loop in :class:`repro.core.manager.PowerManager`
+(``control_mode="scalar"``, kept for golden-hash reproductions) runs
+each application's :class:`ResponseTimeController` to completion before
+touching the next — one QP solve, one history push per app per period.
+At the paper's "thousands of applications" scale the per-app Python
+dispatch dominates.
 
-:class:`FleetControlStep` re-phases the same work across the whole
-fleet using the seam split into the controller by
+:class:`FleetControlStep`, the default path, re-phases the same work
+across the whole fleet using the seam split into the controller by
 :meth:`ResponseTimeController.prepare` / ``finish``:
 
 1. ``prepare`` for every app (measurement handling, bias, bounds);
@@ -17,14 +18,13 @@ fleet using the seam split into the controller by
 
 Controllers are mutually independent — no step of one app's period
 reads another app's state — so this phase reordering changes nothing
-but the interleaving.  The batched kernel itself is *allclose* to, not
-bit-identical with, the scalar solves (stacked multi-RHS LAPACK);
-golden-hash pipelines pin ``control_mode="scalar"`` and the
-equivalence is asserted by ``tests/test_fleet.py`` at pinned
-tolerances.
+but the interleaving.  An app whose group has no other member is solved
+bitwise as in the per-app loop; larger groups are *allclose* to, not
+bit-identical with, it (stacked multi-RHS LAPACK), which
+``tests/test_fleet.py`` asserts at pinned tolerances.
 
 Missing-measurement holds (``ControllerConfig.missing_policy``) are
-handled inside ``prepare`` exactly as in the scalar path: held apps
+handled inside ``prepare`` exactly as in the per-app loop: held apps
 skip the solve batch entirely and re-emit their last demands, counter
 for counter.
 """
@@ -63,9 +63,9 @@ class FleetControlStep:
         caller validates).  ``stats`` reports the grouping the batch
         kernels achieved this period — fed to the
         ``controller.batch_groups`` / ``controller.batch_size`` metrics —
-        and how the solves ended: ``scalar`` (solved outside a batch),
-        ``softened`` (terminal equality relaxed), ``unreachable`` (of
-        those, decided by the reachability certificate without a solve).
+        and how the solves ended: ``softened`` (terminal equality
+        relaxed), ``unreachable`` (of those, decided by the reachability
+        certificate without a solve).
         """
         order = list(measurements)
         ctrls = self.controllers
@@ -74,7 +74,6 @@ class FleetControlStep:
             "held": 0,
             "solved": 0,
             "mpc_groups": [],
-            "scalar": 0,
             "softened": 0,
             "unreachable": 0,
         }
@@ -105,7 +104,7 @@ class FleetControlStep:
                     pendings[app_id], solution
                 )
             stats["mpc_groups"] = mpc_stats.get("groups", [])
-            for key in ("scalar", "softened", "unreachable"):
+            for key in ("softened", "unreachable"):
                 stats[key] = mpc_stats[key]
         stats["held"] = len(order) - len(solve_ids)
         stats["solved"] = len(solve_ids)

@@ -256,8 +256,8 @@ class PowerManager:
         ``controller.batch_size`` histogram (one observation per MPC
         group), and a ``manager.fleet_control`` span annotated with the
         per-group sizes so ``repro-obs profile`` can show how well the
-        fleet grouped, plus how many solves ran scalar, softened their
-        terminal constraint, and were proved unreachable beforehand.
+        fleet grouped, plus how many solves softened their terminal
+        constraint and were proved unreachable beforehand.
         """
         tel = get_telemetry()
         if not tel.enabled:
@@ -274,7 +274,6 @@ class PowerManager:
                 batch_groups=len(groups),
                 batch_group_sizes=groups,
                 held=stats.get("held", 0),
-                scalar=stats.get("scalar", 0),
                 softened=stats.get("softened", 0),
                 unreachable=stats.get("unreachable", 0),
             )

@@ -31,7 +31,6 @@ from repro.cluster.catalog import STANDARD_SERVER_TYPES, make_server_pool
 from repro.cluster.migration import LiveMigrationModel
 from repro.cluster.server import Server
 from repro.core.optimizer.ipac import IPACConfig, ipac
-from repro.core.optimizer.minslack import MinSlackConfig
 from repro.core.optimizer.ondemand import OnDemandConfig, relieve_overloads
 from repro.core.optimizer.pac import PACConfig, pac
 from repro.core.optimizer.pmapper import PMapperConfig, pmapper
@@ -64,10 +63,7 @@ logger = logging.getLogger(__name__)
 def _build_optimizer(config: LargeScaleConfig) -> Callable[[PlacementProblem], PlacementPlan]:
     """Scheme → consolidation callable (shared by CLI and benchmarks)."""
     pac_cfg = PACConfig(
-        minslack=MinSlackConfig(
-            epsilon_ghz=config.minslack_epsilon_ghz,
-            max_steps=config.minslack_max_steps,
-        ),
+        minslack=config.minslack_config(),
         target_utilization=config.target_utilization,
     )
     if config.scheme == "ipac":
@@ -235,10 +231,7 @@ class LargeScaleBackend:
         self.migration_energy_wh = 0.0
 
         self.evac_pac_cfg = PACConfig(
-            minslack=MinSlackConfig(
-                epsilon_ghz=config.minslack_epsilon_ghz,
-                max_steps=config.minslack_max_steps,
-            ),
+            minslack=config.minslack_config(),
             target_utilization=config.target_utilization,
         )
         self.relief_config = OnDemandConfig(

@@ -31,6 +31,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.optimizer.minslack import MinSlackConfig
 from repro.faults import FaultSchedule
 from repro.util.validation import check_in_range
 
@@ -120,6 +121,13 @@ class LargeScaleConfig:
         lo, hi = self.vm_peak_range_ghz
         if not 0 < lo <= hi:
             raise ValueError(f"bad vm_peak_range_ghz {self.vm_peak_range_ghz}")
+        if len(self.vm_memory_choices_mb) == 0:
+            raise ValueError("vm_memory_choices_mb must not be empty")
+        try:
+            self.minslack_config()
+        except ValueError as exc:
+            # "max_steps must be ..." -> this config's "minslack_max_steps".
+            raise ValueError(f"minslack_{exc}") from None
         if self.migration_overhead_w < 0:
             raise ValueError(
                 f"migration_overhead_w must be >= 0, got {self.migration_overhead_w}"
@@ -128,6 +136,13 @@ class LargeScaleConfig:
             raise ValueError(
                 f"migration_bandwidth_mbps must be > 0, got {self.migration_bandwidth_mbps}"
             )
+
+    def minslack_config(self) -> MinSlackConfig:
+        """The per-server Minimum Slack search knobs of this run."""
+        return MinSlackConfig(
+            epsilon_ghz=self.minslack_epsilon_ghz,
+            max_steps=self.minslack_max_steps,
+        )
 
     @property
     def dvfs_enabled(self) -> bool:

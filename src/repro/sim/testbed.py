@@ -18,7 +18,7 @@ from repro.apps.workload import ConcurrencySchedule
 from repro.control.arx import ARXModel
 from repro.faults import FaultSchedule
 from repro.sim.metrics import SeriesRecorder
-from repro.util.validation import check_positive
+from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["TestbedConfig", "TestbedResult"]
 
@@ -60,10 +60,11 @@ class TestbedConfig:
 
     ``control_mode`` selects the application-level control path in the
     :class:`~repro.core.manager.PowerManager`: ``"fleet"`` (default)
-    batches all apps' sysid/MPC through the grouped kernels each
-    period; ``"scalar"`` runs the historical per-app loop.  The paths
-    are allclose-equivalent, not bit-identical (stacked multi-RHS
-    LAPACK) — runs pinned to golden event-log hashes use ``"scalar"``.
+    solves all apps' MPC QPs through one grouped batch each period
+    (apps sharing a model share the lock-step rounds); ``"scalar"``
+    runs the historical per-app loop.  The paths are allclose-
+    equivalent, not bit-identical (stacked multi-RHS LAPACK) — runs
+    pinned to golden event-log hashes use ``"scalar"``.
     """
 
     __test__ = False
@@ -114,6 +115,22 @@ class TestbedConfig:
         if not 0 < lo <= hi:
             raise ValueError(
                 f"demand_scale_range must satisfy 0 < lo <= hi, got {self.demand_scale_range}"
+            )
+        if not self.min_alloc_ghz <= self.initial_alloc_ghz <= self.max_alloc_ghz:
+            raise ValueError(
+                "allocations must satisfy min_alloc_ghz <= initial_alloc_ghz "
+                f"<= max_alloc_ghz, got {self.min_alloc_ghz}, "
+                f"{self.initial_alloc_ghz}, {self.max_alloc_ghz}"
+            )
+        check_non_negative("warmup_s", self.warmup_s)
+        check_positive("setpoint_ms", self.setpoint_ms)
+        for app, setpoint in self.setpoints_ms.items():
+            check_positive(f"setpoints_ms[{app}]", setpoint)
+        check_non_negative("concurrency", self.concurrency)
+        lo, hi = self.sysid_alloc_range
+        if not 0 < lo < hi:
+            raise ValueError(
+                f"sysid_alloc_range must satisfy 0 < lo < hi, got {self.sysid_alloc_range}"
             )
         check_positive("fault_downtime_s", self.fault_downtime_s)
         if self.trace_requests_every < 0:

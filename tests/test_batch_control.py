@@ -1,9 +1,10 @@
 """Batched control kernel: stacked QP and fleet MPC.
 
-The batch paths are documented as *allclose*-equivalent to their scalar
-counterparts (multi-RHS LAPACK reorders floating-point sums),
-so every test here compares against the scalar implementation on the
-same inputs rather than against golden numbers.
+Lock-step groups of two or more are documented as *allclose*-equivalent
+to separate solves (multi-RHS LAPACK reorders floating-point sums) and
+a group of one as bitwise, so every test here compares against
+``solve_qp`` / ``MPCController.solve`` on the same inputs rather than
+against golden numbers.
 """
 
 import numpy as np
@@ -216,6 +217,65 @@ class TestSolveMpcBatch:
         for w, g in zip(want, got):
             assert g.terminal_softened
             np.testing.assert_allclose(g.delta_c, w.delta_c, atol=1e-6)
+
+    def test_singletons_and_non_terminal_members_are_bitwise_solve(self):
+        """Every group takes the path ``MPCController.solve`` takes for
+        one controller, so a member alone in its group — tracking or
+        softened by the certificate — and a member without a terminal
+        constraint (its one QP is solved alone) get bitwise the solution
+        and counters of ``solve`` on a twin controller, cold and warm;
+        the shared-model group around them stays allclose."""
+        other = ARXModel(
+            a=[0.3], b=[[-600.0, -250.0, -400.0], [-80.0, -40.0, -60.0]], g=1500.0
+        )
+        third = ARXModel(
+            a=[0.5], b=[[-900.0, -200.0, -450.0], [-90.0, -30.0, -70.0]], g=2000.0
+        )
+        tight = MPCConfig(
+            prediction_horizon=8, control_horizon=2, r_weight=1e3, delta_max=1e-4
+        )
+        free = MPCConfig(
+            prediction_horizon=8, control_horizon=2, r_weight=1e3, delta_max=0.5,
+            terminal_constraint=False,
+        )
+        specs = (
+            [(self.MODEL, self.CFG)] * 3  # one shared-model group
+            + [(other, self.CFG), (third, tight)]  # two singletons
+            + [(self.MODEL, free)] * 2  # no terminal constraint
+        )
+        alone = [False] * 3 + [True] * 4
+        bat = [MPCController(m, c) for m, c in specs]
+        twins = [MPCController(m, c) for m, c in specs]
+
+        def bits(sol):
+            qp = sol.qp
+            return (
+                sol.delta_c.tobytes(), sol.input_trajectory.tobytes(),
+                sol.predicted_outputs.tobytes(), qp.x.tobytes(), qp.status,
+                qp.iterations, qp.active_set, qp.warm_started,
+                sol.terminal_softened, sol.terminal_unreachable,
+            )
+
+        rng = np.random.default_rng(10)
+        unreachable = 0
+        for period in range(4):  # a cold period, then warm ones
+            reqs = _mpc_requests(rng, len(specs))
+            reqs[4]["t_hist"] = [1500.0, 1500.0]  # out of reach under `tight`
+            stats = {}
+            got = solve_mpc_batch(bat, reqs, stats=stats)
+            assert stats["groups"] == [3, 2, 1, 1]
+            unreachable += stats["unreachable"]
+            for i, (twin, req, g) in enumerate(zip(twins, reqs, got)):
+                want = twin.solve(**req)
+                if alone[i]:
+                    assert bits(g) == bits(want)
+                else:
+                    np.testing.assert_allclose(g.delta_c, want.delta_c, atol=1e-6)
+        assert unreachable == 4  # the tight singleton, every period
+        assert sum(c.warm_hits for c in bat) > 0
+        for b, t in zip(bat, twins):
+            assert (b.solves, b.warm_hits) == (t.solves, t.warm_hits)
+            assert b._warm_active == t._warm_active
 
     def test_length_mismatch_rejected(self):
         ctrl = MPCController(self.MODEL, self.CFG)

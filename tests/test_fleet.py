@@ -2,7 +2,7 @@
 
 The fleet path (``control_mode="fleet"``, the default) runs every app's
 MPC solve through the grouped batch kernel; the scalar path is the
-bit-reproducible per-app reference loop.  Batched linear algebra
+bit-reproducible per-app loop (``control_mode="scalar"``).  Batched linear algebra
 reorders floating-point sums (stacked multi-RHS LAPACK), so
 the two paths are *allclose*, not bit-identical — these tests pin the
 tolerance explicitly and assert exact parity for everything discrete
@@ -252,20 +252,21 @@ class TestFleetTelemetry:
         assert spans[0]["batch_groups"] == 2
         assert sorted(spans[0]["batch_group_sizes"], reverse=True) == [3, 3]
         assert spans[0]["held"] == 0
-        # How the solves ended: every app went through a batch, and the
-        # spans add up to the counter behind the ledger's softened share.
-        assert all(s["scalar"] == 0 for s in spans)
+        # How the solves ended: the spans add up to the counter behind
+        # the ledger's softened share.
+        assert all("scalar" not in s for s in spans)
         assert sum(s["softened"] for s in spans) == (
             snap["counters"]["mpc.terminal_softened"]
         )
+        assert snap["counters"]["mpc.solves"] == 18
         assert all(0 < s["unreachable"] <= s["softened"] for s in spans)
-        for key in ("scalar", "softened", "unreachable"):
+        for key in ("softened", "unreachable"):
             assert mgr.last_fleet_stats[key] == spans[-1][key]
 
     def test_span_counts_softened_and_unreachable_solves(self):
         """A 100 ms set point is out of reach of every app; app0 groups
-        alone (its own model) and is solved scalar, which the softened
-        count used to miss."""
+        alone (its own model) and takes the same group path as the
+        pair, so the span and the counters see all three."""
         backend = InMemoryBackend()
         with use_telemetry(Telemetry(backend), close=False) as tel:
             dc = _fleet_dc(3)
@@ -281,10 +282,15 @@ class TestFleetTelemetry:
                  if r["name"] == "manager.fleet_control"]
         for span in spans:
             assert span["batch_group_sizes"] == [2, 1]
-            assert (span["scalar"], span["softened"], span["unreachable"]) == (1, 3, 3)
+            assert (span["softened"], span["unreachable"]) == (3, 3)
+            assert "scalar" not in span
         assert mgr.last_fleet_stats["softened"] == 3
         assert mgr.last_fleet_stats["unreachable"] == 3
         assert snap["counters"]["mpc.terminal_softened"] == 6
+        assert snap["counters"]["mpc.solves"] == 6
+        # The lone app emits no per-app span: only the scalar lane does.
+        names = {r["name"] for r in backend.of_kind("span")}
+        assert "mpc.solve" not in names
 
     def test_scalar_mode_emits_no_fleet_span(self):
         backend = InMemoryBackend()

@@ -1,4 +1,5 @@
-"""Active-set QP solver, validated against SciPy on random problems."""
+"""Active-set QP solver, validated against SciPy on random problems and
+field for field against the two-loop solvers it replaced."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from repro.control.qp import solve_qp, solve_qp_batch
+from tests.oracles import qp_reference
 
 
 def _scipy_reference(H, g, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
@@ -203,3 +205,87 @@ class TestDegenerate:
                      A_ub=[[1.0, 0.0], [1.0, 0.0]], b_ub=[1.0, 1.0])
         assert r.ok
         assert r.x[0] == pytest.approx(1.0, abs=1e-7)
+
+
+@st.composite
+def _qp_batches(draw):
+    """B problems on one ``H``/``A_eq``/``A_ub`` whose working sets can
+    go singular: duplicated and opposed inequality rows (tight, slack or
+    crossed right-hand sides), seeds naming stale, repeated or
+    out-of-range rows, and more seeded rows than variables."""
+    B = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    L = rng.normal(size=(n, n))
+    H = L @ L.T + 0.5 * np.eye(n)
+    g = rng.normal(scale=3.0, size=(B, n))
+    n_eq = draw(st.integers(0, 1))
+    A_eq = rng.normal(size=(n_eq, n))
+    b_eq = rng.normal(scale=0.5, size=(B, n_eq))
+    rows, rhs = [], []
+    for kind in draw(st.lists(
+        st.sampled_from(["box", "random", "duplicated", "opposed"]), max_size=4
+    )):
+        if kind == "box":
+            rows += [np.eye(n), -np.eye(n)]
+            rhs += [rng.uniform(0.1, 2.0, size=(B, 2 * n))]
+        elif kind == "random":
+            rows.append(rng.normal(size=(2, n)))
+            rhs.append(rng.uniform(-0.5, 2.0, size=(B, 2)))
+        else:
+            r = rng.normal(size=(1, n))
+            b = rng.uniform(-0.5, 1.0, size=(B, 1))
+            gap = rng.choice([0.0, 0.0, 0.5, -0.5], size=(B, 1))
+            if kind == "duplicated":
+                rows += [r, r]
+                rhs += [b, b + gap]
+            else:  # r x <= b and r x >= b - gap: a face, a slab or empty
+                rows += [r, -r]
+                rhs += [b, gap - b]
+    A_ub = np.vstack(rows) if rows else np.zeros((0, n))
+    b_ub = np.hstack(rhs) if rhs else np.zeros((B, 0))
+    n_ub = A_ub.shape[0]
+    seed = st.lists(st.integers(-2, n_ub + 1), max_size=2 * n + 2)
+    shared = draw(seed)  # one seed for several members, as in an MPC fleet
+    seeds = [
+        draw(st.sampled_from([None, shared, shared, draw(seed)])) for _ in range(B)
+    ]
+    known = draw(st.lists(st.booleans(), min_size=B, max_size=B))
+    return H, g, A_eq, b_eq, A_ub, b_ub, seeds, known
+
+
+def _fields(r):
+    x = None if r.x is None else r.x.tobytes()
+    return (x, r.status, r.iterations, r.active_set, r.warm_started)
+
+
+class TestOneLoopMatchesReference:
+    """``solve_qp_batch`` is one working-set loop for every problem, and
+    ``solve_qp`` its batch of one; ``tests/oracles/qp_reference.py``
+    keeps the scalar loop and the lock-step copy it replaced.  A batch
+    of one unmarked problem must be the old ``solve_qp`` (it goes on in
+    least squares on a singular KKT); any other batch the old
+    ``solve_qp_batch`` (whose problems leaving the lock step were
+    finished by the old ``solve_qp``, cold) — every field, ``x`` to the
+    bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=_qp_batches())
+    def test_every_field_equals_the_reference(self, problem):
+        H, g, A_eq, b_eq, A_ub, b_ub, seeds, known = problem
+        got = solve_qp_batch(
+            H, g, A_eq, b_eq, A_ub, b_ub,
+            warm_starts=seeds, known_infeasible=known,
+        )
+        if len(g) == 1 and not known[0]:
+            want = [qp_reference.solve_qp(
+                H, g[0], A_eq, b_eq[0], A_ub, b_ub[0], warm_start=seeds[0]
+            )]
+            one = solve_qp(H, g[0], A_eq, b_eq[0], A_ub, b_ub[0], warm_start=seeds[0])
+            assert _fields(one) == _fields(want[0])
+        else:
+            want = qp_reference.solve_qp_batch(
+                H, g, A_eq, b_eq, A_ub, b_ub,
+                warm_starts=seeds, known_infeasible=known,
+            )
+        assert [_fields(r) for r in got] == [_fields(r) for r in want]

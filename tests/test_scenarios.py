@@ -477,3 +477,27 @@ class TestResolve:
             resolve_scenario("testbed-small", {"params.bogus.deep": 1})
         with pytest.raises(ScenarioError, match="bogus_knob"):
             resolve_scenario("testbed-small", {"params.bogus_knob": 1})
+
+    @pytest.mark.parametrize(
+        "name, path, value, field",
+        [
+            ("testbed-small", "min_alloc_ghz", 5, "min_alloc_ghz"),
+            ("testbed-small", "max_alloc_ghz", 0, "max_alloc_ghz"),
+            ("testbed-small", "initial_alloc_ghz", -1, "initial_alloc_ghz"),
+            ("testbed-small", "warmup_s", -10, "warmup_s"),
+            ("testbed-small", "setpoint_ms", -5, "setpoint_ms"),
+            ("testbed-small", "setpoints_ms", {"0": -1}, r"setpoints_ms\[0\]"),
+            ("testbed-small", "concurrency", -3, "concurrency"),
+            ("testbed-small", "sysid_alloc_range", [0.9, 0.1], "sysid_alloc_range"),
+            ("largescale-small", "vm_memory_choices_mb", [], "vm_memory_choices_mb"),
+            ("largescale-small", "minslack_max_steps", 0, "minslack_max_steps"),
+            ("largescale-small", "minslack_epsilon_ghz", -1, "minslack_epsilon_ghz"),
+        ],
+    )
+    def test_values_the_build_would_reject_fail_validation(
+        self, name, path, value, field
+    ):
+        """Each of these used to validate and then raise from inside
+        ``spec.build()`` or ``start()`` (or, for the sysid range, run)."""
+        with pytest.raises(ScenarioError, match=field):
+            resolve_scenario(name, {f"params.{path}": value})

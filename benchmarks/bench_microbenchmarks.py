@@ -162,9 +162,11 @@ def test_perf_qp_degenerate(benchmark):
     """The degenerate softened QP of ``tests/test_qp.py::TestDegenerate``
     (captured from period 1 of ``testbed-fleet``, seed 2010): a bound and
     a rate limit active on the same variable make the working set
-    singular, so the solve goes on in least squares for all 200 rounds
-    and then hands over to SLSQP.  The 48 period-1 solves of that
-    workload take this path, so a slower solo round shows up here first.
+    singular, so the solve goes on in least squares until a working set
+    repeats (round 7), jumps to round 200 with the iterate that round
+    would have had, and hands over to SLSQP.  The 48 period-1 solves of
+    that workload take this path, so a slower solo round or cycle check
+    shows up here first.
     """
     H = np.array([
         [7.1806571790513813e08, 3.8220602664313716e08,

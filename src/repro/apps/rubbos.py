@@ -395,8 +395,7 @@ class MultiTierApp:
             for j, work in enumerate(self._work_done)
         )
         if rts.size:
-            p90 = float(np.percentile(rts, 90.0))
-            p50 = float(np.percentile(rts, 50.0))
+            p90, p50 = _p90_p50(rts)
             mean = float(rts.mean())
             rt_max = float(rts.max())
         else:
@@ -837,3 +836,11 @@ def _check_fraction(fraction: float) -> float:
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     return float(fraction)
+
+
+def _p90_p50(rts: np.ndarray) -> Tuple[float, float]:
+    """The 90th and 50th percentiles of a non-empty sample, in one
+    ``np.percentile`` call (one sort instead of two; bitwise the two
+    separate calls)."""
+    p90, p50 = np.percentile(rts, (90.0, 50.0)).tolist()
+    return p90, p50

@@ -19,12 +19,21 @@ model); :func:`solve_qp` is its batch of one.
 strictly positive control penalty ``R``, which guarantees this).  The
 solver is validated against ``scipy.optimize`` in the test suite and
 falls back to it automatically if the active-set loop fails to settle.
+
+On a degenerate working set (two dependent rows active, as at the
+``testbed-fleet`` period-1 vertex) the loop can cycle between working
+sets until ``max_iter``.  A solo cold round is a pure function of its
+ordered working set, so the first repeated set decides every later
+round: the loop jumps to round ``max_iter`` and hands SLSQP the iterate
+that round would have had — the same result, bit for bit, without
+re-solving the cycle's KKT systems.  The jump goes when a
+degeneracy-safe working set retires ``_scipy_fallback``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -184,7 +193,9 @@ def solve_qp_batch(
     iterate; when its iterate cannot be reported (an equality missed, a
     warm working-set row violated) or its ``max_iter`` rounds run out, a
     warm problem restarts cold with a fresh iteration count and a cold
-    one goes to SciPy SLSQP.  A problem in the lock step leaves it on
+    one goes to SciPy SLSQP (at once, with the iterate of round
+    ``max_iter``, when a cold working set repeats: see the module
+    docstring).  A problem in the lock step leaves it on
     any of those events, or on a singular group KKT: it restarts solo
     and cold, so batch results carry the same status semantics as
     :func:`solve_qp`.
@@ -264,6 +275,11 @@ def solve_qp_batch(
     solo = [B == 1 and not k for k in known]  # a marked problem never runs solo
     iters = [0] * B
     xs: List[Optional[np.ndarray]] = [None] * B
+    # Per solo cold problem: the round each working set was first seen
+    # in, and the iterate of every round (keyed by round: a warm problem
+    # can go cold in round 2 or 31 without resetting ``iters``).
+    first_seen: List[Dict[Tuple[int, ...], int]] = [{} for _ in range(B)]
+    path: List[Dict[int, np.ndarray]] = [{} for _ in range(B)]
 
     def leave(i: int) -> bool:
         """Problem ``i``'s iterate cannot be reported, or its rounds ran
@@ -300,7 +316,18 @@ def solve_qp_batch(
                 # this is a plain cold solve from the empty working set.
                 warm[i] = False
                 actives[i] = []
-            groups.setdefault((tuple(actives[i]), i if solo[i] else -1), []).append(i)
+            key = tuple(actives[i])
+            if solo[i] and not warm[i]:
+                # A solo cold round is a pure function of its working set,
+                # so a repeated set repeats every round after it until
+                # max_iter: hand over the iterate that round would have.
+                r0 = first_seen[i].setdefault(key, iters[i])
+                if r0 < iters[i]:
+                    xs[i] = path[i][r0 + (max_iter - r0) % (iters[i] - r0)]
+                    iters[i] = max_iter
+                    leave(i)
+                    continue
+            groups.setdefault((key, i if solo[i] else -1), []).append(i)
         next_pending: List[int] = []
         for (key, _), members in groups.items():
             active = list(key)
@@ -334,6 +361,8 @@ def solve_qp_batch(
                 x = sol[:n, col]
                 nu = sol[n:, col]
                 xs[i] = x
+                if solo[i] and not warm[i]:
+                    path[i][iters[i]] = x
                 b_eq = b_eq_batch[i]
                 b_ub = b_ub_batch[i]
                 act = actives[i]

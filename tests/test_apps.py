@@ -23,6 +23,7 @@ from repro.apps import (
     TierSpec,
     mva_closed_network,
 )
+from repro.apps.rubbos import _p90_p50
 
 
 class TestDemandDistributions:
@@ -365,6 +366,21 @@ class TestMultiTierApp:
         qs = app.queue_lengths()
         assert len(qs) == 2
         assert all(q >= 0 for q in qs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rts=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 250.0, 5e-324, 1e-300, 1e300]),  # ties
+            st.floats(0.0, 1e308),
+            st.floats(0.0, 1e-300),
+        ),
+        min_size=1, max_size=400,
+    ))
+    def test_period_quantiles_are_two_percentile_calls(self, rts):
+        # run_period takes p90 and p50 from one np.percentile call.
+        rts = np.asarray(rts, dtype=float)
+        want = [float(np.percentile(rts, 90.0)), float(np.percentile(rts, 50.0))]
+        assert np.array(_p90_p50(rts)).tobytes() == np.array(want).tobytes()
 
 
 class TestAdmissionControl:

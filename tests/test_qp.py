@@ -1,12 +1,15 @@
 """Active-set QP solver, validated against SciPy on random problems and
 field for field against the two-loop solvers it replaced."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from repro.control import qp
 from repro.control.qp import solve_qp, solve_qp_batch
 from tests.oracles import qp_reference
 
@@ -27,6 +30,32 @@ def _scipy_reference(H, g, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
         options={"maxiter": 3000, "gtol": 1e-10},
     )
     return res.x, res.fun
+
+
+def _captured_degenerate(upper=-0.30000000000000004, lower=(0.7868089964998505, 0.8),
+                         delta=0.3):
+    """The softened MPC QP of ``TestDegenerate`` (period 1 of
+    ``testbed-fleet``, seed 2010) as ``(H, g, A_ub, b_ub)``: per tier,
+    the first move ``dc_0 <= upper`` and ``-dc_0 <= lower``, the same
+    bounds on ``dc_0 + dc_1``, and every move within ``delta``."""
+    H = np.array([
+        [7.1806571790513813e08, 3.8220602664313716e08,
+         7.1374317770709872e08, 3.8001110401419854e08],
+        [3.8220602664313716e08, 2.0369411200276637e08,
+         3.8001110401419854e08, 2.0232549141555703e08],
+        [7.1374317770709872e08, 3.8001110401419854e08,
+         7.0991444202685213e08, 3.7786612478154206e08],
+        [3.8001110401419848e08, 2.0232549141555703e08,
+         3.7786612478154206e08, 2.0138346168869105e08],
+    ])
+    g = np.array([1.319194542334485e09, 7.023656738062528e08,
+                  1.311661765239606e09, 6.983549795174069e08])
+    first = np.hstack([np.eye(2), np.zeros((2, 2))])
+    both = np.hstack([np.eye(2), np.eye(2)])
+    A_ub = np.vstack([first, -first, both, -both, np.eye(4), -np.eye(4)])
+    bounds = [upper, upper, *lower]
+    b_ub = np.array(bounds + bounds + [delta] * 8)
+    return H, g, A_ub, b_ub
 
 
 class TestUnconstrained:
@@ -150,27 +179,38 @@ class TestDegenerate:
         dependent.  ``dc_0 = -0.3, dc_1 <= 0`` is feasible, but the
         working set cycles for every round and SLSQP gives up, so the
         solver reports ``infeasible``."""
-        H = np.array([
-            [7.1806571790513813e08, 3.8220602664313716e08,
-             7.1374317770709872e08, 3.8001110401419854e08],
-            [3.8220602664313716e08, 2.0369411200276637e08,
-             3.8001110401419854e08, 2.0232549141555703e08],
-            [7.1374317770709872e08, 3.8001110401419854e08,
-             7.0991444202685213e08, 3.7786612478154206e08],
-            [3.8001110401419848e08, 2.0232549141555703e08,
-             3.7786612478154206e08, 2.0138346168869105e08],
-        ])
-        g = np.array([1.319194542334485e09, 7.023656738062528e08,
-                      1.311661765239606e09, 6.983549795174069e08])
-        first = np.hstack([np.eye(2), np.zeros((2, 2))])
-        both = np.hstack([np.eye(2), np.eye(2)])
-        A_ub = np.vstack([first, -first, both, -both, np.eye(4), -np.eye(4)])
-        upper = [-0.30000000000000004, -0.30000000000000004]
-        lower = [0.7868089964998505, 0.8]
-        b_ub = np.array(upper + lower + upper + lower + [0.3] * 8)
+        H, g, A_ub, b_ub = _captured_degenerate()
         r = solve_qp(H, g, A_ub=A_ub, b_ub=b_ub)
         assert r.status == "optimal"
         assert np.max(A_ub @ r.x - b_ub) <= 1e-7
+
+    def test_cycle_is_cut_after_a_handful_of_linear_solves(self, monkeypatch):
+        """The captured instance repeats its working set from round 7 on;
+        the loop jumps to round 200 instead of solving its KKT system
+        194 more times, and hands the same iterate to SLSQP."""
+        solves = []
+        for name in ("solve", "lstsq"):
+            real = getattr(np.linalg, name)
+
+            def spy(*args, _real=real, **kwargs):
+                solves.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        H, g, A_ub, b_ub = _captured_degenerate()
+        r = solve_qp(H, g, A_ub=A_ub, b_ub=b_ub)
+        assert (r.status, r.iterations) == ("infeasible", 200)
+        assert len(solves) <= 10
+
+    @pytest.mark.parametrize("max_iter", [1, 4, 5, 6, 7, 8, 9, 200])
+    def test_cycle_cut_by_any_max_iter_matches_the_reference(self, max_iter):
+        H, g, A_ub, b_ub = _captured_degenerate()
+        got, want = _with_hand_overs(
+            lambda: solve_qp(H, g, A_ub=A_ub, b_ub=b_ub, max_iter=max_iter),
+            lambda: qp_reference.solve_qp(H, g, A_ub=A_ub, b_ub=b_ub,
+                                          max_iter=max_iter),
+        )
+        assert got == want
 
     # 1e-160 * x0 = 1 overflows the KKT solve to a NaN iterate, whose
     # residual compares False against every tolerance.
@@ -289,3 +329,133 @@ class TestOneLoopMatchesReference:
                 warm_starts=seeds, known_infeasible=known,
             )
         assert [_fields(r) for r in got] == [_fields(r) for r in want]
+
+
+_FALLBACK = qp._scipy_fallback
+
+
+def _with_hand_overs(ours, reference):
+    """Run both solves with ``_scipy_fallback`` recording what it is
+    handed; returns ``(results, sorted hand-overs)`` for each side.
+    Hand-overs are sorted because the reference finishes a problem that
+    leaves the lock step before the next one starts, while the one loop
+    runs them side by side."""
+
+    def recording(calls):
+        def fallback(H, g, A_eq, b_eq, A_ub, b_ub, x0, iterations, warm_started=False):
+            calls.append((b"" if x0 is None else x0.tobytes(), iterations))
+            return _FALLBACK(H, g, A_eq, b_eq, A_ub, b_ub, x0, iterations, warm_started)
+        return fallback
+
+    sides = []
+    for module, solve in ((qp, ours), (qp_reference, reference)):
+        calls = []
+        with mock.patch.object(module, "_scipy_fallback", recording(calls)):
+            results = solve()
+        if not isinstance(results, list):
+            results = [results]
+        sides.append(([_fields(r) for r in results], sorted(calls)))
+    return sides
+
+
+@st.composite
+def _cycling_qps(draw):
+    """Problems whose solo working set repeats before ``max_iter``:
+
+    * the captured degenerate instance with ``g``, the rate limit and the
+      bounds perturbed (a first-move bound beyond the rate limit makes
+      the pair contradict; the working set still cycles);
+    * a bound row and a rate-limit row on one variable of a random,
+      badly scaled QP;
+    * duplicated or opposed rows on a badly scaled QP, B = 1.
+
+    With B > 1 the members share a singular KKT and leave the lock step
+    to cycle solo; warm seeds are drawn from the rows, so some are
+    discarded on the first round and some cycle through the warm budget
+    before going cold in round 31."""
+    kind = draw(st.sampled_from(["captured", "bound_and_rate", "duplicated_or_opposed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = 1 if kind == "duplicated_or_opposed" else draw(st.integers(1, 3))
+    if kind == "captured":
+        H, g, A_ub, _ = _captured_degenerate()
+        g = g * (1 + rng.uniform(-0.2, 0.2, size=(B, 4)))
+        delta = rng.choice([0.05, 0.3, 0.5])
+        b_ub = np.array([
+            _captured_degenerate(
+                -(delta + rng.choice([0.0, 1e-3, -1e-3, 0.1])),
+                tuple(rng.uniform(0.5, 1.0, size=2)), delta,
+            )[3]
+            for _ in range(B)
+        ])
+    else:
+        n = int(rng.integers(2, 5))
+        L = rng.normal(size=(n, n))
+        H = (L @ L.T + 0.01 * np.eye(n)) * 10.0 ** rng.integers(0, 10)
+        x_free = rng.normal(scale=3.0, size=(B, n))  # unconstrained optima
+        g = -x_free @ H
+        if kind == "bound_and_rate":
+            j = int(rng.integers(n))
+            delta = rng.uniform(0.1, 0.5)
+            x_free[:, j] = np.abs(x_free[:, j]) + delta  # pulls past the bound
+            g = -x_free @ H
+            e = np.eye(n)[j : j + 1]
+            ones = np.ones((1, n))
+            A_ub = np.vstack([e, -e, np.eye(n), -np.eye(n), ones, -ones])
+            bound = -(delta + rng.choice([0.0, 1e-3, 0.1]))
+            b_ub = np.tile(
+                np.hstack([bound, delta, np.full(2 * n, delta),
+                           np.full(2, rng.uniform(0.5, 2.0))]),
+                (B, 1),
+            )
+        else:
+            rows, rhs = [], []
+            for _ in range(rng.integers(1, 4)):
+                r = rng.normal(size=(1, n))
+                b = (r @ x_free[0])[0] - rng.uniform(0.1, 1.0)  # cuts x_free off
+                if rng.random() < 0.5:
+                    rows += [r, r]
+                    rhs += [b, b + rng.choice([0.0, 0.0, 1e-9])]
+                else:
+                    rows += [r, -r]
+                    rhs += [b, -b + rng.choice([0.0, 0.0, 1e-9, -1e-9])]
+            if rng.random() < 0.5:
+                rows += [np.eye(n), -np.eye(n)]
+                rhs += [rng.uniform(0.5, 3.0)] * (2 * n)
+            A_ub, b_ub = np.vstack(rows), np.array([rhs])
+    n_ub = A_ub.shape[0]
+    seeds = [
+        draw(st.one_of(st.none(), st.lists(st.integers(0, n_ub - 1), min_size=1,
+                                           max_size=A_ub.shape[1] + 2)))
+        for _ in range(B)
+    ]
+    known = [B > 1 and draw(st.booleans()) for _ in range(B)]
+    max_iter = draw(st.one_of(st.just(200), st.integers(1, 60)))
+    return H, g, A_ub, b_ub, seeds, known, max_iter
+
+
+class TestSoloCyclesMatchReference:
+    """A solo cold round is a pure function of its working set, so once
+    a set repeats, the loop skips to the iterate round ``max_iter`` would
+    have had.  Every ``QPResult`` field and every hand-over to SLSQP
+    (iterate bytes, iteration count) must equal the reference loops,
+    which run every round."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(problem=_cycling_qps())
+    def test_hand_overs_and_fields_equal_the_reference(self, problem):
+        H, g, A_ub, b_ub, seeds, known, max_iter = problem
+        if len(g) == 1 and not known[0]:
+            got, want = _with_hand_overs(
+                lambda: solve_qp(H, g[0], A_ub=A_ub, b_ub=b_ub[0],
+                                 max_iter=max_iter, warm_start=seeds[0]),
+                lambda: qp_reference.solve_qp(H, g[0], A_ub=A_ub, b_ub=b_ub[0],
+                                              max_iter=max_iter, warm_start=seeds[0]),
+            )
+        else:
+            kwargs = dict(A_ub=A_ub, b_ub_batch=b_ub, max_iter=max_iter,
+                          warm_starts=seeds, known_infeasible=known)
+            got, want = _with_hand_overs(
+                lambda: solve_qp_batch(H, g, **kwargs),
+                lambda: qp_reference.solve_qp_batch(H, g, **kwargs),
+            )
+        assert got == want

@@ -19,6 +19,7 @@ from repro.core.optimizer.minslack import MinSlackConfig, PlacementList
 from repro.core.optimizer.types import PlacementProblem, ServerInfo, VMInfo
 from repro.packing.mbs import MemoryConstraint, minimum_bin_slack
 from repro.sim.testbed import TestbedConfig
+from tests.oracles.mbs_reference import minimum_bin_slack as stepwise_minimum_bin_slack
 
 
 def test_perf_des_request_throughput(benchmark):
@@ -70,6 +71,33 @@ def test_perf_minimum_bin_slack(benchmark):
 
     result = benchmark(run)
     assert result.slack <= 11.4
+
+
+def test_perf_minimum_bin_slack_memory_bound(benchmark):
+    """Algorithm 1 on the search that dominates a large-scale run: 260
+    small VMs, a server with 2.7 GHz and 4 GiB free.  Memory runs out
+    after a handful of VMs while more than half the CPU is still free,
+    so most takes are leaves and only epsilon escalation ends the search.
+    """
+    rng = np.random.default_rng(5)
+    sizes = rng.uniform(0.02, 0.27, size=260).tolist()
+    mems = rng.choice([512.0, 1024.0, 1536.0, 2048.0], size=260).tolist()
+
+    def run():
+        return minimum_bin_slack(
+            sizes, 2.7, constraint=MemoryConstraint(mems, 4096.0),
+            epsilon=0.1, max_steps=3000,
+        )
+
+    ref = stepwise_minimum_bin_slack(
+        sizes, 2.7, constraint=MemoryConstraint(mems, 4096.0), epsilon=0.1, max_steps=3000
+    )
+    result = run()
+    assert (result.selected, result.slack, result.steps, result.epsilon_used,
+            result.early_exit) == (ref.selected, ref.slack, ref.steps, ref.epsilon_used,
+                                   ref.early_exit)
+    assert result.steps > 3000  # epsilon escalated
+    benchmark(run)
 
 
 def test_perf_placement_list(benchmark):

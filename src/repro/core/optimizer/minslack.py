@@ -34,10 +34,14 @@ class MinSlackConfig:
     epsilon_step_ghz: float | None = None
 
     def __post_init__(self):
-        if self.epsilon_ghz < 0:
-            raise ValueError(f"epsilon_ghz must be >= 0, got {self.epsilon_ghz}")
+        # The range checks are also false for NaN.
+        if not 0 <= self.epsilon_ghz < math.inf:
+            raise ValueError(f"epsilon_ghz must be finite and >= 0, got {self.epsilon_ghz}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        step = self.epsilon_step_ghz
+        if step is not None and not 0 <= step < math.inf:
+            raise ValueError(f"epsilon_step_ghz must be finite and >= 0, got {step}")
 
 
 def select_vms_for_server(

@@ -63,6 +63,24 @@ those of the stepwise search bit for bit —
 ``tests/oracles/mbs_reference.py`` keeps that search, and
 ``tests/test_packing.py`` compares the two on random instances.
 :attr:`MBSResult.evaluated` reports the iterations actually executed.
+
+Leaves are settled in place
+---------------------------
+Most takes are *leaves*: after item ``t`` joins, even the smallest
+remaining memory (``min_memory[t + 1]``) or the smallest remaining size
+(``sizes[n - 1]``) no longer fits, so the level below is one rejection
+run from ``t + 1`` to its dominance cut or the end of the list.  The
+search does not open that level.  After the improvement and early-exit
+checks of the take it accounts for the run on the spot — the same
+``steps``, escalations, hard-cap clamp and ``evaluated`` increment the
+level would have produced — and backtracks at once: ``used`` becomes
+``(used + s_t) - s_t`` exactly as a descend and a backtrack leave it,
+and a generic constraint still sees ``push`` / ``pop``.  The run's end
+is the first ``r`` with ``used + suffix[r] <= dominated_at``; it moves
+little from one leaf to the next, so it is galloped for from the last
+leaf's cut (probes 1, 2, 4, ... positions away, then a bisect of the
+bracket).  Every probe evaluates the same monotone expression as the
+walk, so the cut is exact whatever the starting point.
 """
 
 from __future__ import annotations
@@ -340,12 +358,21 @@ def search_sorted(
         raise ValueError(f"capacity must be finite, got {capacity}")
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    # The range checks below are also false for NaN: a NaN epsilon would
+    # switch the early exit off, a NaN memory bound every memory test.
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if epsilon_step is None:
         epsilon_step = 0.05 * capacity if capacity > 0 else 1.0
+    elif not 0 <= epsilon_step < math.inf:
+        raise ValueError(f"epsilon_step must be finite and >= 0, got {epsilon_step}")
+    if not (math.isfinite(memory_capacity) and math.isfinite(memory_used)):
+        raise ValueError(
+            f"memory_capacity and memory_used must be finite, "
+            f"got {memory_capacity} and {memory_used}"
+        )
     if hard_step_cap is None:
         hard_step_cap = 50 * max_steps
     if capacity <= epsilon + _FIT_TOL:
@@ -365,10 +392,12 @@ def search_sorted(
     if constraint is not None:
         accepts, push, pop = constraint.accepts, constraint.push, constraint.pop
 
+    smallest = sizes[-1] if n else 0.0
     best_path: Tuple[int, ...] = ()
     best_slack = cap
     # A branch is dominated when used + suffix[pos] <= dominated_at.
     dominated_at = cap - best_slack + tol
+    cut = 0  # where the last settled leaf's run ended: the gallop's start
     steps = 0
     # Epsilon escalates each time steps reaches a multiple of max_steps.
     next_escalation = max_steps
@@ -471,17 +500,66 @@ def search_sorted(
             if best_slack <= eps_current + tol or steps >= hard_step_cap:
                 early = best_slack <= eps_current + tol
                 break
+            if pos < n:
+                if not (
+                    (mem_fast and mem_used + min_memory[pos] > mem_cap_tol)
+                    or used + smallest > cap_tol
+                ):
+                    continue  # something may still fit: search the new level
+                # A leaf: the new level is one rejection run from pos to
+                # its dominance cut (or n).  Settle it here, then
+                # backtrack as the new level would.
+                if used + suffix[pos] > dominated_at:
+                    evaluated += 1
+                    # Gallop from the last leaf's cut to the first r with
+                    # used + suffix[r] <= dominated_at, n when there is
+                    # none, then bisect the bracket.
+                    lo, hi = pos + 1, n
+                    r = cut if cut > lo else lo
+                    d = 1
+                    if r == n or used + suffix[r] <= dominated_at:
+                        hi = r
+                        while r - d >= lo:
+                            if used + suffix[r - d] > dominated_at:
+                                lo = r - d + 1
+                                break
+                            hi = r - d
+                            d <<= 1
+                    else:
+                        lo = r + 1
+                        while r + d < n:
+                            if used + suffix[r + d] <= dominated_at:
+                                hi = r + d
+                                break
+                            lo = r + d + 1
+                            d <<= 1
+                    while lo < hi:
+                        mid = (lo + hi) >> 1
+                        if used + suffix[mid] <= dominated_at:
+                            hi = mid
+                        else:
+                            lo = mid + 1
+                    cut = lo
+                    k = lo - pos
+                    if steps + k >= hard_step_cap:
+                        k = max(hard_step_cap - steps, 1)
+                        exhausted = True
+                    steps += k
+                    while steps >= next_escalation:
+                        eps_current += epsilon_step
+                        next_escalation += max_steps
+                    if exhausted:
+                        break
         elif exhausted or not path:
             break
-        else:
-            # Backtrack: the level above resumes after the item it took.
-            last = path.pop()
-            used -= sizes[last]
-            if mem_fast:
-                mem_used -= memory[last]
-            if pop is not None:
-                pop(index[last])
-            pos = last + 1
+        # Backtrack: the level above resumes after the item it took.
+        last = path.pop()
+        used -= sizes[last]
+        if mem_fast:
+            mem_used -= memory[last]
+        if pop is not None:
+            pop(index[last])
+        pos = last + 1
 
     # Unwind constraint state so the object can be reused by the caller.
     if pop is not None:

@@ -26,6 +26,7 @@ Accounting notes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -123,6 +124,11 @@ class LargeScaleConfig:
             raise ValueError(f"bad vm_peak_range_ghz {self.vm_peak_range_ghz}")
         if len(self.vm_memory_choices_mb) == 0:
             raise ValueError("vm_memory_choices_mb must not be empty")
+        if not all(0 <= mb < math.inf for mb in self.vm_memory_choices_mb):  # NaN too
+            raise ValueError(
+                f"vm_memory_choices_mb entries must be finite and >= 0, "
+                f"got {self.vm_memory_choices_mb}"
+            )
         try:
             self.minslack_config()
         except ValueError as exc:

@@ -1,6 +1,7 @@
 """Optimizer: types, Minimum Slack wrapper, PAC, IPAC, pMapper, policies."""
 
 import builtins
+import math
 import importlib
 from dataclasses import replace
 
@@ -128,6 +129,10 @@ class TestSelectVMs:
             select_vms_for_server(-1.0, 100.0, [])
         with pytest.raises(ValueError):
             MinSlackConfig(epsilon_ghz=-1.0)
+        for bad in (dict(epsilon_ghz=math.nan), dict(epsilon_ghz=math.inf),
+                    dict(epsilon_step_ghz=math.nan), dict(epsilon_step_ghz=-0.01)):
+            with pytest.raises(ValueError, match="finite"):
+                MinSlackConfig(**bad)
 
     def test_search_span_reports_accounted_and_executed_effort(self):
         # Memory admits one VM, so everything after the first take is a

@@ -14,7 +14,13 @@ from repro.packing import (
     first_fit_decreasing,
     minimum_bin_slack,
 )
-from repro.packing.mbs import CompositeConstraint, MemoryConstraint, PackingConstraint
+from repro.packing.mbs import (
+    CompositeConstraint,
+    MemoryConstraint,
+    PackingConstraint,
+    search_sorted,
+    sort_items,
+)
 from tests.oracles.mbs_reference import minimum_bin_slack as stepwise_minimum_bin_slack
 
 
@@ -201,6 +207,34 @@ class TestMinimumBinSlack:
         with pytest.raises(ValueError, match="finite"):
             minimum_bin_slack([1.0, 0.5], float("inf"))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(epsilon=math.nan),
+            dict(epsilon=math.inf),
+            dict(epsilon_step=math.nan),
+            dict(epsilon_step=math.inf),
+            dict(epsilon_step=-0.1),
+            dict(memory_capacity=math.nan),
+            dict(memory_capacity=math.inf),
+            dict(memory_used=math.nan),
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_non_finite_search_knobs_rejected(self, kwargs):
+        # A NaN epsilon switches the early exit off for good, a negative
+        # step shrinks epsilon, and with a NaN memory capacity every
+        # memory test is False: two 2 GiB items "fit" the bin.
+        _, sizes, suffix, memory, min_memory = sort_items(
+            np.array([1.0, 1.0]), np.array([2048.0, 2048.0])
+        )
+        search = dict(memory=memory, min_memory=min_memory, memory_capacity=2048.0)
+        with pytest.raises(ValueError, match="finite"):
+            search_sorted(sizes, suffix, 2.0, **{**search, **kwargs})
+        if "memory_capacity" not in kwargs and "memory_used" not in kwargs:
+            with pytest.raises(ValueError, match="finite"):
+                minimum_bin_slack([1.0, 1.0], 2.0, **kwargs)
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_bruteforce_on_small_instances(self, data):
@@ -277,7 +311,10 @@ def _mbs_instances(draw):
         hard_step_cap=draw(st.one_of(st.none(), st.integers(1, 400))),
     )
     kind = draw(st.sampled_from(["none", "memory", "subclass", "composite"]))
+    return sizes, capacity, _constraint_factory(kind, sizes, capacity, mems, mem_cap), kwargs
 
+
+def _constraint_factory(kind, sizes, capacity, mems, mem_cap, cpu_share=0.75):
     def make_constraint():
         if kind == "none":
             return None
@@ -286,33 +323,108 @@ def _mbs_instances(draw):
         if kind == "subclass":
             return _SubclassedMemory(mems, mem_cap)
         return CompositeConstraint(
-            [MemoryConstraint(mems, mem_cap), _SubclassedMemory(sizes, 0.75 * capacity)]
+            [MemoryConstraint(mems, mem_cap), _SubclassedMemory(sizes, cpu_share * capacity)]
         )
 
-    return sizes, capacity, make_constraint, kwargs
+    return make_constraint
+
+
+@st.composite
+def _run_path_instances(draw):
+    """The shape of a large-scale PAC search: many small distinct VM
+    demands, memory for only a handful of them, and usually far more
+    free CPU than any memory-feasible selection can use — so most takes
+    are leaves and only escalation ends the search."""
+    kind = draw(st.sampled_from(["memory", "memory", "subclass", "composite", "none"]))
+    if kind == "memory":
+        # 16 VMs of at most 0.3 GHz use at most 4.8 GHz.
+        n = draw(st.integers(0, 150))
+        smallest = 0.02
+        mem_cap = 512.0 * draw(st.integers(1, 16))
+        capacity = draw(st.one_of(st.floats(5.0, 40.0), st.floats(0.0, 2.0)))
+        epsilon = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    else:
+        # The generic path settles CPU leaves only: a capacity of a few
+        # sizes, memory that does not always run out first, and too few
+        # items for a near fill to end the search at once.
+        n = draw(st.integers(0, 40))
+        smallest = 0.1
+        mem_cap = 512.0 * draw(st.integers(4, 16))
+        capacity = draw(st.floats(0.0, 1.2))
+        epsilon = 0.0
+    sizes = draw(st.lists(st.floats(smallest, 0.3), min_size=n, max_size=n, unique=True))
+    mems = draw(st.lists(st.sampled_from([512.0, 1024.0, 1536.0, 2048.0]),
+                         min_size=n, max_size=n))
+    kwargs = dict(
+        epsilon=epsilon,
+        max_steps=draw(st.integers(1, 120)),  # escalations inside settled runs
+        epsilon_step=draw(st.sampled_from([None, 0.001, 0.02])),
+        hard_step_cap=draw(st.one_of(st.none(), st.integers(1, 3000))),
+    )
+    # The composite's CPU member at the full capacity: it accepts what
+    # the size test accepts, so CPU leaves still occur behind it.
+    make = _constraint_factory(kind, sizes, capacity, mems, mem_cap, cpu_share=1.0)
+    return sizes, capacity, make, kwargs
+
+
+def _assert_matches_stepwise_oracle(instance):
+    sizes, capacity, make_constraint, kwargs = instance
+    constraint, ref_constraint = make_constraint(), make_constraint()
+    res = minimum_bin_slack(sizes, capacity, constraint=constraint, **kwargs)
+    ref = stepwise_minimum_bin_slack(sizes, capacity, constraint=ref_constraint, **kwargs)
+    assert _result_fields(res) == _result_fields(ref)
+    # Same push/pop sequence on the generic path (so the same float
+    # residue); the inlined plain MemoryConstraint is never touched.
+    for mine, theirs in zip(_members(constraint), _members(ref_constraint)):
+        assert mine.used == theirs.used == pytest.approx(0.0, abs=1e-9)
+    if type(constraint) is MemoryConstraint:
+        assert constraint.used == 0.0
+
+
+class _ReadLog(list):
+    """A list that records every position read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, pos):
+        self.reads.append(pos)
+        return super().__getitem__(pos)
 
 
 class TestJumpsMatchStepwiseSearch:
-    """Run-length jumps are an accounting change only: every field of the
-    result — step count and escalated epsilon included — equals the
-    stepwise oracle's (``tests/oracles/mbs_reference.py``)."""
+    """Run-length jumps and settled leaves are an accounting change
+    only: every field of the result — step count and escalated epsilon
+    included — equals the stepwise oracle's
+    (``tests/oracles/mbs_reference.py``)."""
 
     @settings(max_examples=400, deadline=None)
     @given(instance=_mbs_instances())
     def test_result_equals_stepwise_oracle(self, instance):
-        sizes, capacity, make_constraint, kwargs = instance
-        constraint, ref_constraint = make_constraint(), make_constraint()
-        res = minimum_bin_slack(sizes, capacity, constraint=constraint, **kwargs)
-        ref = stepwise_minimum_bin_slack(
-            sizes, capacity, constraint=ref_constraint, **kwargs
-        )
+        _assert_matches_stepwise_oracle(instance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=_run_path_instances())
+    def test_run_path_regime_equals_stepwise_oracle(self, instance):
+        _assert_matches_stepwise_oracle(instance)
+
+    def test_leaves_are_settled_without_descending(self):
+        # Memory admits one item, so every take is a leaf.  Item 0 alone
+        # leaves room for another of its own size but for none of the
+        # later, larger ones.  A settled leaf never looks at the level
+        # below, so memory is read in position order: test, take, release.
+        n = 40
+        sizes = np.linspace(1.0, 0.5, n)
+        mems = [700.0] + [900.0] * (n - 1)
+        order, sorted_sizes, suffix, memory, min_memory = sort_items(sizes, np.array(mems))
+        memory = _ReadLog(memory)
+        res = search_sorted(sorted_sizes, suffix, 1e4, memory=memory, min_memory=min_memory,
+                            memory_capacity=1500.0, order=order)
+        ref = stepwise_minimum_bin_slack(sizes, 1e4, constraint=MemoryConstraint(mems, 1500.0))
         assert _result_fields(res) == _result_fields(ref)
-        # Same push/pop sequence on the generic path (so the same float
-        # residue); the inlined plain MemoryConstraint is never touched.
-        for mine, theirs in zip(_members(constraint), _members(ref_constraint)):
-            assert mine.used == theirs.used == pytest.approx(0.0, abs=1e-9)
-        if type(constraint) is MemoryConstraint:
-            assert constraint.used == 0.0
+        assert memory.reads == sorted(memory.reads)
+        assert memory.reads.count(0) == 3
 
     def test_saturated_memory_is_jumped_not_walked(self):
         # Memory admits three items; below depth three every remaining

@@ -1,6 +1,7 @@
 """Scenario registry: JSON round-trip, validation, build, CLI."""
 
 import json
+import math
 
 import pytest
 
@@ -492,6 +493,11 @@ class TestResolve:
             ("largescale-small", "vm_memory_choices_mb", [], "vm_memory_choices_mb"),
             ("largescale-small", "minslack_max_steps", 0, "minslack_max_steps"),
             ("largescale-small", "minslack_epsilon_ghz", -1, "minslack_epsilon_ghz"),
+            ("largescale-small", "minslack_epsilon_ghz", math.nan, "minslack_epsilon_ghz"),
+            ("largescale-small", "vm_memory_choices_mb", [-512], "vm_memory_choices_mb"),
+            ("largescale-small", "vm_memory_choices_mb", [math.nan], "vm_memory_choices_mb"),
+            ("sharded-small", "vm_memory_choices_mb", [-512], "vm_memory_choices_mb"),
+            ("sharded-small", "vm_memory_choices_mb", [1024, math.nan], "vm_memory_choices_mb"),
         ],
     )
     def test_values_the_build_would_reject_fail_validation(

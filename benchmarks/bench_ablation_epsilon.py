@@ -9,7 +9,7 @@ migration lists.
 
 import numpy as np
 
-from repro.packing.mbs import MemoryConstraint, minimum_bin_slack
+from repro.packing.mbs import minimum_bin_slack
 from repro.util.tables import format_table
 
 
@@ -38,7 +38,7 @@ def test_ablation_epsilon_and_budget(benchmark, report):
         for eps, budget in grid:
             res = minimum_bin_slack(
                 list(sizes), capacity,
-                constraint=MemoryConstraint(list(mems), mem_capacity),
+                memory_sizes=list(mems), memory_capacity=mem_capacity,
                 epsilon=eps, max_steps=budget,
             )
             rows.append((eps, budget, res.slack, res.steps, res.epsilon_used,

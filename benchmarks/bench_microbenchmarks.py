@@ -17,8 +17,9 @@ from repro.core.fleet import FleetControlStep
 from repro.core.optimizer.ipac import ipac
 from repro.core.optimizer.minslack import MinSlackConfig, PlacementList
 from repro.core.optimizer.types import PlacementProblem, ServerInfo, VMInfo
-from repro.packing.mbs import MemoryConstraint, minimum_bin_slack
+from repro.packing.mbs import minimum_bin_slack
 from repro.sim.testbed import TestbedConfig
+from tests.oracles.mbs_reference import MemoryConstraint
 from tests.oracles.mbs_reference import minimum_bin_slack as stepwise_minimum_bin_slack
 
 
@@ -64,8 +65,7 @@ def test_perf_minimum_bin_slack(benchmark):
 
     def run():
         return minimum_bin_slack(
-            list(sizes), 11.4,
-            constraint=MemoryConstraint(list(mems), 16384.0),
+            list(sizes), 11.4, memory_sizes=list(mems), memory_capacity=16384.0,
             epsilon=0.05, max_steps=5000,
         )
 
@@ -85,7 +85,7 @@ def test_perf_minimum_bin_slack_memory_bound(benchmark):
 
     def run():
         return minimum_bin_slack(
-            sizes, 2.7, constraint=MemoryConstraint(mems, 4096.0),
+            sizes, 2.7, memory_sizes=mems, memory_capacity=4096.0,
             epsilon=0.1, max_steps=3000,
         )
 

@@ -10,7 +10,7 @@ from repro.core.optimizer.migration import (
     MigrationContext,
     MigrationCostPolicy,
 )
-from repro.core.optimizer.minslack import MinSlackConfig, select_vms_for_server
+from repro.core.optimizer.minslack import MinSlackConfig
 from repro.core.optimizer.pac import PACConfig, pac, sort_servers_by_efficiency
 from repro.core.optimizer.pmapper import PMapperConfig, pmapper
 from repro.core.optimizer.types import (
@@ -36,7 +36,6 @@ __all__ = [
     "MigrationContext",
     "MigrationCostPolicy",
     "MinSlackConfig",
-    "select_vms_for_server",
     "PACConfig",
     "pac",
     "sort_servers_by_efficiency",

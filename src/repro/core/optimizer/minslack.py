@@ -17,7 +17,7 @@ from repro.core.optimizer.types import VMInfo
 from repro.obs import get_telemetry
 from repro.packing.mbs import MBSResult, search_sorted, sort_items
 
-__all__ = ["MinSlackConfig", "PlacementList", "select_vms_for_server"]
+__all__ = ["MinSlackConfig", "PlacementList"]
 
 
 @dataclass(frozen=True)
@@ -42,32 +42,6 @@ class MinSlackConfig:
         step = self.epsilon_step_ghz
         if step is not None and not 0 <= step < math.inf:
             raise ValueError(f"epsilon_step_ghz must be finite and >= 0, got {step}")
-
-
-def select_vms_for_server(
-    free_capacity_ghz: float,
-    free_memory_mb: float,
-    candidates: Sequence[VMInfo],
-    config: MinSlackConfig | None = None,
-) -> Tuple[List[VMInfo], MBSResult]:
-    """Pick the VM subset that best fills the server's free CPU.
-
-    A one-server :class:`PlacementList`: returns the chosen VMs and the
-    raw search result (slack, steps, epsilon after escalations; its
-    ``selected`` are positions in the search order — decreasing demand,
-    ties in list order).  Telemetry: traced as the ``minslack.search``
-    span, annotated with ``nodes`` (the steps the stepwise search counts
-    — what the step budget is defined on) and ``evaluated`` (the loop
-    iterations this search executed to account for them; far fewer when
-    rejection runs are jumped).  ``nodes`` and the escalations it
-    implies accumulate into the ``minslack.nodes`` /
-    ``minslack.eps_escalations`` counters.  The branch-and-bound inner
-    loop itself stays uninstrumented — effort is read off
-    :class:`MBSResult` afterwards.
-    """
-    return PlacementList(candidates).take_for_server(
-        free_capacity_ghz, free_memory_mb, config or MinSlackConfig()
-    )
 
 
 class PlacementList:
@@ -111,7 +85,20 @@ class PlacementList:
     def take_for_server(
         self, free_capacity_ghz: float, free_memory_mb: float, config: MinSlackConfig
     ) -> Tuple[List[VMInfo], MBSResult]:
-        """Select the VMs that best fill one server and remove them."""
+        """Select the VMs that best fill one server and remove them.
+
+        Returns the chosen VMs and the raw search result (slack, steps,
+        epsilon after escalations; its ``selected`` are positions in the
+        list before the take).  Telemetry: traced as the
+        ``minslack.search`` span, annotated with ``nodes`` (the steps
+        the stepwise search counts — what the step budget is defined
+        on) and ``evaluated`` (the loop iterations this search executed
+        to account for them; far fewer when rejection runs are jumped).
+        ``nodes`` and the escalations it implies accumulate into the
+        ``minslack.nodes`` / ``minslack.eps_escalations`` counters.  The
+        branch-and-bound inner loop itself stays uninstrumented — effort
+        is read off :class:`MBSResult` afterwards.
+        """
         if not 0 <= free_memory_mb < math.inf:  # also false for NaN
             raise ValueError(
                 f"free_memory_mb must be finite and >= 0, got {free_memory_mb}"

@@ -53,7 +53,7 @@ from repro.sim.largescale import LargeScaleConfig, LargeScaleResult
 from repro.traces.forecast import DemandForecaster, EwmaPeakForecaster, HoltForecaster
 from repro.traces.trace import UtilizationTrace
 from repro.util.fold import left_sum
-from repro.util.rng import RngLike, ensure_rng
+from repro.util.rng import ensure_rng
 
 __all__ = ["LargeScaleBackend", "build_largescale_engine", "run_largescale"]
 
@@ -85,14 +85,13 @@ class LargeScaleBackend:
         trace: UtilizationTrace,
         config: LargeScaleConfig,
         servers: Optional[Sequence[Server]] = None,
-        rng: RngLike = None,
         optimizer: Optional[Callable[[PlacementProblem], PlacementPlan]] = None,
         vm_peaks: Optional[np.ndarray] = None,
         vm_memories: Optional[np.ndarray] = None,
         vm_id_start: int = 0,
     ):
         self.config = config
-        generator = ensure_rng(rng if rng is not None else config.seed)
+        generator = ensure_rng(config.seed)
         if config.n_vms > trace.n_series:
             raise ValueError(
                 f"trace has {trace.n_series} series < n_vms={config.n_vms}"
@@ -750,6 +749,21 @@ class LargeScaleBackend:
             ],
             "largescale backend",
         )
+        # A section the checkpoint and this run's config disagree on
+        # would be dropped or left unrestored: refuse the resume instead.
+        saved = state.get("forecaster")
+        saved_kind = None if saved is None else saved.get("kind")
+        kind = None if self.forecaster is None else self.config.provisioning
+        if saved_kind != kind:
+            raise CheckpointError(
+                f"checkpoint forecaster is {saved_kind or 'none'}, this run's "
+                f"is {kind or 'none'}: resume with the run's original provisioning"
+            )
+        if ("fault_cursor" in state) != (self.config.faults is not None):
+            raise CheckpointError(
+                "checkpoint and this run disagree on the fault schedule: "
+                "resume with the run's original faults"
+            )
         peaks = decode_array(state["peaks"])
         if peaks.shape != self.peaks.shape:
             raise CheckpointError(
@@ -757,11 +771,11 @@ class LargeScaleBackend:
                 f"{self.peaks.shape[0]}"
             )
         # peaks/memories are drawn at build time; a mismatch means the
-        # resume was built with a different trace/config/rng.
+        # resume was built with a different trace/config/seed.
         if not np.array_equal(peaks, self.peaks):
             raise CheckpointError(
                 "checkpoint peaks differ from this build's peaks: resume "
-                "with the same trace, config, and rng"
+                "with the same trace and config"
             )
         self.memories = decode_array(state["memories"])
         self.assignment = decode_array(state["assignment"])
@@ -784,8 +798,6 @@ class LargeScaleBackend:
                 )
             self.vm_energy_wh = decode_array(state["vm_energy_wh"])
         if self.forecaster is not None:
-            if "forecaster" not in state:
-                raise ValueError("checkpoint lacks forecaster state")
             self.forecaster.load_state_dict(state["forecaster"])
         schedule = self.config.faults
         if schedule is not None:
@@ -804,14 +816,11 @@ def build_largescale_engine(
     trace: UtilizationTrace,
     config: Optional[LargeScaleConfig] = None,
     servers: Optional[Sequence[Server]] = None,
-    rng: RngLike = None,
     optimizer: Optional[Callable[[PlacementProblem], PlacementPlan]] = None,
 ) -> "tuple[ControlPlane, LargeScaleBackend]":
     """Build the kernel + backend pair for one large-scale run."""
     config = config or LargeScaleConfig()
-    backend = LargeScaleBackend(
-        trace, config, servers=servers, rng=rng, optimizer=optimizer
-    )
+    backend = LargeScaleBackend(trace, config, servers=servers, optimizer=optimizer)
     return ControlPlane.for_backend(backend, "largescale"), backend
 
 
@@ -819,7 +828,6 @@ def run_largescale(
     trace: UtilizationTrace,
     config: Optional[LargeScaleConfig] = None,
     servers: Optional[Sequence[Server]] = None,
-    rng: RngLike = None,
     optimizer: Optional[Callable[[PlacementProblem], PlacementPlan]] = None,
 ) -> LargeScaleResult:
     """Run one scheme over the trace; returns energy and placement stats.
@@ -834,7 +842,7 @@ def run_largescale(
     or checkpoint/resume.
     """
     engine, backend = build_largescale_engine(
-        trace, config, servers=servers, rng=rng, optimizer=optimizer
+        trace, config, servers=servers, optimizer=optimizer
     )
     with run_session(engine, backend):
         engine.run()

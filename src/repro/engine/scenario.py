@@ -305,7 +305,7 @@ class ScenarioSpec:
 
     # -- construction --------------------------------------------------
 
-    def build(self, rng: Any = None) -> Tuple[ControlPlane, PlantBackend]:
+    def build(self) -> Tuple[ControlPlane, PlantBackend]:
         """Build the ``(engine, backend)`` pair for this scenario.
 
         Raises :class:`ScenarioError` when the spec does not validate.
@@ -316,13 +316,11 @@ class ScenarioSpec:
         self.require_valid()
         if self.harness == "testbed":
             return build_testbed_engine(
-                config=self._make_config(), model=self._make_model(), rng=rng
+                config=self._make_config(), model=self._make_model()
             )
         if self.harness == "sharded":
             return build_sharded_engine(self._make_trace(), self._make_config())
-        return build_largescale_engine(
-            self._make_trace(), self._make_config(), rng=rng
-        )
+        return build_largescale_engine(self._make_trace(), self._make_config())
 
     def _make_config(self, bare: bool = False):
         params = {k: _tuplify(v) for k, v in self.params.items()}

@@ -310,7 +310,8 @@ def _pod_worker_main(
 ) -> None:
     """Worker process loop: build the assigned pods, serve commands.
 
-    Protocol: ``(cmd, payload)`` in, ``("ok", _serve(...))`` or
+    Protocol: ``(cmd, payload)`` in, ``("ok", _serve(...))``,
+    ``("refused", message)`` (a :class:`CheckpointError`) or
     ``("error", traceback_str)`` out; ``stop`` ends the loop.
     """
     pods = [_Pod(spec, tel_enabled, span_sample_every) for spec in specs]
@@ -322,6 +323,8 @@ def _pod_worker_main(
                 break
             try:
                 conn.send(("ok", _serve(pods, cmd, payload)))
+            except CheckpointError as exc:  # a refused restore, not a crash
+                conn.send(("refused", str(exc)))
             except Exception:
                 conn.send(("error", traceback.format_exc()))
     except (EOFError, KeyboardInterrupt):
@@ -449,8 +452,10 @@ class ShardedBackend:
         merged: List[Any] = []
         for conn in self._conns:
             status, out = conn.recv()
-            if status == "error":
+            if status != "ok":
                 self.close()
+                if status == "refused":
+                    raise CheckpointError(out)
                 raise RuntimeError(f"sharded pod worker failed:\n{out}")
             if out:
                 merged.extend(out)

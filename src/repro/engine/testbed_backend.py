@@ -100,8 +100,8 @@ class TestbedBackend:
     """DES testbed rig + its control-plane phases.
 
     ``model`` is the ARX model every controller shares; ``None``
-    identifies one at build (:func:`identify_testbed_model`).  ``rng``
-    overrides the master stream that ``config.seed`` otherwise seeds.
+    identifies one at build (:func:`identify_testbed_model`).  Every
+    random stream of the rig is spawned from ``config.seed``.
     """
 
     resume_strategy = "replay"
@@ -110,10 +110,9 @@ class TestbedBackend:
         self,
         config: Optional[TestbedConfig] = None,
         model: Optional[ARXModel] = None,
-        rng: RngLike = None,
     ):
         cfg = self.config = config or TestbedConfig()
-        master = ensure_rng(rng if rng is not None else cfg.seed)
+        master = ensure_rng(cfg.seed)
         app_rngs = spawn_rngs(master, cfg.n_apps)
         self.model, self.sysid_r2 = model, float("nan")
         if model is None:
@@ -476,7 +475,6 @@ class TestbedBackend:
 def build_testbed_engine(
     config: Optional[TestbedConfig] = None,
     model: Optional[ARXModel] = None,
-    rng: RngLike = None,
 ) -> "tuple[ControlPlane, TestbedBackend]":
     """Build the kernel + backend pair for one testbed run.
 
@@ -485,19 +483,18 @@ def build_testbed_engine(
     resumed one restores instead — replay resume triggers the warmup,
     muted, through :meth:`TestbedBackend.prepare_replay`.
     """
-    backend = TestbedBackend(config, model, rng)
+    backend = TestbedBackend(config, model)
     return ControlPlane.for_backend(backend, "testbed"), backend
 
 
 def run_testbed(
     config: Optional[TestbedConfig] = None,
     model: Optional[ARXModel] = None,
-    rng: RngLike = None,
 ) -> TestbedResult:
     """Run one testbed configuration to completion; returns the
     recorded series.  Use :func:`build_testbed_engine` directly for
     stepwise execution or checkpoint/resume."""
-    engine, backend = build_testbed_engine(config, model, rng)
+    engine, backend = build_testbed_engine(config, model)
     with run_session(engine, backend):
         engine.run()
         return backend.result()

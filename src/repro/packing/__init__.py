@@ -1,24 +1,20 @@
-"""Bin-packing substrate: first-fit family plus Minimum Bin Slack.
+"""Bin-packing substrate: Minimum Bin Slack and packing lower bounds.
 
 The paper's optimizer is built on the Minimum-Bin-Slack heuristic of
-Fleszar & Hindi (2002), extended with a pluggable feasibility constraint
-(its Algorithm 1); the pMapper baseline is built on first-fit decreasing.
-Both primitives live here, domain-free, so they can be tested as pure
-packing algorithms; :mod:`repro.core.optimizer` adds the server/VM
-semantics.
+Fleszar & Hindi (2002), extended with a per-step memory check and an
+escalating allowed slack (its Algorithm 1).  It lives here with the
+Martello & Toth lower bounds, domain-free, so both can be tested as
+pure packing algorithms; :mod:`repro.core.optimizer` adds the server/VM
+semantics (its pMapper baseline runs its own first-fit decreasing).
 """
 
 from repro.packing.bounds import capacity_bound_servers, l1_bound, l2_bound
-from repro.packing.firstfit import first_fit, first_fit_decreasing, best_fit_decreasing
 from repro.packing.mbs import MBSResult, minimum_bin_slack
 
 __all__ = [
     "capacity_bound_servers",
     "l1_bound",
     "l2_bound",
-    "first_fit",
-    "first_fit_decreasing",
-    "best_fit_decreasing",
     "MBSResult",
     "minimum_bin_slack",
 ]

@@ -1,4 +1,4 @@
-"""Minimum Bin Slack with a pluggable constraint (paper Algorithm 1).
+"""Minimum Bin Slack with a per-step memory check (paper Algorithm 1).
 
 The classic Minimum-Bin-Slack heuristic (Fleszar & Hindi 2002) searches,
 depth-first over items sorted by decreasing size, for the subset that
@@ -7,7 +7,9 @@ fills one bin as completely as possible.  The paper extends it two ways
 
 * "evaluating a more general constraint in each step, instead of
   checking if the total size of the items exceeds the size of the bin" —
-  the :class:`PackingConstraint` hook (e.g. a server memory limit);
+  the constraint its evaluation uses is the server's memory, so every
+  step here tests the item's size against the free CPU and its memory
+  against the free memory;
 * an allowed-slack early exit ``epsilon`` plus a step budget that
   *escalates* ``epsilon`` when the search runs long (Algorithm 1 lines
   4-5 and 15-17), bounding worst-case running time.
@@ -74,27 +76,24 @@ search does not open that level.  After the improvement and early-exit
 checks of the take it accounts for the run on the spot — the same
 ``steps``, escalations, hard-cap clamp and ``evaluated`` increment the
 level would have produced — and backtracks at once: ``used`` becomes
-``(used + s_t) - s_t`` exactly as a descend and a backtrack leave it,
-and a generic constraint still sees ``push`` / ``pop``.  The run's end
-is the first ``r`` with ``used + suffix[r] <= dominated_at``; it moves
-little from one leaf to the next, so it is galloped for from the last
-leaf's cut (probes 1, 2, 4, ... positions away, then a bisect of the
-bracket).  Every probe evaluates the same monotone expression as the
-walk, so the cut is exact whatever the starting point.
+``(used + s_t) - s_t`` exactly as a descend and a backtrack leave it.
+The run's end is the first ``r`` with ``used + suffix[r] <=
+dominated_at``; it moves little from one leaf to the next, so it is
+galloped for from the last leaf's cut (probes 1, 2, 4, ... positions
+away, then a bisect of the bracket).  Every probe evaluates the same
+monotone expression as the walk, so the cut is exact whatever the
+starting point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "PackingConstraint",
-    "MemoryConstraint",
-    "CompositeConstraint",
     "MBSResult",
     "minimum_bin_slack",
     "sort_items",
@@ -102,103 +101,6 @@ __all__ = [
 ]
 
 _FIT_TOL = 1e-9
-
-
-class PackingConstraint:
-    """Incremental feasibility hook for the MBS search.
-
-    Protocol
-    --------
-    The search drives a constraint through a strict call discipline:
-
-    1. ``accepts(idx)`` is queried *before* item *idx* joins the current
-       selection.  It must be a **pure query**: answer "would adding
-       *idx* keep the constraint satisfied?" without mutating any state.
-       In particular, ``accepts`` returning ``True`` does **not** mean
-       the item was added — the search may still reject it (size check)
-       or abandon the branch.
-    2. ``push(idx)`` is called exactly once when item *idx* actually
-       joins the selection.  Only here may running state change.
-    3. ``pop(idx)`` is called exactly once when item *idx* leaves the
-       selection (backtrack), in reverse push order.  ``pop`` must undo
-       exactly what ``push`` did, so that any ``push``/``pop``-balanced
-       call sequence leaves the constraint in its initial state.
-
-    The search guarantees ``push``/``pop`` balance even on early exit,
-    so a constraint object can be reused across searches.  The base
-    class accepts everything.
-    """
-
-    def accepts(self, idx: int) -> bool:
-        """Would adding item *idx* keep the constraint satisfied?
-
-        Must not mutate state — see the class docstring's protocol.
-        """
-        return True
-
-    def push(self, idx: int) -> None:
-        """Item *idx* was added to the selection."""
-
-    def pop(self, idx: int) -> None:
-        """Item *idx* was removed from the selection (backtrack)."""
-
-
-class MemoryConstraint(PackingConstraint):
-    """Total selected memory must not exceed the bin's free memory.
-
-    Sizes and capacity must be finite: a NaN size would otherwise poison
-    every ``used + size <= capacity`` comparison into ``False`` and
-    silently exclude the item from every selection.
-    """
-
-    def __init__(self, memory_sizes: Sequence[float], memory_capacity: float):
-        self.sizes = np.asarray(memory_sizes, dtype=float)
-        if not np.all(np.isfinite(self.sizes)):
-            raise ValueError("memory sizes must be finite (got NaN/inf)")
-        if np.any(self.sizes < 0):
-            raise ValueError("memory sizes must be non-negative")
-        if not math.isfinite(memory_capacity):
-            raise ValueError(f"memory_capacity must be finite, got {memory_capacity}")
-        if memory_capacity < 0:
-            raise ValueError(f"memory_capacity must be >= 0, got {memory_capacity}")
-        self.capacity = float(memory_capacity)
-        self.used = 0.0
-
-    def accepts(self, idx: int) -> bool:
-        return self.used + self.sizes[idx] <= self.capacity + _FIT_TOL
-
-    def push(self, idx: int) -> None:
-        self.used += self.sizes[idx]
-
-    def pop(self, idx: int) -> None:
-        self.used -= self.sizes[idx]
-
-
-class CompositeConstraint(PackingConstraint):
-    """Conjunction of several constraints.
-
-    ``accepts`` short-circuits: once one member rejects, later members
-    are **not** queried.  This is safe precisely because the protocol
-    (see :class:`PackingConstraint`) requires ``accepts`` to be a pure
-    query — a member that mutated state in ``accepts`` would desync from
-    its peers whenever an earlier member rejected.  ``push``/``pop`` are
-    always delivered to *every* member (push in order, pop in reverse),
-    keeping all members' running state consistent.
-    """
-
-    def __init__(self, constraints: Sequence[PackingConstraint]):
-        self.constraints = list(constraints)
-
-    def accepts(self, idx: int) -> bool:
-        return all(c.accepts(idx) for c in self.constraints)
-
-    def push(self, idx: int) -> None:
-        for c in self.constraints:
-            c.push(idx)
-
-    def pop(self, idx: int) -> None:
-        for c in reversed(self.constraints):
-            c.pop(idx)
 
 
 @dataclass(frozen=True)
@@ -229,7 +131,8 @@ class MBSResult:
 def minimum_bin_slack(
     primary_sizes: Sequence[float],
     capacity: float,
-    constraint: Optional[PackingConstraint] = None,
+    memory_sizes: Optional[Sequence[float]] = None,
+    memory_capacity: float = 0.0,
     epsilon: float = 0.0,
     max_steps: int = 20000,
     epsilon_step: Optional[float] = None,
@@ -244,9 +147,13 @@ def minimum_bin_slack(
         finite and non-negative.
     capacity:
         The bin's free primary capacity; finite and non-negative.
-    constraint:
-        Optional additional feasibility (e.g. memory) — Algorithm 1's
-        generalized per-step check.
+    memory_sizes:
+        Optional per-item memory, one finite, non-negative entry per
+        item: the selection's total must also fit *memory_capacity*
+        (Algorithm 1's generalized per-step check).  None checks CPU
+        only.
+    memory_capacity:
+        The bin's free memory; finite and non-negative.
     epsilon:
         Allowed slack: the search stops as soon as a selection leaves
         at most this much capacity unused (Algorithm 1 lines 4-5).
@@ -269,31 +176,33 @@ def minimum_bin_slack(
         raise ValueError("primary sizes must be finite (got NaN/inf)")
     if np.any(sizes < 0):
         raise ValueError("primary sizes must be non-negative")
-    # A plain MemoryConstraint (the overwhelmingly common case) is
-    # inlined: its accept test and running total become local float
-    # arithmetic, which is also what lets memory rejections be jumped.
-    # Because the search keeps push/pop balanced, never touching the
-    # object at all is observationally identical.  Subclasses
-    # (overridden hooks) and composites take the generic protocol path.
-    inline = type(constraint) is MemoryConstraint
-    order, sorted_sizes, suffix, memory, min_memory = sort_items(
-        sizes, constraint.sizes if inline else None
-    )
-    return search_sorted(
+    memory = None
+    if memory_sizes is not None:
+        # A NaN entry would turn every memory test on it False and
+        # silently exclude the item from every selection.
+        memory = np.asarray(memory_sizes, dtype=float)
+        if memory.shape != sizes.shape:
+            raise ValueError(
+                f"memory_sizes has shape {memory.shape}, primary_sizes {sizes.shape}"
+            )
+        if not np.all(np.isfinite(memory)):
+            raise ValueError("memory sizes must be finite (got NaN/inf)")
+        if np.any(memory < 0):
+            raise ValueError("memory sizes must be non-negative")
+    order, sorted_sizes, suffix, sorted_memory, min_memory = sort_items(sizes, memory)
+    result = search_sorted(
         sorted_sizes,
         suffix,
         capacity,
-        memory=memory,
+        memory=sorted_memory,
         min_memory=min_memory,
-        memory_capacity=constraint.capacity if inline else 0.0,
-        memory_used=constraint.used if inline else 0.0,
-        constraint=None if inline else constraint,
-        order=order,
+        memory_capacity=float(memory_capacity),
         epsilon=epsilon,
         max_steps=max_steps,
         epsilon_step=epsilon_step,
         hard_step_cap=hard_step_cap,
     )
+    return replace(result, selected=tuple(order[p] for p in result.selected))
 
 
 def sort_items(
@@ -334,9 +243,6 @@ def search_sorted(
     memory: Optional[List[float]] = None,
     min_memory: Optional[List[float]] = None,
     memory_capacity: float = 0.0,
-    memory_used: float = 0.0,
-    constraint: Optional[PackingConstraint] = None,
-    order: Optional[Sequence[int]] = None,
     epsilon: float = 0.0,
     max_steps: int = 20000,
     epsilon_step: Optional[float] = None,
@@ -346,13 +252,10 @@ def search_sorted(
 
     *sizes*, *suffix*, *memory* and *min_memory* are what
     :func:`sort_items` returns for finite, non-negative items; the
-    caller vouches for them.  *memory* is an inlined
-    :class:`MemoryConstraint` of capacity *memory_capacity* already
-    holding *memory_used*; *constraint* is any other constraint, driven
-    through its protocol.  Position ``p`` is item ``order[p]`` at the
-    constraint hooks and in ``selected`` — the position itself when
-    *order* is None.  The remaining arguments are those of
-    :func:`minimum_bin_slack`, checked here.
+    caller vouches for them.  With *memory*, every candidate must also
+    fit *memory_capacity*; without it, *memory_capacity* is unused.
+    ``selected`` are positions in these lists.  The remaining arguments
+    are those of :func:`minimum_bin_slack`, checked here.
     """
     if not math.isfinite(capacity):
         raise ValueError(f"capacity must be finite, got {capacity}")
@@ -368,10 +271,9 @@ def search_sorted(
         epsilon_step = 0.05 * capacity if capacity > 0 else 1.0
     elif not 0 <= epsilon_step < math.inf:
         raise ValueError(f"epsilon_step must be finite and >= 0, got {epsilon_step}")
-    if not (math.isfinite(memory_capacity) and math.isfinite(memory_used)):
+    if not 0 <= memory_capacity < math.inf:
         raise ValueError(
-            f"memory_capacity and memory_used must be finite, "
-            f"got {memory_capacity} and {memory_used}"
+            f"memory_capacity must be finite and >= 0, got {memory_capacity}"
         )
     if hard_step_cap is None:
         hard_step_cap = 50 * max_steps
@@ -380,17 +282,13 @@ def search_sorted(
         return MBSResult((), float(capacity), 0, float(epsilon), True, 0)
 
     n = len(sizes)
-    index = range(n) if order is None else order
     cap = float(capacity)
     tol = _FIT_TOL
     cap_tol = cap + tol
-    mem_fast = memory is not None
-    if mem_fast:
+    check_memory = memory is not None
+    if check_memory:
         mem_cap_tol = memory_capacity + tol
-        mem_used = memory_used
-    accepts = push = pop = None
-    if constraint is not None:
-        accepts, push, pop = constraint.accepts, constraint.push, constraint.pop
+        mem_used = 0.0
 
     smallest = sizes[-1] if n else 0.0
     best_path: Tuple[int, ...] = ()
@@ -421,7 +319,7 @@ def search_sorted(
                 break
             evaluated += 1
             oversize = used + sizes[pos] > cap_tol
-            if oversize or (mem_fast and mem_used + memory[pos] > mem_cap_tol):
+            if oversize or (check_memory and mem_used + memory[pos] > mem_cap_tol):
                 # Positions [pos, q) are a run the stepwise search
                 # rejects one step at a time; q is the first candidate
                 # that fits.  Sizes are sorted and float addition is
@@ -437,7 +335,7 @@ def search_sorted(
                         else:
                             hi = mid
                     q = lo
-                if mem_fast and q < n and mem_used + memory[q] > mem_cap_tol:
+                if check_memory and q < n and mem_used + memory[q] > mem_cap_tol:
                     if mem_used + min_memory[q] > mem_cap_tol:
                         q = n
                     else:
@@ -472,26 +370,19 @@ def search_sorted(
                 pos = q
                 if exhausted or q == n:
                     break
+            taken = pos
             pos += 1
             steps += 1
             if steps == next_escalation:
                 eps_current += epsilon_step  # escalate (Algorithm 1 line 16)
                 next_escalation += max_steps
-            if accepts is not None and not accepts(index[pos - 1]):
-                if steps >= hard_step_cap:
-                    exhausted = True
-                    break
-                continue
-            taken = pos - 1
             break
         if taken >= 0:
             # Descend: the new level starts at pos == taken + 1.
             path.append(taken)
             used += sizes[taken]
-            if mem_fast:
+            if check_memory:
                 mem_used += memory[taken]
-            if push is not None:
-                push(index[taken])
             slack = cap - used
             if slack < best_slack - tol:
                 best_slack = slack
@@ -502,7 +393,7 @@ def search_sorted(
                 break
             if pos < n:
                 if not (
-                    (mem_fast and mem_used + min_memory[pos] > mem_cap_tol)
+                    (check_memory and mem_used + min_memory[pos] > mem_cap_tol)
                     or used + smallest > cap_tol
                 ):
                     continue  # something may still fit: search the new level
@@ -555,19 +446,12 @@ def search_sorted(
         # Backtrack: the level above resumes after the item it took.
         last = path.pop()
         used -= sizes[last]
-        if mem_fast:
+        if check_memory:
             mem_used -= memory[last]
-        if pop is not None:
-            pop(index[last])
         pos = last + 1
 
-    # Unwind constraint state so the object can be reused by the caller.
-    if pop is not None:
-        while path:
-            pop(index[path.pop()])
-
     return MBSResult(
-        selected=tuple(index[p] for p in best_path),
+        selected=best_path,
         slack=float(best_slack),
         steps=steps,
         epsilon_used=eps_current,

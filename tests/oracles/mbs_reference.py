@@ -13,18 +13,92 @@ VM identically with this function patched in.
 Nothing here should be "improved" — it is the frozen baseline.  The
 only departure from the pre-jump source is ``evaluated=steps`` in the
 returned :class:`~repro.packing.mbs.MBSResult` (the stepwise search
-executes one iteration per counted step by definition).
+executes one iteration per counted step by definition).  The library
+search takes memory as plain arrays; the constraint protocol this
+search was written against (:class:`PackingConstraint`,
+:class:`MemoryConstraint`) is kept here with it, unchanged.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.packing.mbs import _FIT_TOL, MBSResult, MemoryConstraint, PackingConstraint
+from repro.packing.mbs import _FIT_TOL, MBSResult
 
-__all__ = ["minimum_bin_slack"]
+__all__ = ["PackingConstraint", "MemoryConstraint", "minimum_bin_slack"]
+
+
+class PackingConstraint:
+    """Incremental feasibility hook for the MBS search.
+
+    Protocol
+    --------
+    The search drives a constraint through a strict call discipline:
+
+    1. ``accepts(idx)`` is queried *before* item *idx* joins the current
+       selection.  It must be a **pure query**: answer "would adding
+       *idx* keep the constraint satisfied?" without mutating any state.
+       In particular, ``accepts`` returning ``True`` does **not** mean
+       the item was added — the search may still reject it (size check)
+       or abandon the branch.
+    2. ``push(idx)`` is called exactly once when item *idx* actually
+       joins the selection.  Only here may running state change.
+    3. ``pop(idx)`` is called exactly once when item *idx* leaves the
+       selection (backtrack), in reverse push order.  ``pop`` must undo
+       exactly what ``push`` did, so that any ``push``/``pop``-balanced
+       call sequence leaves the constraint in its initial state.
+
+    The search guarantees ``push``/``pop`` balance even on early exit,
+    so a constraint object can be reused across searches.  The base
+    class accepts everything.
+    """
+
+    def accepts(self, idx: int) -> bool:
+        """Would adding item *idx* keep the constraint satisfied?
+
+        Must not mutate state — see the class docstring's protocol.
+        """
+        return True
+
+    def push(self, idx: int) -> None:
+        """Item *idx* was added to the selection."""
+
+    def pop(self, idx: int) -> None:
+        """Item *idx* was removed from the selection (backtrack)."""
+
+
+class MemoryConstraint(PackingConstraint):
+    """Total selected memory must not exceed the bin's free memory.
+
+    Sizes and capacity must be finite: a NaN size would otherwise poison
+    every ``used + size <= capacity`` comparison into ``False`` and
+    silently exclude the item from every selection.
+    """
+
+    def __init__(self, memory_sizes: Sequence[float], memory_capacity: float):
+        self.sizes = np.asarray(memory_sizes, dtype=float)
+        if not np.all(np.isfinite(self.sizes)):
+            raise ValueError("memory sizes must be finite (got NaN/inf)")
+        if np.any(self.sizes < 0):
+            raise ValueError("memory sizes must be non-negative")
+        if not math.isfinite(memory_capacity):
+            raise ValueError(f"memory_capacity must be finite, got {memory_capacity}")
+        if memory_capacity < 0:
+            raise ValueError(f"memory_capacity must be >= 0, got {memory_capacity}")
+        self.capacity = float(memory_capacity)
+        self.used = 0.0
+
+    def accepts(self, idx: int) -> bool:
+        return self.used + self.sizes[idx] <= self.capacity + _FIT_TOL
+
+    def push(self, idx: int) -> None:
+        self.used += self.sizes[idx]
+
+    def pop(self, idx: int) -> None:
+        self.used -= self.sizes[idx]
 
 
 def minimum_bin_slack(

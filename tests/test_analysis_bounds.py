@@ -12,8 +12,8 @@ from repro.core.controller.analysis import (
     tracking_metrics,
     violation_ratio,
 )
+from repro.packing import minimum_bin_slack
 from repro.packing.bounds import capacity_bound_servers, l1_bound, l2_bound
-from repro.packing import first_fit_decreasing
 
 
 class TestTrackingMetrics:
@@ -72,13 +72,17 @@ class TestPackingBounds:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_bounds_never_exceed_ffd(self, data):
-        """L1 <= L2 <= bins used by FFD (a feasible packing)."""
+    def test_bounds_never_exceed_bins_used(self, data):
+        """L1 <= L2 <= bins used by a feasible packing: bins filled one
+        at a time with Minimum Bin Slack."""
         n = data.draw(st.integers(1, 15))
         sizes = [data.draw(st.floats(0.05, 1.0)) for _ in range(n)]
-        caps = [[1.0]] * n
-        assignment = first_fit_decreasing([[s] for s in sizes], caps)
-        used = len({b for b in assignment if b is not None})
+        remaining, used = list(sizes), 0
+        while remaining:
+            chosen = set(minimum_bin_slack(remaining, 1.0).selected)
+            assert chosen  # every item fits an empty bin
+            remaining = [s for i, s in enumerate(remaining) if i not in chosen]
+            used += 1
         lb1 = l1_bound(sizes, 1.0)
         lb2 = l2_bound(sizes, 1.0)
         assert lb1 <= lb2 <= used

@@ -8,6 +8,8 @@
   entry modules, ``repro.cli`` and ``repro.service.cli``, through
   imports (package ``__init__`` re-exports count).  A module nothing
   reaches is an orphan: give it a caller or delete it.
+* ``repro.packing`` is domain-free: its modules import no ``repro``
+  module outside the package.
 """
 
 import ast
@@ -82,3 +84,17 @@ def test_every_module_is_reachable_from_the_entry_points():
             stack.extend(_imports(name))
     orphans = sorted(set(MODULES) - seen)
     assert not orphans, f"no import path from the CLI entry modules to: {orphans}"
+
+
+def test_packing_imports_only_packing():
+    # ``repro`` itself is every module's implicit ancestor, not a dependency.
+    offenders = {
+        name: sorted(
+            t for t in _imports(name)
+            if t != "repro" and t != "repro.packing" and not t.startswith("repro.packing.")
+        )
+        for name in MODULES
+        if name == "repro.packing" or name.startswith("repro.packing.")
+    }
+    offenders = {name: hits for name, hits in offenders.items() if hits}
+    assert not offenders, f"repro.packing must stay domain-free: {offenders}"

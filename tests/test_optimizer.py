@@ -25,7 +25,6 @@ from repro.core.optimizer import (
     ipac,
     pac,
     pmapper,
-    select_vms_for_server,
     sort_servers_by_efficiency,
 )
 from repro.core.optimizer import minslack as minslack_module
@@ -33,11 +32,12 @@ from repro.core.optimizer.minslack import PlacementList
 from repro.core.optimizer.pmapper import PMapperConfig
 from repro.core.optimizer.types import ServerInfo, VMInfo
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
-from repro.packing.mbs import MemoryConstraint, minimum_bin_slack
+from repro.packing.mbs import minimum_bin_slack
 
 from tests.conftest import check_plan_feasible, make_server_info, make_vm_info
 from tests.oracles import ipac_reference
 from tests.oracles.compensated_sum import compensated_sum
+from tests.oracles.mbs_reference import MemoryConstraint
 from tests.oracles.mbs_reference import minimum_bin_slack as stepwise_minimum_bin_slack
 
 # The package re-exports the function ``ipac`` under the submodule's name.
@@ -108,7 +108,7 @@ class TestSortServers:
 class TestSelectVMs:
     def test_fills_capacity(self):
         vms = [make_vm_info(f"v{i}", demand=d) for i, d in enumerate([3.0, 2.0, 1.0])]
-        chosen, result = select_vms_for_server(4.0, 1e9, vms)
+        chosen, result = PlacementList(vms).take_for_server(4.0, 1e9, MinSlackConfig())
         assert sum(v.demand_ghz for v in chosen) == pytest.approx(4.0)
         assert result.slack == pytest.approx(0.0)
 
@@ -117,16 +117,18 @@ class TestSelectVMs:
             make_vm_info("big", demand=1.0, memory=4000),
             make_vm_info("small", demand=1.0, memory=500),
         ]
-        chosen, _ = select_vms_for_server(4.0, 1000.0, vms)
+        chosen, _ = PlacementList(vms).take_for_server(4.0, 1000.0, MinSlackConfig())
         assert [v.vm_id for v in chosen] == ["small"]
 
     def test_zero_capacity(self):
-        chosen, _ = select_vms_for_server(0.0, 100.0, [make_vm_info("v", 1.0)])
+        chosen, _ = PlacementList([make_vm_info("v", 1.0)]).take_for_server(
+            0.0, 100.0, MinSlackConfig()
+        )
         assert chosen == []
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            select_vms_for_server(-1.0, 100.0, [])
+            PlacementList([]).take_for_server(-1.0, 100.0, MinSlackConfig())
         with pytest.raises(ValueError):
             MinSlackConfig(epsilon_ghz=-1.0)
         for bad in (dict(epsilon_ghz=math.nan), dict(epsilon_ghz=math.inf),
@@ -141,7 +143,7 @@ class TestSelectVMs:
         vms = [make_vm_info(f"v{i:03d}", demand=1.0, memory=1024) for i in range(100)]
         backend = InMemoryBackend()
         with use_telemetry(Telemetry(backend), close=False):
-            _, result = select_vms_for_server(50.0, 1024.0, vms)
+            _, result = PlacementList(vms).take_for_server(50.0, 1024.0, MinSlackConfig())
         (span,) = backend.of_kind("span")
         assert span["name"] == "minslack.search"
         assert (span["nodes"], span["evaluated"]) == (result.steps, result.evaluated)
@@ -282,7 +284,7 @@ def _pac_cases(draw):
 
 def _pac_searching_each_server_afresh(problem, to_place, config):
     """PAC as it ran before the sorted placement list: every server
-    searches the id-ordered remainder through the public wrapper."""
+    searches the id-ordered remainder in a placement list of its own."""
     moving = set(to_place)
     stay = {v: s for v, s in problem.mapping.items() if v not in moving}
     mapping = dict(stay)
@@ -295,7 +297,9 @@ def _pac_searching_each_server_afresh(problem, to_place, config):
         free_mem = server.memory_mb - sum(vm.memory_mb for vm in held)
         if not remaining or free_cpu <= 0 or free_mem < 0:
             continue
-        chosen, _ = select_vms_for_server(free_cpu, free_mem, remaining, config.minslack)
+        chosen, _ = PlacementList(remaining).take_for_server(
+            free_cpu, free_mem, config.minslack
+        )
         for vm in chosen:
             mapping[vm.vm_id] = server.server_id
         remaining = [vm for vm in remaining if vm not in chosen]
@@ -404,7 +408,7 @@ class TestPlacementListUpkeep:
             demands = [vm.demand_ghz for vm in before]
             mems = [vm.memory_mb for vm in before]
             fresh = minimum_bin_slack(
-                demands, free_cpu, constraint=MemoryConstraint(mems, free_mem), **kwargs
+                demands, free_cpu, memory_sizes=mems, memory_capacity=free_mem, **kwargs
             )
             ref = stepwise_minimum_bin_slack(
                 demands, free_cpu, constraint=MemoryConstraint(mems, free_mem), **kwargs

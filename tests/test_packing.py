@@ -1,4 +1,4 @@
-"""Bin-packing substrate: first-fit family and Minimum Bin Slack."""
+"""Bin-packing substrate: Minimum Bin Slack."""
 
 import itertools
 import math
@@ -8,117 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.packing import (
-    best_fit_decreasing,
-    first_fit,
-    first_fit_decreasing,
-    minimum_bin_slack,
-)
-from repro.packing.mbs import (
-    CompositeConstraint,
-    MemoryConstraint,
-    PackingConstraint,
-    search_sorted,
-    sort_items,
-)
+from repro.packing import minimum_bin_slack
+from repro.packing.mbs import search_sorted, sort_items
+from tests.oracles.mbs_reference import MemoryConstraint
 from tests.oracles.mbs_reference import minimum_bin_slack as stepwise_minimum_bin_slack
-
-
-def _loads(assignment, sizes, n_bins, dim):
-    loads = np.zeros(n_bins)
-    for i, b in enumerate(assignment):
-        if b is not None:
-            loads[b] += sizes[i][dim]
-    return loads
-
-
-class TestFirstFit:
-    def test_simple_sequence(self):
-        sizes = [[3.0], [3.0], [3.0]]
-        caps = [[4.0], [4.0], [4.0]]
-        assert first_fit(sizes, caps) == [0, 1, 2]
-
-    def test_fills_before_moving_on(self):
-        sizes = [[2.0], [2.0], [2.0]]
-        caps = [[4.0], [4.0]]
-        assert first_fit(sizes, caps) == [0, 0, 1]
-
-    def test_unplaceable_returns_none(self):
-        assert first_fit([[5.0]], [[4.0]]) == [None]
-
-    def test_respects_existing_usage(self):
-        out = first_fit([[2.0]], [[4.0]], bin_used=[[3.0]])
-        assert out == [None]
-
-    def test_vector_dimensions_all_checked(self):
-        sizes = [[1.0, 3000.0]]
-        caps = [[4.0, 2048.0], [4.0, 4096.0]]
-        assert first_fit(sizes, caps) == [1]
-
-    def test_ffd_sorts_by_dimension(self):
-        sizes = [[1.0], [3.0], [2.0]]
-        caps = [[3.0], [3.0]]
-        out = first_fit_decreasing(sizes, caps)
-        # 3 -> bin0; 2 -> bin1; 1 -> bin1.
-        assert out == [1, 0, 1]
-
-    def test_ffd_returns_original_order(self):
-        sizes = [[1.0], [5.0], [2.0]]
-        caps = [[10.0]]
-        out = first_fit_decreasing(sizes, caps)
-        assert out == [0, 0, 0]
-
-    def test_bfd_prefers_tightest_fit(self):
-        sizes = [[2.0]]
-        caps = [[10.0], [2.5]]
-        assert best_fit_decreasing(sizes, caps) == [1]
-
-    def test_empty_items(self):
-        assert first_fit_decreasing([], [[1.0]]) == []
-        assert best_fit_decreasing([], [[1.0]]) == []
-
-    def test_negative_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            first_fit([[-1.0]], [[4.0]])
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_feasibility_invariant(self, data):
-        """No assigned bin ever exceeds capacity in any dimension."""
-        n_items = data.draw(st.integers(1, 12))
-        n_bins = data.draw(st.integers(1, 6))
-        sizes = [
-            [data.draw(st.floats(0.1, 3.0)), data.draw(st.floats(10, 2000))]
-            for _ in range(n_items)
-        ]
-        caps = [
-            [data.draw(st.floats(1.0, 6.0)), data.draw(st.floats(500, 4000))]
-            for _ in range(n_bins)
-        ]
-        for algo in (first_fit, first_fit_decreasing, best_fit_decreasing):
-            out = algo(sizes, caps)
-            for dim in (0, 1):
-                loads = _loads(out, sizes, n_bins, dim)
-                assert np.all(loads <= np.asarray(caps)[:, dim] + 1e-6)
-
-    @settings(max_examples=25, deadline=None)
-    @given(data=st.data())
-    def test_ffd_within_guarantee_of_ff(self, data):
-        # FFD is NOT pointwise <= FF (e.g. [0.5, 3x0.25, 2x0.375] packs
-        # to 2 bins under FF but 3 under FFD); the sound relation is the
-        # approximation guarantee FFD <= 11/9 OPT + 6/9 with OPT <= FF,
-        # plus the L1 lower bound on any feasible packing.
-        n_items = data.draw(st.integers(1, 10))
-        sizes = [[data.draw(st.floats(0.1, 1.0))] for _ in range(n_items)]
-        caps = [[1.0] for _ in range(n_items)]
-        ff = first_fit(sizes, caps)
-        ffd = first_fit_decreasing(sizes, caps)
-        used_ff = len({b for b in ff if b is not None})
-        used_ffd = len({b for b in ffd if b is not None})
-        assert used_ffd <= 11.0 / 9.0 * used_ff + 6.0 / 9.0
-        lower = math.ceil(sum(s[0] for s in sizes) - 1e-9)
-        assert used_ffd >= lower
-        assert used_ff >= lower
 
 
 class TestMinimumBinSlack:
@@ -154,27 +47,33 @@ class TestMinimumBinSlack:
     def test_memory_constraint_blocks_items(self):
         sizes = [4.0, 3.0, 3.0]
         mems = [3000.0, 500.0, 500.0]
-        res = minimum_bin_slack(
-            sizes, capacity=7.0,
-            constraint=MemoryConstraint(mems, memory_capacity=1500.0),
-        )
+        res = minimum_bin_slack(sizes, capacity=7.0, memory_sizes=mems, memory_capacity=1500.0)
         # Item 0 never fits memory; best CPU fill is 3 + 3 = 6.
         assert 0 not in res.selected
         assert res.slack == pytest.approx(1.0)
 
-    def test_constraint_state_restored_after_search(self):
-        mems = [500.0, 500.0]
-        constraint = MemoryConstraint(mems, 2000.0)
-        minimum_bin_slack([1.0, 2.0], 5.0, constraint=constraint)
-        assert constraint.used == pytest.approx(0.0)
-
-    def test_composite_constraint(self):
-        class Reject1(PackingConstraint):
-            def accepts(self, idx):
-                return idx != 1
-        comp = CompositeConstraint([Reject1(), MemoryConstraint([10, 10, 10], 100)])
-        res = minimum_bin_slack([2.0, 2.0, 2.0], 6.0, constraint=comp)
-        assert 1 not in res.selected
+    @pytest.mark.parametrize(
+        "sizes, memory_sizes, memory_capacity",
+        [
+            ([1.0, 2.0], [10.0, 20.0, 30.0], 100.0),
+            ([1.0, 2.0, 3.0], [10.0, 20.0], 100.0),
+            ([1.0, 2.0], [10.0, math.nan], 100.0),
+            ([1.0, 2.0], [10.0, math.inf], 100.0),
+            ([1.0, 2.0], [10.0, -1.0], 100.0),
+            ([1.0, 2.0], [10.0, 20.0], math.nan),
+            ([1.0, 2.0], [10.0, 20.0], math.inf),
+            ([1.0, 2.0], [10.0, 20.0], -1.0),
+        ],
+        ids=["more-memory-entries", "fewer-memory-entries", "nan-entry", "inf-entry",
+             "negative-entry", "nan-capacity", "inf-capacity", "negative-capacity"],
+    )
+    def test_memory_arguments_rejected(self, sizes, memory_sizes, memory_capacity):
+        # Memory is read by position: a list of the wrong length would
+        # have its extra entries ignored or run out mid-search.
+        with pytest.raises(ValueError, match="shape|finite|non-negative"):
+            minimum_bin_slack(
+                sizes, 6.0, memory_sizes=memory_sizes, memory_capacity=memory_capacity
+            )
 
     def test_step_budget_epsilon_escalation(self):
         """With a 1-step budget, epsilon escalates and the search still
@@ -217,7 +116,6 @@ class TestMinimumBinSlack:
             dict(epsilon_step=-0.1),
             dict(memory_capacity=math.nan),
             dict(memory_capacity=math.inf),
-            dict(memory_used=math.nan),
         ],
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
     )
@@ -231,9 +129,8 @@ class TestMinimumBinSlack:
         search = dict(memory=memory, min_memory=min_memory, memory_capacity=2048.0)
         with pytest.raises(ValueError, match="finite"):
             search_sorted(sizes, suffix, 2.0, **{**search, **kwargs})
-        if "memory_capacity" not in kwargs and "memory_used" not in kwargs:
-            with pytest.raises(ValueError, match="finite"):
-                minimum_bin_slack([1.0, 1.0], 2.0, **kwargs)
+        with pytest.raises(ValueError, match="finite"):
+            minimum_bin_slack([1.0, 1.0], 2.0, **kwargs)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -259,7 +156,7 @@ class TestMinimumBinSlack:
         capacity = data.draw(st.floats(0.5, 6.0))
         mem_cap = data.draw(st.floats(500, 4000))
         res = minimum_bin_slack(
-            sizes, capacity, constraint=MemoryConstraint(mems, mem_cap),
+            sizes, capacity, memory_sizes=mems, memory_capacity=mem_cap,
             epsilon=0.05, max_steps=2000,
         )
         total = sum(sizes[i] for i in res.selected)
@@ -268,16 +165,6 @@ class TestMinimumBinSlack:
         assert total_mem <= mem_cap + 1e-9
         assert res.slack == pytest.approx(capacity - total)
         assert len(set(res.selected)) == len(res.selected)  # no duplicates
-
-
-class _SubclassedMemory(MemoryConstraint):
-    """Any subclass takes the generic accepts/push/pop path."""
-
-
-def _members(constraint):
-    if constraint is None:
-        return []
-    return getattr(constraint, "constraints", [constraint])
 
 
 def _result_fields(res):
@@ -310,23 +197,9 @@ def _mbs_instances(draw):
         epsilon_step=draw(st.sampled_from([None, 0.01, 1.0 / 3.0])),
         hard_step_cap=draw(st.one_of(st.none(), st.integers(1, 400))),
     )
-    kind = draw(st.sampled_from(["none", "memory", "subclass", "composite"]))
-    return sizes, capacity, _constraint_factory(kind, sizes, capacity, mems, mem_cap), kwargs
-
-
-def _constraint_factory(kind, sizes, capacity, mems, mem_cap, cpu_share=0.75):
-    def make_constraint():
-        if kind == "none":
-            return None
-        if kind == "memory":
-            return MemoryConstraint(mems, mem_cap)
-        if kind == "subclass":
-            return _SubclassedMemory(mems, mem_cap)
-        return CompositeConstraint(
-            [MemoryConstraint(mems, mem_cap), _SubclassedMemory(sizes, cpu_share * capacity)]
-        )
-
-    return make_constraint
+    if draw(st.booleans()):
+        mems = None
+    return sizes, capacity, mems, mem_cap, kwargs
 
 
 @st.composite
@@ -335,7 +208,7 @@ def _run_path_instances(draw):
     demands, memory for only a handful of them, and usually far more
     free CPU than any memory-feasible selection can use — so most takes
     are leaves and only escalation ends the search."""
-    kind = draw(st.sampled_from(["memory", "memory", "subclass", "composite", "none"]))
+    kind = draw(st.sampled_from(["memory", "memory", "cpu", "cpu", "none"]))
     if kind == "memory":
         # 16 VMs of at most 0.3 GHz use at most 4.8 GHz.
         n = draw(st.integers(0, 150))
@@ -344,9 +217,9 @@ def _run_path_instances(draw):
         capacity = draw(st.one_of(st.floats(5.0, 40.0), st.floats(0.0, 2.0)))
         epsilon = draw(st.sampled_from([0.0, 0.01, 0.1]))
     else:
-        # The generic path settles CPU leaves only: a capacity of a few
-        # sizes, memory that does not always run out first, and too few
-        # items for a near fill to end the search at once.
+        # CPU leaves: a capacity of a few sizes, memory (if any) that
+        # does not always run out first, and too few items for a near
+        # fill to end the search at once.
         n = draw(st.integers(0, 40))
         smallest = 0.1
         mem_cap = 512.0 * draw(st.integers(4, 16))
@@ -361,24 +234,17 @@ def _run_path_instances(draw):
         epsilon_step=draw(st.sampled_from([None, 0.001, 0.02])),
         hard_step_cap=draw(st.one_of(st.none(), st.integers(1, 3000))),
     )
-    # The composite's CPU member at the full capacity: it accepts what
-    # the size test accepts, so CPU leaves still occur behind it.
-    make = _constraint_factory(kind, sizes, capacity, mems, mem_cap, cpu_share=1.0)
-    return sizes, capacity, make, kwargs
+    if kind == "none":
+        mems = None
+    return sizes, capacity, mems, mem_cap, kwargs
 
 
 def _assert_matches_stepwise_oracle(instance):
-    sizes, capacity, make_constraint, kwargs = instance
-    constraint, ref_constraint = make_constraint(), make_constraint()
-    res = minimum_bin_slack(sizes, capacity, constraint=constraint, **kwargs)
-    ref = stepwise_minimum_bin_slack(sizes, capacity, constraint=ref_constraint, **kwargs)
+    sizes, capacity, mems, mem_cap, kwargs = instance
+    res = minimum_bin_slack(sizes, capacity, mems, mem_cap, **kwargs)
+    constraint = None if mems is None else MemoryConstraint(mems, mem_cap)
+    ref = stepwise_minimum_bin_slack(sizes, capacity, constraint, **kwargs)
     assert _result_fields(res) == _result_fields(ref)
-    # Same push/pop sequence on the generic path (so the same float
-    # residue); the inlined plain MemoryConstraint is never touched.
-    for mine, theirs in zip(_members(constraint), _members(ref_constraint)):
-        assert mine.used == theirs.used == pytest.approx(0.0, abs=1e-9)
-    if type(constraint) is MemoryConstraint:
-        assert constraint.used == 0.0
 
 
 class _ReadLog(list):
@@ -417,10 +283,10 @@ class TestJumpsMatchStepwiseSearch:
         n = 40
         sizes = np.linspace(1.0, 0.5, n)
         mems = [700.0] + [900.0] * (n - 1)
-        order, sorted_sizes, suffix, memory, min_memory = sort_items(sizes, np.array(mems))
+        _, sorted_sizes, suffix, memory, min_memory = sort_items(sizes, np.array(mems))
         memory = _ReadLog(memory)
         res = search_sorted(sorted_sizes, suffix, 1e4, memory=memory, min_memory=min_memory,
-                            memory_capacity=1500.0, order=order)
+                            memory_capacity=1500.0)
         ref = stepwise_minimum_bin_slack(sizes, 1e4, constraint=MemoryConstraint(mems, 1500.0))
         assert _result_fields(res) == _result_fields(ref)
         assert memory.reads == sorted(memory.reads)
@@ -432,7 +298,7 @@ class TestJumpsMatchStepwiseSearch:
         n = 2000
         sizes = np.linspace(1.0, 0.5, n)
         mems = [1024.0] * n
-        res = minimum_bin_slack(sizes, 1e4, constraint=MemoryConstraint(mems, 3 * 1024.0))
+        res = minimum_bin_slack(sizes, 1e4, memory_sizes=mems, memory_capacity=3 * 1024.0)
         ref = stepwise_minimum_bin_slack(
             sizes, 1e4, constraint=MemoryConstraint(mems, 3 * 1024.0)
         )

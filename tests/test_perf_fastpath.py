@@ -12,8 +12,8 @@ Pins the hot-path optimizations to their correctness contracts:
   like a cold solve.
 * **MPC matrix caching** — cached prediction/Hessian matrices are
   bitwise equal to freshly derived ones, and solutions are unchanged.
-* **Minimum Slack search** — constraint protocol discipline, exact step
-  accounting, and optimality against a brute-force subset oracle.
+* **Minimum Slack search** — exact step accounting, and optimality
+  against a brute-force subset oracle.
 """
 
 import hashlib
@@ -29,7 +29,7 @@ from repro.control.qp import solve_qp
 from repro.engine.largescale_backend import run_largescale
 from repro.engine.testbed_backend import run_testbed
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
-from repro.packing.mbs import _FIT_TOL, MemoryConstraint, minimum_bin_slack
+from repro.packing.mbs import _FIT_TOL, minimum_bin_slack
 from repro.service.runner import eventlog_hash_records as _eventlog_hash
 from repro.sim.largescale import LargeScaleConfig
 from repro.sim.testbed import TestbedConfig
@@ -300,65 +300,7 @@ class TestMPCFastLane:
         assert heir.warm_hits > donor.warm_hits
 
 
-class _RecordingConstraint(MemoryConstraint):
-    """MemoryConstraint that logs protocol calls (generic dispatch)."""
-
-    def __init__(self, sizes, capacity):
-        super().__init__(sizes, capacity)
-        self.log = []
-
-    def accepts(self, idx):
-        self.log.append(("accepts", idx))
-        return super().accepts(idx)
-
-    def push(self, idx):
-        self.log.append(("push", idx))
-        super().push(idx)
-
-    def pop(self, idx):
-        self.log.append(("pop", idx))
-        super().pop(idx)
-
-
 class TestPackingFastLane:
-    def test_memory_constraint_rejects_nan_and_inf(self):
-        with pytest.raises(ValueError, match="finite"):
-            MemoryConstraint([1.0, float("nan")], 10.0)
-        with pytest.raises(ValueError, match="finite"):
-            MemoryConstraint([1.0, float("inf")], 10.0)
-        with pytest.raises(ValueError, match="finite"):
-            MemoryConstraint([1.0, 2.0], float("nan"))
-
-    def test_protocol_balance_and_ordering(self):
-        sizes = [4.0, 3.0, 2.0, 1.0]
-        cons = _RecordingConstraint([1.0] * 4, 100.0)
-        minimum_bin_slack(sizes, 6.0, constraint=cons, epsilon=0.0)
-        assert cons.used == 0.0  # balanced: state restored
-        pushes = [e for e in cons.log if e[0] == "push"]
-        pops = [e for e in cons.log if e[0] == "pop"]
-        assert len(pushes) == len(pops)
-        # Every push is preceded by an accepts for the same item.
-        for i, (kind, idx) in enumerate(cons.log):
-            if kind == "push":
-                assert ("accepts", idx) in cons.log[:i]
-
-    def test_subclass_takes_generic_path_with_identical_results(self):
-        rng = np.random.default_rng(5)
-        sizes = rng.uniform(0.2, 1.0, size=12)
-        mems = rng.uniform(100.0, 900.0, size=12)
-        fast = minimum_bin_slack(
-            sizes, 3.0, constraint=MemoryConstraint(mems, 3000.0), epsilon=0.0
-        )
-        generic = minimum_bin_slack(
-            sizes,
-            3.0,
-            constraint=_RecordingConstraint(mems, 3000.0),
-            epsilon=0.0,
-        )
-        assert fast.selected == generic.selected
-        assert fast.slack == generic.slack
-        assert fast.steps == generic.steps
-
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_slack_is_bruteforce_minimum_under_memory_constraint(self, data):
@@ -373,7 +315,8 @@ class TestPackingFastLane:
         res = minimum_bin_slack(
             sizes,
             capacity,
-            constraint=MemoryConstraint(mems, mem_cap),
+            memory_sizes=mems,
+            memory_capacity=mem_cap,
             epsilon=0.0,
             max_steps=10**6,
         )

@@ -319,6 +319,37 @@ class TestCli:
         assert main_sim(["--scenario", "testbed-small", "--resume", missing]) == 1
         assert "cannot resume" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "saved, resumed",
+        [
+            (["largescale-small"], ["largescale-small", "params.provisioning=ewma_peak"]),
+            (["largescale-small", "params.provisioning=ewma_peak"], ["largescale-small"]),
+            (["largescale-small", "params.provisioning=ewma_peak"],
+             ["largescale-small", "params.provisioning=holt"]),
+            (["largescale-faulted"], ["largescale-small"]),
+            (["largescale-small"], ["largescale-faulted"]),
+            (["sharded-small"], ["sharded-small", "params.provisioning=ewma_peak"]),
+        ],
+        ids=["forecaster-added", "forecaster-dropped", "forecaster-changed",
+             "faults-dropped", "faults-added", "sharded-forecaster-added"],
+    )
+    def test_sim_refuses_resume_under_a_different_config(self, saved, resumed, tmp_path,
+                                                         capsys):
+        # A checkpoint section the resumed config has no place for would
+        # be dropped silently; one the config needs cannot be restored.
+        from repro.cli import main_sim
+
+        def args(scenario, *overrides):
+            return ["--scenario", scenario] + [a for o in overrides for a in ("--set", o)]
+
+        ck = tmp_path / "ck.json"
+        assert main_sim(args(*saved) + ["--checkpoint", str(ck), "--checkpoint-at", "3"]) == 0
+        capsys.readouterr()
+        assert main_sim(args(*resumed) + ["--resume", str(ck)]) == 1
+        out, err = capsys.readouterr()
+        assert "cannot resume" in err and "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("k", ["-3", "0", "12", "9999"])
     def test_sim_rejects_checkpoint_at_outside_the_run(self, k, tmp_path, capsys):
         # testbed-small runs 12 periods: only 1..11 are mid-run.

@@ -18,7 +18,9 @@ model); :func:`solve_qp` is its batch of one.
 ``H`` must be positive definite on the feasible set (the MPC cost has a
 strictly positive control penalty ``R``, which guarantees this).  The
 solver is validated against ``scipy.optimize`` in the test suite and
-falls back to it automatically if the active-set loop fails to settle.
+falls back to SciPy's SLSQP automatically if the active-set loop fails
+to settle; that hand-over is the module's only SciPy use, and it
+imports SciPy on first call, so importing this module loads none.
 
 On a degenerate working set (two dependent rows active, as at the
 ``testbed-fleet`` period-1 vertex) the loop can cycle between working
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 __all__ = ["QPResult", "solve_qp", "solve_qp_batch"]
 
@@ -93,7 +94,14 @@ def _scipy_fallback(
     iterations: int,
     warm_started: bool = False,
 ) -> QPResult:
-    """Solve with SciPy SLSQP; used when the active-set loop stalls."""
+    """Solve with SciPy SLSQP; used when the active-set loop stalls.
+
+    SciPy is imported here, not at module level: a run whose QPs all
+    settle in the active-set loop (every large-scale run, which has no
+    MPC at all) never loads it.
+    """
+    from scipy import optimize
+
     n = H.shape[0]
     if x0 is None:
         x0 = np.zeros(n)

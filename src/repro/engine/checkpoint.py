@@ -12,6 +12,10 @@ Everything a checkpoint stores must round-trip through ``json.dumps`` /
 * RNG streams are stored as the bit generator's ``state`` dict
   (arbitrary-precision ints are native JSON) and restored onto a fresh
   generator of the same bit-generator class.
+
+A document these decoders cannot read raises
+:class:`~repro.engine.kernel.CheckpointError`, so a damaged checkpoint
+refuses the resume (``repro-sim`` exits 1) instead of crashing it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import math
 from typing import Any, Dict, Mapping, Sequence, Union
 
 import numpy as np
+
+from repro.engine.kernel import CheckpointError
 
 __all__ = [
     "decode_array",
@@ -51,7 +57,7 @@ def decode_array(doc: Mapping[str, Any]) -> np.ndarray:
         shape = tuple(int(s) for s in doc["shape"])
         data = doc["data"]
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed array document: {exc}") from None
+        raise CheckpointError(f"malformed array document: {exc}") from None
     return np.asarray(data, dtype=dtype).reshape(shape)
 
 
@@ -78,7 +84,7 @@ def decode_rng(doc: Mapping[str, Any]) -> np.random.Generator:
     name = doc.get("bit_generator")
     cls = getattr(np.random, str(name), None)
     if cls is None:
-        raise ValueError(f"unknown bit generator {name!r} in checkpoint")
+        raise CheckpointError(f"unknown bit generator {name!r} in checkpoint")
     bg = cls()
     bg.state = dict(doc)
     return np.random.Generator(bg)
@@ -87,10 +93,11 @@ def decode_rng(doc: Mapping[str, Any]) -> np.random.Generator:
 def require_fields(
     doc: Mapping[str, Any], fields: Sequence[str], where: str
 ) -> None:
-    """Raise a uniform error when a state dict is missing *fields*."""
+    """Raise a uniform :class:`CheckpointError` when a state dict is
+    missing *fields*."""
     missing = [f for f in fields if f not in doc]
     if missing:
-        raise ValueError(f"{where} state is missing fields {missing}")
+        raise CheckpointError(f"{where} state is missing fields {missing}")
 
 
 def encode_float(value: Union[float, int]) -> Union[float, None]:

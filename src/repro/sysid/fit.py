@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.control.arx import ARXModel
 
@@ -73,6 +72,10 @@ def fit_arx(
         Unconstrained noise routinely hands one lag a large positive
         artifact canceled by the next lag — fake dynamics an MPC will
         happily exploit.  ``"none"`` gives plain least squares.
+
+    The ``"physical"`` fit is bounded least squares by
+    ``scipy.optimize.lsq_linear``; SciPy is imported on that branch only,
+    so importing this module (every harness does) loads none.
     """
     if constraints not in ("none", "physical"):
         raise ValueError(f"constraints must be 'none' or 'physical', got {constraints!r}")
@@ -113,6 +116,8 @@ def fit_arx(
         )
 
     if constraints == "physical":
+        from scipy import optimize
+
         n_params = X.shape[1]
         lower = np.full(n_params, -np.inf)
         upper = np.full(n_params, np.inf)

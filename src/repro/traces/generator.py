@@ -18,6 +18,7 @@ so any trace is reproducible from its config + seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -75,14 +76,32 @@ class TraceConfig:
             raise ValueError(f"n_servers must be >= 1, got {self.n_servers}")
         if self.n_days < 1:
             raise ValueError(f"n_days must be >= 1, got {self.n_days}")
-        if self.interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {self.interval_s}")
+        if not (self.interval_s > 0 and math.isfinite(self.interval_s)):
+            raise ValueError(f"interval_s must be positive and finite, got {self.interval_s}")
+        if self.samples_per_day < 1:
+            raise ValueError(
+                f"interval_s must leave at least one sample per day, got {self.interval_s}"
+            )
         if self.n_companies < 1:
             raise ValueError(f"n_companies must be >= 1, got {self.n_companies}")
+        if not (self.noise_std >= 0 and math.isfinite(self.noise_std)):
+            raise ValueError(f"noise_std must be non-negative and finite, got {self.noise_std}")
         if not 0 <= self.noise_ar1 < 1:
             raise ValueError(f"noise_ar1 must be in [0, 1), got {self.noise_ar1}")
         if not 0 <= self.spike_probability <= 1:
             raise ValueError("spike_probability must be a probability")
+        if not math.isfinite(self.spike_magnitude):
+            raise ValueError(f"spike_magnitude must be finite, got {self.spike_magnitude}")
+        if self.spike_duration_samples < 0:
+            raise ValueError(
+                f"spike_duration_samples must be >= 0, got {self.spike_duration_samples}"
+            )
+        if not 0 <= self.min_utilization <= self.max_utilization <= 1:
+            raise ValueError(
+                "min_utilization and max_utilization must satisfy "
+                f"0 <= min_utilization <= max_utilization <= 1, got "
+                f"{self.min_utilization} and {self.max_utilization}"
+            )
 
     @property
     def samples_per_day(self) -> int:
@@ -111,6 +130,10 @@ def generate_trace(config: TraceConfig | None = None, rng: RngLike = None) -> Ut
 
     Companies are assigned round-robin to sectors; servers are split
     evenly across companies; all randomness flows from *rng*.
+
+    The noise and spike terms are built in place, so besides the result
+    at most two full-size ``(n_servers, n_samples)`` arrays are alive at
+    once: a draw and, for the spike decay, one product buffer.
     """
     config = config or TraceConfig()
     generator = ensure_rng(rng)
@@ -150,30 +173,34 @@ def generate_trace(config: TraceConfig | None = None, rng: RngLike = None) -> Ut
         shape = _daily_shape(shifted_hours, profile)
         weekend_scale = np.where(is_weekend, profile.weekend_factor, 1.0)
         util[members] = base[:, None] + amp[:, None] * shape * weekend_scale[None, :]
+        del shifted_hours, shape
 
-    # AR(1)-correlated noise, vectorized over series.
-    white = generator.normal(0.0, config.noise_std, size=(n, k))
-    noise = np.empty_like(white)
-    noise[:, 0] = white[:, 0]
+    # AR(1)-correlated noise, vectorized over series, built in the white
+    # draw's own buffer: column j still holds its white sample when the
+    # right-hand side is evaluated, and column j-1 already holds noise.
+    noise = generator.normal(0.0, config.noise_std, size=(n, k))
     rho = config.noise_ar1
     scale = np.sqrt(1.0 - rho * rho)
     for j in range(1, k):
-        noise[:, j] = rho * noise[:, j - 1] + scale * white[:, j]
+        noise[:, j] = rho * noise[:, j - 1] + scale * noise[:, j]
     util += noise
+    del noise
 
     # Sparse spikes with exponential-ish decay over a few samples.
     spikes = generator.random((n, k)) < config.spike_probability
     if spikes.any() and config.spike_duration_samples > 0:
-        magnitudes = generator.uniform(
+        impulse = generator.uniform(
             0.5 * config.spike_magnitude, 1.5 * config.spike_magnitude, size=(n, k)
         )
-        impulse = np.where(spikes, magnitudes, 0.0)
+        impulse[~spikes] = 0.0
+        del spikes
         decay = np.exp(-np.arange(config.spike_duration_samples) / max(config.spike_duration_samples / 3.0, 1.0))
-        for d, w in enumerate(decay):
-            if d == 0:
-                util += impulse * w
-            else:
-                util[:, d:] += impulse[:, :-d] * w
+        # One product buffer for every lag; a lag of k or more adds nothing.
+        product = np.empty_like(impulse)
+        for d, w in enumerate(decay[:k]):
+            np.multiply(impulse[:, : k - d], w, out=product[:, : k - d])
+            util[:, d:] += product[:, : k - d]
+        del impulse, product
 
     np.clip(util, config.min_utilization, config.max_utilization, out=util)
     return UtilizationTrace(util, interval_s=config.interval_s, labels=labels)

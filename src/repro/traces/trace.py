@@ -39,7 +39,7 @@ class UtilizationTrace:
             raise ValueError("utilization contains non-finite values")
         if np.any(arr < 0) or np.any(arr > 1):
             raise ValueError("utilization values must lie in [0, 1]")
-        if self.interval_s <= 0:
+        if not self.interval_s > 0:  # NaN fails this too
             raise ValueError(f"interval_s must be positive, got {self.interval_s}")
         self.utilization = arr
         if self.labels and len(self.labels) != arr.shape[0]:
@@ -71,11 +71,13 @@ class UtilizationTrace:
         if not 0 < n <= self.n_series:
             raise ValueError(f"n must be in [1, {self.n_series}], got {n}")
         if rng is None:
-            idx = np.arange(n)
-        else:
-            idx = np.sort(rng.choice(self.n_series, size=n, replace=False))
+            return UtilizationTrace(
+                self.utilization[:n].copy(), self.interval_s, self.labels[:n]
+            )
+        idx = np.sort(rng.choice(self.n_series, size=n, replace=False))
         labels = [self.labels[i] for i in idx] if self.labels else []
-        return UtilizationTrace(self.utilization[idx].copy(), self.interval_s, labels)
+        # Fancy indexing already copies.
+        return UtilizationTrace(self.utilization[idx], self.interval_s, labels)
 
     def demands_ghz(self, peak_ghz: Sequence[float] | float) -> np.ndarray:
         """Convert utilization to absolute CPU demand.

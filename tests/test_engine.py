@@ -37,6 +37,7 @@ from repro.engine.checkpoint import (
     encode_array,
     encode_float,
     encode_rng,
+    require_fields,
 )
 from repro.engine.largescale_backend import build_largescale_engine
 from repro.engine.scenario import builtin_registry
@@ -404,6 +405,20 @@ class TestCheckpointCodecs:
         doc = json.loads(json.dumps(encode_rng(rng)))
         clone = decode_rng(doc)
         np.testing.assert_array_equal(rng.random(5), clone.random(5))
+
+    @pytest.mark.parametrize(
+        "decode",
+        [
+            lambda: decode_array({"shape": [1], "data": [0.0]}),
+            lambda: decode_rng({"bit_generator": "NoSuchGenerator"}),
+            lambda: require_fields({"a": 1}, ["a", "b"], "demo"),
+        ],
+        ids=["array-without-dtype", "unknown-bit-generator", "missing-field"],
+    )
+    def test_damaged_documents_are_refused_as_checkpoint_errors(self, decode):
+        # main_sim turns a CheckpointError into "cannot resume" (exit 1).
+        with pytest.raises(CheckpointError):
+            decode()
 
     def test_float_nan_roundtrip(self):
         assert encode_float(float("nan")) is None

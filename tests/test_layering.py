@@ -10,6 +10,10 @@
   reaches is an orphan: give it a caller or delete it.
 * ``repro.packing`` is domain-free: its modules import no ``repro``
   module outside the package.
+* SciPy is imported only inside function bodies, and only by
+  ``repro.control.qp`` (the SLSQP hand-over) and ``repro.sysid.fit``
+  (the bounded ARX fit): importing the entry modules, or running a
+  large-scale or sharded scenario, never loads it.
 """
 
 import ast
@@ -98,3 +102,39 @@ def test_packing_imports_only_packing():
     }
     offenders = {name: hits for name, hits in offenders.items() if hits}
     assert not offenders, f"repro.packing must stay domain-free: {offenders}"
+
+
+SCIPY_CALLERS = {"repro.control.qp", "repro.sysid.fit"}
+
+
+def _scipy_imports(name):
+    """``(line, at_module_level)`` for every SciPy import in *name*."""
+    tree = ast.parse(MODULES[name].read_text(encoding="utf-8"))
+    in_function = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            targets = [node.module or ""]
+        else:
+            continue
+        if any(t == "scipy" or t.startswith("scipy.") for t in targets):
+            found.append((node.lineno, id(node) not in in_function))
+    return found
+
+
+def test_scipy_is_imported_only_where_it_is_called():
+    offenders = {}
+    for name in MODULES:
+        for line, module_level in _scipy_imports(name):
+            if name not in SCIPY_CALLERS:
+                offenders[f"{name}:{line}"] = "only qp and fit may import scipy"
+            elif module_level:
+                offenders[f"{name}:{line}"] = "import scipy inside the function that calls it"
+    assert not offenders, f"scipy imports off the allowed call sites: {offenders}"

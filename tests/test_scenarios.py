@@ -350,6 +350,37 @@ class TestCli:
         assert "cannot resume" in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "scenario, path",
+        [
+            ("largescale-small", ["plant", "peaks"]),
+            ("sharded-small", ["plant", "power_series"]),
+            ("sharded-small", ["plant", "pods", 1, "peaks"]),
+        ],
+        ids=["largescale-peaks", "sharded-power-series", "sharded-pod-peaks"],
+    )
+    def test_sim_refuses_resume_from_a_checkpoint_with_a_field_deleted(
+        self, scenario, path, tmp_path, capsys
+    ):
+        # A pod's field is checked inside its pool worker, which hands
+        # the refusal back rather than a crash.
+        from repro.cli import main_sim
+
+        ck = tmp_path / "ck.json"
+        assert main_sim(["--scenario", scenario,
+                         "--checkpoint", str(ck), "--checkpoint-at", "3"]) == 0
+        capsys.readouterr()
+        doc = json.loads(ck.read_text(encoding="utf-8"))
+        parent = doc["components"]
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        ck.write_text(json.dumps(doc), encoding="utf-8")
+        assert main_sim(["--scenario", scenario, "--resume", str(ck)]) == 1
+        out, err = capsys.readouterr()
+        assert "cannot resume" in err and path[-1] in err
+        assert "Traceback" not in err and out == ""
+
     @pytest.mark.parametrize("k", ["-3", "0", "12", "9999"])
     def test_sim_rejects_checkpoint_at_outside_the_run(self, k, tmp_path, capsys):
         # testbed-small runs 12 periods: only 1..11 are mid-run.

@@ -1,11 +1,16 @@
 """Trace container and synthetic generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.traces import SECTORS, TraceConfig, UtilizationTrace, generate_trace
+from tests.oracles.trace_reference import generate_trace as reference_trace
+
+_NAN, _INF = float("nan"), float("inf")
 
 
 class TestUtilizationTrace:
@@ -41,6 +46,25 @@ class TestUtilizationTrace:
         tr = UtilizationTrace(u)
         sub = tr.subset(5, rng=np.random.default_rng(1))
         assert sub.n_series == 5
+
+    @pytest.mark.parametrize("seed", [None, 1], ids=["first-n", "sampled"])
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_subset_copies_what_the_index_formula_selects(self, seed, labelled):
+        u = np.random.default_rng(0).uniform(0, 1, size=(10, 8))
+        labels = [f"s{i}" for i in range(10)] if labelled else []
+        tr = UtilizationTrace(u, labels=labels)
+        if seed is None:
+            idx, sub = np.arange(6), tr.subset(6)
+        else:
+            idx = np.sort(np.random.default_rng(seed).choice(10, size=6, replace=False))
+            sub = tr.subset(6, rng=np.random.default_rng(seed))
+        assert sub.utilization.tobytes() == u[idx].copy().tobytes()
+        assert sub.labels == ([labels[i] for i in idx] if labelled else [])
+        assert not np.shares_memory(sub.utilization, tr.utilization)
+
+    def test_nan_interval_rejected(self):
+        with pytest.raises(ValueError, match="interval_s"):
+            UtilizationTrace(np.zeros((1, 4)), interval_s=_NAN)
 
     def test_subset_bounds(self):
         tr = UtilizationTrace(np.zeros((3, 4)))
@@ -145,9 +169,77 @@ class TestGenerator:
         with pytest.raises(ValueError):
             TraceConfig(spike_probability=2.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"min_utilization": 0.9, "max_utilization": 0.1}, "min_utilization"),
+            ({"max_utilization": 1.5}, "max_utilization"),
+            ({"spike_duration_samples": -2}, "spike_duration_samples"),
+            ({"spike_magnitude": _NAN}, "spike_magnitude"),
+            ({"spike_magnitude": _INF}, "spike_magnitude"),
+            ({"interval_s": _NAN}, "interval_s"),
+            ({"interval_s": _INF}, "interval_s"),
+            ({"interval_s": 1e6}, "interval_s"),
+            ({"noise_std": -0.1}, "noise_std"),
+            ({"noise_std": _NAN}, "noise_std"),
+        ],
+        ids=["min-above-max", "max-above-one", "negative-spike-duration",
+             "nan-spike-magnitude", "inf-spike-magnitude", "nan-interval",
+             "inf-interval", "no-sample-per-day", "negative-noise-std",
+             "nan-noise-std"],
+    )
+    def test_bad_config_is_rejected_by_name(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            TraceConfig(**kwargs)
+
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(1, 40), days=st.integers(1, 3))
     def test_arbitrary_dimensions(self, n, days):
         tr = generate_trace(TraceConfig(n_servers=n, n_days=days), rng=9)
         assert tr.utilization.shape == (n, days * 96)
         assert np.all((tr.utilization >= 0) & (tr.utilization <= 1))
+
+
+def _same_trace(config, seed):
+    got, want = generate_trace(config, rng=seed), reference_trace(config, rng=seed)
+    assert got.utilization.tobytes() == want.utilization.tobytes()
+    assert got.labels == want.labels and got.interval_s == want.interval_s
+
+
+class TestInPlaceBuildMatchesReference:
+    """The in-place generator against the body it replaced
+    (``tests/oracles/trace_reference.py``): same bytes, fewer arrays."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        days=st.integers(1, 3),
+        spike_probability=st.sampled_from([0.0, 0.002, 0.5, 1.0]),
+        spike_duration=st.sampled_from([0, 1, 8]),
+        ar1=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_byte_identical_to_reference(self, n, days, spike_probability,
+                                         spike_duration, ar1, seed):
+        _same_trace(TraceConfig(
+            n_servers=n, n_days=days, noise_ar1=ar1,
+            spike_probability=spike_probability,
+            spike_duration_samples=spike_duration,
+        ), seed)
+
+    def test_benchmark_trace_is_byte_identical(self):
+        # The largescale-ipac benchmark trace: 5,415 series, 1 day, at
+        # trace seed 2010 + 1000003 (benchmarks/e2e/run.py's default).
+        _same_trace(TraceConfig(n_servers=5415, n_days=1), 1002013)
+
+    @pytest.mark.parametrize("n, days", [(5415, 1), (1000, 7)])
+    def test_peak_memory_stays_under_four_trace_arrays(self, n, days):
+        # The reference body peaks at about 6.7 arrays of (n, k) float64.
+        config = TraceConfig(n_servers=n, n_days=days)
+        tracemalloc.start()
+        try:
+            generate_trace(config, rng=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * config.n_samples * 8

@@ -1,41 +1,30 @@
-"""JSON-safe serialization helpers for engine checkpoints.
+"""The snapshot helpers of checkpoint/resume.
 
-Everything a checkpoint stores must round-trip through ``json.dumps`` /
-``json.loads`` **bit-identically**:
+A resume replays the checkpoint's prefix and then checks the replayed
+components against the snapshots the checkpoint carries
+(:meth:`~repro.engine.kernel.ControlPlane.restore`).  A snapshot is a
+JSON document; what it stores exactly (placement, counters) is written
+as-is — Python's ``json`` emits ``repr`` for ``float``, so a finite
+double survives bit for bit — and what it only needs to recognize (a
+series, a ledger) is written as the sha256 of its bytes.
 
-* floats survive exactly — Python's ``json`` emits ``repr`` (shortest
-  round-trip) for ``float``, so ``loads(dumps(x)) == x`` for every
-  finite double; non-finite values are rejected up front because JSON
-  has no representation for them;
-* numpy arrays are stored as ``{"shape": [...], "data": [...]}`` nested
-  lists plus a dtype tag and rebuilt with ``np.asarray(...).reshape``;
-* RNG streams are stored as the bit generator's ``state`` dict
-  (arbitrary-precision ints are native JSON) and restored onto a fresh
-  generator of the same bit-generator class.
-
-A document these decoders cannot read raises
-:class:`~repro.engine.kernel.CheckpointError`, so a damaged checkpoint
-refuses the resume (``repro-sim`` exits 1) instead of crashing it.
+:func:`verify_snapshot` is the one check every component runs: any
+difference — a changed value, a wrongly typed one, a missing field —
+refuses the resume with :class:`~repro.engine.kernel.CheckpointError`,
+so ``repro-sim`` exits 1 instead of crashing.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Mapping, Sequence, Union
+import hashlib
+import json
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
 from repro.engine.kernel import CheckpointError
 
-__all__ = [
-    "decode_array",
-    "decode_float",
-    "decode_rng",
-    "encode_array",
-    "encode_float",
-    "encode_rng",
-    "require_fields",
-]
+__all__ = ["array_sha256", "encode_array", "verify_snapshot"]
 
 
 def encode_array(arr: np.ndarray) -> Dict[str, Any]:
@@ -50,67 +39,49 @@ def encode_array(arr: np.ndarray) -> Dict[str, Any]:
     }
 
 
-def decode_array(doc: Mapping[str, Any]) -> np.ndarray:
-    """Rebuild an array written by :func:`encode_array`."""
-    try:
-        dtype = np.dtype(doc["dtype"])
-        shape = tuple(int(s) for s in doc["shape"])
-        data = doc["data"]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"malformed array document: {exc}") from None
-    return np.asarray(data, dtype=dtype).reshape(shape)
+def array_sha256(arr: np.ndarray) -> str:
+    """sha256 of an array's bytes (C order)."""
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-def _jsonable_ints(value: Any) -> Any:
-    """Recursively coerce numpy ints inside an RNG state dict."""
-    if isinstance(value, dict):
-        return {k: _jsonable_ints(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable_ints(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [int(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
-
-
-def encode_rng(rng: np.random.Generator) -> Dict[str, Any]:
-    """Capture a generator's full stream position."""
-    return _jsonable_ints(dict(rng.bit_generator.state))
-
-
-def decode_rng(doc: Mapping[str, Any]) -> np.random.Generator:
-    """Rebuild a generator at the exact stream position of *doc*."""
-    name = doc.get("bit_generator")
-    cls = getattr(np.random, str(name), None)
-    if cls is None:
-        raise CheckpointError(f"unknown bit generator {name!r} in checkpoint")
-    bg = cls()
-    bg.state = dict(doc)
-    return np.random.Generator(bg)
-
-
-def require_fields(
-    doc: Mapping[str, Any], fields: Sequence[str], where: str
-) -> None:
-    """Raise a uniform :class:`CheckpointError` when a state dict is
-    missing *fields*."""
-    missing = [f for f in fields if f not in doc]
-    if missing:
-        raise CheckpointError(f"{where} state is missing fields {missing}")
-
-
-def encode_float(value: Union[float, int]) -> Union[float, None]:
-    """Floats pass through; NaN is mapped to None (JSON-safe)."""
-    f = float(value)
-    if math.isnan(f):
+def _first_difference(current: Any, expected: Any, path: str) -> Optional[str]:
+    """Dotted path of the first place *expected* differs from *current*
+    (walked in *current*'s order), or ``None`` when they are equal."""
+    if isinstance(current, dict) and isinstance(expected, dict):
+        for key in list(current) + [k for k in expected if k not in current]:
+            where = f"{path}.{key}" if path else str(key)
+            if key not in current or key not in expected:
+                return where
+            diff = _first_difference(current[key], expected[key], where)
+            if diff is not None:
+                return diff
         return None
-    if math.isinf(f):
-        raise ValueError("cannot checkpoint an infinite value")
-    return f
+    if (
+        isinstance(current, list)
+        and isinstance(expected, list)
+        and len(current) == len(expected)
+    ):
+        for i, (mine, theirs) in enumerate(zip(current, expected)):
+            diff = _first_difference(mine, theirs, f"{path}[{i}]")
+            if diff is not None:
+                return diff
+        return None
+    if type(current) is type(expected) and current == expected:
+        return None
+    return path or "(the whole snapshot)"
 
 
-def decode_float(value: Union[float, int, None]) -> float:
-    """Inverse of :func:`encode_float`."""
-    return float("nan") if value is None else float(value)
+def verify_snapshot(current: Mapping[str, Any], expected: Any, where: str) -> None:
+    """Refuse a resume whose replayed snapshot differs from the checkpoint's.
 
+    Both sides are compared in their JSON form; the message names the
+    first differing field (e.g. ``pods[1].peaks``).
+    """
+    diff = _first_difference(
+        json.loads(json.dumps(current)), json.loads(json.dumps(expected)), ""
+    )
+    if diff is not None:
+        raise CheckpointError(
+            f"replayed {where} state does not match the checkpoint at {diff}; "
+            "resume with the same trace, config and seed"
+        )

@@ -8,8 +8,8 @@ protocol            responsibility
 =================  ====================================================
 PlantBackend        the simulated (or, later, real) plant a scenario
                     runs against: phases + the run lifecycle
-Checkpointable      serialize mutable state to a JSON-safe dict and
-                    restore it bit-identically
+Checkpointable      snapshot state to a JSON-safe dict; verify a
+                    replayed run against one
 EnginePhase         the uniform callable shape the kernel actually runs
 =================  ====================================================
 
@@ -44,12 +44,16 @@ EnginePhase = Callable[["PeriodContext"], None]
 
 @runtime_checkable
 class Checkpointable(Protocol):
-    """A component whose mutable state round-trips through JSON.
+    """A component the kernel can checkpoint and resume.
 
-    ``state_dict`` must return only JSON-serializable values (dicts,
-    lists, strings, ints, floats, bools, None); ``load_state_dict`` must
-    restore the component so that subsequent stepping is bit-identical
-    to never having been serialized.
+    Every resume replays the checkpoint's prefix
+    (:meth:`~repro.engine.kernel.ControlPlane.restore`), so a component
+    never loads state.  ``state_dict`` returns a snapshot of only
+    JSON-serializable values (dicts, lists, strings, ints, floats,
+    bools, None); after the replay, ``load_state_dict`` *verifies* the
+    component's replayed state against the checkpoint's snapshot and
+    raises :class:`~repro.engine.kernel.CheckpointError` on any
+    difference (:func:`repro.engine.checkpoint.verify_snapshot`).
     """
 
     def state_dict(self) -> Dict[str, Any]: ...

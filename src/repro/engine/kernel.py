@@ -24,15 +24,15 @@ the bare ``phase.run(ctx)`` — no clock reads, no allocation.
 
 Checkpoint / resume
 -------------------
-``checkpoint()`` serializes the kernel cursor plus the
-:class:`~repro.engine.interfaces.Checkpointable` state of every
-registered component to a JSON-safe document; ``restore()`` loads one
-into a freshly built engine.  Backends whose full state is
-serializable (the large-scale array plant) resume directly;
-backends with non-serializable internals (the request-level DES plant)
-declare ``resume_strategy = "replay"`` and are fast-forwarded by
-deterministic re-execution with telemetry muted — either way a resumed
-run finishes bit-identical to an uninterrupted one.
+``checkpoint()`` writes the kernel cursor plus the
+:class:`~repro.engine.interfaces.Checkpointable` snapshot of every
+registered component to a JSON-safe document.  Every backend resumes
+the same way: ``restore()`` replays the prefix on a freshly built
+engine with telemetry muted (computation is bit-identical, only
+emission differs), then hands each component its snapshot, which the
+component *verifies* against its replayed state and never loads — so a
+resumed run finishes bit-identical to an uninterrupted one, and a
+checkpoint from another trace, config or seed is refused.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import (
 )
 
 from repro.engine.interfaces import Checkpointable, EnginePhase, PlantBackend
-from repro.obs import get_telemetry
+from repro.obs import Telemetry, get_telemetry, set_telemetry
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -141,8 +141,8 @@ class ControlPlane:
         Ordered :class:`Phase` pipeline executed once per period.
     checkpointables:
         Named components implementing
-        :class:`~repro.engine.interfaces.Checkpointable` whose state is
-        captured by :meth:`checkpoint` and restored by :meth:`restore`.
+        :class:`~repro.engine.interfaces.Checkpointable` whose snapshots
+        :meth:`checkpoint` writes and :meth:`restore` verifies.
     name:
         Engine label used in checkpoints and logs; restore refuses a
         checkpoint taken from a differently named engine.
@@ -191,21 +191,6 @@ class ControlPlane:
             checkpointables={"plant": backend},
             name=name,
         )
-
-    @property
-    def resume_strategy(self) -> str:
-        """``"state"`` (default) or ``"replay"``.
-
-        ``"state"`` restores components directly from the checkpoint.
-        ``"replay"`` (declared by any component with
-        ``resume_strategy = "replay"``) re-executes the prefix with
-        telemetry muted, then uses each component's ``load_state_dict``
-        to verify the replayed state matches the checkpoint.
-        """
-        for comp in self._checkpointables.values():
-            if getattr(comp, "resume_strategy", "state") == "replay":
-                return "replay"
-        return "state"
 
     # -- stepping ------------------------------------------------------
 
@@ -297,7 +282,14 @@ class ControlPlane:
             fh.write("\n")
 
     def restore(self, doc: Mapping[str, Any]) -> None:
-        """Load a checkpoint document into this (freshly built) engine."""
+        """Resume this freshly built engine at a checkpoint's period.
+
+        The prefix is replayed with telemetry muted; a component with a
+        ``prepare_replay(telemetry)`` hook gets it first, muted, with the
+        caller's telemetry (the scope the resumed suffix emits into).
+        Each component's ``load_state_dict`` then verifies its replayed
+        state against the checkpoint's snapshot.
+        """
         try:
             schema = doc["schema"]
             header = doc["engine"]
@@ -307,6 +299,10 @@ class ControlPlane:
         if schema != CHECKPOINT_SCHEMA:
             raise CheckpointError(
                 f"checkpoint schema {schema!r} != supported {CHECKPOINT_SCHEMA}"
+            )
+        if not isinstance(header, dict) or not isinstance(components, dict):
+            raise CheckpointError(
+                "malformed checkpoint: engine and components must be objects"
             )
         if header.get("name") != self.name:
             raise CheckpointError(
@@ -322,7 +318,9 @@ class ControlPlane:
                 f"({header.get('period_s')}s x {header.get('n_periods')} vs "
                 f"{self.period_s}s x {self.n_periods})"
             )
-        period = int(header.get("period", -1))
+        period = header.get("period")
+        if not isinstance(period, int) or isinstance(period, bool):
+            raise CheckpointError(f"checkpoint period {period!r} is not an integer")
         if not 0 <= period <= self.n_periods:
             raise CheckpointError(f"checkpoint period {period} out of range")
         missing = set(components) - set(self._checkpointables)
@@ -333,31 +331,22 @@ class ControlPlane:
         for cname in self._checkpointables:
             if cname not in components:
                 raise CheckpointError(f"checkpoint lacks component {cname!r}")
-        if self.resume_strategy == "replay":
-            # Plant state is not serializable (e.g. an in-flight DES):
-            # fast-forward by deterministic re-execution with telemetry
-            # muted — computation is bit-identical either way, only
-            # emission differs — then *verify* the replayed component
-            # state against the checkpoint via load_state_dict.
-            if self.k != 0:
-                raise CheckpointError(
-                    "replay resume needs a freshly built engine (cursor at 0), "
-                    f"this one is at period {self.k}"
-                )
-            from repro.obs import Telemetry, set_telemetry
-
-            previous = set_telemetry(Telemetry())
-            try:
-                for comp in self._checkpointables.values():
-                    hook = getattr(comp, "prepare_replay", None)
-                    if hook is not None:
-                        hook()  # e.g. run-config event + plant warmup, muted
-                self.run(until_period=period)
-            finally:
-                set_telemetry(previous)
+        if self.k != 0:
+            raise CheckpointError(
+                "resume needs a freshly built engine (cursor at 0), "
+                f"this one is at period {self.k}"
+            )
+        caller = set_telemetry(Telemetry())
+        try:
+            for comp in self._checkpointables.values():
+                hook = getattr(comp, "prepare_replay", None)
+                if hook is not None:
+                    hook(caller)
+            self.run(until_period=period)
+        finally:
+            set_telemetry(caller)
         for cname, comp in self._checkpointables.items():
             comp.load_state_dict(components[cname])
-        self.k = period
         logger.info(
             "engine %s restored at period %d/%d", self.name, self.k, self.n_periods
         )

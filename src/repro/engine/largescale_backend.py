@@ -14,10 +14,11 @@ The phase bodies are the legacy loop body, split — not rewritten — so a
 kernel-driven run is bit-identical to the pre-kernel harness (pinned by
 golden hashes in ``tests/test_engine.py`` / ``tests/test_perf_fastpath.py``).
 
-Unlike the DES testbed plant, the whole mutable state here is arrays and
-counters, so the backend is fully :class:`Checkpointable`: a checkpoint
-taken mid-run resumes directly (no replay) and finishes bit-identical to
-an uninterrupted run.
+Resume is the kernel's one strategy: :meth:`ControlPlane.restore`
+replays the prefix with telemetry muted, then
+:meth:`LargeScaleBackend.load_state_dict` verifies the replayed plant
+against the checkpoint's snapshot (placement and counters exactly, the
+VM population, series prefix and energy ledger by sha256).
 """
 
 from __future__ import annotations
@@ -40,14 +41,8 @@ from repro.core.optimizer.types import (
     ServerInfo,
     make_vm_infos,
 )
-from repro.engine.checkpoint import (
-    decode_array,
-    decode_rng,
-    encode_array,
-    encode_rng,
-    require_fields,
-)
-from repro.engine.kernel import CheckpointError, ControlPlane, PeriodContext, Phase, run_session
+from repro.engine.checkpoint import array_sha256, encode_array, verify_snapshot
+from repro.engine.kernel import ControlPlane, PeriodContext, Phase, run_session
 from repro.obs import get_telemetry
 from repro.sim.largescale import LargeScaleConfig, LargeScaleResult
 from repro.traces.forecast import DemandForecaster, EwmaPeakForecaster, HoltForecaster
@@ -77,8 +72,6 @@ def _build_optimizer(config: LargeScaleConfig) -> Callable[[PlacementProblem], P
 
 class LargeScaleBackend:
     """Vectorized trace-driven plant + its control-plane phases."""
-
-    resume_strategy = "state"
 
     def __init__(
         self,
@@ -201,7 +194,8 @@ class LargeScaleBackend:
 
         self.optimizer = optimizer if optimizer is not None else _build_optimizer(config)
 
-        # -- mutable run state (everything state_dict serializes) -------
+        # -- mutable run state ------------------------------------------
+        self.steps_done = 0
         self.assignment = np.full(self.n_vms, -1, dtype=int)
         self.prev_hosting = np.zeros(n_srv, dtype=bool)
         self.migrations = 0
@@ -398,6 +392,7 @@ class LargeScaleBackend:
         power_total = float(power[hosting_mask].sum())
         self.power_series[step] = power_total
         self.active_series[step] = int(np.count_nonzero(hosting_mask))
+        self.steps_done = step + 1
         self.total_energy_wh += power_total * self.dt_s / 3600.0
         if self.vm_energy_wh is not None and np.any(placed):
             # Split each hosting server's power among its VMs by demand
@@ -413,10 +408,13 @@ class LargeScaleBackend:
             self.vm_energy_wh[placed] += (
                 power[owner] * (self.dt_s / 3600.0) * share
             )
+        # Tracked on every step, so a muted replay leaves it as a traced
+        # run would (the mask is fresh each step: no copy needed).
+        prev, self.prev_hosting = self.prev_hosting, hosting_mask
         if tel.enabled:
             time_s = step * self.dt_s
             # One event per server power transition (on <-> off).
-            changed = np.nonzero(hosting_mask != self.prev_hosting)[0]
+            changed = np.nonzero(hosting_mask != prev)[0]
             for i in changed:
                 tel.event(
                     "server_power",
@@ -424,7 +422,6 @@ class LargeScaleBackend:
                     server=self.idx_to_sid[i],
                     state="on" if hosting_mask[i] else "off",
                 )
-            self.prev_hosting = hosting_mask.copy()
             tel.event(
                 "largescale.step",
                 time_s=time_s,
@@ -704,112 +701,42 @@ class LargeScaleBackend:
     # -- checkpointing -------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        """Full mutable state, JSON-safe (see restore notes in module doc)."""
-        schedule = self.config.faults
-        # The un-executed suffix of the preallocated series buffers is
-        # uninitialized memory; zero it so the document stays JSON-safe
-        # (the suffix is overwritten as the resumed run executes).
-        power_snap = np.where(np.isfinite(self.power_series), self.power_series, 0.0)
-        state: Dict[str, Any] = {
-            "peaks": encode_array(self.peaks),
-            "memories": encode_array(self.memories),
+        """Snapshot a resumed run's replay is verified against.
+
+        Placement and counters are stored exactly; the VM population,
+        the executed prefix of the series (the rest of the buffers is
+        uninitialized) and the energy ledger as sha256s.  ``None`` marks
+        a forecaster, fault schedule or ledger this run does not have.
+        """
+        done = self.steps_done
+        return {
+            "forecaster": (
+                None if self.forecaster is None else self.config.provisioning
+            ),
+            "fault_cursor": (
+                None if self.fault_timeline is None
+                else self.fault_timeline.state_dict()
+            ),
+            "peaks": array_sha256(self.peaks),
+            "memories": array_sha256(self.memories),
             "assignment": encode_array(self.assignment),
-            "prev_hosting": encode_array(self.prev_hosting),
             "migrations": self.migrations,
+            "relief_moves": self.relief_moves,
             "overload_server_steps": self.overload_server_steps,
             "unplaced_vm_steps": self.unplaced_vm_steps,
             "total_energy_wh": self.total_energy_wh,
             "migration_energy_wh": self.migration_energy_wh,
-            "relief_moves": self.relief_moves,
-            "power_series": encode_array(power_snap),
-            "active_series": encode_array(self.active_series),
-            "srv_frac": encode_array(self.srv_frac),
-            "srv_failed": encode_array(self.srv_failed),
+            "power_series": array_sha256(self.power_series[:done]),
+            "active_series": array_sha256(self.active_series[:done]),
+            "vm_energy_wh": (
+                None if self.vm_energy_wh is None
+                else array_sha256(self.vm_energy_wh)
+            ),
         }
-        if self.vm_energy_wh is not None:
-            state["vm_energy_wh"] = encode_array(self.vm_energy_wh)
-        if self.forecaster is not None:
-            state["forecaster"] = self.forecaster.state_dict()
-        if schedule is not None:
-            state["fault_cursor"] = self.fault_timeline.state_dict()
-            state["fault_rng"] = encode_rng(self.fault_rng)
-            state["active_migration_faults"] = [
-                schedule.events.index(ev) for ev in self.active_migration_faults
-            ]
-        return state
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        require_fields(
-            state,
-            [
-                "peaks", "memories", "assignment", "prev_hosting", "migrations",
-                "overload_server_steps", "unplaced_vm_steps", "total_energy_wh",
-                "migration_energy_wh", "relief_moves", "power_series",
-                "active_series", "srv_frac", "srv_failed",
-            ],
-            "largescale backend",
-        )
-        # A section the checkpoint and this run's config disagree on
-        # would be dropped or left unrestored: refuse the resume instead.
-        saved = state.get("forecaster")
-        saved_kind = None if saved is None else saved.get("kind")
-        kind = None if self.forecaster is None else self.config.provisioning
-        if saved_kind != kind:
-            raise CheckpointError(
-                f"checkpoint forecaster is {saved_kind or 'none'}, this run's "
-                f"is {kind or 'none'}: resume with the run's original provisioning"
-            )
-        if ("fault_cursor" in state) != (self.config.faults is not None):
-            raise CheckpointError(
-                "checkpoint and this run disagree on the fault schedule: "
-                "resume with the run's original faults"
-            )
-        peaks = decode_array(state["peaks"])
-        if peaks.shape != self.peaks.shape:
-            raise CheckpointError(
-                f"checkpoint has {peaks.shape[0]} VMs, this run has "
-                f"{self.peaks.shape[0]}"
-            )
-        # peaks/memories are drawn at build time; a mismatch means the
-        # resume was built with a different trace/config/seed.
-        if not np.array_equal(peaks, self.peaks):
-            raise CheckpointError(
-                "checkpoint peaks differ from this build's peaks: resume "
-                "with the same trace and config"
-            )
-        self.memories = decode_array(state["memories"])
-        self.assignment = decode_array(state["assignment"])
-        self.prev_hosting = decode_array(state["prev_hosting"])
-        self.migrations = int(state["migrations"])
-        self.overload_server_steps = int(state["overload_server_steps"])
-        self.unplaced_vm_steps = int(state["unplaced_vm_steps"])
-        self.total_energy_wh = float(state["total_energy_wh"])
-        self.migration_energy_wh = float(state["migration_energy_wh"])
-        self.relief_moves = int(state["relief_moves"])
-        self.power_series = decode_array(state["power_series"])
-        self.active_series = decode_array(state["active_series"])
-        self.srv_frac = decode_array(state["srv_frac"])
-        self.srv_failed = decode_array(state["srv_failed"])
-        if self.vm_energy_wh is not None:
-            if "vm_energy_wh" not in state:
-                raise CheckpointError(
-                    "checkpoint lacks vm_energy_wh: it was written without "
-                    "attribute_power; resume with the run's original config"
-                )
-            self.vm_energy_wh = decode_array(state["vm_energy_wh"])
-        if self.forecaster is not None:
-            self.forecaster.load_state_dict(state["forecaster"])
-        schedule = self.config.faults
-        if schedule is not None:
-            require_fields(
-                state, ["fault_cursor", "fault_rng"], "largescale fault"
-            )
-            self.fault_timeline.load_state_dict(state["fault_cursor"])
-            self.fault_rng = decode_rng(state["fault_rng"])
-            self.active_migration_faults = [
-                schedule.events[i]
-                for i in state.get("active_migration_faults", [])
-            ]
+        """Verify the replayed plant against the checkpoint's snapshot."""
+        verify_snapshot(self.state_dict(), state, "largescale")
 
 
 def build_largescale_engine(

@@ -10,8 +10,8 @@ phases:
 ``optimize``
     Fan every pod forward to the next sync barrier
     (``sync_every_steps`` trace steps).  With ``workers >= 2`` the pods
-    advance concurrently in a process pool (stdlib multiprocessing,
-    state moved with the checkpoint codecs); with ``workers == 1`` they
+    advance concurrently in a process pool (stdlib multiprocessing; a
+    pod's state never crosses the pipes); with ``workers == 1`` they
     advance inline — the single-process reference arm.
 ``arbitrate``
     Reconcile the global ledgers: per-step datacenter power and active
@@ -40,6 +40,10 @@ Determinism contract
   It is *not* identical to a 1-pod run of the whole datacenter — the
   global optimizer may pack across pod boundaries; partitioning is a
   modelling choice, not an approximation.
+* A resume is the kernel's one strategy, replay: the parent's engine
+  re-runs the prefix (each pod replays inside its own worker) with
+  telemetry muted, then :meth:`ShardedBackend.load_state_dict` verifies
+  the parent's and every pod's snapshot against the checkpoint.
 """
 
 from __future__ import annotations
@@ -54,14 +58,8 @@ import numpy as np
 
 from repro.cluster.catalog import STANDARD_SERVER_TYPES, make_server_pool
 from repro.cluster.server import Server
-from repro.engine.checkpoint import decode_array, encode_array, require_fields
-from repro.engine.kernel import (
-    CheckpointError,
-    ControlPlane,
-    PeriodContext,
-    Phase,
-    run_session,
-)
+from repro.engine.checkpoint import array_sha256, verify_snapshot
+from repro.engine.kernel import ControlPlane, PeriodContext, Phase, run_session
 from repro.engine.largescale_backend import LargeScaleBackend
 from repro.faults import FaultSchedule
 from repro.obs import InMemoryBackend, Telemetry, get_telemetry, use_telemetry
@@ -291,12 +289,8 @@ def _serve(pods: List[_Pod], cmd: str, payload: Any = None) -> List[Any]:
         return [(pod.spec.pod_id,) + pod.advance(int(payload)) for pod in pods]
     if cmd == "state":
         return [(pod.spec.pod_id, pod.shard.state_dict()) for pod in pods]
-    if cmd == "load":
-        for pod in pods:
-            state, cursor = payload[pod.spec.pod_id]
-            pod.shard.load_state_dict(state)
-            pod.engine.k = int(cursor)
-        return []
+    if cmd == "ledger":
+        return [(pod.spec.pod_id, pod.shard.vm_energy_wh) for pod in pods]
     if cmd == "result":
         return [(pod.spec.pod_id,) + pod.result() for pod in pods]
     raise ValueError(f"unknown pod command {cmd!r}")
@@ -310,8 +304,7 @@ def _pod_worker_main(
 ) -> None:
     """Worker process loop: build the assigned pods, serve commands.
 
-    Protocol: ``(cmd, payload)`` in, ``("ok", _serve(...))``,
-    ``("refused", message)`` (a :class:`CheckpointError`) or
+    Protocol: ``(cmd, payload)`` in, ``("ok", _serve(...))`` or
     ``("error", traceback_str)`` out; ``stop`` ends the loop.
     """
     pods = [_Pod(spec, tel_enabled, span_sample_every) for spec in specs]
@@ -323,8 +316,6 @@ def _pod_worker_main(
                 break
             try:
                 conn.send(("ok", _serve(pods, cmd, payload)))
-            except CheckpointError as exc:  # a refused restore, not a crash
-                conn.send(("refused", str(exc)))
             except Exception:
                 conn.send(("error", traceback.format_exc()))
     except (EOFError, KeyboardInterrupt):
@@ -338,8 +329,6 @@ def _pod_worker_main(
 
 class ShardedBackend:
     """N pod backends behind one arbitrate/optimize control plane."""
-
-    resume_strategy = "state"
 
     def __init__(self, trace: UtilizationTrace, config: ShardedConfig):
         self.config = config
@@ -357,10 +346,11 @@ class ShardedBackend:
         self.power_series = np.zeros(self.n_steps)
         self.active_series = np.zeros(self.n_steps, dtype=int)
 
-        # Telemetry state is read lazily at first pod construction, not
-        # here: callers (the repro-sim CLI, the service runner) build
-        # the engine first and enter their telemetry scope afterwards,
-        # and a snapshot taken now would run every pod dark.
+        # Telemetry state is read lazily at first pod construction (or
+        # taken from the caller by prepare_replay), not here: callers
+        # (the repro-sim CLI, the service runner) build the engine first
+        # and enter their telemetry scope afterwards, and a snapshot
+        # taken now would run every pod dark.
         self._tel_params: Optional[Tuple[bool, int]] = None
         self._pods: List[_Pod] = []
         self._procs: List[Any] = []
@@ -386,10 +376,11 @@ class ShardedBackend:
 
     # -- worker pool ---------------------------------------------------
 
-    def _telemetry_params(self) -> Tuple[bool, int]:
-        """Pod telemetry settings, captured once at first pod build."""
+    def _telemetry_params(self, tel: Optional[Telemetry] = None) -> Tuple[bool, int]:
+        """Pod telemetry settings, captured once: from *tel*, else from the
+        telemetry in scope at first pod build."""
         if self._tel_params is None:
-            tel = get_telemetry()
+            tel = get_telemetry() if tel is None else tel
             self._tel_params = (
                 tel.enabled,
                 tel.tracer.sample_every if tel.enabled else 1,
@@ -454,8 +445,6 @@ class ShardedBackend:
             status, out = conn.recv()
             if status != "ok":
                 self.close()
-                if status == "refused":
-                    raise CheckpointError(out)
                 raise RuntimeError(f"sharded pod worker failed:\n{out}")
             if out:
                 merged.extend(out)
@@ -491,6 +480,12 @@ class ShardedBackend:
             pass
 
     # -- phase bodies --------------------------------------------------
+
+    def prepare_replay(self, telemetry: Telemetry) -> None:
+        """Replay-resume hook: the pods are first built during the muted
+        replay, so they take their telemetry settings from the scope the
+        resumed run emits into."""
+        self._telemetry_params(telemetry)
 
     def start(self) -> None:
         """Begin-run hook: every pod's run header, re-emitted in order."""
@@ -621,54 +616,32 @@ class ShardedBackend:
     def vm_energy_ledger(self) -> Optional[np.ndarray]:
         """Global per-VM energy (pod ledgers concatenated in pod order).
 
-        ``None`` unless the base config set ``attribute_power``.  This
-        snapshots the ledgers through the checkpoint codecs (exact for
-        floats), so call it after the run (it is not a hot path).
+        ``None`` unless the base config set ``attribute_power``.
         """
         if not self.config.base.attribute_power:
             return None
-        return np.concatenate([
-            decode_array(state["vm_energy_wh"])
-            for _, state in self._broadcast("state")
-        ])
+        return np.concatenate(
+            [ledger for _, ledger in self._broadcast("ledger")]
+        )
 
     # -- checkpointing -------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        power_snap = np.where(
-            np.isfinite(self.power_series), self.power_series, 0.0
-        )
+        """Snapshot a resumed run's replay is verified against: the
+        parent's counters and series prefix (sha256), then every pod's
+        :meth:`LargeScaleBackend.state_dict`."""
+        done = self.steps_done
         return {
-            "steps_done": self.steps_done,
             "n_pods": self.config.n_pods,
-            "power_series": encode_array(power_snap),
-            "active_series": encode_array(self.active_series),
+            "steps_done": done,
+            "power_series": array_sha256(self.power_series[:done]),
+            "active_series": array_sha256(self.active_series[:done]),
             "pods": [state for _, state in self._broadcast("state")],
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        require_fields(
-            state,
-            ["steps_done", "n_pods", "power_series", "active_series", "pods"],
-            "sharded backend",
-        )
-        if int(state["n_pods"]) != self.config.n_pods:
-            raise CheckpointError(
-                f"checkpoint has {state['n_pods']} pods, this run has "
-                f"{self.config.n_pods}: resume with the same partition"
-            )
-        if len(state["pods"]) != self.config.n_pods:
-            raise CheckpointError(
-                f"checkpoint carries {len(state['pods'])} pod states for "
-                f"{self.config.n_pods} pods"
-            )
-        self.steps_done = int(state["steps_done"])
-        self.power_series = decode_array(state["power_series"])
-        self.active_series = decode_array(state["active_series"])
-        self._broadcast("load", {
-            p: (pod_state, self.steps_done)
-            for p, pod_state in enumerate(state["pods"])
-        })
+        """Verify the replayed parent and pods against the checkpoint."""
+        verify_snapshot(self.state_dict(), state, "sharded")
 
 
 def build_sharded_engine(

@@ -22,17 +22,17 @@ golden hashes in ``tests/test_engine.py`` / ``tests/test_perf_fastpath.py``).
 Checkpoint / resume
 -------------------
 The plant is a discrete-event simulation with in-flight request
-processes — state that has no JSON form.  The backend therefore declares
-``resume_strategy = "replay"``: :meth:`ControlPlane.restore` re-executes
-the prefix with telemetry muted (bit-identical computation, no emission)
-and then calls :meth:`TestbedBackend.load_state_dict`, which *verifies*
-the replayed controller state, placement, server state, and fault cursor
-against the checkpoint instead of assigning them.
+processes — state that has no JSON form, and need not: like every
+backend, a resume here is the kernel's one strategy.
+:meth:`ControlPlane.restore` re-executes the prefix with telemetry muted
+(bit-identical computation, no emission) and then calls
+:meth:`TestbedBackend.load_state_dict`, which *verifies* the replayed
+controller state, placement, server state, and fault cursor against the
+checkpoint instead of assigning them.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional
@@ -50,9 +50,10 @@ from repro.core.controller.response_time_controller import (
     ResponseTimeController,
 )
 from repro.core.manager import PowerManager, PowerManagerConfig
-from repro.engine.kernel import CheckpointError, ControlPlane, PeriodContext, Phase, run_session
+from repro.engine.checkpoint import verify_snapshot
+from repro.engine.kernel import ControlPlane, PeriodContext, Phase, run_session
 from repro.faults import FaultInjector
-from repro.obs import get_telemetry
+from repro.obs import Telemetry, get_telemetry
 from repro.obs.attribution import EnergyAttributor
 from repro.sim.metrics import SeriesRecorder
 from repro.sim.testbed import TestbedConfig, TestbedResult
@@ -103,8 +104,6 @@ class TestbedBackend:
     identifies one at build (:func:`identify_testbed_model`).  Every
     random stream of the rig is spawned from ``config.seed``.
     """
-
-    resume_strategy = "replay"
 
     def __init__(
         self,
@@ -262,8 +261,9 @@ class TestbedBackend:
             plant.warmup(cfg.warmup_s)
             plant.drain_traces()  # warmup requests are not part of the run
 
-    def prepare_replay(self) -> None:
-        """Replay-resume hook: the warmup is part of the replayed prefix."""
+    def prepare_replay(self, telemetry: Telemetry) -> None:
+        """Replay-resume hook: the warmup is part of the replayed prefix
+        (run muted; *telemetry*, the caller's scope, is not needed)."""
         self.start()
 
     # -- phase bodies (split from the legacy loop, order preserved) ----
@@ -458,18 +458,7 @@ class TestbedBackend:
         means the resumed run was built with a different config, model,
         or seed than the one the checkpoint came from.
         """
-        current = json.loads(json.dumps(self.state_dict(), sort_keys=True))
-        expected = json.loads(json.dumps(dict(state), sort_keys=True))
-        if current != expected:
-            bad = sorted(
-                key
-                for key in set(current) | set(expected)
-                if current.get(key) != expected.get(key)
-            )
-            raise CheckpointError(
-                "replayed testbed state does not match the checkpoint in "
-                f"{bad}; resume with the run's original config, model, and seed"
-            )
+        verify_snapshot(self.state_dict(), state, "testbed")
 
 
 def build_testbed_engine(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -274,17 +274,7 @@ class FaultTimeline:
     # -- checkpointing (engine resume) ---------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        """The cursor position (the schedule itself is config, not state)."""
+        """The cursor position (the schedule itself is config, not state),
+        part of the snapshot a resumed run's replay is verified against."""
         return {"next": self._next, "n_transitions": len(self._transitions)}
 
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        n = int(state.get("n_transitions", -1))
-        if n != len(self._transitions):
-            raise ValueError(
-                f"checkpoint cursor is over {n} transitions, this schedule "
-                f"has {len(self._transitions)}"
-            )
-        nxt = int(state["next"])
-        if not 0 <= nxt <= n:
-            raise ValueError(f"fault cursor {nxt} out of range 0..{n}")
-        self._next = nxt

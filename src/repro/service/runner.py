@@ -26,10 +26,10 @@ residue of a SIGKILL or crash — this process owns every worker, so
 nothing else can legitimately be running).  A requeued run with a
 checkpoint resumes: the event log is **truncated to the offset the
 checkpoint recorded** (discarding events from periods after the
-snapshot, including any torn final line), the kernel restores — replay
-re-execution for the DES testbed, direct state for the large-scale
-plant — and the completed log hashes bit-identical to an uninterrupted
-one-shot run (pinned in ``tests/test_service_runner.py``).
+snapshot, including any torn final line), the kernel replays the
+prefix muted and verifies the checkpoint's snapshot (every backend
+resumes this way), and the completed log hashes bit-identical to an
+uninterrupted one-shot run (pinned in ``tests/test_service_runner.py``).
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ Both forecasters are fully vectorized across series and O(n) per step.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Mapping
 
 import numpy as np
 
@@ -31,14 +30,6 @@ class DemandForecaster(ABC):
     @abstractmethod
     def forecast_peak(self, horizon_steps: int) -> np.ndarray:
         """Predicted per-series demand peak over the next *horizon* steps."""
-
-    @abstractmethod
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-safe snapshot of the smoothing state (engine checkpoints)."""
-
-    @abstractmethod
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Restore a snapshot so forecasting continues bit-identically."""
 
 
 class EwmaPeakForecaster(DemandForecaster):
@@ -77,25 +68,6 @@ class EwmaPeakForecaster(DemandForecaster):
         if horizon_steps < 1:
             raise ValueError(f"horizon_steps must be >= 1, got {horizon_steps}")
         return np.maximum(self.level + self.safety * self.upward_dev, 0.0)
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "ewma_peak",
-            "level": self.level.tolist(),
-            "upward_dev": self.upward_dev.tolist(),
-            "initialized": self._initialized,
-        }
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        level = np.asarray(state["level"], dtype=float)
-        if level.shape != self.level.shape:
-            raise ValueError(
-                f"checkpoint has {level.shape[0]} series, forecaster has "
-                f"{self.level.shape[0]}"
-            )
-        self.level = level
-        self.upward_dev = np.asarray(state["upward_dev"], dtype=float)
-        self._initialized = bool(state["initialized"])
 
 
 class HoltForecaster(DemandForecaster):
@@ -160,24 +132,3 @@ class HoltForecaster(DemandForecaster):
             self.trend * factors[0],    # falling: peak (highest) first step
         )
         return np.maximum(self.level + best + self.safety * self.abs_err, 0.0)
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "holt",
-            "level": self.level.tolist(),
-            "trend": self.trend.tolist(),
-            "abs_err": self.abs_err.tolist(),
-            "initialized": self._initialized,
-        }
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        level = np.asarray(state["level"], dtype=float)
-        if level.shape != self.level.shape:
-            raise ValueError(
-                f"checkpoint has {level.shape[0]} series, forecaster has "
-                f"{self.level.shape[0]}"
-            )
-        self.level = level
-        self.trend = np.asarray(state["trend"], dtype=float)
-        self.abs_err = np.asarray(state["abs_err"], dtype=float)
-        self._initialized = bool(state["initialized"])

@@ -30,15 +30,7 @@ from repro.engine import (
     PlantBackend,
     run_session,
 )
-from repro.engine.checkpoint import (
-    decode_array,
-    decode_float,
-    decode_rng,
-    encode_array,
-    encode_float,
-    encode_rng,
-    require_fields,
-)
+from repro.engine.checkpoint import encode_array, verify_snapshot
 from repro.engine.largescale_backend import build_largescale_engine
 from repro.engine.scenario import builtin_registry
 from repro.engine.testbed_backend import build_testbed_engine
@@ -239,14 +231,11 @@ class TestKernelUnits:
             fresh.restore(doc)
 
     def test_replay_resume_needs_fresh_engine(self):
-        class _Replayed(_Counter):
-            resume_strategy = "replay"
-
-        engine, _ = _engine(component=_Replayed())
+        # Every resume replays the prefix, so every engine must be fresh.
+        engine, _ = _engine()
         engine.run(until_period=2)
         doc = engine.checkpoint()
-        assert engine.resume_strategy == "replay"
-        used, _ = _engine(component=_Replayed())
+        used, _ = _engine()
         used.step()
         with pytest.raises(CheckpointError, match="freshly built"):
             used.restore(doc)
@@ -391,7 +380,7 @@ class TestCheckpointCodecs:
     def test_array_roundtrip(self):
         arr = np.arange(6, dtype=np.float64).reshape(2, 3)
         doc = json.loads(json.dumps(encode_array(arr)))
-        out = decode_array(doc)
+        out = np.asarray(doc["data"], dtype=doc["dtype"]).reshape(doc["shape"])
         assert out.dtype == arr.dtype and out.shape == arr.shape
         np.testing.assert_array_equal(out, arr)
 
@@ -399,31 +388,40 @@ class TestCheckpointCodecs:
         with pytest.raises(ValueError):
             encode_array(np.array([1.0, np.nan]))
 
-    def test_rng_roundtrip_preserves_stream(self):
-        rng = np.random.default_rng(42)
-        rng.random(7)
-        doc = json.loads(json.dumps(encode_rng(rng)))
-        clone = decode_rng(doc)
-        np.testing.assert_array_equal(rng.random(5), clone.random(5))
-
     @pytest.mark.parametrize(
         "decode",
-        [
-            lambda: decode_array({"shape": [1], "data": [0.0]}),
-            lambda: decode_rng({"bit_generator": "NoSuchGenerator"}),
-            lambda: require_fields({"a": 1}, ["a", "b"], "demo"),
-        ],
-        ids=["array-without-dtype", "unknown-bit-generator", "missing-field"],
+        [lambda: verify_snapshot({"a": 1, "b": 2}, {"a": 1}, "demo")],
+        ids=["missing-field"],
     )
     def test_damaged_documents_are_refused_as_checkpoint_errors(self, decode):
         # main_sim turns a CheckpointError into "cannot resume" (exit 1).
         with pytest.raises(CheckpointError):
             decode()
 
-    def test_float_nan_roundtrip(self):
-        assert encode_float(float("nan")) is None
-        assert np.isnan(decode_float(None))
-        assert decode_float(encode_float(1.5)) == 1.5
+    @pytest.mark.parametrize(
+        "expected, path",
+        [
+            ({"n": 3, "pods": [{"peaks": "aa"}, {"peaks": "bb"}]}, None),
+            ({"n": 3, "pods": [{"peaks": "aa"}, {"peaks": "zz"}]}, "pods[1].peaks"),
+            ({"n": 3, "pods": [{"peaks": "aa"}]}, "pods"),
+            ({"n": 3.0, "pods": [{"peaks": "aa"}, {"peaks": "bb"}]}, "n"),
+            ({"n": None, "pods": "zz"}, "n"),
+            ({"pods": [{"peaks": "aa"}, {}]}, "n"),
+            ({"n": 3, "pods": [{"peaks": "aa"}, {"peaks": "bb"}], "x": 0}, "x"),
+            ([], "(the whole snapshot)"),
+        ],
+        ids=["equal", "nested", "length", "type", "null", "missing", "extra", "root"],
+    )
+    def test_verifier_names_the_first_difference(self, expected, path):
+        current = {"n": 3, "pods": [{"peaks": "aa"}, {"peaks": "bb"}]}
+        if path is None:
+            verify_snapshot(current, expected, "demo")
+            return
+        with pytest.raises(CheckpointError) as info:
+            verify_snapshot(current, expected, "demo")
+        message = str(info.value)
+        assert f"at {path};" in message and "does not match" in message
+        assert "resume with the same trace, config and seed" in message
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +497,7 @@ class TestGoldenFaulted:
 
 
 class TestLargeScaleResume:
-    """State-strategy resume: arrays and counters restore directly."""
+    """Replay resume: muted re-execution, then snapshot verification."""
 
     def _build(self, provisioning="ewma_peak"):
         return build_largescale_engine(
@@ -510,8 +508,8 @@ class TestLargeScaleResume:
             ),
         )
 
-    # "holt" is the only tier-1 path through HoltForecaster.state_dict /
-    # load_state_dict; "current" resumes with no forecaster state at all.
+    # The forecaster's smoothing state is rebuilt by the replay, never
+    # stored: "holt" and "ewma_peak" resume it, "current" has none.
     @pytest.mark.parametrize("provisioning", ["current", "ewma_peak", "holt"])
     def test_resume_matches_uninterrupted_run(self, provisioning):
         full = InMemoryBackend()
@@ -557,7 +555,7 @@ class TestLargeScaleResume:
 
 
 class TestTestbedResume:
-    """Replay-strategy resume: muted re-execution, then verification."""
+    """Replay resume: muted re-execution, then verification."""
 
     def _build(self):
         return build_testbed_engine(

@@ -271,7 +271,15 @@ class TestCli:
             main_scenario(["validate", "no-such-scenario"])
         assert "known:" in capsys.readouterr().err
 
-    def test_sim_checkpoint_then_resume_is_bit_identical(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "scenario, k",
+        [("testbed-faulted", "7"), ("largescale-faulted", "50"), ("sharded-small", "3")],
+        ids=["testbed-faulted", "largescale-faulted", "sharded-small"],
+    )
+    def test_sim_checkpoint_then_resume_is_bit_identical(self, scenario, k, tmp_path,
+                                                         capsys):
+        # largescale-faulted checkpoints inside its crash, throttle and
+        # migration-failure windows; sharded-small runs on a worker pool.
         from repro.cli import main_sim
 
         ck = tmp_path / "ck.json"
@@ -279,16 +287,16 @@ class TestCli:
             tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "full.jsonl"
         )
         assert main_sim([
-            "--scenario", "testbed-faulted",
-            "--checkpoint", str(ck), "--checkpoint-at", "7",
+            "--scenario", scenario,
+            "--checkpoint", str(ck), "--checkpoint-at", k,
             "--trace-jsonl", str(prefix),
         ]) == 0
         assert main_sim([
-            "--scenario", "testbed-faulted",
+            "--scenario", scenario,
             "--resume", str(ck), "--trace-jsonl", str(suffix),
         ]) == 0
         assert main_sim([
-            "--scenario", "testbed-faulted", "--trace-jsonl", str(full),
+            "--scenario", scenario, "--trace-jsonl", str(full),
         ]) == 0
         capsys.readouterr()
 
@@ -362,8 +370,8 @@ class TestCli:
     def test_sim_refuses_resume_from_a_checkpoint_with_a_field_deleted(
         self, scenario, path, tmp_path, capsys
     ):
-        # A pod's field is checked inside its pool worker, which hands
-        # the refusal back rather than a crash.
+        # Each is a field of a replay-verification snapshot, one at each
+        # level: the large-scale plant, the sharded parent, a pod.
         from repro.cli import main_sim
 
         ck = tmp_path / "ck.json"
@@ -380,6 +388,35 @@ class TestCli:
         out, err = capsys.readouterr()
         assert "cannot resume" in err and path[-1] in err
         assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (["engine"], []),
+            (["engine", "period"], "x"),
+            (["components"], ["plant"]),
+            (["components", "plant", "migrations"], None),
+        ],
+        ids=["engine-list", "period-string", "components-list", "snapshot-null"],
+    )
+    def test_sim_refuses_resume_from_a_checkpoint_with_a_malformed_value(
+        self, path, value, tmp_path, capsys
+    ):
+        from repro.cli import main_sim
+
+        ck = tmp_path / "ck.json"
+        assert main_sim(["--scenario", "largescale-small",
+                         "--checkpoint", str(ck), "--checkpoint-at", "3"]) == 0
+        capsys.readouterr()
+        doc = json.loads(ck.read_text(encoding="utf-8"))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        ck.write_text(json.dumps(doc), encoding="utf-8")
+        assert main_sim(["--scenario", "largescale-small", "--resume", str(ck)]) == 1
+        out, err = capsys.readouterr()
+        assert "cannot resume" in err and "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize("k", ["-3", "0", "12", "9999"])
     def test_sim_rejects_checkpoint_at_outside_the_run(self, k, tmp_path, capsys):

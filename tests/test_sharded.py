@@ -216,32 +216,41 @@ class TestCheckpointResume:
         cfg = _base_config(attribute_power=True, faults=_FAULTS)
         scfg = ShardedConfig(base=cfg, n_pods=2, workers=workers)
 
+        full = InMemoryBackend()
         engine, backend = build_sharded_engine(trace, scfg)
-        try:
-            backend.start()
-            engine.run()
-            ref = backend.result()
-            ref_ledger = backend.vm_energy_ledger()
-        finally:
-            backend.close()
+        with use_telemetry(Telemetry(full)):
+            try:
+                backend.start()
+                engine.run()
+                ref = backend.result()
+                ref_ledger = backend.vm_energy_ledger()
+            finally:
+                backend.close()
 
+        split = InMemoryBackend()
         engine, backend = build_sharded_engine(trace, scfg)
-        try:
-            backend.start()
-            engine.run(until_period=2)
-            doc = json.loads(json.dumps(engine.checkpoint()))
-        finally:
-            backend.close()
+        with use_telemetry(Telemetry(split)):
+            try:
+                backend.start()
+                engine.run(until_period=2)
+                doc = json.loads(json.dumps(engine.checkpoint()))
+            finally:
+                backend.close()
 
+        # Built before its telemetry scope is entered, as repro-sim does:
+        # the pods are first built during the muted replay and must
+        # still trace the resumed suffix.
         fresh_engine, fresh_backend = build_sharded_engine(trace, scfg)
-        try:
-            fresh_engine.restore(doc)
-            fresh_engine.run()
-            res = fresh_backend.result()
-            ledger = fresh_backend.vm_energy_ledger()
-        finally:
-            fresh_backend.close()
+        with use_telemetry(Telemetry(split)):
+            try:
+                fresh_engine.restore(doc)
+                fresh_engine.run()
+                res = fresh_backend.result()
+                ledger = fresh_backend.vm_energy_ledger()
+            finally:
+                fresh_backend.close()
 
+        assert _events_hash(split.records) == _events_hash(full.records)
         assert res.total_energy_wh == ref.total_energy_wh
         assert np.array_equal(res.power_series_w, ref.power_series_w)
         assert np.array_equal(ledger, ref_ledger)

@@ -353,7 +353,7 @@ class MultiTierApp:
         """End the simulation: drop pending events and queued requests.
 
         For the end of a run, so a process that runs many scenarios
-        (``repro-serve`` workers, the benchmark's passes) does not carry
+        (``repro serve`` workers, the benchmark's passes) does not carry
         each finished run's queues.  The app cannot run or be
         reconfigured after this: :meth:`run_period`, :meth:`warmup`,
         :meth:`set_concurrency`, :meth:`set_allocations`,

@@ -255,7 +255,7 @@ class PowerManager:
         ``controller.batch_groups`` counter, the
         ``controller.batch_size`` histogram (one observation per MPC
         group), and a ``manager.fleet_control`` span annotated with the
-        per-group sizes so ``repro-obs profile`` can show how well the
+        per-group sizes so ``repro obs profile`` can show how well the
         fleet grouped, plus how many solves softened their terminal
         constraint and were proved unreachable beforehand.
         """

@@ -11,7 +11,7 @@ series, a ledger) is written as the sha256 of its bytes.
 :func:`verify_snapshot` is the one check every component runs: any
 difference — a changed value, a wrongly typed one, a missing field —
 refuses the resume with :class:`~repro.engine.kernel.CheckpointError`,
-so ``repro-sim`` exits 1 instead of crashing.
+so ``repro sim`` exits 1 instead of crashing.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Determinism contract
 The kernel adds **no** stochasticity, and the only telemetry it emits
 of its own is *profiling spans*: with telemetry enabled, every phase of
 every period runs inside a ``phase.<name>`` span annotated with CPU
-time and allocation deltas (``repro-obs profile`` aggregates them).
+time and allocation deltas (``repro obs profile`` aggregates them).
 Span records are excluded from the golden event-log hashes, so a
 kernel-driven run still hashes byte-identical to the legacy hand-wired
 loops it replaced (pinned in ``tests/test_engine.py`` and

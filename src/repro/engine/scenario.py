@@ -12,10 +12,11 @@ experiment artifact.
 
 :class:`ScenarioRegistry` maps names to specs; :func:`builtin_registry`
 ships the repository's reference scenarios (the same configurations the
-golden-hash tests pin).  The ``repro-scenario`` CLI lists and validates
-registry entries and spec files; ``repro-sim --scenario NAME`` builds
-and runs one through :class:`~repro.engine.kernel.ControlPlane`,
-including checkpoint/resume.
+golden-hash tests pin).  ``repro sim --list`` lists the registry,
+``repro sim --scenario NAME|FILE --show`` validates and prints one
+spec, and ``repro sim --scenario NAME|FILE`` builds and runs it through
+:class:`~repro.engine.kernel.ControlPlane`, including checkpoint/resume
+(:func:`scenario_source` is the rule that reads NAME|FILE).
 
 :func:`resolve_scenario` is the one way a caller-supplied scenario — a
 registry name or a spec document, plus dotted-path overrides
@@ -57,6 +58,7 @@ __all__ = [
     "builtin_registry",
     "parse_overrides",
     "resolve_scenario",
+    "scenario_source",
 ]
 
 #: Harnesses a scenario can target.
@@ -86,7 +88,7 @@ class ScenarioSpec:
     Parameters
     ----------
     name / description:
-        Identity and one-line intent, shown by ``repro-scenario list``.
+        Identity and one-line intent, shown by ``repro sim --list``.
     harness:
         ``"testbed"`` (request-level DES, MPC controllers),
         ``"largescale"`` (trace-driven vectorized plant), or
@@ -166,15 +168,17 @@ class ScenarioSpec:
             harness = doc["harness"]
         except KeyError as exc:
             raise ScenarioError(f"scenario document lacks {exc}") from None
+        sections = {key: doc.get(key) for key in ("model", "workloads", "trace", "faults")}
+        sections["params"] = doc.get("params", {})
+        for key, section in sections.items():
+            if not isinstance(section, Mapping) and (section is not None or key == "params"):
+                raise ScenarioError(f"{key} must be an object, got {type(section).__name__}")
+        sections["params"] = dict(sections["params"])
         return cls(
             name=str(name),
             description=str(doc.get("description", "")),
             harness=str(harness),
-            params=dict(doc.get("params", {})),
-            model=doc.get("model"),
-            workloads=doc.get("workloads"),
-            trace=doc.get("trace"),
-            faults=doc.get("faults"),
+            **sections,
         )
 
     # -- validation ----------------------------------------------------
@@ -487,7 +491,7 @@ def apply_overrides(
 
 
 def parse_overrides(pairs: Iterable[str], grid: bool = False) -> Dict[str, Any]:
-    """``PATH=VALUE`` strings (the CLIs' ``--set``) → an overrides mapping.
+    """``PATH=VALUE`` strings (the ``--set`` flags) → an overrides mapping.
 
     VALUE is JSON when it parses, a bare string otherwise; with *grid*
     it is a comma list of such values (sweep axes).
@@ -518,18 +522,45 @@ def resolve_scenario(
     """Registry name or spec document, plus overrides → a validated spec.
 
     Raises :class:`KeyError` for a name the registry does not hold and
-    :class:`ScenarioError` for a bad override path or a spec that does
-    not parse or validate.
+    :class:`ScenarioError` for a document that is not an object, a bad
+    override path or a spec that does not parse or validate.
     """
-    if isinstance(source, Mapping):
-        doc = dict(source)
-    else:
+    if isinstance(source, str):
         if registry is None:  # not `or`: an empty registry is falsy
             registry = builtin_registry()
-        doc = registry.get(str(source)).to_dict()
+        doc = registry.get(source).to_dict()
+    elif isinstance(source, Mapping):
+        doc = dict(source)
+    else:
+        raise ScenarioError(
+            f"scenario document must be an object, got {type(source).__name__}"
+        )
     if overrides:
         doc = apply_overrides(doc, overrides)
     return ScenarioSpec.from_dict(doc).require_valid()
+
+
+def scenario_source(arg: str) -> Any:
+    """A command-line scenario argument → a :func:`resolve_scenario` source.
+
+    The one rule of every command that takes a scenario: a builtin
+    registry name first, else the path of a JSON spec file, whose parsed
+    document is returned (``resolve_scenario`` refuses one that is not
+    an object).
+    """
+    registry = builtin_registry()
+    if arg in registry:
+        return arg
+    try:
+        with open(arg, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError:
+        raise ScenarioError(
+            f"unknown scenario {arg!r} (and no such file); "
+            f"known: {', '.join(registry.names())}"
+        ) from None
+    except ValueError as exc:
+        raise ScenarioError(f"{arg} is not JSON: {exc}") from None
 
 
 # The small shared ARX model used by the quick testbed scenarios (two
@@ -548,7 +579,7 @@ _TB_PARAMS = {
     # The builtin testbed scenarios are the golden-hash references: they
     # pin the scalar control path (fleet batching is allclose, not
     # bit-identical).  Override with --set params.control_mode=fleet
-    # (repro-sim) to run the production path.
+    # (repro sim) to run the production path.
     "control_mode": "scalar",
     "seed": 77,
 }

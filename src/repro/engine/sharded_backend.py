@@ -348,7 +348,7 @@ class ShardedBackend:
 
         # Telemetry state is read lazily at first pod construction (or
         # taken from the caller by prepare_replay), not here: callers
-        # (the repro-sim CLI, the service runner) build the engine first
+        # (the repro sim CLI, the service runner) build the engine first
         # and enter their telemetry scope afterwards, and a snapshot
         # taken now would run every pod dark.
         self._tel_params: Optional[Tuple[bool, int]] = None

@@ -14,8 +14,8 @@ The subsystem has three parts, layered so each is testable alone:
   between control periods.
 
 Every harness accepts a schedule — as a scenario's ``faults`` section,
-or on the command line via ``repro-sim --faults FILE``;
-``repro-faults`` validates and generates scenario files.
+or on the command line via ``repro sim --faults FILE``;
+``repro faults`` validates and generates scenario files.
 """
 
 from repro.faults.injector import FaultInjector

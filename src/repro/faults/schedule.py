@@ -57,7 +57,7 @@ def validate_spec(spec: dict) -> List[str]:
 
     Unlike :meth:`FaultSchedule.from_spec`, which raises on the first
     error, this walks the whole document so a scenario author sees all
-    mistakes at once (the ``repro-faults validate`` command).
+    mistakes at once (the ``repro faults validate`` command).
     """
     problems: List[str] = []
     if not isinstance(spec, dict):

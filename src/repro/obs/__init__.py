@@ -24,7 +24,7 @@ Telemetry is **off by default**: the process-wide instance wraps
     with use_telemetry(Telemetry(JsonlBackend("run.jsonl"))):
         result = run_testbed(config)
 
-then inspect the file with ``repro-obs summarize run.jsonl`` (or
+then inspect the file with ``repro obs summarize run.jsonl`` (or
 ``profile`` / ``audit`` / ``watch`` — see ``docs/OBSERVABILITY.md``).
 
 Request-path tracing and energy attribution (:mod:`repro.obs.reqtrace`,

@@ -1,4 +1,4 @@
-"""SLO/power audit pipeline over a telemetry event log (``repro-obs audit``).
+"""SLO/power audit pipeline over a telemetry event log (``repro obs audit``).
 
 Streams the records of an instrumented run (testbed or large-scale)
 through a single-pass evaluator and produces a machine-readable audit

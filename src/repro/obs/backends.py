@@ -11,7 +11,7 @@ Backends:
 * :class:`NullBackend` — drop everything (default; negligible overhead).
 * :class:`InMemoryBackend` — keep records in a list (tests, notebooks).
 * :class:`JsonlBackend` — one JSON object per line to a file; the format
-  ``repro-obs summarize`` reads back.
+  ``repro obs summarize`` reads back.
 * :class:`PrometheusTextBackend` — ignores the event stream; writes one
   Prometheus text-format dump of the metrics registry on ``close()``.
 """

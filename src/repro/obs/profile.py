@@ -1,4 +1,4 @@
-"""Kernel phase profiling aggregation (``repro-obs profile``).
+"""Kernel phase profiling aggregation (``repro obs profile``).
 
 The :class:`~repro.engine.kernel.ControlPlane` wraps every phase of
 every control period in a ``phase.<name>`` telemetry span annotated

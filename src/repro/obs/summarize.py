@@ -1,4 +1,4 @@
-"""Summarize a telemetry JSONL run file (``repro-obs summarize``).
+"""Summarize a telemetry JSONL run file (``repro obs summarize``).
 
 Reads the records written by :class:`~repro.obs.backends.JsonlBackend`
 during an instrumented run and reduces them to:

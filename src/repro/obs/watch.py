@@ -1,4 +1,4 @@
-"""Live telemetry streaming (``repro-obs watch``).
+"""Live telemetry streaming (``repro obs watch``).
 
 Follows the JSONL file a run is writing (tail -f semantics: only
 complete, newline-terminated lines are consumed; a partially written
@@ -8,7 +8,7 @@ response time vs. set point, active server count, and fault state —
 rendered as an ASCII dashboard on every refresh.
 
 The dashboard also renders a Prometheus text-exposition snapshot
-(``prometheus_text``), so ``repro-obs watch --prom FILE`` keeps a
+(``prometheus_text``), so ``repro obs watch --prom FILE`` keeps a
 scrape-ready file current while the run progresses; point any file-based
 collector (e.g. node_exporter's textfile collector) at it.
 

@@ -17,8 +17,8 @@ Layers (mirroring the SimCash api/experiments/persistence split):
 * :mod:`repro.service.api` — a thin stdlib HTTP API (submit a spec or a
   sweep, poll status, stream/follow telemetry, fetch results and audit
   reports, cancel, Prometheus ``/metrics``);
-* :mod:`repro.service.cli` — the ``repro-serve`` entry point
-  (``serve`` / ``submit`` / ``status`` / ``results`` / ``sweep``) with
+* :mod:`repro.service.cli` — the ``repro serve`` subcommand
+  (``start`` / ``submit`` / ``status`` / ``results`` / ``sweep``) with
   graceful SIGTERM shutdown that checkpoints in-flight runs.
 
 See ``docs/SERVICE.md`` for the API reference, the sweep spec format,

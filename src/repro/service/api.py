@@ -125,7 +125,7 @@ class ControlPlaneService:
         """Launch the runner workers and serve HTTP in the background."""
         self.runner.start()
         self._serve_thread = threading.Thread(
-            target=self.httpd.serve_forever, name="repro-serve-http", daemon=True
+            target=self.httpd.serve_forever, name="repro-http", daemon=True
         )
         self._serve_thread.start()
         logger.info("control-plane service listening on %s", self.url)
@@ -243,7 +243,7 @@ def _make_handler(service: ControlPlaneService):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
-        server_version = "repro-serve"
+        server_version = "repro"
 
         # -- plumbing --------------------------------------------------
 

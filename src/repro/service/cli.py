@@ -1,10 +1,10 @@
-"""The ``repro-serve`` entry point.
+"""``repro serve``: run the control-plane service, or talk to one.
 
-``serve`` runs the control-plane service in the foreground (SIGTERM and
-Ctrl-C shut it down gracefully: in-flight runs are checkpointed into
-the store and requeued, event logs are flushed and closed, and a later
-``serve`` resumes them to bit-identical results).  The other
-subcommands are thin HTTP clients against a running service:
+``start`` runs the service in the foreground (SIGTERM and Ctrl-C shut
+it down gracefully: in-flight runs are checkpointed into the store and
+requeued, event logs are flushed and closed, and a later ``start``
+resumes them to bit-identical results).  The other actions are thin
+HTTP clients against a running service:
 
 * ``submit SCENARIO`` — queue one run (``--set params.seed=7`` applies
   dotted-path overrides; ``--wait`` polls to completion and exits
@@ -12,12 +12,14 @@ subcommands are thin HTTP clients against a running service:
 * ``status [RUN_ID]`` — one run, or a queue/status overview;
 * ``results RUN_ID`` — the stored result summary (``--audit`` fetches
   the audit report instead and exits 1 when the SLO audit failed,
-  mirroring ``repro-obs audit``);
+  mirroring ``repro obs audit``);
 * ``sweep SCENARIO --set params.seed=1,2,3 ...`` — expand a parameter
   grid server-side into one job per configuration.
 
-SCENARIO is a registered name (``repro-scenario list``) or a path to a
-spec JSON file — the same resolution ``repro-sim --scenario`` uses.
+SCENARIO is read by :func:`~repro.engine.scenario.scenario_source`, the
+rule ``repro sim --scenario`` uses too: a registered name
+(``repro sim --list``) first, else a spec JSON file.  :mod:`repro.cli`
+registers these actions with :func:`add_parser`.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ import sys
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.engine.scenario import ScenarioError, parse_overrides
-from repro.util.logsetup import add_verbosity_flags, configure_logging
+from repro.engine.scenario import parse_overrides, scenario_source
+from repro.util.cliutil import CliError
 
-__all__ = ["main"]
+__all__ = ["add_parser"]
 
 DEFAULT_URL = "http://127.0.0.1:8642"
 
@@ -58,41 +60,21 @@ def _request(
             detail = json.loads(detail).get("error", detail)
         except ValueError:
             pass
-        print(f"repro-serve: {exc.code} {exc.reason}: {detail}", file=sys.stderr)
-        raise SystemExit(1)
+        raise CliError(f"{exc.code} {exc.reason}: {detail}") from None
     except urllib.error.URLError as exc:
-        print(
-            f"repro-serve: cannot reach {url}: {exc.reason} "
-            "(is the service running? see 'repro-serve serve')",
-            file=sys.stderr,
-        )
-        raise SystemExit(1)
+        raise CliError(
+            f"cannot reach {url}: {exc.reason} "
+            "(is the service running? see 'repro serve start')"
+        ) from None
     if not payload:
         return None
     return json.loads(payload)
 
 
-def _parse_sets(pairs: List[str], grid: bool) -> Dict[str, Any]:
-    """``--set path=value`` pairs; with *grid*, values are comma lists."""
-    try:
-        return parse_overrides(pairs, grid)
-    except ScenarioError as exc:
-        raise SystemExit(f"repro-serve: {exc}")
-
-
-def _scenario_body(scenario: str, overrides: Dict[str, Any]) -> Dict[str, Any]:
-    """Request body for a scenario argument (registry name or file path)."""
-    body: Dict[str, Any]
-    try:
-        with open(scenario, "r", encoding="utf-8") as fh:
-            body = {"spec": json.load(fh)}
-    except OSError:
-        body = {"scenario": scenario}
-    except ValueError as exc:
-        raise SystemExit(f"repro-serve: {scenario} is not JSON: {exc}")
-    if overrides:
-        body["overrides"] = overrides
-    return body
+def _scenario_body(scenario: str) -> Dict[str, Any]:
+    """Request body naming a registered scenario or carrying a spec file."""
+    source = scenario_source(scenario)
+    return {"scenario": source} if isinstance(source, str) else {"spec": source}
 
 
 def _wait_for_runs(url: str, run_ids: List[int], poll_s: float) -> List[dict]:
@@ -113,7 +95,7 @@ def _wait_for_runs(url: str, run_ids: List[int], poll_s: float) -> List[dict]:
 # -- subcommands -------------------------------------------------------
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_start(args: argparse.Namespace) -> int:
     from repro.obs import install_sigterm_flush
     from repro.service.api import ControlPlaneService, ServiceConfig
 
@@ -128,7 +110,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         audit_violation_budget=args.audit_violation_budget,
     ))
     print(
-        f"repro-serve: listening on {service.url} "
+        f"repro serve: listening on {service.url} "
         f"({args.workers} workers, store {args.db})",
         flush=True,
     )
@@ -138,7 +120,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         print(
-            "repro-serve: shutting down (checkpointing in-flight runs)",
+            "repro serve: shutting down (checkpointing in-flight runs)",
             file=sys.stderr, flush=True,
         )
         service.shutdown(graceful=True)
@@ -146,7 +128,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    body = _scenario_body(args.scenario, _parse_sets(args.set, grid=False))
+    body = _scenario_body(args.scenario)
+    overrides = parse_overrides(args.set)
+    if overrides:
+        body["overrides"] = overrides
     if args.force:
         body["force"] = True
     doc = _request("POST", f"{args.url}/api/runs", body)
@@ -196,10 +181,10 @@ def _cmd_results(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    grid = _parse_sets(args.set, grid=True)
+    grid = parse_overrides(args.set, grid=True)
     if not grid:
-        raise SystemExit("repro-serve: sweep needs at least one --set PATH=V1,V2,...")
-    body = _scenario_body(args.scenario, {})
+        raise CliError("sweep needs at least one --set PATH=V1,V2,...")
+    body = _scenario_body(args.scenario)
     body["grid"] = grid
     if args.name:
         body["name"] = args.name
@@ -217,37 +202,46 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if n_done == len(finals) else 1
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
+def add_parser(sub: Any, parent: argparse.ArgumentParser) -> None:
+    """Register ``serve`` and its actions on the ``repro`` subparsers *sub*."""
+    p = sub.add_parser(
+        "serve", parents=[parent],
+        help="run (or talk to) the long-running control-plane service",
         description="Run (or talk to) the long-running control-plane "
         "service: HTTP API + experiment runner + SQLite results store "
         "(see docs/SERVICE.md).",
     )
-    add_verbosity_flags(parser)
-    sub = parser.add_subparsers(dest="command", required=True)
+    actions = p.add_subparsers(dest="action", required=True)
 
-    p_serve = sub.add_parser("serve", help="run the service in the foreground")
-    p_serve.add_argument("--db", default="repro-service.db",
+    p_start = actions.add_parser("start", help="run the service in the foreground")
+    p_start.add_argument("--db", default="repro-service.db",
                          help="SQLite results-store path")
-    p_serve.add_argument("--data-dir", default="repro-service-data",
+    p_start.add_argument("--data-dir", default="repro-service-data",
                          help="directory for per-run event logs")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8642)
-    p_serve.add_argument("--workers", type=int, default=2,
+    p_start.add_argument("--host", default="127.0.0.1")
+    p_start.add_argument("--port", type=int, default=8642)
+    p_start.add_argument("--workers", type=int, default=2,
                          help="concurrent experiment workers")
-    p_serve.add_argument("--checkpoint-every", type=int, default=5, metavar="K",
+    p_start.add_argument("--checkpoint-every", type=int, default=5, metavar="K",
                          help="checkpoint in-flight runs every K periods")
-    p_serve.add_argument("--audit-violation-budget", type=float, default=1.0,
+    p_start.add_argument("--audit-violation-budget", type=float, default=1.0,
                          help="violation budget for the per-run SLO audit "
                          "(default 1.0: record, don't fail, short runs)")
-    p_serve.set_defaults(func=_cmd_serve)
+    p_start.set_defaults(func=_cmd_start)
 
-    def _client_flags(p: argparse.ArgumentParser) -> None:
+    def client(p: argparse.ArgumentParser, func: Callable[[argparse.Namespace], int]) -> None:
         p.add_argument("--url", default=DEFAULT_URL,
                        help=f"service base URL (default {DEFAULT_URL})")
 
-    p_sub = sub.add_parser("submit", help="queue one scenario run")
+        def run(args: argparse.Namespace) -> int:
+            # A client only waits on HTTP: Ctrl-C must reach it even
+            # when its parent started it with SIGINT ignored.
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            return func(args)
+
+        p.set_defaults(func=run)
+
+    p_sub = actions.add_parser("submit", help="queue one scenario run")
     p_sub.add_argument("scenario", help="registered name or spec JSON path")
     p_sub.add_argument("--set", action="append", default=[], metavar="PATH=VALUE",
                        help="dotted-path override, e.g. params.seed=7 "
@@ -260,24 +254,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="poll interval for --wait (seconds)")
     p_sub.add_argument("--json", action="store_true",
                        help="with --wait: print the final run document")
-    _client_flags(p_sub)
-    p_sub.set_defaults(func=_cmd_submit)
+    client(p_sub, _cmd_submit)
 
-    p_stat = sub.add_parser("status", help="service overview or one run")
+    p_stat = actions.add_parser("status", help="service overview or one run")
     p_stat.add_argument("run_id", nargs="?", type=int, default=None)
     p_stat.add_argument("--json", action="store_true")
-    _client_flags(p_stat)
-    p_stat.set_defaults(func=_cmd_status)
+    client(p_stat, _cmd_status)
 
-    p_res = sub.add_parser("results", help="fetch a finished run's results")
+    p_res = actions.add_parser("results", help="fetch a finished run's results")
     p_res.add_argument("run_id", type=int)
     p_res.add_argument("--audit", action="store_true",
                        help="fetch the SLO/power audit report instead; "
                        "exit 1 when the audit failed")
-    _client_flags(p_res)
-    p_res.set_defaults(func=_cmd_results)
+    client(p_res, _cmd_results)
 
-    p_sweep = sub.add_parser(
+    p_sweep = actions.add_parser(
         "sweep", help="submit a parameter-grid sweep (one job per config)"
     )
     p_sweep.add_argument("scenario", help="registered name or spec JSON path")
@@ -290,16 +281,4 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="poll until every job finishes; exit 1 if any "
                          "failed")
     p_sweep.add_argument("--poll", type=float, default=0.5)
-    _client_flags(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    args = parser.parse_args(argv)
-    configure_logging(args.verbose, args.quiet)
-    # Ctrl-C on a client subcommand should not dump a traceback.
-    if args.command != "serve":
-        signal.signal(signal.SIGINT, signal.default_int_handler)
-    return int(args.func(args))
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    client(p_sweep, _cmd_sweep)

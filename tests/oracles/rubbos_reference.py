@@ -255,7 +255,7 @@ class MultiTierApp:
         The event queue and the tiers' job lists hold this app's bound
         callbacks, and the app holds them, so a finished app is a
         reference cycle of a few hundred objects.  A process that runs
-        many scenarios (``repro-serve`` workers, the benchmark's passes)
+        many scenarios (``repro serve`` workers, the benchmark's passes)
         would otherwise carry each finished run until the next full
         garbage collection.  The app cannot run after this:
         :meth:`run_period`, :meth:`warmup` and :meth:`set_concurrency`

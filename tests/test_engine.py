@@ -334,7 +334,7 @@ class TestRunSession:
 
 
 class TestFinishedRunsAreReleased:
-    """A process that runs many scenarios (``repro-serve`` workers, the
+    """A process that runs many scenarios (``repro serve`` workers, the
     benchmark's passes) must not carry finished runs along."""
 
     @staticmethod
@@ -394,7 +394,7 @@ class TestCheckpointCodecs:
         ids=["missing-field"],
     )
     def test_damaged_documents_are_refused_as_checkpoint_errors(self, decode):
-        # main_sim turns a CheckpointError into "cannot resume" (exit 1).
+        # repro sim turns a CheckpointError into "cannot resume" (exit 1).
         with pytest.raises(CheckpointError):
             decode()
 

@@ -96,10 +96,10 @@ class TestCLI:
     def test_testbed_cli(self, capsys):
         # The testbed report comes from the one run command, sized
         # with --set (there is no dedicated testbed command any more).
-        from repro.cli import main_sim
+        from repro.cli import main
 
-        rc = main_sim(
-            ["--scenario", "testbed-small", "--set", "params.duration_s=120"]
+        rc = main(
+            ["sim", "--scenario", "testbed-small", "--set", "params.duration_s=120"]
         )
         out = capsys.readouterr().out
         assert rc == 0
@@ -107,11 +107,11 @@ class TestCLI:
         assert "Cluster power" in out
 
     def test_largescale_cli(self, capsys):
-        # repro-sim prints the report module's large-scale table (DVFS,
+        # repro sim prints the report module's large-scale table (DVFS,
         # unplaced VM-steps, power sketch), not a hand-built one.
-        from repro.cli import main_sim
+        from repro.cli import main
 
-        rc = main_sim(["--scenario", "largescale-small"])
+        rc = main(["sim", "--scenario", "largescale-small"])
         out = capsys.readouterr().out
         assert rc == 0
         for needle in ("Large-scale run", "energy per VM (Wh)", "DVFS",
@@ -120,11 +120,11 @@ class TestCLI:
         assert "pods on" not in out
 
     def test_trace_cli(self, tmp_path, capsys):
-        from repro.cli import main_trace
+        from repro.cli import main
         from repro.traces import UtilizationTrace
 
         path = str(tmp_path / "t.csv")
-        rc = main_trace([path, "--servers", "12", "--days", "1"])
+        rc = main(["trace", path, "--servers", "12", "--days", "1"])
         assert rc == 0
         assert "Wrote" in capsys.readouterr().out
         back = UtilizationTrace.from_csv(path)

@@ -107,6 +107,30 @@ class TestValidateSpec:
             FaultSchedule.from_spec({"events": [{"time_s": 0.0, "kind": "nope"}]})
 
 
+class TestFaultsCli:
+    def test_generate_then_validate(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "faults.json")
+        assert main(["faults", "generate", path, "--horizon", "7200", "--seed", "5"]) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {path}: ")
+        assert main(["faults", "validate", path]) == 0
+        assert f"{path}: OK" in capsys.readouterr().out
+        assert FaultSchedule.from_json(path) == FaultSchedule.random(
+            7200.0, ["T0", "T1", "T2", "T3"], seed=5,
+        )
+
+    def test_validate_reports_every_problem_once_prefixed(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"seed": "nope", "events": [{"kind": "meteor"}]}))
+        assert main(["faults", "validate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("repro faults:") == 1
+        assert "seed must be an integer" in err and "events[0] needs" in err
+
+
 class TestFaultSchedule:
     def test_events_sorted_by_time(self):
         s = FaultSchedule(events=(

@@ -4,15 +4,15 @@
   the plant primitives.  It never imports the engine, the service or
   the CLI, at any nesting level (a function-level import is still an
   upward dependency; it only hides the cycle).
-* Every module under ``src/repro`` is reachable from the two console
-  entry modules, ``repro.cli`` and ``repro.service.cli``, through
-  imports (package ``__init__`` re-exports count).  A module nothing
+* Every module under ``src/repro`` is reachable from ``repro.cli``, the
+  module of the one ``repro`` command, through imports (package
+  ``__init__`` re-exports count).  A module nothing
   reaches is an orphan: give it a caller or delete it.
 * ``repro.packing`` is domain-free: its modules import no ``repro``
   module outside the package.
 * SciPy is imported only inside function bodies, and only by
   ``repro.control.qp`` (the SLSQP hand-over) and ``repro.sysid.fit``
-  (the bounded ARX fit): importing the entry modules, or running a
+  (the bounded ARX fit): importing ``repro.cli``, or running a
   large-scale or sharded scenario, never loads it.
 """
 
@@ -80,14 +80,14 @@ def test_sim_imports_nothing_above_it():
 
 
 def test_every_module_is_reachable_from_the_entry_points():
-    seen, stack = set(), ["repro.cli", "repro.service.cli"]
+    seen, stack = set(), ["repro.cli"]
     while stack:
         name = stack.pop()
         if name not in seen:
             seen.add(name)
             stack.extend(_imports(name))
     orphans = sorted(set(MODULES) - seen)
-    assert not orphans, f"no import path from the CLI entry modules to: {orphans}"
+    assert not orphans, f"no import path from repro.cli to: {orphans}"
 
 
 def test_packing_imports_only_packing():

@@ -455,38 +455,38 @@ class TestObsCli:
         return path
 
     def test_audit_exit_codes_follow_slo(self, tmp_path, capsys):
-        from repro.cli import main_obs
+        from repro.cli import main
 
         ok = self._write_run(tmp_path)
-        assert main_obs(["audit", str(ok)]) == 0
+        assert main(["obs", "audit", str(ok)]) == 0
         bad = self._write_run(tmp_path, rts=(1500.0, 900.0))
-        assert main_obs(["audit", str(bad)]) == 1
+        assert main(["obs", "audit", str(bad)]) == 1
         assert "SLO FAIL" in capsys.readouterr().out
 
     def test_audit_writes_report_file(self, tmp_path, capsys):
-        from repro.cli import main_obs
+        from repro.cli import main
 
         run = self._write_run(tmp_path)
         out = tmp_path / "audit.json"
-        main_obs(["audit", str(run), "--output", str(out), "--json"])
+        main(["obs", "audit", str(run), "--output", str(out), "--json"])
         report = json.loads(out.read_text())
         assert report["power"]["samples"] == 1
         printed = json.loads(capsys.readouterr().out)
         assert printed["slo"]["passed"] is True
 
     def test_profile_and_summarize_run(self, tmp_path, capsys):
-        from repro.cli import main_obs
+        from repro.cli import main
 
         run = self._write_run(tmp_path)
-        assert main_obs(["summarize", str(run)]) == 0
-        assert main_obs(["profile", str(run)]) == 0
+        assert main(["obs", "summarize", str(run)]) == 0
+        assert main(["obs", "profile", str(run)]) == 0
         out = capsys.readouterr().out
         assert "was telemetry enabled" in out  # no phase spans in this file
 
     def test_watch_once_empty_file_fails(self, tmp_path):
-        from repro.cli import main_obs
+        from repro.cli import main
 
         empty = tmp_path / "missing.jsonl"
-        assert main_obs(["watch", str(empty), "--once"]) == 1
+        assert main(["obs", "watch", str(empty), "--once"]) == 1
         run = self._write_run(tmp_path)
-        assert main_obs(["watch", str(run), "--once"]) == 0
+        assert main(["obs", "watch", str(run), "--once"]) == 0

@@ -212,64 +212,73 @@ class TestBuildAndRun:
 
 class TestCli:
     def test_list(self, capsys):
-        from repro.cli import main_scenario
+        from repro.cli import main
 
-        assert main_scenario(["list"]) == 0
+        assert main(["sim", "--list"]) == 0
         out = capsys.readouterr().out
         for name in builtin_registry().names():
             assert name in out
 
-    def test_list_json_parses(self, capsys):
-        from repro.cli import main_scenario
+    def test_show_round_trips_every_builtin(self, capsys):
+        from repro.cli import main
 
-        assert main_scenario(["list", "--json"]) == 0
-        docs = json.loads(capsys.readouterr().out)
-        assert {d["name"] for d in docs} == set(builtin_registry().names())
+        for spec in builtin_registry():
+            assert main(["sim", "--scenario", spec.name, "--show"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc == spec.to_dict()
+            assert ScenarioSpec.from_dict(doc).to_dict() == doc
 
     def test_validate_builtin(self, capsys):
-        from repro.cli import main_scenario
+        from repro.cli import main
 
-        assert main_scenario(["validate", "testbed-faulted"]) == 0
-        assert "OK" in capsys.readouterr().out
+        assert main(["sim", "--scenario", "testbed-faulted", "--show"]) == 0
+        assert json.loads(capsys.readouterr().out)["name"] == "testbed-faulted"
 
     def test_show_prints_resolved_spec(self, capsys):
-        from repro.cli import main_scenario
+        from repro.cli import main
 
-        assert main_scenario(["show", "testbed-small"]) == 0
+        assert main(["sim", "--scenario", "testbed-small", "--show"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc == builtin_registry().get("testbed-small").to_dict()
+        # --set and --faults apply before the spec is shown
+        assert main(["sim", "--scenario", "testbed-small", "--show",
+                     "--set", "params.duration_s=60"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["duration_s"] == 60
 
     def test_show_output_is_runnable_spec_file(self, tmp_path, capsys):
-        # show -> save -> validate -> run: the printed document is the
-        # same spec-file format repro-sim --scenario accepts.
-        from repro.cli import main_scenario, main_sim
+        # show -> save -> show -> run: the printed document is the
+        # same spec-file format repro sim --scenario accepts.
+        from repro.cli import main
 
-        assert main_scenario(["show", "testbed-small"]) == 0
+        assert main(["sim", "--scenario", "testbed-small", "--show"]) == 0
         path = tmp_path / "spec.json"
         path.write_text(capsys.readouterr().out, encoding="utf-8")
-        assert main_scenario(["validate", str(path)]) == 0
-        assert main_sim(["--scenario", str(path)]) == 0
+        assert main(["sim", "--scenario", str(path), "--show"]) == 0
+        assert main(["sim", "--scenario", str(path)]) == 0
 
     def test_validate_bad_spec_file(self, tmp_path, capsys):
-        from repro.cli import main_scenario
+        from repro.cli import main
 
         path = tmp_path / "bad.json"
         path.write_text(
             json.dumps({
                 "name": "bad", "description": "", "harness": "testbed",
-                "params": {"bogus_knob": 1},
+                "params": {"bogus_knob": 1}, "trace": {"n_servers": 3},
             }),
             encoding="utf-8",
         )
-        assert main_scenario(["validate", str(path)]) == 1
-        assert "bogus_knob" in capsys.readouterr().err
+        assert main(["sim", "--scenario", str(path), "--show"]) == 1
+        out, err = capsys.readouterr()
+        # every problem, under one prefix
+        assert out == "" and "bogus_knob" in err and "trace:" in err
+        assert err.count("repro sim:") == 1
 
     def test_validate_unknown_name(self, capsys):
-        from repro.cli import main_scenario
+        from repro.cli import main
 
-        with pytest.raises(SystemExit):
-            main_scenario(["validate", "no-such-scenario"])
-        assert "known:" in capsys.readouterr().err
+        assert main(["sim", "--scenario", "no-such-scenario", "--show"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro sim: unknown scenario") and "known:" in err
 
     @pytest.mark.parametrize(
         "scenario, k",
@@ -280,23 +289,23 @@ class TestCli:
                                                          capsys):
         # largescale-faulted checkpoints inside its crash, throttle and
         # migration-failure windows; sharded-small runs on a worker pool.
-        from repro.cli import main_sim
+        from repro.cli import main
 
         ck = tmp_path / "ck.json"
         prefix, suffix, full = (
             tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "full.jsonl"
         )
-        assert main_sim([
-            "--scenario", scenario,
+        assert main([
+            "sim", "--scenario", scenario,
             "--checkpoint", str(ck), "--checkpoint-at", k,
             "--trace-jsonl", str(prefix),
         ]) == 0
-        assert main_sim([
-            "--scenario", scenario,
+        assert main([
+            "sim", "--scenario", scenario,
             "--resume", str(ck), "--trace-jsonl", str(suffix),
         ]) == 0
-        assert main_sim([
-            "--scenario", scenario, "--trace-jsonl", str(full),
+        assert main([
+            "sim", "--scenario", scenario, "--trace-jsonl", str(full),
         ]) == 0
         capsys.readouterr()
 
@@ -311,20 +320,20 @@ class TestCli:
         )
 
     def test_sim_rejects_mismatched_resume(self, tmp_path, capsys):
-        from repro.cli import main_sim
+        from repro.cli import main
 
         ck = tmp_path / "ck.json"
-        assert main_sim([
-            "--scenario", "testbed-faulted",
+        assert main([
+            "sim", "--scenario", "testbed-faulted",
             "--checkpoint", str(ck), "--checkpoint-at", "3",
         ]) == 0
         # Resuming a different scenario from this checkpoint must fail
         # (testbed-small lacks the fault schedule the checkpoint carries).
-        assert main_sim(["--scenario", "testbed-small", "--resume", str(ck)]) == 1
+        assert main(["sim", "--scenario", "testbed-small", "--resume", str(ck)]) == 1
         assert "cannot resume" in capsys.readouterr().err
         # ... and so must a checkpoint file that is not there.
         missing = str(tmp_path / "missing.json")
-        assert main_sim(["--scenario", "testbed-small", "--resume", missing]) == 1
+        assert main(["sim", "--scenario", "testbed-small", "--resume", missing]) == 1
         assert "cannot resume" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -345,15 +354,15 @@ class TestCli:
                                                          capsys):
         # A checkpoint section the resumed config has no place for would
         # be dropped silently; one the config needs cannot be restored.
-        from repro.cli import main_sim
+        from repro.cli import main
 
         def args(scenario, *overrides):
             return ["--scenario", scenario] + [a for o in overrides for a in ("--set", o)]
 
         ck = tmp_path / "ck.json"
-        assert main_sim(args(*saved) + ["--checkpoint", str(ck), "--checkpoint-at", "3"]) == 0
+        assert main(["sim", *args(*saved), "--checkpoint", str(ck), "--checkpoint-at", "3"]) == 0
         capsys.readouterr()
-        assert main_sim(args(*resumed) + ["--resume", str(ck)]) == 1
+        assert main(["sim", *args(*resumed), "--resume", str(ck)]) == 1
         out, err = capsys.readouterr()
         assert "cannot resume" in err and "Traceback" not in err
         assert out == ""
@@ -372,10 +381,10 @@ class TestCli:
     ):
         # Each is a field of a replay-verification snapshot, one at each
         # level: the large-scale plant, the sharded parent, a pod.
-        from repro.cli import main_sim
+        from repro.cli import main
 
         ck = tmp_path / "ck.json"
-        assert main_sim(["--scenario", scenario,
+        assert main(["sim", "--scenario", scenario,
                          "--checkpoint", str(ck), "--checkpoint-at", "3"]) == 0
         capsys.readouterr()
         doc = json.loads(ck.read_text(encoding="utf-8"))
@@ -384,7 +393,7 @@ class TestCli:
             parent = parent[key]
         del parent[path[-1]]
         ck.write_text(json.dumps(doc), encoding="utf-8")
-        assert main_sim(["--scenario", scenario, "--resume", str(ck)]) == 1
+        assert main(["sim", "--scenario", scenario, "--resume", str(ck)]) == 1
         out, err = capsys.readouterr()
         assert "cannot resume" in err and path[-1] in err
         assert "Traceback" not in err and out == ""
@@ -402,10 +411,10 @@ class TestCli:
     def test_sim_refuses_resume_from_a_checkpoint_with_a_malformed_value(
         self, path, value, tmp_path, capsys
     ):
-        from repro.cli import main_sim
+        from repro.cli import main
 
         ck = tmp_path / "ck.json"
-        assert main_sim(["--scenario", "largescale-small",
+        assert main(["sim", "--scenario", "largescale-small",
                          "--checkpoint", str(ck), "--checkpoint-at", "3"]) == 0
         capsys.readouterr()
         doc = json.loads(ck.read_text(encoding="utf-8"))
@@ -414,44 +423,44 @@ class TestCli:
             parent = parent[key]
         parent[path[-1]] = value
         ck.write_text(json.dumps(doc), encoding="utf-8")
-        assert main_sim(["--scenario", "largescale-small", "--resume", str(ck)]) == 1
+        assert main(["sim", "--scenario", "largescale-small", "--resume", str(ck)]) == 1
         out, err = capsys.readouterr()
         assert "cannot resume" in err and "Traceback" not in err and out == ""
 
     @pytest.mark.parametrize("k", ["-3", "0", "12", "9999"])
     def test_sim_rejects_checkpoint_at_outside_the_run(self, k, tmp_path, capsys):
         # testbed-small runs 12 periods: only 1..11 are mid-run.
-        from repro.cli import main_sim
+        from repro.cli import main
 
         ck = tmp_path / "ck.json"
-        assert main_sim([
-            "--scenario", "testbed-small",
+        assert main([
+            "sim", "--scenario", "testbed-small",
             "--checkpoint", str(ck), "--checkpoint-at", k,
         ]) == 1
         out, err = capsys.readouterr()
         assert out == "" and not ck.exists()
-        assert err.startswith("repro-sim: --checkpoint-at ")
-        assert err.count("repro-sim:") == 1 and "12 periods" in err
+        assert err.startswith("repro sim: --checkpoint-at ")
+        assert err.count("repro sim:") == 1 and "12 periods" in err
 
     @pytest.mark.parametrize("name", ["largescale-small", "sharded-small"])
     def test_sim_control_mode_is_testbed_only(self, name, capsys):
         # control_mode is a TestbedConfig field: on the other harnesses
         # the generic unknown-param validation rejects the override.
-        from repro.cli import main_sim
+        from repro.cli import main
 
-        assert main_sim(
-            ["--scenario", name, "--set", "params.control_mode=fleet"]
+        assert main(
+            ["sim", "--scenario", name, "--set", "params.control_mode=fleet"]
         ) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("repro-sim: ") and err.count("repro-sim:") == 1
+        assert err.startswith("repro sim: ") and err.count("repro sim:") == 1
         assert "control_mode" in err and "Traceback" not in err
 
     def test_sim_set_overrides_the_spec(self, capsys):
-        from repro.cli import main_sim
+        from repro.cli import main
 
-        assert main_sim([
-            "--scenario", "testbed-small",
+        assert main([
+            "sim", "--scenario", "testbed-small",
             "--set", "params.control_mode=fleet",
             "--set", "params.duration_s=60",
         ]) == 0
@@ -459,16 +468,16 @@ class TestCli:
 
     @pytest.mark.parametrize("pair", ["params.bogus.deep=1", "no-equals-sign"])
     def test_sim_set_typo_exits_1_without_traceback(self, pair, capsys):
-        from repro.cli import main_sim
+        from repro.cli import main
 
-        assert main_sim(["--scenario", "testbed-small", "--set", pair]) == 1
+        assert main(["sim", "--scenario", "testbed-small", "--set", pair]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("repro-sim: ") and "Traceback" not in err
+        assert err.startswith("repro sim: ") and "Traceback" not in err
         assert ("does not exist in the base spec" in err) or ("PATH=VALUE" in err)
 
     def test_sim_faults_file_equals_builtin_faulted_scenario(self, tmp_path):
-        from repro.cli import main_sim
+        from repro.cli import main
         from repro.service.runner import eventlog_hash
 
         faults = tmp_path / "faults.json"
@@ -477,29 +486,30 @@ class TestCli:
             encoding="utf-8",
         )
         via_flag, builtin = tmp_path / "flag.jsonl", tmp_path / "builtin.jsonl"
-        assert main_sim([
-            "--scenario", "testbed-small", "--faults", str(faults),
+        assert main([
+            "sim", "--scenario", "testbed-small", "--faults", str(faults),
             "--trace-jsonl", str(via_flag), "--quiet",
         ]) == 0
-        assert main_sim([
-            "--scenario", "testbed-faulted",
+        assert main([
+            "sim", "--scenario", "testbed-faulted",
             "--trace-jsonl", str(builtin), "--quiet",
         ]) == 0
         assert eventlog_hash(via_flag) == eventlog_hash(builtin)
 
     def test_sim_bad_faults_file_exits_1(self, tmp_path, capsys):
-        from repro.cli import main_sim
+        from repro.cli import main
 
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"events": [{"kind": "meteor"}]}), encoding="utf-8")
-        assert main_sim(
-            ["--scenario", "testbed-small", "--faults", str(bad)]
+        assert main(
+            ["sim", "--scenario", "testbed-small", "--faults", str(bad)]
         ) == 1
         assert "faults:" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main_sim(["--scenario", "testbed-small", "--faults",
-                      str(tmp_path / "missing.json")])
-        assert "cannot read fault spec" in capsys.readouterr().err
+        missing = str(tmp_path / "missing.json")
+        assert main(["sim", "--scenario", "testbed-small", "--faults", missing]) == 1
+        assert capsys.readouterr().err == (
+            f"repro sim: cannot read {missing}: No such file or directory\n"
+        )
 
     @pytest.mark.parametrize("args", [
         [], ["--checkpoint-at", "2"],
@@ -510,13 +520,13 @@ class TestCli:
         # Disarm the __del__ safety net: the session must close the pool.
         import multiprocessing
 
-        from repro.cli import main_sim
+        from repro.cli import main
         from repro.engine.sharded_backend import ShardedBackend
 
         monkeypatch.setattr(ShardedBackend, "__del__", lambda self: None)
         if args:
             args = args + ["--checkpoint", str(tmp_path / "ck.json")]
-        assert main_sim(["--scenario", "sharded-small", *args]) == 0
+        assert main(["sim", "--scenario", "sharded-small", *args]) == 0
         out = capsys.readouterr().out
         assert ("2 pods on 2 workers" in out) != bool(args)
         assert multiprocessing.active_children() == []
@@ -526,7 +536,7 @@ class TestCli:
     ):
         import multiprocessing
 
-        from repro.cli import main_sim
+        from repro.cli import main
         from repro.engine.kernel import ControlPlane
         from repro.engine.sharded_backend import ShardedBackend
 
@@ -540,8 +550,104 @@ class TestCli:
 
         monkeypatch.setattr(ControlPlane, "step", failing_step)
         with pytest.raises(RuntimeError, match="boom"):
-            main_sim(["--scenario", "sharded-small"])
+            main(["sim", "--scenario", "sharded-small"])
         assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="module")
+def service(tmp_path_factory):
+    from repro.service.api import ControlPlaneService, ServiceConfig
+
+    tmp = tmp_path_factory.mktemp("service")
+    svc = ControlPlaneService(ServiceConfig(
+        db_path=str(tmp / "svc.db"), data_dir=str(tmp / "data"), port=0,
+    ))
+    yield svc  # never started: resolve_spec needs only the registry
+    svc.httpd.server_close()
+    svc.store.close()
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("value", [[1], "x"], ids=["list", "string"])
+    @pytest.mark.parametrize("section", ["params", "model", "workloads", "trace", "faults"])
+    def test_a_section_of_the_wrong_type_is_refused_everywhere(
+        self, section, value, service, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.service.api import ApiError
+
+        doc = builtin_registry().get("testbed-small").to_dict()
+        doc[section] = value
+        with pytest.raises(ScenarioError, match=section):
+            resolve_scenario(doc)
+        with pytest.raises(ApiError, match=section) as refused:
+            service.resolve_spec({"spec": doc})
+        assert refused.value.status == 400
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["sim", "--scenario", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"repro sim: {section} must be an object")
+        assert "Traceback" not in err
+
+    def test_a_spec_file_that_is_not_an_object_is_refused(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "spec.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        with pytest.raises(ScenarioError, match="must be an object"):
+            resolve_scenario([1, 2])
+        assert main(["sim", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "repro sim: scenario document must be an object, got list\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["sim", "--scenario", "testbed-small", "--trace-jsonl", "{out}"],
+        ["sim", "--scenario", "testbed-small", "--checkpoint", "{out}",
+         "--checkpoint-at", "3"],
+        ["trace", "{out}", "--servers", "3", "--days", "1"],
+        ["faults", "generate", "{out}"],
+        ["obs", "audit", "{run}", "--output", "{out}"],
+    ], ids=["trace-jsonl", "checkpoint", "trace", "faults-generate", "obs-audit-output"])
+    def test_an_unwritable_output_is_one_line_before_any_work(self, argv, tmp_path, capsys):
+        from repro.cli import main
+
+        run = tmp_path / "run.jsonl"
+        run.write_text("{}\n", encoding="utf-8")
+        out_path = str(tmp_path / "missing" / "out")
+        argv = [a.format(out=out_path, run=run) for a in argv]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"repro {argv[0]}: cannot write {out_path}: No such file or directory\n"
+        )
+
+    def test_an_os_error_without_a_file_is_not_swallowed(self, monkeypatch):
+        import repro.cli
+
+        def broken():
+            raise BrokenPipeError("stdout went away")
+
+        monkeypatch.setattr(repro.cli, "_sim_list", broken)
+        with pytest.raises(BrokenPipeError):
+            repro.cli.main(["sim", "--list"])
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["sim"], ["trace"], ["faults"], ["faults", "validate"], ["faults", "generate"],
+    ["obs"], ["obs", "summarize"], ["obs", "profile"], ["obs", "audit"], ["obs", "watch"],
+    ["serve"], ["serve", "start"], ["serve", "submit"], ["serve", "status"],
+    ["serve", "results"], ["serve", "sweep"],
+], ids=lambda argv: " ".join(["repro", *argv]))
+def test_every_command_has_help(argv, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as done:
+        main([*argv, "--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: {' '.join(['repro', *argv])}")
 
 
 class TestPaperRigs:

@@ -1,4 +1,4 @@
-"""repro-serve end-to-end: a real server process driven by the client CLI."""
+"""repro serve end-to-end: a real server process driven by the client actions."""
 
 import json
 import os
@@ -14,7 +14,7 @@ _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _serve_cmd(tmp_path):
     return [
-        sys.executable, "-m", "repro.service.cli", "serve",
+        sys.executable, "-m", "repro.cli", "serve", "start",
         "--db", str(tmp_path / "svc.db"),
         "--data-dir", str(tmp_path / "data"),
         "--port", "0",
@@ -25,7 +25,7 @@ def _serve_cmd(tmp_path):
 
 def _client(url, *argv):
     return subprocess.run(
-        [sys.executable, "-m", "repro.service.cli", *argv, "--url", url],
+        [sys.executable, "-m", "repro.cli", "serve", *argv, "--url", url],
         env=_ENV, cwd=_REPO, capture_output=True, text=True, timeout=120,
     )
 
@@ -36,7 +36,7 @@ def server(tmp_path):
         _serve_cmd(tmp_path), env=_ENV, cwd=_REPO,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-    banner = proc.stdout.readline()  # "repro-serve: listening on http://..."
+    banner = proc.stdout.readline()  # "repro serve: listening on http://..."
     assert "listening on http://" in banner, banner
     url = banner.split("listening on ")[1].split()[0]
     yield proc, url
@@ -100,4 +100,5 @@ class TestServeCli:
     def test_client_without_server_fails_helpfully(self):
         res = _client("http://127.0.0.1:9", "status")
         assert res.returncode == 1
-        assert "cannot reach" in res.stderr
+        assert res.stderr.startswith("repro serve: cannot reach")
+        assert "Traceback" not in res.stderr

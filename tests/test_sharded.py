@@ -182,7 +182,7 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_build_before_telemetry_scope_still_traces_pods(self, workers):
-        # The repro-sim CLI builds the engine first and enters its
+        # The repro sim CLI builds the engine first and enters its
         # telemetry scope afterwards; pod telemetry state must be
         # captured lazily at first pod build, not at backend __init__.
         engine, backend = build_sharded_engine(
@@ -237,7 +237,7 @@ class TestCheckpointResume:
             finally:
                 backend.close()
 
-        # Built before its telemetry scope is entered, as repro-sim does:
+        # Built before its telemetry scope is entered, as repro sim does:
         # the pods are first built during the muted replay and must
         # still trace the resumed suffix.
         fresh_engine, fresh_backend = build_sharded_engine(trace, scfg)

@@ -42,11 +42,18 @@ from repro.engine.scenario import (
     scenario_source,
 )
 from repro.obs import (
+    AuditConfig,
     JsonlBackend,
+    RunLog,
     Telemetry,
+    audit_run,
+    profile_run,
+    render_audit,
+    render_profile,
     render_summary,
-    summarize_jsonl,
+    summarize_run,
     use_telemetry,
+    watch,
 )
 from repro.service import cli as serve_cli
 from repro.traces.generator import TraceConfig, generate_trace
@@ -101,45 +108,36 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 # -- repro obs -----------------------------------------------------------
 
 
-def _obs_report(args: argparse.Namespace, reduce, render) -> dict:
-    """Reduce ``args.path`` to a report and print it as tables or JSON."""
-    try:
-        report = reduce(args.path)
-    except ValueError as exc:  # a malformed file or an out-of-range option
-        raise CliError(str(exc)) from None
+def _obs_report(args: argparse.Namespace, report, render) -> dict:
+    """Fold ``args.path`` into a report and print it as tables or JSON."""
+    out = report(RunLog.read(args.path))
     if args.json:
-        print(json.dumps(report, indent=2, default=str))
+        print(json.dumps(out, indent=2, default=str))
     else:
-        print(render(report, title=args.path))
-    return report
+        print(render(out, title=args.path))
+    return out
 
 
 def _obs_summarize(args: argparse.Namespace) -> int:
-    def render(summary: dict, title: str) -> str:
-        text = render_summary(summary, title=title)
-        if summary.get("n_malformed"):
-            text += f"\n\n({summary['n_malformed']} malformed lines skipped)"
-        return text
-
-    _obs_report(args, summarize_jsonl, render)
+    _obs_report(args, summarize_run, render_summary)
     return 0
 
 
 def _obs_profile(args: argparse.Namespace) -> int:
-    from repro.obs import profile_jsonl, render_profile
-
-    _obs_report(args, profile_jsonl, render_profile)
+    _obs_report(args, profile_run, render_profile)
     return 0
 
 
 def _obs_audit(args: argparse.Namespace) -> int:
-    from repro.obs import AuditConfig, audit_jsonl, render_audit
-
-    report = _obs_report(args, lambda path: audit_jsonl(path, AuditConfig(
-        baseline_power_w=args.baseline_w,
-        baseline_rule=args.baseline_rule,
-        violation_budget=args.violation_budget,
-    )), render_audit)
+    try:
+        config = AuditConfig(
+            baseline_power_w=args.baseline_w,
+            baseline_rule=args.baseline_rule,
+            violation_budget=args.violation_budget,
+        )
+    except ValueError as exc:  # an out-of-range option
+        raise CliError(str(exc)) from None
+    report = _obs_report(args, lambda log: audit_run(log, config), render_audit)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, default=str)
@@ -148,16 +146,17 @@ def _obs_audit(args: argparse.Namespace) -> int:
 
 
 def _obs_watch(args: argparse.Namespace) -> int:
-    from repro.obs import watch
-
-    dash = watch(
-        args.path,
-        interval_s=args.interval,
-        once=args.once,
-        max_updates=args.max_updates,
-        prom_path=args.prom,
-    )
-    if dash.n_records == 0:
+    try:
+        log = watch(
+            args.path,
+            interval_s=args.interval,
+            once=args.once,
+            max_updates=args.max_updates,
+            prom_path=args.prom,
+        )
+    except ValueError as exc:  # an out-of-range option, refused up front
+        raise CliError(str(exc)) from None
+    if log.n_records == 0:
         raise CliError(f"no records read from {args.path}")
     return 0
 

@@ -26,6 +26,8 @@ Telemetry is **off by default**: the process-wide instance wraps
 
 then inspect the file with ``repro obs summarize run.jsonl`` (or
 ``profile`` / ``audit`` / ``watch`` — see ``docs/OBSERVABILITY.md``).
+Each of those reports is a function of one :class:`RunLog`, the run's
+event log folded record by record (:mod:`repro.obs.runlog`).
 
 Request-path tracing and energy attribution (:mod:`repro.obs.reqtrace`,
 :mod:`repro.obs.attribution`) turn the same event log into
@@ -35,13 +37,7 @@ savings over a finished (or still-growing) run file.
 """
 
 from repro.obs.attribution import EnergyAttributor
-from repro.obs.audit import (
-    AuditConfig,
-    AuditPipeline,
-    audit_events,
-    audit_jsonl,
-    render_audit,
-)
+from repro.obs.audit import AuditConfig, audit_run, render_audit
 from repro.obs.backends import (
     InMemoryBackend,
     JsonlBackend,
@@ -58,16 +54,12 @@ from repro.obs.metrics import (
     MetricsRegistry,
     prom_escape_label,
     prom_line,
+    prom_text,
 )
-from repro.obs.profile import profile_events, profile_jsonl, render_profile
+from repro.obs.profile import profile_run, render_profile
 from repro.obs.reqtrace import RequestTrace, RequestTracer, TierVisit
-from repro.obs.summarize import (
-    read_jsonl,
-    read_jsonl_lenient,
-    render_summary,
-    summarize_events,
-    summarize_jsonl,
-)
+from repro.obs.runlog import JsonlFollower, RunLog, read_jsonl_lenient
+from repro.obs.summarize import render_summary, summarize_run
 from repro.obs.telemetry import (
     Telemetry,
     get_telemetry,
@@ -75,7 +67,7 @@ from repro.obs.telemetry import (
     use_telemetry,
 )
 from repro.obs.trace import NOOP_SPAN, NoopSpan, Span, Tracer
-from repro.obs.watch import JsonlFollower, LiveDashboard, watch
+from repro.obs.watch import render_watch, watch, watch_prometheus, watch_view
 
 __all__ = [
     "Counter",
@@ -97,26 +89,25 @@ __all__ = [
     "get_telemetry",
     "set_telemetry",
     "use_telemetry",
-    "read_jsonl",
-    "read_jsonl_lenient",
-    "summarize_events",
-    "summarize_jsonl",
-    "render_summary",
     "prom_escape_label",
     "prom_line",
+    "prom_text",
     "TierVisit",
     "RequestTrace",
     "RequestTracer",
     "EnergyAttributor",
-    "AuditConfig",
-    "AuditPipeline",
-    "audit_events",
-    "audit_jsonl",
-    "render_audit",
-    "profile_events",
-    "profile_jsonl",
-    "render_profile",
-    "LiveDashboard",
     "JsonlFollower",
+    "read_jsonl_lenient",
+    "RunLog",
+    "summarize_run",
+    "render_summary",
+    "profile_run",
+    "render_profile",
+    "AuditConfig",
+    "audit_run",
+    "render_audit",
+    "watch_view",
+    "render_watch",
+    "watch_prometheus",
     "watch",
 ]

@@ -31,6 +31,7 @@ __all__ = [
     "MetricsRegistry",
     "prom_escape_label",
     "prom_line",
+    "prom_text",
 ]
 
 
@@ -300,6 +301,21 @@ def prom_line(name: str, labels: Optional[Mapping[str, object]], value: float) -
     return f"{pname} {value:g}"
 
 
+#: One metric family: ``(name, type, samples)``; a sample is
+#: ``(suffix, labels, value)``, rendered as metric ``name + suffix``.
+PromFamily = Tuple[str, str, Iterable[Tuple[str, Optional[Mapping[str, object]], float]]]
+
+
+def prom_text(families: Iterable[PromFamily]) -> str:
+    """Prometheus text exposition: per family a ``# TYPE`` line, then its samples."""
+    lines: List[str] = []
+    for name, kind, samples in families:
+        lines.append(f"# TYPE {_prom_name(name)} {kind}")
+        lines += [prom_line(name + suffix, labels, value)
+                  for suffix, labels, value in samples]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 class MetricsRegistry:
     """Create-on-demand registry of named counters, gauges, histograms.
 
@@ -399,26 +415,24 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         """Prometheus text-exposition dump of every metric."""
-        lines: List[str] = []
-        for name, c in sorted(self._counters.items()):
-            pname = _prom_name(name)
-            lines.append(f"# TYPE {pname} counter")
-            lines.append(f"{pname} {c.value:g}")
-        for name, g in sorted(self._gauges.items()):
-            pname = _prom_name(name)
-            lines.append(f"# TYPE {pname} gauge")
-            lines.append(f"{pname} {g.value:g}")
+        families: List[PromFamily] = [
+            (name, "counter", [("", None, c.value)])
+            for name, c in sorted(self._counters.items())
+        ]
+        families += [
+            (name, "gauge", [("", None, g.value)])
+            for name, g in sorted(self._gauges.items())
+        ]
         for name, h in sorted(self._histograms.items()):
-            pname = _prom_name(name)
             if h.buckets is not None:
-                lines.append(f"# TYPE {pname} histogram")
-                for bound, cum in h.cumulative_buckets():
-                    lines.append(f'{pname}_bucket{{le="{bound:g}"}} {cum:g}')
-                lines.append(f'{pname}_bucket{{le="+Inf"}} {h.count:g}')
+                kind = "histogram"
+                samples = [("_bucket", {"le": f"{bound:g}"}, cum)
+                           for bound, cum in h.cumulative_buckets()]
+                samples.append(("_bucket", {"le": "+Inf"}, h.count))
             else:
-                lines.append(f"# TYPE {pname} summary")
-                for q in (0.5, 0.9, 0.99):
-                    lines.append(f'{pname}{{quantile="{q:g}"}} {h.quantile(q):g}')
-            lines.append(f"{pname}_sum {h.sum:g}")
-            lines.append(f"{pname}_count {h.count:g}")
-        return "\n".join(lines) + ("\n" if lines else "")
+                kind = "summary"
+                samples = [("", {"quantile": f"{q:g}"}, h.quantile(q))
+                           for q in (0.5, 0.9, 0.99)]
+            samples += [("_sum", None, h.sum), ("_count", None, h.count)]
+            families.append((name, kind, samples))
+        return prom_text(families)

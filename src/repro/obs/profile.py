@@ -18,69 +18,36 @@ columns remain sampled estimates, marked as such in the report).
 from __future__ import annotations
 
 import math
-from pathlib import Path
-from typing import Dict, List, Union
 
-from repro.obs.summarize import read_jsonl_lenient
+from repro.obs.runlog import RunLog, SpanTally, malformed_note
 from repro.util.tables import format_table
 
-__all__ = ["profile_events", "profile_jsonl", "render_profile"]
+__all__ = ["profile_run", "render_profile"]
 
-_PREFIX = "phase."
+_HIST_PREFIX = "span.phase."
 
 
-def profile_events(records: List[dict]) -> dict:
-    """Reduce telemetry records to a per-phase kernel profile dict."""
-    phases: Dict[str, dict] = {}
-    per_pod: Dict[int, dict] = {}
-    fleet_spans = 0
-    metrics = None
-    for rec in records:
-        kind = rec.get("kind")
-        if kind == "span":
-            name = str(rec.get("name", ""))
-            if name == "manager.fleet_control":
-                fleet_spans += 1
-            if not name.startswith(_PREFIX):
-                continue
-            phase = name[len(_PREFIX):]
-            entry = phases.setdefault(phase, {
-                "sampled_records": 0,
-                "count": 0,
-                "wall_s": 0.0,
-                "max_ms": 0.0,
-                "cpu_s": 0.0,
-                "alloc_blocks": 0,
-                "exact": False,
-            })
-            dur = float(rec.get("duration_s", 0.0))
-            entry["sampled_records"] += 1
-            entry["count"] += 1
-            entry["wall_s"] += dur
-            entry["max_ms"] = max(entry["max_ms"], dur * 1000.0)
-            entry["cpu_s"] += float(rec.get("cpu_s", 0.0))
-            entry["alloc_blocks"] += int(rec.get("alloc_blocks", 0))
-            # Spans re-emitted by the sharded backend carry the pod that
-            # produced them; aggregate a per-pod view alongside.
-            if "pod" in rec:
-                pod = per_pod.setdefault(int(rec["pod"]), {
-                    "spans": 0, "wall_s": 0.0, "cpu_s": 0.0,
-                })
-                pod["spans"] += 1
-                pod["wall_s"] += dur
-                pod["cpu_s"] += float(rec.get("cpu_s", 0.0))
-        elif kind == "metrics":
-            metrics = rec.get("metrics")
+def _row(tally: SpanTally) -> dict:
+    return {
+        "sampled_records": tally.count,
+        "count": tally.count,
+        "wall_s": tally.total_s,
+        "max_ms": tally.max_s * 1000.0,
+        "cpu_s": tally.cpu_s,
+        "alloc_blocks": tally.alloc_blocks,
+        "exact": False,
+    }
 
+
+def profile_run(log: RunLog) -> dict:
+    """Reduce a folded run log to a per-phase kernel profile dict."""
+    phases = {phase: _row(tally) for phase, tally in log.phases.items()}
     # Histograms saw every span; prefer their exact wall-time figures.
-    for hname, hsum in ((metrics or {}).get("histograms") or {}).items():
-        if not hname.startswith("span." + _PREFIX):
+    metrics = log.metrics or {}
+    for hname, hsum in (metrics.get("histograms") or {}).items():
+        if not hname.startswith(_HIST_PREFIX):
             continue
-        phase = hname[len("span." + _PREFIX):]
-        entry = phases.setdefault(phase, {
-            "sampled_records": 0, "count": 0, "wall_s": 0.0, "max_ms": 0.0,
-            "cpu_s": 0.0, "alloc_blocks": 0, "exact": False,
-        })
+        entry = phases.setdefault(hname[len(_HIST_PREFIX):], _row(SpanTally()))
         entry["count"] = int(hsum.get("count", entry["count"]))
         entry["wall_s"] = float(hsum.get("sum", entry["wall_s"]))
         hmax = hsum.get("max")
@@ -102,44 +69,43 @@ def profile_events(records: List[dict]) -> dict:
     # the fleet size is one stacked solve per period; a mean near 1 is
     # scalar work with extra bookkeeping.
     fleet = None
-    msnap = metrics or {}
-    groups = float((msnap.get("counters") or {}).get(
+    groups = float((metrics.get("counters") or {}).get(
         "controller.batch_groups", 0.0
     ))
-    size_hist = (msnap.get("histograms") or {}).get("controller.batch_size")
+    size_hist = (metrics.get("histograms") or {}).get("controller.batch_size")
     if groups or size_hist:
+        fleet_spans = log.spans.get("manager.fleet_control")
         fleet = {
             "batch_groups": groups,
-            "spans": fleet_spans,
+            "spans": fleet_spans.count if fleet_spans else 0,
             "group_size": size_hist or {},
         }
     return {
         "phases": dict(sorted(phases.items(), key=lambda kv: -kv[1]["wall_s"])),
         "total_wall_s": total_wall,
-        "per_pod": dict(sorted(per_pod.items())),
+        # Spans re-emitted by the sharded backend carry the pod that
+        # produced them: a per-pod view, kept out of the phase rows (the
+        # parent's phase.optimize span already contains the pods' work).
+        "per_pod": {
+            pod: {"spans": t.count, "wall_s": t.total_s, "cpu_s": t.cpu_s}
+            for pod, t in sorted(log.pods.items())
+        },
         "fleet": fleet,
         "sampled": any(
             e["exact"] and e["sampled_records"] < e["count"]
             for e in phases.values()
         ),
+        "n_malformed": log.n_malformed,
     }
-
-
-def profile_jsonl(path: Union[str, Path]) -> dict:
-    """Lenient read + :func:`profile_events`; adds ``n_malformed``."""
-    records, n_malformed = read_jsonl_lenient(path)
-    profile = profile_events(records)
-    profile["n_malformed"] = n_malformed
-    return profile
 
 
 def render_profile(profile: dict, title: str = "kernel phase profile") -> str:
     """Render a profile dict as a plain-text table."""
     phases = profile["phases"]
-    header = f"{title}: {len(phases)} phases, {profile['total_wall_s']:.3f}s total wall"
-    malformed = profile.get("n_malformed", 0)
-    if malformed:
-        header += f" [{malformed} malformed lines skipped]"
+    header = (
+        f"{title}: {len(phases)} phases, {profile['total_wall_s']:.3f}s total wall"
+        + malformed_note(profile)
+    )
     if not phases:
         return header + "\n(no phase.* spans in this run — was telemetry enabled?)"
     rows = [

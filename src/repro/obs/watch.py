@@ -2,13 +2,13 @@
 
 Follows the JSONL file a run is writing (tail -f semantics: only
 complete, newline-terminated lines are consumed; a partially written
-tail stays buffered until the writer finishes it) and maintains a
-:class:`LiveDashboard` — rolling windows of datacenter power, per-app
-response time vs. set point, active server count, and fault state —
-rendered as an ASCII dashboard on every refresh.
+tail waits until the writer finishes it) into a windowed
+:class:`~repro.obs.runlog.RunLog` — rolling windows of datacenter power,
+per-app response time vs. set point, active server count, and fault
+state — rendered as an ASCII dashboard on every refresh.
 
 The dashboard also renders a Prometheus text-exposition snapshot
-(``prometheus_text``), so ``repro obs watch --prom FILE`` keeps a
+(:func:`watch_prometheus`), so ``repro obs watch --prom FILE`` keeps a
 scrape-ready file current while the run progresses; point any file-based
 collector (e.g. node_exporter's textfile collector) at it.
 
@@ -19,197 +19,114 @@ after ``--max-updates`` refreshes, or immediately with ``--once``.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from collections import deque
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
-from repro.obs.metrics import prom_line
+from repro.obs.metrics import prom_text
+from repro.obs.runlog import JsonlFollower, RunLog
 from repro.util.ascii_chart import ascii_series
 
-__all__ = ["LiveDashboard", "JsonlFollower", "watch"]
+__all__ = ["watch_view", "render_watch", "watch_prometheus", "watch"]
 
 
-class JsonlFollower:
-    """Incremental reader over a growing JSONL file.
-
-    ``poll()`` returns the records appended since the last call.  Lines
-    that fail to parse are counted (``n_malformed``) and skipped — the
-    writer may crash mid-line.  The file not existing yet is not an
-    error; the follower waits for it to appear.
-    """
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._offset = 0
-        self._partial = ""
-        self.n_malformed = 0
-
-    def poll(self) -> List[dict]:
-        if not self.path.exists():
-            return []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            fh.seek(self._offset)
-            chunk = fh.read()
-            self._offset = fh.tell()
-        if not chunk:
-            return []
-        data = self._partial + chunk
-        lines = data.split("\n")
-        self._partial = lines.pop()  # "" when data ended with a newline
-        records: List[dict] = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                self.n_malformed += 1
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-            else:
-                self.n_malformed += 1
-        return records
+def _last(values, default):
+    return values[-1] if values else default
 
 
-class LiveDashboard:
-    """Rolling-window view of an instrumented run, fed record by record."""
-
-    def __init__(self, window: int = 240):
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window}")
-        self.window = window
-        self.power_w: deque = deque(maxlen=window)
-        self.active_servers: deque = deque(maxlen=window)
-        self.rt_ratio: deque = deque(maxlen=window)  # worst rt/setpoint
-        self.app_rt_ms: Dict[str, float] = {}
-        self.app_setpoint_ms: Dict[str, float] = {}
-        self.active_faults = 0
-        self.n_faults_injected = 0
-        self.n_traces = 0
-        self.n_records = 0
-        self.harness: Optional[str] = None
-        self.time_s = 0.0
-        self.run_ended = False
-
-    def feed(self, record: dict) -> None:
-        """Consume one telemetry record (unknown kinds are ignored)."""
-        self.n_records += 1
-        kind = record.get("kind")
-        if kind == "run_config":
-            self.harness = record.get("harness", self.harness)
-        elif kind in ("testbed.period", "largescale.step"):
-            self.time_s = float(record.get("time_s", self.time_s))
-            power = record.get("power_w")
-            if power is not None and math.isfinite(float(power)):
-                self.power_w.append(float(power))
-            active = record.get("active_servers")
-            if active is not None:
-                self.active_servers.append(int(active))
-        elif kind == "control_period":
-            worst = 0.0
-            for app_id, data in (record.get("apps") or {}).items():
-                app_id = str(app_id)
-                setpoint = data.get("setpoint_ms")
-                if setpoint is not None:
-                    self.app_setpoint_ms[app_id] = float(setpoint)
-                rt = data.get("rt_ms")
-                if rt is not None and math.isfinite(float(rt)):
-                    self.app_rt_ms[app_id] = float(rt)
-                    ref = self.app_setpoint_ms.get(app_id)
-                    if ref:
-                        worst = max(worst, float(rt) / ref)
-            if worst > 0.0:
-                self.rt_ratio.append(worst)
-        elif kind == "fault_injected":
-            self.active_faults += 1
-            self.n_faults_injected += 1
-        elif kind == "fault_recovered":
-            self.active_faults = max(0, self.active_faults - 1)
-        elif kind == "request_trace":
-            self.n_traces += 1
-        elif kind == "metrics":
-            self.run_ended = True
-
-    def render(self, width: int = 64, height: int = 8) -> str:
-        """The ASCII dashboard for the current window."""
-        slo = "OK" if not self.rt_ratio or self.rt_ratio[-1] <= 1.0 else "VIOLATING"
-        status = "ended" if self.run_ended else "running"
-        parts = [
-            f"run[{self.harness or '?'}] t={self.time_s:.0f}s "
-            f"({status}, {self.n_records} records)  "
-            f"power={self.power_w[-1] if self.power_w else float('nan'):.1f}W  "
-            f"active={self.active_servers[-1] if self.active_servers else 0}  "
-            f"faults={self.active_faults}  traces={self.n_traces}  SLO {slo}"
-        ]
-        if self.power_w:
-            parts.append(ascii_series(
-                list(self.power_w), width=width, height=height,
-                label="datacenter power (W)",
-            ))
-        if self.rt_ratio:
-            parts.append(ascii_series(
-                list(self.rt_ratio), width=width, height=height,
-                label="worst p90 RT / set point (1.0 = at reference)",
-            ))
-        if self.active_servers:
-            parts.append(ascii_series(
-                list(self.active_servers), width=width, height=max(4, height // 2),
-                label="active servers",
-            ))
-        if self.app_rt_ms:
-            rows = []
-            for app_id in sorted(self.app_rt_ms):
-                rt = self.app_rt_ms[app_id]
-                ref = self.app_setpoint_ms.get(app_id)
-                mark = ""
+def watch_view(log: RunLog) -> dict:
+    """The dashboard state of a (windowed) run log."""
+    app_rt_ms: Dict[str, float] = {}
+    app_setpoint_ms: Dict[str, float] = {}
+    worst: Dict[float, float] = {}  # per period: worst rt / set point
+    for app_id, samples in log.apps.items():
+        for time_s, rt_ms, setpoint_ms in samples:
+            if setpoint_ms is not None:
+                app_setpoint_ms[app_id] = setpoint_ms
+            if math.isfinite(rt_ms):
+                app_rt_ms[app_id] = rt_ms
+                ref = app_setpoint_ms.get(app_id)
                 if ref:
-                    mark = " <-- over" if rt > ref else ""
-                rows.append(
-                    f"  {app_id}: {rt:7.1f} ms"
-                    + (f" / {ref:.0f} ms{mark}" if ref else "")
-                )
-            parts.append("latest per-app p90 RT vs set point\n" + "\n".join(rows))
-        return "\n\n".join(parts)
+                    worst[time_s] = max(worst.get(time_s, 0.0), rt_ms / ref)
+    rt_ratio = [ratio for _, ratio in sorted(worst.items()) if ratio > 0.0]
+    steps = log.active_servers or log.power_w
+    return {
+        "harness": log.harness,
+        "time_s": next(reversed(steps), 0.0),
+        "ended": log.ended,
+        "n_records": log.n_records,
+        "power_w": list(log.power_w.values()),
+        "active_servers": list(log.active_servers.values()),
+        "rt_ratio": rt_ratio[-log.window:] if log.window else rt_ratio,
+        "app_rt_ms": app_rt_ms,
+        "app_setpoint_ms": app_setpoint_ms,
+        "active_faults": log.active_faults,
+        "n_traces": sum(log.request_traces.values()),
+    }
 
-    def prometheus_text(self) -> str:
-        """Scrape-ready text-exposition snapshot of the live state."""
-        lines = [
-            "# TYPE repro_watch_records_total counter",
-            prom_line("repro_watch_records_total", {}, float(self.n_records)),
-            "# TYPE repro_watch_power_watts gauge",
-            prom_line(
-                "repro_watch_power_watts", {},
-                float(self.power_w[-1]) if self.power_w else float("nan"),
-            ),
-            "# TYPE repro_watch_active_servers gauge",
-            prom_line(
-                "repro_watch_active_servers", {},
-                float(self.active_servers[-1]) if self.active_servers else 0.0,
-            ),
-            "# TYPE repro_watch_active_faults gauge",
-            prom_line("repro_watch_active_faults", {}, float(self.active_faults)),
-            "# TYPE repro_watch_request_traces_total counter",
-            prom_line("repro_watch_request_traces_total", {}, float(self.n_traces)),
-        ]
-        if self.app_rt_ms:
-            lines.append("# TYPE repro_watch_rt_ms gauge")
-            for app_id in sorted(self.app_rt_ms):
-                lines.append(prom_line(
-                    "repro_watch_rt_ms", {"app": app_id}, self.app_rt_ms[app_id]
-                ))
-        if self.app_setpoint_ms:
-            lines.append("# TYPE repro_watch_setpoint_ms gauge")
-            for app_id in sorted(self.app_setpoint_ms):
-                lines.append(prom_line(
-                    "repro_watch_setpoint_ms", {"app": app_id},
-                    self.app_setpoint_ms[app_id],
-                ))
-        return "\n".join(lines) + "\n"
+
+def render_watch(view: dict, width: int = 64, height: int = 8) -> str:
+    """The ASCII dashboard of a :func:`watch_view`."""
+    power, active, ratio = view["power_w"], view["active_servers"], view["rt_ratio"]
+    slo = "OK" if not ratio or ratio[-1] <= 1.0 else "VIOLATING"
+    status = "ended" if view["ended"] else "running"
+    parts = [
+        f"run[{view['harness'] or '?'}] t={view['time_s']:.0f}s "
+        f"({status}, {view['n_records']} records)  "
+        f"power={_last(power, float('nan')):.1f}W  "
+        f"active={_last(active, 0)}  "
+        f"faults={view['active_faults']}  traces={view['n_traces']}  SLO {slo}"
+    ]
+    if power:
+        parts.append(ascii_series(
+            power, width=width, height=height, label="datacenter power (W)",
+        ))
+    if ratio:
+        parts.append(ascii_series(
+            ratio, width=width, height=height,
+            label="worst p90 RT / set point (1.0 = at reference)",
+        ))
+    if active:
+        parts.append(ascii_series(
+            active, width=width, height=max(4, height // 2),
+            label="active servers",
+        ))
+    if view["app_rt_ms"]:
+        rows = []
+        for app_id in sorted(view["app_rt_ms"]):
+            rt = view["app_rt_ms"][app_id]
+            ref = view["app_setpoint_ms"].get(app_id)
+            mark = ""
+            if ref:
+                mark = " <-- over" if rt > ref else ""
+            rows.append(
+                f"  {app_id}: {rt:7.1f} ms"
+                + (f" / {ref:.0f} ms{mark}" if ref else "")
+            )
+        parts.append("latest per-app p90 RT vs set point\n" + "\n".join(rows))
+    return "\n\n".join(parts)
+
+
+def watch_prometheus(view: dict) -> str:
+    """Scrape-ready text-exposition snapshot of a :func:`watch_view`."""
+    families = [
+        (name, kind, [("", None, float(value))])
+        for name, kind, value in (
+            ("repro_watch_records_total", "counter", view["n_records"]),
+            ("repro_watch_power_watts", "gauge", _last(view["power_w"], float("nan"))),
+            ("repro_watch_active_servers", "gauge", _last(view["active_servers"], 0)),
+            ("repro_watch_active_faults", "gauge", view["active_faults"]),
+            ("repro_watch_request_traces_total", "counter", view["n_traces"]),
+        )
+    ]
+    for name, per_app in (("repro_watch_rt_ms", view["app_rt_ms"]),
+                          ("repro_watch_setpoint_ms", view["app_setpoint_ms"])):
+        if per_app:
+            families.append((name, "gauge", [
+                ("", {"app": app_id}, per_app[app_id]) for app_id in sorted(per_app)
+            ]))
+    return prom_text(families)
 
 
 def watch(
@@ -221,26 +138,30 @@ def watch(
     window: int = 240,
     out: Callable[[str], None] = print,
     sleep: Callable[[float], None] = time.sleep,
-) -> LiveDashboard:
+) -> RunLog:
     """Follow *path* and re-render the dashboard every ``interval_s``.
 
-    Returns the final dashboard state (tests inspect it).  Stops when
-    the run ends (final metrics record), after ``max_updates``
-    refreshes, or after one refresh with ``once=True``.
+    Returns the final (windowed) run log.  Stops when the run ends
+    (final metrics record), after ``max_updates`` refreshes, or after
+    one refresh with ``once=True``.
     """
+    if not (math.isfinite(interval_s) and interval_s >= 0.0):
+        raise ValueError(f"interval must be finite and >= 0, got {interval_s}")
+    if max_updates is not None and max_updates < 1:
+        raise ValueError(f"max_updates must be >= 1, got {max_updates}")
     follower = JsonlFollower(path)
-    dash = LiveDashboard(window=window)
+    log = RunLog(window=window)
     updates = 0
     while True:
-        for record in follower.poll():
-            dash.feed(record)
-        out(dash.render())
+        log.pull(follower)
+        view = watch_view(log)
+        out(render_watch(view))
         if prom_path is not None:
-            Path(prom_path).write_text(dash.prometheus_text(), encoding="utf-8")
+            Path(prom_path).write_text(watch_prometheus(view), encoding="utf-8")
         updates += 1
-        if once or dash.run_ended:
+        if once or log.ended:
             break
         if max_updates is not None and updates >= max_updates:
             break
         sleep(interval_s)
-    return dash
+    return log

@@ -28,9 +28,9 @@ GET    ``/api/sweeps/<id>``            sweep document + per-status counts
 GET    ``/metrics``                    Prometheus text exposition (plain)
 ====== =============================== =====================================
 
-The follow endpoint reuses :class:`repro.obs.watch.JsonlFollower`, so a
+The follow endpoint reuses :class:`repro.obs.runlog.JsonlFollower`, so a
 client sees exactly the complete-line semantics the live dashboard
-does.  ``/metrics`` renders with :func:`repro.obs.metrics.prom_line`.
+does.  ``/metrics`` renders with :func:`repro.obs.metrics.prom_text`.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.engine.scenario import ScenarioError, builtin_registry, resolve_scenario
-from repro.obs.metrics import prom_line
-from repro.obs.watch import JsonlFollower
+from repro.obs.metrics import prom_text
+from repro.obs.runlog import JsonlFollower
 from repro.service.runner import ExperimentRunner, RunnerConfig
 from repro.service.store import ResultsStore, StoreError
 from repro.service.sweep import expand_grid
@@ -201,33 +201,26 @@ class ControlPlaneService:
     def metrics_text(self) -> str:
         """Prometheus text exposition of the service state."""
         counts = self.store.counts_by_status()
-        lines = ["# TYPE repro_service_runs_total gauge"]
-        for status in sorted(counts):
-            lines.append(prom_line(
-                "repro_service_runs_total", {"status": status},
-                float(counts[status]),
-            ))
-        lines += [
-            "# TYPE repro_service_workers gauge",
-            prom_line("repro_service_workers", {},
-                      float(self.config.runner.workers)),
-            "# TYPE repro_service_busy_workers gauge",
-            prom_line("repro_service_busy_workers", {},
-                      float(self.runner.busy_workers)),
-            "# TYPE repro_service_sweeps_total gauge",
-            prom_line("repro_service_sweeps_total", {},
-                      float(len(self.store.list_sweeps()))),
-            "# TYPE repro_service_runs_completed_total counter",
-            prom_line("repro_service_runs_completed_total", {},
-                      float(self.runner.n_completed)),
-            "# TYPE repro_service_runs_resumed_total counter",
-            prom_line("repro_service_runs_resumed_total", {},
-                      float(self.runner.n_resumed)),
-            "# TYPE repro_service_uptime_seconds gauge",
-            prom_line("repro_service_uptime_seconds", {},
-                      time.time() - self.started_at),
+        families = [("repro_service_runs_total", "gauge", [
+            ("", {"status": status}, float(counts[status]))
+            for status in sorted(counts)
+        ])]
+        families += [
+            (name, kind, [("", None, float(value))])
+            for name, kind, value in (
+                ("repro_service_workers", "gauge", self.config.runner.workers),
+                ("repro_service_busy_workers", "gauge", self.runner.busy_workers),
+                ("repro_service_sweeps_total", "gauge",
+                 len(self.store.list_sweeps())),
+                ("repro_service_runs_completed_total", "counter",
+                 self.runner.n_completed),
+                ("repro_service_runs_resumed_total", "counter",
+                 self.runner.n_resumed),
+                ("repro_service_uptime_seconds", "gauge",
+                 time.time() - self.started_at),
+            )
         ]
-        return "\n".join(lines) + "\n"
+        return prom_text(families)
 
 
 _RUN_PATH = re.compile(

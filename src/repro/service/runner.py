@@ -50,8 +50,9 @@ from repro.engine.scenario import ScenarioSpec
 from repro.obs import (
     AuditConfig,
     JsonlBackend,
+    RunLog,
     Telemetry,
-    audit_jsonl,
+    audit_run,
     read_jsonl_lenient,
     set_telemetry,
 )
@@ -416,7 +417,7 @@ class ExperimentRunner:
         A failing audit is logged, never raised: the run still ends
         ``done``, only without an audit row."""
         try:
-            report = audit_jsonl(log_path, AuditConfig(
+            report = audit_run(RunLog.read(log_path), AuditConfig(
                 baseline_rule=self.config.audit_baseline_rule,
                 violation_budget=self.config.audit_violation_budget,
             ))

@@ -16,12 +16,12 @@ from repro.obs import (
     MetricsRegistry,
     NullBackend,
     PrometheusTextBackend,
+    RunLog,
     Telemetry,
     get_telemetry,
     render_summary,
     set_telemetry,
-    summarize_events,
-    summarize_jsonl,
+    summarize_run,
     use_telemetry,
 )
 
@@ -293,7 +293,10 @@ class TestSummarize:
         ]
 
     def test_summarize_events(self):
-        s = summarize_events(self._records())
+        log = RunLog()
+        for record in self._records():
+            log.feed(record)
+        s = summarize_run(log)
         app0 = s["apps"]["0"]
         assert app0["rt_mean_ms"] == pytest.approx(900.0)
         assert app0["mean_abs_error_ms"] == pytest.approx(100.0)
@@ -314,18 +317,10 @@ class TestSummarize:
         with path.open("w") as fh:
             for r in self._records():
                 fh.write(json.dumps(r) + "\n")
-        summary = summarize_jsonl(path)
+        summary = summarize_run(RunLog.read(path))
         text = render_summary(summary, title="t")
         assert "mpc.solve" in text
         assert "app" in text
-
-    def test_strict_reader_reports_line_number(self, tmp_path):
-        from repro.obs import read_jsonl
-
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "span"}\nnot json\n')
-        with pytest.raises(ValueError, match=r":2:"):
-            read_jsonl(path)
 
     def test_summarize_skips_and_counts_malformed_lines(self, tmp_path):
         # A run killed mid-write truncates the last record; mid-file
@@ -339,7 +334,7 @@ class TestSummarize:
             '{"kind": "testbed.period", "time_s": 30.0, "power_w": 500.0}\n'
             '{"kind": "testbed.per'
         )
-        summary = summarize_jsonl(path)
+        summary = summarize_run(RunLog.read(path))
         assert summary["n_malformed"] == 3
         assert summary["n_records"] == 2
         assert summary["power"]["samples"] == 2

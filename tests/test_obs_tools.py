@@ -13,19 +13,27 @@ from repro.obs import (
     AuditConfig,
     InMemoryBackend,
     JsonlFollower,
-    LiveDashboard,
     MetricsRegistry,
+    RunLog,
     Telemetry,
-    audit_events,
-    audit_jsonl,
-    profile_events,
-    profile_jsonl,
+    audit_run,
+    profile_run,
     prom_escape_label,
     prom_line,
     render_audit,
     render_profile,
+    render_watch,
     watch,
+    watch_prometheus,
+    watch_view,
 )
+
+
+def _log(records, window=None):
+    log = RunLog(window=window)
+    for record in records:
+        log.feed(record)
+    return log
 
 
 def _control_period(time_s, rts, setpoint=1000.0):
@@ -72,7 +80,7 @@ class TestAuditPipeline:
         ]
 
     def test_episode_detection(self):
-        report = audit_events(self._records())
+        report = audit_run(_log(self._records()))
         app1 = report["apps"]["1"]
         assert app1["violations"] == 2
         assert app1["n_episodes"] == 1
@@ -87,7 +95,7 @@ class TestAuditPipeline:
 
     def test_episode_open_at_end(self):
         records = self._records()[:4]  # run dies inside app 1's episode
-        report = audit_events(records)
+        report = audit_run(_log(records))
         (episode,) = report["apps"]["1"]["episodes"]
         assert episode["open_at_end"] is True
 
@@ -99,7 +107,7 @@ class TestAuditPipeline:
             _control_period(90.0, [1400.0]),
             _control_period(120.0, [800.0]),
         ]
-        report = audit_events(records)
+        report = audit_run(_log(records))
         app = report["apps"]["0"]
         # The unmeasured period bridges the episode: one episode, not two.
         assert app["n_episodes"] == 1
@@ -108,14 +116,14 @@ class TestAuditPipeline:
 
     def test_budget_pass_fail(self):
         records = self._records()
-        lenient = audit_events(records, AuditConfig(violation_budget=0.5))
+        lenient = audit_run(_log(records), AuditConfig(violation_budget=0.5))
         assert lenient["slo"]["passed"] is True
-        strict = audit_events(records, AuditConfig(violation_budget=0.1))
+        strict = audit_run(_log(records), AuditConfig(violation_budget=0.1))
         assert strict["slo"]["passed"] is False
         assert strict["slo"]["n_failing"] == 1
 
     def test_power_savings_vs_peak_baseline(self):
-        report = audit_events(self._records())
+        report = audit_run(_log(self._records()))
         power = report["power"]
         assert power["samples"] == 4
         assert power["baseline_rule"] == "peak"
@@ -126,21 +134,17 @@ class TestAuditPipeline:
         assert power["savings_fraction"] == pytest.approx(0.25)
 
     def test_baseline_rules(self):
-        first = audit_events(
-            self._records(), AuditConfig(baseline_rule="first")
-        )
+        first = audit_run(_log(self._records()), AuditConfig(baseline_rule="first"))
         assert first["power"]["baseline_w"] == 500.0
-        fixed = audit_events(
-            self._records(), AuditConfig(baseline_power_w=600.0)
-        )
+        fixed = audit_run(_log(self._records()), AuditConfig(baseline_power_w=600.0))
         assert fixed["power"]["baseline_rule"] == "fixed"
         assert fixed["power"]["baseline_w"] == 600.0
 
     def test_rolling_power_is_decimated(self):
         records = [{"kind": "run_config", "harness": "ls", "step_s": 60.0}]
         records += [_power(float(i), 300.0 + i) for i in range(1000)]
-        report = audit_events(
-            records, AuditConfig(rolling_window=10, max_rolling_points=50)
+        report = audit_run(
+            _log(records), AuditConfig(rolling_window=10, max_rolling_points=50)
         )
         rolling = report["rolling_power"]
         assert len(rolling) <= 51
@@ -152,7 +156,7 @@ class TestAuditPipeline:
             {"kind": "fault_injected", "time_s": 50.0},
             {"kind": "fault_recovered", "time_s": 80.0},
         ]
-        report = audit_events(records)
+        report = audit_run(_log(records))
         assert report["faults"] == {"injected": 1, "recovered": 1}
 
     def test_jsonl_is_lenient(self, tmp_path):
@@ -160,24 +164,22 @@ class TestAuditPipeline:
         lines = [json.dumps(r) for r in self._records()]
         lines.insert(2, "garbage")
         path.write_text("\n".join(lines) + '\n{"kind": "trunc')
-        report = audit_jsonl(path)
+        report = audit_run(RunLog.read(path))
         assert report["n_malformed"] == 2
         assert report["power"]["samples"] == 4
 
     def test_render_contains_verdict_and_tables(self):
-        report = audit_events(self._records(), AuditConfig(violation_budget=0.1))
+        report = audit_run(_log(self._records()), AuditConfig(violation_budget=0.1))
         text = render_audit(report)
         assert "SLO FAIL" in text
         assert "Per-app SLO compliance" in text
         assert "Violation episodes" in text
         assert "Power audit" in text
-        passing = audit_events(
-            self._records(), AuditConfig(violation_budget=0.9)
-        )
+        passing = audit_run(_log(self._records()), AuditConfig(violation_budget=0.9))
         assert "SLO PASS" in render_audit(passing)
 
     def test_empty_stream_reports_gracefully(self):
-        report = audit_events([])
+        report = audit_run(_log([]))
         assert report["slo"]["passed"] is True  # nothing measured, nothing failed
         assert math.isnan(report["power"]["mean_w"])
         assert "Power audit" in render_audit(report)
@@ -197,7 +199,7 @@ class TestProfile:
             self._span("control", 0.06, cpu=0.05, alloc=10),
             {"kind": "span", "name": "mpc.solve", "duration_s": 9.0},  # not a phase
         ]
-        profile = profile_events(records)
+        profile = profile_run(_log(records))
         assert set(profile["phases"]) == {"sense", "control"}
         sense = profile["phases"]["sense"]
         assert sense["count"] == 2
@@ -219,7 +221,7 @@ class TestProfile:
                 "span.phase.sense": {"count": 40, "sum": 0.5, "max": 0.05},
             }}},
         ]
-        profile = profile_events(records)
+        profile = profile_run(_log(records))
         sense = profile["phases"]["sense"]
         assert sense["count"] == 40
         assert sense["wall_s"] == pytest.approx(0.5)
@@ -229,7 +231,7 @@ class TestProfile:
         assert "estimates" in render_profile(profile)
 
     def test_empty_profile_renders_hint(self):
-        text = render_profile(profile_events([]))
+        text = render_profile(profile_run(_log([])))
         assert "was telemetry enabled" in text
 
     def test_fleet_grouping_section(self):
@@ -246,7 +248,7 @@ class TestProfile:
                 }},
             }},
         ]
-        profile = profile_events(records)
+        profile = profile_run(_log(records))
         assert profile["fleet"] == {
             "batch_groups": 6.0,
             "spans": 1,
@@ -260,7 +262,7 @@ class TestProfile:
         assert "mean size" in text
 
     def test_no_fleet_section_without_batch_metrics(self):
-        profile = profile_events([self._span("control", 0.02)])
+        profile = profile_run(_log([self._span("control", 0.02)]))
         assert profile["fleet"] is None
         assert "Fleet control grouping" not in render_profile(profile)
 
@@ -269,7 +271,7 @@ class TestProfile:
         path.write_text(
             json.dumps(self._span("actuate", 0.02)) + "\nnot json\n"
         )
-        profile = profile_jsonl(path)
+        profile = profile_run(RunLog.read(path))
         assert profile["n_malformed"] == 1
         assert "actuate" in profile["phases"]
 
@@ -366,49 +368,47 @@ class TestJsonlFollower:
 
 
 class TestLiveDashboard:
-    def _feed_run(self, dash):
-        dash.feed({"kind": "run_config", "harness": "testbed"})
-        dash.feed(_power(30.0, 450.0, active=2))
-        dash.feed(_control_period(30.0, [900.0, 1200.0]))
-        dash.feed({"kind": "request_trace", "trace_id": "app0/0"})
-        dash.feed({"kind": "fault_injected", "time_s": 40.0})
+    def _run(self, window=240):
+        return _log([
+            {"kind": "run_config", "harness": "testbed"},
+            _power(30.0, 450.0, active=2),
+            _control_period(30.0, [900.0, 1200.0]),
+            {"kind": "request_trace", "trace_id": "app0/0"},
+            {"kind": "fault_injected", "time_s": 40.0},
+        ], window=window)
 
     def test_window_validated(self):
         with pytest.raises(ValueError, match="window"):
-            LiveDashboard(window=1)
+            RunLog(window=1)
 
     def test_feed_and_render(self):
-        dash = LiveDashboard(window=8)
-        self._feed_run(dash)
-        assert dash.power_w[-1] == 450.0
-        assert dash.rt_ratio[-1] == pytest.approx(1.2)
-        assert dash.active_faults == 1
-        text = dash.render()
+        log = self._run(window=8)
+        view = watch_view(log)
+        assert view["power_w"][-1] == 450.0
+        assert view["rt_ratio"][-1] == pytest.approx(1.2)
+        assert view["active_faults"] == 1
+        text = render_watch(view)
         assert "run[testbed]" in text
         assert "SLO VIOLATING" in text
         assert "datacenter power (W)" in text
         assert "<-- over" in text
-        dash.feed({"kind": "fault_recovered", "time_s": 50.0})
-        assert dash.active_faults == 0
+        log.feed({"kind": "fault_recovered", "time_s": 50.0})
+        assert watch_view(log)["active_faults"] == 0
 
     def test_rolling_window_bounds_memory(self):
-        dash = LiveDashboard(window=4)
-        for i in range(50):
-            dash.feed(_power(float(i), 300.0 + i))
-        assert len(dash.power_w) == 4
-        assert dash.power_w[-1] == 349.0
+        log = _log([_power(float(i), 300.0 + i) for i in range(50)], window=4)
+        assert len(log.power_w) == 4
+        assert watch_view(log)["power_w"] == [346.0, 347.0, 348.0, 349.0]
 
     def test_metrics_record_ends_run(self):
-        dash = LiveDashboard()
-        assert dash.run_ended is False
-        dash.feed({"kind": "metrics", "metrics": {}})
-        assert dash.run_ended is True
-        assert "ended" in dash.render()
+        log = RunLog()
+        assert watch_view(log)["ended"] is False
+        log.feed({"kind": "metrics", "metrics": {}})
+        assert watch_view(log)["ended"] is True
+        assert "ended" in render_watch(watch_view(log))
 
     def test_prometheus_snapshot(self):
-        dash = LiveDashboard()
-        self._feed_run(dash)
-        text = dash.prometheus_text()
+        text = watch_prometheus(watch_view(self._run()))
         assert "repro_watch_power_watts 450" in text
         assert 'repro_watch_rt_ms{app="1"} 1200' in text
         assert "repro_watch_active_faults 1" in text
@@ -426,19 +426,19 @@ class TestWatchDriver:
             with open(path, "a") as fh:
                 fh.write(json.dumps({"kind": "metrics", "metrics": {}}) + "\n")
 
-        dash = watch(
+        log = watch(
             path, interval_s=0.0, out=outputs.append, sleep=fake_sleep
         )
-        assert dash.run_ended is True
+        assert log.ended is True
         assert len(outputs) == 2
-        assert dash.power_w[-1] == 400.0
+        assert watch_view(log)["power_w"][-1] == 400.0
 
     def test_once_writes_prom_snapshot(self, tmp_path):
         path = tmp_path / "run.jsonl"
         prom = tmp_path / "metrics.prom"
         path.write_text(json.dumps(_power(30.0, 420.0)) + "\n")
-        dash = watch(path, once=True, prom_path=prom, out=lambda s: None)
-        assert dash.n_records == 1
+        log = watch(path, once=True, prom_path=prom, out=lambda s: None)
+        assert log.n_records == 1
         assert "repro_watch_power_watts 420" in prom.read_text()
 
 

@@ -144,7 +144,7 @@ class TestGoldenHash:
         def broken_audit(*args, **kwargs):
             raise KeyError("slo")
 
-        monkeypatch.setattr("repro.service.runner.audit_jsonl", broken_audit)
+        monkeypatch.setattr("repro.service.runner.audit_run", broken_audit)
         runner = _runner(store, tmp_path)
         run, _ = store.submit_run(_small_doc())
         runner.start()

@@ -32,8 +32,32 @@ from repro.util.validation import check_in_range, check_non_negative, check_posi
 __all__ = ["ServerPowerModel", "MeasuredPowerCurve"]
 
 
+class _PowerModel:
+    """Shared checks, scalar entry point and sleep draw.  Each family
+    writes its one formula, ``power_w(freq_ratio, utilization)``, in
+    plain operators: floats keep Python's ``**``, arrays take NumPy's.
+    """
+
+    def _check_dvfs(self) -> None:
+        check_positive("dvfs_exponent", self.dvfs_exponent)
+        check_in_range("idle_dvfs_fraction", self.idle_dvfs_fraction, 0.0, 1.0)
+
+    def active_power_w(self, freq_ratio: float, utilization: float) -> float:
+        """Power of an active server, range-checked: *freq_ratio* is the
+        current over the maximum frequency, in (0, 1]; *utilization* the
+        used fraction of the capacity *at the current frequency*, in [0, 1].
+        """
+        freq_ratio = check_in_range("freq_ratio", freq_ratio, 0.0, 1.0)
+        utilization = check_in_range("utilization", utilization, 0.0, 1.0)
+        return float(self.power_w(freq_ratio, utilization))
+
+    def sleep_power_w(self) -> float:
+        """Power of a sleeping server."""
+        return self.sleep_w
+
+
 @dataclass(frozen=True)
-class ServerPowerModel:
+class ServerPowerModel(_PowerModel):
     """Power in watts as a function of DVFS frequency and utilization.
 
     Attributes
@@ -68,41 +92,24 @@ class ServerPowerModel:
             raise ValueError(
                 f"sleep_w ({self.sleep_w}) must be <= idle_w ({self.idle_w})"
             )
-        check_positive("dvfs_exponent", self.dvfs_exponent)
-        check_in_range("idle_dvfs_fraction", self.idle_dvfs_fraction, 0.0, 1.0)
+        self._check_dvfs()
 
-    def active_power_w(self, freq_ratio: float, utilization: float) -> float:
-        """Power of an active server.
-
-        Parameters
-        ----------
-        freq_ratio:
-            Current frequency divided by maximum frequency, in (0, 1].
-        utilization:
-            Used fraction of the capacity *at the current frequency*,
-            in [0, 1].
-        """
-        freq_ratio = check_in_range("freq_ratio", freq_ratio, 0.0, 1.0)
-        utilization = check_in_range("utilization", utilization, 0.0, 1.0)
+    def power_w(self, freq_ratio, utilization):
+        """Active power, unchecked; floats or equal-shape arrays."""
         scale = freq_ratio ** self.dvfs_exponent
         idle = self.idle_w * (1.0 - self.idle_dvfs_fraction * (1.0 - scale))
-        dynamic = (self.busy_w - self.idle_w) * scale * utilization
-        return idle + dynamic
-
-    def sleep_power_w(self) -> float:
-        """Power of a sleeping server."""
-        return self.sleep_w
+        return idle + (self.busy_w - self.idle_w) * scale * utilization
 
 
 @dataclass(frozen=True)
-class MeasuredPowerCurve:
+class MeasuredPowerCurve(_PowerModel):
     """A power model interpolated from measured load points.
 
     SPECpower_ssj-style characterizations publish watts at 0%, 10%, ...,
     100% load; real curves are concave (most of the dynamic power is
     spent by 50% load), which the linear model misses.  This class
-    interpolates such a table and converts it into an equivalent
-    :class:`ServerPowerModel`-compatible interface.
+    interpolates such a table behind the same interface as
+    :class:`ServerPowerModel`.
 
     Attributes
     ----------
@@ -115,7 +122,7 @@ class MeasuredPowerCurve:
         Sleep-state draw.
     dvfs_exponent / idle_dvfs_fraction:
         Frequency scaling applied on top of the measured curve, with the
-        same semantics as :class:`ServerPowerModel`.
+        same semantics (and checks) as :class:`ServerPowerModel`.
     """
 
     load_points: Tuple[float, ...]
@@ -140,6 +147,7 @@ class MeasuredPowerCurve:
         check_non_negative("sleep_w", self.sleep_w)
         if self.sleep_w > w[0]:
             raise ValueError(f"sleep_w ({self.sleep_w}) must be <= idle watts ({w[0]})")
+        self._check_dvfs()
         object.__setattr__(self, "load_points", pts)
         object.__setattr__(self, "watts", w)
 
@@ -153,20 +161,12 @@ class MeasuredPowerCurve:
         """Draw at 100% load, maximum frequency."""
         return self.watts[-1]
 
-    def active_power_w(self, freq_ratio: float, utilization: float) -> float:
-        """Interpolated power with DVFS scaling (same contract as
-        :meth:`ServerPowerModel.active_power_w`)."""
-        freq_ratio = check_in_range("freq_ratio", freq_ratio, 0.0, 1.0)
-        utilization = check_in_range("utilization", utilization, 0.0, 1.0)
-        measured = float(np.interp(utilization, self.load_points, self.watts))
+    def power_w(self, freq_ratio, utilization):
+        """Interpolated active power, unchecked; floats or arrays."""
+        measured = np.interp(utilization, self.load_points, self.watts)
         scale = freq_ratio ** self.dvfs_exponent
         idle = self.idle_w * (1.0 - self.idle_dvfs_fraction * (1.0 - scale))
-        dynamic = (measured - self.idle_w) * scale
-        return idle + dynamic
-
-    def sleep_power_w(self) -> float:
-        """Power of a sleeping server."""
-        return self.sleep_w
+        return idle + (measured - self.idle_w) * scale
 
     @staticmethod
     def spec2008_like(peak_w: float, sleep_w: float = 8.0) -> "MeasuredPowerCurve":

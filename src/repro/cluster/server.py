@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from repro.cluster.power import ServerPowerModel
 from repro.util.validation import check_monotone_increasing, check_positive
 
@@ -33,6 +35,9 @@ class CPUSpec:
         for f in self.freq_levels_ghz:
             check_positive("frequency level", f)
         check_monotone_increasing("freq_levels_ghz", self.freq_levels_ghz)
+        levels = np.asarray(self.freq_levels_ghz, dtype=float)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_level_caps", levels * self.cores)
 
     @property
     def max_freq_ghz(self) -> float:
@@ -53,16 +58,16 @@ class CPUSpec:
         """Total capacity at a given per-core frequency."""
         return float(freq_ghz) * self.cores
 
-    def lowest_level_for(self, demand_ghz: float) -> float:
+    def lowest_level_for(self, demand_ghz):
         """Lowest frequency whose total capacity covers *demand_ghz*.
 
         Returns the maximum frequency if even that cannot cover the
         demand (the overloaded case — the arbitrator then rations).
+        *demand_ghz* may be an array (one demand per server of this
+        CPU); the result then is the array of chosen frequencies.
         """
-        for f in self.freq_levels_ghz:
-            if self.capacity_at(f) >= demand_ghz - 1e-9:
-                return f
-        return self.max_freq_ghz
+        level = np.searchsorted(self._level_caps, demand_ghz - 1e-9)
+        return self._levels[np.minimum(level, len(self._levels) - 1)]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ resources than the VMs require."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 from repro.cluster.server import Server
 from repro.obs import get_telemetry
@@ -94,7 +94,7 @@ class CPUResourceArbitrator:
         # headroom (a thermal throttle scales every level down, so the
         # nominal level that covers the demand is correspondingly higher).
         needed = total / self.headroom if total > 0 else 0.0
-        freq = cpu.lowest_level_for(needed / server.capacity_fraction)
+        freq = float(cpu.lowest_level_for(needed / server.capacity_fraction))
         server.set_frequency(freq)
         capacity = server.capacity_at(freq)
         overloaded = total > server.max_capacity_ghz * self.headroom + 1e-9

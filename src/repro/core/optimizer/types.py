@@ -52,6 +52,11 @@ class ServerInfo:
 
     ``efficiency`` is the paper's sort key — maximum total CPU capacity
     divided by maximum power consumption (GHz/W).
+
+    ``idle_w`` / ``busy_w`` are the model's draws at 0% / 100% load at
+    maximum frequency.  The optimizers (IPAC's drain estimate, the
+    exhaustive oracle) plan on the line between them: a linear estimate
+    of a possibly non-linear plant, which charges each server's own model.
     """
 
     server_id: str

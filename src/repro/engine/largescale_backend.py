@@ -131,59 +131,42 @@ class LargeScaleBackend:
         n_srv = self.n_srv = len(self.server_list)
         server_list = self.server_list
 
-        # Static per-server arrays.
+        # Nominal maximum capacity per server.
         self.srv_max_cap = np.asarray([s.spec.max_capacity_ghz for s in server_list])
-        self.srv_mem = np.asarray([float(s.spec.memory_mb) for s in server_list])
-        self.srv_idle = np.asarray([s.spec.power.idle_w for s in server_list])
-        self.srv_busy = np.asarray([s.spec.power.busy_w for s in server_list])
-        self.srv_eff = np.asarray([s.spec.power_efficiency for s in server_list])
-        self.srv_sleep = np.asarray([s.spec.power.sleep_w for s in server_list])
-        self.srv_exp = np.asarray([s.spec.power.dvfs_exponent for s in server_list])
-        self.srv_kidle = np.asarray(
-            [s.spec.power.idle_dvfs_fraction for s in server_list]
-        )
 
-        # Group servers by spec for vectorized DVFS level selection.
+        # Servers grouped by spec: `actuate` asks each spec's own CPU for
+        # its DVFS levels and its own power model for the draw.
         spec_groups: Dict[int, List[int]] = {}
-        spec_caps: Dict[int, np.ndarray] = {}
         for i, s in enumerate(server_list):
-            key = id(s.spec)
-            spec_groups.setdefault(key, []).append(i)
-            if key not in spec_caps:
-                spec_caps[key] = np.asarray(
-                    [s.spec.cpu.capacity_at(f) for f in s.spec.cpu.freq_levels_ghz]
-                )
-        self.group_index = [
-            (np.asarray(idx), spec_caps[key]) for key, idx in spec_groups.items()
+            spec_groups.setdefault(id(s.spec), []).append(i)
+        self.spec_groups = [
+            (np.asarray(idx), server_list[idx[0]].spec)
+            for idx in spec_groups.values()
         ]
 
         # Static optimizer views, prebuilt in both power states so the
         # per-step snapshot only selects (never constructs) ServerInfo.
-        self.server_infos = tuple(
-            ServerInfo(
-                server_id=s.server_id,
-                max_capacity_ghz=self.srv_max_cap[i],
-                memory_mb=self.srv_mem[i],
-                efficiency=self.srv_eff[i],
-                active=False,
-                idle_w=self.srv_idle[i],
-                busy_w=self.srv_busy[i],
-                sleep_w=self.srv_sleep[i],
+        self.server_infos, self.server_infos_on = (
+            tuple(
+                ServerInfo(
+                    server_id=s.server_id,
+                    max_capacity_ghz=self.srv_max_cap[i],
+                    memory_mb=float(s.spec.memory_mb),
+                    efficiency=s.spec.power_efficiency,
+                    active=active,
+                    idle_w=s.spec.power.idle_w,
+                    busy_w=s.spec.power.busy_w,
+                    sleep_w=s.spec.power.sleep_w,
+                )
+                for i, s in enumerate(server_list)
             )
-            for i, s in enumerate(server_list)
-        )
-        self.server_infos_on = tuple(
-            ServerInfo(
-                si.server_id, si.max_capacity_ghz, si.memory_mb, si.efficiency,
-                True, si.idle_w, si.busy_w, si.sleep_w,
-            )
-            for si in self.server_infos
+            for active in (False, True)
         )
         # Efficiency order as indices (a property of the pool, not of
         # the per-step active flags).
         self.eff_order = sorted(
             range(n_srv),
-            key=lambda i: (-self.srv_eff[i], server_list[i].server_id),
+            key=lambda i: (-server_list[i].spec.power_efficiency, server_list[i].server_id),
         )
         self.vm_ids = [
             f"vm{j + self.vm_id_start:05d}" for j in range(self.n_vms)
@@ -374,10 +357,9 @@ class LargeScaleBackend:
             needed = loads / config.arbitrator_headroom
             if config.faults is not None:
                 needed = needed / np.maximum(self.srv_frac, 1e-9)
-            for idx, caps in self.group_index:
-                level = np.searchsorted(caps, needed[idx] - 1e-9, side="left")
-                level = np.minimum(level, len(caps) - 1)
-                cap[idx] = caps[level]
+            for idx, spec in self.spec_groups:
+                cpu = spec.cpu
+                cap[idx] = cpu.lowest_level_for(needed[idx]) * cpu.cores
             if config.faults is not None:
                 cap = cap * self.srv_frac
             # cap = freq * cores; ratio = nominal cap / nominal max cap.
@@ -386,9 +368,9 @@ class LargeScaleBackend:
         overload = loads > eff_max + 1e-9
         self.overload_server_steps += int(np.count_nonzero(overload & hosting_mask))
         util = np.minimum(loads / np.maximum(cap, 1e-12), 1.0)
-        scale = freq_ratio**self.srv_exp
-        idle_f = self.srv_idle * (1.0 - self.srv_kidle * (1.0 - scale))
-        power = idle_f + (self.srv_busy - self.srv_idle) * scale * util
+        power = np.empty(n_srv)
+        for idx, spec in self.spec_groups:
+            power[idx] = spec.power.power_w(freq_ratio[idx], util[idx])
         power_total = float(power[hosting_mask].sum())
         self.power_series[step] = power_total
         self.active_series[step] = int(np.count_nonzero(hosting_mask))

@@ -242,7 +242,8 @@ class ExperimentRunner:
 
     @property
     def busy_workers(self) -> int:
-        """Workers currently executing a run."""
+        """Workers executing a run or claiming one (counted before the
+        claim, so no run the store reads as 'running' goes uncounted)."""
         return self._busy
 
     @property
@@ -263,17 +264,18 @@ class ExperimentRunner:
 
     def _worker_loop(self, worker: str) -> None:
         while not self._stop.is_set():
+            with self._busy_lock:
+                self._busy += 1
             try:
                 run = self.store.claim_run(worker)
             except Exception:
                 logger.exception("%s: claim failed", worker)
-                time.sleep(self.config.poll_interval_s)
-                continue
+                run = None
             if run is None:
+                with self._busy_lock:
+                    self._busy -= 1
                 self._stop.wait(self.config.poll_interval_s)
                 continue
-            with self._busy_lock:
-                self._busy += 1
             try:
                 self._execute(run, worker)
             except _HardStop:

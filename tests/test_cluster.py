@@ -10,13 +10,13 @@ from repro.cluster import (
     CPU_3GHZ_QUAD,
     DataCenter,
     LiveMigrationModel,
+    MeasuredPowerCurve,
     SERVER_TYPE_A,
     SERVER_TYPE_B,
     SERVER_TYPE_C,
     Server,
     ServerPowerModel,
     ServerSpec,
-    TESTBED_SERVER,
     VM,
     Application,
     CPUSpec,
@@ -66,6 +66,43 @@ class TestPowerModel:
         p = pm.active_power_w(ratio, util)
         assert 0 < p <= 220.0 + 1e-9
 
+    def test_measured_curve_checks_its_frequency_parameters(self):
+        with pytest.raises(ValueError, match="dvfs_exponent"):
+            MeasuredPowerCurve((0.0, 1.0), (100.0, 200.0), 5.0, dvfs_exponent=-2.0)
+        with pytest.raises(ValueError, match="idle_dvfs_fraction"):
+            MeasuredPowerCurve((0.0, 1.0), (100.0, 200.0), 5.0, idle_dvfs_fraction=1.7)
+
+
+@st.composite
+def _power_models(draw):
+    exponent = draw(st.floats(0.5, 4.0))
+    k_idle = draw(st.floats(0.0, 1.0))
+    idle = draw(st.floats(20.0, 300.0))
+    if draw(st.booleans()):
+        busy = idle + draw(st.floats(0.0, 300.0))
+        return ServerPowerModel(5.0, idle, busy, exponent, k_idle)
+    steps = draw(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=10))
+    watts = tuple(idle + sum(steps[:i]) for i in range(len(steps) + 1))
+    loads = tuple(i / len(steps) for i in range(len(steps) + 1))
+    return MeasuredPowerCurve(loads, watts, 5.0, exponent, k_idle)
+
+
+class TestArrayPowerForm:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        model=_power_models(),
+        points=st.lists(
+            st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 1.0)),
+            min_size=1, max_size=20,
+        ),
+    )
+    def test_array_form_equals_scalar_form(self, model, points):
+        ratios = np.array([r for r, _ in points])
+        utils = np.array([u for _, u in points])
+        scalar = [model.active_power_w(r, u) for r, u in points]
+        # NumPy's vector ``**`` may round an ulp away from Python's.
+        np.testing.assert_allclose(model.power_w(ratios, utils), scalar, rtol=1e-13)
+
 
 class TestCPUSpec:
     def test_capacity(self):
@@ -78,6 +115,8 @@ class TestCPUSpec:
         assert cpu.lowest_level_for(2.5) == 1.5
         assert cpu.lowest_level_for(3.9) == 2.0
         assert cpu.lowest_level_for(99.0) == 2.0  # saturates at max
+        demands = np.array([1.9, 2.5, 3.9, 99.0])
+        assert cpu.lowest_level_for(demands).tolist() == [1.0, 1.5, 2.0, 2.0]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ The load-bearing claims pinned here:
 """
 
 import multiprocessing
+import threading
 import time
 
 import pytest
@@ -168,6 +169,41 @@ class TestGoldenHash:
         row = store.get_run(run.id)
         assert row.status == "failed"
         assert row.error
+
+
+class TestIdleRace:
+    def test_a_claimed_run_is_never_idle(self, store, tmp_path, monkeypatch):
+        # Hold the worker between its claim (the row reads 'running')
+        # and the execute: the runner must not look idle in that window,
+        # or a wait_idle() + stop() would requeue a run in flight.
+        claimed, release = threading.Event(), threading.Event()
+        claim = store.claim_run
+
+        def held_claim(worker):
+            run = claim(worker)
+            if run is not None:
+                claimed.set()
+                release.wait(60.0)
+            return run
+
+        monkeypatch.setattr(store, "claim_run", held_claim)
+        runner = _runner(store, tmp_path)
+        run, _ = store.submit_run(_small_doc())
+        runner.start()
+        try:
+            assert claimed.wait(60.0)
+            assert store.get_run(run.id).status == "running"
+            assert not runner.idle
+            assert runner.busy_workers == 1
+            assert not runner.wait_idle(0.2)
+        finally:
+            release.set()
+        try:
+            assert runner.wait_idle(60.0)
+        finally:
+            runner.stop()
+        assert store.get_run(run.id).status == "done"
+        assert runner.busy_workers == 0
 
 
 class TestKillAndResume:

@@ -7,13 +7,6 @@ equivalent (DESIGN.md §5): a request-level closed queueing network whose
 tier speeds are the GHz allocations the controller actuates.
 """
 
-from repro.apps.demand import (
-    Deterministic,
-    Erlang,
-    Exponential,
-    LogNormal,
-    DemandDistribution,
-)
 from repro.apps.queueing import mva_closed_network, MVAResult
 from repro.apps.workload import (
     ConcurrencySchedule,
@@ -26,11 +19,6 @@ from repro.apps.workload import (
 from repro.apps.rubbos import MultiTierApp, TierSpec, AppSpec
 
 __all__ = [
-    "DemandDistribution",
-    "Deterministic",
-    "Exponential",
-    "Erlang",
-    "LogNormal",
     "mva_closed_network",
     "MVAResult",
     "ConcurrencySchedule",

@@ -10,16 +10,14 @@ Model
 * Each tier is an egalitarian processor-sharing CPU whose capacity
   equals the GHz allocation of the hosting VM — the quantity the
   paper's controller actuates.  With ``n`` requests in service each
-  progresses at ``capacity / n`` GHz; an optional admission cap
-  (:attr:`TierSpec.max_concurrency`) makes the excess wait FIFO at the
-  tier's door.
+  progresses at ``capacity / n`` GHz.
 * A fixed population of closed-loop clients (the concurrency level)
   cycles: think (exponential) → tier 1 → tier 2 → ... → record response
   time → think again.  This matches ``ab``'s closed-loop semantics.
-* Per-visit CPU demands are drawn from configurable distributions
-  (:mod:`repro.apps.demand`), so response times are stochastic and the
-  90-percentile is measured *empirically* per control period, exactly as
-  the testbed's response-time monitor would.
+* Per-visit CPU demands are exponential with the tier's mean
+  (:attr:`TierSpec.demand_ghz_s`), so response times are stochastic and
+  the 90-percentile is measured *empirically* per control period, exactly
+  as the testbed's response-time monitor would.
 
 The app exposes :meth:`MultiTierApp.run_period`, which advances the
 embedded discrete-event simulation by one control period and returns the
@@ -45,25 +43,22 @@ arithmetic is the textbook one and is pinned operation for operation:
   leaves by ``index`` / ``del`` / ``min``, ties are swept in arrival
   order;
 * a tier's next completion is booked ``max(min, 0) * n / capacity``
-  seconds ahead whenever its queue or capacity changes;
-* at an admission gate, a finished request takes its next step before
-  the next waiter is admitted.
+  seconds ahead whenever its queue or capacity changes.
 
 The common event — a think-over entering tier 1, or a lone finisher
 moving to the next tier or back to think — runs inline in the loop;
-ties, gated tiers, completions that fall due inside another event and
-every call from outside the loop take the general methods below, which
-perform the same operations in the same order.
+ties, completions that fall due inside another event and every call
+from outside the loop take the general methods below, which perform the
+same operations in the same order.
 
-When every tier's demand is :class:`~repro.apps.demand.Exponential`,
-think times and demands inside the loop come from blocks of
+Think times and demands inside the loop come from blocks of
 ``standard_exponential`` draws: ``scale * x`` is bit-equal to
 ``rng.exponential(scale)``, and both consume the bit generator the same
 way.  On the way out the loop restores the generator state it found and
 redraws exactly the values it used, so the generator ends where per-draw
 calls would have left it — identification shares one generator between
-the plant and its excitation draws.  Other demand distributions draw
-one value per call through :meth:`DemandDistribution.sample`.
+the plant and its excitation draws.  Outside the loop each draw is one
+``rng.exponential(scale)`` call.
 
 Bit-identity with the general discrete-event kernel this loop replaced
 is pinned by the differential properties in
@@ -74,13 +69,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.apps.demand import DemandDistribution, Exponential
 from repro.obs import get_telemetry
 from repro.obs.reqtrace import RequestTrace, RequestTracer
 from repro.sim.metrics import PeriodStats
@@ -103,34 +96,31 @@ class TierSpec:
     ----------
     name:
         Human-readable tier name (e.g. ``"web"``, ``"db"``).
-    demand:
-        Per-request CPU demand distribution in GHz-seconds.
+    demand_ghz_s:
+        Mean per-request CPU demand in GHz-seconds (billions of cycles);
+        each visit draws an exponential demand with this mean.  A visit
+        with demand ``d`` alone at a tier allocated ``c`` GHz takes
+        ``d / c`` seconds.
     min_alloc_ghz / max_alloc_ghz:
         Acceptable range for the VM's CPU allocation; the controller's
         actuator constraints.
-    max_concurrency:
-        Optional admission cap — at most this many requests in CPU
-        service simultaneously; excess requests wait FIFO at the tier's
-        door.  Models a worker-pool limit (Apache ``MaxClients``, a DB
-        connection pool).  ``None`` = unbounded processor sharing.
     """
 
     name: str
-    demand: DemandDistribution
+    demand_ghz_s: float
     min_alloc_ghz: float = 0.1
     max_alloc_ghz: float = 4.0
-    max_concurrency: Optional[int] = None
 
     def __post_init__(self):
+        if not 0.0 < self.demand_ghz_s < _INF:
+            raise ValueError(
+                f"demand_ghz_s must be finite and > 0, got {self.demand_ghz_s}"
+            )
         check_positive("min_alloc_ghz", self.min_alloc_ghz)
         if self.max_alloc_ghz < self.min_alloc_ghz:
             raise ValueError(
                 f"max_alloc_ghz ({self.max_alloc_ghz}) < min_alloc_ghz "
                 f"({self.min_alloc_ghz})"
-            )
-        if self.max_concurrency is not None and self.max_concurrency < 1:
-            raise ValueError(
-                f"max_concurrency must be >= 1, got {self.max_concurrency}"
             )
 
 
@@ -170,8 +160,8 @@ class AppSpec:
         return AppSpec(
             name=name,
             tiers=(
-                TierSpec("web", Exponential(web_demand_ghz_s), 0.1, max_alloc_ghz),
-                TierSpec("db", Exponential(db_demand_ghz_s), 0.1, max_alloc_ghz),
+                TierSpec("web", web_demand_ghz_s, 0.1, max_alloc_ghz),
+                TierSpec("db", db_demand_ghz_s, 0.1, max_alloc_ghz),
             ),
             think_time_s=think_time_s,
         )
@@ -205,15 +195,7 @@ class MultiTierApp:
         nt = len(tiers)
         # Per-tier state, indexed by tier id.
         self._names = [t.name for t in tiers]
-        self._demand: List[DemandDistribution] = [t.demand for t in tiers]
-        self._gate: List[Optional[int]] = [t.max_concurrency for t in tiers]
-        #: Exponential scales when every demand is exponential (the loop
-        #: then draws in blocks), else None (one draw per call).
-        self._scale: Optional[List[float]] = (
-            [t.demand.mean for t in tiers]
-            if all(type(t.demand) is Exponential for t in tiers)
-            else None
-        )
+        self._scale = [t.demand_ghz_s for t in tiers]  # mean demands
         self._rem: List[List[float]] = [[] for _ in tiers]  # remaining work
         self._who: List[List[int]] = [[] for _ in tiers]  # client per job
         self._door: List[List[float]] = [[] for _ in tiers]  # door arrival
@@ -225,10 +207,6 @@ class MultiTierApp:
         self._frac = [1.0] * nt
         self._cap = [1.0] * nt  # nominal * degradation fraction
         self._work_done = [0.0] * nt  # GHz-s processed this period
-        self._busy = [0] * nt  # in CPU service behind an admission gate
-        self._waiting: List[Deque[Tuple[int, float, float]]] = [
-            deque() for _ in tiers
-        ]
         # The clock and the heap of (time, seq, id): id >= 0 is a client's
         # think-over, -1 a fault restart looked up in _restarts by seq.
         self._now = 0.0
@@ -365,7 +343,6 @@ class MultiTierApp:
         for j in range(len(self._rem)):
             self._rem[j], self._who[j], self._door[j] = [], [], []
             self._min[j] = self._due[j] = _INF
-            self._waiting[j].clear()
         self._heap.clear()
         self._restarts.clear()
 
@@ -421,8 +398,8 @@ class MultiTierApp:
         )
 
     def queue_lengths(self) -> List[int]:
-        """Requests per tier: in service plus waiting at the admission gate."""
-        return [len(rem) + len(w) for rem, w in zip(self._rem, self._waiting)]
+        """Requests in service per tier."""
+        return [len(rem) for rem in self._rem]
 
     # -- request-path tracing -------------------------------------------
 
@@ -460,6 +437,8 @@ class MultiTierApp:
         annotated with the number of events fired, also counted as
         ``des.events``; the loop itself stays uninstrumented.
         """
+        if not math.isfinite(until):
+            raise ValueError(f"cannot run to a non-finite time {until}")
         if until < self._now:
             raise ValueError(f"cannot run backwards to {until} from {self._now}")
         tel = get_telemetry()
@@ -485,17 +464,15 @@ class MultiTierApp:
         heap, pop, push = self._heap, heapq.heappop, heapq.heappush
         due, due_seq, last = self._due, self._due_seq, self._last
         rems, whos, doors, mins = self._rem, self._who, self._door, self._min
-        caps, work_done, gate = self._cap, self._work_done, self._gate
+        caps, work_done = self._cap, self._work_done
         t_start, traces, names = self._t_start, self._trace, self._names
         parked, target, rts = self._parked, self._target_n, self._period_rts
-        rng, demand, scale = self._rng, self._demand, self._scale
+        rng, scale = self._rng, self._scale
         think_s = self.spec.think_time_s
         tiers = range(len(rems))
         last_tier = len(rems) - 1
-        buf = None
-        if scale is not None:
-            buf = self._buf = []
-            self._n_drawn = 0
+        buf = self._buf = []
+        self._n_drawn = 0
         now, seq = self._now, self._seq
         n_events = 0
         try:
@@ -555,8 +532,8 @@ class MultiTierApp:
                             i = rem.index(m)
                             del rem[i]
                             rest = min(rem) if rem else _INF
-                            if rest > 1e-12 and gate[src] is None:
-                                # A lone finisher, no gate: inline.
+                            if rest > 1e-12:
+                                # A lone finisher: inline.
                                 mins[src] = rest
                                 c = whos[src].pop(i)
                                 sojourn = now - doors[src].pop(i)
@@ -573,12 +550,9 @@ class MultiTierApp:
                                     if c >= target:
                                         parked.add(c)
                                     else:
-                                        if buf is not None:
-                                            if not buf:
-                                                self._refill()
-                                            delay = think_s * buf.pop()
-                                        else:
-                                            delay = float(rng.exponential(think_s))
+                                        if not buf:
+                                            self._refill()
+                                        delay = think_s * buf.pop()
                                         if not 0.0 <= delay < _INF:
                                             raise ValueError(
                                                 f"delay must be finite and >= 0, got {delay}"
@@ -593,55 +567,47 @@ class MultiTierApp:
                                 seq = self._seq
                 if c >= 0:
                     # Client c visits tier j.
-                    if buf is not None:
-                        if not buf:
-                            self._refill()
-                        work = scale[j] * buf.pop()
-                    else:
-                        work = demand[j].sample(rng)
+                    if not buf:
+                        self._refill()
+                    work = scale[j] * buf.pop()
                     tr = traces[c]
                     if tr is not None:
                         tr[3] = work
-                    if gate[j] is None:
-                        if not 0.0 < work < _INF:
-                            raise ValueError(f"work must be finite and > 0, got {work}")
-                        rem = rems[j]
-                        n = len(rem)
-                        dt = now - last[j]
-                        last[j] = now
-                        if dt > 0 and n:
-                            cap = caps[j]
-                            dec = cap / n * dt
-                            work_done[j] += cap * dt
-                            rem = rems[j] = [v - dec for v in rem]
-                            m = mins[j] = mins[j] - dec
-                            if m <= 1e-12:
-                                self._now, self._seq = now, seq
-                                self._complete(j, m)
-                                seq = self._seq
-                                rem = rems[j]
-                        rem.append(work)
-                        whos[j].append(c)
-                        doors[j].append(now)
-                        m = mins[j]
-                        if work < m:
-                            mins[j] = m = work
+                    if not 0.0 < work < _INF:
+                        raise ValueError(f"work must be finite and > 0, got {work}")
+                    rem = rems[j]
+                    n = len(rem)
+                    dt = now - last[j]
+                    last[j] = now
+                    if dt > 0 and n:
                         cap = caps[j]
-                        if cap <= 0:
-                            due[j] = _INF
-                        else:
-                            delay = m * len(rem) / cap
-                            if not 0.0 <= delay < _INF:
-                                raise ValueError(
-                                    f"delay must be finite and >= 0, got {delay}"
-                                )
-                            seq += 1
-                            due_seq[j] = seq
-                            due[j] = now + delay
+                        dec = cap / n * dt
+                        work_done[j] += cap * dt
+                        rem = rems[j] = [v - dec for v in rem]
+                        m = mins[j] = mins[j] - dec
+                        if m <= 1e-12:
+                            self._now, self._seq = now, seq
+                            self._complete(j, m)
+                            seq = self._seq
+                            rem = rems[j]
+                    rem.append(work)
+                    whos[j].append(c)
+                    doors[j].append(now)
+                    m = mins[j]
+                    if work < m:
+                        mins[j] = m = work
+                    cap = caps[j]
+                    if cap <= 0:
+                        due[j] = _INF
                     else:
-                        self._now, self._seq = now, seq
-                        self._submit(j, c, work)
-                        seq = self._seq
+                        delay = m * len(rem) / cap
+                        if not 0.0 <= delay < _INF:
+                            raise ValueError(
+                                f"delay must be finite and >= 0, got {delay}"
+                            )
+                        seq += 1
+                        due_seq[j] = seq
+                        due[j] = now + delay
                 if src >= 0:
                     n = len(rems[src])
                     cap = caps[src]
@@ -659,15 +625,14 @@ class MultiTierApp:
                         due[src] = now + delay
         finally:
             self._now, self._seq = now, seq
-            if buf is not None:
-                self._buf = None
-                if self._n_drawn:
-                    # Rewind: leave the generator where per-draw calls
-                    # would have, whatever the last block over-drew.
-                    rng.bit_generator.state = self._rng_state
-                    used = self._n_drawn - len(buf)
-                    if used:
-                        rng.standard_exponential(used)
+            self._buf = None
+            if self._n_drawn:
+                # Rewind: leave the generator where per-draw calls would
+                # have, whatever the last block over-drew.
+                rng.bit_generator.state = self._rng_state
+                used = self._n_drawn - len(buf)
+                if used:
+                    rng.standard_exponential(used)
         return n_events
 
     def _refill(self) -> None:
@@ -748,40 +713,8 @@ class MultiTierApp:
             self._door[j] = [door[k] for k in keep]
             self._min[j] = min(rem) if rem else _INF
         now = self._now
-        gate = self._gate[j]
         for c, t0 in finished:
-            if gate is None:
-                self._tier_done(c, j, now - t0)
-                continue
-            self._busy[j] -= 1
             self._tier_done(c, j, now - t0)
-            waiting = self._waiting[j]
-            while waiting and self._busy[j] < gate:
-                self._busy[j] += 1
-                self._enqueue(j, *waiting.popleft())
-
-    def _submit(self, j: int, c: int, work: float) -> None:
-        """Client c arrives at tier j's door with *work* GHz-s."""
-        gate = self._gate[j]
-        if gate is not None:
-            if self._busy[j] >= gate:
-                self._waiting[j].append((c, work, self._now))
-                return
-            self._busy[j] += 1
-        self._enqueue(j, c, work, self._now)
-
-    def _enqueue(self, j: int, c: int, work: float, door: float) -> None:
-        """Client c enters tier j's CPU service."""
-        if not 0.0 < work < _INF:
-            raise ValueError(f"work must be finite and > 0, got {work}")
-        self._advance(j)
-        rem = self._rem[j]
-        rem.append(work)
-        self._who[j].append(c)
-        self._door[j].append(door)
-        if work < self._min[j]:
-            self._min[j] = work
-        self._book(j, len(rem))
 
     def _tier_done(self, c: int, j: int, sojourn_s: float) -> None:
         """Client c's visit to tier j ended: next tier, or record and
@@ -800,9 +733,10 @@ class MultiTierApp:
         self._begin_cycle(c)
 
     def _visit(self, c: int, j: int) -> None:
+        """Client c draws its demand and enters tier j's CPU service."""
         buf = self._buf
         if buf is None:
-            work = self._demand[j].sample(self._rng)
+            work = float(self._rng.exponential(self._scale[j]))
         else:
             if not buf:
                 self._refill()
@@ -810,7 +744,16 @@ class MultiTierApp:
         tr = self._trace[c]
         if tr is not None:
             tr[3] = work
-        self._submit(j, c, work)
+        if not 0.0 < work < _INF:
+            raise ValueError(f"work must be finite and > 0, got {work}")
+        self._advance(j)
+        rem = self._rem[j]
+        rem.append(work)
+        self._who[j].append(c)
+        self._door[j].append(self._now)
+        if work < self._min[j]:
+            self._min[j] = work
+        self._book(j, len(rem))
 
     def _begin_cycle(self, c: int) -> None:
         """Top of client c's loop: park if above the target level, else

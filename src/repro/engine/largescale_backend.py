@@ -24,7 +24,7 @@ VM population, series prefix and energy ledger by sha256).
 from __future__ import annotations
 
 import logging
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,12 @@ from repro.traces.trace import UtilizationTrace
 from repro.util.fold import left_sum
 from repro.util.rng import ensure_rng
 
-__all__ = ["LargeScaleBackend", "build_largescale_engine", "run_largescale"]
+__all__ = [
+    "LargeScaleBackend",
+    "build_largescale_engine",
+    "draw_population",
+    "run_largescale",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -70,8 +75,38 @@ def _build_optimizer(config: LargeScaleConfig) -> Callable[[PlacementProblem], P
     return lambda p: pmapper(p, pm_cfg)
 
 
+def draw_population(
+    config: LargeScaleConfig, servers: Optional[Sequence[Server]] = None
+) -> Tuple[np.ndarray, np.ndarray, List[Server]]:
+    """A run's VM peaks and memories and its server pool, in the one draw
+    order: peaks, then memories, from ``ensure_rng(seed)``; the pool from
+    ``default_rng(seed + 1)`` unless *servers* is given.
+
+    The sharded path draws the global population here and slices it, so
+    a one-pod partition hands its pod exactly what a plain build draws.
+    """
+    generator = ensure_rng(config.seed)
+    peaks = generator.uniform(*config.vm_peak_range_ghz, size=config.n_vms)
+    memories = generator.choice(
+        np.asarray(config.vm_memory_choices_mb, dtype=float), size=config.n_vms
+    )
+    if servers is None:
+        servers = make_server_pool(
+            config.n_servers,
+            STANDARD_SERVER_TYPES,
+            rng=np.random.default_rng(config.seed + 1),
+            type_weights=config.type_weights,
+        )
+    return peaks, memories, list(servers)
+
+
 class LargeScaleBackend:
-    """Vectorized trace-driven plant + its control-plane phases."""
+    """Vectorized trace-driven plant + its control-plane phases.
+
+    ``vm_peaks``, ``vm_memories`` and ``servers`` together inject a pod's
+    slice of a population drawn by :func:`draw_population`; without
+    peaks and memories the backend draws its own.
+    """
 
     def __init__(
         self,
@@ -84,49 +119,26 @@ class LargeScaleBackend:
         vm_id_start: int = 0,
     ):
         self.config = config
-        generator = ensure_rng(config.seed)
         if config.n_vms > trace.n_series:
             raise ValueError(
                 f"trace has {trace.n_series} series < n_vms={config.n_vms}"
             )
         sub = trace.subset(config.n_vms)
-        # A sharded parent draws the global VM population once (exactly
-        # as a single-process run would) and injects each pod's slice,
-        # so pod backends must not consume the generator for it.
-        if vm_peaks is not None:
-            self.peaks = np.asarray(vm_peaks, dtype=float)
-            if self.peaks.shape != (config.n_vms,):
+        if vm_peaks is None and vm_memories is None:
+            vm_peaks, vm_memories, servers = draw_population(config, servers)
+        elif servers is None:
+            raise ValueError("an injected VM population needs its servers")
+        self.peaks = np.asarray(vm_peaks, dtype=float)
+        self.memories = np.asarray(vm_memories, dtype=float)
+        for name, values in (("vm_peaks", self.peaks), ("vm_memories", self.memories)):
+            if values.shape != (config.n_vms,):
                 raise ValueError(
-                    f"vm_peaks has shape {self.peaks.shape}, expected ({config.n_vms},)"
+                    f"{name} has shape {values.shape}, expected ({config.n_vms},)"
                 )
-        else:
-            self.peaks = generator.uniform(
-                *config.vm_peak_range_ghz, size=config.n_vms
-            )
-        if vm_memories is not None:
-            self.memories = np.asarray(vm_memories, dtype=float)
-            if self.memories.shape != (config.n_vms,):
-                raise ValueError(
-                    f"vm_memories has shape {self.memories.shape}, "
-                    f"expected ({config.n_vms},)"
-                )
-        else:
-            self.memories = generator.choice(
-                np.asarray(config.vm_memory_choices_mb, dtype=float),
-                size=config.n_vms,
-            )
         self.vm_id_start = int(vm_id_start)
         self.demands = sub.demands_ghz(self.peaks)  # (n_vms, n_steps)
         self.n_vms, self.n_steps = self.demands.shape
         self.dt_s = sub.interval_s
-
-        if servers is None:
-            servers = make_server_pool(
-                config.n_servers,
-                STANDARD_SERVER_TYPES,
-                rng=np.random.default_rng(config.seed + 1),
-                type_weights=config.type_weights,
-            )
         self.server_list = list(servers)
         n_srv = self.n_srv = len(self.server_list)
         server_list = self.server_list

@@ -26,9 +26,9 @@ Determinism contract
 --------------------
 * ``n_pods=1`` is **bit-identical** to the plain single-process
   backend: the parent draws the global VM population and server pool
-  exactly as :class:`LargeScaleBackend` would and injects the (whole)
-  slice, so the pod performs the same computation in the same order and
-  emits the same event records.
+  with the plain backend's :func:`draw_population` and injects the
+  (whole) slice, so the pod performs the same computation in the same
+  order and emits the same event records.
 * The worker pool is **worker-count invariant**: pods are deterministic
   and their telemetry is buffered per pod and re-emitted in pod order,
   so ``workers=1`` (inline) and ``workers=N`` (pooled) produce the same
@@ -56,17 +56,15 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.catalog import STANDARD_SERVER_TYPES, make_server_pool
 from repro.cluster.server import Server
 from repro.engine.checkpoint import array_sha256, verify_snapshot
 from repro.engine.kernel import ControlPlane, PeriodContext, Phase, run_session
-from repro.engine.largescale_backend import LargeScaleBackend
+from repro.engine.largescale_backend import LargeScaleBackend, draw_population
 from repro.faults import FaultSchedule
 from repro.obs import InMemoryBackend, Telemetry, get_telemetry, use_telemetry
 from repro.sim.largescale import LargeScaleConfig, LargeScaleResult
 from repro.traces.trace import UtilizationTrace
 from repro.util.fold import left_sum
-from repro.util.rng import ensure_rng
 
 __all__ = [
     "ShardedConfig",
@@ -168,28 +166,16 @@ def _filter_faults(
 def partition_pods(trace: UtilizationTrace, config: ShardedConfig) -> List[PodSpec]:
     """Draw the global population and slice it into pod specs.
 
-    The draws replicate :class:`LargeScaleBackend`'s construction order
-    on the *global* config (peaks, then memories, from
-    ``ensure_rng(seed)``; the server pool from ``default_rng(seed+1)``),
-    so a 1-pod partition hands the pod byte-identical inputs to a plain
-    single-process build.
+    :func:`draw_population` on the *global* config is the draw a plain
+    single-process build makes, so a 1-pod partition hands the pod
+    byte-identical inputs.
     """
     base = config.base
     if base.n_vms > trace.n_series:
         raise ValueError(
             f"trace has {trace.n_series} series < n_vms={base.n_vms}"
         )
-    generator = ensure_rng(base.seed)
-    peaks = generator.uniform(*base.vm_peak_range_ghz, size=base.n_vms)
-    memories = generator.choice(
-        np.asarray(base.vm_memory_choices_mb, dtype=float), size=base.n_vms
-    )
-    pool = make_server_pool(
-        base.n_servers,
-        STANDARD_SERVER_TYPES,
-        rng=np.random.default_rng(base.seed + 1),
-        type_weights=base.type_weights,
-    )
+    peaks, memories, pool = draw_population(base)
     vm_ranges = _split_ranges(base.n_vms, config.n_pods)
     srv_ranges = _split_ranges(base.n_servers, config.n_pods)
     specs: List[PodSpec] = []

@@ -5,7 +5,7 @@ per-app dispatch loop over flat lists, with block-drawn think times and
 demands.  This module keeps the plant it replaced -- the same
 ``MultiTierApp`` public API built from the general
 :class:`~tests.oracles.des.Simulator` / :class:`~tests.oracles.des.PSResource`
-kernel, a ``_Tier`` admission gate per tier and one ``_Client`` record
+kernel, a ``_Tier`` per tier and one ``_Client`` record
 per closed-loop client driven by callbacks -- as the second differential
 oracle.  ``tests/test_des_equivalence.py`` drives both plants through
 the same operations and compares period statistics, CPU usage, queue
@@ -24,8 +24,7 @@ testbed backend did before ``MultiTierApp.restart_tier``.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,25 +39,15 @@ __all__ = ["MultiTierApp"]
 
 
 class _Tier:
-    """One tier: a PS CPU behind an optional FIFO admission gate.
+    """One tier: a PS CPU.  ``submit`` is the PS resource's own
+    (sojourn = service time, same synchronous completion)."""
 
-    With ``max_concurrency`` set, at most that many requests share the
-    CPU; the rest wait in arrival order, as behind a worker-pool limit.
-    The sojourn a request is completed with is the *total* time at the
-    tier (admission wait + service).
-
-    Without a cap the gate is pass-through: ``submit`` is the PS
-    resource's own (sojourn = service time, same synchronous completion).
-    """
-
-    __slots__ = ("sim", "spec", "resource", "_waiting", "_in_service")
+    __slots__ = ("sim", "spec", "resource")
 
     def __init__(self, sim: Simulator, spec: TierSpec, capacity_ghz: float):
         self.sim = sim
         self.spec = spec
         self.resource = PSResource(sim, capacity_ghz)
-        self._waiting: Deque[tuple] = deque()
-        self._in_service = 0
 
     def submit(
         self,
@@ -69,34 +58,10 @@ class _Tier:
         """Same contract as :meth:`PSResource.submit`: completion calls
         ``on_done(token, sojourn_s)``, or fires the returned event when
         no callback is given."""
-        if self.spec.max_concurrency is None:
-            return self.resource.submit(work_ghz_seconds, on_done, token)
-        ev = None
-        if on_done is None:
-            token = ev = self.sim.event()
-            on_done = SimEvent.succeed
-        job = (float(work_ghz_seconds), on_done, token, self.sim.now)
-        if self._in_service < self.spec.max_concurrency:
-            self._start(job)
-        else:
-            self._waiting.append(job)
-        return ev
-
-    def _start(self, job: tuple) -> None:
-        self._in_service += 1
-        self.resource.submit(job[0], self._complete, job)
-
-    def _complete(self, job: tuple, _service_s: float) -> None:
-        _work, on_done, token, arrival = job
-        self._in_service -= 1
-        on_done(token, self.sim.now - arrival)
-        cap = self.spec.max_concurrency
-        while self._waiting and self._in_service < cap:
-            self._start(self._waiting.popleft())
+        return self.resource.submit(work_ghz_seconds, on_done, token)
 
     def clear(self) -> None:
-        """Forget queued and waiting requests (end of a run)."""
-        self._waiting.clear()
+        """Forget queued requests (end of a run)."""
         self.resource.clear()
 
     # -- pass-throughs ---------------------------------------------------
@@ -120,10 +85,8 @@ class _Tier:
 
     @property
     def queue_length(self) -> int:
-        """Requests in service plus any waiting at the admission gate."""
-        if self.spec.max_concurrency is None:
-            return self.resource.queue_length
-        return self._in_service + len(self._waiting)
+        """Requests in service."""
+        return self.resource.queue_length
 
 
 class _Client:
@@ -376,7 +339,9 @@ class MultiTierApp:
 
     def _visit(self, client: _Client, j: int) -> None:
         client.tier = j
-        client.work = work = self.spec.tiers[j].demand.sample(self._rng)
+        client.work = work = float(
+            self._rng.exponential(self.spec.tiers[j].demand_ghz_s)
+        )
         self._tiers[j].submit(work, self._tier_done, client)
 
     def _tier_done(self, client: _Client, sojourn_s: float) -> None:

@@ -2,7 +2,9 @@
 
 import gc
 import math
+import signal
 import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -12,10 +14,6 @@ from hypothesis import strategies as st
 from repro.apps import (
     AppSpec,
     ConstantWorkload,
-    Deterministic,
-    Erlang,
-    Exponential,
-    LogNormal,
     MultiTierApp,
     PiecewiseWorkload,
     RampWorkload,
@@ -26,51 +24,41 @@ from repro.apps import (
 from repro.apps.rubbos import _p90_p50
 
 
+@contextmanager
+def _deadline(seconds):
+    """Raise ``TimeoutError`` in the block once *seconds* have passed, so
+    a run that would never return fails instead of hanging the suite."""
+
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestDemandDistributions:
-    def test_deterministic_sample(self, rng):
-        d = Deterministic(0.5)
-        assert d.sample(rng) == 0.5
-        assert d.mean == 0.5
-
-    @pytest.mark.parametrize("dist", [
-        Exponential(0.02),
-        Erlang(0.02, k=3),
-        LogNormal(0.02, cv=0.8),
-        Deterministic(0.02),
-    ])
-    def test_sample_mean_matches_declared(self, dist, rng):
-        samples = dist.sample_n(rng, 20000)
-        assert samples.mean() == pytest.approx(dist.mean, rel=0.05)
-
-    @pytest.mark.parametrize("dist", [
-        Exponential(0.02), Erlang(0.02), LogNormal(0.02), Deterministic(0.02)
-    ])
-    def test_samples_positive(self, dist, rng):
-        assert np.all(dist.sample_n(rng, 1000) > 0)
-
-    def test_erlang_less_variable_than_exponential(self, rng):
-        exp = Exponential(1.0).sample_n(rng, 20000)
-        erl = Erlang(1.0, k=4).sample_n(rng, 20000)
-        assert erl.std() < exp.std()
-
-    def test_erlang_k1_matches_exponential_cv(self, rng):
-        erl = Erlang(1.0, k=1).sample_n(rng, 20000)
-        assert erl.std() == pytest.approx(1.0, rel=0.1)
-
-    def test_lognormal_cv(self, rng):
-        ln = LogNormal(2.0, cv=0.5)
-        samples = ln.sample_n(rng, 50000)
-        assert samples.std() / samples.mean() == pytest.approx(0.5, rel=0.1)
+    def test_visit_demands_are_exponential_with_the_tier_mean(self):
+        # Each visit draws an exponential demand (coefficient of
+        # variation 1) with its tier's mean; traces record every draw.
+        app = MultiTierApp(AppSpec.rubbos(), [3.0, 3.0], concurrency=40, rng=5)
+        app.enable_request_tracing(1)
+        app.run_period(300.0)
+        traces = app.drain_traces()
+        for j, tier in enumerate(app.spec.tiers):
+            work = np.asarray([t.tiers[j].work_ghz_s for t in traces])
+            assert work.size > 5000 and np.all(work > 0)
+            assert work.mean() == pytest.approx(tier.demand_ghz_s, rel=0.05)
+            assert work.std() / work.mean() == pytest.approx(1.0, rel=0.05)
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            Exponential(0.0)
-        with pytest.raises(ValueError):
-            Erlang(1.0, k=0)
-        with pytest.raises(ValueError):
-            LogNormal(1.0, cv=0.0)
-        with pytest.raises(ValueError):
-            Deterministic(-1.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="demand_ghz_s"):
+                TierSpec("t", bad)
 
 
 class TestMVA:
@@ -200,7 +188,7 @@ class TestMultiTierApp:
         with pytest.raises(ValueError):
             AppSpec(name="x", tiers=())
         with pytest.raises(ValueError):
-            TierSpec("t", Exponential(0.02), min_alloc_ghz=2.0, max_alloc_ghz=1.0)
+            TierSpec("t", 0.02, min_alloc_ghz=2.0, max_alloc_ghz=1.0)
 
     def test_rubbos_spec_shape(self):
         spec = AppSpec.rubbos()
@@ -285,19 +273,10 @@ class TestMultiTierApp:
                 call()
         assert app.queue_lengths() == [0, 0]
 
-    @pytest.mark.parametrize("max_concurrency", [None, 2])
-    def test_close_leaves_no_reference_cycle(self, max_concurrency):
-        # Requests in service and waiting at an admission gate, pending
-        # think-overs and request traces: reference counting alone frees
-        # a closed app.
-        spec = AppSpec(
-            "cycle",
-            (
-                TierSpec("web", Exponential(0.02), max_concurrency=max_concurrency),
-                TierSpec("db", Exponential(0.015)),
-            ),
-            think_time_s=0.1,
-        )
+    def test_close_leaves_no_reference_cycle(self):
+        # Requests in service, pending think-overs and request traces:
+        # reference counting alone frees a closed app.
+        spec = AppSpec.rubbos("cycle", think_time_s=0.1)
         gc.collect()
         gc.disable()
         try:
@@ -311,6 +290,21 @@ class TestMultiTierApp:
             assert app_alive() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda app: app.warmup(math.nan),
+            lambda app: app.warmup(math.inf),
+            lambda app: app.run_period(math.inf),
+        ],
+        ids=["warmup-nan", "warmup-inf", "run_period-inf"],
+    )
+    def test_a_non_finite_run_length_is_refused(self, run):
+        app = MultiTierApp(AppSpec.rubbos(), concurrency=5, rng=1)
+        with _deadline(10.0), pytest.raises(ValueError, match="non-finite"):
+            run(app)
+        assert app.run_period(5.0).completed > 0
 
     def test_restart_tier_serves_nothing_until_the_downtime_ends(self):
         app = MultiTierApp(AppSpec.rubbos(), [1.0, 1.0], concurrency=20, rng=2)
@@ -381,91 +375,6 @@ class TestMultiTierApp:
         rts = np.asarray(rts, dtype=float)
         want = [float(np.percentile(rts, 90.0)), float(np.percentile(rts, 50.0))]
         assert np.array(_p90_p50(rts)).tobytes() == np.array(want).tobytes()
-
-
-class TestAdmissionControl:
-    def test_concurrency_cap_limits_in_service(self):
-        from tests.oracles.des import Simulator
-        from tests.oracles.rubbos_reference import _Tier
-
-        sim = Simulator()
-        tier = _Tier(sim, TierSpec("t", Exponential(0.02), max_concurrency=2), 1.0)
-        events = [tier.submit(1.0) for _ in range(5)]
-        assert tier._in_service == 2
-        assert tier.queue_length == 5
-        sim.run()
-        assert all(ev.triggered for ev in events)
-
-    def test_fifo_admission_order(self):
-        from tests.oracles.des import Simulator
-        from tests.oracles.rubbos_reference import _Tier
-
-        sim = Simulator()
-        tier = _Tier(sim, TierSpec("t", Exponential(0.02), max_concurrency=1), 1.0)
-        events = [tier.submit(1.0) for _ in range(3)]
-        sim.run()
-        finish = [ev.value for ev in events]
-        assert finish[0] < finish[1] < finish[2]
-
-    def test_cap_one_serializes_exactly(self):
-        from tests.oracles.des import Simulator
-        from tests.oracles.rubbos_reference import _Tier
-
-        sim = Simulator()
-        tier = _Tier(sim, TierSpec("t", Exponential(0.02), max_concurrency=1), 2.0)
-        e1 = tier.submit(2.0)  # 1 s at 2 GHz
-        e2 = tier.submit(2.0)
-        sim.run()
-        assert e1.value == pytest.approx(1.0)
-        assert e2.value == pytest.approx(2.0)  # waited 1 s, served 1 s
-
-    def test_uncapped_tier_unchanged(self):
-        from tests.oracles.des import Simulator
-        from tests.oracles.rubbos_reference import _Tier
-
-        sim = Simulator()
-        tier = _Tier(sim, TierSpec("t", Exponential(0.02)), 1.0)
-        e1 = tier.submit(1.0)
-        e2 = tier.submit(1.0)
-        sim.run()
-        # Pure PS: simultaneous equal jobs finish together.
-        assert e1.value == pytest.approx(2.0)
-        assert e2.value == pytest.approx(2.0)
-
-    def test_app_with_capped_tier_still_serves_everything(self):
-        spec = AppSpec(
-            name="capped",
-            tiers=(
-                TierSpec("web", Exponential(0.020), max_concurrency=8),
-                TierSpec("db", Exponential(0.015), max_concurrency=4),
-            ),
-        )
-        app = MultiTierApp(spec, [1.0, 1.0], concurrency=30, rng=9)
-        app.warmup(60)
-        stats = app.run_period(120.0)
-        assert stats.completed > 0
-        assert stats.rt_p90_ms > 0
-
-    def test_cap_preserves_throughput(self):
-        """An admission cap reshapes waiting (queue at the door instead of
-        sharing the CPU) but cannot change the capacity-bound throughput."""
-        def run(cap):
-            spec = AppSpec(
-                name="x",
-                tiers=(
-                    TierSpec("web", Exponential(0.020), max_concurrency=cap),
-                    TierSpec("db", Exponential(0.015)),
-                ),
-            )
-            app = MultiTierApp(spec, [1.0, 1.0], concurrency=40, rng=10)
-            app.warmup(90)
-            return app.run_period(200.0).throughput_rps
-
-        assert run(2) == pytest.approx(run(64), rel=0.1)
-
-    def test_invalid_cap_rejected(self):
-        with pytest.raises(ValueError):
-            TierSpec("t", Exponential(0.02), max_concurrency=0)
 
 
 class TestTraceWorkload:

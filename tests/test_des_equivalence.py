@@ -20,6 +20,7 @@ property over random apps and operation sequences.  Every observable
 float is compared with ``==`` (NaN as NaN), never with a tolerance.
 """
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.demand import Deterministic, Erlang, Exponential, LogNormal
 from repro.apps.rubbos import AppSpec, MultiTierApp, TierSpec
 from repro.engine import testbed_backend
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
@@ -405,15 +405,44 @@ def _restart(app, tier, downtime_s, fraction):
         app.sim.schedule(downtime_s, app.degrade_tier, tier, fraction)
 
 
-def _play(plant_cls, spec, script, allocs=None, concurrency=0, seed=0, trace_every=0):
+class _EqualDraws:
+    """A generator stand-in whose every standard-exponential value is 1.0.
+
+    Think times and demands then equal their means exactly, so tier
+    completions, think-overs and restarts land on shared float instants.
+    The plants call only ``exponential``, ``standard_exponential`` and
+    ``bit_generator.state``; the state here counts the values drawn, so
+    the fused loop's rewind works and the step log compares consumption.
+    """
+
+    def __init__(self):
+        self.bit_generator = SimpleNamespace(state=0)
+
+    def exponential(self, scale):
+        self.bit_generator.state += 1
+        return scale * 1.0
+
+    def standard_exponential(self, size):
+        self.bit_generator.state += size
+        return np.ones(size)
+
+
+def _play(plant_cls, spec, script, allocs=None, concurrency=0, seed=0,
+          trace_every=0, draws=None):
     """Drive one plant through *script*; return everything observable
-    after each step, the generator state and ``des.events`` included."""
+    after each step, the generator state and ``des.events`` included.
+
+    ``draws`` makes a generator that replaces the seeded one once the
+    plant is built.
+    """
     rng = np.random.default_rng(seed)
     tel = Telemetry(InMemoryBackend())
     events = tel.registry.counter("des.events")
     log = []
     with use_telemetry(tel, close=False):
         app = plant_cls(spec, allocs, concurrency=concurrency, rng=rng)
+        if draws is not None:
+            app._rng = rng = draws()
         if trace_every:
             app.enable_request_tracing(trace_every)
         for op, arg in script:
@@ -490,25 +519,6 @@ class TestAppBitIdentity:
         ]
         _check(AppSpec.rubbos(), script, concurrency=20, seed=7)
 
-    def test_gated_app_identical(self):
-        # Admission gates hand a finished request its next step before
-        # they admit the next waiter.
-        script = [
-            ("warmup", 5.0),
-            ("period", 20.0),
-            ("alloc", [0.4, 0.9]),
-            ("period", 20.0),
-        ]
-        spec = AppSpec(
-            name="gated",
-            tiers=(
-                TierSpec("web", Exponential(0.020), max_concurrency=3),
-                TierSpec("db", Exponential(0.015), max_concurrency=1),
-            ),
-            think_time_s=0.2,
-        )
-        _check(spec, script, allocs=[0.8, 0.6], concurrency=20, seed=5)
-
     def test_concurrency_step_down_then_up_identical(self):
         # Down: clients above the level park after their request in
         # flight.  Up: parked clients resume in index order, new ones
@@ -531,22 +541,12 @@ class TestAppBitIdentity:
 
 @st.composite
 def _apps(draw):
-    """1-3 tiers, exponential or mixed demands, with or without gates."""
-    mixed = draw(st.booleans())
-    tiers = []
-    for j in range(draw(st.integers(1, 3))):
-        mean = draw(st.floats(0.005, 0.05))
-        kinds = ["exp", "erlang", "lognormal", "deterministic"]
-        kind = draw(st.sampled_from(kinds)) if mixed else "exp"
-        demand = {
-            "exp": Exponential(mean),
-            "erlang": Erlang(mean, k=2),
-            "lognormal": LogNormal(mean, cv=0.8),
-            "deterministic": Deterministic(mean),
-        }[kind]
-        gate = draw(st.one_of(st.none(), st.integers(1, 4)))
-        tiers.append(TierSpec(f"t{j}", demand, 0.05, 4.0, max_concurrency=gate))
-    return AppSpec("app", tuple(tiers), draw(st.floats(0.05, 1.0)))
+    """1-3 tiers with their mean demands and a think time."""
+    tiers = tuple(
+        TierSpec(f"t{j}", draw(st.floats(0.005, 0.05)), 0.05, 4.0)
+        for j in range(draw(st.integers(1, 3)))
+    )
+    return AppSpec("app", tiers, draw(st.floats(0.05, 1.0)))
 
 
 def _scripts(n_tiers):
@@ -571,43 +571,48 @@ def _scripts(n_tiers):
     )
 
 
+# name -> (tiers, the longest queue the step log must show, script)
 _TIES = {
     # Five jobs stalled at each tier, both restored at one instant; a
     # later restore of the web tier lands on both tiers' completion
     # instant.
-    "stalled_tiers": (
-        None,
-        [
-            ("level", 5),
-            ("degrade", (1, 0.0)),
-            ("warmup", 30.0),
-            ("degrade", (0, 0.0)),
-            ("level", 10),
-            ("warmup", 30.0),
-            ("restart", (0, 0.0, 1.0)),
-            ("restart", (1, 0.0, 1.0)),
-            ("restart", (0, 1.25, 1.0)),
-            ("restart", (1, 0.5, 1.0)),
-            ("period", 4.0),
-            ("level", 3),
-            ("period", 4.0),
-        ],
-    ),
-    # A gate of one in front of a stalled web tier: each finisher reaches
-    # the idle db tier at the instant the gate admits the next waiter, so
-    # their two completions tie, db booked first.
-    "gate_convoy": (
-        1,
-        [
-            ("level", 5),
-            ("degrade", (0, 0.0)),
-            ("warmup", 30.0),
-            ("restart", (0, 0.0, 1.0)),
-            ("period", 4.0),
-            ("level", 2),
-            ("period", 4.0),
-        ],
-    ),
+    "stalled_tiers": (2, 5, [
+        ("level", 5),
+        ("degrade", (1, 0.0)),
+        ("warmup", 30.0),
+        ("degrade", (0, 0.0)),
+        ("level", 10),
+        ("warmup", 30.0),
+        ("restart", (0, 0.0, 1.0)),
+        ("restart", (1, 0.0, 1.0)),
+        ("restart", (0, 1.25, 1.0)),
+        ("restart", (1, 0.5, 1.0)),
+        ("period", 4.0),
+        ("level", 3),
+        ("period", 4.0),
+    ]),
+    # Clients started a quarter second apart: a think-over lands on the
+    # web tier's completion instant, booked before it (the think-over
+    # fires first) or after it (the completion does).
+    "staggered_clients": (2, 1, [
+        ("level", 1),
+        ("warmup", 0.25),
+        ("level", 2),
+        ("warmup", 0.5),
+        ("level", 3),
+        ("period", 4.0),
+        ("level", 1),
+        ("period", 4.0),
+    ]),
+    # Requests that arrive together finish together at every tier.  With
+    # two tiers a wrong sweep order would be undone by the next sweep;
+    # with three it shows in the order of the drained traces.
+    "three_tier_sweeps": (3, 2, [
+        ("level", 5),
+        ("warmup", 10.0),
+        ("level", 2),
+        ("period", 4.0),
+    ]),
 }
 
 
@@ -659,22 +664,6 @@ class TestFusedPlant:
         _check(AppSpec.rubbos(), [("period", 10.0), ("period", 10.0)],
                concurrency=60, seed=4)
 
-    def test_mixed_demands_draw_one_value_per_call(self):
-        spec = AppSpec(
-            "mixed",
-            (
-                TierSpec("web", Exponential(0.02)),
-                TierSpec("app", Erlang(0.01, k=3), max_concurrency=4),
-                TierSpec("db", LogNormal(0.015, cv=0.8)),
-            ),
-            think_time_s=0.5,
-        )
-        script = [("warmup", 5.0), ("period", 15.0), ("level", 10),
-                  ("period", 15.0), ("restart", (2, 3.0, 1.0)), ("period", 15.0)]
-        with mock.patch.object(MultiTierApp, "_refill", side_effect=AssertionError):
-            _play(MultiTierApp, spec, script, concurrency=30, seed=8)
-        _check(spec, script, concurrency=30, seed=8, trace_every=2)
-
     def test_queues_longer_than_64_jobs(self):
         script = [("warmup", 2.0), ("period", 5.0), ("degrade", (1, 0.0)),
                   ("period", 5.0), ("restart", (1, 1.0, 1.0)), ("period", 5.0)]
@@ -684,24 +673,18 @@ class TestFusedPlant:
 
     @pytest.mark.parametrize("scenario", sorted(_TIES))
     def test_same_instant_events_fire_in_booking_order(self, scenario):
-        # Equal deterministic demands behind a stalled tier: every queued
-        # job keeps exactly 0.25 GHz-s, so after the restore completions
+        # Every draw equals its mean: each job needs exactly 0.25 GHz-s
+        # and each think takes exactly 1 s, so completions, think-overs
         # and restarts land on the same float instants.  Ties between two
         # tiers, between a tier and the heap, and among the finishers of
         # one sweep must resolve as the kernel resolved them: earliest
         # booking first, arrival order within a sweep.  The level drop
         # afterwards makes client identity observable (who parks).
-        gate, script = _TIES[scenario]
-        spec = AppSpec(
-            "ties",
-            (
-                TierSpec("web", Deterministic(0.25), max_concurrency=gate),
-                TierSpec("db", Deterministic(0.25)),
-            ),
-            think_time_s=1.0,
-        )
-        log = _check(spec, script, seed=12, trace_every=1)
-        assert max(max(step[2]) for step in log) >= 5
+        n_tiers, queued, script = _TIES[scenario]
+        tiers = tuple(TierSpec(name, 0.25) for name in ("web", "app", "db")[-n_tiers:])
+        spec = AppSpec("ties", tiers, think_time_s=1.0)
+        log = _check(spec, script, trace_every=1, draws=_EqualDraws)
+        assert max(max(step[2]) for step in log) >= queued
 
     def test_identification_with_a_shared_generator(self):
         # identify_testbed_model excites the plant with allocations drawn

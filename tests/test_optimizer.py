@@ -35,7 +35,7 @@ from repro.obs import InMemoryBackend, Telemetry, use_telemetry
 from repro.packing.mbs import minimum_bin_slack
 
 from tests.conftest import check_plan_feasible, make_server_info, make_vm_info
-from tests.oracles import ipac_reference
+from tests.oracles import ipac_reference, pmapper_reference
 from tests.oracles.compensated_sum import compensated_sum
 from tests.oracles.mbs_reference import MemoryConstraint
 from tests.oracles.mbs_reference import minimum_bin_slack as stepwise_minimum_bin_slack
@@ -963,6 +963,38 @@ class TestPMapper:
         problem = PlacementProblem(servers, vms, {})
         plan = pmapper(problem)
         check_plan_feasible(problem, plan)
+
+
+def _assert_same_pmapper_plan(problem, config):
+    plan = pmapper(problem, config)
+    ref = pmapper_reference.pmapper(problem, config)
+    assert list(plan.final_mapping.items()) == list(ref.final_mapping.items())
+    assert plan.migrations == ref.migrations
+    assert (plan.wake, plan.sleep, plan.unplaced, plan.info) == (
+        ref.wake, ref.sleep, ref.unplaced, ref.info
+    )
+    return plan
+
+
+class TestPMapperMatchesReference:
+    """Grouping the hosted VMs by server once gives each donor the list
+    that a scan of the whole mapping per donor built
+    (``tests/oracles/pmapper_reference.py``), so the same plan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_ipac_cases(), target=st.sampled_from([0.5, 0.8, 0.95, 1.0]))
+    def test_same_plan_on_random_instances(self, case, target):
+        # Overloaded hosts (donors), emptier efficient servers
+        # (receivers), unmapped and homeless VMs, tied demands.
+        problem, _reject, _knobs = case
+        _assert_same_pmapper_plan(problem, PMapperConfig(target_utilization=target))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_plan_on_a_mid_size_cluster(self, seed):
+        problem = _mid_size_cluster(seed)
+        plan = _assert_same_pmapper_plan(problem, PMapperConfig())
+        assert plan.n_moves > 0, "donors shed VMs onto receivers"
+        assert any(m.source_id is None for m in plan.migrations), "unmapped VMs placed"
 
 
 class TestMinSlackBeatsFFD:

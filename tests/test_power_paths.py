@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.cluster import CPUSpec, MeasuredPowerCurve, Server, ServerPowerModel, ServerSpec
 from repro.cluster.catalog import STANDARD_SERVER_TYPES, make_server_pool
 from repro.core.arbitrator import CPUResourceArbitrator
-from repro.engine import sharded_backend
+from repro.engine import largescale_backend
 from repro.engine.kernel import PeriodContext
 from repro.engine.largescale_backend import LargeScaleBackend, run_largescale
 from repro.engine.sharded_backend import ShardedConfig, run_sharded
@@ -124,9 +124,10 @@ class TestMeasuredPoolReportsItsOwnPower:
             assert any((frac[a[a >= 0]] < 1.0).any() for _, _, a, _, frac in steps)
 
     def test_sharded_pods(self, monkeypatch, trace):
-        # Sharded runs draw their pool from the standard catalog; swap
-        # in the measured curves (same CPUs, same memory) for this run.
-        monkeypatch.setattr(sharded_backend, "STANDARD_SERVER_TYPES", MEASURED_TYPES)
+        # Sharded runs draw their pool from the standard catalog in
+        # draw_population; swap in the measured curves (same CPUs, same
+        # memory) for this run.
+        monkeypatch.setattr(largescale_backend, "STANDARD_SERVER_TYPES", MEASURED_TYPES)
         config = ShardedConfig(
             base=LargeScaleConfig(
                 n_vms=30, n_servers=40, seed=_SEED, faults=_THROTTLE

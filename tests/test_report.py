@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import AppSpec, Exponential, MultiTierApp, TierSpec
+from repro.apps import AppSpec, MultiTierApp, TierSpec
 from repro.core.controller import ControllerConfig, ResponseTimeController
 from repro.engine.largescale_backend import run_largescale
 from repro.engine.testbed_backend import run_testbed
@@ -59,9 +59,9 @@ class TestThreeTierControl:
         return AppSpec(
             name="threetier",
             tiers=(
-                TierSpec("web", Exponential(0.012), 0.1, 3.0),
-                TierSpec("app", Exponential(0.016), 0.1, 3.0),
-                TierSpec("db", Exponential(0.010), 0.1, 3.0),
+                TierSpec("web", 0.012, 0.1, 3.0),
+                TierSpec("app", 0.016, 0.1, 3.0),
+                TierSpec("db", 0.010, 0.1, 3.0),
             ),
             think_time_s=1.0,
         )

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,7 +214,23 @@ class TestBuildAndRun:
         assert _eventlog_hash(backend.records) == (TB_SMALL_SHA, 25)
 
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+
 class TestCli:
+    def test_sim_refuses_an_infinite_warmup_without_running(self):
+        # A run toward an infinite target never returned; a subprocess
+        # with a timeout keeps that from hanging the suite.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "sim", "--scenario",
+             "testbed-small", "--set", "params.warmup_s=1e999"],
+            env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")), cwd=_ROOT,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "warmup_s must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_list(self, capsys):
         from repro.cli import main
 
@@ -703,6 +723,11 @@ class TestResolve:
             ("largescale-small", "vm_memory_choices_mb", [math.nan], "vm_memory_choices_mb"),
             ("sharded-small", "vm_memory_choices_mb", [-512], "vm_memory_choices_mb"),
             ("sharded-small", "vm_memory_choices_mb", [1024, math.nan], "vm_memory_choices_mb"),
+            ("testbed-small", "duration_s", math.inf, "duration_s"),
+            ("testbed-small", "control_period_s", math.inf, "control_period_s"),
+            ("testbed-small", "warmup_s", math.inf, "warmup_s"),
+            ("testbed-small", "setpoint_ms", math.inf, "setpoint_ms"),
+            ("testbed-small", "setpoints_ms", {"3": math.inf}, r"setpoints_ms\[3\]"),
         ],
     )
     def test_values_the_build_would_reject_fail_validation(

@@ -11,8 +11,9 @@ import numpy as np
 
 from repro.apps import AppSpec, MultiTierApp
 from repro.control.mpc_core import MPCConfig
-from repro.core.controller import ControllerConfig, ResponseTimeController, tracking_metrics
+from repro.core.controller import ControllerConfig, ResponseTimeController
 from repro.util.tables import format_table
+from tests.oracles.tracking import tracking_metrics
 
 
 def _closed_loop(model, tref_s, r_weight, periods=50, seed=404):

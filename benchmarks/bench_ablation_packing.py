@@ -13,6 +13,7 @@ import numpy as np
 from repro.core.optimizer import PACConfig, PlacementProblem, ServerInfo, VMInfo, pac, pmapper
 from repro.core.optimizer.pmapper import PMapperConfig
 from repro.util.tables import format_table
+from tests.oracles.packing_bounds import capacity_bound_servers
 
 
 def _snapshot(n_vms: int, seed: int) -> PlacementProblem:
@@ -46,8 +47,6 @@ def _idle_power_proxy(problem: PlacementProblem, mapping) -> float:
 def test_ablation_minslack_vs_ffd(benchmark, report):
     sizes = (40, 120, 400)
     seeds = (1, 2, 3)
-
-    from repro.packing import capacity_bound_servers
 
     def run():
         rows = []

@@ -12,13 +12,8 @@ import numpy as np
 
 from repro.apps import AppSpec, MultiTierApp
 from repro.control.stability import arx_poles, is_stable_arx
-from repro.sysid import (
-    fit_arx,
-    one_step_r2,
-    residual_autocorrelation,
-    run_identification_experiment,
-    simulation_rmse,
-)
+from repro.sysid import fit_arx, run_identification_experiment
+from repro.sysid.validate import one_step_r2, residual_autocorrelation, simulation_rmse
 from repro.util.tables import format_table
 
 

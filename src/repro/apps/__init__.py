@@ -1,4 +1,4 @@
-"""Application substrate: queueing models and a RUBBoS-like web app.
+"""Application substrate: a RUBBoS-like web app and its client workloads.
 
 The paper's testbed ran RUBBoS, a two-tier PHP bulletin board (Apache web
 tier + MySQL tier), driven by ``ab`` at a fixed concurrency level.  We do
@@ -7,26 +7,19 @@ equivalent (DESIGN.md §5): a request-level closed queueing network whose
 tier speeds are the GHz allocations the controller actuates.
 """
 
-from repro.apps.queueing import mva_closed_network, MVAResult
 from repro.apps.workload import (
     ConcurrencySchedule,
     ConstantWorkload,
     StepWorkload,
     RampWorkload,
-    PiecewiseWorkload,
-    TraceWorkload,
 )
 from repro.apps.rubbos import MultiTierApp, TierSpec, AppSpec
 
 __all__ = [
-    "mva_closed_network",
-    "MVAResult",
     "ConcurrencySchedule",
     "ConstantWorkload",
     "StepWorkload",
     "RampWorkload",
-    "PiecewiseWorkload",
-    "TraceWorkload",
     "MultiTierApp",
     "TierSpec",
     "AppSpec",

@@ -10,15 +10,12 @@ concurrency level the workload generator should hold.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Sequence, Tuple
 
 __all__ = [
     "ConcurrencySchedule",
     "ConstantWorkload",
     "StepWorkload",
     "RampWorkload",
-    "PiecewiseWorkload",
-    "TraceWorkload",
 ]
 
 
@@ -117,94 +114,4 @@ class RampWorkload(ConcurrencySchedule):
     def __repr__(self) -> str:
         return (
             f"RampWorkload({self._a}->{self._b}, t=[{self._t0}, {self._t1}])"
-        )
-
-
-class PiecewiseWorkload(ConcurrencySchedule):
-    """Step function defined by breakpoints ``[(t0, level0), (t1, level1), ...]``.
-
-    Level ``level_i`` holds on ``[t_i, t_{i+1})``; the first breakpoint
-    must be at time 0 so the level is defined everywhere.
-    """
-
-    def __init__(self, breakpoints: Sequence[Tuple[float, int]]):
-        pts: List[Tuple[float, int]] = [(float(t), int(l)) for t, l in breakpoints]
-        if not pts:
-            raise ValueError("breakpoints must be non-empty")
-        if pts[0][0] != 0.0:
-            raise ValueError(f"first breakpoint must be at t=0, got {pts[0][0]}")
-        for (ta, _), (tb, _) in zip(pts, pts[1:]):
-            if not tb > ta:
-                raise ValueError("breakpoint times must be strictly increasing")
-        for _, level in pts:
-            if level < 0:
-                raise ValueError("levels must be >= 0")
-        self._points = pts
-
-    def level(self, time_s: float) -> int:
-        current = self._points[0][1]
-        for t, lvl in self._points:
-            if time_s >= t:
-                current = lvl
-            else:
-                break
-        return current
-
-    @property
-    def max_level(self) -> int:
-        return max(lvl for _, lvl in self._points)
-
-    def __repr__(self) -> str:
-        return f"PiecewiseWorkload({self._points})"
-
-
-class TraceWorkload(ConcurrencySchedule):
-    """Concurrency driven by a normalized utilization series.
-
-    Bridges the trace substrate to the testbed: a series of values in
-    [0, 1] (e.g. one row of a :class:`repro.traces.UtilizationTrace`) is
-    mapped affinely onto ``[min_level, max_level]`` and held for
-    ``interval_s`` per sample — a "day in the life" client population.
-    Times beyond the series clamp to its last sample.
-    """
-
-    def __init__(
-        self,
-        series,
-        interval_s: float,
-        min_level: int,
-        max_level: int,
-        time_scale: float = 1.0,
-    ):
-        values = [float(v) for v in series]
-        if not values:
-            raise ValueError("series must be non-empty")
-        if any(not 0.0 <= v <= 1.0 for v in values):
-            raise ValueError("series values must lie in [0, 1]")
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be positive, got {interval_s}")
-        if not 0 <= min_level <= max_level:
-            raise ValueError(
-                f"need 0 <= min_level <= max_level, got {min_level}, {max_level}"
-            )
-        if time_scale <= 0:
-            raise ValueError(f"time_scale must be positive, got {time_scale}")
-        self._values = values
-        self._interval = float(interval_s) / float(time_scale)
-        self._lo = int(min_level)
-        self._hi = int(max_level)
-
-    def level(self, time_s: float) -> int:
-        idx = min(int(max(time_s, 0.0) // self._interval), len(self._values) - 1)
-        frac = self._values[idx]
-        return int(round(self._lo + frac * (self._hi - self._lo)))
-
-    @property
-    def max_level(self) -> int:
-        return self._hi
-
-    def __repr__(self) -> str:
-        return (
-            f"TraceWorkload({len(self._values)} samples x {self._interval:.0f}s, "
-            f"levels [{self._lo}, {self._hi}])"
         )

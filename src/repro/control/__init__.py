@@ -9,7 +9,6 @@ it into the paper's specific controller (Eq. 2-4).
 from repro.control.qp import QPResult, solve_qp
 from repro.control.arx import ARXModel
 from repro.control.mpc_core import MPCConfig, MPCController, MPCSolution
-from repro.control.stability import arx_poles, is_stable_arx, closed_loop_converges
 
 __all__ = [
     "QPResult",
@@ -18,7 +17,4 @@ __all__ = [
     "MPCConfig",
     "MPCController",
     "MPCSolution",
-    "arx_poles",
-    "is_stable_arx",
-    "closed_loop_converges",
 ]

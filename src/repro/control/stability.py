@@ -1,27 +1,18 @@
-"""Stability analysis helpers (paper §IV-B: "analyze the control performance").
+"""Open-loop stability of an identified model (paper §IV-B: "analyze the
+control performance").
 
-Two levels of analysis are provided:
-
-* open-loop: the poles of the identified ARX model (roots of its
-  characteristic polynomial) — the plant itself must be stable for the
-  identification-based design to be meaningful;
-* closed-loop: an empirical convergence check that simulates the linear
-  plant under the actual constrained MPC and verifies the response time
-  settles at the set point.  With the terminal constraint active, MPC
-  theory guarantees nominal stability (Maciejowski 2002); the empirical
-  check covers the constrained, softened, and model-mismatch cases the
-  theory does not.
+The poles of the identified ARX model are the roots of its
+characteristic polynomial; the plant itself must be stable for the
+identification-based design to be meaningful.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from repro.control.arx import ARXModel
 
-__all__ = ["arx_poles", "is_stable_arx", "closed_loop_converges"]
+__all__ = ["arx_poles", "is_stable_arx"]
 
 
 def arx_poles(model: ARXModel) -> np.ndarray:
@@ -39,45 +30,3 @@ def is_stable_arx(model: ARXModel, margin: float = 0.0) -> bool:
         raise ValueError(f"margin must be in [0, 1), got {margin}")
     poles = arx_poles(model)
     return bool(np.all(np.abs(poles) < 1.0 - margin))
-
-
-def closed_loop_converges(
-    model: ARXModel,
-    controller,
-    setpoint: float,
-    t_initial: float,
-    c_initial: Sequence[float],
-    c_min: Sequence[float],
-    c_max: Sequence[float],
-    reference_fn,
-    n_steps: int = 60,
-    tol: float = 0.02,
-) -> bool:
-    """Simulate plant = model under the given MPC; check convergence.
-
-    ``controller`` is an :class:`~repro.control.mpc_core.MPCController`
-    built on (possibly a perturbed copy of) *model*; ``reference_fn(t_k)``
-    must return the length-P reference trajectory for the current
-    measurement.  Returns True when the final simulated output is within
-    ``tol`` (relative) of the set point.
-    """
-    m = model.n_inputs
-    na, nb = model.na, model.nb
-    t_hist = [float(t_initial)] * max(na, 1)
-    c0 = np.asarray(c_initial, dtype=float)
-    c_hist = [c0.copy() for _ in range(max(nb, 1))]
-    t_k = float(t_initial)
-    for _ in range(n_steps):
-        ref = reference_fn(t_k)
-        sol = controller.solve(
-            t_hist, np.asarray(c_hist), ref, setpoint, c_min, c_max
-        )
-        # Direct-drive convention: t(k+1) is produced by c(k+1), the
-        # allocation the controller just decided.
-        c_next = np.clip(c_hist[0] + sol.delta_c, c_min, c_max)
-        c_hist.insert(0, c_next)
-        c_hist = c_hist[: max(nb, 1)]
-        t_k = model.one_step(t_hist, np.asarray(c_hist))
-        t_hist.insert(0, t_k)
-        t_hist = t_hist[: max(na, 1)]
-    return abs(t_k - setpoint) <= tol * abs(setpoint)

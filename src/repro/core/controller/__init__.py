@@ -1,6 +1,5 @@
 """Application-level response time controller (paper §IV)."""
 
-from repro.core.controller.analysis import TrackingMetrics, settling_time_s, tracking_metrics, violation_ratio
 from repro.core.controller.reference import exponential_reference
 from repro.core.controller.response_time_controller import (
     ControllerConfig,
@@ -8,10 +7,6 @@ from repro.core.controller.response_time_controller import (
 )
 
 __all__ = [
-    "TrackingMetrics",
-    "settling_time_s",
-    "tracking_metrics",
-    "violation_ratio",
     "exponential_reference",
     "ControllerConfig",
     "ResponseTimeController",

@@ -1,6 +1,5 @@
 """Data-center-level power optimizer (paper §V) and the pMapper baseline."""
 
-from repro.core.optimizer.exhaustive import optimal_placement_power, placement_power_w
 from repro.core.optimizer.ipac import IPACConfig, ipac
 from repro.core.optimizer.ondemand import OnDemandConfig, relieve_overloads
 from repro.core.optimizer.migration import (
@@ -24,8 +23,6 @@ from repro.core.optimizer.types import (
 )
 
 __all__ = [
-    "optimal_placement_power",
-    "placement_power_w",
     "IPACConfig",
     "ipac",
     "OnDemandConfig",

@@ -11,9 +11,9 @@ substrate:
   DES stepping);
 * a structured JSONL event log — one record per control period,
   optimizer invocation, migration, and server power transition — with
-  pluggable backends (:class:`JsonlBackend`, :class:`InMemoryBackend`,
-  :class:`PrometheusTextBackend`) and a :class:`NullBackend` default
-  whose overhead is a single attribute check.
+  pluggable backends (:class:`JsonlBackend`, :class:`InMemoryBackend`)
+  and a :class:`NullBackend` default whose overhead is a single
+  attribute check.
 
 Telemetry is **off by default**: the process-wide instance wraps
 :class:`NullBackend`.  Enable it per run::
@@ -42,7 +42,6 @@ from repro.obs.backends import (
     InMemoryBackend,
     JsonlBackend,
     NullBackend,
-    PrometheusTextBackend,
     TelemetryBackend,
     close_open_backends,
     install_sigterm_flush,
@@ -78,7 +77,6 @@ __all__ = [
     "NullBackend",
     "InMemoryBackend",
     "JsonlBackend",
-    "PrometheusTextBackend",
     "close_open_backends",
     "install_sigterm_flush",
     "Span",

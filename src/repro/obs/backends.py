@@ -12,8 +12,6 @@ Backends:
 * :class:`InMemoryBackend` — keep records in a list (tests, notebooks).
 * :class:`JsonlBackend` — one JSON object per line to a file; the format
   ``repro obs summarize`` reads back.
-* :class:`PrometheusTextBackend` — ignores the event stream; writes one
-  Prometheus text-format dump of the metrics registry on ``close()``.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ __all__ = [
     "NullBackend",
     "InMemoryBackend",
     "JsonlBackend",
-    "PrometheusTextBackend",
     "close_open_backends",
     "install_sigterm_flush",
 ]
@@ -192,25 +189,3 @@ class JsonlBackend(TelemetryBackend):
                 self._fh.close()
             elif not self._fh.closed:
                 self._fh.flush()
-
-
-class PrometheusTextBackend(TelemetryBackend):
-    """Ignores events; dumps the metrics registry on ``close()``.
-
-    The :class:`~repro.obs.telemetry.Telemetry` facade hands this
-    backend its registry at attach time (``bind_registry``).
-    """
-
-    enabled = True
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._registry = None
-
-    def bind_registry(self, registry) -> None:
-        """Called by the telemetry facade so close() can read metrics."""
-        self._registry = registry
-
-    def close(self) -> None:
-        if self._registry is not None:
-            self.path.write_text(self._registry.to_prometheus(), encoding="utf-8")

@@ -54,9 +54,6 @@ class Telemetry:
             record_spans=record_spans,
             sample_every=span_sample_every,
         )
-        bind = getattr(self.backend, "bind_registry", None)
-        if bind is not None:
-            bind(self.registry)
         self._closed = False
 
     # -- spans ---------------------------------------------------------

@@ -34,7 +34,12 @@ import numpy as np
 
 from repro.core.optimizer.minslack import MinSlackConfig
 from repro.faults import FaultSchedule
-from repro.util.validation import check_in_range
+from repro.util.validation import (
+    check_finite,
+    check_in_range,
+    check_non_negative,
+    check_positive,
+)
 
 __all__ = ["LargeScaleConfig", "LargeScaleResult"]
 
@@ -119,8 +124,9 @@ class LargeScaleConfig:
             )
         check_in_range("arbitrator_headroom", self.arbitrator_headroom, 0.1, 1.0)
         check_in_range("target_utilization", self.target_utilization, 0.1, 1.0)
+        check_finite("type_weights", self.type_weights)
         lo, hi = self.vm_peak_range_ghz
-        if not 0 < lo <= hi:
+        if not 0 < lo <= hi < math.inf:
             raise ValueError(f"bad vm_peak_range_ghz {self.vm_peak_range_ghz}")
         if len(self.vm_memory_choices_mb) == 0:
             raise ValueError("vm_memory_choices_mb must not be empty")
@@ -134,14 +140,8 @@ class LargeScaleConfig:
         except ValueError as exc:
             # "max_steps must be ..." -> this config's "minslack_max_steps".
             raise ValueError(f"minslack_{exc}") from None
-        if self.migration_overhead_w < 0:
-            raise ValueError(
-                f"migration_overhead_w must be >= 0, got {self.migration_overhead_w}"
-            )
-        if self.migration_bandwidth_mbps <= 0:
-            raise ValueError(
-                f"migration_bandwidth_mbps must be > 0, got {self.migration_bandwidth_mbps}"
-            )
+        check_non_negative("migration_overhead_w", self.migration_overhead_w)
+        check_positive("migration_bandwidth_mbps", self.migration_bandwidth_mbps)
 
     def minslack_config(self) -> MinSlackConfig:
         """The per-server Minimum Slack search knobs of this run."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -138,27 +138,3 @@ class SeriesRecorder:
             "max": float(finite.max()),
             "n": int(finite.size),
         }
-
-
-@dataclass
-class EnergyMeter:
-    """Integrates power (W) samples over time into energy (Wh)."""
-
-    energy_wh: float = 0.0
-    _samples: List[float] = field(default_factory=list)
-
-    def add_interval(self, power_w: float, duration_s: float) -> None:
-        """Accumulate ``power_w`` held for ``duration_s`` seconds."""
-        if duration_s < 0:
-            raise ValueError(f"duration must be >= 0, got {duration_s}")
-        if power_w < 0:
-            raise ValueError(f"power must be >= 0, got {power_w}")
-        self.energy_wh += power_w * duration_s / 3600.0
-        self._samples.append(float(power_w))
-
-    @property
-    def mean_power_w(self) -> float:
-        """Mean of the recorded power samples (W); NaN when empty."""
-        if not self._samples:
-            return float("nan")
-        return float(np.mean(self._samples))

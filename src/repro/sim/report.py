@@ -7,16 +7,12 @@ every surface shows the same numbers the same way.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
-import numpy as np
-
 from repro.sim.largescale import LargeScaleResult
 from repro.sim.testbed import TestbedResult
 from repro.util.ascii_chart import ascii_series
 from repro.util.tables import format_table
 
-__all__ = ["testbed_report", "largescale_report", "comparison_report"]
+__all__ = ["testbed_report", "largescale_report"]
 
 
 def testbed_report(result: TestbedResult, n_apps: int, setpoint_ms: float) -> str:
@@ -67,27 +63,3 @@ def largescale_report(result: LargeScaleResult) -> str:
     if result.power_series_w.size > 4:
         parts.append(ascii_series(result.power_series_w, label="\ntotal power (W)"))
     return "\n".join(parts)
-
-
-def comparison_report(results: Sequence[LargeScaleResult], baseline_index: int = -1) -> str:
-    """Side-by-side scheme comparison with savings vs a baseline row."""
-    if not results:
-        raise ValueError("need at least one result")
-    baseline = results[baseline_index]
-    rows: List[list] = []
-    for r in results:
-        saving = 1.0 - r.energy_per_vm_wh / baseline.energy_per_vm_wh
-        rows.append([
-            r.scheme,
-            r.energy_per_vm_wh,
-            f"{100.0 * saving:+.1f}%",
-            r.migrations,
-            f"{r.mean_active_servers:.1f}",
-            r.overload_server_steps,
-        ])
-    return format_table(
-        ["scheme", "Wh/VM", f"vs {baseline.scheme}", "moves",
-         "mean active", "overload steps"],
-        rows,
-        title=f"Scheme comparison ({results[0].n_vms} VMs)",
-    )

@@ -18,7 +18,7 @@ from repro.apps.workload import ConcurrencySchedule
 from repro.control.arx import ARXModel
 from repro.faults import FaultSchedule
 from repro.sim.metrics import SeriesRecorder
-from repro.util.validation import check_finite, check_non_negative, check_positive
+from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["TestbedConfig", "TestbedResult"]
 
@@ -126,9 +126,6 @@ class TestbedConfig:
         check_positive("setpoint_ms", self.setpoint_ms)
         for app, setpoint in self.setpoints_ms.items():
             check_positive(f"setpoints_ms[{app}]", setpoint)
-            check_finite(f"setpoints_ms[{app}]", setpoint)
-        for name in ("duration_s", "control_period_s", "warmup_s", "setpoint_ms"):
-            check_finite(name, getattr(self, name))
         check_non_negative("concurrency", self.concurrency)
         lo, hi = self.sysid_alloc_range
         if not 0 < lo < hi:

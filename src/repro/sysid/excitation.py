@@ -2,10 +2,10 @@
 
 Good identification data must be *persistently exciting*: the inputs
 (CPU allocations) have to move enough, across enough frequencies, for
-least squares to separate the coefficients.  The workhorses here are the
-pseudo-random binary sequence (PRBS) and its amplitude-modulated variant
-(APRBS), the standard choices for identifying mildly nonlinear plants
-around an operating region.
+least squares to separate the coefficients.  The workhorse here is the
+amplitude-modulated pseudo-random binary sequence (APRBS), the standard
+choice for identifying mildly nonlinear plants around an operating
+region.
 """
 
 from __future__ import annotations
@@ -14,24 +14,7 @@ import numpy as np
 
 from repro.util.rng import RngLike, ensure_rng
 
-__all__ = ["prbs", "aprbs", "excitation_trajectory"]
-
-
-def prbs(n: int, rng: RngLike = None, hold: int = 1) -> np.ndarray:
-    """Pseudo-random binary sequence of +/-1 with a per-symbol hold.
-
-    ``hold`` repeats each random symbol that many samples, shifting the
-    excitation energy toward lower frequencies (useful when the plant's
-    dominant time constant spans several control periods).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if hold < 1:
-        raise ValueError(f"hold must be >= 1, got {hold}")
-    generator = ensure_rng(rng)
-    n_symbols = -(-n // hold)
-    symbols = generator.choice([-1.0, 1.0], size=n_symbols)
-    return np.repeat(symbols, hold)[:n]
+__all__ = ["aprbs", "excitation_trajectory"]
 
 
 def aprbs(
@@ -46,7 +29,7 @@ def aprbs(
 
     Each segment holds a uniformly drawn level for a uniformly drawn
     number of samples in ``[min_hold, max_hold]``.  Richer amplitude
-    content than binary PRBS, which matters for plants (like queueing
+    content than a binary PRBS, which matters for plants (like queueing
     systems) whose gain varies with the operating point.
     """
     if n < 1:

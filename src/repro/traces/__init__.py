@@ -14,17 +14,13 @@ troughs, noise, and occasional spikes).  See DESIGN.md §5.
 from repro.traces.trace import UtilizationTrace
 from repro.traces.generator import SECTORS, TraceConfig, generate_trace
 from repro.traces.forecast import DemandForecaster, EwmaPeakForecaster, HoltForecaster
-from repro.traces.stats import TraceStats, sector_statistics, trace_statistics
 
 __all__ = [
     "UtilizationTrace",
     "SECTORS",
     "TraceConfig",
     "generate_trace",
-    "TraceStats",
     "DemandForecaster",
     "EwmaPeakForecaster",
     "HoltForecaster",
-    "sector_statistics",
-    "trace_statistics",
 ]

@@ -13,18 +13,24 @@ import numpy as np
 
 
 def check_positive(name: str, value: float) -> float:
-    """Require ``value > 0``; return it as a float."""
+    """Require a finite ``value > 0``; return it as a float."""
     value = float(value)
     if not value > 0.0:
         raise ValueError(f"{name} must be positive, got {value}")
-    return value
+    return _not_infinite(name, value)
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Require ``value >= 0``; return it as a float."""
+    """Require a finite ``value >= 0``; return it as a float."""
     value = float(value)
     if not value >= 0.0:
         raise ValueError(f"{name} must be non-negative, got {value}")
+    return _not_infinite(name, value)
+
+
+def _not_infinite(name: str, value: float) -> float:
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got non-finite {value}")
     return value
 
 
@@ -43,19 +49,9 @@ def check_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def check_probability(name: str, value: float) -> float:
-    """Require ``0 <= value <= 1``; return it as a float."""
-    return check_in_range(name, value, 0.0, 1.0)
-
-
 def check_monotone_increasing(name: str, values: Iterable[float]) -> None:
     """Require a strictly increasing sequence."""
     seq = list(values)
     for a, b in zip(seq, seq[1:]):
         if not b > a:
             raise ValueError(f"{name} must be strictly increasing, got {seq}")
-
-
-def is_close(a: float, b: float, rel: float = 1e-9, abs_: float = 1e-12) -> bool:
-    """Symmetric closeness test used by allocation bookkeeping."""
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)

@@ -7,7 +7,7 @@ the implementation it replaced, which re-derived loads, power and a plan
 from the full mapping in every PAC call and every power estimate:
 ``_ipac``, ``_run_pac`` (a ``PlacementProblem.trusted`` sub-problem with
 the victim left out, handed to ``pac``), ``_estimate_power_w`` (through
-:func:`repro.core.optimizer.exhaustive.placement_power_w`) and the
+:func:`tests.oracles.exhaustive.placement_power_w`) and the
 ejection-chain repair that rebuilt each server's hosted list from the
 mapping at every search node.  ``pac`` is the one-function PAC those
 called, also as it was.  ``tests/test_optimizer.py`` asserts that both
@@ -125,7 +125,7 @@ def _estimate_power_w(problem: PlacementProblem, mapping: Dict[str, str]) -> flo
     """Steady-state power estimate of a candidate mapping (hosting
     servers only; non-hosting servers sleep at the end of the plan, and
     their constant sleep draw cancels out of any comparison)."""
-    from repro.core.optimizer.exhaustive import placement_power_w
+    from tests.oracles.exhaustive import placement_power_w
 
     return placement_power_w(problem, mapping, include_sleepers=False)
 

@@ -7,13 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.controller.analysis import (
-    settling_time_s,
-    tracking_metrics,
-    violation_ratio,
-)
 from repro.packing import minimum_bin_slack
-from repro.packing.bounds import capacity_bound_servers, l1_bound, l2_bound
+from tests.oracles.packing_bounds import capacity_bound_servers, l1_bound, l2_bound
+from tests.oracles.tracking import settling_time_s, tracking_metrics, violation_ratio
 
 
 class TestTrackingMetrics:

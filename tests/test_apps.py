@@ -15,13 +15,12 @@ from repro.apps import (
     AppSpec,
     ConstantWorkload,
     MultiTierApp,
-    PiecewiseWorkload,
     RampWorkload,
     StepWorkload,
     TierSpec,
-    mva_closed_network,
 )
 from repro.apps.rubbos import _p90_p50
+from tests.oracles.queueing import mva_closed_network
 
 
 @contextmanager
@@ -160,27 +159,9 @@ class TestWorkloads:
         assert w.level(0.0) == 10
         assert w.level(500.0) == 50
 
-    def test_piecewise(self):
-        w = PiecewiseWorkload([(0.0, 5), (10.0, 20), (30.0, 10)])
-        assert w.level(0) == 5
-        assert w.level(9.9) == 5
-        assert w.level(10.0) == 20
-        assert w.level(35.0) == 10
-        assert w.max_level == 20
-
-    def test_piecewise_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            PiecewiseWorkload([(1.0, 5)])
-
-    def test_piecewise_strictly_increasing_times(self):
-        with pytest.raises(ValueError):
-            PiecewiseWorkload([(0.0, 5), (0.0, 6)])
-
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError):
             ConstantWorkload(-1)
-        with pytest.raises(ValueError):
-            PiecewiseWorkload([(0.0, -5)])
 
 
 class TestMultiTierApp:
@@ -375,53 +356,3 @@ class TestMultiTierApp:
         rts = np.asarray(rts, dtype=float)
         want = [float(np.percentile(rts, 90.0)), float(np.percentile(rts, 50.0))]
         assert np.array(_p90_p50(rts)).tobytes() == np.array(want).tobytes()
-
-
-class TestTraceWorkload:
-    def test_maps_series_to_levels(self):
-        from repro.apps import TraceWorkload
-        w = TraceWorkload([0.0, 0.5, 1.0], interval_s=10.0, min_level=20, max_level=80)
-        assert w.level(0.0) == 20
-        assert w.level(10.0) == 50
-        assert w.level(20.0) == 80
-        assert w.level(1e9) == 80  # clamps past the series
-        assert w.max_level == 80
-
-    def test_time_scale_compresses(self):
-        from repro.apps import TraceWorkload
-        w = TraceWorkload([0.0, 1.0], interval_s=900.0, min_level=0,
-                          max_level=100, time_scale=60.0)
-        assert w.level(0.0) == 0
-        assert w.level(15.0) == 100  # 900 s of trace per 15 s of sim
-
-    def test_validation(self):
-        from repro.apps import TraceWorkload
-        with pytest.raises(ValueError):
-            TraceWorkload([], 10.0, 0, 10)
-        with pytest.raises(ValueError):
-            TraceWorkload([1.5], 10.0, 0, 10)
-        with pytest.raises(ValueError):
-            TraceWorkload([0.5], 10.0, 10, 5)
-        with pytest.raises(ValueError):
-            TraceWorkload([0.5], 10.0, 0, 10, time_scale=0.0)
-
-    def test_diurnal_day_in_the_life_tracks(self):
-        """A trace-driven diurnal workload (compressed day) stays on the
-        set point throughout — the two substrates compose."""
-        from repro.apps import TraceWorkload
-        from repro.engine.testbed_backend import run_testbed
-        from repro.sim.testbed import TestbedConfig
-        from repro.traces import TraceConfig, generate_trace
-
-        trace = generate_trace(TraceConfig(n_servers=4, n_days=1), rng=41)
-        # One day of 15-min samples compressed into 480 s of simulation.
-        workload = TraceWorkload(
-            trace.utilization[0], interval_s=900.0,
-            min_level=25, max_level=60, time_scale=180.0,
-        )
-        config = TestbedConfig(
-            n_apps=2, duration_s=480.0, workloads={0: workload}
-        )
-        result = run_testbed(config)
-        rts = result.recorder.values("rt/app0")[8:]
-        assert abs(np.nanmean(rts) - 1000.0) / 1000.0 < 0.25

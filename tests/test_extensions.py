@@ -1,55 +1,9 @@
-"""Extension features: trace analytics, SLA metrics, CLI."""
+"""Extension features: SLA metrics, CLI."""
 
 import numpy as np
 import pytest
 
 from repro.sim.metrics import PeriodStats
-from repro.traces import (
-    TraceConfig,
-    UtilizationTrace,
-    generate_trace,
-    sector_statistics,
-    trace_statistics,
-)
-from repro.traces.stats import aggregate_demand_profile
-
-
-class TestTraceStats:
-    @pytest.fixture(scope="class")
-    def trace(self):
-        return generate_trace(TraceConfig(n_servers=300, n_days=2), rng=17)
-
-    def test_basic_ranges(self, trace):
-        stats = trace_statistics(trace)
-        assert stats.n_series == 300
-        assert 0.0 < stats.mean < 1.0
-        assert stats.p95 > stats.mean
-        assert stats.peak_to_mean >= 1.0
-        assert -1.0 <= stats.lag1_autocorr <= 1.0
-        assert stats.diurnal_range > 0.0
-
-    def test_trace_is_strongly_autocorrelated(self, trace):
-        """15-minute utilization averages are smooth — consolidation's
-        'demand now predicts demand soon' assumption holds."""
-        assert trace_statistics(trace).lag1_autocorr > 0.5
-
-    def test_sector_breakdown_covers_all(self, trace):
-        per_sector = sector_statistics(trace)
-        assert set(per_sector) == {"manufacturing", "telecom", "financial", "retail"}
-        assert sum(s.n_series for s in per_sector.values()) == 300
-
-    def test_sector_requires_labels(self):
-        anon = UtilizationTrace(np.full((3, 8), 0.5))
-        with pytest.raises(ValueError):
-            sector_statistics(anon)
-
-    def test_aggregate_profile(self, trace):
-        profile = aggregate_demand_profile(trace, peak_ghz=2.0)
-        assert profile.shape == (trace.n_samples,)
-        assert np.all(profile >= 0)
-        np.testing.assert_allclose(
-            profile, trace.utilization.sum(axis=0) * 2.0
-        )
 
 
 class TestSLAMetrics:

@@ -1,11 +1,11 @@
-"""Metrics containers: recorder, period stats, energy meter."""
+"""Metrics containers: recorder, period stats."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.sim.metrics import EnergyMeter, PeriodStats, SeriesRecorder
+from repro.sim.metrics import PeriodStats, SeriesRecorder
 
 
 class TestSeriesRecorder:
@@ -95,31 +95,6 @@ class TestSeriesRecorder:
         assert r.values("x").shape == (0,)
         assert r.count("x") == 0
         assert list(r.names()) == []
-
-
-class TestEnergyMeter:
-    def test_integration(self):
-        m = EnergyMeter()
-        m.add_interval(100.0, 3600.0)  # 100 W for an hour
-        assert m.energy_wh == pytest.approx(100.0)
-        m.add_interval(50.0, 1800.0)
-        assert m.energy_wh == pytest.approx(125.0)
-
-    def test_mean_power(self):
-        m = EnergyMeter()
-        m.add_interval(100.0, 10.0)
-        m.add_interval(200.0, 10.0)
-        assert m.mean_power_w == pytest.approx(150.0)
-
-    def test_empty_mean_nan(self):
-        assert math.isnan(EnergyMeter().mean_power_w)
-
-    def test_validation(self):
-        m = EnergyMeter()
-        with pytest.raises(ValueError):
-            m.add_interval(-1.0, 10.0)
-        with pytest.raises(ValueError):
-            m.add_interval(1.0, -10.0)
 
 
 class TestPeriodStats:

@@ -13,8 +13,8 @@ from repro.control.mpc_core import (
     solve_mpc_batch,
 )
 from repro.control.qp import solve_qp
-from repro.control.stability import closed_loop_converges
 from repro.core.controller.reference import exponential_reference
+from tests.oracles.closed_loop import closed_loop_converges
 from tests.oracles.terminal_reach_lp import terminal_range, terminal_reachable
 
 

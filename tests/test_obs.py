@@ -15,7 +15,6 @@ from repro.obs import (
     JsonlBackend,
     MetricsRegistry,
     NullBackend,
-    PrometheusTextBackend,
     RunLog,
     Telemetry,
     get_telemetry,
@@ -256,15 +255,6 @@ class TestJsonlBackend:
         backend.close()
         assert not buf.closed
         assert json.loads(buf.getvalue()) == {"kind": "e"}
-
-
-class TestPrometheusTextBackend:
-    def test_writes_registry_on_close(self, tmp_path):
-        path = tmp_path / "metrics.prom"
-        with use_telemetry(Telemetry(PrometheusTextBackend(path))) as tel:
-            tel.count("mpc.solves", 4)
-        text = path.read_text()
-        assert "mpc_solves 4" in text
 
 
 class TestSummarize:

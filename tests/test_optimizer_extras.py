@@ -1,24 +1,20 @@
 """Optimizer extras: the exhaustive oracle, on-demand relief, and
 near-optimality evidence for the heuristics."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.optimizer import (
-    IPACConfig,
     OnDemandConfig,
     PlacementProblem,
     ipac,
-    optimal_placement_power,
     pac,
-    placement_power_w,
-    pmapper,
     relieve_overloads,
 )
 
 from tests.conftest import check_plan_feasible, make_server_info, make_vm_info
+from tests.oracles.exhaustive import optimal_placement_power, placement_power_w
 
 
 class TestOracle:

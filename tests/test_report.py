@@ -8,7 +8,7 @@ from repro.core.controller import ControllerConfig, ResponseTimeController
 from repro.engine.largescale_backend import run_largescale
 from repro.engine.testbed_backend import run_testbed
 from repro.sim.largescale import LargeScaleConfig
-from repro.sim.report import comparison_report, largescale_report, testbed_report
+from repro.sim.report import largescale_report, testbed_report
 from repro.sim.testbed import TestbedConfig
 from repro.sysid import fit_arx, run_identification_experiment
 from repro.traces import TraceConfig, generate_trace
@@ -30,17 +30,6 @@ class TestReports:
         assert "energy per VM" in text
         assert "migrations" in text
         assert "ipac" in text
-
-    def test_comparison_report_orders_and_labels(self, small_results):
-        text = comparison_report(small_results, baseline_index=-1)
-        assert "vs pmapper" in text
-        assert "ipac" in text
-        lines = text.splitlines()
-        assert len(lines) >= 4  # title + header + rule + 2 rows
-
-    def test_comparison_report_empty_rejected(self):
-        with pytest.raises(ValueError):
-            comparison_report([])
 
     def test_testbed_report(self):
         config = TestbedConfig(n_apps=2, duration_s=120.0)

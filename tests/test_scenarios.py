@@ -728,6 +728,10 @@ class TestResolve:
             ("testbed-small", "warmup_s", math.inf, "warmup_s"),
             ("testbed-small", "setpoint_ms", math.inf, "setpoint_ms"),
             ("testbed-small", "setpoints_ms", {"3": math.inf}, r"setpoints_ms\[3\]"),
+            ("largescale-small", "vm_peak_range_ghz", [0.5, math.inf], "vm_peak_range_ghz"),
+            ("largescale-small", "type_weights", [math.inf, 1, 1], "type_weights"),
+            ("largescale-small", "migration_overhead_w", math.inf, "migration_overhead_w"),
+            ("largescale-small", "migration_bandwidth_mbps", math.inf, "migration_bandwidth_mbps"),
         ],
     )
     def test_values_the_build_would_reject_fail_validation(

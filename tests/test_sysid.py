@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.apps import AppSpec, MultiTierApp
 from repro.control.arx import ARXModel
@@ -12,29 +10,12 @@ from repro.sysid import (
     excitation_trajectory,
     fit_arx,
     identify_app_model,
-    one_step_r2,
-    prbs,
-    residual_autocorrelation,
     run_identification_experiment,
-    simulation_rmse,
 )
+from repro.sysid.validate import one_step_r2, residual_autocorrelation, simulation_rmse
 
 
 class TestExcitation:
-    def test_prbs_values(self, rng):
-        seq = prbs(100, rng)
-        assert set(np.unique(seq)) <= {-1.0, 1.0}
-        assert seq.shape == (100,)
-
-    def test_prbs_hold_repeats(self, rng):
-        seq = prbs(40, rng, hold=4)
-        for i in range(0, 40, 4):
-            assert np.all(seq[i : i + 4] == seq[i])
-
-    def test_prbs_balanced(self):
-        seq = prbs(10000, 1)
-        assert abs(seq.mean()) < 0.05
-
     def test_aprbs_range(self, rng):
         seq = aprbs(200, 0.4, 0.9, rng)
         assert seq.min() >= 0.4
@@ -61,7 +42,7 @@ class TestExcitation:
 
     def test_invalid_args_rejected(self, rng):
         with pytest.raises(ValueError):
-            prbs(0, rng)
+            aprbs(0, 0.0, 1.0, rng)
         with pytest.raises(ValueError):
             aprbs(10, 1.0, 0.5, rng)
         with pytest.raises(ValueError):

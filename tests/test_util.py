@@ -1,7 +1,5 @@
 """Utilities: RNG plumbing, validation, tables, ASCII charts."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,7 @@ from repro.util import (
     format_table,
     spawn_rngs,
 )
-from repro.util.validation import check_monotone_increasing, check_probability, is_close
+from repro.util.validation import check_monotone_increasing
 
 
 class TestRng:
@@ -84,19 +82,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_finite("x", [np.inf])
 
-    def test_check_probability(self):
-        assert check_probability("p", 0.5) == 0.5
-        with pytest.raises(ValueError):
-            check_probability("p", 1.5)
-
     def test_monotone_increasing(self):
         check_monotone_increasing("x", [1, 2, 3])
         with pytest.raises(ValueError):
             check_monotone_increasing("x", [1, 2, 2])
-
-    def test_is_close(self):
-        assert is_close(1.0, 1.0 + 1e-13)
-        assert not is_close(1.0, 1.1)
 
 
 class TestTables:

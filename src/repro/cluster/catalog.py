@@ -9,7 +9,7 @@ efficiencies (GHz/W) — the heterogeneity both PAC and pMapper exploit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.cluster.power import ServerPowerModel
 from repro.cluster.server import CPUSpec, Server, ServerSpec

@@ -9,7 +9,7 @@ migration interface" and "sleep/active commands" (Fig. 1).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, KeysView, List, Optional
 
 from repro.cluster.application import Application
 from repro.cluster.migration import (
@@ -76,6 +76,11 @@ class DataCenter:
 
     # -- placement queries ----------------------------------------------
 
+    @property
+    def server_ids(self) -> KeysView[str]:
+        """Ids of every registered server."""
+        return self.servers.keys()
+
     def server_of(self, vm_id: str) -> Optional[str]:
         """Id of the server hosting *vm_id*, or None if unplaced."""
         return self._vm_to_server.get(vm_id)
@@ -100,14 +105,6 @@ class DataCenter:
     def active_servers(self) -> List[Server]:
         """Servers currently in the active state, id-ordered."""
         return [s for _, s in sorted(self.servers.items()) if s.active]
-
-    def sleeping_servers(self) -> List[Server]:
-        """Servers currently asleep (including crashed ones), id-ordered."""
-        return [s for _, s in sorted(self.servers.items()) if not s.active]
-
-    def failed_servers(self) -> List[Server]:
-        """Servers currently crashed, id-ordered."""
-        return [s for _, s in sorted(self.servers.items()) if s.failed]
 
     def overloaded_servers(self, headroom: float = 1.0) -> List[str]:
         """Ids of servers whose demand exceeds max capacity / headroom.
@@ -259,6 +256,14 @@ class DataCenter:
         server.repair()
         server.unthrottle()
         self.recovery_count += 1
+
+    def throttle_server(self, server_id: str, fraction: float) -> None:
+        """Cap a server's capacity at *fraction* of nominal."""
+        self._require_server(server_id).throttle(fraction)
+
+    def unthrottle_server(self, server_id: str) -> None:
+        """Restore a server's nominal capacity."""
+        self._require_server(server_id).unthrottle()
 
     # -- power -----------------------------------------------------------
 

@@ -177,10 +177,6 @@ class PlacementProblem:
         """Total demand currently mapped to *server_id*."""
         return left_sum(v.demand_ghz for v in self.vms_on(server_id))
 
-    def server_memory_used_mb(self, server_id: str) -> float:
-        """Total VM memory currently mapped to *server_id*."""
-        return left_sum(v.memory_mb for v in self.vms_on(server_id))
-
 
 @dataclass(frozen=True)
 class Migration:

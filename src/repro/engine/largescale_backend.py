@@ -24,11 +24,12 @@ VM population, series prefix and energy ledger by sha256).
 from __future__ import annotations
 
 import logging
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, KeysView, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.catalog import STANDARD_SERVER_TYPES, make_server_pool
+from repro.cluster.datacenter import MigrationDisruptor
 from repro.cluster.migration import LiveMigrationModel
 from repro.cluster.server import Server
 from repro.core.optimizer.ipac import IPACConfig, ipac
@@ -43,6 +44,7 @@ from repro.core.optimizer.types import (
 )
 from repro.engine.checkpoint import array_sha256, encode_array, verify_snapshot
 from repro.engine.kernel import ControlPlane, PeriodContext, Phase, run_session
+from repro.faults import FaultInjector
 from repro.obs import get_telemetry
 from repro.sim.largescale import LargeScaleConfig, LargeScaleResult
 from repro.traces.forecast import DemandForecaster, EwmaPeakForecaster, HoltForecaster
@@ -80,7 +82,7 @@ def draw_population(
 ) -> Tuple[np.ndarray, np.ndarray, List[Server]]:
     """A run's VM peaks and memories and its server pool, in the one draw
     order: peaks, then memories, from ``ensure_rng(seed)``; the pool from
-    ``default_rng(seed + 1)`` unless *servers* is given.
+    ``ensure_rng(seed + 1)`` unless *servers* is given.
 
     The sharded path draws the global population here and slices it, so
     a one-pod partition hands its pod exactly what a plain build draws.
@@ -94,7 +96,7 @@ def draw_population(
         servers = make_server_pool(
             config.n_servers,
             STANDARD_SERVER_TYPES,
-            rng=np.random.default_rng(config.seed + 1),
+            rng=config.seed + 1,
             type_weights=config.type_weights,
         )
     return peaks, memories, list(servers)
@@ -204,14 +206,11 @@ class LargeScaleBackend:
         )
         self.dvfs_on = config.dvfs_enabled
 
-        # Fault state (only consulted when a schedule is attached).
-        self.fault_timeline = config.faults.cursor() if config.faults else None
-        self.fault_rng = (
-            np.random.default_rng(config.faults.seed) if config.faults else None
-        )
+        # Fault state (only consulted when a schedule is attached): the
+        # injector drives it through the FaultPlant methods below.
         self.srv_frac = np.ones(n_srv)
         self.srv_failed = np.zeros(n_srv, dtype=bool)
-        self.active_migration_faults: List = []
+        self.migration_disruptor: Optional[MigrationDisruptor] = None
 
         self.migration_model = LiveMigrationModel(
             bandwidth_mbps=config.migration_bandwidth_mbps
@@ -233,6 +232,10 @@ class LargeScaleBackend:
         elif config.provisioning == "holt":
             self.forecaster = HoltForecaster(self.n_vms)
         self.static_peak = config.scheme == "static_peak"
+        self.injector = (
+            FaultInjector(self, config.faults, on_evacuate=self._evacuate)
+            if config.faults else None
+        )
 
     # -- engine wiring -------------------------------------------------
 
@@ -282,8 +285,8 @@ class LargeScaleBackend:
 
     def inject(self, ctx: PeriodContext) -> None:
         """Apply every fault begin/end due at this trace step."""
-        if self.fault_timeline is not None:
-            self._apply_fault_transitions(ctx.k, ctx.data["demand_now"])
+        if self.injector is not None:
+            self.injector.step(ctx.k * self.dt_s)
 
     def update_model(self, ctx: PeriodContext) -> None:
         """Feed the demand forecaster (sysid of the demand process)."""
@@ -498,25 +501,21 @@ class LargeScaleBackend:
         new_assignment = np.full(self.n_vms, -1, dtype=int)
         for vm_id, sid in final_mapping.items():
             new_assignment[self.sid_to_vmidx[vm_id]] = self.sid_to_idx[sid]
-        if self.active_migration_faults:
+        if self.migration_disruptor is not None:
             moved = np.nonzero(
                 (self.assignment >= 0)
                 & (new_assignment >= 0)
                 & (self.assignment != new_assignment)
             )[0]
             for j in moved:
-                for ev in self.active_migration_faults:
-                    if self.fault_rng.random() < ev.probability:
-                        tel.count("faults.migrations_disrupted")
-                        tel.event(
-                            "migration_failed",
-                            time_s=time_s,
-                            vm=self.vm_ids[j],
-                            source=self.idx_to_sid[self.assignment[j]],
-                            target=self.idx_to_sid[new_assignment[j]],
-                        )
-                        new_assignment[j] = self.assignment[j]  # stays on source
-                        break
+                source = self.idx_to_sid[self.assignment[j]]
+                target = self.idx_to_sid[new_assignment[j]]
+                if self.migration_disruptor(self.vm_ids[j], source, target):
+                    tel.event(
+                        "migration_failed", time_s=time_s, vm=self.vm_ids[j],
+                        source=source, target=target,
+                    )
+                    new_assignment[j] = self.assignment[j]  # stays on source
         return new_assignment
 
     def _migration_energy(self, plan: PlacementPlan) -> float:
@@ -528,97 +527,52 @@ class LargeScaleBackend:
         )
         return 2.0 * self.config.migration_overhead_w * total_s / 3600.0
 
-    def _apply_fault_transitions(self, step: int, demand_now: np.ndarray) -> None:
-        """Perform every fault begin/end due at this trace step."""
+    # -- the fault plant (driven by the FaultInjector) -----------------
+
+    @property
+    def server_ids(self) -> KeysView[str]:
+        """Ids of every server in the pool."""
+        return self.sid_to_idx.keys()
+
+    def fail_server(self, server_id: str) -> List[str]:
+        """Crash a server: unplace its VMs; returns their ids."""
+        i = self.sid_to_idx[server_id]
+        self.srv_failed[i] = True
+        evicted_idx = np.nonzero(self.assignment == i)[0]
+        self.assignment[evicted_idx] = -1
+        return [self.vm_ids[j] for j in evicted_idx]
+
+    def recover_server(self, server_id: str) -> None:
+        """Repair a crashed server; recovery also resets its throttle."""
+        i = self.sid_to_idx[server_id]
+        self.srv_failed[i] = False
+        self.srv_frac[i] = 1.0
+
+    def throttle_server(self, server_id: str, fraction: float) -> None:
+        """Scale a server's capacity (and DVFS levels) by *fraction*."""
+        self.srv_frac[self.sid_to_idx[server_id]] = fraction
+
+    def unthrottle_server(self, server_id: str) -> None:
+        """Restore a server's nominal capacity."""
+        self.srv_frac[self.sid_to_idx[server_id]] = 1.0
+
+    def _evacuate(self, server_id: str, evicted: List[str], time_s: float) -> None:
+        """Emergency evacuation (the injector's ``on_evacuate``): Minimum
+        Slack onto the survivors, without waiting for the optimizer."""
         tel = get_telemetry()
-        time_s = step * self.dt_s
-        for tr in self.fault_timeline.advance(time_s):
-            ev = tr.event
-            i = self.sid_to_idx.get(ev.target) if ev.target is not None else None
-            if ev.target is not None and i is None:
-                logger.warning("fault targets unknown server %s; skipped", ev.target)
-                continue
-            if tr.phase == "begin":
-                if ev.kind == "server_crash":
-                    self.srv_failed[i] = True
-                    evicted_idx = np.nonzero(self.assignment == i)[0]
-                    self.assignment[evicted_idx] = -1
-                    evicted = [self.vm_ids[j] for j in evicted_idx]
-                    tel.count("faults.injected")
-                    tel.event(
-                        "fault_injected", time_s=time_s, fault=ev.kind,
-                        target=ev.target, duration_s=ev.duration_s,
-                        evicted=evicted,
-                    )
-                    logger.warning(
-                        "fault t=%.0fs: server %s crashed, %d VMs evicted",
-                        time_s, ev.target, len(evicted),
-                    )
-                    if evicted:
-                        # Emergency evacuation: Minimum Slack onto the
-                        # survivors, without waiting for the optimizer.
-                        plan = pac(
-                            self._build_problem(demand_now), evicted,
-                            self.evac_pac_cfg,
-                        )
-                        self.assignment = self._apply_mapping(
-                            plan.final_mapping, time_s
-                        )
-                        tel.count("manager.evacuations")
-                        tel.count("manager.evacuated_vms", len(evicted))
-                        tel.event(
-                            "evacuation", time_s=time_s, server=ev.target,
-                            vms=evicted,
-                            placed=[
-                                v for v in evicted if v in plan.final_mapping
-                            ],
-                            unplaced=list(plan.unplaced),
-                            woke=list(plan.wake),
-                        )
-                elif ev.kind == "server_recovery":
-                    self.srv_failed[i] = False
-                    self.srv_frac[i] = 1.0
-                    tel.count("faults.recovered")
-                    tel.event(
-                        "fault_recovered", time_s=time_s,
-                        fault="server_crash", target=ev.target,
-                    )
-                elif ev.kind == "thermal_throttle":
-                    self.srv_frac[i] = ev.fraction
-                    tel.count("faults.injected")
-                    tel.event(
-                        "fault_injected", time_s=time_s, fault=ev.kind,
-                        target=ev.target, duration_s=ev.duration_s,
-                        fraction=ev.fraction,
-                    )
-                elif ev.kind == "migration_failure":
-                    self.active_migration_faults.append(ev)
-                    tel.count("faults.injected")
-                    tel.event(
-                        "fault_injected", time_s=time_s, fault=ev.kind,
-                        target=ev.target, duration_s=ev.duration_s,
-                        probability=ev.probability,
-                    )
-                else:  # sensor faults: no response-time sensor here
-                    logger.warning(
-                        "fault %s has no effect in the trace-driven harness",
-                        ev.kind,
-                    )
-            else:  # end
-                if ev.kind == "server_crash":
-                    self.srv_failed[i] = False
-                    self.srv_frac[i] = 1.0
-                elif ev.kind == "thermal_throttle":
-                    self.srv_frac[i] = 1.0
-                elif ev.kind == "migration_failure":
-                    self.active_migration_faults.remove(ev)
-                elif ev.kind in ("sensor_dropout", "sensor_noise"):
-                    continue
-                tel.count("faults.recovered")
-                tel.event(
-                    "fault_recovered", time_s=time_s, fault=ev.kind,
-                    target=ev.target,
-                )
+        # The faults phase runs before this step's actuate: steps_done
+        # is the current step.
+        demand_now = self.demands[:, self.steps_done]
+        plan = pac(self._build_problem(demand_now), evicted, self.evac_pac_cfg)
+        self.assignment = self._apply_mapping(plan.final_mapping, time_s)
+        tel.count("manager.evacuations")
+        tel.count("manager.evacuated_vms", len(evicted))
+        tel.event(
+            "evacuation", time_s=time_s, server=server_id, vms=evicted,
+            placed=[v for v in evicted if v in plan.final_mapping],
+            unplaced=list(plan.unplaced),
+            woke=list(plan.wake),
+        )
 
     # -- results -------------------------------------------------------
 
@@ -708,8 +662,8 @@ class LargeScaleBackend:
                 None if self.forecaster is None else self.config.provisioning
             ),
             "fault_cursor": (
-                None if self.fault_timeline is None
-                else self.fault_timeline.state_dict()
+                None if self.injector is None
+                else self.injector.timeline.state_dict()
             ),
             "peaks": array_sha256(self.peaks),
             "memories": array_sha256(self.memories),

@@ -312,19 +312,28 @@ class ScenarioSpec:
     def build(self) -> Tuple[ControlPlane, PlantBackend]:
         """Build the ``(engine, backend)`` pair for this scenario.
 
-        Raises :class:`ScenarioError` when the spec does not validate.
-        Drive the pair inside
+        Raises :class:`ScenarioError` when the spec does not validate or
+        the plant refuses its fault schedule (a sensor fault on a
+        trace-driven harness, a server fault naming no server of the
+        plant).  Drive the pair inside
         :func:`~repro.engine.kernel.run_session`, which starts the
         backend (or restores a checkpoint) and closes it afterwards.
         """
+        from repro.faults import FaultSpecError
+
         self.require_valid()
-        if self.harness == "testbed":
-            return build_testbed_engine(
-                config=self._make_config(), model=self._make_model()
-            )
-        if self.harness == "sharded":
-            return build_sharded_engine(self._make_trace(), self._make_config())
-        return build_largescale_engine(self._make_trace(), self._make_config())
+        try:
+            if self.harness == "testbed":
+                return build_testbed_engine(
+                    config=self._make_config(), model=self._make_model()
+                )
+            if self.harness == "sharded":
+                return build_sharded_engine(self._make_trace(), self._make_config())
+            return build_largescale_engine(self._make_trace(), self._make_config())
+        except FaultSpecError as exc:
+            raise ScenarioError(
+                f"scenario {self.name!r} cannot run its faults: {exc}"
+            ) from None
 
     def _make_config(self, bare: bool = False):
         params = {k: _tuplify(v) for k, v in self.params.items()}

@@ -176,6 +176,10 @@ def partition_pods(trace: UtilizationTrace, config: ShardedConfig) -> List[PodSp
             f"trace has {trace.n_series} series < n_vms={base.n_vms}"
         )
     peaks, memories, pool = draw_population(base)
+    if base.faults:
+        # Before the pods split the schedule: a target no pod has is an
+        # error, not an event every pod drops.
+        base.faults.check_server_targets({s.server_id for s in pool})
     vm_ranges = _split_ranges(base.n_vms, config.n_pods)
     srv_ranges = _split_ranges(base.n_servers, config.n_pods)
     specs: List[PodSpec] = []

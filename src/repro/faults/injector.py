@@ -1,13 +1,18 @@
-"""Applying and reverting faults on a live :class:`DataCenter`.
+"""Applying and reverting faults on a live plant.
 
 The :class:`FaultInjector` replays a :class:`~repro.faults.schedule.
-FaultSchedule` against the cluster between control periods: harnesses
-call :meth:`FaultInjector.step` once per period boundary, and the
-injector performs every begin/end transition due since the last call —
-crashing and recovering servers (triggering emergency evacuation through
-the ``on_evacuate`` callback), throttling capacity, arming the
-data-center's migration disruptor, and transforming response-time
-measurements for sensor faults via :meth:`filter_measurements`.
+FaultSchedule` against a plant between control periods: harnesses call
+:meth:`FaultInjector.step` once per period boundary, and the injector
+performs every begin/end transition due since the last call — crashing
+and recovering servers (triggering emergency evacuation through the
+``on_evacuate`` callback), throttling capacity, arming the plant's
+migration disruptor, and transforming response-time measurements for
+sensor faults via :meth:`filter_measurements`.  It is the one place a
+fault kind turns into an effect and a ``fault_injected`` /
+``fault_recovered`` record, on every harness: the plant is anything
+that meets :class:`FaultPlant` — the testbed's
+:class:`~repro.cluster.datacenter.DataCenter` or the large-scale
+backend's placement arrays.
 
 All randomness (which migration fails, which sample drops, the noise
 values) comes from one generator seeded with ``schedule.seed``, drawn in
@@ -19,42 +24,70 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Protocol
 
 import numpy as np
 
-from repro.cluster.datacenter import DataCenter
-from repro.faults.models import FaultEvent
+from repro.cluster.datacenter import MigrationDisruptor
+from repro.faults.models import SENSOR_KINDS, FaultEvent
 from repro.faults.schedule import FaultSchedule, Transition
 from repro.obs import get_telemetry
 
-__all__ = ["FaultInjector"]
+__all__ = ["FaultInjector", "FaultPlant"]
 
 logger = logging.getLogger(__name__)
 
 # on_evacuate(failed_server_id, evicted_vm_ids, time_s) — wired to
-# PowerManager.emergency_evacuate by the harnesses.
+# PowerManager.emergency_evacuate on the testbed and to the large-scale
+# backend's Minimum Slack re-pack.
 EvacuationHook = Callable[[str, List[str], float], object]
 
 
+class FaultPlant(Protocol):
+    """The server-level effects a plant offers the injector.
+
+    The plant keeps its own semantics (the testbed's crashed servers
+    rejoin the sleeping pool; on both plants a recovery clears the
+    throttle); the injector only decides *when* each effect happens.
+    ``migration_disruptor`` is asked once per attempted move while a
+    ``migration_failure`` fault is active and is ``None`` otherwise.
+    """
+
+    migration_disruptor: Optional[MigrationDisruptor]
+
+    @property
+    def server_ids(self) -> Collection[str]: ...
+
+    def fail_server(self, server_id: str) -> List[str]: ...
+
+    def recover_server(self, server_id: str) -> None: ...
+
+    def throttle_server(self, server_id: str, fraction: float) -> None: ...
+
+    def unthrottle_server(self, server_id: str) -> None: ...
+
+
 class FaultInjector:
-    """Replays a fault schedule against a live data center."""
+    """Replays a fault schedule against a live plant.
+
+    Raises :class:`~repro.faults.models.FaultSpecError` at construction
+    when a server fault targets a server the plant does not have.
+    """
 
     def __init__(
         self,
-        dc: DataCenter,
+        plant: FaultPlant,
         schedule: FaultSchedule,
         on_evacuate: Optional[EvacuationHook] = None,
     ):
-        self.dc = dc
+        schedule.check_server_targets(plant.server_ids)
+        self.plant = plant
         self.schedule = schedule
         self.timeline = schedule.cursor()
         self.rng = np.random.default_rng(schedule.seed)
         self.on_evacuate = on_evacuate
         self._sensor_faults: List[FaultEvent] = []
         self._migration_faults: List[FaultEvent] = []
-        self.injected_count = 0
-        self.recovered_count = 0
 
     # -- replay --------------------------------------------------------
 
@@ -82,7 +115,7 @@ class FaultInjector:
     def _begin(self, ev: FaultEvent, now_s: float) -> None:
         tel = get_telemetry()
         if ev.kind == "server_crash":
-            evicted = self.dc.fail_server(ev.target)
+            evicted = self.plant.fail_server(ev.target)
             self._emit_injected(ev, now_s, evicted=evicted)
             logger.warning(
                 "fault t=%.1fs: server %s crashed, %d VMs evicted",
@@ -91,15 +124,14 @@ class FaultInjector:
             if evicted and self.on_evacuate is not None:
                 self.on_evacuate(ev.target, evicted, now_s)
         elif ev.kind == "server_recovery":
-            self.dc.recover_server(ev.target)
-            self.recovered_count += 1
+            self.plant.recover_server(ev.target)
             tel.count("faults.recovered")
             tel.event(
                 "fault_recovered", time_s=now_s, fault="server_crash",
                 target=ev.target,
             )
         elif ev.kind == "thermal_throttle":
-            self.dc.servers[ev.target].throttle(ev.fraction)
+            self.plant.throttle_server(ev.target, ev.fraction)
             self._emit_injected(ev, now_s)
             logger.warning(
                 "fault t=%.1fs: server %s throttled to %.0f%% capacity",
@@ -107,25 +139,24 @@ class FaultInjector:
             )
         elif ev.kind == "migration_failure":
             self._migration_faults.append(ev)
-            self.dc.migration_disruptor = self._disrupt_migration
+            self.plant.migration_disruptor = self._disrupt_migration
             self._emit_injected(ev, now_s)
-        elif ev.kind in ("sensor_dropout", "sensor_noise"):
+        elif ev.kind in SENSOR_KINDS:
             self._sensor_faults.append(ev)
             self._emit_injected(ev, now_s)
 
     def _end(self, ev: FaultEvent, now_s: float) -> None:
         tel = get_telemetry()
         if ev.kind == "server_crash":
-            self.dc.recover_server(ev.target)
+            self.plant.recover_server(ev.target)
         elif ev.kind == "thermal_throttle":
-            self.dc.servers[ev.target].unthrottle()
+            self.plant.unthrottle_server(ev.target)
         elif ev.kind == "migration_failure":
             self._migration_faults = [f for f in self._migration_faults if f is not ev]
             if not self._migration_faults:
-                self.dc.migration_disruptor = None
-        elif ev.kind in ("sensor_dropout", "sensor_noise"):
+                self.plant.migration_disruptor = None
+        elif ev.kind in SENSOR_KINDS:
             self._sensor_faults = [f for f in self._sensor_faults if f is not ev]
-        self.recovered_count += 1
         tel.count("faults.recovered")
         tel.event(
             "fault_recovered", time_s=now_s, fault=ev.kind, target=ev.target,
@@ -133,7 +164,6 @@ class FaultInjector:
         logger.info("fault t=%.1fs: %s on %s recovered", now_s, ev.kind, ev.target)
 
     def _emit_injected(self, ev: FaultEvent, now_s: float, **extra) -> None:
-        self.injected_count += 1
         tel = get_telemetry()
         tel.count("faults.injected")
         tel.event(
@@ -186,15 +216,3 @@ class FaultInjector:
                     value += float(self.rng.normal(0.0, ev.sigma_ms))
             out[app_id] = value
         return out
-
-    # -- introspection -------------------------------------------------
-
-    @property
-    def active_sensor_faults(self) -> List[FaultEvent]:
-        """Sensor faults currently in effect (copy)."""
-        return list(self._sensor_faults)
-
-    @property
-    def active_migration_faults(self) -> List[FaultEvent]:
-        """Migration-failure faults currently in effect (copy)."""
-        return list(self._migration_faults)

@@ -53,6 +53,10 @@ FAULT_KINDS = (
 )
 
 _TARGETLESS_KINDS = ("migration_failure", "sensor_dropout", "sensor_noise")
+# Kinds whose target must name a server of the plant, and kinds that
+# need a response-time sensor (the testbed's; the trace harness has none).
+SERVER_KINDS = ("server_crash", "server_recovery", "thermal_throttle")
+SENSOR_KINDS = ("sensor_dropout", "sensor_noise")
 
 
 class FaultSpecError(ValueError):

@@ -22,12 +22,18 @@ period.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Collection, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.models import FAULT_KINDS, FaultEvent, FaultSpecError
+from repro.faults.models import (
+    FAULT_KINDS,
+    SENSOR_KINDS,
+    SERVER_KINDS,
+    FaultEvent,
+    FaultSpecError,
+)
 
 __all__ = ["FaultSchedule", "FaultTimeline", "validate_spec"]
 
@@ -111,6 +117,28 @@ class FaultSchedule:
         # An empty schedule still carries a seed; "no faults configured"
         # is the natural falsy meaning for harness guards.
         return bool(self.events)
+
+    # -- what a plant can apply ------------------------------------------
+
+    def check_server_targets(self, server_ids: Collection[str]) -> None:
+        """Refuse a crash, recovery or throttle whose target names no
+        server in *server_ids* (raises :class:`FaultSpecError`)."""
+        for ev in self.events:
+            if ev.kind in SERVER_KINDS and ev.target not in server_ids:
+                raise FaultSpecError(
+                    f"{ev.kind} at t={ev.time_s:g}s targets {ev.target!r}, "
+                    "which names no server of the plant"
+                )
+
+    def check_no_sensor_faults(self, harness: str) -> None:
+        """Refuse sensor faults on a *harness* without a response-time
+        sensor (raises :class:`FaultSpecError`)."""
+        for ev in self.events:
+            if ev.kind in SENSOR_KINDS:
+                raise FaultSpecError(
+                    f"{ev.kind} at t={ev.time_s:g}s: the {harness} harness "
+                    "has no response-time sensor"
+                )
 
     # -- construction --------------------------------------------------
 

@@ -3,8 +3,8 @@
 The package gives every layer of the stack a common measurement
 substrate:
 
-* :class:`MetricsRegistry` — counters, gauges, and histograms with
-  p50/p90/p99 summaries and a Prometheus-style text dump;
+* :class:`MetricsRegistry` — counters and histograms with p50/p90/p99
+  summaries (:func:`prom_text` renders Prometheus text families);
 * span tracing — ``with get_telemetry().span("mpc.solve", app="app3"):``
   captures wall time and nesting for the hot paths (MPC QP solve,
   RLS update, arbitrator pass, Minimum-Slack search, IPAC planning,
@@ -48,7 +48,6 @@ from repro.obs.backends import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     prom_escape_label,
@@ -70,7 +69,6 @@ from repro.obs.watch import render_watch, watch, watch_prometheus, watch_view
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "TelemetryBackend",

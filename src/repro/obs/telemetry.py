@@ -79,11 +79,6 @@ class Telemetry:
         if self.enabled:
             self.registry.counter(name).inc(amount)
 
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge *name* (no-op when disabled)."""
-        if self.enabled:
-            self.registry.gauge(name).set(value)
-
     def observe(self, name: str, value: float) -> None:
         """Observe *value* into histogram *name* (no-op when disabled)."""
         if self.enabled:

@@ -106,11 +106,6 @@ class Tracer:
         self._finished_counts: Dict[str, int] = {}
         self._stack: List[Span] = []
 
-    @property
-    def active_depth(self) -> int:
-        """How many spans are currently open."""
-        return len(self._stack)
-
     def span(self, name: str, **attrs) -> Span:
         """Open a new span nested under whatever span is active."""
         return Span(self, name, attrs)

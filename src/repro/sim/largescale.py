@@ -75,8 +75,10 @@ class LargeScaleConfig:
     survivors via Minimum Slack), thermal throttle (the server's
     effective capacity — and its DVFS levels — shrink by the fraction),
     and migration failure (planned moves revert to their source with
-    the event's probability).  Sensor faults are no-ops in this
-    trace-driven harness (demands come from the trace, not a sensor).
+    the event's probability).  Sensor faults are refused here
+    (``FaultSpecError``): this trace-driven harness has no response-time
+    sensor, demands come from the trace.  So is a server fault whose
+    target names no server of the pool, when the backend is built.
     ``None`` (default) leaves the run byte-identical to a fault-free
     build.
 
@@ -142,6 +144,8 @@ class LargeScaleConfig:
             raise ValueError(f"minslack_{exc}") from None
         check_non_negative("migration_overhead_w", self.migration_overhead_w)
         check_positive("migration_bandwidth_mbps", self.migration_bandwidth_mbps)
+        if self.faults is not None:
+            self.faults.check_no_sensor_faults("trace-driven")
 
     def minslack_config(self) -> MinSlackConfig:
         """The per-server Minimum Slack search knobs of this run."""

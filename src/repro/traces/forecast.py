@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.util.validation import check_in_range, check_non_negative, check_positive
+from repro.util.validation import check_in_range, check_non_negative
 
 __all__ = ["DemandForecaster", "EwmaPeakForecaster", "HoltForecaster"]
 

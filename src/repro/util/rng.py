@@ -8,7 +8,7 @@ bit-for-bit while letting quick interactive use stay terse.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 

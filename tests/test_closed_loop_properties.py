@@ -7,7 +7,6 @@ constraints along the way.  Hypothesis samples that plant family.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.apps import AppSpec, MultiTierApp
-from repro.control.mpc_core import MPCConfig
 from repro.core.controller import ControllerConfig, ResponseTimeController
 from repro.sysid import fit_arx, run_identification_experiment
 

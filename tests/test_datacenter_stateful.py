@@ -6,9 +6,8 @@ after every step: mapping consistency, memory feasibility, no VM on a
 sleeping server, and power accounting staying within physical bounds.
 """
 
-import numpy as np
 from hypothesis import settings
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from hypothesis import strategies as st
 
 from repro.cluster import DataCenter, Server, VM

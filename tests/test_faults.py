@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Application, DataCenter, Server, VM
+from repro.cluster import DataCenter, Server, VM
 from repro.cluster.catalog import TESTBED_SERVER
 from repro.cluster.migration import MigrationFailedError
 from repro.control.arx import ARXModel

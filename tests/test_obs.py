@@ -9,7 +9,6 @@ import pytest
 
 from repro.obs import (
     Counter,
-    Gauge,
     Histogram,
     InMemoryBackend,
     JsonlBackend,
@@ -42,21 +41,6 @@ class TestCounter:
         c.inc(5)
         c.reset()
         assert c.value == 0.0
-
-
-class TestGauge:
-    def test_nan_until_set(self):
-        g = Gauge("x")
-        assert math.isnan(g.value)
-        g.set(4.0)
-        assert g.value == 4.0
-
-    def test_inc_from_unset_starts_at_zero(self):
-        g = Gauge("x")
-        g.inc(3.0)
-        assert g.value == 3.0
-        g.inc(-1.0)
-        assert g.value == 2.0
 
 
 class TestHistogram:
@@ -95,7 +79,7 @@ class TestHistogram:
         n = 10_000
         for v in range(n):
             h.observe(v)
-        assert h.n_retained < 64
+        assert len(h._samples) < 64
         assert h.count == n
         assert h.sum == sum(range(n))
         assert h.min == 0 and h.max == n - 1
@@ -120,31 +104,18 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("x")
-        with pytest.raises(ValueError, match="already registered"):
             reg.histogram("x")
+        reg.histogram("y")
+        with pytest.raises(ValueError, match="already registered"):
+            reg.counter("y")
 
     def test_convenience_helpers(self):
         reg = MetricsRegistry()
         reg.inc("c", 2)
-        reg.set_gauge("g", 7.0)
         reg.observe("h", 1.0)
         snap = reg.snapshot()
         assert snap["counters"]["c"] == 2.0
-        assert snap["gauges"]["g"] == 7.0
         assert snap["histograms"]["h"]["count"] == 1.0
-
-    def test_prometheus_text_format(self):
-        reg = MetricsRegistry()
-        reg.inc("mpc.solves", 3)
-        reg.set_gauge("active servers", 2.0)
-        reg.observe("span.mpc.solve", 0.5)
-        text = reg.to_prometheus()
-        assert "# TYPE mpc_solves counter" in text
-        assert "mpc_solves 3" in text
-        assert "active_servers 2" in text  # spaces sanitized
-        assert 'span_mpc_solve{quantile="0.5"} 0.5' in text
-        assert "span_mpc_solve_count 1" in text
 
 
 class TestSpans:

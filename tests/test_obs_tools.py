@@ -13,7 +13,6 @@ from repro.obs import (
     AuditConfig,
     InMemoryBackend,
     JsonlFollower,
-    MetricsRegistry,
     RunLog,
     Telemetry,
     audit_run,
@@ -287,29 +286,6 @@ class TestPrometheusRendering:
     def test_prom_line_sanitizes_metric_names(self):
         assert prom_line("des.events", None, 3.0) == "des_events 3"
         assert prom_line("9lives", {}, 1.0) == "_9lives 1"
-
-    def test_histogram_bucket_rendering_golden(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("rt_seconds", buckets=[0.1, 0.5, 1.0])
-        for v in (0.05, 0.2, 0.3, 0.7, 2.0):
-            h.observe(v)
-        text = reg.to_prometheus()
-        assert text == (
-            "# TYPE rt_seconds histogram\n"
-            'rt_seconds_bucket{le="0.1"} 1\n'
-            'rt_seconds_bucket{le="0.5"} 3\n'
-            'rt_seconds_bucket{le="1"} 4\n'
-            'rt_seconds_bucket{le="+Inf"} 5\n'
-            "rt_seconds_sum 3.25\n"
-            "rt_seconds_count 5\n"
-        )
-
-    def test_bucketless_histogram_renders_summary(self):
-        reg = MetricsRegistry()
-        reg.histogram("x").observe(1.0)
-        text = reg.to_prometheus()
-        assert 'x{quantile="0.5"} 1' in text
-        assert "_bucket" not in text
 
 
 class TestSpanSampling:

@@ -17,8 +17,11 @@ from repro.core.fleet import FleetControlStep
 from repro.core.optimizer.ipac import ipac
 from repro.core.optimizer.minslack import MinSlackConfig, PlacementList
 from repro.core.optimizer.types import PlacementProblem, ServerInfo, VMInfo
+from repro.engine.largescale_backend import LargeScaleBackend
 from repro.packing.mbs import minimum_bin_slack
+from repro.sim.largescale import LargeScaleConfig
 from repro.sim.testbed import TestbedConfig
+from repro.traces import TraceConfig, generate_trace
 from tests.oracles.mbs_reference import MemoryConstraint
 from tests.oracles.mbs_reference import minimum_bin_slack as stepwise_minimum_bin_slack
 
@@ -169,6 +172,21 @@ def test_perf_ipac_invocation(benchmark):
     assert plan.unplaced == []
     assert plan.info["overload_evictions"] > 0
     assert plan.info["drain_rounds_accepted"] >= 10
+
+
+def test_perf_largescale_build(benchmark):
+    """One large-scale build at the ``largescale-ipac`` shape: a
+    5,415-series one-day trace, a 3,000-server pool of the three
+    standard types and the backend's static views over both."""
+    config = LargeScaleConfig(n_vms=5415, n_servers=3000, scheme="ipac", seed=0)
+
+    def build():
+        trace = generate_trace(TraceConfig(n_servers=5415, n_days=1), rng=0)
+        return LargeScaleBackend(trace, config)
+
+    backend = benchmark(build)
+    assert (backend.n_vms, backend.n_srv, backend.n_steps) == (5415, 3000, 96)
+    assert len(backend.spec_groups) == 3
 
 
 def test_perf_mpc_solve(benchmark):

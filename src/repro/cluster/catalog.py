@@ -9,6 +9,7 @@ efficiencies (GHz/W) — the heterogeneity both PAC and pMapper exploit.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 from repro.cluster.power import ServerPowerModel
@@ -96,6 +97,8 @@ def make_server_pool(
                 f"{len(weights)} weights for {len(types)} types"
             )
         total = sum(weights)
+        if not math.isfinite(total):  # an infinite or NaN weight, or an overflow
+            raise ValueError(f"type_weights must be finite, got {type_weights}")
         if total <= 0 or any(w < 0 for w in weights):
             raise ValueError(f"type_weights must be non-negative and sum > 0, got {type_weights}")
         probs = [w / total for w in weights]
@@ -103,8 +106,10 @@ def make_server_pool(
         probs = None
     generator = ensure_rng(rng)
     width = max(4, len(str(max(n_servers - 1, 0))))
-    pool = []
-    for i in range(n_servers):
-        idx = int(generator.choice(len(types), p=probs))
-        pool.append(Server(f"{id_prefix}{i:0{width}d}", types[idx], active=active))
-    return pool
+    # One draw of n_servers types reads the same stream, in the same
+    # order, as n_servers draws of one.
+    kinds = generator.choice(len(types), size=n_servers, p=probs).tolist()
+    return [
+        Server(f"{id_prefix}{i:0{width}d}", types[idx], active=active)
+        for i, idx in enumerate(kinds)
+    ]

@@ -69,7 +69,7 @@ class PlantBackend(Protocol):
     and brackets the run: ``start()`` once before the first period of a
     fresh run (run header, warm-up), ``result()`` once after the last,
     ``close()`` to release whatever the backend owns (idempotent; a
-    no-op unless the backend holds worker processes).
+    no-op unless the backend holds pods or worker processes).
     :func:`repro.engine.kernel.run_session` sequences the three; no
     driver calls ``start``/``close`` itself.  Implementations: the
     request-level DES testbed plant

@@ -125,7 +125,10 @@ class LargeScaleBackend:
             raise ValueError(
                 f"trace has {trace.n_series} series < n_vms={config.n_vms}"
             )
-        sub = trace.subset(config.n_vms)
+        # A trace of exactly n_vms series is read as it is: demands_ghz
+        # below makes the one new array.
+        if config.n_vms < trace.n_series:
+            trace = trace.subset(config.n_vms)
         if vm_peaks is None and vm_memories is None:
             vm_peaks, vm_memories, servers = draw_population(config, servers)
         elif servers is None:
@@ -138,15 +141,12 @@ class LargeScaleBackend:
                     f"{name} has shape {values.shape}, expected ({config.n_vms},)"
                 )
         self.vm_id_start = int(vm_id_start)
-        self.demands = sub.demands_ghz(self.peaks)  # (n_vms, n_steps)
+        self.demands = trace.demands_ghz(self.peaks)  # (n_vms, n_steps)
         self.n_vms, self.n_steps = self.demands.shape
-        self.dt_s = sub.interval_s
+        self.dt_s = trace.interval_s
         self.server_list = list(servers)
         n_srv = self.n_srv = len(self.server_list)
         server_list = self.server_list
-
-        # Nominal maximum capacity per server.
-        self.srv_max_cap = np.asarray([s.spec.max_capacity_ghz for s in server_list])
 
         # Servers grouped by spec: `actuate` asks each spec's own CPU for
         # its DVFS levels and its own power model for the draw.
@@ -158,21 +158,36 @@ class LargeScaleBackend:
             for idx in spec_groups.values()
         ]
 
+        # Nominal maximum capacity per server, and each spec's constants
+        # read once: (capacity, memory, efficiency, idle, busy, sleep).
+        # The capacity is the array's element (a NumPy float, not the
+        # spec's Python float): the type the pinned run path computes with.
+        self.srv_max_cap = np.empty(n_srv)
+        consts: Dict[int, Tuple[Any, ...]] = {}
+        for idx, spec in self.spec_groups:
+            self.srv_max_cap[idx] = spec.max_capacity_ghz
+            power = spec.power
+            consts[id(spec)] = (
+                self.srv_max_cap[idx[0]], float(spec.memory_mb), spec.power_efficiency,
+                power.idle_w, power.busy_w, power.sleep_w,
+            )
+        srv_consts = [consts[id(s.spec)] for s in server_list]
+
         # Static optimizer views, prebuilt in both power states so the
         # per-step snapshot only selects (never constructs) ServerInfo.
         self.server_infos, self.server_infos_on = (
             tuple(
                 ServerInfo(
                     server_id=s.server_id,
-                    max_capacity_ghz=self.srv_max_cap[i],
-                    memory_mb=float(s.spec.memory_mb),
-                    efficiency=s.spec.power_efficiency,
+                    max_capacity_ghz=cap,
+                    memory_mb=mem,
+                    efficiency=eff,
                     active=active,
-                    idle_w=s.spec.power.idle_w,
-                    busy_w=s.spec.power.busy_w,
-                    sleep_w=s.spec.power.sleep_w,
+                    idle_w=idle,
+                    busy_w=busy,
+                    sleep_w=sleep,
                 )
-                for i, s in enumerate(server_list)
+                for s, (cap, mem, eff, idle, busy, sleep) in zip(server_list, srv_consts)
             )
             for active in (False, True)
         )
@@ -180,7 +195,7 @@ class LargeScaleBackend:
         # the per-step active flags).
         self.eff_order = sorted(
             range(n_srv),
-            key=lambda i: (-server_list[i].spec.power_efficiency, server_list[i].server_id),
+            key=lambda i: (-srv_consts[i][2], server_list[i].server_id),
         )
         self.vm_ids = [
             f"vm{j + self.vm_id_start:05d}" for j in range(self.n_vms)

@@ -385,16 +385,16 @@ class ShardedBackend:
         """
         if self._pods or self._conns:
             return
+        if self._closed:
+            raise RuntimeError(
+                "sharded backend is closed; pod state is gone"
+            )
         tel_enabled, sample_every = self._telemetry_params()
         if self.workers == 1:
             self._pods = [
                 _Pod(spec, tel_enabled, sample_every) for spec in self.specs
             ]
             return
-        if self._closed:
-            raise RuntimeError(
-                "sharded backend is closed; worker state is gone"
-            )
         ctx = mp.get_context()
         assignments: List[List[PodSpec]] = [[] for _ in range(self.workers)]
         for spec in self.specs:
@@ -442,7 +442,9 @@ class ShardedBackend:
         return merged
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent; inline mode is a no-op)."""
+        """Shut the worker pool down and drop the pods and their specs
+        (idempotent), so their memory goes now, not with the last
+        reference to the backend.  A closed backend refuses further work."""
         if self._closed:
             return
         self._closed = True
@@ -462,6 +464,8 @@ class ShardedBackend:
                 pass
         self._procs = []
         self._conns = []
+        self._pods = []
+        self.specs = []
 
     def __del__(self):  # best-effort: never leak worker processes
         try:

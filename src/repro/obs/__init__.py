@@ -7,8 +7,7 @@ substrate:
   summaries (:func:`prom_text` renders Prometheus text families);
 * span tracing — ``with get_telemetry().span("mpc.solve", app="app3"):``
   captures wall time and nesting for the hot paths (MPC QP solve,
-  RLS update, arbitrator pass, Minimum-Slack search, IPAC planning,
-  DES stepping);
+  arbitrator pass, Minimum-Slack search, IPAC planning, DES stepping);
 * a structured JSONL event log — one record per control period,
   optimizer invocation, migration, and server power transition — with
   pluggable backends (:class:`JsonlBackend`, :class:`InMemoryBackend`)

@@ -115,14 +115,30 @@ class TraceConfig:
 
 
 def _daily_shape(hours: np.ndarray, profile: SectorProfile) -> np.ndarray:
-    """Normalized daily bump pattern in [0, 1] for given hour-of-day values."""
+    """Normalized daily bump pattern in [0, 1] for given hour-of-day values.
+
+    Built in two scratch buffers; every element goes through
+    ``exp(-0.5 * (min(|h - p|, 24 - |h - p|) / width) ** 2)`` summed over
+    the peaks, then ``/ max``, one operation at a time in that order.
+    """
     shape = np.zeros_like(hours)
+    dist = np.empty_like(hours)
+    bump = np.empty_like(hours)
     for peak in profile.peak_hours:
         # Circular distance in hours, Gaussian bump.
-        delta = np.minimum(np.abs(hours - peak), 24.0 - np.abs(hours - peak))
-        shape += np.exp(-0.5 * (delta / profile.peak_width_h) ** 2)
+        np.subtract(hours, peak, out=dist)
+        np.abs(dist, out=dist)
+        np.subtract(24.0, dist, out=bump)
+        np.minimum(dist, bump, out=bump)
+        bump /= profile.peak_width_h
+        np.square(bump, out=bump)
+        bump *= -0.5
+        np.exp(bump, out=bump)
+        shape += bump
     top = shape.max()
-    return shape / top if top > 0 else shape
+    if top > 0:
+        shape /= top
+    return shape
 
 
 def generate_trace(config: TraceConfig | None = None, rng: RngLike = None) -> UtilizationTrace:
@@ -131,9 +147,9 @@ def generate_trace(config: TraceConfig | None = None, rng: RngLike = None) -> Ut
     Companies are assigned round-robin to sectors; servers are split
     evenly across companies; all randomness flows from *rng*.
 
-    The noise and spike terms are built in place, so besides the result
-    at most two full-size ``(n_servers, n_samples)`` arrays are alive at
-    once: a draw and, for the spike decay, one product buffer.
+    The shapes, noise and spikes are built in place, so besides the
+    result at most one full-size ``(n_servers, n_samples)`` draw (and,
+    for the spikes, its boolean mask) is alive at once.
     """
     config = config or TraceConfig()
     generator = ensure_rng(rng)
@@ -151,9 +167,8 @@ def generate_trace(config: TraceConfig | None = None, rng: RngLike = None) -> Ut
     sector_of_company = np.arange(config.n_companies) % len(SECTORS)
     sector_of = sector_of_company[company_of]
 
-    labels: List[str] = [
-        f"{SECTORS[sector_of[i]].name}/company{company_of[i]}" for i in range(n)
-    ]
+    sector_name = [SECTORS[s].name for s in sector_of_company.tolist()]
+    labels: List[str] = [f"{sector_name[c]}/company{c}" for c in company_of.tolist()]
 
     util = np.empty((n, k))
     # Per-company phase jitter so companies in the same sector differ.
@@ -168,12 +183,17 @@ def generate_trace(config: TraceConfig | None = None, rng: RngLike = None) -> Ut
         phase = company_phase[company_of[members]] + generator.uniform(
             -0.5, 0.5, size=members.size
         )
-        # (members, k) daily shape with per-server phase shift.
-        shifted_hours = (hours[None, :] - phase[:, None]) % 24.0
+        # (members, k) daily shape with per-server phase shift, then
+        # base + amp * shape * weekend_scale in place.
+        shifted_hours = np.subtract(hours[None, :], phase[:, None])
+        shifted_hours %= 24.0
         shape = _daily_shape(shifted_hours, profile)
-        weekend_scale = np.where(is_weekend, profile.weekend_factor, 1.0)
-        util[members] = base[:, None] + amp[:, None] * shape * weekend_scale[None, :]
-        del shifted_hours, shape
+        del shifted_hours
+        shape *= amp[:, None]
+        shape *= np.where(is_weekend, profile.weekend_factor, 1.0)
+        shape += base[:, None]
+        util[members] = shape
+        del shape
 
     # AR(1)-correlated noise, vectorized over series, built in the white
     # draw's own buffer: column j still holds its white sample when the
@@ -186,21 +206,23 @@ def generate_trace(config: TraceConfig | None = None, rng: RngLike = None) -> Ut
     util += noise
     del noise
 
-    # Sparse spikes with exponential-ish decay over a few samples.
-    spikes = generator.random((n, k)) < config.spike_probability
-    if spikes.any() and config.spike_duration_samples > 0:
+    # Sparse spikes with exponential-ish decay over a few samples.  The
+    # magnitudes are drawn for every cell (the draw is part of the
+    # stream) but added only where a spike is: lag by lag, in lag order,
+    # which is the order a dense sum over every cell adds them in (a
+    # cell without a spike would add 0.0, which leaves it unchanged).
+    rows, cols = np.nonzero(generator.random((n, k)) < config.spike_probability)
+    if rows.size and config.spike_duration_samples > 0:
         impulse = generator.uniform(
             0.5 * config.spike_magnitude, 1.5 * config.spike_magnitude, size=(n, k)
         )
-        impulse[~spikes] = 0.0
-        del spikes
+        values = impulse[rows, cols]
+        del impulse
         decay = np.exp(-np.arange(config.spike_duration_samples) / max(config.spike_duration_samples / 3.0, 1.0))
-        # One product buffer for every lag; a lag of k or more adds nothing.
-        product = np.empty_like(impulse)
+        # A lag of k or more adds nothing.
         for d, w in enumerate(decay[:k]):
-            np.multiply(impulse[:, : k - d], w, out=product[:, : k - d])
-            util[:, d:] += product[:, : k - d]
-        del impulse, product
+            hit = cols < k - d
+            util[rows[hit], cols[hit] + d] += values[hit] * w
 
     np.clip(util, config.min_utilization, config.max_utilization, out=util)
     return UtilizationTrace(util, interval_s=config.interval_s, labels=labels)

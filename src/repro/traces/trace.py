@@ -8,6 +8,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.util.validation import check_positive
+
 __all__ = ["UtilizationTrace"]
 
 
@@ -38,8 +40,7 @@ class UtilizationTrace:
             raise ValueError("utilization contains non-finite values")
         if np.any(arr < 0) or np.any(arr > 1):
             raise ValueError("utilization values must lie in [0, 1]")
-        if not self.interval_s > 0:  # NaN fails this too
-            raise ValueError(f"interval_s must be positive, got {self.interval_s}")
+        check_positive("interval_s", self.interval_s)
         self.utilization = arr
         if self.labels and len(self.labels) != arr.shape[0]:
             raise ValueError(

@@ -10,7 +10,9 @@ magnitudes, the impulse and a product temporary all at once.
 
 Nothing here should be "improved" — it is the frozen baseline.  The
 only departures from the source are this docstring and the imports
-(the sector table, the config and the daily shape are the module's).
+(the sector table and the config are the module's).  ``_daily_shape``
+is the shape function as it was then, kept here because the module's
+own now works in scratch buffers.
 """
 
 from __future__ import annotations
@@ -19,9 +21,20 @@ from typing import List
 
 import numpy as np
 
-from repro.traces.generator import SECTORS, TraceConfig, _daily_shape
+from repro.traces.generator import SECTORS, SectorProfile, TraceConfig
 from repro.traces.trace import UtilizationTrace
 from repro.util.rng import RngLike, ensure_rng
+
+
+def _daily_shape(hours: np.ndarray, profile: SectorProfile) -> np.ndarray:
+    """Normalized daily bump pattern in [0, 1] for given hour-of-day values."""
+    shape = np.zeros_like(hours)
+    for peak in profile.peak_hours:
+        # Circular distance in hours, Gaussian bump.
+        delta = np.minimum(np.abs(hours - peak), 24.0 - np.abs(hours - peak))
+        shape += np.exp(-0.5 * (delta / profile.peak_width_h) ** 2)
+    top = shape.max()
+    return shape / top if top > 0 else shape
 
 
 def generate_trace(config: TraceConfig | None = None, rng: RngLike = None) -> UtilizationTrace:

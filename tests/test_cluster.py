@@ -22,6 +22,7 @@ from repro.cluster import (
     CPUSpec,
     make_server_pool,
 )
+from tests.oracles.server_pool_reference import make_server_pool as reference_pool
 
 
 class TestPowerModel:
@@ -184,6 +185,42 @@ class TestServer:
             make_server_pool(5, type_weights=(1.0,))
         with pytest.raises(ValueError):
             make_server_pool(5, type_weights=(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("weights", [
+        (float("inf"), 1.0, 1.0),
+        (float("nan"), 1.0, 1.0),
+        (1e308, 1e308, 1.0),  # each finite, the sum is not
+    ])
+    def test_make_server_pool_refuses_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="type_weights must be finite"):
+            make_server_pool(5, type_weights=weights)
+
+
+class TestPoolDrawMatchesReference:
+    """The one-call type draw against the per-server loop it replaced
+    (``tests/oracles/server_pool_reference.py``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_servers=st.integers(0, 400),
+        type_weights=st.sampled_from([
+            None, (1.0, 1.0, 1.0), (1.0, 4.0, 20.0), (0.05, 0.15, 0.8),
+            (1.0, 0.0, 0.0), (0.0, 3.0, 1.0), (0.0, 0.0, 2.5),
+        ]),
+        seed=st.integers(0, 2**32 - 1),
+        id_prefix=st.sampled_from(["S", "pod3-", ""]),
+        active=st.booleans(),
+    )
+    def test_same_pool_and_stream(self, n_servers, type_weights, seed, id_prefix, active):
+        pools, after = [], []
+        for draw in (make_server_pool, reference_pool):
+            generator = np.random.default_rng(seed)
+            pool = draw(n_servers, rng=generator, id_prefix=id_prefix,
+                        active=active, type_weights=type_weights)
+            pools.append([(s.server_id, id(s.spec), s.active) for s in pool])
+            after.append(generator.random())
+        assert pools[0] == pools[1]
+        assert after[0] == after[1]
 
 
 class TestVM:

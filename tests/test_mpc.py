@@ -362,7 +362,7 @@ class TestTerminalReachCertificate:
 
     @pytest.mark.parametrize("setpoint, draw", [
         pytest.param(
-            # ROADMAP.md item 4's first draw (its model was not recorded;
+            # ROADMAP.md item 3's first draw (its model was not recorded;
             # this one reproduces it): two reference steps, one move, the
             # terminal row spans [-500, 250] on the feasible set but must
             # equal 577, and solve_qp returns 'optimal' for that QP.
@@ -372,7 +372,7 @@ class TestTerminalReachCertificate:
                  c_max=[1.5, 0.75], delta_max=1.0, power_weight=200.0),
             marks=pytest.mark.xfail(
                 strict=True, raises=AssertionError,
-                reason="ROADMAP.md item 4: solve_qp reports an infeasible "
+                reason="ROADMAP.md item 3: solve_qp reports an infeasible "
                        "terminal row optimal (a soundness gap or a solver "
                        "tolerance)",
             ),
@@ -387,7 +387,7 @@ class TestTerminalReachCertificate:
                  c_max=[1.0, 2.0, 2.0], cap=4.0),
             marks=pytest.mark.xfail(
                 strict=True, raises=RuntimeError,
-                reason="ROADMAP.md item 4: the HiGHS LP oracle is undecided",
+                reason="ROADMAP.md item 3: the HiGHS LP oracle is undecided",
             ),
             id="lp-oracle-undecided",
         ),

@@ -208,6 +208,17 @@ class TestWorkerPool:
         with pytest.raises(RuntimeError):
             engine.run()
 
+    def test_closed_inline_backend_drops_its_pods(self):
+        engine, backend = build_sharded_engine(
+            _trace(), ShardedConfig(base=_base_config(), n_pods=2, workers=1)
+        )
+        backend.start()
+        engine.run(until_period=1)
+        backend.close()
+        assert backend._pods == [] and backend.specs == []
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.run()
+
 
 class TestCheckpointResume:
     @pytest.mark.parametrize("workers", [1, 2])

@@ -66,6 +66,11 @@ class TestUtilizationTrace:
         with pytest.raises(ValueError, match="interval_s"):
             UtilizationTrace(np.zeros((1, 4)), interval_s=_NAN)
 
+    def test_infinite_interval_rejected(self):
+        # An infinite interval would make duration_s infinite.
+        with pytest.raises(ValueError, match="interval_s must be finite"):
+            UtilizationTrace(np.zeros((1, 4)), interval_s=_INF)
+
     def test_subset_bounds(self):
         tr = UtilizationTrace(np.zeros((3, 4)))
         with pytest.raises(ValueError):
@@ -210,19 +215,27 @@ class TestInPlaceBuildMatchesReference:
     """The in-place generator against the body it replaced
     (``tests/oracles/trace_reference.py``): same bytes, fewer arrays."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 300),
         days=st.integers(1, 3),
+        # 600 / 3600 / 7200 s: 144 / 24 / 12 samples a day, not 96.
+        interval_s=st.sampled_from([900.0, 600.0, 3600.0, 7200.0]),
+        # Fewer than four companies leave sectors without members.
+        n_companies=st.integers(1, 12),
         spike_probability=st.sampled_from([0.0, 0.002, 0.5, 1.0]),
-        spike_duration=st.sampled_from([0, 1, 8]),
+        # 200 samples outlast k at 3600 / 7200 s and one day at 600 / 900 s.
+        spike_duration=st.sampled_from([0, 1, 8, 200]),
+        noise_std=st.sampled_from([0.0, 0.03]),
         ar1=st.floats(0.0, 1.0, exclude_max=True),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_byte_identical_to_reference(self, n, days, spike_probability,
-                                         spike_duration, ar1, seed):
+    def test_byte_identical_to_reference(self, n, days, interval_s, n_companies,
+                                         spike_probability, spike_duration,
+                                         noise_std, ar1, seed):
         _same_trace(TraceConfig(
-            n_servers=n, n_days=days, noise_ar1=ar1,
+            n_servers=n, n_days=days, interval_s=interval_s,
+            n_companies=n_companies, noise_std=noise_std, noise_ar1=ar1,
             spike_probability=spike_probability,
             spike_duration_samples=spike_duration,
         ), seed)
@@ -234,7 +247,8 @@ class TestInPlaceBuildMatchesReference:
 
     @pytest.mark.parametrize("n, days", [(5415, 1), (1000, 7)])
     def test_peak_memory_stays_under_four_trace_arrays(self, n, days):
-        # The reference body peaks at about 6.7 arrays of (n, k) float64.
+        # The reference body peaks at about 6.7 arrays of (n, k) float64;
+        # this one at about 2.4 (the result, the spike draw and its mask).
         config = TraceConfig(n_servers=n, n_days=days)
         tracemalloc.start()
         try:
@@ -242,4 +256,4 @@ class TestInPlaceBuildMatchesReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * n * config.n_samples * 8
+        assert peak <= 2.5 * n * config.n_samples * 8

@@ -23,6 +23,9 @@ from repro.util.fold import left_sum
 
 __all__ = ["DataCenter"]
 
+#: Prices every live migration's duration and traffic.
+_MIGRATION_MODEL = LiveMigrationModel()
+
 # Fault-injection hook: (vm_id, source_id, target_id) -> True to disrupt
 # this migration attempt.  Installed by repro.faults.FaultInjector while
 # a migration_failure fault is active; None means migrations always
@@ -33,13 +36,12 @@ MigrationDisruptor = Callable[[str, str, str], bool]
 class DataCenter:
     """Mutable placement state plus power/energy accounting helpers."""
 
-    def __init__(self, migration_model: Optional[LiveMigrationModel] = None):
+    def __init__(self):
         self.servers: Dict[str, Server] = {}
         self.vms: Dict[str, VM] = {}
         self.applications: Dict[str, Application] = {}
         self._vm_to_server: Dict[str, str] = {}
         self._server_vms: Dict[str, set] = {}
-        self.migration_model = migration_model or LiveMigrationModel()
         self.migration_log: List[MigrationRecord] = []
         self.wake_count = 0
         self.sleep_count = 0
@@ -133,7 +135,7 @@ class DataCenter:
 
     # -- placement mutations ---------------------------------------------
 
-    def place(self, vm_id: str, server_id: str, enforce_memory: bool = True) -> None:
+    def place(self, vm_id: str, server_id: str) -> None:
         """Place an unplaced VM on a server (initial deployment)."""
         vm = self._require_vm(vm_id)
         server = self._require_server(server_id)
@@ -144,7 +146,7 @@ class DataCenter:
             )
         if not server.active:
             raise ValueError(f"cannot place {vm_id} on sleeping server {server_id}")
-        if enforce_memory and self.total_memory_mb(server_id) + vm.memory_mb > server.spec.memory_mb:
+        if self.total_memory_mb(server_id) + vm.memory_mb > server.spec.memory_mb:
             raise ValueError(
                 f"placing {vm_id} ({vm.memory_mb} MB) on {server_id} would exceed "
                 f"its {server.spec.memory_mb} MB of memory"
@@ -160,13 +162,13 @@ class DataCenter:
             self._server_vms[sid].discard(vm_id)
 
     def migrate(
-        self, vm_id: str, target_id: str, time_s: float = 0.0, enforce_memory: bool = True
+        self, vm_id: str, target_id: str, time_s: float = 0.0
     ) -> MigrationRecord:
         """Live-migrate a placed VM to another active server.
 
         Returns the :class:`MigrationRecord` (also appended to
         ``migration_log``).  The move is atomic at this modelling level;
-        its duration and traffic come from ``migration_model``.
+        its duration and traffic come from ``_MIGRATION_MODEL``.
         """
         vm = self._require_vm(vm_id)
         target = self._require_server(target_id)
@@ -177,7 +179,7 @@ class DataCenter:
             raise ValueError(f"VM {vm_id} is already on {target_id}")
         if not target.active:
             raise ValueError(f"cannot migrate {vm_id} to sleeping server {target_id}")
-        if enforce_memory and self.total_memory_mb(target_id) + vm.memory_mb > target.spec.memory_mb:
+        if self.total_memory_mb(target_id) + vm.memory_mb > target.spec.memory_mb:
             raise ValueError(
                 f"migrating {vm_id} to {target_id} would exceed its memory"
             )
@@ -193,8 +195,8 @@ class DataCenter:
             source_id=source_id,
             target_id=target_id,
             time_s=float(time_s),
-            duration_s=self.migration_model.duration_s(vm.memory_mb),
-            bytes_moved_mb=self.migration_model.bytes_moved_mb(vm.memory_mb),
+            duration_s=_MIGRATION_MODEL.duration_s(vm.memory_mb),
+            bytes_moved_mb=_MIGRATION_MODEL.bytes_moved_mb(vm.memory_mb),
         )
         self.migration_log.append(record)
         return record

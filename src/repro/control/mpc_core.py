@@ -39,6 +39,9 @@ __all__ = ["MPCConfig", "MPCSolution", "MPCController", "solve_mpc_batch"]
 #: equality is accepted within 1e-6 absolute (SLSQP's ``acc`` is 1e-12).
 _REACH_ROW_TOL = 1e-8
 _REACH_EQ_MARGIN = 1e-5
+#: Weight of the quadratic penalty the terminal equality is softened
+#: into when it is infeasible under the actuator bounds.
+_TERMINAL_SOFT_WEIGHT = 1e4
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,6 @@ class MPCConfig:
         tuned to represent a preference among the VMs" (paper).
     terminal_constraint:
         Enforce t(k+M|k) = Ts as a hard equality (paper Eq. 4).
-    terminal_soft_weight:
-        Penalty weight used when the hard terminal equality is
-        infeasible under the actuator bounds.
     delta_max:
         Optional per-period rate limit on each input change,
         ``|dc_j| <= delta_max`` (GHz).  Damps limit cycles on plants
@@ -86,7 +86,6 @@ class MPCConfig:
     q_weight: float = 1.0
     r_weight: float | Sequence[float] = 1.0
     terminal_constraint: bool = True
-    terminal_soft_weight: float = 1e4
     delta_max: Optional[float] = None
     power_weight: float = 0.0
     warm_start: bool = True
@@ -104,10 +103,6 @@ class MPCConfig:
         r = np.atleast_1d(np.asarray(self.r_weight, dtype=float))
         if np.any(r <= 0):
             raise ValueError(f"r_weight entries must be positive, got {self.r_weight}")
-        if self.terminal_soft_weight <= 0:
-            raise ValueError(
-                f"terminal_soft_weight must be positive, got {self.terminal_soft_weight}"
-            )
         if self.delta_max is not None and self.delta_max <= 0:
             raise ValueError(f"delta_max must be positive, got {self.delta_max}")
         if self.power_weight < 0:
@@ -204,7 +199,7 @@ class MPCController:
         """Hessian with the softened terminal penalty folded in."""
         H_soft = cache.get("H_soft")
         if H_soft is None:
-            w = self.config.terminal_soft_weight
+            w = _TERMINAL_SOFT_WEIGHT
             terminal_row = cache["terminal_row"]
             H_soft = cache["H"] + 2.0 * w * terminal_row.T @ terminal_row
             cache["H_soft"] = H_soft
@@ -494,7 +489,7 @@ class MPCController:
         softened = cfg.terminal_constraint
         if softened:
             M = cfg.control_horizon
-            w = cfg.terminal_soft_weight
+            w = _TERMINAL_SOFT_WEIGHT
             H2 = self._soft_hessian(asm["cache"])
             g2 = asm["g"] + 2.0 * w * asm["terminal_row"][0] * (
                 asm["phi"][M - 1] - asm["setpoint"]

@@ -15,7 +15,7 @@ from repro.core.controller import (
     ResponseTimeController,
     exponential_reference,
 )
-from repro.core.manager import PowerManager, PowerManagerConfig
+from repro.core.manager import PowerManager
 from repro.core.optimizer import (
     IPACConfig,
     Migration,
@@ -35,7 +35,6 @@ __all__ = [
     "ResponseTimeController",
     "exponential_reference",
     "PowerManager",
-    "PowerManagerConfig",
     "IPACConfig",
     "Migration",
     "PlacementPlan",

@@ -21,6 +21,18 @@ from repro.util.validation import check_positive
 
 __all__ = ["ControllerConfig", "PendingUpdate", "ResponseTimeController"]
 
+#: Measured response times are clamped to this (ms) before they reach
+#: the (local, linear) model: an overloaded plant can return arbitrarily
+#: large percentiles that would catapult the linear prediction far
+#: outside its valid region.  It also bounds the output-bias estimate
+#: and is the value a non-finite measurement is replaced by.
+_MEASUREMENT_LIMIT_MS = 3000.0
+#: Additive headroom (GHz) on the utilization band's upper cap.
+_UTIL_BAND_HEADROOM_GHZ = 0.1
+#: Consecutive lost samples held under ``missing_policy="hold"``
+#: before escalating to the pessimistic substitution.
+_MAX_HOLD_PERIODS = 3
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -37,11 +49,6 @@ class ControllerConfig:
         Tref of the exponential reference trajectory (Eq. 3).
     mpc:
         Horizons and weights of the underlying MPC (Eq. 2).
-    measurement_limit_ms:
-        Measured response times are clamped to this value before being
-        fed to the (local, linear) model — an overloaded plant can
-        return arbitrarily large percentiles that would otherwise
-        catapult the linear prediction far outside its valid region.
     bias_gain:
         Filter gain of the output-disturbance estimate (offset-free
         MPC).  Each period the estimate moves this fraction of the way
@@ -54,29 +61,25 @@ class ControllerConfig:
         caller supplies measured per-tier CPU usage, each tier's
         allocation is dynamically bounded to keep its utilization inside
         the band: at least ``used/hi`` (no tier starves at 100%
-        utilization) and at most ``used/lo + util_band_headroom_ghz``
-        (no tier hoards idle cycles).  The identified model is a *local*
-        linearization whose per-tier gains are badly wrong far from the
-        operating point; the band keeps the MIMO optimizer inside the
-        region where those gains are meaningful.  ``None`` disables.
-    util_band_headroom_ghz:
-        Additive headroom on the band's upper allocation cap, so a tier
-        can grow out of a near-idle state.
+        utilization) and at most ``used/lo`` plus
+        ``_UTIL_BAND_HEADROOM_GHZ`` (no tier hoards idle cycles; the
+        headroom lets a tier grow out of a near-idle state).  The
+        identified model is a *local* linearization whose per-tier gains
+        are badly wrong far from the operating point; the band keeps the
+        MIMO optimizer inside the region where those gains are
+        meaningful.  ``None`` disables.
     missing_policy:
         What a non-finite (NaN/inf) measurement means.
         ``"pessimistic"`` (default, the original behaviour): treat it
         as total starvation — substitute the clamp limit so allocation
         is pushed up.  ``"hold"``: treat it as a *lost sample* (sensor
         dropout, monitoring outage) — keep the last demands unchanged
-        and skip the model update, for up to ``max_hold_periods``
+        and skip the model update, for up to ``_MAX_HOLD_PERIODS``
         consecutive losses, after which the controller falls back to
         the pessimistic substitution (a long outage is
         indistinguishable from starvation).  Held periods increment the
         ``controller.held_updates`` telemetry counter; every non-finite
         sample increments ``controller.missing_measurements``.
-    max_hold_periods:
-        Consecutive lost samples tolerated under ``missing_policy=
-        "hold"`` before escalating to the pessimistic substitution.
     """
 
     setpoint_ms: float = 1000.0
@@ -90,12 +93,9 @@ class ControllerConfig:
         delta_max=0.3,
         power_weight=200.0,
     ))
-    measurement_limit_ms: float = 3000.0
     bias_gain: float = 0.3
     util_band: Optional[tuple] = (0.75, 0.985)
-    util_band_headroom_ghz: float = 0.1
     missing_policy: str = "pessimistic"
-    max_hold_periods: int = 3
 
     def __post_init__(self):
         if self.missing_policy not in ("pessimistic", "hold"):
@@ -103,24 +103,15 @@ class ControllerConfig:
                 f"missing_policy must be 'pessimistic' or 'hold', "
                 f"got {self.missing_policy!r}"
             )
-        if self.max_hold_periods < 1:
-            raise ValueError(
-                f"max_hold_periods must be >= 1, got {self.max_hold_periods}"
-            )
         check_positive("setpoint_ms", self.setpoint_ms)
         check_positive("period_s", self.period_s)
         check_positive("ref_time_constant_s", self.ref_time_constant_s)
-        check_positive("measurement_limit_ms", self.measurement_limit_ms)
         if not 0.0 <= self.bias_gain <= 1.0:
             raise ValueError(f"bias_gain must be in [0, 1], got {self.bias_gain}")
         if self.util_band is not None:
             lo, hi = self.util_band
             if not 0.0 < lo < hi <= 1.0:
                 raise ValueError(f"util_band must satisfy 0 < lo < hi <= 1, got {self.util_band}")
-        if self.util_band_headroom_ghz < 0:
-            raise ValueError(
-                f"util_band_headroom_ghz must be >= 0, got {self.util_band_headroom_ghz}"
-            )
 
 
 @dataclass
@@ -216,7 +207,7 @@ class ResponseTimeController:
         replaced by the clamp limit — the most pessimistic in-range
         value, so the controller pushes allocation up instead of
         stalling — or (``"hold"``) the last demands are re-emitted
-        unchanged for up to ``max_hold_periods`` consecutive losses
+        unchanged for up to ``_MAX_HOLD_PERIODS`` consecutive losses
         before escalating to the pessimistic substitution.
 
         The body is :meth:`prepare`, the MPC solve and :meth:`finish` —
@@ -247,17 +238,17 @@ class ResponseTimeController:
             get_telemetry().count("controller.missing_measurements")
             if (
                 cfg.missing_policy == "hold"
-                and self._consecutive_missing <= cfg.max_hold_periods
+                and self._consecutive_missing <= _MAX_HOLD_PERIODS
             ):
                 # Lost sample: no new information, keep the last demands
                 # and leave model histories / bias untouched.
                 self.held_updates += 1
                 get_telemetry().count("controller.held_updates")
                 return PendingUpdate(held=True, demands=self._c_hist[0].copy())
-            t_k = cfg.measurement_limit_ms
+            t_k = _MEASUREMENT_LIMIT_MS
         else:
             self._consecutive_missing = 0
-            t_k = float(np.clip(measured_rt_ms, 0.0, cfg.measurement_limit_ms))
+            t_k = float(np.clip(measured_rt_ms, 0.0, _MEASUREMENT_LIMIT_MS))
             self._last_valid_t = t_k
         # Offset-free correction: filter the innovation between what the
         # raw model predicted for this period and what was measured.
@@ -267,8 +258,9 @@ class ResponseTimeController:
             # The disturbance estimate is a correction within the plant's
             # plausible output range; an unbounded estimate would mean the
             # model is broken, not that the disturbance is that large.
-            limit = cfg.measurement_limit_ms
-            self._bias = float(np.clip(self._bias, -limit, limit))
+            self._bias = float(np.clip(
+                self._bias, -_MEASUREMENT_LIMIT_MS, _MEASUREMENT_LIMIT_MS
+            ))
         self._t_hist.insert(0, t_k)
         self._t_hist = self._t_hist[: max(self.model.na, 1)]
 
@@ -318,7 +310,7 @@ class ResponseTimeController:
         band_lo, band_hi = cfg.util_band
         lo = np.maximum(self.c_min, used / band_hi)
         hi = np.minimum(
-            self.c_max, used / band_lo + cfg.util_band_headroom_ghz
+            self.c_max, used / band_lo + _UTIL_BAND_HEADROOM_GHZ
         )
         # Keep the box non-empty and reachable from the current input
         # under the rate limit (otherwise the QP would be infeasible).

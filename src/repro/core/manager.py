@@ -32,36 +32,12 @@ from repro.core.optimizer.types import (
     snapshot_datacenter,
 )
 from repro.obs import get_telemetry
-from repro.util.validation import check_positive
 
-__all__ = ["PowerManagerConfig", "ControlStepResult", "PowerManager"]
+__all__ = ["ControlStepResult", "PowerManager"]
 
 logger = logging.getLogger(__name__)
 
 Optimizer = Callable[[PlacementProblem], PlacementPlan]
-
-
-@dataclass(frozen=True)
-class PowerManagerConfig:
-    """Timing and arbitration settings of the integrated manager.
-
-    The paper's separation of time scales: "the response time controller
-    is invoked on a small time scale (several seconds) ... while the
-    power optimizer is invoked on a longer time scale (hours to days)".
-    """
-
-    control_period_s: float = 15.0
-    optimizer_period_s: float = 4 * 3600.0
-    arbitrator_headroom: float = 0.95
-
-    def __post_init__(self):
-        check_positive("control_period_s", self.control_period_s)
-        check_positive("optimizer_period_s", self.optimizer_period_s)
-        if self.optimizer_period_s < self.control_period_s:
-            raise ValueError(
-                "optimizer_period_s must be >= control_period_s "
-                f"({self.optimizer_period_s} < {self.control_period_s})"
-            )
 
 
 @dataclass
@@ -94,7 +70,6 @@ class PowerManager:
     def __init__(
         self,
         dc: DataCenter,
-        config: PowerManagerConfig | None = None,
         optimizer: Optional[Optimizer] = None,
         control_mode: str = "fleet",
     ):
@@ -103,9 +78,8 @@ class PowerManager:
                 f"control_mode must be 'fleet' or 'scalar', got {control_mode!r}"
             )
         self.dc = dc
-        self.config = config or PowerManagerConfig()
         self.optimizer: Optimizer = optimizer or (lambda p: ipac(p, IPACConfig()))
-        self.arbitrator = CPUResourceArbitrator(self.config.arbitrator_headroom)
+        self.arbitrator = CPUResourceArbitrator()
         self.controllers: Dict[str, ResponseTimeController] = {}
         self.control_mode = control_mode
         # Live view over self.controllers: registrations are picked up.

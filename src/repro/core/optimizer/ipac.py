@@ -54,32 +54,31 @@ from repro.core.optimizer.types import (
     VMInfo,
 )
 from repro.obs import get_telemetry
-from repro.util.validation import check_in_range
 
 __all__ = ["IPACConfig", "ipac"]
 
 logger = logging.getLogger(__name__)
+
+#: The migration cost model offered to the cost policy.
+_MIGRATION_MODEL = LiveMigrationModel()
 
 
 @dataclass(frozen=True)
 class IPACConfig:
     """IPAC tuning.
 
-    ``overload_utilization`` is the fraction of maximum capacity above
-    which a server counts as overloaded (1.0 = literally unable to host
-    its VMs); evictions stop once the server is back under
-    ``pac.target_utilization``.  ``max_drain_rounds`` bounds the drain
-    loop (None = number of servers).
+    A server counts as overloaded when its demand exceeds its maximum
+    capacity (it literally cannot host its VMs); evictions stop once the
+    server is back under ``pac.target_utilization``.
+    ``max_drain_rounds`` bounds the drain loop (None = number of
+    servers).
     """
 
     pac: PACConfig = field(default_factory=PACConfig)
-    overload_utilization: float = 1.0
     max_drain_rounds: Optional[int] = None
     cost_policy: Optional[MigrationCostPolicy] = None
-    migration_model: LiveMigrationModel = field(default_factory=LiveMigrationModel)
 
     def __post_init__(self):
-        check_in_range("overload_utilization", self.overload_utilization, 0.1, 1.0)
         if self.max_drain_rounds is not None and self.max_drain_rounds < 0:
             raise ValueError(
                 f"max_drain_rounds must be >= 0, got {self.max_drain_rounds}"
@@ -359,8 +358,7 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
         for server in problem.servers:
             sid = server.server_id
             load = ledger.cpu[sid]
-            limit = server.max_capacity_ghz * config.overload_utilization
-            if load <= limit + 1e-9:
+            if load <= server.max_capacity_ghz + 1e-9:
                 continue
             target = server.max_capacity_ghz * config.pac.target_utilization
             # Smallest first; the id breaks ties, so the order does not
@@ -505,7 +503,7 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
                 source=source,
                 target=target,
                 estimated_benefit_w=benefit,
-                migration_model=config.migration_model,
+                migration_model=_MIGRATION_MODEL,
                 mandatory=mandatory,
             )
             if policy.allow(context):

@@ -25,13 +25,12 @@ class MinSlackConfig:
     """Knobs of the per-server Minimum Slack search.
 
     ``epsilon_ghz`` is the allowed slack (Algorithm 1's eps);
-    ``max_steps`` the per-escalation step budget; ``epsilon_step_ghz``
-    the escalation increment (None = 5% of the free capacity).
+    ``max_steps`` the per-escalation step budget.  Each escalation
+    raises the slack by 5% of the free capacity.
     """
 
     epsilon_ghz: float = 0.05
     max_steps: int = 20000
-    epsilon_step_ghz: float | None = None
 
     def __post_init__(self):
         # The range checks are also false for NaN.
@@ -39,9 +38,6 @@ class MinSlackConfig:
             raise ValueError(f"epsilon_ghz must be finite and >= 0, got {self.epsilon_ghz}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        step = self.epsilon_step_ghz
-        if step is not None and not 0 <= step < math.inf:
-            raise ValueError(f"epsilon_step_ghz must be finite and >= 0, got {step}")
 
 
 class PlacementList:
@@ -114,7 +110,6 @@ class PlacementList:
                 memory_capacity=float(free_memory_mb),
                 epsilon=config.epsilon_ghz,
                 max_steps=config.max_steps,
-                epsilon_step=config.epsilon_step_ghz,
             )
             sp.annotate(
                 nodes=result.steps,

@@ -58,14 +58,9 @@ class PACConfig:
         check_in_range("target_utilization", self.target_utilization, 0.1, 1.0)
 
 
-def sort_servers_by_efficiency(
-    servers: Sequence[ServerInfo], descending: bool = True
-) -> List[ServerInfo]:
-    """Order servers by GHz/W efficiency; ties broken by id for determinism."""
-    return sorted(
-        servers,
-        key=lambda s: ((-s.efficiency if descending else s.efficiency), s.server_id),
-    )
+def sort_servers_by_efficiency(servers: Sequence[ServerInfo]) -> List[ServerInfo]:
+    """Most GHz/W-efficient servers first; ties broken by id for determinism."""
+    return sorted(servers, key=lambda s: (-s.efficiency, s.server_id))
 
 
 def build_plan_from_mapping(

@@ -30,6 +30,11 @@ __all__ = [
     "apply_plan",
 ]
 
+#: Tries per disrupted migration in :func:`apply_plan`, and the
+#: simulated seconds between two tries.
+_MIGRATION_ATTEMPTS = 3
+_RETRY_BACKOFF_S = 5.0
+
 
 @dataclass(frozen=True)
 class VMInfo:
@@ -317,8 +322,6 @@ def apply_plan(
     dc: DataCenter,
     plan: PlacementPlan,
     time_s: float = 0.0,
-    max_attempts: int = 3,
-    retry_backoff_s: float = 5.0,
 ) -> ApplyReport:
     """Execute a plan against the live data center.
 
@@ -329,9 +332,9 @@ def apply_plan(
 
     * wake commands for servers that crashed between planning and
       execution are skipped (the plan is stale, not wrong);
-    * a disrupted migration (:class:`MigrationFailedError`) is retried
-      up to ``max_attempts`` times, each attempt stamped
-      ``retry_backoff_s`` later; if every attempt fails the VM stays on
+    * a disrupted migration (:class:`MigrationFailedError`) is tried
+      up to ``_MIGRATION_ATTEMPTS`` times, each attempt stamped
+      ``_RETRY_BACKOFF_S`` later; if every attempt fails the VM stays on
       its source (the failure is atomic, so rollback is a no-op) and the
       move is reported in ``failed_migrations``;
     * sleep commands are skipped for servers left non-empty by a failed
@@ -340,8 +343,6 @@ def apply_plan(
     Returns an :class:`ApplyReport` with per-migration records
     (duration, bytes moved) and everything that was skipped.
     """
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     report = ApplyReport()
     for sid in plan.wake:
         if dc.servers[sid].failed:
@@ -361,15 +362,15 @@ def apply_plan(
             continue
         if dc.server_of(mig.vm_id) == mig.target_id:
             continue
-        for attempt in range(1, max_attempts + 1):
+        for attempt in range(1, _MIGRATION_ATTEMPTS + 1):
             try:
                 record = dc.migrate(
                     mig.vm_id,
                     mig.target_id,
-                    time_s=time_s + (attempt - 1) * retry_backoff_s,
+                    time_s=time_s + (attempt - 1) * _RETRY_BACKOFF_S,
                 )
             except MigrationFailedError:
-                if attempt == max_attempts:
+                if attempt == _MIGRATION_ATTEMPTS:
                     report.failed_migrations.append(mig)
                 else:
                     report.retries += 1

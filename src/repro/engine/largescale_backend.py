@@ -221,8 +221,8 @@ class LargeScaleBackend:
         )
         self.dvfs_on = config.dvfs_enabled
 
-        # Fault state (only consulted when a schedule is attached): the
-        # injector drives it through the FaultPlant methods below.
+        # Fault state: the injector drives it through the FaultPlant
+        # methods below; with no schedule it stays at its initial values.
         self.srv_frac = np.ones(n_srv)
         self.srv_failed = np.zeros(n_srv, dtype=bool)
         self.migration_disruptor: Optional[MigrationDisruptor] = None
@@ -377,21 +377,18 @@ class LargeScaleBackend:
         # Under a thermal throttle every level delivers only srv_frac of
         # its nominal capacity, so the selection works in nominal terms
         # (needed / frac) and the chosen capacity is scaled back down.
-        eff_max = (
-            self.srv_max_cap if config.faults is None
-            else self.srv_max_cap * self.srv_frac
-        )
+        # Without a throttle srv_frac is all 1.0, which multiplies and
+        # divides exactly.
+        eff_max = self.srv_max_cap * self.srv_frac
         cap = eff_max.copy()
         freq_ratio = np.ones(n_srv)
         if self.dvfs_on:
             needed = loads / config.arbitrator_headroom
-            if config.faults is not None:
-                needed = needed / np.maximum(self.srv_frac, 1e-9)
+            needed /= np.maximum(self.srv_frac, 1e-9)
             for idx, spec in self.spec_groups:
                 cpu = spec.cpu
                 cap[idx] = cpu.lowest_level_for(needed[idx]) * cpu.cores
-            if config.faults is not None:
-                cap = cap * self.srv_frac
+            cap *= self.srv_frac
             # cap = freq * cores; ratio = nominal cap / nominal max cap.
             freq_ratio = cap / eff_max
 

@@ -299,12 +299,17 @@ class ScenarioSpec:
         from repro.traces.generator import TraceConfig
 
         try:
-            TraceConfig(
-                n_servers=int(self.trace.get("n_servers", 0)),
-                n_days=int(self.trace.get("n_days", 1)),
-            )
+            n_series = int(self.trace.get("n_servers", 0))
+            TraceConfig(n_servers=n_series, n_days=int(self.trace.get("n_days", 1)))
         except (TypeError, ValueError) as exc:
             return [f"trace: {exc}"]
+        try:
+            n_vms = int(self.params.get("n_vms", LargeScaleConfig.n_vms))
+        except (TypeError, ValueError):
+            return []  # reported under params
+        if n_series < n_vms:
+            return [f"trace: n_servers ({n_series}) must be >= params.n_vms "
+                    f"({n_vms}): each VM replays one trace series"]
         return []
 
     # -- construction --------------------------------------------------

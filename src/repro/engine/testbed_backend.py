@@ -49,7 +49,7 @@ from repro.core.controller.response_time_controller import (
     ControllerConfig,
     ResponseTimeController,
 )
-from repro.core.manager import PowerManager, PowerManagerConfig
+from repro.core.manager import PowerManager
 from repro.engine.checkpoint import verify_snapshot
 from repro.engine.kernel import ControlPlane, PeriodContext, Phase, run_session
 from repro.faults import FaultInjector
@@ -151,11 +151,7 @@ class TestbedBackend:
         dc = self.dc = DataCenter()
         for s in range(cfg.n_servers):
             dc.add_server(Server(f"T{s}", TESTBED_SERVER, active=True))
-        self.manager = PowerManager(
-            dc,
-            PowerManagerConfig(control_period_s=cfg.control_period_s),
-            control_mode=cfg.control_mode,
-        )
+        self.manager = PowerManager(dc, control_mode=cfg.control_mode)
         self.plants: List[MultiTierApp] = []
         scale_lo, scale_hi = cfg.demand_scale_range
         for i in range(cfg.n_apps):

@@ -7,9 +7,9 @@ industry standardized on:
   MPC solves, DES events processed);
 * :class:`Histogram` — a sample distribution with quantile summaries
   (span durations, per-period tracking error).  Sample storage is
-  bounded: past ``max_samples`` retained points the histogram decimates
+  bounded: past ``_MAX_SAMPLES`` retained points the histogram decimates
   deterministically (keeps every 2nd sample and doubles its stride), so
-  quantiles stay representative while memory stays O(max_samples).
+  quantiles stay representative while memory stays bounded.
   ``count``/``sum``/``min``/``max`` remain exact over *all* observations.
 
 A :class:`MetricsRegistry` creates metrics on demand by name and
@@ -31,6 +31,9 @@ __all__ = [
     "prom_line",
     "prom_text",
 ]
+
+#: Retained samples at which a histogram decimates.
+_MAX_SAMPLES = 8192
 
 
 class Counter:
@@ -62,7 +65,7 @@ class Histogram:
     """Bounded-memory sample distribution with quantile summaries.
 
     Observations are appended to a retained-sample list; once the list
-    reaches ``max_samples`` it is decimated (every 2nd sample kept) and
+    reaches ``_MAX_SAMPLES`` it is decimated (every 2nd sample kept) and
     the sampling stride doubles, so only every ``stride``-th future
     observation is retained.  The decimation is deterministic — repeated
     runs of a seeded experiment produce identical snapshots.
@@ -70,7 +73,6 @@ class Histogram:
 
     __slots__ = (
         "name",
-        "max_samples",
         "_samples",
         "_stride",
         "_seen",
@@ -80,11 +82,8 @@ class Histogram:
         "_max",
     )
 
-    def __init__(self, name: str, max_samples: int = 8192):
-        if max_samples < 2:
-            raise ValueError(f"max_samples must be >= 2, got {max_samples}")
+    def __init__(self, name: str):
         self.name = name
-        self.max_samples = int(max_samples)
         self._samples: List[float] = []
         self._stride = 1
         self._seen = 0
@@ -131,7 +130,7 @@ class Histogram:
             self._max = value
         if self._seen % self._stride == 0:
             self._samples.append(value)
-            if len(self._samples) >= self.max_samples:
+            if len(self._samples) >= _MAX_SAMPLES:
                 self._samples = self._samples[::2]
                 self._stride *= 2
         self._seen += 1
@@ -238,8 +237,7 @@ class MetricsRegistry:
     lifetime; asking for the same name as a different kind raises.
     """
 
-    def __init__(self, histogram_max_samples: int = 8192):
-        self.histogram_max_samples = histogram_max_samples
+    def __init__(self):
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
 
@@ -254,15 +252,13 @@ class MetricsRegistry:
             c = self._counters[name] = Counter(name)
         return c
 
-    def histogram(self, name: str, max_samples: Optional[int] = None) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """The histogram named *name*, created on first use."""
         h = self._histograms.get(name)
         if h is None:
             if name in self._counters:
                 raise ValueError(f"metric {name!r} already registered as a counter")
-            h = self._histograms[name] = Histogram(
-                name, max_samples or self.histogram_max_samples
-            )
+            h = self._histograms[name] = Histogram(name)
         return h
 
     # -- convenience ---------------------------------------------------

@@ -41,18 +41,13 @@ class Telemetry:
     def __init__(
         self,
         backend: Optional[TelemetryBackend] = None,
-        registry: Optional[MetricsRegistry] = None,
-        record_spans: bool = True,
         span_sample_every: int = 1,
     ):
         self.backend = backend or NullBackend()
-        self.registry = registry or MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.enabled = bool(self.backend.enabled)
         self.tracer = Tracer(
-            self.registry,
-            self.backend,
-            record_spans=record_spans,
-            sample_every=span_sample_every,
+            self.registry, self.backend, sample_every=span_sample_every
         )
         self._closed = False
 

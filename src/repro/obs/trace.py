@@ -90,18 +90,11 @@ class Tracer:
     sampling can never perturb a seeded run.
     """
 
-    def __init__(
-        self,
-        registry,
-        backend,
-        record_spans: bool = True,
-        sample_every: int = 1,
-    ):
+    def __init__(self, registry, backend, sample_every: int = 1):
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {sample_every}")
         self.registry = registry
         self.backend = backend
-        self.record_spans = record_spans
         self.sample_every = int(sample_every)
         self._finished_counts: Dict[str, int] = {}
         self._stack: List[Span] = []
@@ -112,8 +105,6 @@ class Tracer:
 
     def _finish(self, span: Span, error: bool) -> None:
         self.registry.histogram(f"span.{span.name}").observe(span.duration_s)
-        if not self.record_spans:
-            return
         if self.sample_every > 1:
             seen = self._finished_counts.get(span.name, 0)
             self._finished_counts[span.name] = seen + 1

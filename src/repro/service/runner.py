@@ -162,7 +162,6 @@ class RunnerConfig:
     checkpoint_every: int = 5
     poll_interval_s: float = 0.2
     audit_violation_budget: float = 1.0
-    audit_baseline_rule: str = "peak"
     crash_after_checkpoints: Optional[int] = None
 
     def __post_init__(self):
@@ -420,7 +419,6 @@ class ExperimentRunner:
         ``done``, only without an audit row."""
         try:
             report = audit_run(RunLog.read(log_path), AuditConfig(
-                baseline_rule=self.config.audit_baseline_rule,
                 violation_budget=self.config.audit_violation_budget,
             ))
             self.store.save_audit(run_id, report, bool(report["slo"]["passed"]))

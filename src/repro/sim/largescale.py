@@ -32,6 +32,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.cluster.catalog import STANDARD_SERVER_TYPES
 from repro.core.optimizer.minslack import MinSlackConfig
 from repro.faults import FaultSchedule
 from repro.util.validation import (
@@ -127,6 +128,18 @@ class LargeScaleConfig:
         check_in_range("arbitrator_headroom", self.arbitrator_headroom, 0.1, 1.0)
         check_in_range("target_utilization", self.target_utilization, 0.1, 1.0)
         check_finite("type_weights", self.type_weights)
+        if len(self.type_weights) != len(STANDARD_SERVER_TYPES):
+            raise ValueError(
+                f"type_weights needs one weight per server type "
+                f"({len(STANDARD_SERVER_TYPES)}), got {len(self.type_weights)}"
+            )
+        # The pool draw normalises by this same sum; it must not overflow.
+        total = sum(float(w) for w in self.type_weights)
+        if any(w < 0 for w in self.type_weights) or not 0 < total < math.inf:
+            raise ValueError(
+                f"type_weights must be non-negative with a finite, positive "
+                f"sum, got {self.type_weights}"
+            )
         lo, hi = self.vm_peak_range_ghz
         if not 0 < lo <= hi < math.inf:
             raise ValueError(f"bad vm_peak_range_ghz {self.vm_peak_range_ghz}")

@@ -16,19 +16,21 @@ from repro.util.rng import RngLike, ensure_rng
 
 __all__ = ["aprbs", "excitation_trajectory"]
 
+#: Shortest and longest hold (samples) of one APRBS level.
+_MIN_HOLD = 1
+_MAX_HOLD = 4
+
 
 def aprbs(
     n: int,
     low: float,
     high: float,
     rng: RngLike = None,
-    min_hold: int = 1,
-    max_hold: int = 4,
 ) -> np.ndarray:
     """Amplitude-modulated PRBS: random levels in [low, high], random holds.
 
     Each segment holds a uniformly drawn level for a uniformly drawn
-    number of samples in ``[min_hold, max_hold]``.  Richer amplitude
+    number of samples in ``[_MIN_HOLD, _MAX_HOLD]``.  Richer amplitude
     content than a binary PRBS, which matters for plants (like queueing
     systems) whose gain varies with the operating point.
     """
@@ -36,14 +38,12 @@ def aprbs(
         raise ValueError(f"n must be >= 1, got {n}")
     if high < low:
         raise ValueError(f"high ({high}) must be >= low ({low})")
-    if not 1 <= min_hold <= max_hold:
-        raise ValueError(f"need 1 <= min_hold <= max_hold, got {min_hold}, {max_hold}")
     generator = ensure_rng(rng)
     out = np.empty(n)
     i = 0
     while i < n:
         level = generator.uniform(low, high)
-        hold = int(generator.integers(min_hold, max_hold + 1))
+        hold = int(generator.integers(_MIN_HOLD, _MAX_HOLD + 1))
         out[i : i + hold] = level
         i += hold
     return out
@@ -54,8 +54,6 @@ def excitation_trajectory(
     lower: np.ndarray,
     upper: np.ndarray,
     rng: RngLike = None,
-    min_hold: int = 1,
-    max_hold: int = 4,
 ) -> np.ndarray:
     """Per-input APRBS allocation trajectory, shape ``(n_periods, m)``.
 
@@ -71,7 +69,7 @@ def excitation_trajectory(
         raise ValueError(f"upper must be >= lower, got {lower} / {upper}")
     generator = ensure_rng(rng)
     cols = [
-        aprbs(n_periods, lower[j], upper[j], generator, min_hold, max_hold)
+        aprbs(n_periods, lower[j], upper[j], generator)
         for j in range(lower.shape[0])
     ]
     return np.column_stack(cols)

@@ -20,6 +20,9 @@ from repro.util.validation import check_positive
 
 __all__ = ["IdentificationData", "run_identification_experiment", "identify_app_model"]
 
+#: Simulated seconds the plant runs before the first recorded period.
+_WARMUP_S = 60.0
+
 
 @dataclass(frozen=True)
 class IdentificationData:
@@ -41,7 +44,6 @@ def run_identification_experiment(
     period_s: float = 15.0,
     alloc_lower: np.ndarray | None = None,
     alloc_upper: np.ndarray | None = None,
-    warmup_s: float = 60.0,
     rng: RngLike = None,
     metric: str = "p90",
 ) -> IdentificationData:
@@ -66,7 +68,7 @@ def run_identification_experiment(
     trajectory = excitation_trajectory(
         n_periods, np.asarray(alloc_lower), np.asarray(alloc_upper), generator
     )
-    app.warmup(warmup_s)
+    app.warmup(_WARMUP_S)
     t = np.empty(n_periods)
     for k in range(n_periods):
         app.set_allocations(trajectory[k])
@@ -77,8 +79,6 @@ def run_identification_experiment(
 
 def identify_app_model(
     app: MultiTierApp,
-    na: int = 1,
-    nb: int = 2,
     n_periods: int = 120,
     period_s: float = 15.0,
     alloc_lower: np.ndarray | None = None,
@@ -88,9 +88,8 @@ def identify_app_model(
 ) -> FitResult:
     """Convenience wrapper: excite, record, and fit in one call.
 
-    Uses the paper's model orders (na=1, nb=2) by default; the
-    excitation range and SLA metric pass through to
-    :func:`run_identification_experiment`.
+    Fits the paper's model orders (na=1, nb=2); the excitation range
+    and SLA metric pass through to :func:`run_identification_experiment`.
     """
     data = run_identification_experiment(
         app,
@@ -101,4 +100,4 @@ def identify_app_model(
         rng=rng,
         metric=metric,
     )
-    return fit_arx(data.t, data.c, na=na, nb=nb)
+    return fit_arx(data.t, data.c, na=1, nb=2)

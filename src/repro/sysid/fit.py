@@ -42,8 +42,6 @@ def fit_arx(
     c_series: np.ndarray,
     na: int = 1,
     nb: int = 2,
-    fit_intercept: bool = True,
-    constraints: str = "physical",
 ) -> FitResult:
     """Fit ``t(k) = sum_p a_p t(k-p) + sum_q b_q' c(k-q) + g`` by least squares.
 
@@ -61,24 +59,18 @@ def fit_arx(
         form of the paper's Eq. 1 — see :mod:`repro.control.arx`).
     na, nb:
         Model orders (paper uses na=1, nb=2).
-    fit_intercept:
-        Estimate the affine term ``g`` (recommended: response-time
-        models are local linearizations around an operating point).
-    constraints:
-        ``"physical"`` (default) bounds the coefficients by what a
-        response-time-vs-capacity plant can physically do: every input
-        gain non-positive (more CPU never increases response time) and
-        the autoregressive terms in [0, 0.98] (stable, non-oscillatory).
-        Unconstrained noise routinely hands one lag a large positive
-        artifact canceled by the next lag — fake dynamics an MPC will
-        happily exploit.  ``"none"`` gives plain least squares.
 
-    The ``"physical"`` fit is bounded least squares by
-    ``scipy.optimize.lsq_linear``; SciPy is imported on that branch only,
-    so importing this module (every harness does) loads none.
+    The affine term ``g`` is always estimated: response-time models are
+    local linearizations around an operating point.  The coefficients
+    are bounded by what a response-time-vs-capacity plant can physically
+    do: every input gain non-positive (more CPU never increases response
+    time) and the autoregressive terms in [0, 0.98] (stable,
+    non-oscillatory).  Unconstrained noise routinely hands one lag a
+    large positive artifact canceled by the next lag — fake dynamics an
+    MPC will happily exploit.  The fit is bounded least squares by
+    ``scipy.optimize.lsq_linear``; SciPy is imported inside this
+    function, so importing this module (every harness does) loads none.
     """
-    if constraints not in ("none", "physical"):
-        raise ValueError(f"constraints must be 'none' or 'physical', got {constraints!r}")
     t = np.asarray(t_series, dtype=float).ravel()
     c = np.atleast_2d(np.asarray(c_series, dtype=float))
     if c.shape[0] != t.shape[0]:
@@ -90,7 +82,7 @@ def fit_arx(
     m = c.shape[1]
     lag = max(na, nb - 1)
     K = t.shape[0]
-    if K - lag < na + nb * m + (1 if fit_intercept else 0):
+    if K - lag < na + nb * m + 1:
         raise ValueError(
             f"not enough samples ({K}) for na={na}, nb={nb}, m={m}"
         )
@@ -101,8 +93,7 @@ def fit_arx(
         regress = [t[k - p] for p in range(1, na + 1)]
         for q in range(1, nb + 1):
             regress.extend(c[k - q + 1])
-        if fit_intercept:
-            regress.append(1.0)
+        regress.append(1.0)
         row = np.asarray(regress)
         y = t[k]
         if np.all(np.isfinite(row)) and np.isfinite(y):
@@ -115,18 +106,15 @@ def fit_arx(
             f"only {X.shape[0]} finite regression rows for {X.shape[1]} parameters"
         )
 
-    if constraints == "physical":
-        from scipy import optimize
+    from scipy import optimize
 
-        n_params = X.shape[1]
-        lower = np.full(n_params, -np.inf)
-        upper = np.full(n_params, np.inf)
-        lower[:na] = 0.0
-        upper[:na] = 0.98
-        upper[na : na + nb * m] = 0.0
-        theta = optimize.lsq_linear(X, y, bounds=(lower, upper)).x
-    else:
-        theta, *_ = np.linalg.lstsq(X, y, rcond=None)
+    n_params = X.shape[1]
+    lower = np.full(n_params, -np.inf)
+    upper = np.full(n_params, np.inf)
+    lower[:na] = 0.0
+    upper[:na] = 0.98
+    upper[na : na + nb * m] = 0.0
+    theta = optimize.lsq_linear(X, y, bounds=(lower, upper)).x
     resid = y - X @ theta
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -135,7 +123,7 @@ def fit_arx(
 
     a = theta[:na]
     b = theta[na : na + nb * m].reshape(nb, m)
-    g = float(theta[-1]) if fit_intercept else 0.0
+    g = float(theta[-1])
     model = ARXModel(a=a, b=b, g=g)
     return FitResult(
         model=model,

@@ -15,9 +15,17 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.util.validation import check_in_range, check_non_negative
-
 __all__ = ["DemandForecaster", "EwmaPeakForecaster", "HoltForecaster"]
+
+#: :class:`EwmaPeakForecaster`'s smoothing factor and burst multiplier.
+_EWMA_ALPHA = 0.25
+_EWMA_SAFETY = 2.0
+#: :class:`HoltForecaster`'s level and trend smoothing factors, trend
+#: damping, and error multiplier.
+_HOLT_ALPHA = 0.3
+_HOLT_BETA = 0.1
+_HOLT_DAMPING = 0.9
+_HOLT_SAFETY = 1.5
 
 
 class DemandForecaster(ABC):
@@ -35,19 +43,15 @@ class DemandForecaster(ABC):
 class EwmaPeakForecaster(DemandForecaster):
     """EWMA level plus an EWMA of upward deviations.
 
-    ``forecast = level + safety * upward_dev`` — a simple, robust
+    ``forecast = level + _EWMA_SAFETY * upward_dev`` — a simple, robust
     "recent typical value plus recent burst size" rule.  The horizon
     argument is ignored (the deviation estimate already captures
     within-window bursts at the update cadence).
     """
 
-    def __init__(self, n_series: int, alpha: float = 0.25, safety: float = 2.0):
+    def __init__(self, n_series: int):
         if n_series < 1:
             raise ValueError(f"n_series must be >= 1, got {n_series}")
-        check_in_range("alpha", alpha, 0.01, 1.0)
-        check_non_negative("safety", safety)
-        self.alpha = float(alpha)
-        self.safety = float(safety)
         self.level = np.zeros(n_series)
         self.upward_dev = np.zeros(n_series)
         self._initialized = False
@@ -61,13 +65,13 @@ class EwmaPeakForecaster(DemandForecaster):
             self._initialized = True
             return
         excess = np.maximum(d - self.level, 0.0)
-        self.level += self.alpha * (d - self.level)
-        self.upward_dev += self.alpha * (excess - self.upward_dev)
+        self.level += _EWMA_ALPHA * (d - self.level)
+        self.upward_dev += _EWMA_ALPHA * (excess - self.upward_dev)
 
     def forecast_peak(self, horizon_steps: int) -> np.ndarray:
         if horizon_steps < 1:
             raise ValueError(f"horizon_steps must be >= 1, got {horizon_steps}")
-        return np.maximum(self.level + self.safety * self.upward_dev, 0.0)
+        return np.maximum(self.level + _EWMA_SAFETY * self.upward_dev, 0.0)
 
 
 class HoltForecaster(DemandForecaster):
@@ -79,24 +83,9 @@ class HoltForecaster(DemandForecaster):
     window value, not their current one.
     """
 
-    def __init__(
-        self,
-        n_series: int,
-        alpha: float = 0.3,
-        beta: float = 0.1,
-        damping: float = 0.9,
-        safety: float = 1.5,
-    ):
+    def __init__(self, n_series: int):
         if n_series < 1:
             raise ValueError(f"n_series must be >= 1, got {n_series}")
-        check_in_range("alpha", alpha, 0.01, 1.0)
-        check_in_range("beta", beta, 0.01, 1.0)
-        check_in_range("damping", damping, 0.0, 1.0)
-        check_non_negative("safety", safety)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.damping = float(damping)
-        self.safety = float(safety)
         self.level = np.zeros(n_series)
         self.trend = np.zeros(n_series)
         self.abs_err = np.zeros(n_series)
@@ -110,20 +99,20 @@ class HoltForecaster(DemandForecaster):
             self.level[:] = d
             self._initialized = True
             return
-        predicted = self.level + self.damping * self.trend
-        self.abs_err += self.alpha * (np.abs(d - predicted) - self.abs_err)
+        predicted = self.level + _HOLT_DAMPING * self.trend
+        self.abs_err += _HOLT_ALPHA * (np.abs(d - predicted) - self.abs_err)
         prev_level = self.level.copy()
-        self.level = self.alpha * d + (1 - self.alpha) * predicted
+        self.level = _HOLT_ALPHA * d + (1 - _HOLT_ALPHA) * predicted
         self.trend = (
-            self.beta * (self.level - prev_level)
-            + (1 - self.beta) * self.damping * self.trend
+            _HOLT_BETA * (self.level - prev_level)
+            + (1 - _HOLT_BETA) * _HOLT_DAMPING * self.trend
         )
 
     def forecast_peak(self, horizon_steps: int) -> np.ndarray:
         if horizon_steps < 1:
             raise ValueError(f"horizon_steps must be >= 1, got {horizon_steps}")
         # Damped-trend cumulative factor per step: phi + phi^2 + ... .
-        phi = self.damping
+        phi = _HOLT_DAMPING
         factors = np.cumsum(phi ** np.arange(1, horizon_steps + 1))
         # Peak over the horizon: depends on trend sign per series.
         best = np.where(
@@ -131,4 +120,4 @@ class HoltForecaster(DemandForecaster):
             self.trend * factors[-1],   # rising: peak at the end
             self.trend * factors[0],    # falling: peak (highest) first step
         )
-        return np.maximum(self.level + best + self.safety * self.abs_err, 0.0)
+        return np.maximum(self.level + best + _HOLT_SAFETY * self.abs_err, 0.0)

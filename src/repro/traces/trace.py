@@ -62,22 +62,17 @@ class UtilizationTrace:
         """Covered wall-clock duration."""
         return self.n_samples * self.interval_s
 
-    def subset(self, n: int, rng: np.random.Generator | None = None) -> "UtilizationTrace":
-        """First *n* series (deterministic) or a random sample of *n*.
+    def subset(self, n: int) -> "UtilizationTrace":
+        """A copy of the first *n* series.
 
         The paper simulates "54 data centers with different number of
         VMs, ranging from 30 to 5,415" by taking subsets of the trace.
         """
         if not 0 < n <= self.n_series:
             raise ValueError(f"n must be in [1, {self.n_series}], got {n}")
-        if rng is None:
-            return UtilizationTrace(
-                self.utilization[:n].copy(), self.interval_s, self.labels[:n]
-            )
-        idx = np.sort(rng.choice(self.n_series, size=n, replace=False))
-        labels = [self.labels[i] for i in idx] if self.labels else []
-        # Fancy indexing already copies.
-        return UtilizationTrace(self.utilization[idx], self.interval_s, labels)
+        return UtilizationTrace(
+            self.utilization[:n].copy(), self.interval_s, self.labels[:n]
+        )
 
     def demands_ghz(self, peak_ghz: Sequence[float] | float) -> np.ndarray:
         """Convert utilization to absolute CPU demand.

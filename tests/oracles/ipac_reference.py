@@ -18,7 +18,10 @@ only departures from the source are this docstring, the imports, the
 module logger, the name ``ipac`` for the unmodified ``_ipac`` entry
 (its telemetry wrapper is left out), and ``_run_pac`` no longer handing
 the parent's VM index to ``trusted``, which lost that keyword with its
-only caller (the sub-problem builds the same index on first use).
+only caller (the sub-problem builds the same index on first use), and
+the two ``IPACConfig`` fields the configuration lost written in at the
+values every run used: an overload threshold of 1.0 times the maximum
+capacity and the default ``LiveMigrationModel``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import logging
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.cluster.migration import LiveMigrationModel
 from repro.core.optimizer.ipac import IPACConfig
 from repro.core.optimizer.migration import AllowAllPolicy, MigrationContext
 from repro.core.optimizer.minslack import PlacementList
@@ -313,7 +317,7 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
         evictions: List[str] = list(new_vm_ids)
         for server in problem.servers:
             sid = server.server_id
-            limit = server.max_capacity_ghz * config.overload_utilization
+            limit = server.max_capacity_ghz * 1.0
             if loads[sid] <= limit + 1e-9:
                 continue
             target = server.max_capacity_ghz * config.pac.target_utilization
@@ -437,7 +441,7 @@ def _ipac(problem: PlacementProblem, config: IPACConfig) -> PlacementPlan:
                 source=source,
                 target=target,
                 estimated_benefit_w=benefit,
-                migration_model=config.migration_model,
+                migration_model=LiveMigrationModel(),
                 mandatory=mandatory,
             )
             if policy.allow(context):

@@ -317,8 +317,8 @@ class TestDataCenter:
         dc.place("v1", "small")
         with pytest.raises(ValueError):
             dc.place("v2", "small")
-        dc.place("v2", "small", enforce_memory=False)
-        assert dc.memory_violations() == ["small"]
+        assert dc.server_of("v2") is None
+        assert dc.memory_violations() == []
 
     def test_migrate_records_log(self):
         dc = self._dc()

@@ -5,6 +5,10 @@ import pytest
 
 from repro.apps import AppSpec, MultiTierApp
 from repro.core.controller import ControllerConfig, ResponseTimeController
+from repro.core.controller.response_time_controller import (
+    _MEASUREMENT_LIMIT_MS,
+    _UTIL_BAND_HEADROOM_GHZ,
+)
 from repro.sysid import fit_arx, run_identification_experiment
 
 
@@ -120,8 +124,9 @@ class TestGuards:
         assert after.sum() > before.sum()
 
     def test_measurement_clamped(self, identified_model):
-        ctrl = _make_controller(identified_model, measurement_limit_ms=2000.0)
+        ctrl = _make_controller(identified_model)
         ctrl.update(1e9)  # must not blow up the internal state
+        assert ctrl._t_hist[0] == _MEASUREMENT_LIMIT_MS
         assert np.isfinite(ctrl.current_demand_ghz).all()
 
     def test_util_band_floor_prevents_starvation(self, identified_model):
@@ -134,7 +139,7 @@ class TestGuards:
         ctrl = _make_controller(identified_model, util_band=(0.75, 0.985))
         # High RT but tiny usage: cap limits the grab.
         demand = ctrl.update(2500.0, used_ghz=np.array([0.1, 0.1]))
-        cap = 0.1 / 0.75 + ControllerConfig().util_band_headroom_ghz
+        cap = 0.1 / 0.75 + _UTIL_BAND_HEADROOM_GHZ
         assert np.all(demand <= max(cap, 1.0 - 0.3) + 0.31)  # within reach+rate
 
     def test_without_usage_static_bounds_apply(self, identified_model):

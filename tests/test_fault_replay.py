@@ -53,7 +53,7 @@ def _tb_config(faults):
 
 def _run(engine, backend):
     memory = InMemoryBackend()
-    with use_telemetry(Telemetry(memory, record_spans=False), close=False):
+    with use_telemetry(Telemetry(memory), close=False):
         backend.start()
         engine.run()
         backend.result()

@@ -17,6 +17,7 @@ from repro.core import (
     PowerManager,
     ResponseTimeController,
 )
+from repro.core.controller.response_time_controller import _MAX_HOLD_PERIODS
 from repro.core.optimizer.types import Migration, PlacementPlan, apply_plan, snapshot_datacenter
 from repro.engine.testbed_backend import run_testbed
 from repro.faults import (
@@ -239,7 +240,7 @@ class TestApplyPlanFaultTolerance:
 
         dc.migration_disruptor = disruptor
         plan = PlacementPlan(migrations=[Migration("v1", "T0", "T1")])
-        report = apply_plan(dc, plan, time_s=100.0, retry_backoff_s=5.0)
+        report = apply_plan(dc, plan, time_s=100.0)
         assert dc.server_of("v1") == "T1"
         assert report.retries == 2
         assert report.failed_migrations == []
@@ -334,22 +335,24 @@ class TestControllerMissingPolicy:
         assert ctrl.held_updates == 1
 
     def test_hold_escalates_after_max_periods(self):
-        ctrl = self._controller(missing_policy="hold", max_hold_periods=2)
+        ctrl = self._controller(missing_policy="hold")
         ctrl.update(1000.0)
         before = ctrl.update(float("nan"))
-        ctrl.update(float("nan"))
-        escalated = ctrl.update(float("nan"))  # 3rd loss > max_hold_periods
-        assert ctrl.held_updates == 2
+        for _ in range(_MAX_HOLD_PERIODS - 1):
+            ctrl.update(float("nan"))
+        escalated = ctrl.update(float("nan"))  # one loss past the budget
+        assert ctrl.held_updates == _MAX_HOLD_PERIODS
         # Pessimistic substitution kicks in: demand moves up, not held.
         assert not np.allclose(escalated, before)
 
     def test_finite_sample_resets_hold_budget(self):
-        ctrl = self._controller(missing_policy="hold", max_hold_periods=1)
+        ctrl = self._controller(missing_policy="hold")
         ctrl.update(1000.0)
-        ctrl.update(float("nan"))
+        for _ in range(_MAX_HOLD_PERIODS):
+            ctrl.update(float("nan"))
         ctrl.update(900.0)
         ctrl.update(float("nan"))  # budget refreshed: held again
-        assert ctrl.held_updates == 2
+        assert ctrl.held_updates == _MAX_HOLD_PERIODS + 1
 
     def test_pessimistic_default_unchanged(self):
         ctrl = self._controller()
@@ -457,7 +460,7 @@ def _chaos_config(**over):
 
 def _run_chaos(config):
     backend = InMemoryBackend()
-    with use_telemetry(Telemetry(backend, record_spans=False), close=False):
+    with use_telemetry(Telemetry(backend), close=False):
         result = run_testbed(config, model=MODEL)
     events = [r for r in backend.records if r.get("kind") not in ("span", "metrics")]
     return result, events
@@ -525,7 +528,7 @@ class TestLargeScaleFaults:
         # Find a server that hosts VMs at t=0 so the crash bites.
         backend = InMemoryBackend()
         cfg = LargeScaleConfig(n_vms=30, n_servers=50, seed=5)
-        with use_telemetry(Telemetry(backend, record_spans=False), close=False):
+        with use_telemetry(Telemetry(backend), close=False):
             run_largescale(small_trace, cfg)
         on = [r["server"] for r in backend.records
               if r.get("kind") == "server_power" and r.get("state") == "on"]
@@ -535,7 +538,7 @@ class TestLargeScaleFaults:
                        duration_s=7200.0),
         ), seed=2)
         backend2 = InMemoryBackend()
-        with use_telemetry(Telemetry(backend2, record_spans=False), close=False):
+        with use_telemetry(Telemetry(backend2), close=False):
             res = run_largescale(
                 small_trace,
                 LargeScaleConfig(n_vms=30, n_servers=50, seed=5, faults=sched),

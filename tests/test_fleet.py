@@ -24,6 +24,10 @@ from repro.core import (
     PowerManager,
     ResponseTimeController,
 )
+from repro.core.controller.response_time_controller import (
+    _MAX_HOLD_PERIODS,
+    _MEASUREMENT_LIMIT_MS,
+)
 from repro.core.fleet import FleetControlStep
 from repro.engine.scenario import builtin_registry
 from repro.obs import InMemoryBackend, Telemetry, use_telemetry
@@ -158,9 +162,7 @@ class TestEdgePathsBothModes:
         nan_at = {(0, 3), (0, 4), (1, 7)}
         out, mgrs = {}, {}
         for mode in ("scalar", "fleet"):
-            _, mgr = _build_manager(
-                3, mode, missing_policy="hold", max_hold_periods=2
-            )
+            _, mgr = _build_manager(3, mode, missing_policy="hold")
             out[mode] = _drive(mgr, 3, 12, nan_for=nan_at)
             mgrs[mode] = mgr
         np.testing.assert_allclose(
@@ -175,27 +177,23 @@ class TestEdgePathsBothModes:
         assert mgrs["fleet"].controllers["app1"].held_updates == 1
 
     def test_hold_escalates_pessimistically_in_both_modes(self):
-        """Past max_hold_periods the fleet must also fall back to the
+        """Past _MAX_HOLD_PERIODS the fleet must also fall back to the
         clamp-limit substitution, not keep holding."""
         for mode in ("scalar", "fleet"):
-            _, mgr = _build_manager(
-                1, mode, missing_policy="hold", max_hold_periods=2
-            )
+            _, mgr = _build_manager(1, mode, missing_policy="hold")
             nan_at = {(0, k) for k in range(2, 8)}
             _drive(mgr, 1, 8, nan_for=nan_at)
             ctrl = mgr.controllers["app0"]
-            assert ctrl.held_updates == 2, mode
+            assert ctrl.held_updates == _MAX_HOLD_PERIODS, mode
             # Escalated periods consumed the pessimistic substitution.
-            assert ctrl._t_hist[0] == ctrl.config.measurement_limit_ms, mode
+            assert ctrl._t_hist[0] == _MEASUREMENT_LIMIT_MS, mode
 
     def test_used_ghz_band_guard_equivalence(self):
         """The utilization-band bounds tighten identically in both
         modes (used_ghz flows through prepare() untouched)."""
         out = {}
         for mode in ("scalar", "fleet"):
-            _, mgr = _build_manager(
-                4, mode, util_band=(0.75, 0.985), util_band_headroom_ghz=0.1
-            )
+            _, mgr = _build_manager(4, mode, util_band=(0.75, 0.985))
             out[mode] = _drive(mgr, 4, 15, seed=11)
         np.testing.assert_allclose(
             out["fleet"], out["scalar"], rtol=RTOL, atol=ATOL

@@ -95,7 +95,7 @@ class TestForecasters:
         assert f.forecast_peak(4)[0] > flat.forecast_peak(4)[0] + 0.05
 
     def test_holt_extrapolates_trend(self):
-        f = HoltForecaster(1, alpha=0.5, beta=0.3)
+        f = HoltForecaster(1)
         for k in range(60):
             f.update(np.array([1.0 + 0.01 * k]))
         current = 1.0 + 0.01 * 59
@@ -118,7 +118,7 @@ class TestForecasters:
         with pytest.raises(ValueError):
             EwmaPeakForecaster(0)
         with pytest.raises(ValueError):
-            HoltForecaster(1, alpha=0.0)
+            HoltForecaster(0)
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())

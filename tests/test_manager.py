@@ -15,7 +15,6 @@ from repro.control.arx import ARXModel
 from repro.core import (
     ControllerConfig,
     PowerManager,
-    PowerManagerConfig,
     ResponseTimeController,
 )
 from repro.core.optimizer import pmapper
@@ -39,12 +38,6 @@ def _controller(model=None):
         model, ControllerConfig(util_band=None),
         c_min=[0.2, 0.2], c_max=[3.0, 3.0], initial_alloc_ghz=[1.0, 1.0],
     )
-
-
-class TestConfig:
-    def test_period_ordering(self):
-        with pytest.raises(ValueError):
-            PowerManagerConfig(control_period_s=60.0, optimizer_period_s=30.0)
 
 
 class TestControlStep:

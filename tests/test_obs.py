@@ -22,6 +22,7 @@ from repro.obs import (
     summarize_run,
     use_telemetry,
 )
+from repro.obs.metrics import _MAX_SAMPLES
 
 
 class TestCounter:
@@ -75,11 +76,11 @@ class TestHistogram:
         assert h.count == 0
 
     def test_decimation_bounds_memory_but_keeps_exact_count(self):
-        h = Histogram("h", max_samples=64)
-        n = 10_000
+        h = Histogram("h")
+        n = 100_000  # well past _MAX_SAMPLES, so the histogram decimates
         for v in range(n):
             h.observe(v)
-        assert len(h._samples) < 64
+        assert len(h._samples) < _MAX_SAMPLES
         assert h.count == n
         assert h.sum == sum(range(n))
         assert h.min == 0 and h.max == n - 1

@@ -96,14 +96,6 @@ class TestSortServers:
         out = sort_servers_by_efficiency(servers)
         assert [s.server_id for s in out] == ["a", "z"]
 
-    def test_ascending(self):
-        servers = [
-            make_server_info("a", efficiency=0.02),
-            make_server_info("b", efficiency=0.05),
-        ]
-        out = sort_servers_by_efficiency(servers, descending=False)
-        assert [s.server_id for s in out] == ["a", "b"]
-
 
 class TestSelectVMs:
     def test_fills_capacity(self):
@@ -131,8 +123,7 @@ class TestSelectVMs:
             PlacementList([]).take_for_server(-1.0, 100.0, MinSlackConfig())
         with pytest.raises(ValueError):
             MinSlackConfig(epsilon_ghz=-1.0)
-        for bad in (dict(epsilon_ghz=math.nan), dict(epsilon_ghz=math.inf),
-                    dict(epsilon_step_ghz=math.nan), dict(epsilon_step_ghz=-0.01)):
+        for bad in (dict(epsilon_ghz=math.nan), dict(epsilon_ghz=math.inf)):
             with pytest.raises(ValueError, match="finite"):
                 MinSlackConfig(**bad)
 
@@ -399,7 +390,6 @@ class TestPlacementListUpkeep:
         kwargs = dict(
             epsilon=config.epsilon_ghz,
             max_steps=config.max_steps,
-            epsilon_step=config.epsilon_step_ghz,
         )
         plist = PlacementList(vms)
         taken = set()
@@ -685,7 +675,6 @@ def _ipac_cases(draw):
             ),
             target_utilization=draw(st.sampled_from([0.8, 0.95, 1.0])),
         ),
-        overload_utilization=draw(st.sampled_from([0.9, 1.0])),
         max_drain_rounds=draw(st.sampled_from([None, 0, 1, 2, 3])),
     )
     return PlacementProblem(servers, tuple(vms), mapping), reject, knobs

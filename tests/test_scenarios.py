@@ -730,6 +730,11 @@ class TestResolve:
             ("testbed-small", "setpoints_ms", {"3": math.inf}, r"setpoints_ms\[3\]"),
             ("largescale-small", "vm_peak_range_ghz", [0.5, math.inf], "vm_peak_range_ghz"),
             ("largescale-small", "type_weights", [math.inf, 1, 1], "type_weights"),
+            ("largescale-small", "type_weights", [1, 1], "type_weights"),
+            ("largescale-small", "type_weights", [-1, 1, 1], "type_weights"),
+            ("largescale-small", "type_weights", [1e308, 1e308, 1], "type_weights"),
+            ("largescale-small", "n_vms", 100, r"n_servers \(40\).*params\.n_vms \(100\)"),
+            ("sharded-small", "n_vms", 100, r"n_servers \(40\).*params\.n_vms \(100\)"),
             ("largescale-small", "migration_overhead_w", math.inf, "migration_overhead_w"),
             ("largescale-small", "migration_bandwidth_mbps", math.inf, "migration_bandwidth_mbps"),
         ],

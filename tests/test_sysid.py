@@ -12,6 +12,7 @@ from repro.sysid import (
     identify_app_model,
     run_identification_experiment,
 )
+from repro.sysid.excitation import _MAX_HOLD, _MIN_HOLD
 from repro.sysid.validate import one_step_r2, residual_autocorrelation, simulation_rmse
 
 
@@ -22,12 +23,12 @@ class TestExcitation:
         assert seq.max() <= 0.9
 
     def test_aprbs_holds_within_bounds(self, rng):
-        seq = aprbs(500, 0.0, 1.0, rng, min_hold=3, max_hold=5)
-        # Count run lengths; all interior runs must be in [3, 5].
+        seq = aprbs(500, 0.0, 1.0, rng)
+        # Count run lengths; all interior runs must be in the hold range.
         changes = np.flatnonzero(np.diff(seq) != 0)
         runs = np.diff(changes)
-        assert np.all(runs >= 3)
-        assert np.all(runs <= 5)
+        assert np.all(runs >= _MIN_HOLD)
+        assert np.all(runs <= _MAX_HOLD)
 
     def test_trajectory_shape_and_channel_ranges(self, rng):
         traj = excitation_trajectory(50, [0.2, 0.5], [0.4, 1.5], rng)
@@ -45,8 +46,6 @@ class TestExcitation:
             aprbs(0, 0.0, 1.0, rng)
         with pytest.raises(ValueError):
             aprbs(10, 1.0, 0.5, rng)
-        with pytest.raises(ValueError):
-            aprbs(10, 0.0, 1.0, rng, min_hold=5, max_hold=2)
         with pytest.raises(ValueError):
             excitation_trajectory(10, [0.5], [0.4], rng)
 
@@ -85,16 +84,10 @@ class TestFitARX:
         """Even on pure noise, the physical fit keeps gains <= 0 and a in [0, 0.98]."""
         t = rng.normal(1000, 300, size=200)
         c = excitation_trajectory(200, [0.3, 0.3], [1.0, 1.0], rng)
-        fit = fit_arx(t, c, na=1, nb=2, constraints="physical")
+        fit = fit_arx(t, c, na=1, nb=2)
         assert np.all(fit.model.b <= 1e-12)
         assert np.all(fit.model.a >= -1e-12)
         assert np.all(fit.model.a <= 0.98)
-
-    def test_unconstrained_mode(self, rng):
-        true = ARXModel(a=[0.3], b=[[-500.0]], g=800.0)
-        t, c = self._generate(true, 200, rng)
-        fit = fit_arx(t, c, na=1, nb=1, constraints="none")
-        np.testing.assert_allclose(fit.model.b, true.b, atol=1e-6)
 
     def test_nan_rows_dropped(self, rng):
         true = ARXModel(a=[0.5], b=[[-900.0]], g=1500.0)
@@ -112,10 +105,6 @@ class TestFitARX:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fit_arx(np.ones(10), np.ones((9, 1)))
-
-    def test_invalid_constraints_rejected(self):
-        with pytest.raises(ValueError):
-            fit_arx(np.ones(50), np.ones((50, 1)), constraints="magic")
 
 
 class TestValidate:

@@ -41,25 +41,15 @@ class TestUtilizationTrace:
         np.testing.assert_array_equal(sub.utilization, u[:3])
         assert sub.labels == ["s0", "s1", "s2"]
 
-    def test_subset_random_sampling(self):
-        u = np.random.default_rng(0).uniform(0, 1, size=(10, 8))
-        tr = UtilizationTrace(u)
-        sub = tr.subset(5, rng=np.random.default_rng(1))
-        assert sub.n_series == 5
-
-    @pytest.mark.parametrize("seed", [None, 1], ids=["first-n", "sampled"])
+    @pytest.mark.parametrize("n", [1, 6, 10], ids=lambda n: f"first-{n}")
     @pytest.mark.parametrize("labelled", [True, False])
-    def test_subset_copies_what_the_index_formula_selects(self, seed, labelled):
+    def test_subset_copies_what_the_index_formula_selects(self, n, labelled):
         u = np.random.default_rng(0).uniform(0, 1, size=(10, 8))
         labels = [f"s{i}" for i in range(10)] if labelled else []
         tr = UtilizationTrace(u, labels=labels)
-        if seed is None:
-            idx, sub = np.arange(6), tr.subset(6)
-        else:
-            idx = np.sort(np.random.default_rng(seed).choice(10, size=6, replace=False))
-            sub = tr.subset(6, rng=np.random.default_rng(seed))
-        assert sub.utilization.tobytes() == u[idx].copy().tobytes()
-        assert sub.labels == ([labels[i] for i in idx] if labelled else [])
+        sub = tr.subset(n)
+        assert sub.utilization.tobytes() == u[:n].copy().tobytes()
+        assert sub.labels == labels[:n]
         assert not np.shares_memory(sub.utilization, tr.utilization)
 
     def test_nan_interval_rejected(self):

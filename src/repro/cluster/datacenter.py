@@ -125,14 +125,6 @@ class DataCenter:
                 out.append(sid)
         return out
 
-    def memory_violations(self) -> List[str]:
-        """Ids of servers whose hosted VM memory exceeds physical memory."""
-        return [
-            sid
-            for sid, server in sorted(self.servers.items())
-            if self.total_memory_mb(sid) > server.spec.memory_mb
-        ]
-
     # -- placement mutations ---------------------------------------------
 
     def place(self, vm_id: str, server_id: str) -> None:

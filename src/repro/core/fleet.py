@@ -62,10 +62,10 @@ class FleetControlStep:
         allowed); every key must have a registered controller (the
         caller validates).  ``stats`` reports the grouping the batch
         kernels achieved this period — fed to the
-        ``controller.batch_groups`` / ``controller.batch_size`` metrics —
-        and how the solves ended: ``softened`` (terminal equality
-        relaxed), ``unreachable`` (of those, decided by the reachability
-        certificate without a solve).
+        ``controller.batch_groups`` counter and the
+        ``manager.fleet_control`` span — and how the solves ended:
+        ``softened`` (terminal equality relaxed), ``unreachable`` (of
+        those, decided by the reachability certificate without a solve).
         """
         order = list(measurements)
         ctrls = self.controllers

@@ -226,11 +226,10 @@ class PowerManager:
 
         The numerics are one :meth:`FleetControlStep.run` call in both
         branches; telemetry only observes.  Emits the
-        ``controller.batch_groups`` counter, the
-        ``controller.batch_size`` histogram (one observation per MPC
-        group), and a ``manager.fleet_control`` span annotated with the
-        per-group sizes so ``repro obs profile`` can show how well the
-        fleet grouped, plus how many solves softened their terminal
+        ``controller.batch_groups`` counter and a
+        ``manager.fleet_control`` span annotated with the per-group
+        sizes so ``repro obs profile`` can show how well the fleet
+        grouped, plus how many solves softened their terminal
         constraint and were proved unreachable beforehand.
         """
         tel = get_telemetry()
@@ -253,8 +252,6 @@ class PowerManager:
             )
         self.last_fleet_stats = stats
         tel.count("controller.batch_groups", len(groups))
-        for size in groups:
-            tel.observe("controller.batch_size", float(size))
         return demands
 
     def optimize(self, time_s: float = 0.0) -> PlacementPlan:

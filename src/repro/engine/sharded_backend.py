@@ -20,7 +20,8 @@ phases:
     Re-emit the pods' buffered telemetry into the parent's backend, in
     pod order.  Event records are re-emitted verbatim (the golden
     event-log hash covers them); span records gain a ``pod`` field for
-    per-shard phase profiling.
+    per-shard phase profiling; the pods' counters are added to the
+    parent's registry.
 
 Determinism contract
 --------------------
@@ -212,10 +213,15 @@ def partition_pods(trace: UtilizationTrace, config: ShardedConfig) -> List[PodSp
 # ------------------------------------------------------------- pods --
 
 
+#: What a pod hands over at a barrier: its buffered records and the
+#: counters it counted since the last barrier.
+PodTelemetry = Tuple[List[Dict[str, Any]], Dict[str, float]]
+
+
 class _Pod:
     """One pod: its engine, its shard of the plant, and a telemetry buffer."""
 
-    def __init__(self, spec: PodSpec, tel_enabled: bool, span_sample_every: int):
+    def __init__(self, spec: PodSpec, tel_enabled: bool):
         self.spec = spec
         self.shard = LargeScaleBackend(
             spec.trace,
@@ -229,40 +235,39 @@ class _Pod:
         # Pod telemetry is never closed: a close() would append a
         # metrics record that the plain single-process run does not
         # emit at this point in the stream.
-        self.tel = (
-            Telemetry(InMemoryBackend(), span_sample_every=span_sample_every)
-            if tel_enabled
-            else Telemetry()
-        )
+        self.tel = Telemetry(InMemoryBackend()) if tel_enabled else Telemetry()
 
-    def drain_records(self) -> List[Dict[str, Any]]:
+    def drain(self) -> PodTelemetry:
+        """Hand over the buffered records and counters, and clear both."""
         if not self.tel.enabled:
-            return []
-        backend = self.tel.backend
+            return [], {}
+        backend, registry = self.tel.backend, self.tel.registry
         records = list(backend.records)
         backend.clear()
-        return records
+        counters = registry.snapshot()["counters"]
+        registry.reset()
+        return records, counters
 
-    def start(self) -> List[Dict[str, Any]]:
+    def start(self) -> PodTelemetry:
         with use_telemetry(self.tel, close=False):
             self.shard.start()
-        return self.drain_records()
+        return self.drain()
 
-    def advance(self, until_step: int) -> Tuple[List[Dict[str, Any]], np.ndarray, np.ndarray]:
+    def advance(self, until_step: int) -> Tuple[PodTelemetry, np.ndarray, np.ndarray]:
         lo = self.engine.k
         with use_telemetry(self.tel, close=False):
             self.engine.run(until_period=until_step)
         hi = self.engine.k
         return (
-            self.drain_records(),
+            self.drain(),
             self.shard.power_series[lo:hi].copy(),
             self.shard.active_series[lo:hi].copy(),
         )
 
-    def result(self) -> Tuple[LargeScaleResult, List[Dict[str, Any]]]:
+    def result(self) -> Tuple[LargeScaleResult, PodTelemetry]:
         with use_telemetry(self.tel, close=False):
             res = self.shard.result()
-        return res, self.drain_records()
+        return res, self.drain()
 
 
 def _serve(pods: List[_Pod], cmd: str, payload: Any = None) -> List[Any]:
@@ -286,18 +291,13 @@ def _serve(pods: List[_Pod], cmd: str, payload: Any = None) -> List[Any]:
     raise ValueError(f"unknown pod command {cmd!r}")
 
 
-def _pod_worker_main(
-    conn: Any,
-    specs: List[PodSpec],
-    tel_enabled: bool,
-    span_sample_every: int,
-) -> None:
+def _pod_worker_main(conn: Any, specs: List[PodSpec], tel_enabled: bool) -> None:
     """Worker process loop: build the assigned pods, serve commands.
 
     Protocol: ``(cmd, payload)`` in, ``("ok", _serve(...))`` or
     ``("error", traceback_str)`` out; ``stop`` ends the loop.
     """
-    pods = [_Pod(spec, tel_enabled, span_sample_every) for spec in specs]
+    pods = [_Pod(spec, tel_enabled) for spec in specs]
     try:
         while True:
             cmd, payload = conn.recv()
@@ -341,7 +341,7 @@ class ShardedBackend:
         # (the repro sim CLI, the service runner) build the engine first
         # and enter their telemetry scope afterwards, and a snapshot
         # taken now would run every pod dark.
-        self._tel_params: Optional[Tuple[bool, int]] = None
+        self._tel_enabled: Optional[bool] = None
         self._pods: List[_Pod] = []
         self._procs: List[Any] = []
         self._conns: List[Any] = []
@@ -366,16 +366,13 @@ class ShardedBackend:
 
     # -- worker pool ---------------------------------------------------
 
-    def _telemetry_params(self, tel: Optional[Telemetry] = None) -> Tuple[bool, int]:
-        """Pod telemetry settings, captured once: from *tel*, else from the
-        telemetry in scope at first pod build."""
-        if self._tel_params is None:
+    def _telemetry_enabled(self, tel: Optional[Telemetry] = None) -> bool:
+        """Whether pods record telemetry, captured once: from *tel*, else
+        from the telemetry in scope at first pod build."""
+        if self._tel_enabled is None:
             tel = get_telemetry() if tel is None else tel
-            self._tel_params = (
-                tel.enabled,
-                tel.tracer.sample_every if tel.enabled else 1,
-            )
-        return self._tel_params
+            self._tel_enabled = tel.enabled
+        return self._tel_enabled
 
     def _ensure_pods(self) -> None:
         """First use: build the pods here, or in a worker pool.
@@ -389,11 +386,9 @@ class ShardedBackend:
             raise RuntimeError(
                 "sharded backend is closed; pod state is gone"
             )
-        tel_enabled, sample_every = self._telemetry_params()
+        tel_enabled = self._telemetry_enabled()
         if self.workers == 1:
-            self._pods = [
-                _Pod(spec, tel_enabled, sample_every) for spec in self.specs
-            ]
+            self._pods = [_Pod(spec, tel_enabled) for spec in self.specs]
             return
         ctx = mp.get_context()
         assignments: List[List[PodSpec]] = [[] for _ in range(self.workers)]
@@ -403,12 +398,7 @@ class ShardedBackend:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_pod_worker_main,
-                args=(
-                    child_conn,
-                    assignments[w],
-                    tel_enabled,
-                    sample_every,
-                ),
+                args=(child_conn, assignments[w], tel_enabled),
                 daemon=True,
             )
             proc.start()
@@ -479,7 +469,7 @@ class ShardedBackend:
         """Replay-resume hook: the pods are first built during the muted
         replay, so they take their telemetry settings from the scope the
         resumed run emits into."""
-        self._telemetry_params(telemetry)
+        self._telemetry_enabled(telemetry)
 
     def start(self) -> None:
         """Begin-run hook: every pod's run header, re-emitted in order."""
@@ -489,13 +479,13 @@ class ShardedBackend:
             self.n_vms, self.n_srv, self.config.n_pods, self.workers,
             self.n_steps, self.dt_s, self.sync,
         )
-        self._reemit([records for _, records in self._broadcast("start")])
+        self._reemit([pod_tel for _, pod_tel in self._broadcast("start")])
 
     def advance_pods(self, ctx: PeriodContext) -> None:
         """Fan every pod forward to this period's sync barrier."""
         until = min((ctx.k + 1) * self.sync, self.n_steps)
         out = self._broadcast("advance", until)
-        ctx.data["pod_records"] = [records for _, records, _, _ in out]
+        ctx.data["pod_telemetry"] = [pod_tel for _, pod_tel, _, _ in out]
         ctx.data["pod_power"] = [power for _, _, power, _ in out]
         ctx.data["pod_active"] = [active for _, _, _, active in out]
         ctx.data["until"] = until
@@ -515,27 +505,31 @@ class ShardedBackend:
         self.steps_done = hi
 
     def flush_telemetry(self, ctx: PeriodContext) -> None:
-        """Re-emit the pods' buffered records into the parent backend."""
-        self._reemit(ctx.data["pod_records"])
+        """Re-emit the pods' buffered telemetry into the parent."""
+        self._reemit(ctx.data["pod_telemetry"])
 
-    def _reemit(self, per_pod_records: List[List[Dict[str, Any]]]) -> None:
+    def _reemit(self, per_pod: List[PodTelemetry]) -> None:
+        """Emit each pod's records and add its counters, in pod order (a
+        muted replay drops both)."""
         tel = get_telemetry()
         if not tel.enabled:
             return
-        for pod_id, records in enumerate(per_pod_records):
+        for pod_id, (records, counters) in enumerate(per_pod):
             for record in records:
                 if record.get("kind") == "span":
                     # Annotation only — spans are excluded from golden
                     # event-log hashes; event records go out verbatim.
                     record = dict(record, pod=pod_id)
                 tel.backend.emit(record)
+            for name, value in counters.items():
+                tel.count(name, value)
 
     # -- results -------------------------------------------------------
 
     def result(self) -> LargeScaleResult:
         """Merge the pod results into one datacenter-level result."""
         merged = self._broadcast("result")
-        self._reemit([records for _, _, records in merged])
+        self._reemit([pod_tel for _, _, pod_tel in merged])
         results = [res for _, res, _ in merged]
 
         total_energy = left_sum(r.total_energy_wh for r in results)

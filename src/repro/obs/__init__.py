@@ -3,11 +3,12 @@
 The package gives every layer of the stack a common measurement
 substrate:
 
-* :class:`MetricsRegistry` — counters and histograms with p50/p90/p99
-  summaries (:func:`prom_text` renders Prometheus text families);
+* :class:`MetricsRegistry` — named counters (:func:`prom_text` renders
+  Prometheus text families);
 * span tracing — ``with get_telemetry().span("mpc.solve", app="app3"):``
   captures wall time and nesting for the hot paths (MPC QP solve,
-  arbitrator pass, Minimum-Slack search, IPAC planning, DES stepping);
+  arbitrator pass, Minimum-Slack search, IPAC planning, DES stepping),
+  one ``span`` record per span;
 * a structured JSONL event log — one record per control period,
   optimizer invocation, migration, and server power transition — with
   pluggable backends (:class:`JsonlBackend`, :class:`InMemoryBackend`)
@@ -47,7 +48,6 @@ from repro.obs.backends import (
 )
 from repro.obs.metrics import (
     Counter,
-    Histogram,
     MetricsRegistry,
     prom_escape_label,
     prom_line,
@@ -68,7 +68,6 @@ from repro.obs.watch import render_watch, watch, watch_prometheus, watch_view
 
 __all__ = [
     "Counter",
-    "Histogram",
     "MetricsRegistry",
     "TelemetryBackend",
     "NullBackend",

@@ -6,55 +6,32 @@ with CPU time (``cpu_s``) and the net change in allocated memory
 blocks (``alloc_blocks``).  This module reduces those spans to a
 per-phase profile: invocation count, wall/CPU totals, mean/max wall
 time, allocation churn, and each phase's share of total kernel time.
-
-Exact despite sampling: when the run's tracer sampled span *records*
-(``span_sample_every > 1``) the per-record aggregates undercount, but
-the final ``{"kind": "metrics"}`` snapshot carries the ``span.phase.*``
-histograms which observed **every** span — where present, their exact
-count/sum/max override the sampled record tally (CPU and allocation
-columns remain sampled estimates, marked as such in the report).
+Every span is recorded, so the figures are exact: a phase's ``count``
+is its number of periods and its ``wall_s`` the left sum of its record
+durations.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.obs.runlog import RunLog, SpanTally, malformed_note
 from repro.util.tables import format_table
 
 __all__ = ["profile_run", "render_profile"]
 
-_HIST_PREFIX = "span.phase."
-
 
 def _row(tally: SpanTally) -> dict:
     return {
-        "sampled_records": tally.count,
         "count": tally.count,
         "wall_s": tally.total_s,
         "max_ms": tally.max_s * 1000.0,
         "cpu_s": tally.cpu_s,
         "alloc_blocks": tally.alloc_blocks,
-        "exact": False,
     }
 
 
 def profile_run(log: RunLog) -> dict:
     """Reduce a folded run log to a per-phase kernel profile dict."""
     phases = {phase: _row(tally) for phase, tally in log.phases.items()}
-    # Histograms saw every span; prefer their exact wall-time figures.
-    metrics = log.metrics or {}
-    for hname, hsum in (metrics.get("histograms") or {}).items():
-        if not hname.startswith(_HIST_PREFIX):
-            continue
-        entry = phases.setdefault(hname[len(_HIST_PREFIX):], _row(SpanTally()))
-        entry["count"] = int(hsum.get("count", entry["count"]))
-        entry["wall_s"] = float(hsum.get("sum", entry["wall_s"]))
-        hmax = hsum.get("max")
-        if hmax is not None and math.isfinite(float(hmax)):
-            entry["max_ms"] = float(hmax) * 1000.0
-        entry["exact"] = True
-
     total_wall = sum(e["wall_s"] for e in phases.values())
     for entry in phases.values():
         entry["mean_ms"] = (
@@ -63,22 +40,22 @@ def profile_run(log: RunLog) -> dict:
         entry["wall_fraction"] = (
             entry["wall_s"] / total_wall if total_wall > 0.0 else 0.0
         )
-    # Fleet-control grouping efficiency: the batch metrics saw every
-    # period (counters/histograms are never sampled), so the mean group
-    # size tells how well the fleet's solves coalesced — a mean near
-    # the fleet size is one stacked solve per period; a mean near 1 is
-    # scalar work with extra bookkeeping.
+    # Fleet-control grouping efficiency, from the manager.fleet_control
+    # spans' group sizes: a mean near the fleet size is one stacked
+    # solve per period; a mean near 1 is scalar work with extra
+    # bookkeeping.
     fleet = None
-    groups = float((metrics.get("counters") or {}).get(
-        "controller.batch_groups", 0.0
-    ))
-    size_hist = (metrics.get("histograms") or {}).get("controller.batch_size")
-    if groups or size_hist:
-        fleet_spans = log.spans.get("manager.fleet_control")
+    fleet_spans = log.spans.get("manager.fleet_control")
+    if fleet_spans:
+        sizes = log.fleet_group_sizes
         fleet = {
-            "batch_groups": groups,
-            "spans": fleet_spans.count if fleet_spans else 0,
-            "group_size": size_hist or {},
+            "spans": fleet_spans.count,
+            "group_size": {
+                "count": sizes.count,
+                "sum": sizes.total,
+                "mean": sizes.total / sizes.count if sizes.count else 0.0,
+                "max": sizes.max,
+            },
         }
     return {
         "phases": dict(sorted(phases.items(), key=lambda kv: -kv[1]["wall_s"])),
@@ -91,10 +68,6 @@ def profile_run(log: RunLog) -> dict:
             for pod, t in sorted(log.pods.items())
         },
         "fleet": fleet,
-        "sampled": any(
-            e["exact"] and e["sampled_records"] < e["count"]
-            for e in phases.values()
-        ),
         "n_malformed": log.n_malformed,
     }
 
@@ -121,12 +94,6 @@ def render_profile(profile: dict, title: str = "kernel phase profile") -> str:
         ]
         for phase, entry in phases.items()
     ]
-    note = ""
-    if profile.get("sampled"):
-        note = (
-            "\n\nwall columns are exact (histogram-backed); cpu/alloc are "
-            "estimates from sampled span records."
-        )
     out = header + "\n\n" + format_table(
         ["phase", "count", "share", "wall s", "mean ms", "max ms",
          "cpu s", "alloc blocks"],
@@ -153,22 +120,16 @@ def render_profile(profile: dict, title: str = "kernel phase profile") -> str:
         )
     fleet = profile.get("fleet")
     if fleet:
-        size = fleet.get("group_size") or {}
-        count = float(size.get("count", 0.0))
-
-        def _f(key):
-            v = size.get(key)
-            return "-" if v is None or not math.isfinite(float(v)) else f"{float(v):.1f}"
-
+        size = fleet["group_size"]
         fleet_rows = [[
-            int(fleet["batch_groups"]),
-            f"{_f('mean')}" if count else "-",
-            _f("max") if count else "-",
-            f"{size.get('sum', 0.0):.0f}" if count else "-",
+            size["count"],
+            f"{size['mean']:.1f}" if size["count"] else "-",
+            size["max"],
+            size["sum"],
         ]]
         out += "\n\n" + format_table(
             ["solve groups", "mean size", "max size", "solves batched"],
             fleet_rows,
-            title="Fleet control grouping (controller.batch_* metrics)",
+            title="Fleet control grouping (manager.fleet_control spans)",
         )
-    return out + note
+    return out

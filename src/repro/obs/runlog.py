@@ -125,7 +125,24 @@ class SpanTally:
         self.alloc_blocks += int(record.get("alloc_blocks", 0))
 
 
+class SizeTally:
+    """Count, sum and max of a stream of group sizes."""
+
+    __slots__ = ("count", "total", "max")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0
+        self.max = 0
+
+    def add(self, size: int) -> None:
+        self.count += 1
+        self.total += size
+        self.max = max(self.max, size)
+
+
 _PHASE = "phase."
+_FLEET = "manager.fleet_control"
 
 
 class RunLog:
@@ -150,6 +167,8 @@ class RunLog:
         #: top-level ``phase.*`` spans by phase; pods' spans go to ``pods``
         self.phases: Dict[str, SpanTally] = {}
         self.pods: Dict[int, SpanTally] = {}
+        #: MPC group sizes of every ``manager.fleet_control`` span
+        self.fleet_group_sizes = SizeTally()
         self.optimizer: Dict[str, Any] = {
             "invocations": 0, "migrations": 0, "wake": 0, "sleep": 0,
             "unplaced": 0, "info_totals": {},
@@ -191,6 +210,9 @@ class RunLog:
                     self.pods.setdefault(int(rec["pod"]), SpanTally()).add(rec, dur)
                 else:
                     self.phases.setdefault(name[len(_PHASE):], SpanTally()).add(rec, dur)
+            elif name == _FLEET:
+                for size in rec.get("batch_group_sizes") or ():
+                    self.fleet_group_sizes.add(int(size))
         elif kind == "control_period":
             self.n_periods += 1
             time_s = float(rec.get("time_s", 0.0))

@@ -18,7 +18,7 @@ Enable telemetry for a region of code with :func:`use_telemetry`::
         run_testbed(config)
 
 On scope exit the telemetry is closed: a final ``{"kind": "metrics"}``
-record carrying the registry snapshot is emitted, then the backend is
+record carrying the counter snapshot is emitted, then the backend is
 flushed and released.
 """
 
@@ -38,17 +38,11 @@ __all__ = ["Telemetry", "get_telemetry", "set_telemetry", "use_telemetry"]
 class Telemetry:
     """Registry + tracer + backend behind one enabled/disabled switch."""
 
-    def __init__(
-        self,
-        backend: Optional[TelemetryBackend] = None,
-        span_sample_every: int = 1,
-    ):
+    def __init__(self, backend: Optional[TelemetryBackend] = None):
         self.backend = backend or NullBackend()
         self.registry = MetricsRegistry()
         self.enabled = bool(self.backend.enabled)
-        self.tracer = Tracer(
-            self.registry, self.backend, sample_every=span_sample_every
-        )
+        self.tracer = Tracer(self.backend)
         self._closed = False
 
     # -- spans ---------------------------------------------------------
@@ -73,11 +67,6 @@ class Telemetry:
         """Increment counter *name* (no-op when disabled)."""
         if self.enabled:
             self.registry.counter(name).inc(amount)
-
-    def observe(self, name: str, value: float) -> None:
-        """Observe *value* into histogram *name* (no-op when disabled)."""
-        if self.enabled:
-            self.registry.histogram(name).observe(value)
 
     # -- lifecycle -----------------------------------------------------
 

@@ -6,11 +6,11 @@ Usage (via the :class:`~repro.obs.telemetry.Telemetry` facade)::
         ...
         sp.annotate(softened=True)
 
-On exit an enabled span (a) observes its duration into the histogram
-``span.<name>`` of the telemetry's metrics registry and (b) emits a
-``{"kind": "span", ...}`` record to the backend, carrying name, start
-attributes plus annotations, wall-clock duration, nesting depth, and
-the enclosing span's name.
+On exit an enabled span emits one ``{"kind": "span", ...}`` record to
+the backend, carrying name, start attributes plus annotations,
+wall-clock duration, nesting depth, and the enclosing span's name.  The
+record is the span's only trace: the reports (``repro obs profile``,
+``summarize``) fold the records themselves.
 
 When telemetry is disabled the facade returns the shared
 :data:`NOOP_SPAN` instead — no clock reads, no allocation.
@@ -80,23 +80,10 @@ class Span:
 
 
 class Tracer:
-    """Creates spans and routes finished ones to a registry + backend.
+    """Creates spans and emits each finished one as a record."""
 
-    ``sample_every`` keeps only every Nth finished span *record* per
-    span name (the first is always kept); durations still feed the
-    ``span.<name>`` histograms for **every** span, so aggregate timing
-    stays exact while backend/serialization cost drops by ~N.  The
-    counter is per name and deterministic — no RNG is consulted, so
-    sampling can never perturb a seeded run.
-    """
-
-    def __init__(self, registry, backend, sample_every: int = 1):
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        self.registry = registry
+    def __init__(self, backend):
         self.backend = backend
-        self.sample_every = int(sample_every)
-        self._finished_counts: Dict[str, int] = {}
         self._stack: List[Span] = []
 
     def span(self, name: str, **attrs) -> Span:
@@ -104,12 +91,6 @@ class Tracer:
         return Span(self, name, attrs)
 
     def _finish(self, span: Span, error: bool) -> None:
-        self.registry.histogram(f"span.{span.name}").observe(span.duration_s)
-        if self.sample_every > 1:
-            seen = self._finished_counts.get(span.name, 0)
-            self._finished_counts[span.name] = seen + 1
-            if seen % self.sample_every != 0 and not error:
-                return
         record: Dict[str, object] = {
             "kind": "span",
             "name": span.name,

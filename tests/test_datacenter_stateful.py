@@ -88,7 +88,8 @@ class DataCenterMachine(RuleBasedStateMachine):
 
     @invariant()
     def memory_never_overcommitted(self):
-        assert self.dc.memory_violations() == []
+        for sid, server in self.dc.servers.items():
+            assert self.dc.total_memory_mb(sid) <= server.spec.memory_mb
 
     @invariant()
     def power_within_physical_bounds(self):

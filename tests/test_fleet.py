@@ -241,14 +241,12 @@ class TestFleetTelemetry:
             snap = tel.registry.snapshot()
         # Two model groups per step, three steps.
         assert snap["counters"]["controller.batch_groups"] == 6
-        hist = snap["histograms"]["controller.batch_size"]
-        assert hist["count"] == 6
-        assert hist["max"] == 3.0
         spans = [r for r in backend.of_kind("span")
                  if r["name"] == "manager.fleet_control"]
-        assert spans, "no manager.fleet_control span emitted"
+        assert len(spans) == 3, "one manager.fleet_control span per step"
+        sizes = [size for s in spans for size in s["batch_group_sizes"]]
+        assert sizes == [3] * 6
         assert spans[0]["batch_groups"] == 2
-        assert sorted(spans[0]["batch_group_sizes"], reverse=True) == [3, 3]
         assert spans[0]["held"] == 0
         # How the solves ended: the spans add up to the counter behind
         # the ledger's softened share.

@@ -2,14 +2,12 @@
 
 import io
 import json
-import math
 
 import numpy as np
 import pytest
 
 from repro.obs import (
     Counter,
-    Histogram,
     InMemoryBackend,
     JsonlBackend,
     MetricsRegistry,
@@ -22,7 +20,6 @@ from repro.obs import (
     summarize_run,
     use_telemetry,
 )
-from repro.obs.metrics import _MAX_SAMPLES
 
 
 class TestCounter:
@@ -44,79 +41,18 @@ class TestCounter:
         assert c.value == 0.0
 
 
-class TestHistogram:
-    def test_exact_aggregates(self):
-        h = Histogram("h")
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            h.observe(v)
-        assert h.count == 4
-        assert h.sum == 10.0
-        assert h.mean == 2.5
-        assert h.min == 1.0
-        assert h.max == 4.0
-
-    def test_quantiles_match_numpy(self):
-        h = Histogram("h")
-        values = list(range(101))
-        for v in values:
-            h.observe(v)
-        for q in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
-            assert h.quantile(q) == pytest.approx(np.percentile(values, 100 * q))
-
-    def test_empty_quantile_nan(self):
-        assert math.isnan(Histogram("h").quantile(0.5))
-
-    def test_quantile_range_checked(self):
-        with pytest.raises(ValueError):
-            Histogram("h").quantile(1.5)
-
-    def test_nan_observations_ignored(self):
-        h = Histogram("h")
-        h.observe(float("nan"))
-        assert h.count == 0
-
-    def test_decimation_bounds_memory_but_keeps_exact_count(self):
-        h = Histogram("h")
-        n = 100_000  # well past _MAX_SAMPLES, so the histogram decimates
-        for v in range(n):
-            h.observe(v)
-        assert len(h._samples) < _MAX_SAMPLES
-        assert h.count == n
-        assert h.sum == sum(range(n))
-        assert h.min == 0 and h.max == n - 1
-        # retained samples span the full range, so the median stays close
-        assert h.quantile(0.5) == pytest.approx(n / 2, rel=0.1)
-
-    def test_summary_keys(self):
-        h = Histogram("h")
-        h.observe(1.0)
-        assert set(h.summary()) == {
-            "count", "sum", "mean", "min", "max", "p50", "p90", "p99",
-        }
-
-
 class TestMetricsRegistry:
     def test_create_on_demand_and_reuse(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.histogram("b") is reg.histogram("b")
-
-    def test_name_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.histogram("x")
-        reg.histogram("y")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.counter("y")
+        assert reg.names() == ["a"]
 
     def test_convenience_helpers(self):
         reg = MetricsRegistry()
         reg.inc("c", 2)
-        reg.observe("h", 1.0)
-        snap = reg.snapshot()
-        assert snap["counters"]["c"] == 2.0
-        assert snap["histograms"]["h"]["count"] == 1.0
+        assert reg.snapshot() == {"counters": {"c": 2.0}}
+        reg.reset()
+        assert reg.snapshot() == {"counters": {"c": 0.0}}
 
 
 class TestSpans:
@@ -136,13 +72,14 @@ class TestSpans:
         assert outer["depth"] == 0
         assert "parent" not in outer
 
-    def test_duration_feeds_span_histogram(self):
-        tel = Telemetry(InMemoryBackend())
+    def test_duration_is_stored_once_in_the_record(self):
+        backend = InMemoryBackend()
+        tel = Telemetry(backend)
         with tel.span("work"):
             pass
-        h = tel.registry.histogram("span.work")
-        assert h.count == 1
-        assert h.sum >= 0.0
+        (record,) = backend.of_kind("span")
+        assert record["duration_s"] >= 0.0
+        assert tel.registry.names() == []
 
     def test_annotate_lands_in_record(self):
         backend = InMemoryBackend()
@@ -170,7 +107,6 @@ class TestNullBackend:
         # disabled spans are the shared no-op singleton: no allocation
         assert tel.span("other") is span
         tel.count("c")
-        tel.observe("h", 1.0)
         tel.event("e", x=1)
         assert tel.registry.names() == []
 

@@ -1,17 +1,20 @@
 """The offline observability tools: audit, profile, watch, Prometheus.
 
-These run against synthetic record streams (fast, fully controlled)
-plus a couple of CLI-level smokes pinning exit-code semantics.
+These run against synthetic record streams (fast, fully controlled),
+the event logs of three small real runs, and a couple of CLI-level
+smokes pinning exit-code semantics.
 """
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from repro.engine.scenario import builtin_registry
 from repro.obs import (
     AuditConfig,
-    InMemoryBackend,
+    JsonlBackend,
     JsonlFollower,
     RunLog,
     Telemetry,
@@ -22,10 +25,12 @@ from repro.obs import (
     render_audit,
     render_profile,
     render_watch,
+    use_telemetry,
     watch,
     watch_prometheus,
     watch_view,
 )
+from repro.util.fold import left_sum
 
 
 def _log(records, window=None):
@@ -209,52 +214,31 @@ class TestProfile:
         assert profile["total_wall_s"] == pytest.approx(0.10)
         # sorted by wall time, heaviest first
         assert list(profile["phases"]) == ["control", "sense"]
-        assert profile["sampled"] is False
-
-    def test_metrics_histograms_override_sampled_records(self):
-        # Tracer sampled 1-in-N records, but the span.phase.* histogram
-        # saw every span: its exact figures must win.
-        records = [
-            self._span("sense", 0.01),
-            {"kind": "metrics", "metrics": {"histograms": {
-                "span.phase.sense": {"count": 40, "sum": 0.5, "max": 0.05},
-            }}},
-        ]
-        profile = profile_run(_log(records))
-        sense = profile["phases"]["sense"]
-        assert sense["count"] == 40
-        assert sense["wall_s"] == pytest.approx(0.5)
-        assert sense["max_ms"] == pytest.approx(50.0)
-        assert sense["sampled_records"] == 1
-        assert profile["sampled"] is True
-        assert "estimates" in render_profile(profile)
+        assert set(sense) == {"count", "wall_s", "max_ms", "cpu_s",
+                              "alloc_blocks", "mean_ms", "wall_fraction"}
 
     def test_empty_profile_renders_hint(self):
         text = render_profile(profile_run(_log([])))
         assert "was telemetry enabled" in text
 
     def test_fleet_grouping_section(self):
+        def fleet_span(sizes):
+            return {"kind": "span", "name": "manager.fleet_control",
+                    "duration_s": 0.01, "depth": 1,
+                    "batch_groups": len(sizes), "batch_group_sizes": sizes}
+
         records = [
             self._span("control", 0.02),
-            {"kind": "span", "name": "manager.fleet_control",
-             "duration_s": 0.01, "depth": 1, "batch_groups": 2,
-             "batch_group_sizes": [3, 3]},
+            fleet_span([3, 3]),
+            fleet_span([4, 1, 1]),
             {"kind": "metrics", "metrics": {
-                "counters": {"controller.batch_groups": 6.0},
-                "histograms": {"controller.batch_size": {
-                    "count": 6.0, "sum": 18.0, "mean": 3.0,
-                    "min": 3.0, "max": 3.0,
-                }},
+                "counters": {"controller.batch_groups": 5.0},
             }},
         ]
         profile = profile_run(_log(records))
         assert profile["fleet"] == {
-            "batch_groups": 6.0,
-            "spans": 1,
-            "group_size": {
-                "count": 6.0, "sum": 18.0, "mean": 3.0,
-                "min": 3.0, "max": 3.0,
-            },
+            "spans": 2,
+            "group_size": {"count": 5, "sum": 12, "mean": 2.4, "max": 4},
         }
         text = render_profile(profile)
         assert "Fleet control grouping" in text
@@ -275,6 +259,54 @@ class TestProfile:
         assert "actuate" in profile["phases"]
 
 
+class TestProfileOnRealLogs:
+    """Every span is recorded, so a real run's profile is exact."""
+
+    @pytest.mark.parametrize("name, params", [
+        ("testbed-small", {"control_mode": "fleet"}),
+        ("largescale-small", {}),
+        ("sharded-small", {}),
+    ])
+    def test_phase_rows_and_fleet_table_are_exact(self, tmp_path, name, params):
+        spec = builtin_registry().get(name)
+        spec = dataclasses.replace(spec, params={**spec.params, **params})
+        path = tmp_path / "run.jsonl"
+        with use_telemetry(Telemetry(JsonlBackend(path))):
+            engine, backend = spec.build()
+            try:
+                backend.start()
+                engine.run()
+                backend.result()
+            finally:
+                closer = getattr(backend, "close", None)
+                if closer is not None:
+                    closer()
+        log = RunLog.read(path)
+        profile = profile_run(log)
+
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        durations = {}
+        for r in records:
+            if (r["kind"] == "span" and r["name"].startswith("phase.")
+                    and "pod" not in r):
+                durations.setdefault(r["name"][len("phase."):], []).append(
+                    r["duration_s"]
+                )
+        assert set(profile["phases"]) == set(durations)
+        for phase, entry in profile["phases"].items():
+            assert entry["count"] == engine.n_periods
+            assert entry["wall_s"] == left_sum(durations[phase])
+            assert entry["max_ms"] == max(durations[phase]) * 1000.0
+
+        counters = log.metrics["counters"]
+        if params.get("control_mode") == "fleet":
+            fleet = profile["fleet"]
+            assert fleet["group_size"]["count"] == counters["controller.batch_groups"]
+            assert fleet["spans"] == engine.n_periods
+        else:
+            assert profile["fleet"] is None
+
+
 class TestPrometheusRendering:
     def test_label_escaping_golden(self):
         assert prom_escape_label('he said "hi"\n\\x') == (
@@ -286,37 +318,6 @@ class TestPrometheusRendering:
     def test_prom_line_sanitizes_metric_names(self):
         assert prom_line("des.events", None, 3.0) == "des_events 3"
         assert prom_line("9lives", {}, 1.0) == "_9lives 1"
-
-
-class TestSpanSampling:
-    def test_every_nth_record_but_exact_histograms(self):
-        backend = InMemoryBackend()
-        tel = Telemetry(backend, span_sample_every=4)
-        for _ in range(10):
-            with tel.span("phase.sense"):
-                pass
-        spans = backend.of_kind("span")
-        assert len(spans) == 3  # indices 0, 4, 8
-        hist = tel.registry.histogram("span.phase.sense")
-        assert hist.count == 10  # every span observed
-
-    def test_first_span_always_recorded(self):
-        backend = InMemoryBackend()
-        tel = Telemetry(backend, span_sample_every=1000)
-        with tel.span("bench.marker"):
-            pass
-        assert len(backend.of_kind("span")) == 1
-
-    def test_error_spans_never_dropped(self):
-        backend = InMemoryBackend()
-        tel = Telemetry(backend, span_sample_every=1000)
-        with tel.span("phase.sense"):
-            pass
-        with pytest.raises(RuntimeError):
-            with tel.span("phase.sense"):
-                raise RuntimeError("boom")
-        errors = [r for r in backend.of_kind("span") if r.get("error")]
-        assert len(errors) == 1
 
 
 class TestJsonlFollower:
@@ -425,7 +426,7 @@ class TestObsCli:
             {"kind": "run_config", "harness": "testbed", "control_period_s": 30.0},
             _control_period(30.0, list(rts)),
             _power(30.0, 450.0),
-            {"kind": "metrics", "metrics": {"histograms": {}}},
+            {"kind": "metrics", "metrics": {"counters": {}}},
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         return path

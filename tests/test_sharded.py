@@ -1,5 +1,6 @@
 """ShardedBackend: determinism contract, pool plumbing, scenarios."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -218,6 +219,37 @@ class TestWorkerPool:
         assert backend._pods == [] and backend.specs == []
         with pytest.raises(RuntimeError, match="closed"):
             engine.run()
+
+
+def _counters(spec):
+    """The closing ``metrics`` record's counters of one run of *spec*."""
+    _, records = _run_observed(spec.build)
+    (metrics,) = [r for r in records if r["kind"] == "metrics"]
+    return metrics["metrics"]["counters"]
+
+
+def _with_params(spec, **params):
+    return dataclasses.replace(spec, params={**spec.params, **params})
+
+
+class TestPodCounters:
+    """Pods hand their counters to the parent at every barrier."""
+
+    @pytest.mark.parametrize("name", ["largescale-small", "largescale-faulted"])
+    def test_one_pod_counts_what_the_plain_run_counts(self, name):
+        spec = builtin_registry().get(name)
+        plain = _counters(spec)
+        assert plain["minslack.searches"] > 0
+        one_pod = _with_params(
+            dataclasses.replace(spec, harness="sharded"), n_pods=1, workers=1
+        )
+        assert _counters(one_pod) == plain
+
+    def test_pooled_counters_match_inline(self):
+        spec = builtin_registry().get("sharded-small")
+        inline = _counters(_with_params(spec, workers=1))
+        assert inline["minslack.searches"] > 0
+        assert _counters(_with_params(spec, workers=2)) == inline
 
 
 class TestCheckpointResume:

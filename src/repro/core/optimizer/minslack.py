@@ -15,7 +15,13 @@ import numpy as np
 
 from repro.core.optimizer.types import VMInfo
 from repro.obs import get_telemetry
-from repro.packing.mbs import MBSResult, search_sorted, sort_items
+from repro.packing.mbs import (
+    _FIT_TOL,
+    MBSResult,
+    search_fitting_nothing,
+    search_sorted,
+    sort_items,
+)
 
 __all__ = ["MinSlackConfig", "PlacementList"]
 
@@ -111,17 +117,7 @@ class PlacementList:
                 epsilon=config.epsilon_ghz,
                 max_steps=config.max_steps,
             )
-            sp.annotate(
-                nodes=result.steps,
-                evaluated=result.evaluated,
-                slack_ghz=result.slack,
-                epsilon_used=result.epsilon_used,
-                early_exit=result.early_exit,
-            )
-        if tel.enabled:
-            tel.count("minslack.searches")
-            tel.count("minslack.nodes", result.steps)
-            tel.count("minslack.eps_escalations", result.steps // config.max_steps)
+            _report(tel, sp, result, config)
         positions = result.selected  # ascending: a DFS path
         if not positions:
             return [], result
@@ -134,6 +130,42 @@ class PlacementList:
             del self._min_memory[p]
         self._refresh_prefix(positions[-1] + 1 - len(positions))
         return chosen, result
+
+    def fits_nothing(self, free_capacity_ghz: float, free_memory_mb: float) -> bool:
+        """Whether no remaining VM fits the server alone, so that
+        :meth:`take_for_server` would select nothing.
+
+        True when the smallest remaining memory or the smallest remaining
+        demand exceeds what is free by more than the search's fit
+        tolerance: the search's own tests, so no selection can differ.
+        An empty list fits nothing.  An offer :meth:`take_for_server`
+        refuses (negative, infinite or NaN) reads False and is left to it.
+        """
+        return (
+            0 <= free_capacity_ghz < math.inf
+            and 0 <= free_memory_mb < math.inf
+            and (
+                self._min_memory[0] > free_memory_mb + _FIT_TOL
+                or self._demand[-1] > free_capacity_ghz + _FIT_TOL
+            )
+        )
+
+    def pass_over(self, free_capacity_ghz: float, config: MinSlackConfig) -> None:
+        """Trace an offer :meth:`fits_nothing` answered as the search it
+        replaces: the same ``minslack.search`` span and counts as
+        :meth:`take_for_server`, from
+        :func:`repro.packing.mbs.search_fitting_nothing`.  Nothing is
+        taken; with telemetry off this does nothing.
+        """
+        tel = get_telemetry()
+        with tel.span("minslack.search", candidates=len(self.vms)) as sp:
+            result = search_fitting_nothing(
+                self._suffix,
+                free_capacity_ghz,
+                epsilon=config.epsilon_ghz,
+                max_steps=config.max_steps,
+            )
+            _report(tel, sp, result, config)
 
     def _refresh_prefix(self, stop: int) -> None:
         """Recompute the bounds at positions ``< stop`` from ``stop`` down.
@@ -153,3 +185,18 @@ class PlacementList:
             if mem < low:
                 low = mem
             min_memory[p] = low
+
+
+def _report(tel, span, result: MBSResult, config: MinSlackConfig) -> None:
+    """Annotate one search's span and add its effort to the counters."""
+    span.annotate(
+        nodes=result.steps,
+        evaluated=result.evaluated,
+        slack_ghz=result.slack,
+        epsilon_used=result.epsilon_used,
+        early_exit=result.early_exit,
+    )
+    if tel.enabled:
+        tel.count("minslack.searches")
+        tel.count("minslack.nodes", result.steps)
+        tel.count("minslack.eps_escalations", result.steps // config.max_steps)

@@ -31,6 +31,7 @@ from repro.core.optimizer.types import (
     ServerInfo,
     VMInfo,
 )
+from repro.obs import get_telemetry
 from repro.util.validation import check_in_range
 
 __all__ = [
@@ -175,7 +176,10 @@ def walk_servers(
     Each server offers its CPU up to ``config.target_utilization`` and
     its memory, less ``base_cpu`` / ``base_mem`` (the load already on
     it), to one Minimum Slack search over the VMs still unallocated.
-    The server with id *exclude* is skipped.
+    The server with id *exclude* is skipped.  A server that cannot take
+    even the smallest remaining demand or memory is answered without
+    searching (:meth:`PlacementList.fits_nothing`); with telemetry on it
+    is still traced as the empty search it replaces.
 
     Returns ``(placed, unplaced)``: ``(vm, server_id)`` pairs in the
     order the walk placed them, and the ids of the VMs it could not
@@ -184,6 +188,7 @@ def walk_servers(
     remaining = PlacementList(vms)
     placed: List[Tuple[VMInfo, str]] = []
     target = config.target_utilization
+    traced = get_telemetry().enabled
     for server in servers:
         if not remaining:
             break
@@ -193,6 +198,10 @@ def walk_servers(
         free_cpu = server.max_capacity_ghz * target - base_cpu[sid]
         free_mem = server.memory_mb - base_mem[sid]
         if free_cpu <= 0 or free_mem < 0:
+            continue
+        if remaining.fits_nothing(free_cpu, free_mem):
+            if traced:
+                remaining.pass_over(free_cpu, config.minslack)
             continue
         chosen, _ = remaining.take_for_server(free_cpu, free_mem, config.minslack)
         for vm in chosen:

@@ -296,6 +296,8 @@ class LargeScaleBackend:
 
     def sense(self, ctx: PeriodContext) -> None:
         """Read the trace: this step's per-VM demand vector."""
+        if self.demands is None:
+            raise RuntimeError("large-scale backend is closed; its demands are gone")
         ctx.data["demand_now"] = self.demands[:, ctx.k]
 
     def inject(self, ctx: PeriodContext) -> None:
@@ -589,7 +591,10 @@ class LargeScaleBackend:
     # -- results -------------------------------------------------------
 
     def close(self) -> None:
-        """Nothing to release (single process, arrays only)."""
+        """Drop the trace demands, the run's one large array (idempotent),
+        so their memory goes now, not with the last reference to the
+        backend.  :meth:`result` still works; further steps raise."""
+        self.demands = None
 
     def result(self) -> LargeScaleResult:
         """Final aggregates (call once, after the engine finished)."""

@@ -113,10 +113,6 @@ class MetricsRegistry:
             c = self._counters[name] = Counter(name)
         return c
 
-    def inc(self, name: str, amount: float = 1.0) -> None:
-        """Increment counter *name* by *amount*."""
-        self.counter(name).inc(amount)
-
     def names(self) -> List[str]:
         """All registered counter names, sorted."""
         return sorted(self._counters)

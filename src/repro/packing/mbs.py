@@ -83,6 +83,15 @@ galloped for from the last leaf's cut (probes 1, 2, 4, ... positions
 away, then a bisect of the bracket).  Every probe evaluates the same
 monotone expression as the walk, so the cut is exact whatever the
 starting point.
+
+Offers nothing fits
+-------------------
+When even the smallest size or the smallest memory does not fit the
+bin, the search selects nothing, and what it reports follows from
+*suffix* and the scalar arguments alone: :func:`search_fitting_nothing`
+returns it without searching.  A caller that knows no item fits (PAC's
+server walk, most of whose servers cannot take any remaining VM) skips
+the search and still reports its exact effort.
 """
 
 from __future__ import annotations
@@ -98,6 +107,7 @@ __all__ = [
     "minimum_bin_slack",
     "sort_items",
     "search_sorted",
+    "search_fitting_nothing",
 ]
 
 _FIT_TOL = 1e-9
@@ -458,3 +468,50 @@ def search_sorted(
         early_exit=early,
         evaluated=evaluated,
     )
+
+
+def search_fitting_nothing(
+    suffix: List[float],
+    capacity: float,
+    *,
+    epsilon: float = 0.0,
+    max_steps: int = 20000,
+    epsilon_step: Optional[float] = None,
+    hard_step_cap: Optional[int] = None,
+) -> MBSResult:
+    """What :func:`search_sorted` returns when no item fits the bin alone.
+
+    The premise is the caller's: every size exceeds ``capacity +
+    _FIT_TOL``, or every memory exceeds ``memory_capacity + _FIT_TOL``
+    (the search's own fit tests).  The search then ends at once when the
+    empty selection meets *epsilon*; otherwise its first candidate opens
+    one rejection run, which ends at the dominance cut: the first
+    position ``r >= 1`` with ``suffix[r] <= _FIT_TOL`` (trailing zero
+    sizes bring it before ``n``).  The run's steps, their escalations
+    and the hard-cap clamp are accounted as the search accounts them, in
+    one evaluated iteration.  *suffix* is what :func:`sort_items`
+    returns; the arguments are those :func:`search_sorted` checks, not
+    checked here.
+    """
+    if epsilon_step is None:
+        epsilon_step = 0.05 * capacity if capacity > 0 else 1.0
+    if hard_step_cap is None:
+        hard_step_cap = 50 * max_steps
+    eps = float(epsilon)
+    if capacity <= epsilon + _FIT_TOL:
+        return MBSResult((), float(capacity), 0, eps, True, 0)
+    n = len(suffix) - 1
+    if n == 0 or suffix[0] <= _FIT_TOL:
+        # Nothing to try, or the first candidate is already dominated.
+        return MBSResult((), float(capacity), 0, eps, False, 0)
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if suffix[mid] <= _FIT_TOL:
+            hi = mid
+        else:
+            lo = mid + 1
+    steps = lo if lo < hard_step_cap else max(hard_step_cap, 1)
+    for _ in range(steps // max_steps):
+        eps += epsilon_step
+    return MBSResult((), float(capacity), steps, eps, False, 1)

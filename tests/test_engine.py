@@ -11,6 +11,7 @@ import gc
 import hashlib
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -374,6 +375,22 @@ class TestFinishedRunsAreReleased:
         # set, not of the few KiB still held: numpy's small-buffer cache
         # alone moves those by more than 5 %.
         assert held[-1] - held[1] <= 0.10 * min(footprint), (held, footprint)
+
+
+    def test_closed_largescale_backend_drops_its_demands(self):
+        """The benchmark's set-up-only passes keep each engine until the
+        next one is built; a closed backend must not hold its trace
+        demands (≈12 MiB on ``largescale-ipac``) meanwhile."""
+        engine, backend = builtin_registry().get("largescale-small").build()
+        backend.start()
+        engine.run(until_period=2)
+        demands = weakref.ref(backend.demands)
+        backend.close()
+        assert demands() is None
+        backend.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.run()
+        assert backend.result().n_steps == engine.n_periods
 
 
 class TestCheckpointCodecs:

@@ -49,7 +49,7 @@ class TestMetricsRegistry:
 
     def test_convenience_helpers(self):
         reg = MetricsRegistry()
-        reg.inc("c", 2)
+        reg.counter("c").inc(2)
         assert reg.snapshot() == {"counters": {"c": 2.0}}
         reg.reset()
         assert reg.snapshot() == {"counters": {"c": 0.0}}

@@ -337,6 +337,58 @@ class TestPACPlacementsUnchangedByJumps:
         assert plan.unplaced == unplaced
 
 
+def _traced_walks(run, searching_every_server):
+    """``run()`` under telemetry: its result, its span records without
+    their durations, its counters and how many offers were answered
+    without a search."""
+    backend = InMemoryBackend()
+    tel = Telemetry(backend)
+    fits_nothing = PlacementList.fits_nothing
+    skipped = []
+
+    def counting_fits_nothing(self, free_cpu, free_mem):
+        skip = not searching_every_server and fits_nothing(self, free_cpu, free_mem)
+        skipped.append(skip)
+        return skip
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PlacementList, "fits_nothing", counting_fits_nothing)
+        with use_telemetry(tel, close=False):
+            out = run()
+    spans = [
+        {k: v for k, v in r.items() if k != "duration_s"} for r in backend.of_kind("span")
+    ]
+    return out, spans, tel.registry.snapshot(), sum(skipped)
+
+
+class TestSkippedOffersStillReport:
+    """A server the walk answers without searching is traced as the
+    empty search it replaces: the span records (``nodes``, ``evaluated``,
+    slack, epsilon) and the ``minslack.*`` counters are those of a walk
+    that searches every server."""
+
+    @staticmethod
+    def _assert_same_report(run):
+        out, spans, counters, skipped = _traced_walks(run, False)
+        ref, ref_spans, ref_counters, _ = _traced_walks(run, True)
+        assert list(out.final_mapping.items()) == list(ref.final_mapping.items())
+        assert spans == ref_spans
+        assert counters == ref_counters
+        return skipped
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_pac_cases())
+    def test_pac(self, case):
+        problem, to_place, config = case
+        self._assert_same_report(lambda: pac(problem, vms_to_place=to_place, config=config))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ipac_on_a_mid_size_cluster(self, seed):
+        problem = _mid_size_cluster(seed)
+        skipped = self._assert_same_report(lambda: ipac(problem))
+        assert skipped > 0  # the walk did answer offers without searching
+
+
 @st.composite
 def _placement_list_runs(draw):
     """A VM list plus a sequence of (free CPU, free memory) takes."""
@@ -403,8 +455,10 @@ class TestPlacementListUpkeep:
             ref = stepwise_minimum_bin_slack(
                 demands, free_cpu, constraint=MemoryConstraint(mems, free_mem), **kwargs
             )
+            skip = plist.fits_nothing(free_cpu, free_mem)
             chosen, result = plist.take_for_server(free_cpu, free_mem, config)
             assert result == fresh
+            assert not (skip and result.selected)
             assert replace(result, evaluated=0) == replace(ref, evaluated=0)
             assert chosen == [before[p] for p in result.selected]
             taken.update(vm.vm_id for vm in chosen)
@@ -711,14 +765,23 @@ def _mid_size_cluster(seed, n_servers=120, n_vms=480):
 def _traced_ipac(run, problem, config, module, power_fn):
     """``run(problem, config)`` recording what every Minimum Slack search
     is offered and every cluster power estimate ``module.power_fn``
-    returns, with CPython 3.12's compensated ``sum`` as the built-in."""
+    returns, with CPython 3.12's compensated ``sum`` as the built-in.
+    An offer the walk answers without searching (``fits_nothing``) is
+    recorded in sequence as the search it replaces."""
     searches, powers = [], []
     take = PlacementList.take_for_server
+    fits_nothing = PlacementList.fits_nothing
     estimate = getattr(module, power_fn)
 
     def recording_take(self, free_cpu, free_mem, cfg):
         searches.append((free_cpu, free_mem, [vm.vm_id for vm in self.vms]))
         return take(self, free_cpu, free_mem, cfg)
+
+    def recording_fits_nothing(self, free_cpu, free_mem):
+        skip = fits_nothing(self, free_cpu, free_mem)
+        if skip:
+            searches.append((free_cpu, free_mem, [vm.vm_id for vm in self.vms]))
+        return skip
 
     def recording_estimate(*args):
         powers.append(estimate(*args))
@@ -727,6 +790,7 @@ def _traced_ipac(run, problem, config, module, power_fn):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(builtins, "sum", compensated_sum)
         mp.setattr(PlacementList, "take_for_server", recording_take)
+        mp.setattr(PlacementList, "fits_nothing", recording_fits_nothing)
         mp.setattr(module, power_fn, recording_estimate)
         plan = run(problem, config)
     return plan, searches, powers

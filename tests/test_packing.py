@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.packing import minimum_bin_slack
-from repro.packing.mbs import search_sorted, sort_items
+from repro.packing.mbs import search_fitting_nothing, search_sorted, sort_items
 from tests.oracles.mbs_reference import MemoryConstraint
 from tests.oracles.mbs_reference import minimum_bin_slack as stepwise_minimum_bin_slack
 
@@ -312,3 +312,76 @@ class TestJumpsMatchStepwiseSearch:
         res = minimum_bin_slack(sizes, 1e4)
         assert res.selected == tuple(range(200))
         assert res.evaluated == res.steps == 200
+
+
+@st.composite
+def _instances_fitting_nothing(draw):
+    """Sorted items none of which fits the bin alone: by size, by memory
+    or both; capacities at or below epsilon, zero-size tails (memory
+    misfits only) and step budgets small enough to escalate and cap."""
+    tol = 1e-9
+    misfit = draw(st.sampled_from(["cpu", "memory", "both"]))
+    n = draw(st.integers(0, 60))
+    capacity = draw(st.one_of(st.sampled_from([0.0, 0.05, 1.0, 2.0]), st.floats(0.0, 4.0)))
+    mem_cap = draw(st.one_of(st.sampled_from([0.0, 512.0, 1024.0]), st.floats(0.0, 2048.0)))
+    if misfit == "memory":
+        size = st.one_of(st.just(0.0), st.floats(0.0, capacity + 1.0))
+    else:
+        size = st.floats(capacity + tol, capacity + 3.0, exclude_min=True)
+    if misfit == "cpu":
+        mem = st.one_of(st.just(0.0), st.floats(0.0, 4096.0))
+    else:
+        mem = st.floats(mem_cap + tol, mem_cap + 2048.0, exclude_min=True)
+    sizes = np.array(draw(st.lists(size, min_size=n, max_size=n)), dtype=float)
+    mems = np.array(draw(st.lists(mem, min_size=n, max_size=n)), dtype=float)
+    if misfit == "cpu" and draw(st.booleans()):
+        mems = None
+    kwargs = dict(
+        epsilon=draw(st.sampled_from([0.0, 0.05, 0.5, 5.0])),
+        max_steps=draw(st.integers(1, 30)),
+        epsilon_step=draw(st.sampled_from([None, 0.01, 1.0 / 3.0])),
+        hard_step_cap=draw(st.one_of(st.none(), st.integers(0, 80))),
+    )
+    return sizes, capacity, mems, mem_cap, kwargs
+
+
+class TestSearchFittingNothing:
+    """``search_fitting_nothing`` is the search's result, field for field,
+    whenever no item fits the bin alone — what PAC's server walk reports
+    for the servers it answers without searching."""
+
+    @staticmethod
+    def _both(sizes, capacity, mems, mem_cap, kwargs):
+        _, sorted_sizes, suffix, memory, min_memory = sort_items(sizes, mems)
+        searched = search_sorted(sorted_sizes, suffix, capacity, memory=memory,
+                                 min_memory=min_memory, memory_capacity=mem_cap, **kwargs)
+        return search_fitting_nothing(suffix, capacity, **kwargs), searched
+
+    @settings(max_examples=500, deadline=None)
+    @given(instance=_instances_fitting_nothing())
+    def test_equals_the_search(self, instance):
+        got, searched = self._both(*instance)
+        assert searched.selected == ()
+        assert got == searched
+
+    @pytest.mark.parametrize("case, want", [
+        # The empty selection already meets epsilon.
+        (dict(capacity=0.5, epsilon=0.5), (0.5, 0, 0.5, True, 0)),
+        # Zero sizes after the first item: the dominance cut ends the run.
+        (dict(sizes=[2.0, 0.0, 0.0], mems=[900.0] * 3), (1.0, 1, 0.0, False, 1)),
+        (dict(sizes=[0.0, 0.0], mems=[900.0] * 2), (1.0, 0, 0.0, False, 0)),
+        # 40 rejected candidates cross max_steps four times.
+        (dict(sizes=[3.0] * 40, max_steps=10, epsilon_step=0.25), (1.0, 40, 1.0, False, 1)),
+        # The hard cap stops the run on it, and at least one step is taken.
+        (dict(sizes=[3.0] * 40, max_steps=10, hard_step_cap=25), (1.0, 25, 0.1, False, 1)),
+        (dict(sizes=[3.0] * 40, hard_step_cap=0), (1.0, 1, 0.0, False, 1)),
+    ])
+    def test_each_exit(self, case, want):
+        case = {"sizes": [3.0], "capacity": 1.0, "mems": None, **case}
+        kwargs = {k: v for k, v in case.items() if k not in ("sizes", "capacity", "mems")}
+        mems = None if case["mems"] is None else np.array(case["mems"])
+        got, searched = self._both(np.array(case["sizes"]), case["capacity"], mems,
+                                   512.0, kwargs)
+        assert got == searched
+        assert (got.slack, got.steps, got.epsilon_used, got.early_exit, got.evaluated) \
+            == pytest.approx(want)

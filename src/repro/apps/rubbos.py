@@ -782,24 +782,8 @@ def _check_fraction(fraction: float) -> float:
 
 
 def _p90_p50(rts: np.ndarray) -> Tuple[float, float]:
-    """The 90th and 50th percentiles of a non-empty, finite sample, bit
-    for bit those of ``np.percentile`` (its default linear method), from
-    one ``sorted()`` and NumPy's interpolation arithmetic in plain
-    floats: a period's few hundred samples do not repay NumPy's per-call
-    overhead."""
-    ordered = sorted(rts.tolist())
-    last = len(ordered) - 1
-    out = []
-    for q in (0.9, 0.5):
-        v = last * q  # the virtual index
-        if v >= last:
-            # NumPy reads the maximum at both ends, weighted by v + 1.
-            a = b = ordered[last]
-            t = v + 1
-        else:
-            i = math.floor(v)
-            a, b = ordered[i], ordered[i + 1]
-            t = v - i
-        d = b - a
-        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
-    return out[0], out[1]
+    """The 90th and 50th percentiles of a non-empty sample, in one
+    ``np.percentile`` call (one sort instead of two; bitwise the two
+    separate calls)."""
+    p90, p50 = np.percentile(rts, (90.0, 50.0)).tolist()
+    return p90, p50

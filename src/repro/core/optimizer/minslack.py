@@ -155,9 +155,11 @@ class PlacementList:
         replaces: the same ``minslack.search`` span and counts as
         :meth:`take_for_server`, from
         :func:`repro.packing.mbs.search_fitting_nothing`.  Nothing is
-        taken; with telemetry off this does nothing.
+        taken; with telemetry off this returns at once.
         """
         tel = get_telemetry()
+        if not tel.enabled:
+            return
         with tel.span("minslack.search", candidates=len(self.vms)) as sp:
             result = search_fitting_nothing(
                 self._suffix,

@@ -31,7 +31,6 @@ from repro.core.optimizer.types import (
     ServerInfo,
     VMInfo,
 )
-from repro.obs import get_telemetry
 from repro.util.validation import check_in_range
 
 __all__ = [
@@ -188,7 +187,6 @@ def walk_servers(
     remaining = PlacementList(vms)
     placed: List[Tuple[VMInfo, str]] = []
     target = config.target_utilization
-    traced = get_telemetry().enabled
     for server in servers:
         if not remaining:
             break
@@ -200,8 +198,7 @@ def walk_servers(
         if free_cpu <= 0 or free_mem < 0:
             continue
         if remaining.fits_nothing(free_cpu, free_mem):
-            if traced:
-                remaining.pass_over(free_cpu, config.minslack)
+            remaining.pass_over(free_cpu, config.minslack)
             continue
         chosen, _ = remaining.take_for_server(free_cpu, free_mem, config.minslack)
         for vm in chosen:

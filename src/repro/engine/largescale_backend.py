@@ -296,9 +296,7 @@ class LargeScaleBackend:
 
     def sense(self, ctx: PeriodContext) -> None:
         """Read the trace: this step's per-VM demand vector."""
-        if self.demands is None:
-            raise RuntimeError("large-scale backend is closed; its demands are gone")
-        ctx.data["demand_now"] = self.demands[:, ctx.k]
+        ctx.data["demand_now"] = self._trace()[:, ctx.k]
 
     def inject(self, ctx: PeriodContext) -> None:
         """Apply every fault begin/end due at this trace step."""
@@ -319,7 +317,7 @@ class LargeScaleBackend:
         if step == 0 and self.static_peak:
             # One conservative placement against the whole-trace peak.
             plan = self._invoke_optimizer(
-                self._build_problem(self.demands.max(axis=1)), 0.0
+                self._build_problem(self._trace().max(axis=1)), 0.0
             )
             self.migrations += plan.n_moves
             self.migration_energy_wh += self._migration_energy(plan)
@@ -576,7 +574,7 @@ class LargeScaleBackend:
         tel = get_telemetry()
         # The faults phase runs before this step's actuate: steps_done
         # is the current step.
-        demand_now = self.demands[:, self.steps_done]
+        demand_now = self._trace()[:, self.steps_done]
         plan = pac(self._build_problem(demand_now), evicted, self.evac_pac_cfg)
         self.assignment = self._apply_mapping(plan.final_mapping, time_s)
         tel.count("manager.evacuations")
@@ -587,6 +585,13 @@ class LargeScaleBackend:
             unplaced=list(plan.unplaced),
             woke=list(plan.wake),
         )
+
+    def _trace(self) -> np.ndarray:
+        """The trace demands, ``(n_vms, n_steps)``; every step reads them
+        here, so a closed backend refuses the step."""
+        if self.demands is None:
+            raise RuntimeError("large-scale backend is closed; its demands are gone")
+        return self.demands
 
     # -- results -------------------------------------------------------
 

@@ -113,6 +113,13 @@ __all__ = [
 _FIT_TOL = 1e-9
 
 
+def _escalation_defaults(capacity: float, max_steps: int) -> Tuple[float, int]:
+    """The search's default ``(epsilon_step, hard_step_cap)``: epsilon
+    grows by 5 % of the capacity (1 for an empty bin) every *max_steps*
+    steps, and the search stops at ``50 * max_steps`` steps."""
+    return (0.05 * capacity if capacity > 0 else 1.0), 50 * max_steps
+
+
 @dataclass(frozen=True)
 class MBSResult:
     """Outcome of a Minimum-Bin-Slack search.
@@ -277,8 +284,9 @@ def search_sorted(
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    default_step, default_cap = _escalation_defaults(capacity, max_steps)
     if epsilon_step is None:
-        epsilon_step = 0.05 * capacity if capacity > 0 else 1.0
+        epsilon_step = default_step
     elif not 0 <= epsilon_step < math.inf:
         raise ValueError(f"epsilon_step must be finite and >= 0, got {epsilon_step}")
     if not 0 <= memory_capacity < math.inf:
@@ -286,7 +294,7 @@ def search_sorted(
             f"memory_capacity must be finite and >= 0, got {memory_capacity}"
         )
     if hard_step_cap is None:
-        hard_step_cap = 50 * max_steps
+        hard_step_cap = default_cap
     if capacity <= epsilon + _FIT_TOL:
         # The empty selection already meets the allowed slack.
         return MBSResult((), float(capacity), 0, float(epsilon), True, 0)
@@ -476,8 +484,6 @@ def search_fitting_nothing(
     *,
     epsilon: float = 0.0,
     max_steps: int = 20000,
-    epsilon_step: Optional[float] = None,
-    hard_step_cap: Optional[int] = None,
 ) -> MBSResult:
     """What :func:`search_sorted` returns when no item fits the bin alone.
 
@@ -488,15 +494,11 @@ def search_fitting_nothing(
     one rejection run, which ends at the dominance cut: the first
     position ``r >= 1`` with ``suffix[r] <= _FIT_TOL`` (trailing zero
     sizes bring it before ``n``).  The run's steps, their escalations
-    and the hard-cap clamp are accounted as the search accounts them, in
-    one evaluated iteration.  *suffix* is what :func:`sort_items`
-    returns; the arguments are those :func:`search_sorted` checks, not
-    checked here.
+    and the hard cap are accounted as the search accounts them under its
+    default policy, in one evaluated iteration.  *suffix* is what
+    :func:`sort_items` returns; the arguments are those
+    :func:`search_sorted` checks, not checked here.
     """
-    if epsilon_step is None:
-        epsilon_step = 0.05 * capacity if capacity > 0 else 1.0
-    if hard_step_cap is None:
-        hard_step_cap = 50 * max_steps
     eps = float(epsilon)
     if capacity <= epsilon + _FIT_TOL:
         return MBSResult((), float(capacity), 0, eps, True, 0)
@@ -511,7 +513,8 @@ def search_fitting_nothing(
             hi = mid
         else:
             lo = mid + 1
-    steps = lo if lo < hard_step_cap else max(hard_step_cap, 1)
+    epsilon_step, hard_step_cap = _escalation_defaults(capacity, max_steps)
+    steps = min(lo, hard_step_cap)
     for _ in range(steps // max_steps):
         eps += epsilon_step
     return MBSResult((), float(capacity), steps, eps, False, 1)

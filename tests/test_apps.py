@@ -351,8 +351,8 @@ class TestMultiTierApp:
         ),
         min_size=1, max_size=400,
     ))
-    def test_period_quantiles_equal_two_percentile_calls(self, rts):
-        # run_period takes p90 and p50 from one sort in plain floats.
+    def test_period_quantiles_are_two_percentile_calls(self, rts):
+        # run_period takes p90 and p50 from one np.percentile call.
         rts = np.asarray(rts, dtype=float)
         want = [float(np.percentile(rts, 90.0)), float(np.percentile(rts, 50.0))]
         assert np.array(_p90_p50(rts)).tobytes() == np.array(want).tobytes()

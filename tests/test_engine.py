@@ -381,15 +381,18 @@ class TestFinishedRunsAreReleased:
         """The benchmark's set-up-only passes keep each engine until the
         next one is built; a closed backend must not hold its trace
         demands (≈12 MiB on ``largescale-ipac``) meanwhile."""
-        engine, backend = builtin_registry().get("largescale-small").build()
+        engine, backend = builtin_registry().get("largescale-faulted").build()
         backend.start()
-        engine.run(until_period=2)
+        engine.run(until_period=4)  # S0009 crashes at 3600 s, step 4
         demands = weakref.ref(backend.demands)
         backend.close()
         assert demands() is None
         backend.close()
         with pytest.raises(RuntimeError, match="closed"):
             engine.run()
+        # The faults phase's evacuation reads the demands too.
+        with pytest.raises(RuntimeError, match="closed"):
+            backend.inject(PeriodContext(k=4, time_s=3600.0, period_s=backend.dt_s))
         assert backend.result().n_steps == engine.n_periods
 
 

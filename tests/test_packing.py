@@ -338,9 +338,8 @@ def _instances_fitting_nothing(draw):
         mems = None
     kwargs = dict(
         epsilon=draw(st.sampled_from([0.0, 0.05, 0.5, 5.0])),
-        max_steps=draw(st.integers(1, 30)),
-        epsilon_step=draw(st.sampled_from([None, 0.01, 1.0 / 3.0])),
-        hard_step_cap=draw(st.one_of(st.none(), st.integers(0, 80))),
+        # max_steps=1 on more than 50 items reaches the hard cap.
+        max_steps=draw(st.one_of(st.just(1), st.integers(1, 30))),
     )
     return sizes, capacity, mems, mem_cap, kwargs
 
@@ -370,11 +369,10 @@ class TestSearchFittingNothing:
         # Zero sizes after the first item: the dominance cut ends the run.
         (dict(sizes=[2.0, 0.0, 0.0], mems=[900.0] * 3), (1.0, 1, 0.0, False, 1)),
         (dict(sizes=[0.0, 0.0], mems=[900.0] * 2), (1.0, 0, 0.0, False, 0)),
-        # 40 rejected candidates cross max_steps four times.
-        (dict(sizes=[3.0] * 40, max_steps=10, epsilon_step=0.25), (1.0, 40, 1.0, False, 1)),
-        # The hard cap stops the run on it, and at least one step is taken.
-        (dict(sizes=[3.0] * 40, max_steps=10, hard_step_cap=25), (1.0, 25, 0.1, False, 1)),
-        (dict(sizes=[3.0] * 40, hard_step_cap=0), (1.0, 1, 0.0, False, 1)),
+        # 40 rejected candidates cross max_steps four times (5 % each).
+        (dict(sizes=[3.0] * 40, max_steps=10), (1.0, 40, 0.2, False, 1)),
+        # The hard cap, 50 * max_steps, stops the run on it.
+        (dict(sizes=[3.0] * 60, max_steps=1), (1.0, 50, 2.5, False, 1)),
     ])
     def test_each_exit(self, case, want):
         case = {"sizes": [3.0], "capacity": 1.0, "mems": None, **case}

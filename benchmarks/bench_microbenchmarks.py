@@ -136,6 +136,45 @@ def test_perf_placement_list(benchmark):
     assert benchmark(run) > 400
 
 
+def test_perf_placement_list_memory_bound(benchmark):
+    """PAC's tail as a ``sharded-pods`` pod runs it: one placement list
+    of 1,100 small VMs (512-2,048 MB) offered to servers with 2.7 GHz and
+    4 GiB free until it is empty.  Memory runs out after 3-4 VMs with
+    most of the CPU still free, so nearly every take is a leaf, memory
+    rejections come in long runs and only epsilon escalation ends each
+    search.  Every take is first checked against the stepwise oracle.
+    """
+    rng = np.random.default_rng(6)
+    demands = rng.uniform(0.02, 0.27, size=1100).tolist()
+    memories = rng.choice([512.0, 1024.0, 1536.0, 2048.0], size=1100).tolist()
+    vms = [VMInfo(f"vm{i:04d}", d, m) for i, (d, m) in enumerate(zip(demands, memories))]
+    config = MinSlackConfig(epsilon_ghz=0.1, max_steps=3000)
+
+    def run(takes=None):
+        remaining = PlacementList(vms)
+        searches = 0
+        while remaining:
+            offered = list(remaining.vms) if takes is not None else None
+            _, result = remaining.take_for_server(2.7, 4096.0, config)
+            searches += 1
+            if takes is not None:
+                takes.append((offered, result))
+        return searches
+
+    takes = []
+    run(takes)
+    for offered, result in takes:
+        mems = [vm.memory_mb for vm in offered]
+        ref = stepwise_minimum_bin_slack(
+            [vm.demand_ghz for vm in offered], 2.7, constraint=MemoryConstraint(mems, 4096.0),
+            epsilon=config.epsilon_ghz, max_steps=config.max_steps,
+        )
+        assert (result.selected, result.slack, result.steps, result.epsilon_used,
+                result.early_exit) == (ref.selected, ref.slack, ref.steps, ref.epsilon_used,
+                                       ref.early_exit)
+    assert benchmark(run) > 250
+
+
 def test_perf_ipac_invocation(benchmark):
     """One IPAC call on a 600-server, 1,800-VM cluster: the VMs sit on
     the first 300 servers at random (dozens of them overloaded), about

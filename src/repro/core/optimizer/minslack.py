@@ -52,19 +52,20 @@ class PlacementList:
     Minimum Slack visits a server's candidates by decreasing demand,
     ties in list order.  The list is sorted that way once, at
     construction, and owns what the search reads: the demands, their
-    suffix sums and the memories with their suffix minima (see
-    :func:`repro.packing.mbs.sort_items`), as Python lists handed to
-    :func:`repro.packing.mbs.search_sorted` for every server.  Demands
-    and memories are validated here, once: each must be finite and
-    non-negative.
+    suffix sums, the memories with their suffix minima and the memory
+    jump table (see :func:`repro.packing.mbs.sort_items`), as Python
+    lists handed to :func:`repro.packing.mbs.search_sorted` for every
+    server.  Demands and memories are validated here, once: each must be
+    finite and non-negative.
 
     A take deletes the chosen VMs in place, which hands every later
     server the order a per-server sort of the id-ordered remainder would
     have produced.  Entries behind the last deleted position keep their
-    bounds; only the prefix in front of it is recomputed, by the same
-    sequential additions (and minima) the full accumulation makes, so
-    the maintained lists equal lists built from scratch for the
-    remaining VMs.
+    bounds and jumps; only the prefix in front of it is recomputed, in
+    one pass, by the same sequential additions (and minima) the full
+    accumulation makes, and a jump is found anew only when it passed a
+    deleted position, so the maintained lists equal lists built from
+    scratch for the remaining VMs.
     """
 
     def __init__(self, vms: Sequence[VMInfo]):
@@ -75,7 +76,9 @@ class PlacementList:
                     f"VM {vm.vm_id!r}: demand_ghz and memory_mb must be finite "
                     f"and >= 0, got {vm.demand_ghz} GHz and {vm.memory_mb} MB"
                 )
-        order, self._demand, self._suffix, self._memory, self._min_memory = sort_items(
+        (
+            order, self._demand, self._suffix, self._memory, self._min_memory, self._lower
+        ) = sort_items(
             np.array([vm.demand_ghz for vm in vms], dtype=float),
             np.array([vm.memory_mb for vm in vms], dtype=float),
         )
@@ -113,6 +116,7 @@ class PlacementList:
                 free_capacity_ghz,
                 memory=self._memory,
                 min_memory=self._min_memory,
+                next_lower=self._lower,
                 memory_capacity=float(free_memory_mb),
                 epsilon=config.epsilon_ghz,
                 max_steps=config.max_steps,
@@ -128,7 +132,8 @@ class PlacementList:
             del self._suffix[p]
             del self._memory[p]
             del self._min_memory[p]
-        self._refresh_prefix(positions[-1] + 1 - len(positions))
+            del self._lower[p]
+        self._refresh_prefix(positions)
         return chosen, result
 
     def fits_nothing(self, free_capacity_ghz: float, free_memory_mb: float) -> bool:
@@ -169,24 +174,42 @@ class PlacementList:
             )
             _report(tel, sp, result, config)
 
-    def _refresh_prefix(self, stop: int) -> None:
-        """Recompute the bounds at positions ``< stop`` from ``stop`` down.
+    def _refresh_prefix(self, deleted: Tuple[int, ...]) -> None:
+        """Recompute the bounds in front of the last of the *deleted*
+        positions (ascending, as they were before the take).
 
-        ``stop`` is where the first VM behind the last deletion now sits;
-        its bounds and those after it did not change.  ``total + d`` is
-        the step ``np.add.accumulate`` takes on the reversed demands.
+        The VM behind the ``i``-th deletion now sits at ``deleted[i] - i``;
+        behind the last one, bounds and jumps did not change (a jump
+        counts positions behind it, and ``n - p`` shrinks with ``n``).
+        In front of it the positions are refreshed from the back, one
+        stretch between deletions at a time.  ``total + d`` is the step
+        ``np.add.accumulate`` takes on the reversed demands.  A jump that
+        ends inside its own stretch passed no deleted position and
+        stays; any other is found as :func:`repro.packing.mbs.sort_items`
+        finds it.
         """
         demand, suffix = self._demand, self._suffix
-        memory, min_memory = self._memory, self._min_memory
-        total = suffix[stop]
-        low = min_memory[stop]
-        for p in range(stop - 1, -1, -1):
-            total = total + demand[p]
-            suffix[p] = total
-            mem = memory[p]
-            if mem < low:
-                low = mem
-            min_memory[p] = low
+        memory, min_memory, lower = self._memory, self._min_memory, self._lower
+        n = len(demand)
+        end = deleted[-1] + 1 - len(deleted)
+        total = suffix[end]
+        low = min_memory[end]
+        for i in range(len(deleted) - 1, -1, -1):
+            start = deleted[i - 1] - (i - 1) if i else 0
+            for p in range(end - 1, start - 1, -1):
+                total = total + demand[p]
+                suffix[p] = total
+                mem = memory[p]
+                if mem <= low:
+                    low = mem
+                    lower[p] = n - p
+                elif p + lower[p] >= end:
+                    r = p + 1
+                    while memory[r] >= mem:
+                        r += lower[r]
+                    lower[p] = r - p
+                min_memory[p] = low
+            end = start
 
 
 def _report(tel, span, result: MBSResult, config: MinSlackConfig) -> None:

@@ -9,6 +9,7 @@ testable and trivially comparable against baselines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,10 +75,15 @@ class ServerInfo:
     sleep_w: float
 
     def __post_init__(self):
-        if self.max_capacity_ghz <= 0:
-            raise ValueError(f"max_capacity_ghz must be > 0, got {self.max_capacity_ghz}")
-        if self.efficiency <= 0:
-            raise ValueError(f"efficiency must be > 0, got {self.efficiency}")
+        # The range checks are also false for NaN.
+        if not 0 < self.max_capacity_ghz < math.inf:
+            raise ValueError(
+                f"max_capacity_ghz must be finite and > 0, got {self.max_capacity_ghz}"
+            )
+        if not 0 <= self.memory_mb < math.inf:
+            raise ValueError(f"memory_mb must be finite and >= 0, got {self.memory_mb}")
+        if not 0 < self.efficiency < math.inf:
+            raise ValueError(f"efficiency must be finite and > 0, got {self.efficiency}")
 
 
 @dataclass(frozen=True)

@@ -15,21 +15,23 @@ fills one bin as completely as possible.  The paper extends it two ways
   4-5 and 15-17), bounding worst-case running time.
 
 The search is iterative, so item counts in the thousands cannot hit the
-interpreter recursion limit.  Its stack is the selection path itself:
-each level of the depth-first search resumes one position after the
-item it last took, so backtracking from the item at position ``p``
-resumes its level at ``p + 1``.
+interpreter recursion limit.  Its stack is the selection path itself
+(less a leaf being settled, see below): each level of the depth-first
+search resumes one position after the item it last took, so
+backtracking from the item at position ``p`` resumes its level at
+``p + 1``.
 
 Prepared once, searched many times
 ----------------------------------
 :func:`minimum_bin_slack` is two parts.  :func:`sort_items` prepares
 arbitrary input: the stable sort by decreasing size, the size suffix
-sums and the memory suffix minima, as Python lists.  :func:`search_sorted`
-is the one search loop; it runs over those lists and checks the scalar
-arguments.  A caller that searches the same shrinking list for many
-bins (``repro.core.optimizer.minslack.PlacementList``, one PAC call)
-keeps the lists itself and calls :func:`search_sorted` directly instead
-of re-sorting per bin.
+sums, and for memory the suffix minima and the jump table
+``next_lower``, as Python lists.  :func:`search_sorted` is the one
+search loop; it runs over those lists and checks the scalar arguments.
+A caller that searches the same shrinking list for many bins
+(``repro.core.optimizer.minslack.PlacementList``, one PAC call) keeps
+the lists itself and calls :func:`search_sorted` directly instead of
+re-sorting per bin.
 
 Dominance bound
 ---------------
@@ -50,21 +52,23 @@ are defined on.  Most steps are rejections in long runs — once the
 bin's memory is full, or the residual capacity is smaller than the next
 few hundred items, every following candidate fails the same test until
 the dominance bound or the end of the list.  Those runs are not walked.
-The three tests involved are monotone along the sorted order (sizes
-descend, suffix sums descend, and ``x + a <= x + b`` whenever
-``a <= b`` in IEEE arithmetic), so the end of a run is found by
-bisecting *the stepwise expression itself*; memory, which is not
-sorted, uses the suffix minimum: when even the smallest remaining
-memory does not fit, nothing left does (while something still fits, the
-candidates up to it are tested in turn).  The run's length
-is then added to ``steps`` in one go, with one epsilon escalation per
-multiple of ``max_steps`` crossed (added one at a time, as the walk
-would) and the hard cap landing exactly where the walk would stop.
-Selections, slack, step counts and escalated epsilon are therefore
-those of the stepwise search bit for bit —
-``tests/oracles/mbs_reference.py`` keeps that search, and
-``tests/test_packing.py`` compares the two on random instances.
-:attr:`MBSResult.evaluated` reports the iterations actually executed.
+The tests involved are monotone (sizes descend, suffix sums descend,
+and ``x + a <= x + b`` whenever ``a <= b`` in IEEE arithmetic), so the
+end of a CPU run or of the dominance cut is found by bisecting *the
+stepwise expression itself*.  Memory is not sorted.  When even the
+smallest remaining memory (``min_memory``) does not fit, nothing left
+does; otherwise a memory run is jumped: ``next_lower[q]`` leads from a
+rejected ``q`` to the first later position with a strictly smaller
+memory, and every position it passes holds at least the memory that
+just failed, so it fails too.  The run's length is then added to
+``steps`` in one go, with one epsilon escalation per multiple of
+``max_steps`` crossed (added one at a time, as the walk would) and the
+hard cap landing exactly where the walk would stop.  Selections,
+slack, step counts and escalated epsilon are therefore those of the
+stepwise search bit for bit — ``tests/oracles/mbs_reference.py`` keeps
+that search, and ``tests/test_packing.py`` compares the two on random
+instances.  :attr:`MBSResult.evaluated` reports the loop iterations
+actually executed, memory jumps included.
 
 Leaves are settled in place
 ---------------------------
@@ -72,17 +76,19 @@ Most takes are *leaves*: after item ``t`` joins, even the smallest
 remaining memory (``min_memory[t + 1]``) or the smallest remaining size
 (``sizes[n - 1]``) no longer fits, so the level below is one rejection
 run from ``t + 1`` to its dominance cut or the end of the list.  The
-search does not open that level.  After the improvement and early-exit
-checks of the take it accounts for the run on the spot — the same
-``steps``, escalations, hard-cap clamp and ``evaluated`` increment the
-level would have produced — and backtracks at once: ``used`` becomes
-``(used + s_t) - s_t`` exactly as a descend and a backtrack leave it.
-The run's end is the first ``r`` with ``used + suffix[r] <=
-dominated_at``; it moves little from one leaf to the next, so it is
-galloped for from the last leaf's cut (probes 1, 2, 4, ... positions
-away, then a bisect of the bracket).  Every probe evaluates the same
-monotone expression as the walk, so the cut is exact whatever the
-starting point.
+level scan settles such a take where it finds it, without pushing it
+on the path: it forms ``used + s_t`` and ``mem_used + m_t``, runs the
+improvement and early-exit checks on them, accounts for the run below
+on the spot — the same ``steps``, escalations, hard-cap clamp and
+``evaluated`` increment the level would have produced — and then sets
+``used`` to ``(used + s_t) - s_t`` (memory alike), exactly as a descend
+and a backtrack leave it, before trying ``t + 1``.  Only a take that
+is not a leaf opens a level.  The run's end is the first ``r`` with
+``used + s_t + suffix[r] <= dominated_at``; it moves little from one
+leaf to the next, so it is galloped for from the last leaf's cut
+(probes 1, 2, 4, ... positions away, then a bisect of the bracket).
+Every probe evaluates the same monotone expression as the walk, so the
+cut is exact whatever the starting point.
 
 Offers nothing fits
 -------------------
@@ -132,9 +138,9 @@ class MBSResult:
     after any escalations; ``early_exit`` reports whether the epsilon
     threshold (rather than exhaustion of the search space or the hard
     step cap) ended the run; ``evaluated`` is the number of loop
-    iterations actually executed to account for ``steps`` — equal to it
-    when nothing is rejected, far below it when rejection runs are
-    jumped.
+    iterations actually executed to account for ``steps``, each memory
+    jump included — equal to it when nothing is rejected, far below it
+    when rejection runs are jumped.
     """
 
     selected: Tuple[int, ...]
@@ -206,13 +212,16 @@ def minimum_bin_slack(
             raise ValueError("memory sizes must be finite (got NaN/inf)")
         if np.any(memory < 0):
             raise ValueError("memory sizes must be non-negative")
-    order, sorted_sizes, suffix, sorted_memory, min_memory = sort_items(sizes, memory)
+    order, sorted_sizes, suffix, sorted_memory, min_memory, next_lower = sort_items(
+        sizes, memory
+    )
     result = search_sorted(
         sorted_sizes,
         suffix,
         capacity,
         memory=sorted_memory,
         min_memory=min_memory,
+        next_lower=next_lower,
         memory_capacity=float(memory_capacity),
         epsilon=epsilon,
         max_steps=max_steps,
@@ -224,32 +233,51 @@ def minimum_bin_slack(
 
 def sort_items(
     sizes: np.ndarray, memory: Optional[np.ndarray] = None
-) -> Tuple[List[int], List[float], List[float], Optional[List[float]], Optional[List[float]]]:
-    """Search order and dominance bounds of validated items.
+) -> Tuple[
+    List[int], List[float], List[float],
+    Optional[List[float]], Optional[List[float]], Optional[List[int]],
+]:
+    """Search order, dominance bounds and memory jumps of validated items.
 
-    Returns ``(order, sizes, suffix, memory, min_memory)`` as Python
-    lists (they beat NumPy scalar indexing inside the interpreter-bound
-    search).  ``order`` sorts the items by decreasing size, ties in
-    index order; ``sizes`` and ``memory`` are the items in that order.
-    ``suffix[p]`` is the total size at positions ``>= p``, the best case
-    any branch continuing from ``p`` can still add to the bin,
-    accumulated sequentially from the smallest item up;
+    Returns ``(order, sizes, suffix, memory, min_memory, next_lower)``
+    as Python lists (they beat NumPy scalar indexing inside the
+    interpreter-bound search).  ``order`` sorts the items by decreasing
+    size, ties in index order; ``sizes`` and ``memory`` are the items in
+    that order.  ``suffix[p]`` is the total size at positions ``>= p``,
+    the best case any branch continuing from ``p`` can still add to the
+    bin, accumulated sequentially from the smallest item up;
     ``min_memory[p]`` is the smallest memory at positions ``>= p``: once
     even that does not fit, every remaining candidate is rejected.  Both
     end with a sentinel (``0.0`` / ``inf``) at ``p == len(sizes)``.
-    ``memory`` and ``min_memory`` are None when *memory* is.  Nothing is
-    validated here.
+    ``next_lower[p]`` is the distance from ``p`` to the first later
+    position with a strictly smaller memory, ``len(sizes) - p`` when
+    there is none: the jump over a memory rejection.  The memory lists
+    are None when *memory* is.  Nothing is validated here.
     """
     order = np.argsort(-sizes, kind="stable")
     sorted_arr = sizes[order]
     suffix = np.add.accumulate(sorted_arr[::-1])[::-1].tolist()
     suffix.append(0.0)
     if memory is None:
-        return order.tolist(), sorted_arr.tolist(), suffix, None, None
+        return order.tolist(), sorted_arr.tolist(), suffix, None, None, None
     mem_arr = memory[order]
     min_memory = np.minimum.accumulate(mem_arr[::-1])[::-1].tolist()
     min_memory.append(math.inf)
-    return order.tolist(), sorted_arr.tolist(), suffix, mem_arr.tolist(), min_memory
+    mem = mem_arr.tolist()
+    n = len(mem)
+    next_lower = [0] * n
+    for p in range(n - 1, -1, -1):
+        m = mem[p]
+        if m <= min_memory[p + 1]:
+            next_lower[p] = n - p
+        else:
+            # Some later memory is smaller: follow the jumps behind p,
+            # each of which passes only memories >= the one it left.
+            r = p + 1
+            while mem[r] >= m:
+                r += next_lower[r]
+            next_lower[p] = r - p
+    return order.tolist(), sorted_arr.tolist(), suffix, mem, min_memory, next_lower
 
 
 def search_sorted(
@@ -259,6 +287,7 @@ def search_sorted(
     *,
     memory: Optional[List[float]] = None,
     min_memory: Optional[List[float]] = None,
+    next_lower: Optional[List[int]] = None,
     memory_capacity: float = 0.0,
     epsilon: float = 0.0,
     max_steps: int = 20000,
@@ -267,10 +296,11 @@ def search_sorted(
 ) -> MBSResult:
     """The Minimum-Bin-Slack search over items already in search order.
 
-    *sizes*, *suffix*, *memory* and *min_memory* are what
+    *sizes*, *suffix*, *memory*, *min_memory* and *next_lower* are what
     :func:`sort_items` returns for finite, non-negative items; the
-    caller vouches for them.  With *memory*, every candidate must also
-    fit *memory_capacity*; without it, *memory_capacity* is unused.
+    caller vouches for them.  With *memory* (which needs *min_memory*
+    and *next_lower* beside it), every candidate must also fit
+    *memory_capacity*; without it, *memory_capacity* is unused.
     ``selected`` are positions in these lists.  The remaining arguments
     are those of :func:`minimum_bin_slack`, checked here.
     """
@@ -293,6 +323,8 @@ def search_sorted(
         raise ValueError(
             f"memory_capacity must be finite and >= 0, got {memory_capacity}"
         )
+    if memory is not None and (min_memory is None or next_lower is None):
+        raise ValueError("memory needs its min_memory and next_lower (see sort_items)")
     if hard_step_cap is None:
         hard_step_cap = default_cap
     if capacity <= epsilon + _FIT_TOL:
@@ -303,66 +335,72 @@ def search_sorted(
     cap = float(capacity)
     tol = _FIT_TOL
     cap_tol = cap + tol
-    check_memory = memory is not None
-    if check_memory:
+    if memory is None:
+        # No memory: zero memories against an unbounded bin, so every
+        # memory test passes and no memory jump is ever taken.
+        memory = min_memory = [0.0] * n
+        mem_cap_tol = math.inf
+    else:
         mem_cap_tol = memory_capacity + tol
-        mem_used = 0.0
 
     smallest = sizes[-1] if n else 0.0
     best_path: Tuple[int, ...] = ()
     best_slack = cap
-    # A branch is dominated when used + suffix[pos] <= dominated_at.
+    # A take improves on the incumbent when its slack is below
+    # improves_below; a branch is dominated when used + suffix[pos] <=
+    # dominated_at; the search exits early once best_slack <= exit_at.
+    improves_below = best_slack - tol
     dominated_at = cap - best_slack + tol
+    eps_current = float(epsilon)
+    exit_at = eps_current + tol
     cut = 0  # where the last settled leaf's run ended: the gallop's start
     steps = 0
     # Epsilon escalates each time steps reaches a multiple of max_steps.
     next_escalation = max_steps
     evaluated = 0
-    eps_current = float(epsilon)
     early = False
-    # Sorted positions of the current selection.  It is also the DFS
+    # Sorted positions of the open levels' takes.  It is also the DFS
     # stack: a level resumes one position after the item it last took.
     path: List[int] = []
     used = 0.0
+    mem_used = 0.0
     pos = 0  # next sorted position to try at the current level
-    exhausted = False  # hard step cap reached
+    stop = False  # early exit or hard step cap
 
     while True:
-        taken = -1
         while pos < n:
             if used + suffix[pos] <= dominated_at:
                 # Even taking every remaining item cannot strictly beat
                 # the incumbent: dominated branch, cut it.
-                pos = n
                 break
             evaluated += 1
-            oversize = used + sizes[pos] > cap_tol
-            if oversize or (check_memory and mem_used + memory[pos] > mem_cap_tol):
-                # Positions [pos, q) are a run the stepwise search
-                # rejects one step at a time; q is the first candidate
-                # that fits.  Sizes are sorted and float addition is
-                # monotone, so each bisect evaluates the stepwise test
-                # itself and is exact.
-                q = pos
-                if oversize:
-                    lo, hi = pos + 1, n
-                    while lo < hi:
-                        mid = (lo + hi) >> 1
-                        if used + sizes[mid] > cap_tol:
-                            lo = mid + 1
-                        else:
-                            hi = mid
-                    q = lo
-                if check_memory and q < n and mem_used + memory[q] > mem_cap_tol:
-                    if mem_used + min_memory[q] > mem_cap_tol:
-                        q = n
+            # Positions [pos, q) are a run the stepwise search rejects
+            # one step at a time; q is the first candidate that fits.
+            # Sizes are sorted and float addition is monotone, so the
+            # bisect evaluates the stepwise test itself and is exact.
+            q = pos
+            if used + sizes[pos] > cap_tol:
+                lo, hi = pos + 1, n
+                while lo < hi:
+                    mid = (lo + hi) >> 1
+                    if used + sizes[mid] > cap_tol:
+                        lo = mid + 1
                     else:
-                        # Some later candidate fits: test them in turn.
-                        rejected = q
-                        q += 1
-                        while mem_used + memory[q] > mem_cap_tol:
-                            q += 1
-                        evaluated += q - rejected
+                        hi = mid
+                q = lo
+            if q < n and mem_used + memory[q] > mem_cap_tol:
+                if mem_used + min_memory[q] > mem_cap_tol:
+                    q = n
+                else:
+                    # Some later candidate fits.  A jump passes only
+                    # memories >= the one that just failed, which fail
+                    # too, and stops at the first smaller one.
+                    q += next_lower[q]
+                    evaluated += 1
+                    while mem_used + memory[q] > mem_cap_tol:
+                        q += next_lower[q]
+                        evaluated += 1
+            if q > pos:
                 run_end = q
                 if used + suffix[q] <= dominated_at:
                     # The dominance cut fires inside the run.
@@ -378,58 +416,59 @@ def search_sorted(
                 k = run_end - pos
                 if steps + k >= hard_step_cap:
                     k = max(hard_step_cap - steps, 1)
-                    exhausted = True
+                    stop = True
                 steps += k
                 # One escalation per multiple of max_steps crossed, by
                 # repeated addition like the stepwise search.
                 while steps >= next_escalation:
                     eps_current += epsilon_step
                     next_escalation += max_steps
-                pos = q
-                if exhausted or q == n:
+                exit_at = eps_current + tol
+                if stop or q == n:
                     break
-            taken = pos
-            pos += 1
+                pos = q
+            # Take the item at pos.
+            s = sizes[pos]
+            u2 = used + s
             steps += 1
             if steps == next_escalation:
                 eps_current += epsilon_step  # escalate (Algorithm 1 line 16)
                 next_escalation += max_steps
-            break
-        if taken >= 0:
-            # Descend: the new level starts at pos == taken + 1.
-            path.append(taken)
-            used += sizes[taken]
-            if check_memory:
-                mem_used += memory[taken]
-            slack = cap - used
-            if slack < best_slack - tol:
+                exit_at = eps_current + tol
+            slack = cap - u2
+            if slack < improves_below:
                 best_slack = slack
-                best_path = tuple(path)
+                best_path = (*path, pos)
+                improves_below = best_slack - tol
                 dominated_at = cap - best_slack + tol
-            if best_slack <= eps_current + tol or steps >= hard_step_cap:
-                early = best_slack <= eps_current + tol
+            if best_slack <= exit_at or steps >= hard_step_cap:
+                early = best_slack <= exit_at
+                stop = True
                 break
+            m = memory[pos]
+            m2 = mem_used + m
+            pos += 1
             if pos < n:
-                if not (
-                    (check_memory and mem_used + min_memory[pos] > mem_cap_tol)
-                    or used + smallest > cap_tol
-                ):
-                    continue  # something may still fit: search the new level
-                # A leaf: the new level is one rejection run from pos to
-                # its dominance cut (or n).  Settle it here, then
-                # backtrack as the new level would.
-                if used + suffix[pos] > dominated_at:
+                if not (m2 + min_memory[pos] > mem_cap_tol or u2 + smallest > cap_tol):
+                    # Something may still fit: open the level below.
+                    path.append(pos - 1)
+                    used = u2
+                    mem_used = m2
+                    continue
+                # A leaf: the level below is one rejection run from pos
+                # to its dominance cut (or n).  Settle it here.
+                if u2 + suffix[pos] > dominated_at:
                     evaluated += 1
                     # Gallop from the last leaf's cut to the first r with
-                    # used + suffix[r] <= dominated_at, n when there is
+                    # u2 + suffix[r] <= dominated_at, n when there is
                     # none, then bisect the bracket.
                     lo, hi = pos + 1, n
                     r = cut if cut > lo else lo
                     d = 1
-                    if r == n or used + suffix[r] <= dominated_at:
+                    if r == n or u2 + suffix[r] <= dominated_at:
                         hi = r
                         while r - d >= lo:
-                            if used + suffix[r - d] > dominated_at:
+                            if u2 + suffix[r - d] > dominated_at:
                                 lo = r - d + 1
                                 break
                             hi = r - d
@@ -437,14 +476,14 @@ def search_sorted(
                     else:
                         lo = r + 1
                         while r + d < n:
-                            if used + suffix[r + d] <= dominated_at:
+                            if u2 + suffix[r + d] <= dominated_at:
                                 hi = r + d
                                 break
                             lo = r + d + 1
                             d <<= 1
                     while lo < hi:
                         mid = (lo + hi) >> 1
-                        if used + suffix[mid] <= dominated_at:
+                        if u2 + suffix[mid] <= dominated_at:
                             hi = mid
                         else:
                             lo = mid + 1
@@ -452,20 +491,23 @@ def search_sorted(
                     k = lo - pos
                     if steps + k >= hard_step_cap:
                         k = max(hard_step_cap - steps, 1)
-                        exhausted = True
+                        stop = True
                     steps += k
                     while steps >= next_escalation:
                         eps_current += epsilon_step
                         next_escalation += max_steps
-                    if exhausted:
+                    exit_at = eps_current + tol
+                    if stop:
                         break
-        elif exhausted or not path:
+            # Leave the take as a descend and a backtrack would.
+            used = u2 - s
+            mem_used = m2 - m
+        if stop or not path:
             break
         # Backtrack: the level above resumes after the item it took.
         last = path.pop()
         used -= sizes[last]
-        if check_memory:
-            mem_used -= memory[last]
+        mem_used -= memory[last]
         pos = last + 1
 
     return MBSResult(

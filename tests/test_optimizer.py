@@ -208,10 +208,22 @@ class TestPAC:
         assert plan.sleep == ["old"]
 
     def test_non_finite_server_memory_rejected(self):
-        servers = (make_server_info("s1", memory=float("nan")),)
-        vms = (make_vm_info("v1", 1.0, 100),)
-        with pytest.raises(ValueError, match="free_memory_mb"):
-            pac(PlacementProblem(servers, vms, {}))
+        # Refused where the server is built, so also when no search is
+        # ever offered it: "w" overloads its 2 GHz host.
+        vms = (make_vm_info("w", 3.0, 100), make_vm_info("v1", 1.0, 100))
+        for memory in (math.nan, math.inf, -1.0):
+            for offered in (True, False):
+                with pytest.raises(ValueError, match="memory_mb"):
+                    servers = (make_server_info("s1", capacity=8.0 if offered else 2.0,
+                                                memory=memory),)
+                    pac(PlacementProblem(servers, vms, {} if offered else {"w": "s1"}))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("kwarg, field", [("capacity", "max_capacity_ghz"),
+                                              ("efficiency", "efficiency")])
+    def test_non_finite_server_capacity_and_efficiency_rejected(self, kwarg, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_server_info("s1", **{kwarg: value})
 
     @pytest.mark.parametrize("demand", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_vm_demand_rejected(self, demand):
@@ -297,7 +309,7 @@ def _pac_searching_each_server_afresh(problem, to_place, config):
     return mapping, [vm.vm_id for vm in remaining]
 
 
-def _stepwise_search_sorted(sizes, suffix, capacity, *, memory, min_memory,
+def _stepwise_search_sorted(sizes, suffix, capacity, *, memory, min_memory, next_lower,
                             memory_capacity, **kwargs):
     """The stepwise oracle in place of the search a placement list runs:
     its stable re-sort of the already sorted demands is the identity, so
@@ -421,6 +433,7 @@ def _list_state(placement_list):
         placement_list._suffix,
         placement_list._memory,
         placement_list._min_memory,
+        placement_list._lower,
     )
 
 

@@ -123,10 +123,11 @@ class TestMinimumBinSlack:
         # A NaN epsilon switches the early exit off for good, a negative
         # step shrinks epsilon, and with a NaN memory capacity every
         # memory test is False: two 2 GiB items "fit" the bin.
-        _, sizes, suffix, memory, min_memory = sort_items(
+        _, sizes, suffix, memory, min_memory, next_lower = sort_items(
             np.array([1.0, 1.0]), np.array([2048.0, 2048.0])
         )
-        search = dict(memory=memory, min_memory=min_memory, memory_capacity=2048.0)
+        search = dict(memory=memory, min_memory=min_memory, next_lower=next_lower,
+                      memory_capacity=2048.0)
         with pytest.raises(ValueError, match="finite"):
             search_sorted(sizes, suffix, 2.0, **{**search, **kwargs})
         with pytest.raises(ValueError, match="finite"):
@@ -239,6 +240,34 @@ def _run_path_instances(draw):
     return sizes, capacity, mems, mem_cap, kwargs
 
 
+@st.composite
+def _memory_bound_instances(draw):
+    """Searches that memory ends: 2-4 distinct memories, often in runs
+    of equal ones (which a jump passes whole), a memory capacity that
+    admits 1-4 items, tails of zero-size items and small step budgets,
+    so escalations and the hard cap land inside memory runs and settled
+    leaves.  Sizes descend, so the runs stay runs in search order."""
+    n = draw(st.integers(0, 80))
+    levels = draw(st.lists(st.sampled_from([256.0, 512.0, 768.0, 1024.0, 1536.0, 2048.0]),
+                           min_size=2, max_size=4, unique=True))
+    mems: list = []
+    while len(mems) < n:
+        mems += [draw(st.sampled_from(levels))] * draw(st.sampled_from([1, 1, 3, 12]))
+    mems = mems[:n]
+    zeros = draw(st.integers(0, min(n, 6)))
+    sizes = sorted(draw(st.lists(st.floats(0.01, 0.5), min_size=n - zeros,
+                                 max_size=n - zeros)), reverse=True) + [0.0] * zeros
+    mem_cap = draw(st.sampled_from(levels)) * draw(st.integers(1, 4))
+    kwargs = dict(
+        epsilon=draw(st.sampled_from([0.0, 0.01, 0.1])),
+        max_steps=draw(st.integers(1, 30)),
+        epsilon_step=draw(st.sampled_from([None, 0.001, 0.02])),
+        hard_step_cap=draw(st.one_of(st.none(), st.integers(1, 2000))),
+    )
+    capacity = draw(st.one_of(st.floats(0.0, 2.0), st.floats(2.0, 20.0)))
+    return sizes, capacity, mems, mem_cap, kwargs
+
+
 def _assert_matches_stepwise_oracle(instance):
     sizes, capacity, mems, mem_cap, kwargs = instance
     res = minimum_bin_slack(sizes, capacity, mems, mem_cap, **kwargs)
@@ -275,22 +304,46 @@ class TestJumpsMatchStepwiseSearch:
     def test_run_path_regime_equals_stepwise_oracle(self, instance):
         _assert_matches_stepwise_oracle(instance)
 
+    @settings(max_examples=300, deadline=None)
+    @given(instance=_memory_bound_instances())
+    def test_memory_bound_regime_equals_stepwise_oracle(self, instance):
+        _assert_matches_stepwise_oracle(instance)
+
+    def test_equal_memory_runs_are_jumped_whole(self):
+        # After any first item only the last one fits memory: each level
+        # below a take is one run of equal memories, passed in one jump.
+        n = 1000
+        sizes = np.linspace(1.0, 0.5, n)
+        mems = [1024.0] * (n - 1) + [256.0]
+        res = minimum_bin_slack(sizes, 1e4, memory_sizes=mems, memory_capacity=1280.0,
+                                max_steps=2000)
+        ref = stepwise_minimum_bin_slack(
+            sizes, 1e4, constraint=MemoryConstraint(mems, 1280.0), max_steps=2000
+        )
+        assert _result_fields(res) == _result_fields(ref)
+        assert res.steps > 20 * 2000
+        assert res.evaluated < 0.01 * res.steps
+
     def test_leaves_are_settled_without_descending(self):
         # Memory admits one item, so every take is a leaf.  Item 0 alone
         # leaves room for another of its own size but for none of the
         # later, larger ones.  A settled leaf never looks at the level
-        # below, so memory is read in position order: test, take, release.
+        # below and is never pushed on the path, so memory is read in
+        # position order, twice per item: test and take (a take that is
+        # pushed would read it a third time on its way back).
         n = 40
         sizes = np.linspace(1.0, 0.5, n)
         mems = [700.0] + [900.0] * (n - 1)
-        _, sorted_sizes, suffix, memory, min_memory = sort_items(sizes, np.array(mems))
+        _, sorted_sizes, suffix, memory, min_memory, next_lower = sort_items(
+            sizes, np.array(mems)
+        )
         memory = _ReadLog(memory)
         res = search_sorted(sorted_sizes, suffix, 1e4, memory=memory, min_memory=min_memory,
-                            memory_capacity=1500.0)
+                            next_lower=next_lower, memory_capacity=1500.0)
         ref = stepwise_minimum_bin_slack(sizes, 1e4, constraint=MemoryConstraint(mems, 1500.0))
         assert _result_fields(res) == _result_fields(ref)
         assert memory.reads == sorted(memory.reads)
-        assert memory.reads.count(0) == 3
+        assert memory.reads.count(0) == 2
 
     def test_saturated_memory_is_jumped_not_walked(self):
         # Memory admits three items; below depth three every remaining
@@ -312,6 +365,34 @@ class TestJumpsMatchStepwiseSearch:
         res = minimum_bin_slack(sizes, 1e4)
         assert res.selected == tuple(range(200))
         assert res.evaluated == res.steps == 200
+
+
+class TestSortItems:
+    @settings(max_examples=300, deadline=None)
+    @given(mems=st.lists(st.one_of(st.sampled_from([0.0, 256.0, 512.0, 1024.0]),
+                                   st.floats(0.0, 2048.0)), max_size=60),
+           data=st.data())
+    def test_next_lower_is_the_distance_to_the_next_smaller_memory(self, mems, data):
+        n = len(mems)
+        sizes = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                            min_size=n, max_size=n)), dtype=float)
+        _, _, _, memory, _, next_lower = sort_items(sizes, np.array(mems, dtype=float))
+        want = [
+            next((r - p for r in range(p + 1, n) if memory[r] < memory[p]), n - p)
+            for p in range(n)
+        ]
+        assert next_lower == want
+
+    def test_search_refuses_memory_without_its_tables(self):
+        _, sizes, suffix, memory, min_memory, next_lower = sort_items(
+            np.array([1.0, 1.0]), np.array([2048.0, 1024.0])
+        )
+        for missing in ("min_memory", "next_lower"):
+            tables = dict(min_memory=min_memory, next_lower=next_lower)
+            del tables[missing]
+            with pytest.raises(ValueError, match="next_lower"):
+                search_sorted(sizes, suffix, 2.0, memory=memory, memory_capacity=2048.0,
+                              **tables)
 
 
 @st.composite
@@ -351,9 +432,10 @@ class TestSearchFittingNothing:
 
     @staticmethod
     def _both(sizes, capacity, mems, mem_cap, kwargs):
-        _, sorted_sizes, suffix, memory, min_memory = sort_items(sizes, mems)
+        _, sorted_sizes, suffix, memory, min_memory, next_lower = sort_items(sizes, mems)
         searched = search_sorted(sorted_sizes, suffix, capacity, memory=memory,
-                                 min_memory=min_memory, memory_capacity=mem_cap, **kwargs)
+                                 min_memory=min_memory, next_lower=next_lower,
+                                 memory_capacity=mem_cap, **kwargs)
         return search_fitting_nothing(suffix, capacity, **kwargs), searched
 
     @settings(max_examples=500, deadline=None)
